@@ -172,7 +172,7 @@ def _fallback_run(*ops) -> bool:
     """True when an unfused streaming run is the expression-compile
     fallback (one of its expressions cannot be lowered) — FusedOp's own
     constructor is the oracle."""
-    from ..core.expr_eval import UnsupportedExpressionError
+    from ..core.expr_compile import UnsupportedExpressionError
 
     try:
         FusedOp(list(ops))

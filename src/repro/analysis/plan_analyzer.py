@@ -96,7 +96,7 @@ PLAN_RULES = {
 }
 
 # Scalar-call argument positions the device evaluator requires to be
-# literals (mirrors repro.core.expr_eval's _literal_value sites).
+# literals (mirrors repro.core.expr_compile's _literal_value sites).
 _LITERAL_ONLY_ARGS = {
     "like": [(1, "LIKE pattern")],
     "not_like": [(1, "LIKE pattern")],

@@ -8,7 +8,7 @@ from .deadline import (
     MemoryBudgetExceededError,
 )
 from .executor import OperatorTiming, PipelineExecutor, QueryProfile
-from .expr_eval import UnsupportedExpressionError
+from .expr_compile import UnsupportedExpressionError
 from .fallback import DegradationTier, FALLBACK_EXCEPTIONS, FallbackEvent, FallbackHandler
 from .operators.base import Category, ExecutionContext, OperatorRegistry, UnsupportedFeatureError
 from .planner import PhysicalPlan, Pipeline, compile_plan

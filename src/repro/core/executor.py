@@ -15,9 +15,9 @@ Reproduces §3.2.2's model:
 Execution is **task-granular**: a :class:`QueryRun` advances one chunk at
 a time through :meth:`QueryRun.step`, which is what lets the serving
 scheduler (:mod:`repro.sched`) interleave many concurrent queries on one
-device at chunk granularity.  :meth:`PipelineExecutor.run` simply steps a
-run to completion, so single-query execution is unchanged (same pipeline
-order, same clock charges, same profiles).
+device at chunk granularity.  ``SiriusEngine.execute`` simply steps a run
+to completion, so single-query execution takes the same path (same
+pipeline order, same clock charges, same profiles).
 
 When the execution context carries a real tracer the executor also emits
 the span hierarchy query → pipeline → operator.  Operator work inside a
@@ -54,9 +54,8 @@ class QueryRun:
     to :meth:`step` performs one task — pushing one source chunk through a
     pipeline's operators into its sink (plus any adjacent bookkeeping such
     as finalising a finished pipeline or opening the next one).  Pipelines
-    are served from the global queue in dependency order, exactly as
-    :meth:`PipelineExecutor.run` always did, so stepping a run to
-    completion is byte-identical to the old monolithic loop.
+    are served from the global queue in dependency order, so stepping a
+    run to completion executes the whole query.
 
     Attributes:
         service_seconds: Accumulated simulated time this run's own steps
@@ -487,20 +486,11 @@ class PipelineExecutor:
         self, physical: PhysicalPlan, deadline: Deadline | None = None
     ) -> QueryRun:
         """Begin task-granular execution; the caller drives the returned
-        :class:`QueryRun` one chunk-task at a time (the serving path)."""
-        return QueryRun(self.ctx, physical, deadline)
-
-    def run(
-        self, physical: PhysicalPlan, deadline: Deadline | None = None
-    ) -> tuple[GTable, QueryProfile]:
-        """Execute all pipelines; returns the result table and a profile.
+        :class:`QueryRun` one chunk-task at a time.
 
         A :class:`~repro.core.deadline.Deadline` (simulated-time budget) is
-        enforced at chunk and pipeline boundaries — the executor stops
-        pushing work as soon as the clock passes the deadline, raising
+        enforced at chunk and pipeline boundaries — the run stops pushing
+        work as soon as the clock passes the deadline, raising
         :class:`~repro.core.deadline.DeadlineExceededError`.
         """
-        run = self.start(physical, deadline)
-        while run.step():
-            pass
-        return run.result, run.profile
+        return QueryRun(self.ctx, physical, deadline)

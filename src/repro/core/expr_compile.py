@@ -1,30 +1,32 @@
-"""Compilation of plan expressions into reusable vectorized closures.
+"""Lowering of plan expressions onto device kernels.
 
-:mod:`repro.core.expr_eval` walks the expression tree once per chunk,
-re-dispatching every node through ``isinstance`` checks and re-parsing
-call options (LIKE patterns, cast targets, substring offsets) each time.
-The fused pipeline path instead **compiles** each expression once per
-pipeline: :func:`compile_expression` resolves the dispatch at compile
-time and hoists all constant option parsing, returning a closure that
-only performs the per-chunk kernel calls.
+This module is the engine's only expression evaluator.
+:func:`compile_expression` turns a plan :class:`~repro.plan.Expression`
+into a closure over ``(table, cache)``: the per-function dispatch is
+resolved and all constant option parsing (LIKE patterns, cast targets,
+substring offsets) is hoisted at compile time, so the closure performs
+only the per-chunk kernel calls.  Literals evaluate to Python scalars;
+the parent kernel broadcasts them, so constants never materialise columns
+unless an expression is a bare literal.  The unfused operators compile
+and call once per chunk through :mod:`repro.core.expr_eval`;
+:class:`~repro.core.operators.fused.FusedOp` compiles once per pipeline.
 
-The closures invoke exactly the same kernels with the same arguments as
-the interpreter, so compiled results are bit-identical to
-:func:`~repro.core.expr_eval.evaluate` by construction — this is what
-the fused==unfused equivalence gate relies on.
-
-Common-subexpression elimination: every node is keyed by the stable
-digest of its ``to_dict()`` form and memoised in a caller-owned ``cache``
-dict, so a subtree shared between a filter predicate and a later
-projection in the same fused run evaluates once.  A cache is only valid
-for one *table epoch* — the caller must supply a fresh dict whenever the
-chunk object changes (after a compaction or projection), because cached
-``GColumn`` results are positional.
+Common-subexpression elimination: with a ``cache`` dict, every call node
+is keyed by the stable digest of its ``to_dict()`` form and memoised, so
+a subtree shared between a filter predicate and a later projection in the
+same fused run evaluates once.  A cache is only valid for one *table
+epoch* — the caller must supply a fresh dict whenever the chunk object
+changes (after a compaction or projection), because cached ``GColumn``
+results are positional.  With ``cache=None`` nothing is shared: a
+repeated subtree launches, and is charged for, its kernels every time it
+occurs, which is what the unfused cost model prices (and the digest is
+never computed).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -40,7 +42,7 @@ from ..kernels import (
     coalesce,
     compare,
     concat_strings,
-    contains as contains_kernel,
+    contains,
     extract_date_part,
     fill_constant,
     in_list,
@@ -55,25 +57,28 @@ from ..kernels import (
     substring,
 )
 from ..plan import Expression, FieldRef, Literal, ScalarCall
-from .expr_eval import (
-    UnsupportedExpressionError,
-    _fold_scalar_arith,
-    _fold_scalar_cmp,
-    _literal_value,
-)
 
 __all__ = [
     "CompiledFn",
+    "UnsupportedExpressionError",
     "compile_expression",
     "compile_predicate",
     "compile_projection",
     "expression_digest",
 ]
 
+
+class UnsupportedExpressionError(NotImplementedError):
+    """An expression Sirius cannot run on the GPU (triggers CPU fallback)."""
+
+
 # A compiled node: (table, cache) -> GColumn | scalar.
-CompiledFn = Callable[[GTable, dict], Any]
+CompiledFn = Callable[[GTable, "dict | None"], Any]
 
 _MISS = object()
+
+# Scalar-function name -> lowering, filled in by ``_lowers`` below.
+_LOWERINGS: dict[str, Callable[[ScalarCall], CompiledFn]] = {}
 
 
 def expression_digest(expr: Expression) -> str:
@@ -84,9 +89,9 @@ def expression_digest(expr: Expression) -> str:
 def compile_expression(expr: Expression) -> CompiledFn:
     """Compile ``expr`` to a closure over ``(table, cache)``.
 
-    Raises :class:`UnsupportedExpressionError` at compile time for any
-    node the interpreter would reject at run time, so planner passes can
-    decline fusion before execution starts.
+    Raises :class:`UnsupportedExpressionError` for any node that cannot
+    be lowered, before a single kernel runs, so planner passes can decline
+    fusion before execution starts.
     """
     if isinstance(expr, FieldRef):
         index = expr.index
@@ -95,43 +100,54 @@ def compile_expression(expr: Expression) -> CompiledFn:
         value = expr.value
         return lambda table, cache: value
     if isinstance(expr, ScalarCall):
-        return _memoised(expr, _compile_call(expr))
+        lower = _LOWERINGS.get(expr.func)
+        if lower is None:
+            raise UnsupportedExpressionError(
+                f"scalar function {expr.func!r} not supported on device"
+            )
+        return _memoised(expr, lower(expr))
     raise UnsupportedExpressionError(f"cannot compile {expr!r} for device execution")
 
 
-def compile_predicate(expr: Expression) -> Callable[[GTable, dict], np.ndarray]:
-    """Compile a boolean expression to a keep-mask closure (NULL -> False);
-    mirrors :func:`~repro.core.expr_eval.evaluate_predicate`."""
+def compile_predicate(expr: Expression) -> Callable[[GTable, "dict | None"], np.ndarray]:
+    """Compile a boolean expression to a keep-mask closure (NULL -> False)."""
     node = compile_expression(expr)
-
-    def run(table: GTable, cache: dict) -> np.ndarray:
-        result = node(table, cache)
-        if not isinstance(result, GColumn):
-            return np.full(table.num_rows, bool(result), dtype=np.bool_)
-        return result.data.astype(np.bool_) & result.valid_mask()
-
-    return run
+    return lambda table, cache: keep_mask(node(table, cache), table)
 
 
 def compile_projection(expr: Expression, dtype: DType | None = None) -> CompiledFn:
-    """Compile a projection expression, materialising bare scalars with
-    the planner-typed ``dtype`` (mirrors
-    :func:`~repro.core.expr_eval.evaluate_to_column`)."""
+    """Compile a projection expression, materialising a bare scalar with
+    the planner-typed ``dtype`` of its output slot."""
     node = compile_expression(expr)
+    return lambda table, cache: materialise(node(table, cache), table, dtype)
 
-    def run(table: GTable, cache: dict) -> GColumn:
-        result = node(table, cache)
-        if isinstance(result, GColumn):
-            return result
-        return fill_constant(table.device, table.num_rows, result, dtype=dtype)
 
-    return run
+def keep_mask(value, table: GTable) -> np.ndarray:
+    """A boolean result as a keep-mask over ``table`` (NULL -> False)."""
+    if not isinstance(value, GColumn):
+        return np.full(table.num_rows, bool(value), dtype=np.bool_)
+    return value.data.astype(np.bool_) & value.valid_mask()
+
+
+def materialise(value, table: GTable, dtype: DType | None = None) -> GColumn:
+    """A result as a column over ``table``.  Without ``dtype`` a scalar is
+    materialised with a dtype inferred from its Python value (``0`` ->
+    INT64 even in a FLOAT64 position, ``None`` -> INT64 whatever the typed
+    NULL's dtype)."""
+    if isinstance(value, GColumn):
+        return value
+    return fill_constant(table.device, table.num_rows, value, dtype=dtype)
 
 
 def _memoised(expr: ScalarCall, inner: CompiledFn) -> CompiledFn:
-    key = expression_digest(expr)
+    key = None
 
-    def run(table: GTable, cache: dict):
+    def run(table: GTable, cache: "dict | None"):
+        nonlocal key
+        if cache is None:
+            return inner(table, None)
+        if key is None:
+            key = expression_digest(expr)
         hit = cache.get(key, _MISS)
         if hit is not _MISS:
             return hit
@@ -142,233 +158,261 @@ def _memoised(expr: ScalarCall, inner: CompiledFn) -> CompiledFn:
     return run
 
 
-def _as_column(node: CompiledFn) -> CompiledFn:
-    def run(table: GTable, cache: dict) -> GColumn:
-        value = node(table, cache)
-        if isinstance(value, GColumn):
-            return value
-        return fill_constant(table.device, table.num_rows, value)
+def _literal_value(expr: Expression, what: str):
+    if not isinstance(expr, Literal):
+        raise UnsupportedExpressionError(f"{what} must be a literal, got {expr!r}")
+    return expr.value
+
+
+def _lowers(*funcs: str):
+    """Register the decorated function as the lowering of ``funcs``."""
+
+    def register(lower):
+        for func in funcs:
+            _LOWERINGS[func] = lower
+        return lower
+
+    return register
+
+
+def _binary(call: ScalarCall, fold, kernel) -> CompiledFn:
+    """``kernel(left, right)`` unless both sides are constants, which
+    ``fold`` folds on the host (e.g. optimizer leftovers)."""
+    left = compile_expression(call.args[0])
+    right = compile_expression(call.args[1])
+
+    def run(table, cache):
+        lv = left(table, cache)
+        rv = right(table, cache)
+        if not isinstance(lv, GColumn) and not isinstance(rv, GColumn):
+            return fold(lv, rv)
+        return kernel(lv, rv)
 
     return run
 
 
-def _compile_call(call: ScalarCall) -> CompiledFn:
-    """One branch per scalar function, mirroring ``expr_eval._call`` with
-    the dispatch and option parsing hoisted to compile time."""
+def _unary(call: ScalarCall, fold, kernel) -> CompiledFn:
+    """``kernel(operand)``; a constant operand folds on the host, NULL
+    propagating."""
+    operand = compile_expression(call.args[0])
+
+    def run(table, cache):
+        value = operand(table, cache)
+        if not isinstance(value, GColumn):
+            return None if value is None else fold(value)
+        return kernel(value)
+
+    return run
+
+
+def _variadic(call: ScalarCall, fold, kernel) -> CompiledFn:
+    """``kernel(values)`` over all arguments unless every one is a
+    constant, which ``fold`` folds on the host."""
+    operands = [compile_expression(a) for a in call.args]
+
+    def run(table, cache):
+        values = [o(table, cache) for o in operands]
+        if not any(isinstance(v, GColumn) for v in values):
+            return fold(values)
+        return kernel(values)
+
+    return run
+
+
+def _on_column(call: ScalarCall, kernel) -> CompiledFn:
+    """``kernel(column)`` over the first argument, a constant broadcast
+    to a column first."""
+    operand = compile_expression(call.args[0])
+    return lambda table, cache: kernel(materialise(operand(table, cache), table))
+
+
+def _null_propagating(op):
+    return lambda left, right: None if left is None or right is None else op(left, right)
+
+
+def _null_is_false(op):
+    return lambda left, right: left is not None and right is not None and bool(op(left, right))
+
+
+# Host-side folds of an operation between two constants.
+_ARITH_FOLDS = {
+    "add": _null_propagating(operator.add),
+    "subtract": _null_propagating(operator.sub),
+    "multiply": _null_propagating(operator.mul),
+    "divide": _null_propagating(lambda left, right: left / right if right != 0 else None),
+    "modulo": _null_propagating(lambda left, right: left % right if right != 0 else None),
+}
+_CMP_FOLDS = {
+    "eq": _null_is_false(operator.eq),
+    "ne": _null_is_false(operator.ne),
+    "lt": _null_is_false(operator.lt),
+    "le": _null_is_false(operator.le),
+    "gt": _null_is_false(operator.gt),
+    "ge": _null_is_false(operator.ge),
+}
+
+
+@_lowers(*_ARITH_FOLDS)
+def _arith(call):
     f = call.func
+    return _binary(call, _ARITH_FOLDS[f], lambda left, right: binary_arith(f, left, right))
 
-    if f in ("add", "subtract", "multiply", "divide", "modulo"):
-        left = compile_expression(call.args[0])
-        right = compile_expression(call.args[1])
 
-        def run(table, cache):
-            lv = left(table, cache)
-            rv = right(table, cache)
-            if not isinstance(lv, GColumn) and not isinstance(rv, GColumn):
-                return _fold_scalar_arith(f, lv, rv)
-            return binary_arith(f, lv, rv)
+@_lowers(*_CMP_FOLDS)
+def _comparison(call):
+    f = call.func
+    return _binary(call, _CMP_FOLDS[f], lambda left, right: compare(f, left, right))
 
-        return run
 
-    if f in ("eq", "ne", "lt", "le", "gt", "ge"):
-        left = compile_expression(call.args[0])
-        right = compile_expression(call.args[1])
+@_lowers("and")
+def _and(call):
+    return _binary(call, lambda left, right: bool(left) and bool(right), logical_and)
 
-        def run(table, cache):
-            lv = left(table, cache)
-            rv = right(table, cache)
-            if not isinstance(lv, GColumn) and not isinstance(rv, GColumn):
-                return _fold_scalar_cmp(f, lv, rv)
-            return compare(f, lv, rv)
 
-        return run
+@_lowers("or")
+def _or(call):
+    return _binary(call, lambda left, right: bool(left) or bool(right), logical_or)
 
-    if f in ("and", "or"):
-        left = compile_expression(call.args[0])
-        right = compile_expression(call.args[1])
-        kernel = logical_and if f == "and" else logical_or
 
-        def run(table, cache, _kernel=kernel, _both=(f == "and")):
-            lv = left(table, cache)
-            rv = right(table, cache)
-            if not isinstance(lv, GColumn) and not isinstance(rv, GColumn):
-                return (bool(lv) and bool(rv)) if _both else (bool(lv) or bool(rv))
-            return _kernel(lv, rv)
+@_lowers("not")
+def _not(call):
+    return _unary(call, lambda value: not bool(value), logical_not)
 
-        return run
 
-    if f == "not":
-        operand = compile_expression(call.args[0])
+@_lowers("negate")
+def _negate(call):
+    return _unary(call, operator.neg, lambda col: binary_arith("multiply", col, -1))
 
-        def run(table, cache):
-            value = operand(table, cache)
-            if not isinstance(value, GColumn):
-                return None if value is None else not bool(value)
-            return logical_not(value)
 
-        return run
+@_lowers("abs")
+def _abs(call):
+    return _unary(call, abs, absolute)
 
-    if f == "negate":
-        operand = compile_expression(call.args[0])
 
-        def run(table, cache):
-            value = operand(table, cache)
-            if not isinstance(value, GColumn):
-                return None if value is None else -value
-            return binary_arith("multiply", value, -1)
+@_lowers("round")
+def _round(call):
+    digits = int(_literal_value(call.args[1], "round digits")) if len(call.args) > 1 else 0
+    return _unary(
+        call,
+        lambda value: float(round(float(value), digits)),
+        lambda col: round_column(col, digits),
+    )
 
-        return run
 
-    if f in ("is_null", "is_not_null"):
-        operand = _as_column(compile_expression(call.args[0]))
-        negate = f == "is_not_null"
-        return lambda table, cache: is_null(operand(table, cache), negate=negate)
+@_lowers("is_null", "is_not_null")
+def _is_null(call):
+    negate = call.func == "is_not_null"
+    return _on_column(call, lambda col: is_null(col, negate=negate))
 
-    if f in ("like", "not_like"):
-        operand = _as_column(compile_expression(call.args[0]))
-        pattern = _literal_value(call.args[1], "LIKE pattern")
-        negate = f == "not_like"
-        escape = call.options.get("escape")
-        return lambda table, cache: like(
-            operand(table, cache), pattern, negate=negate, escape=escape
+
+@_lowers("like", "not_like")
+def _like(call):
+    pattern = _literal_value(call.args[1], "LIKE pattern")
+    negate = call.func == "not_like"
+    escape = call.options.get("escape")
+    return _on_column(call, lambda col: like(col, pattern, negate=negate, escape=escape))
+
+
+@_lowers("contains")
+def _contains(call):
+    needle = _literal_value(call.args[1], "contains needle")
+    return _on_column(call, lambda col: contains(col, needle))
+
+
+@_lowers("starts_with")
+def _starts_with(call):
+    pattern = f"{_literal_value(call.args[1], 'starts_with prefix')}%"
+    return _on_column(call, lambda col: like(col, pattern))
+
+
+@_lowers("in", "not_in")
+def _in(call):
+    values = [_literal_value(a, "IN list element") for a in call.args[1:]]
+    if call.func == "in":
+        return _on_column(call, lambda col: in_list(col, values))
+    return _on_column(call, lambda col: logical_not(in_list(col, values)))
+
+
+@_lowers("upper", "lower")
+def _string_case(call):
+    upper = call.func == "upper"
+    return _on_column(call, lambda col: string_case(col, upper=upper))
+
+
+@_lowers("length")
+def _length(call):
+    return _on_column(call, string_length)
+
+
+@_lowers("cast")
+def _cast(call):
+    target = dtype_from_name(call.options["to"])
+    return _on_column(call, lambda col: cast_column(col, target))
+
+
+@_lowers("extract_year", "extract_month", "extract_day")
+def _extract(call):
+    part = call.func.removeprefix("extract_")
+    return _on_column(call, lambda col: extract_date_part(part, col))
+
+
+@_lowers("substring")
+def _substring(call):
+    options = call.options
+    start = int(
+        options["start"]
+        if "start" in options
+        else _literal_value(call.args[1], "substring start")
+    )
+    length = int(
+        options["length"]
+        if "length" in options
+        else _literal_value(call.args[2], "substring length")
+    )
+    return _on_column(call, lambda col: substring(col, start, length))
+
+
+@_lowers("between")
+def _between(call):
+    column, low, high = (compile_expression(a) for a in call.args[:3])
+
+    def run(table, cache):
+        value = column(table, cache)
+        lo = low(table, cache)
+        hi = high(table, cache)
+        return logical_and(compare("ge", value, lo), compare("le", value, hi))
+
+    return run
+
+
+@_lowers("case")
+def _case(call):
+    # args = [cond1, res1, cond2, res2, ..., default]
+    compiled = [compile_expression(a) for a in call.args]
+    conditions, results, default = compiled[:-1:2], compiled[1:-1:2], compiled[-1]
+
+    def run(table, cache):
+        return case_when(
+            [materialise(c(table, cache), table) for c in conditions],
+            [r(table, cache) for r in results],
+            default(table, cache),
         )
 
-    if f == "contains":
-        operand = _as_column(compile_expression(call.args[0]))
-        needle = _literal_value(call.args[1], "contains needle")
-        return lambda table, cache: contains_kernel(operand(table, cache), needle)
+    return run
 
-    if f == "starts_with":
-        operand = _as_column(compile_expression(call.args[0]))
-        prefix = _literal_value(call.args[1], "starts_with prefix")
-        return lambda table, cache: like(operand(table, cache), f"{prefix}%")
 
-    if f in ("in", "not_in"):
-        operand = _as_column(compile_expression(call.args[0]))
-        values = [_literal_value(a, "IN list element") for a in call.args[1:]]
-        negated = f == "not_in"
+@_lowers("coalesce")
+def _coalesce(call):
+    return _variadic(
+        call, lambda values: next((v for v in values if v is not None), None), coalesce
+    )
 
-        def run(table, cache):
-            result = in_list(operand(table, cache), values)
-            return logical_not(result) if negated else result
 
-        return run
+@_lowers("concat")
+def _concat(call):
+    def fold(values):
+        if any(v is None for v in values):
+            return None
+        return "".join(str(v) for v in values)
 
-    if f == "between":
-        column = compile_expression(call.args[0])
-        low = compile_expression(call.args[1])
-        high = compile_expression(call.args[2])
-
-        def run(table, cache):
-            value = column(table, cache)
-            return logical_and(
-                compare("ge", value, low(table, cache)),
-                compare("le", value, high(table, cache)),
-            )
-
-        return run
-
-    if f == "case":
-        pairs = call.args[:-1]
-        conditions = [
-            _as_column(compile_expression(pairs[i])) for i in range(0, len(pairs), 2)
-        ]
-        results = [
-            compile_expression(pairs[i + 1]) for i in range(0, len(pairs), 2)
-        ]
-        default = compile_expression(call.args[-1])
-
-        def run(table, cache):
-            return case_when(
-                [c(table, cache) for c in conditions],
-                [r(table, cache) for r in results],
-                default(table, cache),
-            )
-
-        return run
-
-    if f == "coalesce":
-        operands = [compile_expression(a) for a in call.args]
-
-        def run(table, cache):
-            values = [o(table, cache) for o in operands]
-            if not any(isinstance(v, GColumn) for v in values):
-                return next((v for v in values if v is not None), None)
-            return coalesce(values)
-
-        return run
-
-    if f in ("upper", "lower"):
-        operand = _as_column(compile_expression(call.args[0]))
-        upper = f == "upper"
-        return lambda table, cache: string_case(operand(table, cache), upper=upper)
-
-    if f == "length":
-        operand = _as_column(compile_expression(call.args[0]))
-        return lambda table, cache: string_length(operand(table, cache))
-
-    if f == "concat":
-        operands = [compile_expression(a) for a in call.args]
-
-        def run(table, cache):
-            values = [o(table, cache) for o in operands]
-            if not any(isinstance(v, GColumn) for v in values):
-                if any(v is None for v in values):
-                    return None
-                return "".join(str(v) for v in values)
-            return concat_strings(values)
-
-        return run
-
-    if f == "abs":
-        operand = compile_expression(call.args[0])
-
-        def run(table, cache):
-            value = operand(table, cache)
-            if not isinstance(value, GColumn):
-                return None if value is None else abs(value)
-            return absolute(value)
-
-        return run
-
-    if f == "round":
-        digits = (
-            int(_literal_value(call.args[1], "round digits"))
-            if len(call.args) > 1
-            else 0
-        )
-        operand = compile_expression(call.args[0])
-
-        def run(table, cache):
-            value = operand(table, cache)
-            if not isinstance(value, GColumn):
-                return None if value is None else float(round(float(value), digits))
-            return round_column(value, digits)
-
-        return run
-
-    if f == "cast":
-        target = dtype_from_name(call.options["to"])
-        operand = _as_column(compile_expression(call.args[0]))
-        return lambda table, cache: cast_column(operand(table, cache), target)
-
-    if f in ("extract_year", "extract_month", "extract_day"):
-        part = f.removeprefix("extract_")
-        operand = _as_column(compile_expression(call.args[0]))
-        return lambda table, cache: extract_date_part(part, operand(table, cache))
-
-    if f == "substring":
-        start = int(
-            call.options["start"]
-            if "start" in call.options
-            else _literal_value(call.args[1], "substring start")
-        )
-        length = int(
-            call.options["length"]
-            if "length" in call.options
-            else _literal_value(call.args[2], "substring length")
-        )
-        operand = _as_column(compile_expression(call.args[0]))
-        return lambda table, cache: substring(operand(table, cache), start, length)
-
-    raise UnsupportedExpressionError(f"scalar function {f!r} not supported on device")
+    return _variadic(call, fold, concat_strings)

@@ -1,10 +1,11 @@
-"""Lowering of plan expressions onto device kernels.
+"""One-shot expression evaluation for the unfused operators.
 
-The executor evaluates a plan :class:`~repro.plan.Expression` against a
-:class:`~repro.kernels.GTable` by walking the tree and dispatching each
-node to the corresponding kernel.  Literals evaluate to Python scalars;
-the parent kernel broadcasts them, so constants never materialise columns
-unless an expression is a bare literal.
+The operators outside fused regions evaluate a plan
+:class:`~repro.plan.Expression` against one chunk at a time: each entry
+point here compiles the expression with :mod:`repro.core.expr_compile`
+(the engine's only evaluator) and calls the closure once, without a CSE
+cache — a repeated subtree launches its kernels every time it occurs,
+which is what the unfused cost model charges for.
 """
 
 from __future__ import annotations
@@ -13,235 +14,24 @@ from typing import Any
 
 import numpy as np
 
-from ..columnar.dtypes import dtype_from_name
-from ..kernels import (
-    GColumn,
-    GTable,
-    absolute,
-    binary_arith,
-    case_when,
-    cast_column,
-    coalesce,
-    compare,
-    concat_strings,
-    extract_date_part,
-    fill_constant,
-    in_list,
-    is_null,
-    like,
-    logical_and,
-    logical_not,
-    logical_or,
-    round_column,
-    string_case,
-    string_length,
-    substring,
-)
-from ..plan import Expression, FieldRef, Literal, ScalarCall
+from ..kernels import GColumn, GTable
+from ..plan import Expression
+from .expr_compile import compile_expression, keep_mask, materialise
 
-__all__ = ["evaluate", "evaluate_predicate", "UnsupportedExpressionError"]
-
-
-class UnsupportedExpressionError(NotImplementedError):
-    """An expression Sirius cannot run on the GPU (triggers CPU fallback)."""
+__all__ = ["evaluate", "evaluate_to_column", "evaluate_predicate"]
 
 
 def evaluate(expr: Expression, table: GTable) -> "GColumn | Any":
     """Evaluate ``expr`` over ``table``; returns a GColumn or a scalar."""
-    if isinstance(expr, FieldRef):
-        return table.columns[expr.index]
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ScalarCall):
-        return _call(expr, table)
-    raise UnsupportedExpressionError(f"cannot evaluate {expr!r} on device")
+    return compile_expression(expr)(table, None)
 
 
 def evaluate_to_column(expr: Expression, table: GTable, dtype=None) -> GColumn:
-    """Like :func:`evaluate` but materialises bare literals as columns.
-
-    ``dtype`` is the planner-typed output type for the expression's slot;
-    without it a bare literal would be materialised with a dtype inferred
-    from its Python value (e.g. ``0`` -> INT64 in a FLOAT64 column
-    position, ``None`` -> INT64 regardless of the typed NULL's dtype).
-    """
-    result = evaluate(expr, table)
-    if isinstance(result, GColumn):
-        return result
-    return fill_constant(table.device, table.num_rows, result, dtype=dtype)
+    """Like :func:`evaluate` but materialises a bare literal as a column
+    of ``dtype``, the planner-typed output type of the expression's slot."""
+    return materialise(evaluate(expr, table), table, dtype)
 
 
 def evaluate_predicate(expr: Expression, table: GTable) -> np.ndarray:
     """Evaluate a boolean expression to a keep-mask (NULL -> False)."""
-    result = evaluate(expr, table)
-    if not isinstance(result, GColumn):
-        return np.full(table.num_rows, bool(result), dtype=np.bool_)
-    return result.data.astype(np.bool_) & result.valid_mask()
-
-
-def _call(call: ScalarCall, table: GTable):
-    f = call.func
-
-    if f in ("add", "subtract", "multiply", "divide", "modulo"):
-        left = evaluate(call.args[0], table)
-        right = evaluate(call.args[1], table)
-        if not isinstance(left, GColumn) and not isinstance(right, GColumn):
-            return _fold_scalar_arith(f, left, right)
-        return binary_arith(f, left, right)
-
-    if f in ("eq", "ne", "lt", "le", "gt", "ge"):
-        left = evaluate(call.args[0], table)
-        right = evaluate(call.args[1], table)
-        if not isinstance(left, GColumn) and not isinstance(right, GColumn):
-            return _fold_scalar_cmp(f, left, right)
-        return compare(f, left, right)
-
-    if f == "and":
-        left = evaluate(call.args[0], table)
-        right = evaluate(call.args[1], table)
-        if not isinstance(left, GColumn) and not isinstance(right, GColumn):
-            return bool(left) and bool(right)
-        return logical_and(left, right)
-    if f == "or":
-        left = evaluate(call.args[0], table)
-        right = evaluate(call.args[1], table)
-        if not isinstance(left, GColumn) and not isinstance(right, GColumn):
-            return bool(left) or bool(right)
-        return logical_or(left, right)
-    if f == "not":
-        operand = evaluate(call.args[0], table)
-        if not isinstance(operand, GColumn):
-            return None if operand is None else not bool(operand)
-        return logical_not(operand)
-
-    if f == "negate":
-        operand = evaluate(call.args[0], table)
-        if not isinstance(operand, GColumn):
-            return None if operand is None else -operand
-        return binary_arith("multiply", operand, -1)
-
-    if f in ("is_null", "is_not_null"):
-        return is_null(_as_column(call.args[0], table), negate=(f == "is_not_null"))
-
-    if f in ("like", "not_like"):
-        pattern = _literal_value(call.args[1], "LIKE pattern")
-        return like(
-            _as_column(call.args[0], table),
-            pattern,
-            negate=(f == "not_like"),
-            escape=call.options.get("escape"),
-        )
-
-    if f == "contains":
-        needle = _literal_value(call.args[1], "contains needle")
-        from ..kernels import contains as contains_kernel
-
-        return contains_kernel(_as_column(call.args[0], table), needle)
-
-    if f == "starts_with":
-        prefix = _literal_value(call.args[1], "starts_with prefix")
-        return like(_as_column(call.args[0], table), f"{prefix}%")
-
-    if f in ("in", "not_in"):
-        column = _as_column(call.args[0], table)
-        values = [_literal_value(a, "IN list element") for a in call.args[1:]]
-        result = in_list(column, values)
-        return logical_not(result) if f == "not_in" else result
-
-    if f == "between":
-        column = evaluate(call.args[0], table)
-        low = evaluate(call.args[1], table)
-        high = evaluate(call.args[2], table)
-        return logical_and(compare("ge", column, low), compare("le", column, high))
-
-    if f == "case":
-        # args = [cond1, res1, cond2, res2, ..., default]
-        pairs = call.args[:-1]
-        default = call.args[-1]
-        conditions = [_as_column(pairs[i], table) for i in range(0, len(pairs), 2)]
-        results = [evaluate(pairs[i + 1], table) for i in range(0, len(pairs), 2)]
-        return case_when(conditions, results, evaluate(default, table))
-
-    if f == "coalesce":
-        operands = [evaluate(a, table) for a in call.args]
-        if not any(isinstance(o, GColumn) for o in operands):
-            return next((o for o in operands if o is not None), None)
-        return coalesce(operands)
-
-    if f in ("upper", "lower"):
-        return string_case(_as_column(call.args[0], table), upper=(f == "upper"))
-
-    if f == "length":
-        return string_length(_as_column(call.args[0], table))
-
-    if f == "concat":
-        operands = [evaluate(a, table) for a in call.args]
-        if not any(isinstance(o, GColumn) for o in operands):
-            if any(o is None for o in operands):
-                return None
-            return "".join(str(o) for o in operands)
-        return concat_strings(operands)
-
-    if f == "abs":
-        operand = evaluate(call.args[0], table)
-        if not isinstance(operand, GColumn):
-            return None if operand is None else abs(operand)
-        return absolute(operand)
-
-    if f == "round":
-        digits = int(_literal_value(call.args[1], "round digits")) if len(call.args) > 1 else 0
-        operand = evaluate(call.args[0], table)
-        if not isinstance(operand, GColumn):
-            return None if operand is None else float(round(float(operand), digits))
-        return round_column(operand, digits)
-
-    if f == "cast":
-        target = dtype_from_name(call.options["to"])
-        return cast_column(_as_column(call.args[0], table), target)
-
-    if f in ("extract_year", "extract_month", "extract_day"):
-        return extract_date_part(f.removeprefix("extract_"), _as_column(call.args[0], table))
-
-    if f == "substring":
-        start = int(call.options.get("start", _literal_value(call.args[1], "substring start")))
-        length = int(call.options.get("length", _literal_value(call.args[2], "substring length")))
-        return substring(_as_column(call.args[0], table), start, length)
-
-    raise UnsupportedExpressionError(f"scalar function {f!r} not supported on device")
-
-
-def _fold_scalar_arith(op: str, left, right):
-    """Fold arithmetic between two constants; NULL propagates."""
-    if left is None or right is None:
-        return None
-    if op == "divide":
-        return left / right if right != 0 else None
-    table = {
-        "add": left + right,
-        "subtract": left - right,
-        "multiply": left * right,
-        "modulo": left % right if right != 0 else None,
-    }
-    return table[op]
-
-
-def _fold_scalar_cmp(op: str, left, right) -> bool:
-    """Fold a comparison of two constants (e.g. optimizer leftovers)."""
-    if left is None or right is None:
-        return False
-    table = {"eq": left == right, "ne": left != right, "lt": left < right,
-             "le": left <= right, "gt": left > right, "ge": left >= right}
-    return bool(table[op])
-
-
-def _as_column(expr: Expression, table: GTable) -> GColumn:
-    result = evaluate(expr, table)
-    if isinstance(result, GColumn):
-        return result
-    return fill_constant(table.device, table.num_rows, result)
-
-
-def _literal_value(expr: Expression, what: str):
-    if not isinstance(expr, Literal):
-        raise UnsupportedExpressionError(f"{what} must be a literal, got {expr!r}")
-    return expr.value
+    return keep_mask(evaluate(expr, table), table)

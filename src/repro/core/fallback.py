@@ -7,12 +7,15 @@ GPU execution; recoverable failures walk an ordered ladder of
 
 1. ``gpu-retry-spill`` — device OOM only: re-run on the GPU with buffer
    spilling enabled and batched out-of-core execution (§3.4);
-2. ``cpu-pipeline`` — re-run this pipeline/fragment on the node's CPU
+2. ``gpu-spill`` — device OOM on an in-core engine only: re-run with the
+   partitioned out-of-core operators (:func:`retry_settings` holds what
+   each of these two rungs changes);
+3. ``cpu-pipeline`` — re-run this pipeline/fragment on the node's CPU
    while the rest of the query stays on the GPU (wired by hosts that
    execute fragment-at-a-time, e.g. MiniDoris);
-3. ``cpu-plan`` — the seed behaviour: re-execute the whole plan through
+4. ``cpu-plan`` — the seed behaviour: re-execute the whole plan through
    the registered host executor;
-4. raise — no tier could absorb the failure.
+5. raise — no tier could absorb the failure.
 
 Exactly **one** :class:`FallbackEvent` is recorded per degraded query —
 carrying the original error, the tier that finally absorbed it, and every
@@ -31,7 +34,7 @@ from ..gpu.device import TransientKernelError
 from ..gpu.memory import OutOfDeviceMemory
 from ..obs import NULL_TRACER
 from ..plan import Plan
-from .expr_eval import UnsupportedExpressionError
+from .expr_compile import UnsupportedExpressionError
 from .operators.base import UnsupportedFeatureError
 
 __all__ = [
@@ -39,7 +42,9 @@ __all__ = [
     "FallbackEvent",
     "DegradationTier",
     "FALLBACK_EXCEPTIONS",
+    "OOC_RETRY_BATCH_ROWS",
     "predict_tier",
+    "retry_settings",
 ]
 
 FALLBACK_EXCEPTIONS = (
@@ -92,6 +97,25 @@ class DegradationTier:
     handler: Callable[[Plan, BaseException], Table]
     triggers: tuple = FALLBACK_EXCEPTIONS
     gpu_result: bool = False
+
+
+# Batch size of the GPU-resident retry tiers (and of out-of-core engines
+# that were given none): small enough to fit tight processing pools,
+# large enough to keep kernels efficient.
+OOC_RETRY_BATCH_ROWS = 65_536
+
+
+def retry_settings(tier: str, batch_rows: int | None) -> dict:
+    """``SiriusEngine.start_query`` overrides with which the GPU-resident
+    tier ``tier`` re-runs a query that ran at ``batch_rows``: both
+    ``gpu-retry-spill`` and ``gpu-spill`` stream in small batches (the
+    caller also enables buffer-manager spilling); only ``gpu-spill``
+    recompiles to the partitioned operators, ``None`` keeping the
+    engine's own mode."""
+    return {
+        "batch_rows": min(batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS),
+        "out_of_core": True if tier == "gpu-spill" else None,
+    }
 
 
 @dataclass

@@ -13,9 +13,9 @@ kernel launch.
 
 Expressions are compiled once at plan time (here, in ``__init__`` — the
 RR04 lint requires operators to be stateless after construction) into
-vectorized closures via :mod:`repro.core.expr_compile`; the closures call
-the exact same kernels as the interpreter, so fused results are
-bit-identical to the unfused pipeline.
+vectorized closures via :mod:`repro.core.expr_compile`, the evaluator the
+unfused operators also run (compiling per chunk instead), so fused
+results are bit-identical to the unfused pipeline.
 
 Filter stages compact survivors eagerly (``mask_table``), which is the
 short-circuit mask propagation: every later stage only touches rows that

@@ -38,7 +38,7 @@ from .operators.join import (
     PartitionedHashJoinBuildSink,
     PartitionedHashJoinProbe,
 )
-from .expr_eval import UnsupportedExpressionError
+from .expr_compile import UnsupportedExpressionError
 from .operators.fused import FusedOp
 from .operators.scan import IntermediateSource, TableScan
 from .operators.sort import FetchSink, MaterializeSink, SortSink, TopNSink
@@ -103,22 +103,13 @@ class PhysicalPlan:
 
 
 class _Compiler:
-    def __init__(
-        self,
-        out_of_core: bool = False,
-        partition_budget_bytes: int | None = None,
-        ooc_fanout: int = 8,
-        ooc_max_depth: int = 3,
-    ):
+    def __init__(self, out_of_core: bool = False):
         self.pipelines: list[Pipeline] = []
         self._next_slot = 0
         # Out-of-core mode swaps keyed joins / group-bys for their radix-
         # partitioned spillable variants; off (the default) compiles the
         # exact same operator tree as always.
         self.out_of_core = out_of_core
-        self.partition_budget_bytes = partition_budget_bytes
-        self.ooc_fanout = ooc_fanout
-        self.ooc_max_depth = ooc_max_depth
 
     def fresh_slot(self, hint: str) -> str:
         self._next_slot += 1
@@ -154,12 +145,7 @@ class _Compiler:
             partitioned = self.out_of_core and bool(rel.right_keys)
             if partitioned:
                 build_sink = PartitionedHashJoinBuildSink(
-                    build_slot,
-                    build_schema,
-                    rel.right_keys,
-                    num_partitions=self.ooc_fanout,
-                    partition_budget_bytes=self.partition_budget_bytes,
-                    max_depth=self.ooc_max_depth,
+                    build_slot, build_schema, rel.right_keys
                 )
             else:
                 build_sink = HashJoinBuildSink(build_slot, build_schema)
@@ -190,9 +176,6 @@ class _Compiler:
                         rel.measures,
                         schema,
                         slot=self.fresh_slot("oocagg"),
-                        num_partitions=self.ooc_fanout,
-                        partition_budget_bytes=self.partition_budget_bytes,
-                        max_depth=self.ooc_max_depth,
                     )
                 else:
                     sink = GroupBySink(rel.group_indices, rel.measures, schema)
@@ -252,8 +235,8 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
       (out-of-core) probes, whose residual runs per leaf before the
       emitted chunks are re-coalesced under the partition budget;
     * an expression the compiler cannot lower leaves its run unfused
-      (the interpreter path would reject it identically at run time, so
-      this preserves the engine's fallback behaviour).
+      (the unfused operators compile it again per chunk and are rejected
+      identically, so this preserves the engine's fallback behaviour).
     """
     fused: list[StreamingOperator] = []
     run: list[StreamingOperator] = []
@@ -296,12 +279,7 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
 
 
 def compile_plan(
-    plan: Plan,
-    out_of_core: bool = False,
-    partition_budget_bytes: int | None = None,
-    ooc_fanout: int = 8,
-    ooc_max_depth: int = 3,
-    fusion: bool = False,
+    plan: Plan, out_of_core: bool = False, fusion: bool = False
 ) -> PhysicalPlan:
     """Compile a validated plan into pipelines ending in a result slot.
 
@@ -315,12 +293,7 @@ def compile_plan(
     by :func:`fuse_operators`; the default leaves the operator lists
     byte-identical to the seed planner.
     """
-    compiler = _Compiler(
-        out_of_core=out_of_core,
-        partition_budget_bytes=partition_budget_bytes,
-        ooc_fanout=ooc_fanout,
-        ooc_max_depth=ooc_max_depth,
-    )
+    compiler = _Compiler(out_of_core=out_of_core)
     source, ops, deps = compiler.compile(plan.root)
     compiler.add_pipeline(
         source, ops, MaterializeSink(plan.root.output_schema()), RESULT_SLOT, deps

@@ -31,17 +31,18 @@ from ..plan import Plan
 from .buffer_manager import BufferManager
 from .deadline import Deadline
 from .executor import PipelineExecutor, QueryProfile, QueryRun
-from .fallback import FALLBACK_EXCEPTIONS, DegradationTier, FallbackHandler
+from .fallback import (
+    FALLBACK_EXCEPTIONS,
+    OOC_RETRY_BATCH_ROWS,
+    DegradationTier,
+    FallbackHandler,
+    retry_settings,
+)
 from .operators.base import ExecutionContext, OperatorRegistry
 from .operators.join import custom_sort_merge_join, libcudf_join
-from .planner import compile_plan
+from .planner import PhysicalPlan, compile_plan
 
 __all__ = ["SiriusEngine"]
-
-# Batch size used by the out-of-core retry tier when the original run was
-# not batched (or used larger batches): small enough to fit tight
-# processing pools, large enough to keep kernels efficient.
-OOC_RETRY_BATCH_ROWS = 65_536
 
 
 def _libcudf_groupby(keys, specs):
@@ -77,9 +78,7 @@ class SiriusEngine:
         pipeline_cpu_executor: Callable[[Plan, Mapping[str, Table]], Table] | None = None,
         tracer=None,
         overlap: bool = False,
-        load_chunk_bytes: int | None = None,
         out_of_core: bool = False,
-        pinned_spill_budget_bytes: int | None = None,
         sanitize: bool = False,
         fusion: bool = False,
     ):
@@ -106,18 +105,15 @@ class SiriusEngine:
                 onto the device's copy stream and prefetched ahead of the
                 consuming pipeline.  Off by default; the default path is
                 byte-identical to the synchronous loader.
-            load_chunk_bytes: Chunk granularity of overlapped loads
-                (defaults to the buffer manager's 1 MiB).
             out_of_core: Compile keyed joins and group-bys to their
                 radix-partitioned variants whose partitions spill through
                 the tiered store (device -> pinned host -> disk) under
                 memory pressure, so over-HBM working sets complete on the
-                GPU instead of falling back.  Off by default; the default
-                path is byte-identical to the seed engine.
-            pinned_spill_budget_bytes: Pinned host staging budget for
-                spilled partitions before they demote to the simulated
-                disk tier (defaults to the processing pool's capacity
-                when out-of-core execution is active).
+                GPU instead of falling back.  Pinned host staging for
+                spilled partitions is capped at the processing pool's
+                capacity; overflow demotes to the simulated disk tier.
+                Off by default; the default path is byte-identical to the
+                seed engine.
             sanitize: Attach a :class:`~repro.analysis.sanitizers
                 .Sanitizer` to the device, pool, and buffer manager:
                 happens-before, shadow-ledger, and drift checks run
@@ -136,15 +132,11 @@ class SiriusEngine:
         self.device = device
         self.tracer = tracer if tracer is not None else NULL_TRACER
         device.tracer = self.tracer
-        bm_kwargs = {}
-        if load_chunk_bytes is not None:
-            bm_kwargs["load_chunk_bytes"] = load_chunk_bytes
         self.buffer_manager = BufferManager(
             device,
             enable_spill=enable_spill,
             compress_cache=compress_cache,
             overlap=overlap,
-            **bm_kwargs,
         )
         self.registry = default_registry()
         self.batch_rows = batch_rows
@@ -155,7 +147,6 @@ class SiriusEngine:
         self.queries_executed = 0
         self.out_of_core = out_of_core
         self.fusion = fusion
-        self._pinned_spill_budget_bytes = pinned_spill_budget_bytes
         self.sanitizer = None
         if sanitize:
             from ..analysis.sanitizers import Sanitizer
@@ -219,10 +210,7 @@ class SiriusEngine:
         pool = self.device.processing_pool
         pool.pressure_callback = self.buffer_manager.handle_pressure
         if self.buffer_manager.pinned_fragment_budget is None:
-            budget = self._pinned_spill_budget_bytes
-            if budget is None:
-                budget = pool.capacity
-            self.buffer_manager.pinned_fragment_budget = budget
+            self.buffer_manager.pinned_fragment_budget = pool.capacity
 
     def _memory_probe(self) -> dict:
         """Memory state sampled into :class:`FallbackEvent` records."""
@@ -249,6 +237,7 @@ class SiriusEngine:
 
         Recoverable failures walk the degradation ladder: device OOM first
         retries on the GPU with spilling + batched out-of-core execution,
+        then (in-core engines) with the partitioned out-of-core operators,
         then (if wired) the ``cpu-pipeline`` tier, then the registered host
         executor.  ``deadline_s`` is a simulated-time budget enforced at
         pipeline boundaries; exceeding it raises
@@ -261,76 +250,41 @@ class SiriusEngine:
         )
         relaunches_before = self.device.kernel_relaunches
 
-        def gpu_run() -> Table:
+        def gpu_run(**overrides) -> Table:
             self.buffer_manager.clear_fragments()
             self.device.reset_processing_pool()
-            ctx = ExecutionContext(
-                device=self.device,
-                buffer_manager=self.buffer_manager,
-                catalog=catalog,
-                registry=self.registry,
-                batch_rows=self.batch_rows,
-                tracer=self.tracer,
-            )
-            physical = compile_plan(
-                plan, out_of_core=self.out_of_core, fusion=self.fusion
-            )
-            executor = PipelineExecutor(ctx)
-            gtable, profile = executor.run(physical, deadline=deadline)
-            self.last_profile = profile
-            result = gtable.to_host()  # deep copy back to the host format
+            run = self._start(plan, catalog, deadline, **overrides)
+            while run.step():
+                pass
+            self.last_profile = run.profile
+            result = run.result.to_host()  # deep copy back to the host format
             self.buffer_manager.clear_fragments()
             return result
 
-        def ooc_partitioned_retry(_plan: Plan, _exc: BaseException) -> Table:
-            # Same query recompiled with partitioned joins/group-bys whose
-            # state spills through the tiered store — stays on the GPU
-            # where the batched retry below would thrash or still OOM.
-            saved_ooc = self.out_of_core
-            saved_spill = self.buffer_manager.enable_spill
-            saved_batch = self.batch_rows
-            self.out_of_core = True
-            self._install_pressure_hooks()
-            self.buffer_manager.enable_spill = True
-            self.batch_rows = min(saved_batch or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS)
-            try:
-                return gpu_run()
-            finally:
-                self.out_of_core = saved_ooc
-                self.buffer_manager.enable_spill = saved_spill
-                self.batch_rows = saved_batch
+        def gpu_retry(name: str) -> DegradationTier:
+            # Same query under the tier's settings, with cached tables
+            # allowed to spill.  The wasted first attempt has already
+            # been charged to the clock.
+            def handler(_plan: Plan, _exc: BaseException) -> Table:
+                saved_spill = self.buffer_manager.enable_spill
+                self.buffer_manager.enable_spill = True
+                try:
+                    return gpu_run(**retry_settings(name, self.batch_rows))
+                finally:
+                    self.buffer_manager.enable_spill = saved_spill
 
-        def ooc_retry(_plan: Plan, _exc: BaseException) -> Table:
-            # Same query, out-of-core configuration: spill cached tables
-            # under pressure and stream pipelines in small batches.  The
-            # wasted first attempt has already been charged to the clock.
-            saved_spill = self.buffer_manager.enable_spill
-            saved_batch = self.batch_rows
-            self.buffer_manager.enable_spill = True
-            self.batch_rows = min(saved_batch or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS)
-            try:
-                return gpu_run()
-            finally:
-                self.buffer_manager.enable_spill = saved_spill
-                self.batch_rows = saved_batch
+            return DegradationTier(name, handler, (OutOfDeviceMemory,), gpu_result=True)
 
-        tiers = []
-        tiers.append(
-            DegradationTier(
-                "gpu-retry-spill", ooc_retry, (OutOfDeviceMemory,), gpu_result=True
-            )
-        )
+        tiers = [gpu_retry("gpu-retry-spill")]
         if not self.out_of_core:
             # Out-of-core engines already run partitioned.  For in-core
             # engines an OOM escalates through GPU-resident remedies in
-            # cost order — first the cheap batched retry above, then full
-            # partitioned out-of-core execution — before any CPU
-            # degradation is considered.
-            tiers.append(
-                DegradationTier(
-                    "gpu-spill", ooc_partitioned_retry, (OutOfDeviceMemory,), gpu_result=True
-                )
-            )
+            # cost order — first the cheap batched retry, then the same
+            # query recompiled with partitioned joins/group-bys whose
+            # state spills through the tiered store (it stays on the GPU
+            # where the batched retry would thrash or still OOM) — before
+            # any CPU degradation is considered.
+            tiers.append(gpu_retry("gpu-spill"))
         if self.pipeline_cpu_executor is not None:
             tiers.append(
                 DegradationTier(
@@ -392,26 +346,45 @@ class SiriusEngine:
                 jobs on the spill tier); ``None`` = engine default.
         """
         plan.validate()
-        ooc = self.out_of_core if out_of_core is None else out_of_core
-        resolved_batch = batch_rows if batch_rows is not None else self.batch_rows
-        if ooc:
+        return self._start(plan, catalog, deadline, tracer, batch_rows, out_of_core)
+
+    def _start(
+        self,
+        plan: Plan,
+        catalog: Mapping[str, Table],
+        deadline: Deadline | None,
+        tracer=None,
+        batch_rows: int | None = None,
+        out_of_core: bool | None = None,
+    ) -> QueryRun:
+        """The one way a validated plan starts running: :meth:`execute`
+        (first attempt and GPU retry tiers) and :meth:`start_query` both
+        come through here.  ``None`` overrides mean the engine's own."""
+        physical = self._compile(plan, out_of_core)
+        if batch_rows is None:
+            batch_rows = self.batch_rows
+        if physical.out_of_core:
             self._install_pressure_hooks()
-            if resolved_batch is None:
-                resolved_batch = OOC_RETRY_BATCH_ROWS
+            if batch_rows is None:
+                batch_rows = OOC_RETRY_BATCH_ROWS
         ctx = ExecutionContext(
             device=self.device,
             buffer_manager=self.buffer_manager,
             catalog=catalog,
             registry=self.registry,
-            batch_rows=resolved_batch,
+            batch_rows=batch_rows,
             tracer=tracer if tracer is not None else self.tracer,
         )
-        physical = compile_plan(plan, out_of_core=ooc, fusion=self.fusion)
         return PipelineExecutor(ctx).start(physical, deadline=deadline)
 
+    def _compile(self, plan: Plan, out_of_core: bool | None = None) -> PhysicalPlan:
+        if out_of_core is None:
+            out_of_core = self.out_of_core
+        return compile_plan(plan, out_of_core=out_of_core, fusion=self.fusion)
+
     def explain_physical(self, plan: Plan) -> str:
-        """Render the pipeline decomposition of a plan."""
-        return compile_plan(plan, fusion=self.fusion).explain()
+        """Render the pipeline decomposition this engine runs the plan as."""
+        return self._compile(plan).explain()
 
     def explain_analyze(self, plan: Plan, catalog: Mapping[str, Table]) -> str:
         """Execute the plan and render per-operator simulated timings

@@ -36,8 +36,8 @@ from typing import Callable, Mapping
 
 from ..columnar import Table
 from ..core.deadline import Deadline, DeadlineExceededError, DidNotFinishError
-from ..core.fallback import FALLBACK_EXCEPTIONS
-from ..core.sirius import OOC_RETRY_BATCH_ROWS, SiriusEngine
+from ..core.fallback import FALLBACK_EXCEPTIONS, OOC_RETRY_BATCH_ROWS, retry_settings
+from ..core.sirius import SiriusEngine
 from ..obs import NULL_TRACER
 from ..plan import Plan
 from .admission import AdmissionController
@@ -424,8 +424,7 @@ class ServingScheduler:
             except DeadlineExceededError as exc:
                 self._finish(job, vt, error=exc)
                 return
-        batch_rows = self.batch_rows
-        out_of_core: bool | None = None
+        overrides = {"batch_rows": self.batch_rows}
         if self.static_admission:
             report = job.meta.get("analysis")
             suggested = getattr(report, "suggested_tier", None) if report else None
@@ -438,11 +437,7 @@ class ServingScheduler:
                 job.degraded_tier = suggested
                 self.pre_degraded += 1
                 self.engine.buffer_manager.enable_spill = True
-                batch_rows = min(
-                    batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS
-                )
-                if suggested == "gpu-spill":
-                    out_of_core = True
+                overrides = retry_settings(suggested, self.batch_rows)
                 self.tracer.event(
                     "sched.pre_degraded",
                     sim_time=vt,
@@ -456,8 +451,7 @@ class ServingScheduler:
             job.catalog,
             deadline=job.deadline,
             tracer=job.tracer,
-            batch_rows=batch_rows,
-            out_of_core=out_of_core,
+            **overrides,
         )
         job.state = JobState.RUNNING
         job.ready_at = vt
@@ -530,25 +524,21 @@ class ServingScheduler:
         attempts' time stays charged, exactly like the single-query path.
         """
         self.engine.device.processing_pool.release_owner(job.owner_key)
-        out_of_core: bool | None = None
         if job.degraded_tier is None:
             job.degraded_tier = "gpu-retry-spill"
         elif job.degraded_tier == "gpu-retry-spill":
             job.degraded_tier = "gpu-spill"
-            out_of_core = True
         else:
             self._finish(job, end, error=exc)
             return
         self.degraded += 1
         self.engine.buffer_manager.enable_spill = True
-        retry_batch = min(self.batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS)
         job.qrun = self.engine.start_query(
             job.plan,
             job.catalog,
             deadline=job.deadline,
             tracer=job.tracer,
-            batch_rows=retry_batch,
-            out_of_core=out_of_core,
+            **retry_settings(job.degraded_tier, self.batch_rows),
         )
         self.tracer.event(
             "sched.degraded",

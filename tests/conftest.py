@@ -13,6 +13,7 @@ import pytest
 
 from repro.columnar import Schema, Table
 from repro.gpu import A100_40G, Device, GH200, M7I_CPU
+from repro.obs import Tracer
 
 try:
     from hypothesis import settings as _hyp_settings
@@ -37,6 +38,37 @@ def pytest_report_header(config):
     if REPRO_TEST_SEED:
         return f"repro: REPRO_TEST_SEED={REPRO_TEST_SEED} (hypothesis seed pinned)"
     return "repro: REPRO_TEST_SEED unset (hypothesis uses a random seed)"
+
+
+class EngineConfigObserver(Tracer):
+    """A tracer that notes ``(engine.out_of_core, engine.batch_rows)`` on
+    every hook the engine, its device and its executor call — what an
+    admission controller or estimator reading the engine mid-query would
+    see.  Point ``engine`` at the engine after constructing it with this
+    tracer."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = None
+        self.seen = set()
+
+
+def _noting_configuration(hook):
+    def method(self, *args, **kwargs):
+        if self.engine is not None:
+            self.seen.add((self.engine.out_of_core, self.engine.batch_rows))
+        return hook(self, *args, **kwargs)
+
+    return method
+
+
+for _hook in ("span", "record_span", "event", "count", "gauge", "mark", "spans_since"):
+    setattr(EngineConfigObserver, _hook, _noting_configuration(getattr(Tracer, _hook)))
+
+
+@pytest.fixture
+def config_observer():
+    return EngineConfigObserver()
 
 
 @pytest.fixture

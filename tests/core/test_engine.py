@@ -7,7 +7,9 @@ import pytest
 from repro.columnar import Schema, Table
 from repro.core import SiriusEngine, compile_plan
 from repro.gpu.specs import GH200
+from repro.hosts import MiniDuck
 from repro.plan import PlanBuilder, col, lit
+from repro.tpch import generate_tpch, tpch_query
 
 SCHEMA = Schema(
     [("k", "int64"), ("grp", "string"), ("v", "float64"), ("d", "date")]
@@ -152,6 +154,15 @@ class TestEngineMechanics:
         text = engine.explain_physical(plan)
         assert "HashJoinBuild" in text and "GroupBy" in text
         assert text.count("P") >= 3  # at least three pipelines
+        # An out-of-core engine explains the partitioned plan it runs.
+        tpch = generate_tpch(sf=0.001)
+        host = MiniDuck()
+        host.load_tables(tpch)
+        q3 = host.plan(tpch_query(3))
+        ooc = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, out_of_core=True)
+        text = ooc.explain_physical(q3)
+        assert "PartitionedHashJoinBuild" in text and "PartitionedGroupBy" in text
+        assert text == ooc.start_query(q3, tpch).physical.explain()
 
     def test_batched_execution_identical(self, data):
         plan = (

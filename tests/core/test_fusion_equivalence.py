@@ -1,16 +1,18 @@
 """The fusion equivalence gate: ``fusion=True`` must be invisible.
 
 Pipeline fusion (collapsing streaming runs into compiled :class:`FusedOp`
-regions) is a pure cost-model optimisation — the compiled closures call
-the exact same kernels as the interpreter, so every observable *result*
-must be byte-identical to the unfused engine while the modeled kernel
+regions) is a pure cost-model optimisation — fused and unfused operators
+run the same compiled closures over the same kernels, so every observable
+*result* must be byte-identical to the unfused engine while the modeled kernel
 count and wall time strictly shrink on streaming-heavy queries.
 
 The gate:
 
 * all 22 TPC-H queries, fused vs unfused, raw column buffers compared
   byte-for-byte;
-* a 50-case battery sample under the same comparison;
+* a 50-case battery sample under the same comparison, with the unfused
+  engine's simulated cost pinned per statement against a golden file;
+* common-subexpression elimination happens inside fused regions only;
 * the ``busy_s`` partition invariant holds for fused runs (every clock
   advance still lands in exactly one measured operator region);
 * the fused-plan verifier reports zero findings on every fused plan;
@@ -18,7 +20,9 @@ The gate:
 * a hypothesis property re-checks fused == unfused over random plans.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +30,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_fused_plan
+from repro.columnar import Schema, Table
 from repro.core import SiriusEngine
 from repro.core.planner import compile_plan
 from repro.gpu.specs import GH200
 from repro.obs import Tracer
+from repro.plan import PlanBuilder, col, lit
 from repro.sql import SqlPlanner, TableStats
 from repro.tpch import TPCH_SCHEMAS, generate_tpch, tpch_query
 from tests.core.test_random_plans import normalise, plans, tables
 
 SF = 0.01
+GOLDEN_SIM_CLOCK = Path(__file__).with_name("golden_battery50_sim_clock.json")
 
 
 @pytest.fixture(scope="module")
@@ -130,22 +137,93 @@ class TestFusedPlanVerifier:
             assert not any(isinstance(op, FusedOp) for op in pipeline.operators)
 
 
-class TestBatterySample:
-    def test_fifty_battery_cases_byte_identical(self, plain, fused):
-        from repro.bench.baselines.battery import SCALE_FACTOR, battery_cases
-        from repro.hosts import MiniDuck
+@pytest.fixture(scope="module")
+def battery_sample():
+    """The first 50 battery statements, planned over the battery's data."""
+    from repro.bench.baselines.battery import SCALE_FACTOR, battery_cases
+    from repro.hosts import MiniDuck
 
-        bdata = generate_tpch(sf=SCALE_FACTOR, seed=19920101)
-        host = MiniDuck()
-        host.load_tables(bdata)
-        cases = battery_cases()[:50]
-        assert len(cases) == 50
-        for case in cases:
-            plan = host.plan(case.sql)
+    bdata = generate_tpch(sf=SCALE_FACTOR, seed=19920101)
+    host = MiniDuck()
+    host.load_tables(bdata)
+    cases = battery_cases()[:50]
+    assert len(cases) == 50
+    return bdata, [(case.sql, host.plan(case.sql)) for case in cases]
+
+
+class TestBatterySample:
+    def test_fifty_battery_cases_byte_identical(self, plain, fused, battery_sample):
+        bdata, planned = battery_sample
+        for sql, plan in planned:
             a = plain.execute(plan, bdata)
             b = fused.execute(plan, bdata)
-            assert a.schema == b.schema, case.sql
-            assert raw_bytes(a) == raw_bytes(b), case.sql
+            assert a.schema == b.schema, sql
+            assert raw_bytes(a) == raw_bytes(b), sql
+
+    def test_unfused_sim_clock_matches_golden(self, battery_sample):
+        """Tier-1 otherwise pins simulated cost for the 22 TPC-H queries
+        only.  The engine is built here, not taken from ``plain``: a
+        profile's ``sim_seconds`` is a difference of clock readings, whose
+        last bits depend on how far the clock had already run."""
+        bdata, planned = battery_sample
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=8.0)
+        engine.warm_cache(bdata)
+        got = []
+        for sql, plan in planned:
+            engine.execute(plan, bdata)
+            profile = engine.last_profile
+            got.append(
+                {
+                    "sql": sql,
+                    "sim_seconds": repr(profile.sim_seconds),
+                    "kernel_count": profile.kernel_count,
+                }
+            )
+        assert got == json.loads(GOLDEN_SIM_CLOCK.read_text())
+
+
+class TestCseOnlyInsideFusedRegions:
+    """``x*y > a AND x*y < b`` repeats a subtree; ``x*y > a AND x*z < b``
+    has the same shape with nothing to share.  Unfused, both launch (and
+    are charged for) the same kernels — the seed figures price a repeated
+    subtree every time it occurs; fused, the repeat is computed once."""
+
+    SCHEMA = Schema([("x", "float64"), ("y", "float64"), ("z", "float64")])
+
+    def launches(self, monkeypatch, second_factor, fusion):
+        values = [float(i) for i in range(1, 9)]
+        table = Table.from_pydict({"x": values, "y": values, "z": values}, self.SCHEMA)
+        plan = (
+            PlanBuilder.read("t", self.SCHEMA)
+            .filter(
+                (col("x") * col("y") > lit(2.0))
+                & (col("x") * col(second_factor) < lit(50.0))
+            )
+            .build()
+        )
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, fusion=fusion)
+        cost_model = engine.device.cost_model
+        fused_cost = cost_model.fused_cost
+        fused_parts = []
+
+        def counting(parts, bytes_in, bytes_out):
+            fused_parts.append(len(parts))
+            return fused_cost(parts, bytes_in, bytes_out)
+
+        monkeypatch.setattr(cost_model, "fused_cost", counting)
+        assert engine.execute(plan, {"t": table}).num_rows == 6
+        return engine.last_profile.kernel_count, sum(fused_parts)
+
+    def test_unfused_charges_a_repeated_subtree_twice(self, monkeypatch):
+        repeated = self.launches(monkeypatch, "y", fusion=False)
+        distinct = self.launches(monkeypatch, "z", fusion=False)
+        assert repeated == distinct
+        assert repeated[1] == 0  # no fused region at all
+
+    def test_fused_region_computes_it_once(self, monkeypatch):
+        _, repeated_parts = self.launches(monkeypatch, "y", fusion=True)
+        _, distinct_parts = self.launches(monkeypatch, "z", fusion=True)
+        assert 0 < repeated_parts < distinct_parts
 
 
 class TestBusyPartitionUnderFusion:

@@ -117,14 +117,22 @@ class TestOverHbmCompletion:
         # Whatever was spilled out was brought back before finishing.
         assert engine.buffer_manager.spill_stats()["live_fragments"] == 0
 
-    def test_same_pool_without_flag_needs_the_ladder(self, data, planner):
+    def test_same_pool_without_flag_needs_the_ladder(
+        self, data, planner, config_observer
+    ):
         """Contrast: the identical over-HBM run with the flag off only
         survives via the degradation ladder, and its fallback events carry
         the memory context (watermark + attempted spill bytes)."""
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=OVER_HBM_GB)
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=OVER_HBM_GB, tracer=config_observer
+        )
+        config_observer.engine = engine
         engine.execute(planner.plan_sql(tpch_query(9)), data)
         profile = engine.last_profile
-        assert profile.fallback_tier is not None
+        assert profile.fallback_tier == "gpu-spill"
+        # The partitioned retry was configured by argument: the engine
+        # never read as an out-of-core engine while it ran.
+        assert config_observer.seen == {(False, None)}
         assert engine.fallback.fallback_count >= 1
         event = engine.fallback.events[0]
         assert event.exception_type == "OutOfDeviceMemory"

@@ -55,12 +55,20 @@ class TestRetrySpillTier:
         assert event.exception_type == "OutOfDeviceMemory"
         assert engine.last_profile is not None  # result was produced on GPU
 
-    def test_retry_restores_engine_configuration(self, data, plan):
-        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0, enable_spill=False)
+    def test_retry_restores_engine_configuration(self, data, plan, config_observer):
+        engine = SiriusEngine.for_spec(
+            A100_40G, memory_limit_gb=1.0, enable_spill=False, tracer=config_observer
+        )
+        config_observer.engine = engine
         inject(engine, FaultPlan().oom_spike(at=0.0, count=1))
         engine.execute(plan, data)
+        assert engine.fallback.events[0].tier == "gpu-retry-spill"
         assert engine.buffer_manager.enable_spill is False
         assert engine.batch_rows is None
+        # The retry ran batched without ever writing the batch size (or
+        # the out-of-core mode) into the engine: re-entrant readers saw
+        # the constructor values throughout.
+        assert config_observer.seen == {(False, None)}
 
     def test_event_enrichment(self, data, plan):
         engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0, enable_spill=False)
