@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..plan.check import SEVERITY_ERROR, SEVERITY_WARNING
+
 __all__ = [
     "Finding",
     "AnalysisReport",
@@ -34,8 +36,6 @@ __all__ = [
     "TIER_REJECT",
 ]
 
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
 SEVERITY_INFO = "info"
 
 # Statically-predicted execution tiers (mirrors the degradation ladder in
@@ -78,13 +78,12 @@ class AnalysisReport:
         output_schema: ``[(name, dtype_name), ...]`` of the plan result,
             or ``None`` when schema propagation failed.
         working_set_bytes: Static estimate of concurrent processing-pool
-            bytes (hash tables, sort buffers, materialised result) —
-            mirrors :func:`repro.sched.estimator.estimate_plan` and is
-            cross-checked against it by the test suite.  ``None`` when no
-            catalog/device was supplied.
-        pipeline_working_sets: Per-site contributions to the working set
-            (one entry per pipeline breaker: join build, aggregate state,
-            sort buffer, final result).
+            bytes (hash tables, sort buffers, materialised result), as
+            priced by :func:`repro.sched.estimator.estimate_plan`.
+            ``None`` when no catalog/device was supplied.
+        pipeline_working_sets: The estimator's per-site contributions to
+            that working set (one entry per pipeline breaker: join build,
+            aggregate state, sort buffer, final result); they sum to it.
         estimated_rows: Estimated result cardinality (``None`` without a
             catalog).
         estimated_service_s: Estimated simulated device seconds (``None``

@@ -86,8 +86,9 @@ class PlanDigest:
 
 def plan_digest(plan: Plan) -> PlanDigest:
     """Compute the two-tier cache keys for ``plan``."""
+    tree = plan.to_dict()  # serialised once; _normalize copies, never mutates
     return PlanDigest(
-        plan_key=_digest(normalized_plan_dict(plan, mask_literals=True)),
-        result_key=_digest(normalized_plan_dict(plan, mask_literals=False)),
+        plan_key=_digest(_normalize(tree, mask_literals=True)),
+        result_key=_digest(_normalize(tree, mask_literals=False)),
         tables=tuple(base_tables(plan)),
     )

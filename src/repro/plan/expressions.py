@@ -27,6 +27,7 @@ __all__ = [
     "AGGREGATE_FUNCTIONS",
     "infer_type",
     "expr_from_dict",
+    "walk_expressions",
 ]
 
 # Scalar function names understood by the engines.
@@ -165,6 +166,13 @@ class AggregateCall(Expression):
         inner = "*" if self.arg is None else repr(self.arg)
         prefix = "distinct " if self.distinct else ""
         return f"{self.op}({prefix}{inner})"
+
+
+def walk_expressions(expr: Expression):
+    """Yield every expression node in a tree, parents first."""
+    yield expr
+    for child in expr.children():
+        yield from walk_expressions(child)
 
 
 def _literal_dtype(value: Any) -> DType:

@@ -4,28 +4,19 @@ A :class:`Plan` is what a host database hands Sirius — the equivalent of a
 serialized Substrait plan.  ``validate`` performs the structural checks a
 consumer needs before executing third-party plans: ordinal bounds, boolean
 filter conditions, join-key type compatibility, and exchange placement.
+The checks themselves live once, in :mod:`repro.plan.check`; ``validate``
+is that pass stopped at its first error.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..columnar import BOOL, Schema
-from .expressions import AggregateCall, Expression, FieldRef, infer_type
-from .relations import (
-    AggregateRel,
-    ExchangeRel,
-    FetchRel,
-    FilterRel,
-    JoinRel,
-    ProjectRel,
-    ReadRel,
-    Relation,
-    SortRel,
-    rel_from_dict,
-)
+from ..columnar import Schema
+from .check import SEVERITY_ERROR, PlanChecker
+from .relations import Relation, rel_from_dict
 
-__all__ = ["Plan", "PlanValidationError", "validate_relation", "walk_relations", "walk_expressions"]
+__all__ = ["Plan", "PlanValidationError", "walk_relations"]
 
 PLAN_VERSION = "repro-substrait-1"
 
@@ -40,6 +31,7 @@ class Plan:
     def __init__(self, root: Relation, version: str = PLAN_VERSION):
         self.root = root
         self.version = version
+        self._checked_root: Relation | None = None
 
     def output_schema(self) -> Schema:
         return self.root.output_schema()
@@ -88,7 +80,14 @@ class Plan:
         return cls.from_dict(data)
 
     def validate(self) -> None:
-        validate_relation(self.root)
+        """Raise :class:`PlanValidationError` for the first structural
+        error.  Success is remembered for the root that was checked —
+        relation trees are never mutated after construction — so the
+        boundaries a plan crosses do not each re-walk it; failure is not
+        remembered, and a different ``root`` is checked afresh."""
+        if self._checked_root is not self.root:
+            _VALIDATOR.visit(self.root, "root")
+            self._checked_root = self.root
 
     def explain(self) -> str:
         """Human-readable indented plan tree."""
@@ -113,92 +112,9 @@ def walk_relations(rel: Relation):
         yield from walk_relations(child)
 
 
-def walk_expressions(expr: Expression):
-    """Yield every expression node in a tree, parents first."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expressions(child)
+def _raise_on_error(rule: str, severity: str, message: str, site: str) -> None:
+    if severity == SEVERITY_ERROR:
+        raise PlanValidationError(f"{site}: {message}")
 
 
-def _check_expr(expr: Expression, schema: Schema, where: str) -> None:
-    for node in walk_expressions(expr):
-        if isinstance(node, FieldRef) and node.index >= len(schema):
-            raise PlanValidationError(
-                f"{where}: field ${node.index} out of range (input arity {len(schema)})"
-            )
-    # Trigger full type inference, surfacing type errors.
-    try:
-        infer_type(expr, schema)
-    except (TypeError, KeyError, IndexError) as exc:
-        raise PlanValidationError(f"{where}: {exc}") from exc
-
-
-def validate_relation(rel: Relation) -> None:
-    """Recursively validate a relation tree (raises on the first problem)."""
-    for child in rel.inputs:
-        validate_relation(child)
-
-    if isinstance(rel, ReadRel):
-        if rel.filter_expr is not None:
-            schema = rel.output_schema()
-            _check_expr(rel.filter_expr, schema, f"read({rel.table_name}).filter")
-            if infer_type(rel.filter_expr, schema) is not BOOL:
-                raise PlanValidationError(f"read({rel.table_name}): pushed filter is not boolean")
-    elif isinstance(rel, FilterRel):
-        schema = rel.input_rel.output_schema()
-        _check_expr(rel.condition, schema, "filter")
-        if infer_type(rel.condition, schema) is not BOOL:
-            raise PlanValidationError("filter condition is not boolean")
-    elif isinstance(rel, ProjectRel):
-        schema = rel.input_rel.output_schema()
-        if len(set(rel.names)) != len(rel.names):
-            raise PlanValidationError(f"project emits duplicate names: {rel.names}")
-        for expr in rel.expressions:
-            _check_expr(expr, schema, "project")
-    elif isinstance(rel, JoinRel):
-        left_schema = rel.left.output_schema()
-        right_schema = rel.right.output_schema()
-        if not rel.left_keys and rel.join_type != "inner":
-            raise PlanValidationError("key-less (cross) joins must be inner joins")
-        for lk, rk in zip(rel.left_keys, rel.right_keys):
-            if lk >= len(left_schema) or rk >= len(right_schema):
-                raise PlanValidationError(f"join key ordinal out of range: {lk}={rk}")
-            lt = left_schema.fields[lk].dtype
-            rt = right_schema.fields[rk].dtype
-            compatible = lt is rt or (lt.is_numeric and rt.is_numeric)
-            if not compatible:
-                raise PlanValidationError(f"join key type mismatch: {lt} vs {rt}")
-        if rel.post_filter is not None:
-            # Post-filters see the combined schema even for semi/anti joins
-            # (residual correlated predicates reference both sides).
-            from .relations import join_output_schema
-
-            combined = join_output_schema(left_schema, right_schema)
-            _check_expr(rel.post_filter, combined, "join.post_filter")
-    elif isinstance(rel, AggregateRel):
-        schema = rel.input_rel.output_schema()
-        for g in rel.group_indices:
-            if g >= len(schema):
-                raise PlanValidationError(f"group ordinal ${g} out of range")
-        for agg, name in rel.measures:
-            if not isinstance(agg, AggregateCall):
-                raise PlanValidationError(f"measure {name} is not an aggregate call")
-            if agg.arg is not None:
-                _check_expr(agg.arg, schema, f"aggregate measure {name}")
-            _check_expr(agg, schema, f"aggregate measure {name}")
-        out_names = rel.output_schema().names()
-        if len(set(out_names)) != len(out_names):
-            raise PlanValidationError(f"aggregate emits duplicate names: {out_names}")
-    elif isinstance(rel, SortRel):
-        schema = rel.input_rel.output_schema()
-        for idx, _ in rel.sort_keys:
-            if idx >= len(schema):
-                raise PlanValidationError(f"sort ordinal ${idx} out of range")
-    elif isinstance(rel, FetchRel):
-        if rel.offset < 0 or (rel.count is not None and rel.count < 0):
-            raise PlanValidationError("fetch offset/count must be non-negative")
-    elif isinstance(rel, ExchangeRel):
-        schema = rel.input_rel.output_schema()
-        for idx in rel.keys:
-            if idx >= len(schema):
-                raise PlanValidationError(f"exchange key ordinal ${idx} out of range")
+_VALIDATOR = PlanChecker(_raise_on_error)

@@ -292,7 +292,8 @@ class SortRel(Relation):
         if not sort_keys:
             raise ValueError("SortRel needs at least one key")
         self.inputs = (input_rel,)
-        self.sort_keys = [(int(i), bool(a)) for i, a in sort_keys]
+        # The ordinal is kept as given: Plan.validate() judges it, uncoerced.
+        self.sort_keys = [(i, bool(a)) for i, a in sort_keys]
 
     @property
     def input_rel(self) -> Relation:

@@ -17,16 +17,15 @@ of magnitude for admission; they are never charged to the clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..columnar import Table
 from ..gpu.costmodel import KernelClass, KernelCostModel
 from ..gpu.device import Device
-from ..plan import Plan
+from ..plan import Plan, walk_relations
 from ..plan.relations import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -46,18 +45,16 @@ def base_tables(plan: Plan) -> list[str]:
     stale when any of these tables' versions move), and the estimator's
     cold-table pricing.
     """
-    names: list[str] = []
-    seen: set[str] = set()
+    # walk_relations is pre-order (parents first, inputs left to right);
+    # a dict keeps first-seen order.
+    return list(
+        dict.fromkeys(
+            rel.table_name
+            for rel in walk_relations(plan.root)
+            if isinstance(rel, ReadRel)
+        )
+    )
 
-    def visit(rel: Relation) -> None:
-        if isinstance(rel, ReadRel) and rel.table_name not in seen:
-            seen.add(rel.table_name)
-            names.append(rel.table_name)
-        for child in rel.inputs:
-            visit(child)
-
-    visit(plan.root)
-    return names
 
 # Classic System-R style default selectivities.
 FILTER_SELECTIVITY = 0.3
@@ -76,6 +73,13 @@ class PlanEstimate:
     working_set_bytes: int
     service_s: float
     rows: int
+    # Where the working set comes from: (site, kind, bytes) per pipeline
+    # breaker in post-order, then the materialised result.  An explanation
+    # of ``working_set_bytes`` (they sum to it), not part of the estimate's
+    # identity: left out of equality, hash and ``to_dict()``.
+    working_sets: tuple[tuple[str, str, int], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -120,9 +124,10 @@ def estimate_plan(
             rank an over-pool query as *slower*, not *impossible*.
     """
     est = _Estimator(catalog, device.cost_model, fusion=fusion)
-    rows, nbytes = est.visit(plan.root)
+    rows, nbytes = est.visit(plan.root, "root")
     # The final result is materialised in the pool, then copied out.
-    working_set = est.working_set + int(nbytes)
+    est.hold("root", "result", nbytes)
+    working_set = sum(held for _site, _kind, held in est.working_sets)
     service = est.seconds + device.cost_model.transfer_cost(int(nbytes))
     if out_of_core:
         excess = working_set - device.processing_pool.capacity
@@ -147,7 +152,9 @@ def estimate_plan(
                     copy_s += device.cost_model.transfer_cost(step)
                     remaining -= step
                 service += max(0.0, copy_s - est.seconds)
-    return PlanEstimate(int(working_set), float(service), int(rows))
+    return PlanEstimate(
+        int(working_set), float(service), int(rows), tuple(est.working_sets)
+    )
 
 
 class _Estimator:
@@ -157,48 +164,52 @@ class _Estimator:
         self.catalog = catalog
         self.model = model
         self.fusion = fusion
-        self.working_set = 0  # peak concurrent pool bytes (hash/sort state)
+        # Concurrent pool bytes (hash/sort state): (site, kind, bytes).
+        self.working_sets: list[tuple[str, str, int]] = []
         self.seconds = 0.0
+
+    def hold(self, site: str, kind: str, nbytes: float) -> None:
+        self.working_sets.append((site, kind, int(nbytes)))
 
     def _charge(self, kclass: str, bytes_in: float, bytes_out: float, rows: float, groups=None):
         self.seconds += self.model.kernel_cost(
             kclass, int(bytes_in), int(bytes_out), int(max(rows, 1)), groups
         ).total
 
-    def visit(self, rel: Relation) -> tuple[float, float]:
-        """Return (estimated rows, estimated bytes) of the relation."""
+    def visit(self, rel: Relation, path: str) -> tuple[float, float]:
+        """Return (estimated rows, estimated bytes) of the relation at
+        ``path`` (``root.input.left`` ...: the site its pool bytes are
+        recorded under)."""
         if isinstance(rel, ReadRel):
             return self._read(rel)
         if isinstance(rel, (FilterRel, ProjectRel)):
             if self.fusion:
-                return self._fused_chain(rel)
-            rows, nbytes = self.visit(rel.inputs[0])
+                return self._fused_chain(rel, path)
+            rows, nbytes = self.visit(rel.inputs[0], f"{path}.input")
             self._charge(KernelClass.STREAM, nbytes, nbytes, rows)
             if isinstance(rel, FilterRel):
                 return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
             return rows, nbytes
         if isinstance(rel, JoinRel):
-            return self._join(rel)
+            return self._join(rel, path)
         if isinstance(rel, AggregateRel):
-            return self._aggregate(rel)
+            return self._aggregate(rel, path)
         if isinstance(rel, SortRel):
-            rows, nbytes = self.visit(rel.inputs[0])
-            self.working_set += int(SORT_BUFFER_FACTOR * nbytes)
+            rows, nbytes = self.visit(rel.inputs[0], f"{path}.input")
+            self.hold(path, "sort-buffer", SORT_BUFFER_FACTOR * nbytes)
             self._charge(KernelClass.SORT, nbytes, nbytes, rows)
             return rows, nbytes
         if isinstance(rel, FetchRel):
-            rows, nbytes = self.visit(rel.inputs[0])
+            rows, nbytes = self.visit(rel.inputs[0], f"{path}.input")
             if rel.count is not None and rows > 0:
                 keep = min(float(rel.count), rows) / rows
                 return rows * keep, nbytes * keep
             return rows, nbytes
-        if isinstance(rel, ExchangeRel):
-            return self.visit(rel.inputs[0])
-        if rel.inputs:  # unknown unary relation: pass through
-            return self.visit(rel.inputs[0])
+        if rel.inputs:  # ExchangeRel, unknown unary relation: pass through
+            return self.visit(rel.inputs[0], f"{path}.input")
         return 0.0, 0.0
 
-    def _fused_chain(self, rel: Relation) -> tuple[float, float]:
+    def _fused_chain(self, rel: Relation, path: str) -> tuple[float, float]:
         """Price a maximal adjacent Filter/Project chain as one fused
         launch: each hop keeps its non-streaming terms (the work still
         happens), but the memory-bandwidth term covers only the chain's
@@ -210,7 +221,7 @@ class _Estimator:
         while isinstance(node, (FilterRel, ProjectRel)):
             chain.append(node)
             node = node.inputs[0]
-        rows, nbytes = self.visit(node)
+        rows, nbytes = self.visit(node, path + ".input" * len(chain))
         ext_in = nbytes
         parts = []
         for hop in reversed(chain):
@@ -244,10 +255,10 @@ class _Estimator:
             return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
         return rows, nbytes
 
-    def _join(self, rel: JoinRel) -> tuple[float, float]:
-        probe_rows, probe_bytes = self.visit(rel.inputs[0])
-        build_rows, build_bytes = self.visit(rel.inputs[1])
-        self.working_set += int(HASH_TABLE_FACTOR * build_bytes)
+    def _join(self, rel: JoinRel, path: str) -> tuple[float, float]:
+        probe_rows, probe_bytes = self.visit(rel.inputs[0], f"{path}.left")
+        build_rows, build_bytes = self.visit(rel.inputs[1], f"{path}.right")
+        self.hold(path, "hash-build", HASH_TABLE_FACTOR * build_bytes)
         self._charge(KernelClass.HASH_BUILD, build_bytes, build_bytes, build_rows)
         self._charge(
             KernelClass.HASH_PROBE, probe_bytes, probe_bytes + build_bytes, probe_rows
@@ -262,11 +273,11 @@ class _Estimator:
         )
         return out_rows, out_rows * per_row
 
-    def _aggregate(self, rel: AggregateRel) -> tuple[float, float]:
-        rows, nbytes = self.visit(rel.inputs[0])
+    def _aggregate(self, rel: AggregateRel, path: str) -> tuple[float, float]:
+        rows, nbytes = self.visit(rel.inputs[0], f"{path}.input")
         groups = float(min(rows, DEFAULT_GROUPS)) if rel.group_indices else 1.0
         per_row = nbytes / rows if rows else 0.0
         out_bytes = groups * max(per_row, 8.0 * (len(rel.group_indices) + len(rel.measures)))
-        self.working_set += int(out_bytes)
+        self.hold(path, "aggregate-state", out_bytes)
         self._charge(KernelClass.GROUPBY_HASH, nbytes, out_bytes, rows, int(groups))
         return groups, out_bytes

@@ -4,8 +4,13 @@ All 22 single-node TPC-H plans (as MiniDuck plans them) and the Q1/Q3/Q6
 distributed fragments (as MiniDoris fragments them) must produce zero
 findings, and the analyzer's working-set estimate must agree *exactly*
 with :func:`repro.sched.estimator.estimate_plan` — the number admission
-control gates on.
+control gates on.  The per-pipeline-breaker breakdown (site, kind, bytes,
+in order) is pinned against a golden recorded before the analyzer's own
+byte walk was replaced by the estimator's record of the same sites.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,7 @@ from repro.sched.estimator import estimate_plan
 from repro.tpch import generate_tpch, tpch_query
 
 SF = 0.01
+GOLDEN_WORKING_SETS = Path(__file__).with_name("golden_tpch_pipeline_working_sets.json")
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,20 @@ class TestGoldenTpch:
             sum(site["bytes"] for site in report.pipeline_working_sets)
             == est.working_set_bytes
         )
+
+    @pytest.mark.parametrize("out_of_core", [False, True])
+    def test_pipeline_working_sets_match_golden(self, out_of_core, duck, device):
+        golden = json.loads(GOLDEN_WORKING_SETS.read_text())
+        got = {}
+        for q in range(1, 23):
+            report = analyze_plan(
+                duck.plan(tpch_query(q)), duck.tables, device, out_of_core=out_of_core
+            )
+            got[str(q)] = [
+                [site["site"], site["kind"], site["bytes"]]
+                for site in report.pipeline_working_sets
+            ]
+        assert got == golden[f"out_of_core={str(out_of_core).lower()}"]
 
     def test_output_schema_matches_plan(self, duck, device):
         plan = duck.plan(tpch_query(1))

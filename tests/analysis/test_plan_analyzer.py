@@ -7,6 +7,8 @@ which resolves names and would reject most of these), exactly like a
 buggy or malicious third-party plan payload would arrive.
 """
 
+import json
+
 import pytest
 
 from repro.analysis import (
@@ -21,7 +23,7 @@ from repro.analysis import (
 from repro.analysis.plan_analyzer import PLAN_RULES
 from repro.columnar import Schema, Table
 from repro.gpu import GH200, Device
-from repro.plan import Plan
+from repro.plan import Plan, PlanValidationError
 from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
 from repro.plan.relations import (
     AggregateRel,
@@ -140,6 +142,18 @@ CORPUS = [
      lambda: FetchRel(read(), 0, 5)),
     ("PA10", lambda: FetchRel(read(), 0, -3),
      lambda: FetchRel(read(), 0, 3)),
+    # An ordinal never counts from the end: "the last column" is spelled
+    # with its index from the front (the passing twins).
+    ("PA02", lambda: SortRel(read(), [(-1, True)]),
+     lambda: SortRel(read(), [(3, True)])),
+    ("PA02", lambda: JoinRel(read(), dim_read(), "inner", [-1], [0]),
+     lambda: JoinRel(read(), dim_read(), "inner", [0], [0])),
+    ("PA02", lambda: JoinRel(read(), dim_read(), "inner", [0], [-1]),
+     lambda: JoinRel(read(), dim_read(), "inner", [0], [1])),
+    ("PA02", lambda: AggregateRel(read(), [-1], [(agg("sum", 2), "m")]),
+     lambda: AggregateRel(read(), [3], [(agg("sum", 2), "m")])),
+    ("PA02", lambda: ExchangeRel(read(), "shuffle", [-1]),
+     lambda: ExchangeRel(read(), "shuffle", [3])),
 ]
 
 ERROR_RULES = {r for r, d in PLAN_RULES.items() if r not in ("PA07", "PA08", "PA09")}
@@ -159,6 +173,23 @@ class TestDefectCorpus:
     def test_good_twin_is_clean(self, rule, bad, good, catalog):
         report = analyze_plan(Plan(good()), catalog)
         assert rule not in report.rules_hit(), report.findings
+
+    @pytest.mark.parametrize(
+        "rel",
+        [f for _, bad, good in CORPUS for f in (bad, good)],
+        ids=[f"{r}-{i}-{w}" for i, (r, _, _) in enumerate(CORPUS) for w in ("bad", "good")],
+    )
+    def test_validate_and_analyzer_are_two_views_of_one_checker(self, rel):
+        """``Plan.validate()`` raises iff the analyzer (same inputs: no
+        catalog) reports an error, and says what the first error says."""
+        errors = analyze_plan(Plan(rel())).errors
+        if not errors:
+            Plan(rel()).validate()
+            return
+        with pytest.raises(PlanValidationError) as excinfo:
+            Plan(rel()).validate()
+        assert errors[0].message in str(excinfo.value)
+        assert errors[0].site in str(excinfo.value)
 
     def test_every_rule_has_a_failing_fixture(self):
         covered = {rule for rule, _, _ in CORPUS} | {"PA09"}  # PA09 below
@@ -182,6 +213,54 @@ class TestDefectCorpus:
         report = analyze_plan(Plan(ExchangeRel(read(), "broadcast", [0])), catalog)
         assert report.ok
         assert report.suggested_tier == TIER_GPU
+
+
+# kind -> (a valid single-operator relation, where its one ordinal sits in
+# the serialised root)
+ORDINAL_SITES = {
+    "sort": (lambda: SortRel(read(), [(0, True)]),
+             lambda root, o: root.update(keys=[[o, True]])),
+    "join-left": (lambda: JoinRel(read(), dim_read(), "inner", [0], [0]),
+                  lambda root, o: root.update(left_keys=[o])),
+    "join-right": (lambda: JoinRel(read(), dim_read(), "inner", [0], [0]),
+                   lambda root, o: root.update(right_keys=[o])),
+    "group": (lambda: AggregateRel(read(), [0], [(agg("sum", 2), "m")]),
+              lambda root, o: root.update(groups=[o])),
+    "exchange": (lambda: ExchangeRel(read(), "shuffle", [0]),
+                 lambda root, o: root.update(keys=[o])),
+}
+
+
+def _payload_with_ordinal(kind, ordinal):
+    """A valid plan payload whose one ordinal of the given kind is then
+    overwritten, as a third-party producer could."""
+    rel, overwrite = ORDINAL_SITES[kind]
+    payload = Plan(rel()).to_dict()
+    overwrite(payload["root"], ordinal)
+    return json.dumps(payload)
+
+
+class TestOrdinalsFromOutside:
+    """JSON can carry anything where an ordinal belongs.  Only an int in
+    ``[0, arity)`` addresses a column; everything else is a PA02 error —
+    a ``PlanValidationError`` from ``validate()``, never a ``TypeError``,
+    and the analyzer reports it without raising."""
+
+    @pytest.mark.parametrize("kind", ORDINAL_SITES)
+    @pytest.mark.parametrize("ordinal", ["a", 0.5, -1, True, None], ids=repr)
+    def test_non_ordinal_is_a_validation_error(self, kind, ordinal):
+        plan = Plan.from_json(_payload_with_ordinal(kind, ordinal))
+        with pytest.raises(PlanValidationError, match="ordinal"):
+            plan.validate()
+        report = analyze_plan(plan)
+        assert not report.ok
+        assert "PA02" in {f.rule for f in report.errors}
+
+    @pytest.mark.parametrize("kind", ORDINAL_SITES)
+    def test_in_range_int_is_accepted(self, kind):
+        plan = Plan.from_json(_payload_with_ordinal(kind, 1))
+        plan.validate()
+        assert analyze_plan(plan).ok
 
 
 class TestWorkingSetTier:

@@ -72,6 +72,26 @@ def config_observer():
 
 
 @pytest.fixture
+def root_walks(monkeypatch):
+    """Every relation tree handed to the structural pass
+    (``repro.plan.check``) while the test runs, one entry per walk.  The
+    roots themselves are held, not their ids — an id is reused once its
+    object is collected."""
+    from repro.plan.check import PlanChecker
+
+    walked = []
+    visit = PlanChecker.visit
+
+    def recording_visit(self, rel, path):
+        if path == "root":
+            walked.append(rel)
+        return visit(self, rel, path)
+
+    monkeypatch.setattr(PlanChecker, "visit", recording_visit)
+    return walked
+
+
+@pytest.fixture
 def gpu():
     """A GH200-like device with a small memory limit (tests stay tiny)."""
     return Device(GH200, memory_limit_gb=2.0)

@@ -181,6 +181,58 @@ class TestPlanCache:
         assert second.job.arrival_s == pytest.approx(10.0)
 
 
+class TestPlanCheckedOnce:
+    """Every boundary a plan crosses still calls ``plan.validate()``, but
+    the tree is only walked the first time: SQL -> planner -> optimizer ->
+    ``FleetScheduler.submit`` -> ``ServingScheduler.submit`` ->
+    ``start_query`` costs one walk per distinct ``Plan``, not one per
+    boundary."""
+
+    Q6 = (
+        "select sum(l_extendedprice * l_discount) as revenue from lineitem "
+        "where l_shipdate >= date '1993-01-01' + interval '{p}' day "
+        "and l_shipdate < date '1994-01-01' + interval '{p}' day "
+        "and l_discount between 0.05 and 0.07 and l_quantity < 24"
+    )
+    Q14 = (
+        "select 100.00 * sum(case when p_type like 'PROMO%' "
+        "then l_extendedprice * (1 - l_discount) else 0 end) "
+        "/ sum(l_extendedprice * (1 - l_discount)) as promo_revenue "
+        "from lineitem, part where l_partkey = p_partkey "
+        "and l_shipdate >= date '1994-01-01' + interval '{p}' day "
+        "and l_shipdate < date '1994-02-01' + interval '{p}' day"
+    )
+
+    def test_one_walk_per_plan_from_sql_to_result(self, data, host, root_walks):
+        fleet = FleetScheduler(
+            engine_factory(GH200, warm=data),
+            replicas=2,
+            seed=SEED,
+            result_cache_bytes=1 << 24,
+            plan_cache_entries=32,
+        )
+        # 20 requests over 12 distinct parameterisations: the repeats are
+        # result-cache candidates, every shape after the first two a
+        # plan-cache hit.
+        plans = [
+            host.plan((self.Q6 if i % 2 else self.Q14).format(p=30 * (i % 6)))
+            for i in range(20)
+        ]
+        planned = len(root_walks)
+        for i, plan in enumerate(plans):
+            fleet.submit(plan, data, label=f"r{i}", arrival_s=i * 2e-4)
+        report = fleet.run()
+        assert report.counters["completed"] == len(plans)
+        assert report.result_cache["hits"] > 0 and report.plan_cache["hits"] > 0
+
+        # Every published plan was checked (by its producer) ...
+        walked = [id(root) for root in root_walks]
+        assert {id(plan.root) for plan in plans} <= set(walked)
+        # ... no tree was walked twice, and submit -> run walked nothing.
+        assert len(set(walked)) == len(walked)
+        assert len(root_walks) == planned
+
+
 class TestDeterminism:
     """Satellite: same seed -> byte-identical fleet schedule and reports,
     for every routing policy."""

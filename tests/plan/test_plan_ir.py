@@ -18,6 +18,7 @@ from repro.plan import (
     ProjectRel,
     ReadRel,
     ScalarCall,
+    SortRel,
     col,
     expr_from_dict,
     infer_type,
@@ -132,6 +133,34 @@ class TestValidation:
         rel = ProjectRel(ReadRel("t", SCHEMA), [FieldRef(0), FieldRef(1)], ["a", "a"])
         with pytest.raises(PlanValidationError, match="duplicate"):
             Plan(rel).validate()
+
+
+class TestValidatedOnce:
+    """``validate()`` remembers success for the root it checked — and
+    nothing else."""
+
+    def test_a_valid_plan_is_walked_once(self, root_walks):
+        plan = Plan(FilterRel(ReadRel("t", SCHEMA), ScalarCall("gt", [FieldRef(1), Literal(1.0)])))
+        plan.validate()
+        plan.validate()
+        assert root_walks == [plan.root]
+
+    def test_failure_is_not_remembered(self, root_walks):
+        plan = Plan(FilterRel(ReadRel("t", SCHEMA), FieldRef(1)))
+        for _ in range(2):
+            with pytest.raises(PlanValidationError, match="not boolean"):
+                plan.validate()
+        assert len(root_walks) == 2
+
+    def test_a_new_root_is_checked_again(self, root_walks):
+        plan = Plan(ReadRel("t", SCHEMA))
+        plan.validate()
+        plan.root = SortRel(plan.root, [(0, True)])
+        plan.validate()
+        assert len(root_walks) == 2
+        plan.root = SortRel(plan.root, [(-1, True)])
+        with pytest.raises(PlanValidationError, match="ordinal"):
+            plan.validate()
 
 
 class TestSerialization:

@@ -1,11 +1,17 @@
 """Property-based tests on the plan IR: random expression/plan round-trips."""
 
+import copy
 import datetime
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze_plan
 from repro.columnar import Schema
+from repro.core import SiriusEngine
+from repro.core.planner import compile_plan
+from repro.fleet.digest import plan_digest
+from repro.gpu.specs import GH200
 from repro.plan import (
     FieldRef,
     Literal,
@@ -16,6 +22,8 @@ from repro.plan import (
     expr_from_dict,
     lit,
 )
+from repro.sched.estimator import estimate_plan
+from tests.core.test_random_plans import plans, tables
 
 SCHEMA = Schema([("a", "int64"), ("b", "float64"), ("c", "string"), ("d", "date")])
 
@@ -99,3 +107,27 @@ class TestPlanRoundTrip:
 
         optimized = optimize_plan(plan, {"t": 1000})
         assert optimized.output_schema() == plan.output_schema()
+
+
+class TestPublishedPlansAreNotMutated:
+    """What makes checking a plan once sound: no consumer changes a
+    published tree (rewrites build new relations through
+    ``with_inputs``), so a root that passed ``validate()`` still would."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=tables(), plan=plans())
+    def test_no_consumer_mutates_the_tree(self, data, plan):
+        from repro.sql.optimizer import optimize_plan
+
+        # Deep-copied: to_dict() may hand out the relation's own lists.
+        before = copy.deepcopy(plan.to_dict())
+        root = plan.root
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
+        optimize_plan(plan, {name: t.num_rows for name, t in data.items()})
+        estimate_plan(plan, data, engine.device, out_of_core=True, fusion=True)
+        plan_digest(plan)
+        analyze_plan(plan, data, engine.device)
+        compile_plan(plan, fusion=True)
+        engine.execute(plan, data)
+        assert plan.root is root
+        assert plan.to_dict() == before

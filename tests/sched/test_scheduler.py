@@ -174,6 +174,29 @@ class TestDegradationUnderContention:
         assert degraded[0].degraded_tier == "gpu-retry-spill"
         assert degraded[0].state == JobState.COMPLETED
 
+    def test_degraded_job_reenters_start_query_without_a_rewalk(
+        self, data, root_walks
+    ):
+        """The degraded job goes through ``start_query`` a second time;
+        its plan was checked when it was produced and is not re-walked."""
+        host = MiniDuck()
+        host.load_tables(data)
+        plans = [host.plan(tpch_query(n)) for n in (1, 3, 6)]
+        planned = len(root_walks)
+        engine = fresh_engine(data, enable_spill=False)
+        injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=1))
+        injector.attach_device(engine.device)
+        sched = ServingScheduler(engine, policy="fair", streams=2)
+        for plan in plans:
+            sched.submit(plan, data, arrival_s=0.0)
+        report = sched.run()
+        assert report.counters["completed"] == len(plans)
+        assert report.counters["degraded"] == 1
+        walked = [id(root) for root in root_walks]
+        assert {id(plan.root) for plan in plans} <= set(walked)
+        assert len(set(walked)) == len(walked)
+        assert len(root_walks) == planned
+
     def test_persistent_oom_fails_only_that_job(self, data, plans):
         engine = fresh_engine(data, enable_spill=False)
         injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=50))
