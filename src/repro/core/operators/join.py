@@ -71,18 +71,18 @@ def custom_sort_merge_join(join_type: str, probe_keys, build_keys):
     for log-factor passes.
     """
     device = probe_keys[0].device
-    pcodes, bcodes, _ = factorize_keys(probe_keys, build_keys, nulls_match=False)
+    pcodes, bcodes, num_codes = factorize_keys(probe_keys, build_keys, nulls_match=False)
     probe_bytes = sum(k.traffic_bytes for k in probe_keys)
     build_bytes = sum(k.traffic_bytes for k in build_keys)
     device.launch(KernelClass.SORT, probe_bytes, len(pcodes) * 4, len(pcodes))
     device.launch(KernelClass.SORT, build_bytes, len(bcodes) * 4, len(bcodes))
-    order, lo, hi = _match_ranges(bcodes, pcodes)
+    lo, hi = _match_ranges(bcodes, pcodes, num_codes)
     if join_type in ("semi", "anti"):
         matched = hi > lo
         out = np.flatnonzero(matched if join_type == "semi" else ~matched).astype(np.int32)
         device.launch(KernelClass.STREAM, probe_bytes + build_bytes, out.nbytes, len(pcodes))
         return out
-    probe_idx, build_idx, counts = _expand(order, lo, hi)
+    probe_idx, build_idx, counts = _expand(bcodes, lo, hi)
     if join_type == "left":
         unmatched = np.flatnonzero(counts == 0)
         probe_idx = np.concatenate([probe_idx, unmatched])

@@ -14,6 +14,7 @@ import numpy as np
 from ..columnar import Field, Schema
 from ..gpu.costmodel import KernelClass
 from .gtable import GColumn, GTable
+from .keys import _merge_dictionaries
 
 __all__ = [
     "gather_column",
@@ -126,8 +127,9 @@ def scatter_to_partitions(
 def concat_gtables(tables: Sequence[GTable]) -> GTable:
     """Vertically concatenate device tables with matching schemas.
 
-    String columns re-encode against a merged dictionary (libcudf
-    concatenates character buffers; we charge the equivalent traffic).
+    String columns re-encode against a merged dictionary of the entries
+    their valid rows reference (libcudf concatenates character buffers; we
+    charge the equivalent traffic).
     """
     tables = [t for t in tables if t is not None]
     if not tables:
@@ -144,16 +146,12 @@ def concat_gtables(tables: Sequence[GTable]) -> GTable:
     for i, field in enumerate(schema):
         parts = [t.columns[i] for t in tables]
         if field.dtype.is_string:
-            decoded = np.concatenate([p.decoded() for p in parts])
-            mask = np.array([v is not None for v in decoded], dtype=np.bool_)
-            uniques, inverse = (
-                np.unique(decoded[mask].astype(object), return_inverse=True)
-                if bool(mask.any())
-                else (np.array([], dtype=object), np.array([], dtype=np.int64))
+            dictionary, codes = _merge_dictionaries(parts)
+            out_cols.append(
+                GColumn.from_array(
+                    device, field.dtype, codes.astype(np.int32), codes >= 0, dictionary
+                )
             )
-            codes = np.full(len(decoded), -1, dtype=np.int32)
-            codes[mask] = inverse.astype(np.int32)
-            out_cols.append(GColumn.from_array(device, field.dtype, codes, mask, uniques))
         else:
             data = np.concatenate([p.data for p in parts])
             validity = np.concatenate([p.valid_mask() for p in parts])

@@ -88,10 +88,12 @@ def groupby(keys: list[GColumn], aggs: list[AggSpec], force_hash: bool = False) 
     if not keys:
         raise ValueError("groupby requires at least one key; use reduce for global aggregates")
     device = keys[0].device
-    codes, _, _ = factorize_keys(keys, nulls_match=True)
-    uniq_codes, first_idx, gids = np.unique(codes, return_index=True, return_inverse=True)
-    num_groups = len(uniq_codes)
-    rows = len(codes)
+    # With NULLs matching, the codes are the group ids 0 .. num_groups - 1
+    # in key order; each group is represented by its first row.
+    gids, _, num_groups = factorize_keys(keys, nulls_match=True)
+    rows = len(gids)
+    first_idx = np.full(num_groups, rows, dtype=np.int64)
+    np.minimum.at(first_idx, gids, np.arange(rows))
 
     key_bytes = sum(k.traffic_bytes for k in keys)
     value_bytes = sum(a.column.traffic_bytes for a in aggs if a.column is not None)
@@ -155,15 +157,15 @@ def _aggregate(device, agg: AggSpec, gids: np.ndarray, num_groups: int):
 
     # sum / min / max / mean: value aggregations that skip NULLs and yield
     # NULL for all-NULL groups.
-    group_has_value = np.zeros(num_groups, dtype=np.bool_)
-    np.logical_or.at(group_has_value, gids[valid], True)
+    counts = np.bincount(gids[valid], minlength=num_groups)
+    group_has_value = counts > 0
 
     if agg.op in ("sum", "mean"):
         sums = np.bincount(gids[valid], weights=col.data[valid].astype(np.float64),
                            minlength=num_groups)
         if agg.op == "mean":
-            counts = np.bincount(gids[valid], minlength=num_groups)
-            out = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            # (not zeros_like: bincount of zero rows is int64 even with weights)
+            out = np.divide(sums, counts, out=np.zeros(num_groups), where=counts > 0)
             return GColumn.from_array(device, FLOAT64, out, group_has_value), FLOAT64
         if col.dtype.is_integer:
             data = np.round(sums).astype(np.int64)

@@ -14,6 +14,7 @@ reporting hot runs (Sirius' buffer manager caches the device tables).
 
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,30 @@ __all__ = ["GColumn", "GTable", "NULL_INDEX"]
 
 # libcudf-style sentinel for "no matching row" in join gather maps.
 NULL_INDEX = np.int32(-1)
+
+# id(dictionary) -> (weak reference, mean entry length).  Dictionaries are
+# never mutated in place (RR08), so the mean is a property of the object;
+# the weak reference both drops the entry when the dictionary dies and
+# proves on lookup that the id still names the same object.
+_MEAN_ENTRY_LENGTH: dict[int, tuple[weakref.ref, float]] = {}
+
+
+def _mean_entry_length(dictionary: np.ndarray) -> float:
+    """Mean ``len(str(entry))`` over ``dictionary``, computed once per object."""
+    key = id(dictionary)
+    known = _MEAN_ENTRY_LENGTH.get(key)
+    if known is not None and known[0]() is dictionary:
+        return known[1]
+    if len(dictionary) > 0:
+        mean = sum(len(str(s)) for s in dictionary) / len(dictionary)
+    else:
+        mean = 0.0
+
+    def forget(_ref, memo=_MEAN_ENTRY_LENGTH):  # bound now: globals may be gone at exit
+        memo.pop(key, None)
+
+    _MEAN_ENTRY_LENGTH[key] = (weakref.ref(dictionary, forget), mean)
+    return mean
 
 
 class GColumn:
@@ -98,10 +123,7 @@ class GColumn:
         is what a non-dictionary engine like libcudf actually moves.
         """
         if self.dtype.is_string and len(self) > 0 and self.dictionary is not None:
-            if len(self.dictionary) > 0:
-                avg_len = sum(len(str(s)) for s in self.dictionary) / len(self.dictionary)
-            else:
-                avg_len = 0.0
+            avg_len = _mean_entry_length(self.dictionary)
             return int(len(self) * avg_len) + self.buffer.nbytes
         return self.nbytes
 

@@ -12,10 +12,12 @@ The simulated hash join charges:
 * a ``HASH_PROBE`` kernel over the probe side's key bytes plus the output
   index bytes,
 
-which is the traffic pattern of a real GPU hash join.  The actual matching
-runs as a sort + binary-search join in NumPy (same output, different
-constant factors — simulated time comes from the cost model, not from
-NumPy's runtime).
+which is the traffic pattern of a real GPU hash join.  The matching in
+NumPy is direct-addressed too: ``factorize_keys`` gives both sides dense
+codes, a ``bincount`` + ``cumsum`` over the build codes gives every probe
+row its run of matches, and only the joins that emit build rows (inner,
+left) order the build side, to lay those runs out.  Simulated time comes
+from the cost model, not from NumPy's runtime.
 """
 
 from __future__ import annotations
@@ -71,30 +73,30 @@ class JoinResult:
         return len(self.left_indices)
 
 
-def _match_ranges(build_codes: np.ndarray, probe_codes: np.ndarray):
+def _match_ranges(build_codes: np.ndarray, probe_codes: np.ndarray, num_codes: int):
     """For each probe code, locate its run of equal build codes.
 
-    Returns ``(order, lo, hi)`` where ``order`` sorts the build codes and
-    ``[lo[i], hi[i])`` is the matching slice in the sorted array (empty for
-    nulls and misses).
+    Returns ``(lo, hi)``: ``[lo[i], hi[i])`` is the matching slice of the
+    stably sorted build codes (empty for nulls and misses).  ``num_codes``
+    is ``factorize_keys``' third return — every code of either side is
+    below it — so the ranges come from a count per code (slot 0 holds
+    ``NULL_CODE``) and nothing is sorted or searched here.
     """
-    order = np.argsort(build_codes, kind="stable")
-    sorted_codes = build_codes[order]
-    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
-    # Null probe keys never match.
-    nulls = probe_codes == NULL_CODE
-    hi = np.where(nulls, lo, hi)
-    # Null build keys sort first; skip them by clamping lo.
-    n_null_build = int((build_codes == NULL_CODE).sum())
-    if n_null_build:
-        lo = np.maximum(lo, n_null_build)
-        hi = np.maximum(hi, lo)
-    return order, lo, hi
+    counts = np.bincount(build_codes - NULL_CODE, minlength=num_codes + 1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Null build keys sort first and null probe keys never match: a null
+    # probe gets the empty range just past the null build rows.
+    starts[0] = ends[0]
+    return starts[probe_codes - NULL_CODE], ends[probe_codes - NULL_CODE]
 
 
-def _expand(order: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Expand per-probe match ranges into (probe_idx, build_idx) pairs."""
+def _expand(build_codes: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Expand per-probe match ranges into (probe_idx, build_idx) pairs.
+
+    Only here is the build side ordered (a stable sort of its codes, which
+    is what the ranges index), so semi and anti joins never pay for it.
+    """
     counts = hi - lo
     total = int(counts.sum())
     probe_idx = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
@@ -105,7 +107,7 @@ def _expand(order: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         np.cumsum(counts) - counts, counts
     )
     build_pos = starts + offsets
-    return probe_idx, order[build_pos], counts
+    return probe_idx, np.argsort(build_codes, kind="stable")[build_pos], counts
 
 
 # Hash tables carry slack (load factor) plus an 8-byte row payload per
@@ -133,16 +135,16 @@ def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> J
     The smaller side plays the hash-table build role for cost purposes,
     matching the planner behaviour of real engines.
     """
-    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys, nulls_match=False)
+    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
     build_on_right = len(rcodes) <= len(lcodes)
     if build_on_right:
-        order, lo, hi = _match_ranges(rcodes, lcodes)
-        probe_idx, build_idx, _ = _expand(order, lo, hi)
+        lo, hi = _match_ranges(rcodes, lcodes, num_codes)
+        probe_idx, build_idx, _ = _expand(rcodes, lo, hi)
         left_idx, right_idx = probe_idx, build_idx
         _charge(right_keys, left_keys, len(probe_idx))
     else:
-        order, lo, hi = _match_ranges(lcodes, rcodes)
-        probe_idx, build_idx, _ = _expand(order, lo, hi)
+        lo, hi = _match_ranges(lcodes, rcodes, num_codes)
+        probe_idx, build_idx, _ = _expand(lcodes, lo, hi)
         left_idx, right_idx = build_idx, probe_idx
         _charge(left_keys, right_keys, len(probe_idx))
     return JoinResult(left_idx, right_idx)
@@ -151,9 +153,9 @@ def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> J
 def left_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> JoinResult:
     """Left outer equi-join: unmatched left rows appear once with right
     index ``-1`` (to be gathered as NULLs)."""
-    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys, nulls_match=False)
-    order, lo, hi = _match_ranges(rcodes, lcodes)
-    probe_idx, build_idx, counts = _expand(order, lo, hi)
+    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
+    lo, hi = _match_ranges(rcodes, lcodes, num_codes)
+    probe_idx, build_idx, counts = _expand(rcodes, lo, hi)
     unmatched = np.flatnonzero(counts == 0)
     left_idx = np.concatenate([probe_idx, unmatched])
     right_idx = np.concatenate(
@@ -165,8 +167,8 @@ def left_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> Jo
 
 def semi_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np.ndarray:
     """Left semi-join: int32 indices of left rows with >= 1 right match."""
-    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys, nulls_match=False)
-    __, lo, hi = _match_ranges(rcodes, lcodes)
+    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
+    lo, hi = _match_ranges(rcodes, lcodes, num_codes)
     matched = np.flatnonzero(hi > lo).astype(np.int32)
     _charge(right_keys, left_keys, len(matched))
     return matched
@@ -178,8 +180,8 @@ def anti_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np
     NULL probe keys have no match and therefore *are* returned, matching
     the NOT EXISTS (not the NOT IN) semantics Sirius' planner emits.
     """
-    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys, nulls_match=False)
-    __, lo, hi = _match_ranges(rcodes, lcodes)
+    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
+    lo, hi = _match_ranges(rcodes, lcodes, num_codes)
     unmatched = np.flatnonzero(hi == lo).astype(np.int32)
     _charge(right_keys, left_keys, len(unmatched))
     return unmatched

@@ -5,6 +5,20 @@ possibly string) keys to dense integer codes.  This module performs that
 reduction consistently across *two* tables at once so the codes are
 directly comparable — which is what a shared hash function gives libcudf.
 
+Like a hash operator it does not sort rows when the key domain can be
+addressed directly.  Two private primitives do the work, and both return
+exactly the ranks ``np.unique(..., return_inverse=True)`` would:
+
+* :func:`_dense_rank` ranks an integer-kind array (ints, dates, bools,
+  combined codes) through a presence table + ``cumsum`` when the span
+  ``max - min + 1`` is at most ``TABLE_SLOTS_PER_ROW * rows +
+  TABLE_SLOTS_FLOOR``; sparse integer domains and floats (whose NaN /
+  ``-0.0`` handling ``np.unique`` defines) take the row sort inside the
+  same function.  The choice reads only dtype, span and row count.
+* :func:`_merge_dictionaries` keeps strings dictionary-encoded: it sorts
+  only the dictionary *entries* the valid rows reference and remaps the
+  codes through a per-dictionary lookup table — no row is ever decoded.
+
 Null semantics differ by consumer and are explicit:
 
 * joins: ``nulls_match=False`` — a NULL key never equals anything,
@@ -25,6 +39,11 @@ __all__ = ["factorize_keys", "radix_partition_ids", "NULL_CODE"]
 
 NULL_CODE = np.int64(-1)
 
+# Largest direct-address table ``_dense_rank`` builds (9 bytes a slot):
+# a few slots per row, with a floor so small inputs always use the table.
+TABLE_SLOTS_PER_ROW = 4
+TABLE_SLOTS_FLOOR = 65_536
+
 
 def radix_partition_ids(
     keys: Sequence[GColumn], num_partitions: int, level: int = 0
@@ -43,19 +62,62 @@ def radix_partition_ids(
     return hash_partition_ids(keys, num_partitions, level=level)
 
 
-def _column_values(col: GColumn) -> np.ndarray:
-    """Comparable value array for one column (decoded strings as objects)."""
-    if col.dtype.is_string:
-        # Compare by dictionary *values*: two tables have different dicts.
-        return col.decoded()
-    return col.data
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of every element among the distinct values, and their count.
+
+    Equal to ``np.unique(values, return_inverse=True)``'s inverse (as a
+    fresh int64 array) and ``len(unique)``.
+    """
+    if values.dtype.kind in "ib" and len(values):
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1  # Python ints: cannot overflow
+        if span <= TABLE_SLOTS_PER_ROW * len(values) + TABLE_SLOTS_FLOOR:
+            slots = np.subtract(values, lo, dtype=np.int64)
+            present = np.zeros(span, dtype=np.bool_)
+            present[slots] = True
+            rank_of_slot = np.cumsum(present)
+            rank_of_slot -= 1
+            return rank_of_slot[slots], int(rank_of_slot[-1]) + 1
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.astype(np.int64), len(uniques)
 
 
-def _column_mask(col: GColumn) -> np.ndarray:
-    mask = col.valid_mask()
-    if col.dtype.is_string:
-        mask = mask & (col.data >= 0)
-    return mask
+def _merge_dictionaries(columns: Sequence[GColumn]) -> tuple[np.ndarray, np.ndarray]:
+    """Re-encode string columns against one merged, sorted dictionary.
+
+    Returns ``(dictionary, codes)``: the sorted distinct strings the valid
+    rows of ``columns`` reference (an object array — what ``np.unique``
+    over the decoded rows would give) and the int64 codes into it of all
+    columns' rows, concatenated in order, ``-1`` for NULL.
+    """
+    # One table addresses every entry of every distinct dictionary object
+    # (columns sharing a dictionary share its slots), plus a last slot that
+    # NULL rows hit as index -1 — so payloads under invalid rows never
+    # index anything.
+    bases: dict[int, tuple[int, np.ndarray]] = {}
+    size = 0
+    for col in columns:
+        if id(col.dictionary) not in bases:
+            bases[id(col.dictionary)] = (size, col.dictionary)
+            size += len(col.dictionary)
+    slots = np.concatenate(
+        [
+            np.where(
+                col.valid_mask() & (col.data >= 0),
+                col.data + np.int64(bases[id(col.dictionary)][0]),
+                -1,
+            )
+            for col in columns
+        ]
+    )
+    referenced = np.zeros(size + 1, dtype=np.bool_)
+    referenced[slots] = True
+    referenced[-1] = False
+    entries = [d[referenced[base : base + len(d)]] for base, d in bases.values()]
+    merged, ranks = np.unique(np.concatenate(entries).astype(object), return_inverse=True)
+    code_of_slot = np.full(size + 1, -1, dtype=np.int64)
+    code_of_slot[referenced] = ranks
+    return merged, code_of_slot[slots]
 
 
 def factorize_keys(
@@ -73,54 +135,51 @@ def factorize_keys(
             (group-by) or the never-matching ``-1`` (join).
 
     Returns:
-        ``(left_codes, right_codes, num_distinct)`` — int64 code arrays for
-        each side (``right_codes`` empty if no right columns) and an upper
-        bound on the number of distinct combined codes.
+        ``(left_codes, right_codes, num_distinct)`` — fresh int64 code
+        arrays for each side (``right_codes`` empty if no right columns)
+        and the exact number of distinct key tuples over both sides, a
+        NULL counting as one more value of its column.  Codes are the
+        tuples' ranks, so every non-negative code is below
+        ``num_distinct``; with ``nulls_match=True`` the codes are exactly
+        ``0 .. num_distinct - 1`` (group ids and the group count).
     """
     if not left:
         raise ValueError("factorize_keys needs at least one key column")
     if right and len(left) != len(right):
         raise ValueError("both sides must have the same number of key columns")
     n_left = len(left[0])
-    n_right = len(right[0]) if right else 0
 
-    combined = np.zeros(n_left + n_right, dtype=np.int64)
-    any_null = np.zeros(n_left + n_right, dtype=np.bool_)
+    combined = np.int64(0)
+    any_null = np.False_
     running_card = 1
 
     for idx, lcol in enumerate(left):
-        rcol = right[idx] if right else None
-        values = _column_values(lcol)
-        mask = _column_mask(lcol)
-        if rcol is not None:
-            values = np.concatenate([values, _column_values(rcol)])
-            mask = np.concatenate([mask, _column_mask(rcol)])
-        codes = np.zeros(len(values), dtype=np.int64)
-        if bool(mask.any()):
-            _, inverse = np.unique(values[mask], return_inverse=True)
-            codes[mask] = inverse.astype(np.int64)
-        card = int(codes[mask].max()) + 1 if bool(mask.any()) else 0
+        cols = [lcol, right[idx]] if right else [lcol]
+        if lcol.dtype.is_string:
+            # Compare by dictionary *values*: two tables have different dicts.
+            dictionary, codes = _merge_dictionaries(cols)
+            mask = codes >= 0
+            card = len(dictionary)
+        else:
+            values = np.concatenate([c.data for c in cols])
+            mask = np.concatenate([c.valid_mask() for c in cols])
+            codes = np.empty(len(values), dtype=np.int64)
+            codes[mask], card = _dense_rank(values[mask])
         # NULLs take a dedicated fresh code so they form their own group
         # (group-by) and never collide with a real value.
-        codes[~mask] = card
-        has_null = bool((~mask).any())
-        col_card = card + (1 if has_null else 0)
-        col_card = max(col_card, 1)
+        null = ~mask
+        codes[null] = card
+        col_card = max(card + int(null.any()), 1)
         combined = combined * np.int64(col_card) + codes
-        any_null |= ~mask
+        any_null = any_null | null
         running_card *= col_card
         if running_card > 2**40:
             # Re-densify mid-way so many / high-cardinality key columns
             # cannot overflow the int64 combination.
-            _, inv = np.unique(combined, return_inverse=True)
-            combined = inv.astype(np.int64)
-            running_card = int(combined.max()) + 1 if len(combined) else 1
+            combined, running_card = _dense_rank(combined)
 
     # Re-densify the combined codes across both sides.
-    uniq, inverse = np.unique(combined, return_inverse=True)
-    dense = inverse.astype(np.int64)
+    dense, num_distinct = _dense_rank(combined)
     if not nulls_match:
         dense[any_null] = NULL_CODE
-    dense_l = dense[:n_left].copy()
-    dense_r = dense[n_left:].copy()
-    return dense_l, dense_r, len(uniq)
+    return dense[:n_left].copy(), dense[n_left:].copy(), num_distinct

@@ -2,8 +2,9 @@
 
 Returns an int32 permutation like libcudf's ``sorted_order``.  String keys
 compare by dictionary code — valid because the kernel library maintains
-lexicographically sorted dictionaries.  NULLs order last under ASC and
-first under DESC (PostgreSQL/DuckDB default).
+lexicographically sorted dictionaries.  NULLs order last under both ASC
+and DESC.  Integer-kind keys (ints, dates, bools, string codes) are
+compared as int64, so values above 2^53 order exactly.
 """
 
 from __future__ import annotations
@@ -18,17 +19,30 @@ from .gtable import GColumn
 __all__ = ["sorted_order", "top_n_order"]
 
 
-def _sort_key(col: GColumn, ascending: bool) -> np.ndarray:
-    """Build a float64/int64 sortable key with NULLs pushed to the end."""
-    data = col.data.astype(np.float64)
-    valid = col.valid_mask()
-    if col.dtype.is_string:
-        valid = valid & (col.data >= 0)
-    if not ascending:
-        data = -data
-    # NULLS LAST for the requested direction: +inf sorts after everything.
-    data = np.where(valid, data, np.inf)
-    return data
+def _stable_order(keys: Sequence[GColumn], ascending: Sequence[bool]) -> np.ndarray:
+    """int32 permutation ordering rows by ``keys``, ties in input order."""
+    # np.lexsort's *last* key is primary, so build from the least
+    # significant end: for each key its values, then (more significant)
+    # its NULL flag.
+    lex_keys: list[np.ndarray] = []
+    for col, asc in reversed(list(zip(keys, ascending))):
+        valid = col.valid_mask()
+        if col.dtype.is_string:
+            valid = valid & (col.data >= 0)
+        if col.data.dtype.kind == "f":
+            # NULLS LAST for the requested direction: +inf sorts after
+            # everything.
+            data = col.data if asc else -col.data
+            lex_keys.append(np.where(valid, data, np.inf))
+            continue
+        # Integer kinds (ints, dates, bools, string codes) stay exact as
+        # int64; ``~x`` reverses the order without the overflow ``-x`` has
+        # at the int64 minimum.
+        data = col.data.astype(np.int64, copy=False)
+        lex_keys.append(np.where(valid, data if asc else ~data, 0))
+        if not bool(valid.all()):
+            lex_keys.append(~valid)
+    return np.lexsort(lex_keys).astype(np.int32)
 
 
 def sorted_order(keys: Sequence[GColumn], ascending: Sequence[bool]) -> np.ndarray:
@@ -39,9 +53,7 @@ def sorted_order(keys: Sequence[GColumn], ascending: Sequence[bool]) -> np.ndarr
         raise ValueError("sorted_order requires at least one key")
     device = keys[0].device
     rows = len(keys[0])
-    # np.lexsort's *last* key is primary.
-    sort_keys = [_sort_key(k, a) for k, a in zip(keys, ascending)]
-    order = np.lexsort(list(reversed(sort_keys))).astype(np.int32)
+    order = _stable_order(keys, ascending)
     device.launch(
         KernelClass.SORT,
         sum(k.traffic_bytes for k in keys),
@@ -61,8 +73,7 @@ def top_n_order(keys: Sequence[GColumn], ascending: Sequence[bool], n: int) -> n
         raise ValueError("top_n_order requires at least one key")
     device = keys[0].device
     rows = len(keys[0])
-    sort_keys = [_sort_key(k, a) for k, a in zip(keys, ascending)]
-    order = np.lexsort(list(reversed(sort_keys))).astype(np.int32)
+    order = _stable_order(keys, ascending)
     device.launch(
         KernelClass.STREAM,
         sum(k.traffic_bytes for k in keys),

@@ -1,0 +1,219 @@
+"""Reference formulations the kernels are compared against, array for array.
+
+These are the sort-based implementations the kernel library shipped with
+before its key handling went direct-addressed: every key row is decoded
+and ranked with ``np.unique`` (one row sort per key column, one more over
+the combined codes), joins stable-sort the build codes and binary-search
+them, group-by finds groups with a third ``np.unique``, and string
+concatenation decodes and re-sorts every row.  They are slow and obviously
+right; ``test_differential.py`` requires the kernels to return arrays equal
+to theirs in dtype, shape and every element.
+
+Nothing here charges a device or builds a ``GTable``: results are plain
+arrays (group-by returns one ``(dtype, data, validity, dictionary)`` per
+output column).
+"""
+
+import numpy as np
+
+from repro.columnar import FLOAT64, INT64
+
+NULL_CODE = np.int64(-1)
+
+
+def _column_values(col):
+    return col.decoded() if col.dtype.is_string else col.data
+
+
+def _column_mask(col):
+    mask = col.valid_mask()
+    if col.dtype.is_string:
+        mask = mask & (col.data >= 0)
+    return mask
+
+
+def factorize_keys(left, right=(), nulls_match=False):
+    n_left = len(left[0])
+    n_right = len(right[0]) if right else 0
+    combined = np.zeros(n_left + n_right, dtype=np.int64)
+    any_null = np.zeros(n_left + n_right, dtype=np.bool_)
+    running_card = 1
+    for idx, lcol in enumerate(left):
+        rcol = right[idx] if right else None
+        values = _column_values(lcol)
+        mask = _column_mask(lcol)
+        if rcol is not None:
+            values = np.concatenate([values, _column_values(rcol)])
+            mask = np.concatenate([mask, _column_mask(rcol)])
+        codes = np.zeros(len(values), dtype=np.int64)
+        if bool(mask.any()):
+            _, inverse = np.unique(values[mask], return_inverse=True)
+            codes[mask] = inverse.astype(np.int64)
+        card = int(codes[mask].max()) + 1 if bool(mask.any()) else 0
+        codes[~mask] = card
+        has_null = bool((~mask).any())
+        col_card = max(card + (1 if has_null else 0), 1)
+        combined = combined * np.int64(col_card) + codes
+        any_null |= ~mask
+        running_card *= col_card
+        if running_card > 2**40:
+            _, inv = np.unique(combined, return_inverse=True)
+            combined = inv.astype(np.int64)
+            running_card = int(combined.max()) + 1 if len(combined) else 1
+    uniq, inverse = np.unique(combined, return_inverse=True)
+    dense = inverse.astype(np.int64)
+    if not nulls_match:
+        dense[any_null] = NULL_CODE
+    return dense[:n_left].copy(), dense[n_left:].copy(), len(uniq)
+
+
+# -- joins --------------------------------------------------------------------
+
+
+def _match_ranges(build_codes, probe_codes):
+    order = np.argsort(build_codes, kind="stable")
+    sorted_codes = build_codes[order]
+    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
+    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
+    hi = np.where(probe_codes == NULL_CODE, lo, hi)
+    n_null_build = int((build_codes == NULL_CODE).sum())
+    if n_null_build:
+        lo = np.maximum(lo, n_null_build)
+        hi = np.maximum(hi, lo)
+    return order, lo, hi
+
+
+def _expand(order, lo, hi):
+    counts = hi - lo
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(lo), dtype=np.int64), counts)
+    if total == 0:
+        return probe_idx, np.empty(0, dtype=np.int64), counts
+    starts = np.repeat(lo, counts)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    return probe_idx, order[starts + offsets], counts
+
+
+def inner_join(left_keys, right_keys, build_on_smaller=True):
+    """``(left_indices, right_indices)`` as int32.  The kernel library
+    builds on the smaller side; the custom sort-merge join always on the
+    right, which changes the order of the pairs."""
+    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys)
+    if len(rcodes) <= len(lcodes) or not build_on_smaller:
+        left_idx, right_idx, _ = _expand(*_match_ranges(rcodes, lcodes))
+    else:
+        right_idx, left_idx, _ = _expand(*_match_ranges(lcodes, rcodes))
+    return left_idx.astype(np.int32), right_idx.astype(np.int32)
+
+
+def left_join(left_keys, right_keys):
+    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys)
+    probe_idx, build_idx, counts = _expand(*_match_ranges(rcodes, lcodes))
+    unmatched = np.flatnonzero(counts == 0)
+    left_idx = np.concatenate([probe_idx, unmatched])
+    right_idx = np.concatenate([build_idx, np.full(len(unmatched), -1, dtype=np.int64)])
+    return left_idx.astype(np.int32), right_idx.astype(np.int32)
+
+
+def semi_join(left_keys, right_keys):
+    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys)
+    _, lo, hi = _match_ranges(rcodes, lcodes)
+    return np.flatnonzero(hi > lo).astype(np.int32)
+
+
+def anti_join(left_keys, right_keys):
+    lcodes, rcodes, _ = factorize_keys(left_keys, right_keys)
+    _, lo, hi = _match_ranges(rcodes, lcodes)
+    return np.flatnonzero(hi == lo).astype(np.int32)
+
+
+# -- group-by -----------------------------------------------------------------
+
+
+def groupby(keys, aggs):
+    """One ``(dtype, data, validity, dictionary)`` per key, then per agg."""
+    codes, _, _ = factorize_keys(keys, nulls_match=True)
+    uniq_codes, first_idx, gids = np.unique(codes, return_index=True, return_inverse=True)
+    num_groups = len(uniq_codes)
+    out = [
+        (key.dtype, key.data[first_idx], key.valid_mask()[first_idx], key.dictionary)
+        for key in keys
+    ]
+    return out + [_aggregate(agg, gids, num_groups) for agg in aggs]
+
+
+def _aggregate(agg, gids, num_groups):
+    all_valid = np.ones(num_groups, dtype=np.bool_)
+    if agg.op == "count_star":
+        counts = np.bincount(gids, minlength=num_groups).astype(np.int64)
+        return INT64, counts, all_valid, None
+
+    col = agg.column
+    valid = col.valid_mask()
+    if col.dtype.is_string:
+        valid = valid & (col.data >= 0)
+
+    if agg.op == "count":
+        counts = np.bincount(gids[valid], minlength=num_groups).astype(np.int64)
+        return INT64, counts, all_valid, None
+
+    if agg.op == "count_distinct":
+        vals = col.data[valid]
+        sub_gids = gids[valid]
+        if len(vals):
+            _, value_codes = np.unique(vals, return_inverse=True)
+            pairs = sub_gids.astype(np.int64) * (value_codes.max() + 1) + value_codes
+            uniq_pairs = np.unique(pairs)
+            counts = np.bincount(
+                (uniq_pairs // (value_codes.max() + 1)).astype(np.int64),
+                minlength=num_groups,
+            ).astype(np.int64)
+        else:
+            counts = np.zeros(num_groups, dtype=np.int64)
+        return INT64, counts, all_valid, None
+
+    group_has_value = np.zeros(num_groups, dtype=np.bool_)
+    np.logical_or.at(group_has_value, gids[valid], True)
+
+    if agg.op in ("sum", "mean"):
+        sums = np.bincount(
+            gids[valid], weights=col.data[valid].astype(np.float64), minlength=num_groups
+        )
+        if agg.op == "mean":
+            counts = np.bincount(gids[valid], minlength=num_groups)
+            # The seed wrote ``out=np.zeros_like(sums)``, which raises on zero
+            # rows (``bincount`` of nothing is int64); same values otherwise.
+            out = np.divide(sums, counts, out=np.zeros(num_groups), where=counts > 0)
+            return FLOAT64, out, group_has_value, None
+        if col.dtype.is_integer:
+            return INT64, np.round(sums).astype(np.int64), group_has_value, None
+        return FLOAT64, sums, group_has_value, None
+
+    reducer = np.minimum if agg.op == "min" else np.maximum
+    vals = col.data[valid]
+    sub_gids = gids[valid]
+    out = np.zeros(num_groups, dtype=col.data.dtype)
+    if len(vals):
+        order = np.argsort(sub_gids, kind="stable")
+        sorted_gids = sub_gids[order]
+        sorted_vals = vals[order]
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_gids)) + 1])
+        out[sorted_gids[starts]] = reducer.reduceat(sorted_vals, starts)
+    return col.dtype, out, group_has_value, col.dictionary
+
+
+# -- string concatenation -----------------------------------------------------
+
+
+def concat_string_columns(parts):
+    """``(codes int32, validity, dictionary)`` of the concatenated column."""
+    decoded = np.concatenate([p.decoded() for p in parts])
+    mask = np.array([v is not None for v in decoded], dtype=np.bool_)
+    uniques, inverse = (
+        np.unique(decoded[mask].astype(object), return_inverse=True)
+        if bool(mask.any())
+        else (np.array([], dtype=object), np.array([], dtype=np.int64))
+    )
+    codes = np.full(len(decoded), -1, dtype=np.int32)
+    codes[mask] = inverse.astype(np.int32)
+    return codes, mask, uniques

@@ -57,6 +57,70 @@ class TestSort:
             sorted_order([g.column("v")], [True, False])
 
 
+class TestSortIntegerKeysExactly:
+    """Integer-kind keys are compared as int64, not through float64."""
+
+    BIG = [2**53 + 1, 2**53, 2**53 + 3, 2**53 + 2]
+
+    def test_above_2_53_ascending(self, make_gtable):
+        g = make_gtable({"v": self.BIG}, [("v", "int64")])
+        assert sorted_order([g.column("v")], [True]).tolist() == [1, 0, 3, 2]
+        assert top_n_order([g.column("v")], [True], 2).tolist() == [1, 0]
+
+    def test_above_2_53_descending(self, make_gtable):
+        g = make_gtable({"v": self.BIG}, [("v", "int64")])
+        assert sorted_order([g.column("v")], [False]).tolist() == [2, 3, 0, 1]
+        assert top_n_order([g.column("v")], [False], 3).tolist() == [2, 3, 0]
+
+    def test_int64_min_and_max_in_one_column(self, make_gtable):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        g = make_gtable({"v": [0, hi, lo, hi - 1, lo + 1]}, [("v", "int64")])
+        assert sorted_order([g.column("v")], [True]).tolist() == [2, 4, 0, 3, 1]
+        assert sorted_order([g.column("v")], [False]).tolist() == [1, 3, 0, 4, 2]
+
+    def test_nulls_last_in_both_directions(self, make_gtable):
+        g = make_gtable({"v": [3, None, 1, None, 2]}, [("v", "int64")])
+        assert sorted_order([g.column("v")], [True]).tolist() == [2, 4, 0, 1, 3]
+        assert sorted_order([g.column("v")], [False]).tolist() == [0, 4, 2, 1, 3]
+        f = make_gtable({"v": [3.0, None, 1.0]}, [("v", "float64")])
+        assert sorted_order([f.column("v")], [False]).tolist() == [0, 2, 1]
+        s = make_gtable({"v": ["b", None, "a", "c"]}, [("v", "string")])
+        assert sorted_order([s.column("v")], [False]).tolist() == [3, 0, 2, 1]
+        b = make_gtable({"v": [True, None, False]}, [("v", "bool")])
+        assert sorted_order([b.column("v")], [True]).tolist() == [2, 0, 1]
+        assert sorted_order([b.column("v")], [False]).tolist() == [0, 2, 1]
+
+    def test_payload_under_null_does_not_order_the_nulls(self, dev):
+        from repro.columnar import INT64
+        from repro.kernels.gtable import GColumn
+
+        primary = GColumn.from_array(
+            dev, INT64, np.array([2**62, 5, -(2**62), 7]), np.array([False, True, False, True])
+        )
+        secondary = GColumn.from_array(dev, INT64, np.array([1, 0, 0, 0]))
+        # The two NULLs tie on the primary key whatever they hold.
+        assert sorted_order([primary, secondary], [True, True]).tolist() == [1, 3, 2, 0]
+        assert sorted_order([primary, secondary], [False, True]).tolist() == [3, 1, 2, 0]
+
+    def test_float_key_then_large_integer_key(self, make_gtable):
+        g = make_gtable(
+            {"f": [1.5, 1.5, 0.5, 1.5, None], "i": self.BIG + [0]},
+            [("f", "float64"), ("i", "int64")],
+        )
+        keys = [g.column("f"), g.column("i")]
+        assert sorted_order(keys, [True, True]).tolist() == [2, 1, 0, 3, 4]
+        assert sorted_order(keys, [True, False]).tolist() == [2, 3, 0, 1, 4]
+        assert sorted_order(keys, [False, False]).tolist() == [3, 0, 1, 2, 4]
+        # Large-int key primary, float key breaking its ties.
+        h = make_gtable(
+            {"i": [2**53 + 1, 2**53, 2**53 + 1, 2**53], "f": [2.0, 9.0, 1.0, -9.0]},
+            [("i", "int64"), ("f", "float64")],
+        )
+        keys = [h.column("i"), h.column("f")]
+        assert sorted_order(keys, [True, True]).tolist() == [3, 1, 2, 0]
+        assert sorted_order(keys, [False, True]).tolist() == [2, 0, 3, 1]
+
+
 class TestGather:
     def test_gather_values(self, make_gtable):
         g = make_gtable({"v": [10, 20, 30]}, [("v", "int64")])
