@@ -82,16 +82,6 @@ class Column:
         validity = None if bool(mask.all()) else mask
         return cls(STRING, codes, validity, uniques)
 
-    @classmethod
-    def from_codes(
-        cls,
-        codes: np.ndarray,
-        dictionary: np.ndarray,
-        validity: np.ndarray | None = None,
-    ) -> "Column":
-        """Build a string column from an existing code buffer + dictionary."""
-        return cls(STRING, codes, validity, dictionary)
-
     # -- basic properties --------------------------------------------------
 
     def __len__(self) -> int:

@@ -110,7 +110,6 @@ class BufferManager:
         enable_spill: bool = True,
         compress_cache: bool = False,
         overlap: bool = False,
-        load_chunk_bytes: int = DEFAULT_LOAD_CHUNK_BYTES,
     ):
         """
         Args:
@@ -127,13 +126,11 @@ class BufferManager:
                 to uncompressed loads (compressed loads keep the
                 synchronous path).  Off by default — the synchronous
                 loader is byte-identical to the seed.
-            load_chunk_bytes: Chunk granularity of overlapped loads.
         """
         self.device = device
         self.enable_spill = enable_spill
         self.compress_cache = compress_cache
         self.overlap = overlap
-        self.load_chunk_bytes = int(load_chunk_bytes)
         self._cache: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.cold_loads = 0
         self.hot_hits = 0
@@ -241,27 +238,15 @@ class BufferManager:
         """
         if not self.overlap or self.compress_cache or name in self._cache:
             return False
-        from ..kernels import GColumn
-
-        columns: list = []
         try:
-            for col in host_table.columns:
-                columns.append(
-                    GColumn.from_array(
-                        self.device, col.dtype, col.data,
-                        col.is_valid_mask(), col.dictionary, "caching",
-                    )
-                )
+            gtable = GTable.from_host(self.device, host_table, "caching", charge=None)
         except OutOfDeviceMemory:
-            for column in columns:
-                column.free()
             return False
-        gtable = GTable(host_table.schema, columns, self.device)
         first_event = None
         event = self.device.clock.now
         remaining = host_table.nbytes
         while remaining > 0:
-            nbytes = min(self.load_chunk_bytes, remaining)
+            nbytes = min(DEFAULT_LOAD_CHUNK_BYTES, remaining)
             event = self.device.htod_async(nbytes)
             if first_event is None:
                 first_event = event
@@ -310,30 +295,15 @@ class BufferManager:
         synchronously (the pipeline cannot start on nothing), the remaining
         chunks are issued on the copy stream and overlap the consuming
         pipeline's kernels until :meth:`complete_loads`."""
-        from ..kernels import GColumn
-
-        columns: list = []
-        try:
-            for col in host_table.columns:
-                columns.append(
-                    GColumn.from_array(
-                        self.device, col.dtype, col.data,
-                        col.is_valid_mask(), col.dictionary, "caching",
-                    )
-                )
-        except BaseException:
-            for column in columns:
-                column.free()
-            raise
-        gtable = GTable(host_table.schema, columns, self.device)
+        gtable = GTable.from_host(self.device, host_table, "caching", charge=None)
         total = host_table.nbytes
-        first = min(self.load_chunk_bytes, total)
+        first = min(DEFAULT_LOAD_CHUNK_BYTES, total)
         if first > 0:
             self.device.htod(first)
         event = self.device.clock.now
         remaining = total - first
         while remaining > 0:
-            nbytes = min(self.load_chunk_bytes, remaining)
+            nbytes = min(DEFAULT_LOAD_CHUNK_BYTES, remaining)
             event = self.device.htod_async(nbytes)
             remaining -= nbytes
         return gtable, event
@@ -379,8 +349,9 @@ class BufferManager:
         """Whether no copy-stream chunks are still landing in ``name``."""
         return name not in self._in_flight and name not in self._must_sync
 
-    def _evict_one(self) -> bool:
+    def _evict_one(self, keep: CacheEntry | None = None) -> bool:
         """Spill one device-resident entry to make room; False if none.
+        ``keep`` — the entry being unspilled — is never the victim.
 
         Plain LRU in single-query mode.  Under concurrent serving
         (``active_queries`` installed) the first pass prefers LRU entries
@@ -398,22 +369,22 @@ class BufferManager:
         if not self.enable_spill:
             return False
         for require_quiescent in (True, False):
+            candidates = [
+                entry
+                for entry in self._cache.values()
+                if entry is not keep
+                and entry.location == "device"
+                and (not require_quiescent or self._quiescent(entry.name))
+            ]
             if self.active_queries is not None:
-                for entry in self._cache.values():
-                    if (
-                        entry.location == "device"
-                        and entry.last_user not in self.active_queries
-                        and (not require_quiescent or self._quiescent(entry.name))
-                    ):
+                for entry in candidates:
+                    if entry.last_user not in self.active_queries:
                         self._spill(entry)
                         self.contention_avoided_evictions += 1
                         return True
-            for entry in self._cache.values():
-                if entry.location == "device" and (
-                    not require_quiescent or self._quiescent(entry.name)
-                ):
-                    self._spill(entry)
-                    return True
+            if candidates:
+                self._spill(candidates[0])
+                return True
         return False
 
     def _spill(self, entry: CacheEntry) -> None:
@@ -441,35 +412,16 @@ class BufferManager:
                         entry.host_table, count_savings=False, pinned=True
                     )
                 else:
-                    entry.gtable = self._pinned_from_host(entry.host_table)
+                    entry.gtable = GTable.from_host(
+                        self.device, entry.host_table, "caching", charge="pinned"
+                    )
                 break
             except OutOfDeviceMemory:
-                if not self._evict_other(entry):
+                if not self._evict_one(keep=entry):
                     raise
         entry.location = "device"
         self.pinned_host_bytes -= entry.nbytes
         self.unspills += 1
-
-    def _pinned_from_host(self, host_table: Table) -> GTable:
-        """Deep-copy a host table into the caching region at the pinned
-        transfer rate (mirrors ``GTable.from_host`` charge-for-charge)."""
-        from ..kernels import GColumn
-
-        columns: list = []
-        try:
-            for col in host_table.columns:
-                self.device.htod(col.nbytes, pinned=True)
-                columns.append(
-                    GColumn.from_array(
-                        self.device, col.dtype, col.data,
-                        col.is_valid_mask(), col.dictionary, "caching",
-                    )
-                )
-        except BaseException:
-            for column in columns:
-                column.free()
-            raise
-        return GTable(host_table.schema, columns, self.device)
 
     def _sync_in_flight(self, name: str) -> None:
         """Join the copy stream for one entry's outstanding chunks (memory
@@ -479,31 +431,6 @@ class BufferManager:
         events = [e for e in (pending, consumed) if e is not None]
         if events:
             self.device.wait_copies(max(events))
-
-    def _evict_other(self, keep: CacheEntry) -> bool:
-        """Like :meth:`_evict_one` (same quiescence-first victim order)
-        but never evicts ``keep`` — the entry being unspilled."""
-        for require_quiescent in (True, False):
-            if self.active_queries is not None:
-                for entry in self._cache.values():
-                    if (
-                        entry is not keep
-                        and entry.location == "device"
-                        and entry.last_user not in self.active_queries
-                        and (not require_quiescent or self._quiescent(entry.name))
-                    ):
-                        self._spill(entry)
-                        self.contention_avoided_evictions += 1
-                        return True
-            for entry in self._cache.values():
-                if (
-                    entry is not keep
-                    and entry.location == "device"
-                    and (not require_quiescent or self._quiescent(entry.name))
-                ):
-                    self._spill(entry)
-                    return True
-        return False
 
     def cached_tables(self) -> list[str]:
         return list(self._cache)
@@ -579,7 +506,7 @@ class BufferManager:
             # is authoritative.
             self.device.wait_copies(frag.event)
             frag.event = None
-        frag.gtable = self._fragment_to_device(frag.host_table)
+        frag.gtable = GTable.from_host(self.device, frag.host_table, charge="pinned")
         frag.location = "device"
         self.fragment_pinned_bytes -= frag.nbytes
         self.fragment_unspills += 1
@@ -686,27 +613,6 @@ class BufferManager:
             self.disk_fragment_bytes += victim.nbytes
             self.disk_spills += 1
             self.disk_spilled_bytes += victim.nbytes
-
-    def _fragment_to_device(self, host_table: Table) -> GTable:
-        """Rebuild a spilled fragment in the processing pool, streaming it
-        back from pinned host memory at the pinned rate."""
-        from ..kernels import GColumn
-
-        columns: list = []
-        try:
-            for col in host_table.columns:
-                self.device.htod(col.nbytes, pinned=True)
-                columns.append(
-                    GColumn.from_array(
-                        self.device, col.dtype, col.data,
-                        col.is_valid_mask(), col.dictionary,
-                    )
-                )
-        except BaseException:
-            for column in columns:
-                column.free()
-            raise
-        return GTable(host_table.schema, columns, self.device)
 
     def protected_columns(self):
         """Device-resident columns owned by the buffer manager (cached

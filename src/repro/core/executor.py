@@ -37,7 +37,7 @@ from collections import deque
 from ..kernels import GTable, slice_table
 from ..obs import OperatorTiming, QueryProfile
 from .deadline import Deadline
-from .operators.base import ChunkStream, ExecutionContext
+from .operators.base import ChunkStream, ExecutionContext, dispose_chunk
 from .operators.join import PartitionedBuild
 from .operators.scan import IntermediateSource, TableScan
 from .planner import PhysicalPlan, Pipeline
@@ -389,7 +389,7 @@ class QueryRun:
                     yield from self._push_chunk(pipeline, sub, idx, state, slots, acct)
                 return
             if dispose and out is not None and out is not prev:
-                self._dispose_chunk(prev, out, slots)
+                dispose_chunk(ctx, prev, slots, successor=out)
             if out is None:
                 return
             acct["op_rows"][op] += out.num_rows
@@ -400,33 +400,7 @@ class QueryRun:
         with clock.attributed(pipeline.sink.category):
             pipeline.sink.consume(ctx, chunk, state)
         acct["sink_seconds"] += clock.now - mark
-        if dispose and pipeline.sink.consumes_by_copy:
-            self._dispose_chunk(chunk, None, slots)
         yield
-
-    def _dispose_chunk(self, prev: GTable, nxt: GTable | None, slots: dict) -> None:
-        """Out-of-core chunk disposal: free ``prev``'s buffers once nothing
-        carries them forward.
-
-        Streaming operators may pass column objects through by reference
-        (a bare column projection returns the input column), so a buffer is
-        freed only when it is absent from the successor chunk AND not owned
-        by a protected table — the buffer-manager cache, a live fragment,
-        or a materialised slot.  Each buffer flows through the chunk chain
-        exactly once, so every free here happens at most once; without this
-        protocol dead intermediates accumulate in the processing pool for
-        the whole query, which is exactly what an over-HBM working set
-        cannot afford.
-        """
-        keep = {id(c) for c in nxt.columns} if nxt is not None else set()
-        protected = {id(c) for c in self.ctx.buffer_manager.protected_columns()}
-        for table in slots.values():
-            if isinstance(table, GTable):
-                protected.update(id(c) for c in table.columns)
-        for col in prev.columns:
-            if id(col) in keep or id(col) in protected:
-                continue
-            col.free()
 
     def _prefetch_next(self, current: Pipeline, queue, done: set[int]) -> None:
         """Scan-prefetch hook: before running ``current``, issue an async

@@ -43,7 +43,6 @@ __all__ = [
     "DegradationTier",
     "FALLBACK_EXCEPTIONS",
     "OOC_RETRY_BATCH_ROWS",
-    "predict_tier",
     "retry_settings",
 ]
 
@@ -61,22 +60,6 @@ def plan_fingerprint(plan: Plan) -> str:
         return hashlib.sha1(plan.to_json().encode("utf-8")).hexdigest()[:12]
     except Exception:
         return "unknown"
-
-
-def predict_tier(plan: Plan, catalog=None, device=None) -> str:
-    """Statically predict the degradation tier ``plan`` will need.
-
-    The runtime ladder below discovers the right tier by *failing
-    through* it; this asks the plan analyzer up front, so admission can
-    reject or pre-degrade a query before any GPU memory is committed.
-    Returns ``"gpu"`` (happy path), ``"gpu-retry-spill"``, ``"cpu-plan"``,
-    or ``"reject"`` (the plan cannot execute at all).
-    """
-    # Imported lazily: repro.analysis imports this module (and, through
-    # the estimator, most of repro.sched) at load time.
-    from ..analysis import analyze_plan
-
-    return analyze_plan(plan, catalog, device).suggested_tier
 
 
 @dataclass(frozen=True)

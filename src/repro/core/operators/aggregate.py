@@ -7,6 +7,9 @@ distributed layer supplies it explicitly as a future-work extension).
 Aggregate inputs that are expressions (e.g. ``sum(l_extendedprice * (1 -
 l_discount))``) are evaluated per chunk before accumulation, so the sink
 itself only ever aggregates materialised columns.
+
+:class:`PartitionedGroupBySink` is the out-of-core variant: the partition
+spool (:mod:`.spool`) with each leaf aggregated and freed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from ...kernels import AggSpec, GTable, binary_arith, concat_gtables, fill_const
 from ...plan import AggregateCall
 from ...plan.expressions import aggregate_result_type
 from .. import expr_eval
-from .base import Category, ExecutionContext, SinkOperator, dispose_consumed
+from .base import Category, ExecutionContext, SinkOperator
+from .spool import PARTITION_FANOUT, spool_chunk, spooled_leaves
 
 __all__ = ["GroupBySink", "PartitionedGroupBySink", "GlobalAggSink"]
 
@@ -104,110 +108,42 @@ class GroupBySink(SinkOperator):
 
 
 class PartitionedGroupBySink(GroupBySink):
-    """Out-of-core grouped aggregation: radix-partitions input rows by the
-    group keys into buffer-manager fragments instead of buffering every
-    chunk resident.
+    """Out-of-core grouped aggregation: the partition spool
+    (:mod:`.spool`) with every leaf aggregated and freed instead of every
+    chunk buffered resident.
 
-    Because the partition hash covers exactly the grouping keys, every
-    group lives wholly inside one partition, so aggregating partitions
-    independently and concatenating the per-partition results is exact
-    (including the avg = sum/count decomposition, which fuses per
-    partition).  Partitions spill device → pinned host → disk under
-    pressure and come back one at a time in ``finalize``, bounding the
-    resident working set to one partition (recursively re-split while it
-    exceeds ``partition_budget_bytes``, up to ``max_depth`` levels).
+    Because the partition hash covers exactly the grouping keys (NULL
+    being one key value), every group lives wholly inside one leaf, so
+    aggregating leaves independently and concatenating the per-leaf
+    results is exact (including the avg = sum/count decomposition, which
+    fuses per leaf), and the resident working set is one leaf.
     """
 
-    consumes_by_copy = True  # partitions are scattered copies; the chunk may be freed
-
-    def __init__(
-        self,
-        group_indices,
-        measures,
-        input_schema: Schema,
-        slot: str,
-        num_partitions: int = 8,
-        partition_budget_bytes: int | None = None,
-        max_depth: int = 3,
-    ):
+    def __init__(self, group_indices, measures, input_schema: Schema, slot: str):
         super().__init__(group_indices, measures, input_schema)
-        if num_partitions < 2:
-            raise ValueError("partitioned group-by needs num_partitions >= 2")
         self.slot = slot  # unique fragment-name prefix for this sink
-        self.num_partitions = num_partitions
-        self.partition_budget_bytes = partition_budget_bytes
-        self.max_depth = max_depth
 
     def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        from ...kernels import partition_groupby_input
-
-        parts = partition_groupby_input(
-            chunk, self.group_indices, self.num_partitions, level=0
-        )
-        dispose_consumed(ctx, chunk, state)  # partitions are copies; drop the input now
-        bm = ctx.buffer_manager
-        by_part = state.setdefault("part_chunks", {p: [] for p in range(self.num_partitions)})
-        seq = state.setdefault("frag_seq", 0)
-        ns = state.get("frag_ns", "q0")
-        for p, part in enumerate(parts):
-            if part is None:
-                continue
-            name = f"{ns}/{self.slot}/c{seq}.{p}"
-            seq += 1
-            bm.put_fragment(name, part)
-            by_part[p].append(name)
-        state["frag_seq"] = seq
+        spool_chunk(ctx, chunk, self.group_indices, self.slot, state)
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
-        by_part = state.get("part_chunks")
-        if not by_part or all(not names for names in by_part.values()):
-            return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
-        bm = ctx.buffer_manager
-        budget = self.partition_budget_bytes
-        if budget is None:
-            budget = max(ctx.device.processing_pool.capacity // 4, 1)
         results: list[GTable] = []
-        for p in sorted(by_part):
-            names = by_part[p]
-            if not names:
-                continue
-            tables = [bm.get_fragment(n) for n in names]
-            merged = concat_gtables(tables)
-            for n in names:
-                bm.drop_fragment(n)
-            self._aggregate_partition(ctx, merged, budget, 1, results)
+        for _path, leaf in spooled_leaves(ctx, self.group_indices, state):
+            results.append(self._aggregate_table(ctx, leaf))
+            leaf.free()
         if not results:
             return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
         if len(results) == 1:
             return results[0]
         out = concat_gtables(results)
-        for r in results:  # per-partition aggregates are exclusively ours
+        for r in results:  # per-leaf aggregates are exclusively ours
             r.free()
         return out
-
-    def _aggregate_partition(
-        self, ctx: ExecutionContext, table: GTable, budget: int, level: int, results: list
-    ) -> None:
-        """Aggregate one partition, re-splitting at the next salted radix
-        level while it exceeds the partition budget."""
-        from ...kernels import partition_groupby_input
-
-        if level <= self.max_depth and table.nbytes > budget and table.num_rows > 1:
-            parts = partition_groupby_input(
-                table, self.group_indices, self.num_partitions, level=level
-            )
-            table.free()
-            for sub in parts:
-                if sub is not None:
-                    self._aggregate_partition(ctx, sub, budget, level + 1, results)
-            return
-        results.append(self._aggregate_table(ctx, table))
-        table.free()
 
     def describe(self) -> str:
         return (
             f"PartitionedGroupBy(keys={self.group_indices}, "
-            f"measures={[n for _, n in self.measures]}, fanout={self.num_partitions})"
+            f"measures={[n for _, n in self.measures]}, fanout={PARTITION_FANOUT})"
         )
 
 

@@ -31,7 +31,7 @@ __all__ = [
     "SourceOperator",
     "UnsupportedFeatureError",
     "ChunkStream",
-    "dispose_consumed",
+    "dispose_chunk",
 ]
 
 
@@ -53,24 +53,31 @@ class ChunkStream:
         self.chunks = chunks
 
 
-def dispose_consumed(ctx: "ExecutionContext", chunk: GTable, state: dict) -> None:
-    """Free a chunk's buffers once an out-of-core operator has copied
-    everything it needs out of it (partitioned sinks and probes scatter
-    the chunk into fresh per-partition tables, after which the original
-    is dead weight the per-query pool reset would otherwise hold until
-    query end).
+def dispose_chunk(
+    ctx: "ExecutionContext", chunk: GTable, slots: dict, successor: GTable | None = None
+) -> None:
+    """Out-of-core chunk disposal: free ``chunk``'s buffers once nothing
+    carries them forward.
 
-    Columns shared with cached base tables, live spill fragments, or
-    materialised pipeline slots are skipped; ``DeviceBuffer.free`` is
-    idempotent, so the executor's own disposal pass stays safe if it
-    later revisits the same chunk.
+    Streaming operators may pass column objects through by reference (a
+    bare column projection returns the input column), so a buffer is freed
+    only when it is absent from ``successor`` — the chunk the operator
+    produced, ``None`` when the operator kept copies only, as the
+    partition spool and the partitioned probe do — AND not owned by the
+    buffer-manager cache, a live fragment, or a materialised slot.  Each
+    buffer flows through the chunk chain once and ``DeviceBuffer.free`` is
+    idempotent; without this protocol dead intermediates accumulate in the
+    processing pool for the whole query, which is exactly what an over-HBM
+    working set cannot afford.
     """
-    protected = {id(c) for c in ctx.buffer_manager.protected_columns()}
-    for table in state.get("slots", {}).values():
+    keep = {id(c) for c in ctx.buffer_manager.protected_columns()}
+    if successor is not None:
+        keep.update(id(c) for c in successor.columns)
+    for table in slots.values():
         if isinstance(table, GTable):
-            protected.update(id(c) for c in table.columns)
+            keep.update(id(c) for c in table.columns)
     for col in chunk.columns:
-        if id(col) not in protected:
+        if id(col) not in keep:
             col.free()
 
 
@@ -156,12 +163,6 @@ class StreamingOperator(PhysicalOperator):
 
 class SinkOperator(PhysicalOperator):
     """Pipeline terminator: consumes all chunks, then finalises."""
-
-    # True when ``consume`` copies everything it keeps (partitioned/
-    # spilling sinks): the out-of-core executor may then free the chunk's
-    # buffers right after consumption.  Default False — most sinks retain
-    # the chunk object itself until ``finalize``.
-    consumes_by_copy = False
 
     def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
         raise NotImplementedError

@@ -14,15 +14,30 @@ Two implementations are registered (§3.2.2's libcudf/custom switch):
 
 Row indices crossing the engine/kernel boundary pay the paper's
 uint64 <-> int32 conversion through the buffer manager.
+
+Out of core, :class:`PartitionedHashJoinBuildSink` is the partition spool
+(:mod:`.spool`) with each leaf kept as a fragment, and
+:class:`PartitionedHashJoinProbe` routes probe rows through the same
+``partition_by_keys`` hashes, level by level, to the leaf they can match.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...columnar import Schema
+from ...columnar import Schema, Table
 from ...gpu.costmodel import KernelClass
-from ...kernels import GTable, anti_join, gather_table, inner_join, left_join, mask_table, semi_join
+from ...kernels import (
+    GTable,
+    anti_join,
+    concat_gtables,
+    gather_table,
+    inner_join,
+    left_join,
+    mask_table,
+    partition_by_keys,
+    semi_join,
+)
 from ...kernels.join import JoinResult, _expand, _match_ranges
 from ...kernels.keys import factorize_keys
 from .. import expr_eval
@@ -32,8 +47,9 @@ from .base import (
     ExecutionContext,
     SinkOperator,
     StreamingOperator,
-    dispose_consumed,
+    dispose_chunk,
 )
+from .spool import PARTITION_FANOUT, spool_chunk, spooled_leaves
 
 __all__ = [
     "HashJoinBuildSink",
@@ -109,8 +125,6 @@ class HashJoinBuildSink(SinkOperator):
         state.setdefault("chunks", []).append(chunk)
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
-        from ...kernels import concat_gtables
-
         chunks = state.get("chunks", [])
         if not chunks:
             return _empty_gtable(ctx, self.schema)
@@ -260,19 +274,14 @@ class PartitionedBuild:
     path is absent when the build side had no rows for it.
     """
 
-    def __init__(self, schema: Schema, key_indices: list[int], fanout: int):
-        self.schema = schema
-        self.key_indices = key_indices
-        self.fanout = fanout
+    def __init__(self):
         self.leaves: dict[tuple[int, ...], str] = {}
         self.num_rows = 0
-        self.nbytes = 0
         self._prefixes: set[tuple[int, ...]] = set()
 
-    def add_leaf(self, path: tuple[int, ...], name: str, rows: int, nbytes: int) -> None:
+    def add_leaf(self, path: tuple[int, ...], name: str, rows: int) -> None:
         self.leaves[path] = name
         self.num_rows += rows
-        self.nbytes += nbytes
         for i in range(len(path)):
             self._prefixes.add(path[:i])
 
@@ -281,119 +290,39 @@ class PartitionedBuild:
         probe side must subdivide further to find its match partition)."""
         return path in self._prefixes
 
-    def depth(self) -> int:
-        return max((len(p) for p in self.leaves), default=0)
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionedBuild(rows={self.num_rows}, leaves={len(self.leaves)}, "
-            f"depth={self.depth()})"
-        )
-
 
 class PartitionedHashJoinBuildSink(HashJoinBuildSink):
-    """Out-of-core build sink: radix-partitions the build side into
-    buffer-manager fragments instead of materialising one table.
+    """Out-of-core build sink: the partition spool (:mod:`.spool`) with
+    every leaf registered as a buffer-manager fragment instead of the
+    build side materialised as one table.
 
-    Each incoming chunk is split by a level-0 radix hash of the join keys
-    and the pieces are registered as spillable fragments; under memory
-    pressure the buffer manager migrates them device → pinned host → disk
-    on the copy stream.  ``finalize`` re-merges each partition and
-    recursively re-splits (salted hash per level, so a skewed bucket
-    re-shuffles) any partition still larger than ``partition_budget_bytes``
-    until it fits or ``max_depth`` is reached.  The slot receives a
-    :class:`PartitionedBuild` handle; the paired
-    :class:`PartitionedHashJoinProbe` routes probe rows through the same
-    hashes, so every key pair meets in exactly one leaf and the join is
-    exact.
+    The slot receives a :class:`PartitionedBuild` handle naming the leaf
+    fragments; the paired :class:`PartitionedHashJoinProbe` routes probe
+    rows through the same salted hashes, so every key pair meets in
+    exactly one leaf and the join is exact.
     """
 
-    consumes_by_copy = True  # partitions are scattered copies; the chunk may be freed
-
-    def __init__(
-        self,
-        slot: str,
-        schema: Schema,
-        key_indices,
-        num_partitions: int = 8,
-        partition_budget_bytes: int | None = None,
-        max_depth: int = 3,
-    ):
+    def __init__(self, slot: str, schema: Schema, key_indices):
         super().__init__(slot, schema)
         self.key_indices = list(key_indices)
-        if num_partitions < 2:
-            raise ValueError("partitioned build needs num_partitions >= 2")
-        self.num_partitions = num_partitions
-        self.partition_budget_bytes = partition_budget_bytes
-        self.max_depth = max_depth
 
     def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        from ...kernels import partition_join_side
-
-        parts = partition_join_side(chunk, self.key_indices, self.num_partitions, level=0)
-        dispose_consumed(ctx, chunk, state)  # partitions are copies; drop the input now
-        bm = ctx.buffer_manager
-        by_part = state.setdefault("part_chunks", {p: [] for p in range(self.num_partitions)})
-        seq = state.setdefault("frag_seq", 0)
-        ns = state.get("frag_ns", "q0")
-        for p, part in enumerate(parts):
-            if part is None:
-                continue
-            name = f"{ns}/{self.slot}/c{seq}.{p}"
-            seq += 1
-            bm.put_fragment(name, part)
-            by_part[p].append(name)
-        state["frag_seq"] = seq
+        spool_chunk(ctx, chunk, self.key_indices, self.slot, state)
 
     def finalize(self, ctx: ExecutionContext, state: dict):
-        by_part = state.get("part_chunks")
-        if not by_part or all(not names for names in by_part.values()):
+        build = PartitionedBuild()
+        for path, table in spooled_leaves(ctx, self.key_indices, state):
+            name = f"{state['frag_ns']}/{self.slot}/" + ".".join(str(d) for d in path)
+            ctx.buffer_manager.put_fragment(name, table)
+            build.add_leaf(path, name, table.num_rows)
+        if not build.leaves:
             # Degenerate empty build: hand the probe a plain empty GTable
             # (the probe falls back to the in-core path for it).
             return _empty_gtable(ctx, self.schema)
-        bm = ctx.buffer_manager
-        budget = self.partition_budget_bytes
-        if budget is None:
-            budget = max(ctx.device.processing_pool.capacity // 4, 1)
-        build = PartitionedBuild(self.schema, self.key_indices, self.num_partitions)
-        ns = state.get("frag_ns", "q0")
-        for p in sorted(by_part):
-            names = by_part[p]
-            if not names:
-                continue
-            merged = self._merge_fragments(ctx, bm, names)
-            self._store(ctx, bm, build, (p,), merged, budget, 1, ns)
         return build
 
-    def _merge_fragments(self, ctx: ExecutionContext, bm, names: list[str]) -> GTable:
-        """Unspill and concatenate one partition's chunk fragments,
-        retiring the per-chunk fragments afterwards."""
-        from ...kernels import concat_gtables
-
-        tables = [bm.get_fragment(n) for n in names]
-        merged = concat_gtables(tables)
-        for n in names:
-            bm.drop_fragment(n)
-        return merged
-
-    def _store(self, ctx, bm, build, path, table: GTable, budget: int, level: int, ns: str) -> None:
-        """Register ``table`` as the leaf at ``path``, or re-split it at
-        the next radix level when it exceeds the partition budget."""
-        from ...kernels import partition_join_side
-
-        if level <= self.max_depth and table.nbytes > budget and table.num_rows > 1:
-            parts = partition_join_side(table, self.key_indices, self.num_partitions, level=level)
-            table.free()
-            for q, sub in enumerate(parts):
-                if sub is not None:
-                    self._store(ctx, bm, build, path + (q,), sub, budget, level + 1, ns)
-            return
-        name = f"{ns}/{self.slot}/" + ".".join(str(d) for d in path)
-        bm.put_fragment(name, table)
-        build.add_leaf(path, name, table.num_rows, table.nbytes)
-
     def describe(self) -> str:
-        return f"PartitionedHashJoinBuild({self.slot}, fanout={self.num_partitions})"
+        return f"PartitionedHashJoinBuild({self.slot}, fanout={PARTITION_FANOUT})"
 
 
 class PartitionedHashJoinProbe(HashJoinProbe):
@@ -434,8 +363,6 @@ class PartitionedHashJoinProbe(HashJoinProbe):
         downstream kernel launches by the leaf count and drowns the query
         in launch latency.
         """
-        from ...kernels import concat_gtables, partition_join_side
-
         budget = max(ctx.device.processing_pool.capacity // 8, 1 << 20)
         pending: list[GTable] = []
         pending_bytes = 0
@@ -450,8 +377,8 @@ class PartitionedHashJoinProbe(HashJoinProbe):
             pending.clear()
             return out
 
-        parts = partition_join_side(chunk, self.probe_key_indices, build.fanout, level=0)
-        dispose_consumed(ctx, chunk, state)  # sub-partitions are copies; drop the input
+        parts = partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT)
+        dispose_chunk(ctx, chunk, state["slots"])  # sub-partitions are copies; drop the input
         for q, sub in enumerate(parts):
             if sub is None:
                 continue
@@ -468,8 +395,6 @@ class PartitionedHashJoinProbe(HashJoinProbe):
     def _probe_stream(self, ctx, chunk: GTable, build, path, level: int):
         """Probe the rows of ``chunk`` (already routed to ``path``) against
         the build leaves under ``path``, recursing level by level."""
-        from ...kernels import partition_join_side
-
         if path in build.leaves:
             build_table = ctx.buffer_manager.get_fragment(build.leaves[path])
             yield from self._emit(ctx, chunk, build_table)
@@ -482,7 +407,7 @@ class PartitionedHashJoinProbe(HashJoinProbe):
                 yield from self._emit(ctx, chunk, empty)
                 empty.free()
             return
-        parts = partition_join_side(chunk, self.probe_key_indices, build.fanout, level=level)
+        parts = partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT, level=level)
         for q, sub in enumerate(parts):
             if sub is None:
                 continue
@@ -503,8 +428,4 @@ class PartitionedHashJoinProbe(HashJoinProbe):
 
 
 def _empty_gtable(ctx: ExecutionContext, schema: Schema) -> GTable:
-    from ...columnar import Table
-    from ...kernels import GTable as GT
-
-    host = Table.empty(schema)
-    return GT.from_host(ctx.device, host)
+    return GTable.from_host(ctx.device, Table.empty(schema))

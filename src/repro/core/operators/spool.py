@@ -1,0 +1,93 @@
+"""The partition spool: how out-of-core operator state is scattered,
+spilled and brought back (§3.4 extended to operator state).
+
+A partitioned sink is two halves around the buffer manager's fragment
+store.  :func:`spool_chunk` (the sink's ``consume``) radix-partitions one
+chunk by the operator's keys and registers the pieces as spillable
+fragments, which memory pressure migrates device → pinned host → disk on
+the copy stream.  :func:`spooled_leaves` (the sink's ``finalize``) brings
+one partition back at a time, merges its chunk pieces and re-splits it
+with the next salt level while it is over budget, yielding the leaves
+depth-first so the caller holds one leaf at a time.
+
+The fan-out, the depth limit and the leaf budget are policy, and this is
+the one module that knows them.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+from ...kernels import GTable, concat_gtables, partition_by_keys
+from .base import ExecutionContext, dispose_chunk
+
+__all__ = ["PARTITION_FANOUT", "PARTITION_MAX_DEPTH", "spool_chunk", "spooled_leaves"]
+
+# Buckets per radix level.  A scatter is one pass whatever the fan-out, but
+# every non-empty bucket is a fragment and, later, a merge, a probe and the
+# launches downstream of it: 8 splits a 4x-over-budget build below the leaf
+# budget in one level without multiplying launches further.
+PARTITION_FANOUT = 8
+
+# Salted re-splits below the first level.  8**4 = 4096 leaves is past any
+# pool this repo runs; a leaf still over budget after that is one heavy key,
+# which no hash splits, and is processed whole.
+PARTITION_MAX_DEPTH = 3
+
+
+def _leaf_budget(ctx: ExecutionContext) -> int:
+    """A leaf may take a quarter of the processing pool: the leaf, its
+    merge or probe input and the operator's output are resident together,
+    and a quarter leaves the fourth for the pieces still waiting."""
+    return max(ctx.device.processing_pool.capacity // 4, 1)
+
+
+def spool_chunk(
+    ctx: ExecutionContext, chunk: GTable, key_indices: Sequence[int], slot: str, state: dict
+) -> None:
+    """Scatter ``chunk`` into per-partition fragments named under the
+    run's namespace and ``slot``, then drop the chunk (the pieces are
+    copies)."""
+    parts = partition_by_keys(chunk, key_indices, PARTITION_FANOUT)
+    dispose_chunk(ctx, chunk, state["slots"])
+    by_part = state.setdefault("part_chunks", {p: [] for p in range(PARTITION_FANOUT)})
+    seq = state.setdefault("frag_seq", 0)
+    for p, part in enumerate(parts):
+        if part is None:
+            continue
+        name = f"{state['frag_ns']}/{slot}/c{seq}.{p}"
+        seq += 1
+        ctx.buffer_manager.put_fragment(name, part)
+        by_part[p].append(name)
+    state["frag_seq"] = seq
+
+
+def spooled_leaves(
+    ctx: ExecutionContext, key_indices: Sequence[int], state: dict
+) -> Iterator[tuple[tuple[int, ...], GTable]]:
+    """Yield ``(radix path, table)`` for every leaf partition, depth-first.
+
+    A path is one radix digit per level.  Each yielded table is the
+    caller's: register it, or use it and free it, before pulling the next.
+    """
+    bm = ctx.buffer_manager
+    budget = _leaf_budget(ctx)
+    for p, names in sorted(state.get("part_chunks", {}).items()):
+        if not names:
+            continue
+        merged = concat_gtables([bm.get_fragment(n) for n in names])
+        for n in names:
+            bm.drop_fragment(n)
+        yield from _split_over_budget(merged, key_indices, (p,), budget)
+
+
+def _split_over_budget(table: GTable, key_indices, path: tuple[int, ...], budget: int):
+    level = len(path)
+    if level <= PARTITION_MAX_DEPTH and table.nbytes > budget and table.num_rows > 1:
+        parts = partition_by_keys(table, key_indices, PARTITION_FANOUT, level=level)
+        table.free()
+        for q, sub in enumerate(parts):
+            if sub is not None:
+                yield from _split_over_budget(sub, key_indices, path + (q,), budget)
+        return
+    yield path, table

@@ -21,6 +21,7 @@ import numpy as np
 from ..columnar import Table, concat_tables
 from ..core.deadline import Deadline
 from ..gpu.nccl import LinkDroppedError
+from ..kernels.compute import _fnv1a
 from ..obs import NULL_TRACER, QueryProfile
 from ..plan import Plan
 from .cluster import Cluster
@@ -414,33 +415,32 @@ def _partition_ids(table: Table, key_ordinals, num_partitions: int) -> np.ndarra
 
     Single integer keys use plain modulo (matching
     :func:`~repro.distributed.cluster.partition_table`); multi-column or
-    string keys mix an FNV-style hash.
+    string keys use the mix of :func:`~repro.kernels.compute
+    .hash_partition_ids` at level 0.  NULL is one key value: whatever
+    payload lies under an invalid slot routes as zero.
     """
-    if len(key_ordinals) == 1:
-        col = table.columns[key_ordinals[0]]
-        if col.dtype.is_integer or col.dtype.is_temporal:
-            vals = col.data.astype(np.int64)
-            return ((vals % num_partitions) + num_partitions) % num_partitions
+    cols = [table.columns[ordinal] for ordinal in key_ordinals]
+    if len(cols) == 1 and (cols[0].dtype.is_integer or cols[0].dtype.is_temporal):
+        vals = _key_payload(cols[0])
+        return ((vals % num_partitions) + num_partitions) % num_partitions
     acc = np.zeros(table.num_rows, dtype=np.uint64)
-    for ordinal in key_ordinals:
-        col = table.columns[ordinal]
-        if col.dtype.is_string:
-            vals = np.array(
-                [_fnv(str(s)) if s is not None else 0 for s in col.decoded()],
-                dtype=np.uint64,
-            )
-        else:
-            vals = col.data.astype(np.int64).view(np.uint64)
-        acc = acc * np.uint64(1099511628211) + vals
+    for col in cols:
+        acc = acc * np.uint64(1099511628211) + _key_payload(col).view(np.uint64)
     return (acc % np.uint64(num_partitions)).astype(np.int64)
 
 
-def _fnv(text: str) -> int:
-    acc = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc
+def _key_payload(col) -> np.ndarray:
+    """One 64-bit word per row: the value, or for strings the FNV-1a of
+    the dictionary entry (hashed once per entry, indexed by code); NULL
+    rows carry zero."""
+    valid = col.is_valid_mask()
+    if not col.dtype.is_string:
+        return np.where(valid, col.data.astype(np.int64), 0)
+    hashes = np.array([_fnv1a(str(s)) for s in col.dictionary], dtype=np.uint64)
+    valid &= col.data >= 0
+    vals = np.zeros(len(col), dtype=np.uint64)
+    vals[valid] = hashes[col.data[valid]]
+    return vals
 
 
 def _empty_like(spec) -> Table:

@@ -17,20 +17,10 @@ import json
 from dataclasses import dataclass, field
 
 from ..sched import JobState, percentile
+from ..sched.report import _dist
 from .job import FleetJob
 
 __all__ = ["FleetReport"]
-
-
-def _dist(values) -> dict:
-    return {
-        "p50": percentile(values, 0.50),
-        "p95": percentile(values, 0.95),
-        "p99": percentile(values, 0.99),
-        "mean": (sum(values) / len(values)) if values else 0.0,
-        "max": max(values, default=0.0),
-        "count": len(values),
-    }
 
 
 @dataclass

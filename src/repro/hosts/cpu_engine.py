@@ -19,7 +19,7 @@ import numpy as np
 
 from ..columnar import BOOL, Column, DATE32, FLOAT64, INT64, STRING, Table
 from ..columnar.dtypes import date_to_days, dtype_from_name
-from ..core.deadline import Deadline, DidNotFinishError
+from ..core.deadline import Deadline
 from ..gpu.costmodel import KernelClass
 from ..gpu.device import Device
 from ..gpu.specs import M7I_CPU, DeviceSpec
@@ -40,10 +40,7 @@ from ..plan import (
 )
 from ..plan.relations import join_output_schema
 
-__all__ = ["CpuEngine", "CpuEvalError", "DidNotFinishError"]
-
-# DidNotFinishError moved to repro.core.deadline (the unified DNF
-# mechanism); re-exported here for backward compatibility.
+__all__ = ["CpuEngine", "CpuEvalError"]
 
 
 class CpuEvalError(NotImplementedError):
@@ -385,11 +382,11 @@ class CpuEngine:
             mask = col.is_valid_mask()
             if col.dtype.is_string:
                 mask = mask & (col.data >= 0)
-            work = vals.copy()
-            if not mask.all():
-                work = work.astype(object)
-                work[~mask] = "\0null"
-            _, inv = np.unique(work, return_inverse=True)
+            # Rank the valid values only; NULL is one more key value, ranked
+            # after them (a marker of another type would not compare).
+            distinct, ranks = np.unique(vals[mask], return_inverse=True)
+            inv = np.full(len(vals), len(distinct), dtype=np.int64)
+            inv[mask] = ranks
             combined = combined * (int(inv.max()) + 1 if len(inv) else 1) + inv
         uniq, first_idx, gids = np.unique(combined, return_index=True, return_inverse=True)
         num_groups = len(uniq)

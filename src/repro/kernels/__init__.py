@@ -1,4 +1,9 @@
-"""Kernel library: the libcudf stand-in executing on simulated devices."""
+"""Kernel library: the libcudf stand-in executing on simulated devices.
+
+Out-of-core operators partition through one export,
+:func:`partition_by_keys` (``hash_partition_ids`` then
+``scatter_to_partitions``); NULL is one key value for every dtype.
+"""
 
 from .compute import (
     absolute,
@@ -23,27 +28,26 @@ from .compute import (
     string_length,
     substring,
 )
-from .asof import asof_join
 from .compression import PackedColumn, pack_column, packable, unpack_column
 from .copying import (
     concat_gtables,
     gather_column,
     gather_table,
     mask_table,
+    partition_by_keys,
     scatter_to_partitions,
     slice_table,
 )
-from .groupby import AGG_OPS, AggSpec, groupby, partition_groupby_input
+from .groupby import AGG_OPS, AggSpec, groupby
 from .gtable import GColumn, GTable, NULL_INDEX
 from .join import (
     JoinResult,
     anti_join,
     inner_join,
     left_join,
-    partition_join_side,
     semi_join,
 )
-from .keys import factorize_keys, radix_partition_ids
+from .keys import factorize_keys
 from .reduce import reduce_column
 from .sort import sorted_order, top_n_order
 
@@ -56,7 +60,6 @@ __all__ = [
     "NULL_INDEX",
     "absolute",
     "anti_join",
-    "asof_join",
     "binary_arith",
     "case_when",
     "cast_column",
@@ -85,9 +88,7 @@ __all__ = [
     "packable",
     "unpack_column",
     "mask_table",
-    "partition_groupby_input",
-    "partition_join_side",
-    "radix_partition_ids",
+    "partition_by_keys",
     "reduce_column",
     "round_column",
     "scatter_to_partitions",

@@ -608,13 +608,19 @@ def hash_partition_ids(
 ) -> np.ndarray:
     """Deterministic partition id per row from the key columns.
 
-    Used by the exchange layer's shuffle: every engine (Sirius and the
-    hosts) uses this same function so partitioning agrees across nodes.
+    Rows whose keys are equal receive the same id, and NULL is one key
+    value for every dtype: whatever payload lies under an invalid slot is
+    hashed as zero.  This is the hash of out-of-core radix partitioning
+    (:func:`~repro.kernels.copying.partition_by_keys`).  The distributed
+    shuffle routes with ``distributed/engine._partition_ids`` instead:
+    the same mix at level 0, except that a single integer key goes by
+    plain modulo to match base-table placement — the two differ on
+    negative single-integer keys when the node count is not a power of
+    two, and a property test pins where they agree.
 
     ``level`` salts the accumulator so recursive radix partitioning
-    (out-of-core joins and group-bys) redistributes at depth ``L+1`` the
-    rows that landed in one bucket at depth ``L``.  ``level=0`` is the
-    unsalted shuffle hash, bit-identical to the pre-out-of-core output.
+    redistributes at depth ``L+1`` the rows that landed in one bucket at
+    depth ``L``.  ``level=0`` is the unsalted hash.
     """
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
@@ -635,6 +641,8 @@ def hash_partition_ids(
         else:
             vals = col.data.astype(np.int64).view(np.uint64) if col.data.dtype != np.uint64 else col.data
             vals = vals.astype(np.uint64)
+            if col.validity is not None:
+                vals[~col.validity.array] = 0
         acc = acc * np.uint64(1099511628211) + vals  # FNV-ish mix
     keys[0].device.launch(KernelClass.STREAM, _traffic(*keys), rows * 4, rows)
     return (acc % np.uint64(num_partitions)).astype(np.int32)

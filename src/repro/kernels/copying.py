@@ -13,6 +13,7 @@ import numpy as np
 
 from ..columnar import Field, Schema
 from ..gpu.costmodel import KernelClass
+from .compute import hash_partition_ids
 from .gtable import GColumn, GTable
 from .keys import _merge_dictionaries
 
@@ -22,6 +23,7 @@ __all__ = [
     "mask_table",
     "concat_gtables",
     "scatter_to_partitions",
+    "partition_by_keys",
     "slice_table",
 ]
 
@@ -122,6 +124,23 @@ def scatter_to_partitions(
         ]
         out.append(GTable(table.schema, cols, device))
     return out
+
+
+def partition_by_keys(
+    table: GTable, key_indices: Sequence[int], num_partitions: int, level: int = 0
+) -> list[GTable | None]:
+    """Radix-partition ``table`` by the key columns at ``key_indices``.
+
+    Rows with equal keys (NULL equal to NULL) land in the same bucket, so
+    a group-by is exact bucket by bucket, and two join sides partitioned
+    with the same ``(num_partitions, level)`` meet every matching pair in
+    one bucket (Grace hash join).  ``level`` salts the hash so a bucket
+    that was too large at depth ``L`` spreads across children at ``L+1``.
+    Charged as one partition-id pass plus one scatter pass.
+    """
+    keys = [table.columns[i] for i in key_indices]
+    ids = hash_partition_ids(keys, num_partitions, level=level)
+    return scatter_to_partitions(table, ids, num_partitions)
 
 
 def concat_gtables(tables: Sequence[GTable]) -> GTable:

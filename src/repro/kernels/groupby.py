@@ -24,28 +24,11 @@ import numpy as np
 
 from ..columnar import Field, INT64, FLOAT64, Schema
 from ..gpu.costmodel import KernelClass
-from .copying import scatter_to_partitions
 from .gtable import GColumn, GTable
-from .keys import factorize_keys, radix_partition_ids
+from .keys import factorize_keys
 
-__all__ = ["AggSpec", "groupby", "partition_groupby_input", "AGG_OPS"]
+__all__ = ["AggSpec", "groupby", "AGG_OPS"]
 
-
-def partition_groupby_input(
-    table: GTable,
-    group_indices: "tuple[int, ...] | list[int]",
-    num_partitions: int,
-    level: int = 0,
-) -> "list[GTable | None]":
-    """Radix-partition a group-by input by its grouping keys.
-
-    Every row of a group hashes to the same bucket, so aggregating each
-    bucket independently and concatenating the results is exact — the
-    out-of-core aggregation never merges partial states across buckets.
-    """
-    keys = [table.columns[i] for i in group_indices]
-    ids = radix_partition_ids(keys, num_partitions, level=level)
-    return scatter_to_partitions(table, ids, num_partitions)
 
 AGG_OPS = ("sum", "min", "max", "count", "count_star", "count_distinct", "mean")
 

@@ -28,6 +28,9 @@ __all__ = ["GColumn", "GTable", "NULL_INDEX"]
 # libcudf-style sentinel for "no matching row" in join gather maps.
 NULL_INDEX = np.int32(-1)
 
+# ``from_host`` charge mode -> whether ``Device.htod`` prices the pinned rate.
+_HTOD_PINNED = {"pageable": False, "pinned": True}
+
 # id(dictionary) -> (weak reference, mean entry length).  Dictionaries are
 # never mutated in place (RR08), so the mean is a property of the object;
 # the weak reference both drops the entry when the dictionary dies and
@@ -92,9 +95,22 @@ class GColumn:
         return cls(dtype, buf, vbuf, dictionary)
 
     @classmethod
-    def from_host(cls, device: Device, column: Column, region: str = "processing") -> "GColumn":
-        """Copy a host column to the device, charging the interconnect."""
-        device.htod(column.nbytes)
+    def from_host(
+        cls,
+        device: Device,
+        column: Column,
+        region: str = "processing",
+        charge: str | None = "pageable",
+    ) -> "GColumn":
+        """Copy a host column to the device.
+
+        ``charge`` says how the interconnect is paid: ``"pageable"`` (a
+        cold load from ordinary host memory), ``"pinned"`` (spilled data
+        coming back from page-locked staging, §3.4), or ``None`` when the
+        caller issues the copy itself on the copy stream.
+        """
+        if charge is not None:
+            device.htod(column.nbytes, pinned=_HTOD_PINNED[charge])
         return cls.from_array(
             device, column.dtype, column.data, column.is_valid_mask(), column.dictionary, region
         )
@@ -183,11 +199,19 @@ class GTable:
         self.device = device
 
     @classmethod
-    def from_host(cls, device: Device, table: Table, region: str = "processing") -> "GTable":
+    def from_host(
+        cls,
+        device: Device,
+        table: Table,
+        region: str = "processing",
+        charge: str | None = "pageable",
+    ) -> "GTable":
+        """Copy a host table to the device column by column; ``charge`` as
+        in :meth:`GColumn.from_host`."""
         cols: list[GColumn] = []
         try:
             for c in table.columns:
-                cols.append(GColumn.from_host(device, c, region))
+                cols.append(GColumn.from_host(device, c, region, charge))
         except BaseException:
             # Atomic load: release partially-allocated columns so an OOM
             # mid-table cannot leak device memory (the buffer manager

@@ -27,36 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from ..gpu.costmodel import KernelClass
-from .copying import scatter_to_partitions
 from .gtable import GColumn, GTable, NULL_INDEX
-from .keys import NULL_CODE, factorize_keys, radix_partition_ids
+from .keys import NULL_CODE, factorize_keys
 
 __all__ = [
     "inner_join",
     "left_join",
     "semi_join",
     "anti_join",
-    "partition_join_side",
     "JoinResult",
 ]
-
-
-def partition_join_side(
-    table: GTable,
-    key_indices: Sequence[int],
-    num_partitions: int,
-    level: int = 0,
-) -> list[GTable | None]:
-    """Radix-partition one side of a hash join by its equi-join keys.
-
-    Both sides partitioned with the same ``(num_partitions, level)``
-    route every matching pair into the same bucket, so an out-of-core
-    join is exactly the union of the per-bucket joins (Grace hash join).
-    Charged as one partition-id pass plus one scatter pass.
-    """
-    keys = [table.columns[i] for i in key_indices]
-    ids = radix_partition_ids(keys, num_partitions, level=level)
-    return scatter_to_partitions(table, ids, num_partitions)
 
 
 class JoinResult:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .gtable import GColumn
 
-__all__ = ["factorize_keys", "radix_partition_ids", "NULL_CODE"]
+__all__ = ["factorize_keys", "NULL_CODE"]
 
 NULL_CODE = np.int64(-1)
 
@@ -43,23 +43,6 @@ NULL_CODE = np.int64(-1)
 # a few slots per row, with a floor so small inputs always use the table.
 TABLE_SLOTS_PER_ROW = 4
 TABLE_SLOTS_FLOOR = 65_536
-
-
-def radix_partition_ids(
-    keys: Sequence[GColumn], num_partitions: int, level: int = 0
-) -> np.ndarray:
-    """Salted per-row partition ids for out-of-core radix partitioning.
-
-    Delegates to the exchange layer's :func:`~repro.kernels.compute
-    .hash_partition_ids` so partition routing and shuffle routing share
-    one hash function; ``level`` salts recursion depths so a bucket that
-    was too large at depth ``L`` spreads across children at ``L+1``.
-    Rows whose keys are equal always receive the same id, which is what
-    makes per-partition joins and group-bys exact.
-    """
-    from .compute import hash_partition_ids
-
-    return hash_partition_ids(keys, num_partitions, level=level)
 
 
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:

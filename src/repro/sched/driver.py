@@ -146,76 +146,6 @@ class WorkloadDriver:
             )
         return sched.run()
 
-    def _modulated_open_loop(
-        self,
-        kind: str,
-        num_queries: int,
-        rate_fn: Callable[[float], float],
-        rate_max: float,
-        policy,
-        streams: int,
-        deadline_s: float | None,
-        **scheduler_kwargs,
-    ) -> ServingReport:
-        sched = self._scheduler(policy, streams, **scheduler_kwargs)
-        rng = random.Random(f"{kind}:{self.seed}")
-        times = modulated_arrival_times(rng, num_queries, rate_fn, rate_max)
-        for t in times:
-            q = self._pick(rng)
-            sched.submit(
-                q.plan, self.catalog, label=q.label, arrival_s=t, deadline_s=deadline_s
-            )
-        return sched.run()
-
-    def diurnal_open_loop(
-        self,
-        num_queries: int,
-        base_qps: float,
-        peak_qps: float,
-        period_s: float,
-        policy="fifo",
-        streams: int = 4,
-        deadline_s: float | None = None,
-        **scheduler_kwargs,
-    ) -> ServingReport:
-        """Open loop with a sinusoidal day/night rate (see
-        :func:`diurnal_rate`); arrivals seeded from the driver's seed."""
-        return self._modulated_open_loop(
-            "diurnal",
-            num_queries,
-            diurnal_rate(base_qps, peak_qps, period_s),
-            peak_qps,
-            policy,
-            streams,
-            deadline_s,
-            **scheduler_kwargs,
-        )
-
-    def bursty_open_loop(
-        self,
-        num_queries: int,
-        base_qps: float,
-        burst_qps: float,
-        burst_every_s: float,
-        burst_len_s: float,
-        policy="fifo",
-        streams: int = 4,
-        deadline_s: float | None = None,
-        **scheduler_kwargs,
-    ) -> ServingReport:
-        """Open loop with square-wave flash crowds (see
-        :func:`bursty_rate`); arrivals seeded from the driver's seed."""
-        return self._modulated_open_loop(
-            "bursty",
-            num_queries,
-            bursty_rate(base_qps, burst_qps, burst_every_s, burst_len_s),
-            burst_qps,
-            policy,
-            streams,
-            deadline_s,
-            **scheduler_kwargs,
-        )
-
     def closed_loop(
         self,
         clients: int,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..columnar import Table
+from ..core.buffer_manager import DEFAULT_LOAD_CHUNK_BYTES
 from ..gpu.costmodel import KernelClass, KernelCostModel
 from ..gpu.device import Device
 from ..plan import Plan, walk_relations
@@ -95,7 +96,6 @@ def estimate_plan(
     device: Device,
     cold_tables: Mapping[str, Table] | None = None,
     overlap: bool = False,
-    chunk_bytes: int = 1 << 20,
     out_of_core: bool = False,
     fusion: bool = False,
 ) -> PlanEstimate:
@@ -108,8 +108,7 @@ def estimate_plan(
         overlap: Price cold loads under copy/compute overlap — only the
             first chunk plus whatever copy time the estimated kernel work
             cannot hide is exposed (matches the engine's ``overlap=True``
-            execution model).
-        chunk_bytes: Chunk granularity assumed for overlapped loads.
+            execution model, chunk granularity included).
         fusion: Price streaming runs the way the fused executor bills
             them — a maximal chain of adjacent filters/projects becomes a
             single launch whose streaming term covers only the chain's
@@ -142,13 +141,13 @@ def estimate_plan(
             # Overlapped cold load: the first chunk is synchronous; the
             # remaining chunk copies hide behind the plan's kernel work,
             # exposing only the tail the compute cannot cover.
-            first = min(chunk_bytes, total)
+            first = min(DEFAULT_LOAD_CHUNK_BYTES, total)
             service += device.cost_model.transfer_cost(first)
             remaining = total - first
             if remaining > 0:
                 copy_s = 0.0
                 while remaining > 0:
-                    step = min(chunk_bytes, remaining)
+                    step = min(DEFAULT_LOAD_CHUNK_BYTES, remaining)
                     copy_s += device.cost_model.transfer_cost(step)
                     remaining -= step
                 service += max(0.0, copy_s - est.seconds)

@@ -1,15 +1,20 @@
 """Property tests on the exchange data plane: conservation + placement."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import Schema, Table
 from repro.distributed import Cluster, DistributedExecutor, ExchangeSpec, Fragment
+from repro.distributed.cluster import partition_table
 from repro.distributed.engine import _partition_ids
 from repro.gpu.specs import M7I_CPU
 from repro.gpu.device import Device
 from repro.hosts import CpuEngine
+from repro.kernels import factorize_keys, hash_partition_ids
 from repro.plan import ReadRel
+from tests.kernels.test_properties import partition_case
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
 
@@ -85,6 +90,48 @@ class TestShuffleConservation:
         ia = _partition_ids(a, [0], 4)
         ib = _partition_ids(b, [0], 4)
         assert ia[0] == ib[1] and ia[1] == ib[0]
+
+
+# NaN and inf float keys hash through an int64 cast; equal keys still agree.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+class TestShuffleContract:
+    """The shuffle router against the three things it must agree with:
+    key equality, the kernel library's partition hash, and base-table
+    placement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(partition_case(), st.sampled_from([2, 3, 4, 8]))
+    def test_equal_keys_reach_one_node_and_match_the_kernel_hash(self, case, nodes):
+        _dev, cols, _level, _fanout = case
+        host = Table(
+            Schema([(f"k{i}", c.dtype) for i, c in enumerate(cols)]),
+            [c.to_host(False) for c in cols],  # garbage under NULL slots kept
+        )
+        ids = _partition_ids(host, range(len(cols)), nodes)
+        assert ((ids >= 0) & (ids < nodes)).all()
+
+        key_codes, _, _ = factorize_keys(cols, nulls_match=True)
+        placed = set(zip(key_codes.tolist(), ids.tolist()))
+        assert len(placed) == len(set(key_codes.tolist())), "one key, two nodes"
+
+        # One integer key goes by modulo, which is the kernel hash only
+        # where the key is not negative; everything else is the same mix.
+        same = np.ones(len(ids), dtype=np.bool_)
+        if len(cols) == 1 and (cols[0].dtype.is_integer or cols[0].dtype.is_temporal):
+            same = ~cols[0].valid_mask() | (cols[0].data >= 0)
+        kernel_ids = hash_partition_ids(cols, nodes)
+        assert (ids[same] == kernel_ids[same]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40),
+        st.sampled_from([2, 3, 4, 8]),
+    )
+    def test_single_integer_key_follows_base_table_placement(self, values, nodes):
+        t = Table.from_pydict({"k": values, "v": [0.0] * len(values)}, SCHEMA)
+        ids = _partition_ids(t, [0], nodes)
+        for node, part in enumerate(partition_table(t, "k", nodes)):
+            assert part["k"].to_pylist() == t.mask(ids == node)["k"].to_pylist()
 
 
 class TestMergeAndBroadcast:

@@ -217,3 +217,34 @@ def concat_string_columns(parts):
     codes = np.full(len(decoded), -1, dtype=np.int32)
     codes[mask] = inverse.astype(np.int32)
     return codes, mask, uniques
+
+
+# -- partition hash -----------------------------------------------------------
+
+
+def _fnv1a(text):
+    acc = 0xCBF29CE484222325
+    for byte in text.encode("utf-8"):
+        acc ^= byte
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
+def hash_partition_ids(keys, num_partitions, level=0):
+    """The partition hash as first shipped: the raw payload of a
+    non-string column is mixed in whatever its validity says, so this is
+    the reference only for columns without NULLs (and for string columns,
+    whose NULLs it already hashed as zero)."""
+    rows = len(keys[0])
+    salt = (level * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    acc = np.full(rows, np.uint64(salt), dtype=np.uint64)
+    for col in keys:
+        if col.dtype.is_string:
+            hashes = np.array([_fnv1a(str(s)) for s in col.dictionary], dtype=np.uint64)
+            vals = np.zeros(rows, dtype=np.uint64)
+            valid = _column_mask(col)
+            vals[valid] = hashes[col.data[valid]]
+        else:
+            vals = col.data.astype(np.int64).view(np.uint64)
+        acc = acc * np.uint64(1099511628211) + vals
+    return (acc % np.uint64(num_partitions)).astype(np.int32)
