@@ -2,8 +2,8 @@
 
 Scale factor comes from ``REPRO_BENCH_SF`` (default 0.1 — the largest
 scale that keeps a full three-engine TPC-H sweep in a few wall-clock
-minutes).  The harnesses report *simulated* time; pytest-benchmark's
-wall-clock numbers measure the harness itself.
+minutes).  The harnesses report *simulated* time; host cost is
+``perfbench/``'s to measure.
 
 Rendered tables for every figure/table are written to
 ``benchmarks/results/`` so EXPERIMENTS.md can reference the exact output.

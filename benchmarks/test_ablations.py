@@ -19,103 +19,87 @@ def harness(bench_sf):
     return AblationHarness(sf=max(bench_sf / 2, 0.02))
 
 
-def test_caching_region_pays_off(harness, results_dir, benchmark):
+def test_caching_region_pays_off(harness, results_dir):
     """Hot runs must be much faster than cold runs over PCIe (§3.2.3 +
     hot-run measurement methodology)."""
-    result = benchmark.pedantic(hot_vs_cold, args=(harness,), rounds=1, iterations=1)
+    result = hot_vs_cold(harness)
     (results_dir / "ablation_hot_cold.txt").write_text(repr(result) + "\n")
     assert result["speedup"] > 2.0
 
 
-def test_nvlink_shrinks_the_cold_run_penalty(harness, benchmark):
-    def check():
-        """§2.1: NVLink-C2C makes beyond-device-memory access cheap - the
-        cold-run penalty over NVLink must be far smaller than over PCIe4."""
-        from repro.gpu.specs import GH200
+def test_nvlink_shrinks_the_cold_run_penalty(harness):
+    """§2.1: NVLink-C2C makes beyond-device-memory access cheap - the
+    cold-run penalty over NVLink must be far smaller than over PCIe4."""
+    from repro.gpu.specs import GH200
 
-        pcie = hot_vs_cold(harness)
-        nvlink = hot_vs_cold(harness, spec=GH200)
-        assert nvlink["speedup"] < pcie["speedup"]
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    pcie = hot_vs_cold(harness)
+    nvlink = hot_vs_cold(harness, spec=GH200)
+    assert nvlink["speedup"] < pcie["speedup"]
 
 
-def test_kernel_impl_swap_preserves_speed_class(harness, results_dir, benchmark):
-    def check():
-        """§3.2.2: operator implementations are swappable.  The custom hash
-        group-by avoids libcudf's sort path for string keys."""
-        from repro.bench import impl_swap_string_groupby
+def test_kernel_impl_swap_preserves_speed_class(harness, results_dir):
+    """§3.2.2: operator implementations are swappable.  The custom hash
+    group-by avoids libcudf's sort path for string keys."""
+    from repro.bench import impl_swap_string_groupby
 
-        result = impl_swap_string_groupby(harness)
-        (results_dir / "ablation_impl_swap.txt").write_text(repr(result) + "\n")
-        assert result["custom"] < result["libcudf"]  # hash beats sort on strings
-        assert result["custom"] > 0
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    result = impl_swap_string_groupby(harness)
+    (results_dir / "ablation_impl_swap.txt").write_text(repr(result) + "\n")
+    assert result["custom"] < result["libcudf"]  # hash beats sort on strings
+    assert result["custom"] > 0
 
 
-def test_impl_swap_on_numeric_join_query(harness, benchmark):
-    def check():
-        """On a join-heavy numeric query the sort-merge 'custom' join pays the
-        log-factor passes: libcudf's hash join should win or tie."""
-        result = impl_swap(harness, query=5, op_kinds=("join",))
-        assert result["libcudf"] <= result["custom"] * 1.5
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_impl_swap_on_numeric_join_query(harness):
+    """On a join-heavy numeric query the sort-merge 'custom' join pays the
+    log-factor passes: libcudf's hash join should win or tie."""
+    result = impl_swap(harness, query=5, op_kinds=("join",))
+    assert result["libcudf"] <= result["custom"] * 1.5
 
 
-def test_interconnect_sweep(harness, results_dir, benchmark):
+def test_interconnect_sweep(harness, results_dir):
     """Cold-run time must improve monotonically PCIe4 -> PCIe5 -> NVLink."""
-    text = benchmark.pedantic(interconnect_sweep, args=(harness,), rounds=1, iterations=1)
+    text = interconnect_sweep(harness)
     (results_dir / "ablation_interconnect.txt").write_text(text + "\n")
     lines = [line for line in text.splitlines() if "ms" in line]
     times = [float(line.split("|")[-1].strip().split()[0]) for line in lines]
     assert times == sorted(times, reverse=True)
 
 
-def test_batch_execution_matches_whole_table(harness, results_dir, benchmark):
-    def check():
-        """§3.4 out-of-core batching: same result, bounded extra overhead."""
-        result = batch_execution(harness, query=1, batch_rows=20_000)
-        (results_dir / "ablation_batch.txt").write_text(repr(result) + "\n")
-        assert result["batched_rows"] == 4  # Q1's four groups
-        # Batching adds per-batch launches but must stay in the same class.
-        assert result["batched_s"] < result["whole_s"] * 10
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_batch_execution_matches_whole_table(harness, results_dir):
+    """§3.4 out-of-core batching: same result, bounded extra overhead."""
+    result = batch_execution(harness, query=1, batch_rows=20_000)
+    (results_dir / "ablation_batch.txt").write_text(repr(result) + "\n")
+    assert result["batched_rows"] == 4  # Q1's four groups
+    # Batching adds per-batch launches but must stay in the same class.
+    assert result["batched_s"] < result["whole_s"] * 10
 
 
-def test_compression_saves_capacity(harness, results_dir, benchmark):
+def test_compression_saves_capacity(harness, results_dir):
     """§3.4 lightweight compression: the caching footprint must shrink
     substantially while hot-run time stays in the same class."""
     from repro.bench import compression_ablation
 
-    result = benchmark.pedantic(
-        compression_ablation, args=(harness,), rounds=1, iterations=1
-    )
+    result = compression_ablation(harness)
     (results_dir / "ablation_compression.txt").write_text(repr(result) + "\n")
     assert result["packed_cache_bytes"] < 0.7 * result["plain_cache_bytes"]
     assert result["packed_hot_s"] < result["plain_hot_s"] * 3
 
 
-def test_multi_gpu_scales_compute(results_dir, benchmark):
+def test_multi_gpu_scales_compute(results_dir):
     """§3.4 multi-GPU per node: 8 ranks beat 4 ranks on compute time."""
     from repro.bench import multi_gpu_ablation
 
-    result = benchmark.pedantic(multi_gpu_ablation, rounds=1, iterations=1)
+    result = multi_gpu_ablation()
     (results_dir / "ablation_multigpu.txt").write_text(repr(result) + "\n")
     assert result["gpus2_compute_s"] < result["gpus1_compute_s"]
 
 
-def test_overlap_hides_cold_load_and_exchange_time(harness, results_dir, benchmark):
+def test_overlap_hides_cold_load_and_exchange_time(harness, results_dir):
     """Copy/compute overlap (async copy streams + prefetch): cold runs of
     Q1/Q3/Q6 must get strictly faster with overlap on, the distributed Q3
     total must improve, and its Table-2 exchange fraction must not grow."""
     from repro.bench import overlap_ablation
 
-    result = benchmark.pedantic(
-        overlap_ablation, args=(harness,), rounds=1, iterations=1
-    )
+    result = overlap_ablation(harness)
     (results_dir / "ablation_overlap.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
@@ -126,14 +110,14 @@ def test_overlap_hides_cold_load_and_exchange_time(harness, results_dir, benchma
     assert result["dist_overlap_exchange_frac"] <= result["dist_baseline_exchange_frac"]
 
 
-def test_oocore_survives_shrinking_pools_without_fallback(results_dir, benchmark):
+def test_oocore_survives_shrinking_pools_without_fallback(results_dir):
     """Out-of-core partitioned execution: an over-HBM Q9 must complete on
     the GPU tier (no fallback, no rejection) at every pool size, with the
     spill machinery engaged at the small ones, and the slowdown curve must
     be monotone and cliff-free — graceful degradation, not collapse."""
     from repro.bench import oocore_ablation
 
-    result = benchmark.pedantic(oocore_ablation, rounds=1, iterations=1)
+    result = oocore_ablation()
     (results_dir / "ablation_oocore.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
@@ -158,16 +142,14 @@ def test_oocore_survives_shrinking_pools_without_fallback(results_dir, benchmark
     assert times[-1] < times[0] * 10.0
 
 
-def test_fusion_shrinks_streaming_queries(harness, results_dir, benchmark):
+def test_fusion_shrinks_streaming_queries(harness, results_dir):
     """Pipeline fusion + compiled expressions: the streaming-bound Q1 and
     Q6 must get strictly faster hot with fusion on, with the saved
     intermediate-materialisation bytes recorded; Q3 (join-bound control)
     must never get slower."""
     from repro.bench import fusion_ablation
 
-    result = benchmark.pedantic(
-        fusion_ablation, args=(harness,), rounds=1, iterations=1
-    )
+    result = fusion_ablation(harness)
     (results_dir / "ablation_fusion.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     )
@@ -182,13 +164,13 @@ def test_fusion_shrinks_streaming_queries(harness, results_dir, benchmark):
     assert q3["fused_hot_s"] <= q3["baseline_hot_s"]
 
 
-def test_predicate_transfer_shrinks_the_q3_shuffle(results_dir, benchmark):
+def test_predicate_transfer_shrinks_the_q3_shuffle(results_dir):
     """§3.4 predicate transfer: exchange volume and time must both drop
     substantially on the shuffle-bound query, with identical results
     (correctness is asserted by tests/distributed)."""
     from repro.bench import predicate_transfer_ablation
 
-    result = benchmark.pedantic(predicate_transfer_ablation, rounds=1, iterations=1)
+    result = predicate_transfer_ablation()
     (results_dir / "ablation_predicate_transfer.txt").write_text(repr(result) + "\n")
     assert result["pt_bytes"] < 0.5 * result["baseline_bytes"]
     assert result["pt_exchange_s"] < result["baseline_exchange_s"]

@@ -27,78 +27,51 @@ def figure4(single_node_harness, results_dir) -> Figure4Result:
     return result
 
 
-def test_all_queries_ran(figure4, benchmark):
-    def check():
-        assert [t.query for t in figure4.timings] == list(range(1, 23))
-        assert all(t.sirius_s > 0 and t.duckdb_s > 0 for t in figure4.timings)
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_all_queries_ran(figure4):
+    assert [t.query for t in figure4.timings] == list(range(1, 23))
+    assert all(t.sirius_s > 0 and t.duckdb_s > 0 for t in figure4.timings)
 
 
-def test_sirius_beats_duckdb_geomean(figure4, benchmark):
-    def check():
-        # Paper: 7x at SF100.  At bench scale the simulated geomean lands
-        # lower (launch overheads amortise with data size) but must remain a
-        # clear multi-x win.
-        assert figure4.speedup_vs_duckdb > 3.0
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_sirius_beats_duckdb_geomean(figure4):
+    # Paper: 7x at SF100.  At bench scale the simulated geomean lands
+    # lower (launch overheads amortise with data size) but must remain a
+    # clear multi-x win.
+    assert figure4.speedup_vs_duckdb > 3.0
 
 
-def test_sirius_beats_clickhouse_by_more(figure4, benchmark):
-    def check():
-        assert figure4.speedup_vs_clickhouse >= figure4.speedup_vs_duckdb * 0.9
-        assert figure4.speedup_vs_clickhouse > 3.0
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_sirius_beats_clickhouse_by_more(figure4):
+    assert figure4.speedup_vs_clickhouse >= figure4.speedup_vs_duckdb * 0.9
+    assert figure4.speedup_vs_clickhouse > 3.0
 
 
-def test_clickhouse_q21_unsupported(figure4, benchmark):
-    def check():
-        q21 = next(t for t in figure4.timings if t.query == 21)
-        assert q21.clickhouse_status == "unsupported"
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_clickhouse_q21_unsupported(figure4):
+    q21 = next(t for t in figure4.timings if t.query == 21)
+    assert q21.clickhouse_status == "unsupported"
 
 
-def test_clickhouse_q9_does_not_finish(figure4, benchmark):
-    def check():
-        q9 = next(t for t in figure4.timings if t.query == 9)
-        assert q9.clickhouse_status == "dnf"
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_clickhouse_q9_does_not_finish(figure4):
+    q9 = next(t for t in figure4.timings if t.query == 9)
+    assert q9.clickhouse_status == "dnf"
 
 
-def test_figure4_byte_identical_to_seed(figure4, results_dir, bench_sf, benchmark):
+def test_figure4_byte_identical_to_seed(figure4, results_dir, bench_sf):
     """Rendered output must match the seed snapshot byte for byte (Q9 DNF /
     Q21 unsupported rendering included), so incidental changes can't move a
     single simulated nanosecond.  Refreshed once for the LEFT JOIN residual-ON
     correctness fix, which changes Q13's plan (filter pushed below the join;
     answer cross-validated against SQLite)."""
 
-    def check():
-        if bench_sf != 0.1:
-            pytest.skip("seed snapshot was rendered at SF 0.1")
-        generated = (results_dir / "figure4.txt").read_text()
-        seed = (results_dir / "figure4_seed.txt").read_text()
-        assert generated == seed
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    if bench_sf != 0.1:
+        pytest.skip("seed snapshot was rendered at SF 0.1")
+    generated = (results_dir / "figure4.txt").read_text()
+    seed = (results_dir / "figure4_seed.txt").read_text()
+    assert generated == seed
 
 
-def test_big_scan_queries_show_large_speedup(figure4, benchmark):
-    def check():
-        # Q1 and Q6 stream the full lineitem table - the bandwidth-ratio
-        # regime where the GPU advantage is largest.
-        for q in (1, 6):
-            t = next(x for x in figure4.timings if x.query == q)
-            assert t.duckdb_s / t.sirius_s > 5.0
+def test_big_scan_queries_show_large_speedup(figure4):
+    # Q1 and Q6 stream the full lineitem table - the bandwidth-ratio
+    # regime where the GPU advantage is largest.
+    for q in (1, 6):
+        t = next(x for x in figure4.timings if x.query == q)
+        assert t.duckdb_s / t.sirius_s > 5.0
 
-    benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-def test_harness_wall_clock(single_node_harness, benchmark):
-    """pytest-benchmark wall-clock of one representative query (Q6)."""
-    benchmark.pedantic(
-        single_node_harness.run_query, args=(6,), rounds=3, iterations=1
-    )

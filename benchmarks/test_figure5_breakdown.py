@@ -27,77 +27,53 @@ def _timing(figure4, q):
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 8, 21])
-def test_joins_dominate_join_heavy_queries(figure4, q, benchmark):
-    def check():
-        assert figure4.dominant_category(q) == "join"
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_joins_dominate_join_heavy_queries(figure4, q):
+    assert figure4.dominant_category(q) == "join"
 
 
 @pytest.mark.parametrize("q", [2, 4, 20, 22])
-def test_joins_substantial_in_remaining_join_queries(figure4, q, benchmark):
-    def check():
-        assert _share(_timing(figure4, q), "join") > 0.3
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_joins_substantial_in_remaining_join_queries(figure4, q):
+    assert _share(_timing(figure4, q), "join") > 0.3
 
 
-def test_groupby_substantial_in_q1(figure4, benchmark):
-    def check():
-        # Four groups -> GPU atomic contention makes group-by visible.
-        assert _share(_timing(figure4, 1), "groupby") > 0.15
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_groupby_substantial_in_q1(figure4):
+    # Four groups -> GPU atomic contention makes group-by visible.
+    assert _share(_timing(figure4, 1), "groupby") > 0.15
 
 
 @pytest.mark.parametrize("q", [10, 13, 18])
-def test_string_groupby_outweighs_agg_and_orderby(figure4, q, benchmark):
+def test_string_groupby_outweighs_agg_and_orderby(figure4, q):
     """Q10/Q13/Q18 group on string keys (sort-based path): their group-by
     time must exceed the aggregation and order-by components the paper
     says never matter.  (Absolute shares are smaller than the paper's at
     bench scale: the inputs these group-bys see shrink with SF.)"""
-    def check():
-        t = _timing(figure4, q)
-        assert _share(t, "groupby") > _share(t, "aggregation")
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    t = _timing(figure4, q)
+    assert _share(t, "groupby") > _share(t, "aggregation")
 
 
-def test_string_groupby_uses_sort_path(figure4, benchmark):
-    def check():
-        # Q18's string-keyed group-by must cost more per query than Q3's
-        # numeric-keyed one despite Q3 aggregating more rows.
-        q18 = _timing(figure4, 18).sirius_breakdown.get("groupby", 0.0)
-        q3 = _timing(figure4, 3).sirius_breakdown.get("groupby", 0.0)
-        assert q18 > q3
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_string_groupby_uses_sort_path(figure4):
+    # Q18's string-keyed group-by must cost more per query than Q3's
+    # numeric-keyed one despite Q3 aggregating more rows.
+    q18 = _timing(figure4, 18).sirius_breakdown.get("groupby", 0.0)
+    q3 = _timing(figure4, 3).sirius_breakdown.get("groupby", 0.0)
+    assert q18 > q3
 
 
 @pytest.mark.parametrize("q", [6, 19])
-def test_filter_dominates_filter_heavy_queries(figure4, q, benchmark):
-    def check():
-        assert figure4.dominant_category(q) == "filter"
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_filter_dominates_filter_heavy_queries(figure4, q):
+    assert figure4.dominant_category(q) == "filter"
 
 
-def test_filter_substantial_in_q13(figure4, benchmark):
-    def check():
-        # Complex low-selectivity string matching (NOT LIKE '%special%requests%').
-        assert _share(_timing(figure4, 13), "filter") > 0.1
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_filter_substantial_in_q13(figure4):
+    # Complex low-selectivity string matching (NOT LIKE '%special%requests%').
+    assert _share(_timing(figure4, 13), "filter") > 0.1
 
 
 @pytest.mark.parametrize("q", range(1, 23))
-def test_agg_and_orderby_never_dominate(figure4, q, benchmark):
-    def check():
-        assert figure4.dominant_category(q) not in ("aggregation", "orderby")
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_agg_and_orderby_never_dominate(figure4, q):
+    assert figure4.dominant_category(q) not in ("aggregation", "orderby")
 
 
-def test_breakdown_renders(figure4, benchmark):
-    text = benchmark.pedantic(figure4.figure5_table, rounds=1, iterations=1)
+def test_breakdown_renders(figure4):
+    text = figure4.figure5_table()
     assert text.count("Q") >= 22

@@ -105,58 +105,43 @@ def fleet_report(workload, key):
     return _RUNS[key]
 
 
-def test_four_replicas_beat_one_on_p99(workload, benchmark):
-    def check():
-        one = fleet_report(workload, "solo_1")
-        four = fleet_report(workload, "fleet_4")
-        assert one.counters["completed"] == NUM_QUERIES
-        assert four.counters["completed"] == NUM_QUERIES
-        # The acceptance bar: replication wins the tail under bursts.
-        assert four.latency["total_s"]["p99"] < one.latency["total_s"]["p99"]
-        assert four.latency["total_s"]["p95"] < one.latency["total_s"]["p95"]
-        return one, four
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_four_replicas_beat_one_on_p99(workload):
+    one = fleet_report(workload, "solo_1")
+    four = fleet_report(workload, "fleet_4")
+    assert one.counters["completed"] == NUM_QUERIES
+    assert four.counters["completed"] == NUM_QUERIES
+    # The acceptance bar: replication wins the tail under bursts.
+    assert four.latency["total_s"]["p99"] < one.latency["total_s"]["p99"]
+    assert four.latency["total_s"]["p95"] < one.latency["total_s"]["p95"]
 
 
-def test_warm_result_cache_beats_cold_on_throughput(workload, benchmark):
-    def check():
-        cold = fleet_report(workload, "fleet_4")
-        warm = fleet_report(workload, "fleet_4_warm")
-        assert warm.counters["completed"] == NUM_QUERIES
-        # The mix repeats three shapes: nearly everything after the first
-        # pass is served out of the result cache.
-        assert warm.counters["cache_hits"] > NUM_QUERIES // 2
-        assert warm.result_cache_hit_rate > 0.5
-        # The acceptance bar: the warm cache wins on throughput.
-        assert warm.throughput_qps > cold.throughput_qps
-        assert warm.latency["total_s"]["p50"] <= cold.latency["total_s"]["p50"]
-        return cold, warm
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_warm_result_cache_beats_cold_on_throughput(workload):
+    cold = fleet_report(workload, "fleet_4")
+    warm = fleet_report(workload, "fleet_4_warm")
+    assert warm.counters["completed"] == NUM_QUERIES
+    # The mix repeats three shapes: nearly everything after the first
+    # pass is served out of the result cache.
+    assert warm.counters["cache_hits"] > NUM_QUERIES // 2
+    assert warm.result_cache_hit_rate > 0.5
+    # The acceptance bar: the warm cache wins on throughput.
+    assert warm.throughput_qps > cold.throughput_qps
+    assert warm.latency["total_s"]["p50"] <= cold.latency["total_s"]["p50"]
 
 
-def test_autoscaler_bills_less_than_always_on(workload, benchmark):
-    def check():
-        four = fleet_report(workload, "fleet_4")
-        auto = fleet_report(workload, "autoscale_1_to_4")
-        assert auto.counters["completed"] == NUM_QUERIES
-        assert auto.counters["scale_ups"] >= 1
-        # Elasticity pays: fewer replica-seconds than always-on 4.
-        assert auto.replica_seconds < four.replica_seconds
-        return auto
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_autoscaler_bills_less_than_always_on(workload):
+    four = fleet_report(workload, "fleet_4")
+    auto = fleet_report(workload, "autoscale_1_to_4")
+    assert auto.counters["completed"] == NUM_QUERIES
+    assert auto.counters["scale_ups"] >= 1
+    # Elasticity pays: fewer replica-seconds than always-on 4.
+    assert auto.replica_seconds < four.replica_seconds
 
 
-def test_fleet_run_is_deterministic(workload, benchmark):
-    def check():
-        first = fleet_report(workload, "fleet_4")
-        repeat = run_fleet(workload, replicas=4)
-        assert repeat.schedule_digest == first.schedule_digest
-        assert repeat.to_dict() == first.to_dict()
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_fleet_run_is_deterministic(workload):
+    first = fleet_report(workload, "fleet_4")
+    repeat = run_fleet(workload, replicas=4)
+    assert repeat.schedule_digest == first.schedule_digest
+    assert repeat.to_dict() == first.to_dict()
 
 
 def _config_doc(report) -> dict:
@@ -180,29 +165,26 @@ def _config_doc(report) -> dict:
     }
 
 
-def test_write_fleet_report(workload, results_dir, benchmark):
+def test_write_fleet_report(workload, results_dir):
     """Render the cross-config fleet report consumed by CI."""
 
-    def check():
-        doc = {
-            "sf": SERVE_SF,
-            "seed": SEED,
-            "mix": [f"q{n}" for n in MIX],
-            "streams": STREAMS,
-            "num_queries": NUM_QUERIES,
-            "burst": BURST,
-            "configs": {
-                key: _config_doc(fleet_report(workload, key))
-                for key in (
-                    "solo_1",
-                    "fleet_4",
-                    "fleet_4_warm",
-                    "autoscale_1_to_4",
-                )
-            },
-        }
-        out = results_dir / "fleet_serving.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        assert out.exists()
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    doc = {
+        "sf": SERVE_SF,
+        "seed": SEED,
+        "mix": [f"q{n}" for n in MIX],
+        "streams": STREAMS,
+        "num_queries": NUM_QUERIES,
+        "burst": BURST,
+        "configs": {
+            key: _config_doc(fleet_report(workload, key))
+            for key in (
+                "solo_1",
+                "fleet_4",
+                "fleet_4_warm",
+                "autoscale_1_to_4",
+            )
+        },
+    }
+    out = results_dir / "fleet_serving.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert out.exists()

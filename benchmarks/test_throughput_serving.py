@@ -66,55 +66,42 @@ def serve(workload, policy, submit_order=MIX, streams=STREAMS):
     return sched.run()
 
 
-def test_concurrent_throughput_beats_serialized(
-    workload, serialized_seconds, benchmark
-):
-    def check():
-        report = serve(workload, "fair")
-        assert report.counters["completed"] == len(MIX)
-        assert report.makespan_s < serialized_seconds
-        concurrent_qps = report.throughput_qps
-        serialized_qps = len(MIX) / serialized_seconds
-        assert concurrent_qps > serialized_qps
-        return report
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+def test_concurrent_throughput_beats_serialized(workload, serialized_seconds):
+    report = serve(workload, "fair")
+    assert report.counters["completed"] == len(MIX)
+    assert report.makespan_s < serialized_seconds
+    concurrent_qps = report.throughput_qps
+    serialized_qps = len(MIX) / serialized_seconds
+    assert concurrent_qps > serialized_qps
 
 
-def test_sjf_beats_fifo_on_p50(workload, benchmark):
+def test_sjf_beats_fifo_on_p50(workload):
     """Long query submitted first: FIFO makes the short ones wait; SJF
     reorders and wins the median."""
 
-    def check():
-        # Q1 (the heavy aggregation) first, then the lighter Q3/Q6.
-        fifo = serve(workload, "fifo", submit_order=(1, 3, 6), streams=1)
-        sjf = serve(workload, "sjf", submit_order=(1, 3, 6), streams=1)
-        assert sjf.latency["total_s"]["p50"] < fifo.latency["total_s"]["p50"]
-        return fifo, sjf
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    # Q1 (the heavy aggregation) first, then the lighter Q3/Q6.
+    fifo = serve(workload, "fifo", submit_order=(1, 3, 6), streams=1)
+    sjf = serve(workload, "sjf", submit_order=(1, 3, 6), streams=1)
+    assert sjf.latency["total_s"]["p50"] < fifo.latency["total_s"]["p50"]
 
 
-def test_same_seed_is_deterministic(workload, benchmark):
-    def check():
-        data, plans = workload
-        reports = []
-        for _ in range(2):
-            engine = fresh_engine(data)
-            mix = [WorkloadQuery(f"q{n}", plans[n]) for n in MIX]
-            driver = WorkloadDriver(engine, data, mix, seed=SEED)
-            reports.append(
-                driver.open_loop(
-                    num_queries=16, rate_qps=4000.0, policy="fair", streams=STREAMS
-                )
+def test_same_seed_is_deterministic(workload):
+    data, plans = workload
+    reports = []
+    for _ in range(2):
+        engine = fresh_engine(data)
+        mix = [WorkloadQuery(f"q{n}", plans[n]) for n in MIX]
+        driver = WorkloadDriver(engine, data, mix, seed=SEED)
+        reports.append(
+            driver.open_loop(
+                num_queries=16, rate_qps=4000.0, policy="fair", streams=STREAMS
             )
-        assert reports[0].schedule_digest == reports[1].schedule_digest
-        assert reports[0].to_dict() == reports[1].to_dict()
+        )
+    assert reports[0].schedule_digest == reports[1].schedule_digest
+    assert reports[0].to_dict() == reports[1].to_dict()
 
-    benchmark.pedantic(check, rounds=1, iterations=1)
 
-
-def test_cold_start_serving_benefits_from_overlap(workload, results_dir, benchmark):
+def test_cold_start_serving_benefits_from_overlap(workload, results_dir):
     """Cold-start serving (caches empty, every query pays its loads): the
     copy/compute-overlap engine must finish the mix strictly faster, and
     both runs stay bit-deterministic."""
@@ -127,43 +114,37 @@ def test_cold_start_serving_benefits_from_overlap(workload, results_dir, benchma
             sched.submit(plans[n], data, label=f"q{n}", arrival_s=0.0)
         return sched.run()
 
-    def check():
-        baseline = cold_serve(False)
-        overlapped = cold_serve(True)
-        assert baseline.counters["completed"] == len(MIX)
-        assert overlapped.counters["completed"] == len(MIX)
-        assert overlapped.makespan_s < baseline.makespan_s
-        repeat = cold_serve(True)
-        assert repeat.makespan_s == overlapped.makespan_s
-        doc = {
-            "baseline_makespan_s": baseline.makespan_s,
-            "overlap_makespan_s": overlapped.makespan_s,
-            "speedup": baseline.makespan_s / overlapped.makespan_s,
-        }
-        (results_dir / "serving_cold_overlap.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    baseline = cold_serve(False)
+    overlapped = cold_serve(True)
+    assert baseline.counters["completed"] == len(MIX)
+    assert overlapped.counters["completed"] == len(MIX)
+    assert overlapped.makespan_s < baseline.makespan_s
+    repeat = cold_serve(True)
+    assert repeat.makespan_s == overlapped.makespan_s
+    doc = {
+        "baseline_makespan_s": baseline.makespan_s,
+        "overlap_makespan_s": overlapped.makespan_s,
+        "speedup": baseline.makespan_s / overlapped.makespan_s,
+    }
+    (results_dir / "serving_cold_overlap.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
 
 
-def test_write_serving_report(workload, serialized_seconds, results_dir, benchmark):
+def test_write_serving_report(workload, serialized_seconds, results_dir):
     """Render the cross-policy serving report consumed by CI."""
 
-    def check():
-        doc = {
-            "sf": SERVE_SF,
-            "seed": SEED,
-            "mix": [f"q{n}" for n in MIX],
-            "streams": STREAMS,
-            "serialized_s": serialized_seconds,
-            "policies": {},
-        }
-        for policy in ("fifo", "fair", "sjf"):
-            report = serve(workload, policy)
-            doc["policies"][policy] = report.to_dict()
-        out = results_dir / "throughput_serving.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        assert out.exists()
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
+    doc = {
+        "sf": SERVE_SF,
+        "seed": SEED,
+        "mix": [f"q{n}" for n in MIX],
+        "streams": STREAMS,
+        "serialized_s": serialized_seconds,
+        "policies": {},
+    }
+    for policy in ("fifo", "fair", "sjf"):
+        report = serve(workload, policy)
+        doc["policies"][policy] = report.to_dict()
+    out = results_dir / "throughput_serving.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    assert out.exists()

@@ -67,9 +67,9 @@ def main() -> None:
 
     # --- 3. graceful CPU fallback ----------------------------------------
     strict = SiriusEngine.for_spec(
-        A100_40G, memory_limit_gb=0.004, enable_spill=False,
-        host_executor=lambda p: CpuEngine().execute(p, data),
+        A100_40G, memory_limit_gb=0.004, enable_spill=False
     )
+    strict.set_host_executor(lambda p: CpuEngine().execute(p, data))
     result = strict.execute(plan1, data)  # device OOMs -> host engine runs it
     print(
         f"\n4 MB device fell back to the host engine "

@@ -1,15 +1,15 @@
 """Front 1b: verification of *fused* physical plans.
 
 :func:`repro.core.planner.fuse_operators` rewrites pipeline operator
-lists — collapsing streaming runs into :class:`FusedOp` regions and
-hoisting eligible join residual filters.  Any rewrite pass is a place
-where a planner bug can silently change query semantics, so the fused
-form gets its own verifier: :func:`verify_fused_plan` re-checks every
-pipeline of a compiled :class:`~repro.core.planner.PhysicalPlan` and
-returns :class:`~repro.analysis.report.Finding` objects in the same
-vocabulary the plan analyzer and the lint front use.  The equivalence
-gate in ``tests/core/test_fusion_equivalence.py`` requires zero findings
-on every fused TPC-H plan.
+lists, collapsing streaming runs into :class:`FusedOp` regions.  Any
+rewrite pass is a place where a planner bug can silently change query
+semantics, so the fused form gets its own verifier:
+:func:`verify_fused_plan` re-checks every pipeline of a compiled
+:class:`~repro.core.planner.PhysicalPlan` and returns
+:class:`~repro.analysis.report.Finding` objects in the same vocabulary
+the plan analyzer and the lint front use.  The equivalence gate in
+``tests/core/test_fusion_equivalence.py`` requires zero findings on
+every fused TPC-H plan.
 
 Rule catalog:
 
@@ -22,9 +22,6 @@ FC02    error      stage schemas do not chain (a stage's declared input
                    arity disagrees with its predecessor's output)
 FC03    error      two adjacent unfused Filter/Project operators survive in
                    a fused pipeline (the pass missed a fusible run)
-FC04    error      a hoisted residual filter lost its legality precondition
-                   (a semi/anti or partitioned probe was stripped of its
-                   post_filter)
 FC05    error      flattening every FusedOp back to its stages does not
                    reproduce a schema-equivalent operator chain
 ======  =========  ===========================================================
@@ -33,7 +30,6 @@ FC05    error      flattening every FusedOp back to its stages does not
 from __future__ import annotations
 
 from ..core.operators.fused import FusedOp
-from ..core.operators.join import HashJoinProbe, PartitionedHashJoinProbe
 from ..core.operators.streaming import FilterOp, ProjectOp
 from ..core.planner import PhysicalPlan, Pipeline
 from .report import SEVERITY_ERROR, Finding
@@ -44,7 +40,6 @@ FUSION_RULES = {
     "FC01": "FusedOp contains a non-streaming stage or is empty",
     "FC02": "fused stage schemas do not chain",
     "FC03": "adjacent unfused Filter/Project operators in a fused pipeline",
-    "FC04": "ineligible probe stripped of its residual filter",
     "FC05": "flattened fused chain is not schema-equivalent",
 }
 
@@ -80,32 +75,8 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
             )
 
     for pos, op in enumerate(ops):
-        opsite = f"{site}[{pos}]"
         if isinstance(op, FusedOp):
-            _check_fused_op(op, opsite, findings)
-        elif isinstance(op, PartitionedHashJoinProbe):
-            # FC04 (partitioned side): the pass must never touch these —
-            # their residual filter runs per leaf before re-coalescing.
-            # Nothing to check structurally beyond their type surviving.
-            continue
-        elif isinstance(op, HashJoinProbe):
-            if op.post_filter is None and op.join_type in ("semi", "anti"):
-                # A semi/anti probe legitimately has no residual only if
-                # the logical plan had none; the fusion pass cannot prove
-                # that here, but it never hoists semi/anti residuals, so a
-                # stripped one would have to be followed by the hoisted
-                # filter — which is exactly the illegal shape.
-                nxt = ops[pos + 1] if pos + 1 < len(ops) else None
-                if _starts_with_filter(nxt):
-                    findings.append(
-                        Finding(
-                            "FC04",
-                            SEVERITY_ERROR,
-                            f"{op.join_type} join probe followed by a hoisted "
-                            "filter — semi/anti residuals are not hoistable",
-                            opsite,
-                        )
-                    )
+            _check_fused_op(op, f"{site}[{pos}]", findings)
 
     # FC05: expanding fused regions must yield a chain whose end schema
     # matches the fused chain's declared output.
@@ -180,8 +151,3 @@ def _fallback_run(*ops) -> bool:
         return True
     return False
 
-
-def _starts_with_filter(op) -> bool:
-    if isinstance(op, FilterOp):
-        return True
-    return isinstance(op, FusedOp) and isinstance(op.stages[0], FilterOp)

@@ -115,10 +115,6 @@ class AnalysisReport:
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == SEVERITY_ERROR]
 
-    @property
-    def warnings(self) -> list[Finding]:
-        return [f for f in self.findings if f.severity == SEVERITY_WARNING]
-
     def rules_hit(self) -> set[str]:
         return {f.rule for f in self.findings}
 

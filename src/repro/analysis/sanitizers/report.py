@@ -31,9 +31,6 @@ class SanitizerReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def rules_hit(self) -> set[str]:
-        return {f.rule for f in self.findings}
-
     def add(self, finding: Finding) -> None:
         if finding.rule not in SA_RULES:
             raise ValueError(f"unknown sanitizer rule {finding.rule!r}")

@@ -148,13 +148,6 @@ class ShadowLedger:
     def live_bytes(self) -> int:
         return sum(a.size for a in self.live.values())
 
-    def owner_bytes(self) -> dict:
-        """Live bytes grouped by owner tag (None = unowned)."""
-        by_owner: dict = {}
-        for alloc in self.live.values():
-            by_owner[alloc.owner] = by_owner.get(alloc.owner, 0) + alloc.size
-        return by_owner
-
     def stats(self) -> dict:
         return {
             "allocations_tracked": self.total_allocations,

@@ -43,10 +43,6 @@ class Table2Row:
     def speedup_vs_doris(self) -> float:
         return self.doris_s / self.sirius_s
 
-    @property
-    def speedup_vs_clickhouse(self) -> float:
-        return self.clickhouse_s / self.sirius_s
-
 
 @dataclass
 class Table2Result:

@@ -435,9 +435,6 @@ class BufferManager:
     def cached_tables(self) -> list[str]:
         return list(self._cache)
 
-    def is_cached(self, name: str) -> bool:
-        return name in self._cache
-
     def drop(self, name: str) -> None:
         """Remove a table from the cache (used by the exchange layer's
         temporary-table deregistration).
@@ -480,9 +477,6 @@ class BufferManager:
         if name in self._fragments:
             self.drop_fragment(name)
         self._fragments[name] = SpillFragment(name, gtable)
-
-    def fragment_names(self) -> list[str]:
-        return list(self._fragments)
 
     def fragment_location(self, name: str) -> str:
         return self._fragments[name].location

@@ -5,8 +5,7 @@ movement, not arithmetic — every operator boundary in the unfused path
 materialises a full intermediate ``GTable`` to HBM that the next operator
 immediately reads back.  :class:`FusedOp` collapses a maximal run of
 adjacent :class:`~.streaming.FilterOp`/:class:`~.streaming.ProjectOp`
-stages (plus hoisted join residual filters — see the planner's fusion
-pass) into a single region that reads its input chunk once and writes
+stages into a single region that reads its input chunk once and writes
 only the final result: all interior traffic is recorded but priced at
 zero by :meth:`Device.fused_kernel`, and the whole run bills a single
 kernel launch.

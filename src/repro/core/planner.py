@@ -220,20 +220,13 @@ class _Compiler:
 
 def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOperator]":
     """Collapse maximal runs of adjacent Filter/Project operators into
-    :class:`FusedOp` regions, hoisting eligible join residual filters.
+    :class:`FusedOp` regions.
 
     Legality rules:
 
     * only ``FilterOp``/``ProjectOp`` fuse — anything stateful or
-      one-to-many (probes) is a fusion barrier;
-    * a :class:`HashJoinProbe` residual ``post_filter`` hoists into the
-      following fused run only for ``inner``/``left`` joins, where the
-      unfused path applies it as a plain mask over the join output.
-      Semi/anti residuals are *not* hoistable — there the predicate is
-      entangled with the join semantics (filter the matched pairs, then
-      reduce to distinct probe rows) — and neither are partitioned
-      (out-of-core) probes, whose residual runs per leaf before the
-      emitted chunks are re-coalesced under the partition budget;
+      one-to-many (probes, which keep applying their own residual
+      ``post_filter``) is a fusion barrier;
     * an expression the compiler cannot lower leaves its run unfused
       (the unfused operators compile it again per chunk and are rejected
       identically, so this preserves the engine's fallback behaviour).
@@ -255,24 +248,6 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
             run.append(op)
             continue
         flush()
-        if (
-            type(op) is HashJoinProbe
-            and op.post_filter is not None
-            and op.join_type in ("inner", "left")
-        ):
-            fused.append(
-                HashJoinProbe(
-                    op.build_slot,
-                    op.join_type,
-                    op.probe_key_indices,
-                    op.build_key_indices,
-                    op.probe_schema,
-                    op.build_schema,
-                    post_filter=None,
-                )
-            )
-            run.append(FilterOp(op.post_filter, op.output_schema()))
-            continue
         fused.append(op)
     flush()
     return fused

@@ -73,9 +73,7 @@ class SiriusEngine:
         device: Device,
         enable_spill: bool = True,
         batch_rows: int | None = None,
-        host_executor: Callable[[Plan], Table] | None = None,
         compress_cache: bool = False,
-        pipeline_cpu_executor: Callable[[Plan, Mapping[str, Table]], Table] | None = None,
         tracer=None,
         overlap: bool = False,
         out_of_core: bool = False,
@@ -89,15 +87,8 @@ class SiriusEngine:
                 to pinned host memory under pressure (§3.4 out-of-core).
             batch_rows: If set, pipelines stream inputs in batches of this
                 many rows instead of whole tables (§3.4 batch execution).
-            host_executor: Optional host-engine callback for the graceful
-                CPU fallback path (the final ``cpu-plan`` tier).
             compress_cache: FOR+bit-pack integer columns in the caching
                 region (§3.4's lightweight-compression extension).
-            pipeline_cpu_executor: Optional ``(plan, catalog) -> Table``
-                CPU callback for the ``cpu-pipeline`` degradation tier —
-                re-runs just the failed pipeline/fragment plan on the
-                node's CPU (used by hosts that execute fragment-at-a-time,
-                e.g. MiniDoris).
             tracer: Observability sink (:class:`repro.obs.Tracer`); the
                 no-op null tracer by default, keeping untraced execution
                 byte-identical.
@@ -122,8 +113,8 @@ class SiriusEngine:
                 observational — a sanitized run is byte-identical to an
                 unsanitized one.
             fusion: Collapse each pipeline's runs of adjacent filters and
-                projections (plus eligible join residual filters) into
-                single :class:`~.operators.fused.FusedOp` regions with
+                projections into single
+                :class:`~.operators.fused.FusedOp` regions with
                 compiled expressions — one read and one write per chunk,
                 interior materialisations priced at zero.  Off by
                 default; the default path compiles the seed operator
@@ -140,9 +131,9 @@ class SiriusEngine:
         )
         self.registry = default_registry()
         self.batch_rows = batch_rows
-        self.fallback = FallbackHandler(host_executor, tracer=self.tracer)
+        self.fallback = FallbackHandler(tracer=self.tracer)
         self.fallback.memory_probe = self._memory_probe
-        self.pipeline_cpu_executor = pipeline_cpu_executor
+        self.pipeline_cpu_executor = None
         self.last_profile: QueryProfile | None = None
         self.queries_executed = 0
         self.out_of_core = out_of_core
@@ -187,21 +178,9 @@ class SiriusEngine:
         self.registry.use(op_kind, impl_name)
 
     def set_host_executor(self, host_executor: Callable[[Plan], Table]) -> None:
+        """Register the host-engine callback of the final ``cpu-plan``
+        degradation tier."""
         self.fallback.host_executor = host_executor
-
-    # -- static analysis --------------------------------------------------------
-
-    def analyze(self, plan: Plan, catalog: Mapping[str, Table] | None = None):
-        """Statically analyze ``plan`` against this engine's device.
-
-        Advisory: :meth:`execute` never consults the report (runtime
-        behaviour is owned by the degradation ladder); serving admission
-        does, via ``ServingScheduler(static_admission=True)``.  Returns an
-        :class:`~repro.analysis.AnalysisReport`.
-        """
-        from ..analysis import analyze_plan
-
-        return analyze_plan(plan, catalog, self.device)
 
     def _install_pressure_hooks(self) -> None:
         """Route processing-pool allocation pressure into partition spills
@@ -225,6 +204,9 @@ class SiriusEngine:
     def set_pipeline_cpu_executor(
         self, executor: Callable[[Plan, Mapping[str, Table]], Table]
     ) -> None:
+        """Register the ``(plan, catalog) -> Table`` callback of the
+        ``cpu-pipeline`` tier, which re-runs just the failed fragment plan
+        on the node's CPU (hosts that execute fragment-at-a-time)."""
         self.pipeline_cpu_executor = executor
 
     # -- execution --------------------------------------------------------------

@@ -31,6 +31,16 @@ __all__ = ["DistributedExecutor", "DistributedResult", "ExchangeRetry", "NodeFai
 
 COORDINATOR = 0
 
+# Per-query parse/optimize/schedule cost on the coordinator (the paper's
+# "other" time for Q1/Q6, which "does not scale with the data size") and
+# the per-fragment plan-dispatch cost.
+COORDINATOR_OVERHEAD_S = 0.0006
+DISPATCH_OVERHEAD_S = 0.0001
+# Collective retries on a transient link fault before it counts as
+# permanent; the backoff doubles per attempt, charged to every node clock.
+MAX_EXCHANGE_RETRIES = 6
+RETRY_BACKOFF_S = 0.0002
+
 
 class _ClusterClock:
     """Clock adapter for cluster-scope spans: ``now`` is the cluster's
@@ -92,13 +102,6 @@ class DistributedResult:
     retry_events: list = field(default_factory=list)
     profile: QueryProfile | None = None
 
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "compute": self.compute_seconds,
-            "exchange": self.exchange_seconds,
-            "other": self.other_seconds,
-        }
-
 
 class DistributedExecutor:
     """Runs fragment lists produced by the DistributedPlanner."""
@@ -107,10 +110,6 @@ class DistributedExecutor:
         self,
         cluster: Cluster,
         node_executor: Callable[[int, Plan, dict], Table],
-        coordinator_overhead_s: float = 0.0006,
-        dispatch_overhead_s: float = 0.0001,
-        max_exchange_retries: int = 6,
-        retry_backoff_s: float = 0.0002,
         tracer=None,
         overlap_exchange: bool = False,
     ):
@@ -120,14 +119,6 @@ class DistributedExecutor:
             node_executor: ``(node_id, plan, catalog) -> Table`` — executes
                 one fragment plan on one node, charging that node's clock
                 (a per-node Sirius engine or CPU engine closure).
-            coordinator_overhead_s: Fixed parse/optimize/schedule cost on
-                the coordinator per query (the paper's dominant "other"
-                time for Q1/Q6, which "does not scale with the data size").
-            dispatch_overhead_s: Per-fragment plan-dispatch cost.
-            max_exchange_retries: Collective retries on transient link
-                faults before the failure is treated as permanent.
-            retry_backoff_s: First retry backoff (simulated seconds);
-                doubles per attempt, charged to every node's clock.
             tracer: Observability sink; spans are recorded as
                 query -> fragment -> exchange -> collective, with retry
                 events on the exchange spans.  Null (free) by default.
@@ -139,10 +130,6 @@ class DistributedExecutor:
         """
         self.cluster = cluster
         self.node_executor = node_executor
-        self.coordinator_overhead_s = coordinator_overhead_s
-        self.dispatch_overhead_s = dispatch_overhead_s
-        self.max_exchange_retries = max_exchange_retries
-        self.retry_backoff_s = retry_backoff_s
         self.overlap_exchange = overlap_exchange
         self.retry_events: list[ExchangeRetry] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -181,7 +168,7 @@ class DistributedExecutor:
         ) as qspan:
             # Control plane: coordinator checks membership, plans, dispatches.
             self._membership_check(fragments_done=0)
-            other = self.coordinator_overhead_s + self.dispatch_overhead_s * len(fragments)
+            other = COORDINATOR_OVERHEAD_S + DISPATCH_OVERHEAD_S * len(fragments)
             for node in cluster.nodes:
                 node.clock.advance(other, category="other")
 
@@ -386,9 +373,9 @@ class DistributedExecutor:
                 return op()
             except LinkDroppedError:
                 attempt += 1
-                if attempt > self.max_exchange_retries:
+                if attempt > MAX_EXCHANGE_RETRIES:
                     raise
-                backoff = self.retry_backoff_s * (2 ** (attempt - 1))
+                backoff = RETRY_BACKOFF_S * (2 ** (attempt - 1))
                 for node in self.cluster.nodes:
                     node.clock.advance(backoff, category="exchange")
                 self.retry_events.append(

@@ -17,7 +17,7 @@ produces a serving report byte-identical to a solo
 
 from .autoscale import Autoscaler, ScaleEvent
 from .cache import PlanCache, ResultCache, TableVersions
-from .digest import PlanDigest, normalized_plan_dict, plan_digest
+from .digest import PlanDigest, plan_digest
 from .driver import FleetWorkloadDriver
 from .job import FleetJob
 from .replica import EngineReplica, engine_factory
@@ -56,6 +56,5 @@ __all__ = [
     "TenantTable",
     "engine_factory",
     "make_routing",
-    "normalized_plan_dict",
     "plan_digest",
 ]

@@ -51,9 +51,6 @@ class TableVersions:
     def snapshot(self, names) -> dict[str, int]:
         return {n: self.get(n) for n in names}
 
-    def to_dict(self) -> dict:
-        return dict(sorted(self._versions.items()))
-
 
 @dataclass
 class _ResultEntry:
@@ -120,12 +117,14 @@ class ResultCache:
         byte budget holds.  A result larger than the whole budget is not
         cached (returns ``False``)."""
         nbytes = int(table.nbytes)
+        if key in self._entries:
+            # Even a rejected replacement supersedes what it would replace.
+            self._drop(key)
         if nbytes > self.max_bytes:
             self.oversized_rejects += 1
             self.metrics.count("fleet.result_cache.oversized_reject")
+            self._gauge()
             return False
-        if key in self._entries:
-            self._drop(key)
         while self._entries and self.bytes + nbytes > self.max_bytes:
             self._drop(next(iter(self._entries)))
             self.evictions += 1
@@ -179,9 +178,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def lookup(self, key: str):
         entry = self._entries.get(key)
         if entry is None:
@@ -204,9 +200,6 @@ class PlanCache:
             self.metrics.count("fleet.plan_cache.eviction")
         self._entries[key] = estimate
         self.metrics.gauge("fleet.plan_cache.entries", len(self._entries))
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def stats(self) -> dict:
         return {

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..plan import Plan
 from ..sched import base_tables
 
-__all__ = ["PlanDigest", "normalized_plan_dict", "plan_digest"]
+__all__ = ["PlanDigest", "plan_digest"]
 
 # Masked alias placeholder: output names are positional in the key.
 _ALIAS = "_"
@@ -63,11 +63,6 @@ def _normalize(node, mask_literals: bool):
             continue
         out[key] = _normalize(value, mask_literals)
     return out
-
-
-def normalized_plan_dict(plan: Plan, mask_literals: bool = False) -> dict:
-    """The canonical dict the digest hashes (exposed for tests)."""
-    return _normalize(plan.to_dict(), mask_literals)
 
 
 def _digest(tree: dict) -> str:

@@ -104,9 +104,6 @@ class EngineReplica:
         """Base tables resident in this replica's caching region."""
         return set(self.engine.buffer_manager.cached_tables())
 
-    def queue_depth(self) -> int:
-        return len(self.scheduler.queue)
-
     def in_flight(self) -> int:
         return len(self.scheduler.running) + len(self.scheduler.queue)
 
@@ -119,15 +116,3 @@ class EngineReplica:
             "crashed": self.crashed,
             "routed": self.routed,
         }
-
-    def __repr__(self) -> str:
-        state = (
-            "crashed"
-            if self.crashed
-            else "retired"
-            if not self.alive
-            else "draining"
-            if self.draining
-            else "up"
-        )
-        return f"EngineReplica(id={self.id}, {state}, routed={self.routed})"

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from ..sched import JobState, percentile
+from ..sched import JobState
 from ..sched.report import _dist
 from .job import FleetJob
 
@@ -108,9 +108,6 @@ class FleetReport:
             replica_seconds=replica_seconds,
             schedule_digest=hashlib.sha256(digest_src.encode()).hexdigest()[:16],
         )
-
-    def completed_jobs(self) -> list[FleetJob]:
-        return [j for j in self.jobs if j.state == JobState.COMPLETED]
 
     @property
     def result_cache_hit_rate(self) -> float:

@@ -67,7 +67,6 @@ class FleetScheduler:
         autoscaler: Autoscaler | None = None,
         fault_plan: FaultPlan | None = None,
         metrics: MetricSet | None = None,
-        scheduler_kwargs: dict | None = None,
         sanitize: bool = False,
     ):
         """
@@ -97,8 +96,6 @@ class FleetScheduler:
                 on survivors.
             metrics: Shared :class:`~repro.obs.MetricSet` for cache and
                 fleet gauges (one is created if omitted).
-            scheduler_kwargs: Extra keyword arguments for every
-                replica's ``ServingScheduler``.
             sanitize: Run every replica's scheduler with the sanitizer
                 layer attached (leak/drift/race checks per replica);
                 read the merged findings via :meth:`sanitizer_report`.
@@ -128,9 +125,6 @@ class FleetScheduler:
         self.tenants = TenantTable(quotas)
         self.autoscaler = autoscaler
         self.sanitize = bool(sanitize)
-        self.scheduler_kwargs = dict(scheduler_kwargs or {})
-        if self.sanitize:
-            self.scheduler_kwargs.setdefault("sanitize", True)
         self._crashes: list[NodeCrash] = sorted(
             (f for f in (fault_plan.faults if fault_plan else []) if isinstance(f, NodeCrash)),
             key=lambda c: (c.at, c.node_id),
@@ -207,7 +201,7 @@ class FleetScheduler:
             streams=self.streams,
             seed=self.seed,
             batch_rows=self.batch_rows,
-            **self.scheduler_kwargs,
+            sanitize=self.sanitize,
         )
         scheduler.on_complete = self._on_job_complete
         scheduler.begin_run()

@@ -57,10 +57,6 @@ class TenantTable:
         self.throttled[tenant] = self.throttled.get(tenant, 0) + 1
         return False
 
-    @property
-    def total_throttled(self) -> int:
-        return sum(self.throttled.values())
-
     def stats(self) -> dict:
         tenants = sorted(set(self.submitted) | set(self.quotas))
         return {

@@ -98,7 +98,6 @@ class Device:
         clock: SimClock | None = None,
         caching_fraction: float = 0.5,
         memory_limit_gb: float | None = None,
-        device_id: int = 0,
     ):
         """
         Args:
@@ -109,12 +108,10 @@ class Device:
                 caching region; the rest becomes the processing pool.
             memory_limit_gb: Override the spec's memory size (useful for
                 forcing OOM/spill paths in tests).
-            device_id: Identifier within a node (multi-GPU extension).
         """
         if not 0.0 < caching_fraction < 1.0:
             raise ValueError("caching_fraction must be in (0, 1)")
         self.spec = spec
-        self.device_id = device_id
         self.clock = clock if clock is not None else SimClock()
         self.cost_model = KernelCostModel(spec)
         total = int((memory_limit_gb if memory_limit_gb is not None else spec.memory_gb) * GB)
@@ -129,7 +126,7 @@ class Device:
         # Fault-injection hooks (attached by repro.faults.FaultInjector;
         # None = healthy device, zero overhead on the hot path).
         self.fault_injector = None
-        self.fault_rank = device_id
+        self.fault_rank = 0
         self.kernel_relaunches = 0
         # Pipeline fusion: while a FusedKernelScope is open, launches are
         # recorded instead of charged (None = normal per-kernel charging).
@@ -217,12 +214,8 @@ class Device:
         the fused cost is charged (fault injection included) and the
         saved interior traffic is accumulated in ``fusion_saved_bytes``.
         On an exception nothing is charged — the degradation machinery
-        re-runs the pipeline from scratch.  Nested scopes collapse into
-        the outermost one.
+        re-runs the pipeline from scratch.
         """
-        if self._fused_scope is not None:
-            yield self._fused_scope
-            return
         scope = FusedKernelScope(self.cost_model)
         self._fused_scope = scope
         try:
@@ -403,4 +396,4 @@ class Device:
         }
 
     def __repr__(self) -> str:
-        return f"Device({self.spec.name}, id={self.device_id})"
+        return f"Device({self.spec.name})"

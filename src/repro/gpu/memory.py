@@ -33,7 +33,6 @@ class DeviceMemory:
         self.region = region
         self._used = 0
         self._peak = 0
-        self._alloc_count = 0
 
     @property
     def used(self) -> int:
@@ -48,10 +47,6 @@ class DeviceMemory:
         """High-water mark of bytes in use."""
         return self._peak
 
-    @property
-    def alloc_count(self) -> int:
-        return self._alloc_count
-
     def allocate(self, nbytes: int) -> None:
         """Reserve ``nbytes``; raises :class:`OutOfDeviceMemory` on overflow."""
         if nbytes < 0:
@@ -60,7 +55,6 @@ class DeviceMemory:
             raise OutOfDeviceMemory(nbytes, self.available, self.region)
         self._used += nbytes
         self._peak = max(self._peak, self._used)
-        self._alloc_count += 1
 
     def free(self, nbytes: int) -> None:
         """Release ``nbytes`` previously allocated."""

@@ -19,15 +19,13 @@ ClickHouse:
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..columnar import Table
 from ..gpu.device import Device
 from ..gpu.specs import DeviceSpec, M7I_CPU
-from ..sql import SqlPlanner, SqlPlanningError, TableStats
+from ..sql import SqlPlanner, SqlPlanningError
 from ..sql.optimizer import prune_columns
 from ..plan import Plan
 from ..tpch.queries import CLICKHOUSE_UNSUPPORTED
+from .catalog import Catalog
 from .cpu_engine import CpuEngine
 from .miniduck import QueryResult
 
@@ -58,7 +56,7 @@ class UnsupportedQueryError(ValueError):
     """The query uses a feature ClickLite does not implement."""
 
 
-class ClickLite:
+class ClickLite(Catalog):
     """A column-store baseline with ClickHouse-style planning limits."""
 
     def __init__(
@@ -78,6 +76,7 @@ class ClickLite:
         finish"."""
         from ..obs import NULL_TRACER
 
+        super().__init__()
         self.device = Device(spec)
         self.deadline_s = deadline_s
         self.cpu_engine = CpuEngine(
@@ -85,21 +84,12 @@ class ClickLite:
             max_intermediate_rows=max_intermediate_rows,
             materialize_joins=True,
         )
-        self.tables: dict[str, Table] = {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.device.tracer = self.tracer
 
-    def create_table(self, name: str, table: Table) -> None:
-        self.tables[name] = table
-
-    def load_tables(self, tables: Mapping[str, Table]) -> None:
-        for name, table in tables.items():
-            self.create_table(name, table)
-
     def plan(self, sql: str) -> Plan:
-        stats = {n: TableStats(t.schema, t.num_rows) for n, t in self.tables.items()}
         planner = SqlPlanner(
-            stats, reorder_joins=False, allow_correlated_subqueries=False
+            self.stats(distinct=False), reorder_joins=False, allow_correlated_subqueries=False
         )
         try:
             plan = planner.plan_sql(sql)

@@ -16,16 +16,15 @@ provided for Table 2's third column.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..columnar import Table
 from ..core import SiriusEngine
 from ..gpu.device import Device
 from ..gpu.nccl import ETHERNET_100G, INFINIBAND_NDR, Fabric
 from ..gpu.specs import A100_40G, DeviceSpec, XEON_6526Y
 from ..plan import Plan
-from ..sql import SqlPlanner, TableStats
-from ..sql.optimizer import optimize_plan
+from ..sql import SqlPlanner
+from ..sql.optimizer import estimate_rows, optimize_plan
+from .catalog import Catalog
 from .clicklite import CLICKLITE_SPEC
 from ..distributed.cluster import Cluster
 from ..distributed.engine import DistributedExecutor, DistributedResult, NodeFailureError
@@ -52,7 +51,7 @@ DORIS_SPEC = DeviceSpec(
 )
 
 
-class MiniDoris:
+class MiniDoris(Catalog):
     """A distributed warehouse with pluggable per-node execution engines.
 
     Modes:
@@ -69,7 +68,6 @@ class MiniDoris:
         fabric: Fabric | None = None,
         gpu_spec: DeviceSpec = A100_40G,
         gpu_memory_limit_gb: float | None = None,
-        coordinator_overhead_s: float = 0.0006,
         gpus_per_node: int = 1,
         predicate_transfer: bool = False,
         heartbeat_timeout_s: float = 0.25,
@@ -80,6 +78,7 @@ class MiniDoris:
     ):
         if mode not in ("doris", "sirius", "clickhouse"):
             raise ValueError(f"unknown mode {mode!r}")
+        super().__init__()
         self.mode = mode
         # Copy/compute overlap (sirius mode only): node engines stream cold
         # loads on their copy streams, and pipelined exchanges overlap
@@ -119,14 +118,12 @@ class MiniDoris:
             heartbeat_timeout_s=heartbeat_timeout_s,
         )
 
-        self._global_tables: dict[str, Table] = {}
         self._node_engines: list = []
         for node in self.cluster.nodes:
             self._node_engines.append(self._make_engine(node))
         self.executor = DistributedExecutor(
             self.cluster,
             self._run_on_node,
-            coordinator_overhead_s=coordinator_overhead_s,
             tracer=self.tracer,
             overlap_exchange=self.overlap,
         )
@@ -163,11 +160,11 @@ class MiniDoris:
 
     # -- catalog ----------------------------------------------------------
 
-    def load_tables(self, tables: Mapping[str, Table]) -> None:
-        """Distribute data across the cluster; the coordinator keeps the
-        global metadata (schemas + statistics)."""
-        self._global_tables.update(tables)
-        self.cluster.load_tables(tables)
+    def create_table(self, name: str, table: Table) -> None:
+        """Distribute the table across the cluster; the coordinator keeps
+        the global metadata (schemas + statistics)."""
+        super().create_table(name, table)
+        self.cluster.load_tables({name: table})
 
     def warm_caches(self) -> None:
         """Pre-load every node's local partitions into GPU memory (hot-run
@@ -179,34 +176,20 @@ class MiniDoris:
 
     # -- planning ------------------------------------------------------------
 
-    def _stats(self) -> dict[str, TableStats]:
-        import numpy as np
-
-        out = {}
-        for name, t in self._global_tables.items():
-            distinct = {
-                f.name: int(len(np.unique(c.data)))
-                for f, c in zip(t.schema, t.columns)
-            }
-            out[name] = TableStats(t.schema, t.num_rows, distinct)
-        return out
-
     def plan_fragments(self, sql: str):
         planner = SqlPlanner(
-            self._stats(),
+            self.stats(),
             reorder_joins=(self.mode != "clickhouse"),
             allow_correlated_subqueries=(self.mode != "clickhouse"),
         )
         plan = planner.plan_sql(sql)
-        plan = optimize_plan(plan, {n: t.num_rows for n, t in self._global_tables.items()})
-        from ..sql.optimizer import _estimate
-
-        row_counts = {n: t.num_rows for n, t in self._global_tables.items()}
+        row_counts = self.row_counts()
+        plan = optimize_plan(plan, row_counts)
         fragmenter = DistributedPlanner(
             self.cluster.partitioning_of,
             prefer_broadcast_joins=(self.mode == "clickhouse"),
             predicate_transfer=self.predicate_transfer,
-            estimate_rows=lambda rel: _estimate(rel, row_counts),
+            estimate_rows=lambda rel: estimate_rows(rel, row_counts),
         )
         return fragmenter.plan(plan.root)
 
@@ -280,7 +263,7 @@ class MiniDoris:
             # lazily on next access).
             for engine in self._node_engines:
                 engine.buffer_manager.clear()
-        self.cluster.load_tables(self._global_tables)
+        self.cluster.load_tables(self.tables)
         self.event_log.append(
             {
                 "event": "fragments_reexecuted",

@@ -18,12 +18,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Protocol
 
-from ..columnar import Schema, Table
+from ..columnar import Table
 from ..gpu.device import Device
 from ..gpu.specs import M7I_CPU, DeviceSpec
 from ..plan import Plan
-from ..sql import SqlPlanner, TableStats
+from ..sql import SqlPlanner
 from ..sql.optimizer import optimize_plan
+from .catalog import Catalog
 from .cpu_engine import CpuEngine
 
 __all__ = ["MiniDuck", "QueryResult", "ExecutionExtension"]
@@ -48,59 +49,22 @@ class QueryResult:
         self.sim_seconds = sim_seconds
         self.profile = profile
 
-    def __getattr__(self, item):
-        return getattr(self.table, item)
 
-
-class MiniDuck:
+class MiniDuck(Catalog):
     """An embedded analytical database with a swappable execution engine."""
 
-    def __init__(self, spec: DeviceSpec = M7I_CPU, optimize: bool = True, tracer=None):
+    def __init__(self, spec: DeviceSpec = M7I_CPU, tracer=None):
         from ..obs import NULL_TRACER
 
+        super().__init__()
         self.device = Device(spec)
         self.cpu_engine = CpuEngine(self.device)
-        self.tables: dict[str, Table] = {}
         self._extension: ExecutionExtension | None = None
-        self.optimize = optimize
-        self._distinct_cache: dict[str, tuple[int, dict[str, int]]] = {}
         # Observability: the host traces its own CPU path; an installed
         # extension (e.g. Sirius) traces GPU execution with whatever
         # tracer its engine was built with.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.device.tracer = self.tracer
-
-    # -- catalog ----------------------------------------------------------
-
-    def create_table(self, name: str, table: Table) -> None:
-        self.tables[name] = table
-
-    def load_tables(self, tables: Mapping[str, Table]) -> None:
-        for name, table in tables.items():
-            self.create_table(name, table)
-
-    def table_schema(self, name: str) -> Schema:
-        return self.tables[name].schema
-
-    def _stats(self) -> dict[str, TableStats]:
-        out = {}
-        for name, t in self.tables.items():
-            out[name] = TableStats(t.schema, t.num_rows, self._distinct_counts(name, t))
-        return out
-
-    def _distinct_counts(self, name: str, table: Table) -> dict[str, int]:
-        """Per-column distinct counts (ANALYZE-style statistics), cached."""
-        cached = self._distinct_cache.get(name)
-        if cached is not None and cached[0] == table.num_rows:
-            return cached[1]
-        import numpy as np
-
-        counts = {
-            field.name: int(len(np.unique(col.data)))
-            for field, col in zip(table.schema, table.columns)
-        }
-        self._distinct_cache[name] = (table.num_rows, counts)
-        return counts
 
     # -- persistence ---------------------------------------------------------
     #
@@ -147,11 +111,8 @@ class MiniDuck:
 
     def plan(self, sql: str) -> Plan:
         """Parse + bind + optimise into the Substrait-style IR."""
-        planner = SqlPlanner(self._stats())
-        plan = planner.plan_sql(sql)
-        if self.optimize:
-            plan = optimize_plan(plan, {n: t.num_rows for n, t in self.tables.items()})
-        return plan
+        plan = SqlPlanner(self.stats()).plan_sql(sql)
+        return optimize_plan(plan, self.row_counts())
 
     def execute(self, sql: str) -> QueryResult:
         """Run SQL; routed to the extension when one is installed."""

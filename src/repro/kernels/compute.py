@@ -620,7 +620,10 @@ def hash_partition_ids(
 
     ``level`` salts the accumulator so recursive radix partitioning
     redistributes at depth ``L+1`` the rows that landed in one bucket at
-    depth ``L``.  ``level=0`` is the unsalted hash.
+    depth ``L``.  ``level=0`` is the unsalted hash.  The mix is linear
+    modulo 2**64, so a salt alone would only renumber the buckets (rows
+    that agreed at one level would agree at every level); salted levels
+    therefore pass the accumulator through a splitmix64 finaliser.
     """
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
@@ -644,6 +647,12 @@ def hash_partition_ids(
             if col.validity is not None:
                 vals[~col.validity.array] = 0
         acc = acc * np.uint64(1099511628211) + vals  # FNV-ish mix
+    if level:
+        acc ^= acc >> np.uint64(30)
+        acc *= np.uint64(0xBF58476D1CE4E5B9)
+        acc ^= acc >> np.uint64(27)
+        acc *= np.uint64(0x94D049BB133111EB)
+        acc ^= acc >> np.uint64(31)
     keys[0].device.launch(KernelClass.STREAM, _traffic(*keys), rows * 4, rows)
     return (acc % np.uint64(num_partitions)).astype(np.int32)
 

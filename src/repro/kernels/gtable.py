@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..columnar import Column, DType, Field, Schema, Table
+from ..columnar import Column, DType, Schema, Table
 from ..gpu.buffer import DeviceBuffer
 from ..gpu.device import Device
 
@@ -246,20 +246,6 @@ class GTable:
         """Project columns by name (buffer sharing — no copy, no charge)."""
         schema = Schema([self.schema.field(n) for n in names])
         return GTable(schema, [self.column(n) for n in names], self.device)
-
-    def with_column(self, name: str, column: GColumn) -> "GTable":
-        if name in self.schema:
-            cols = list(self.columns)
-            cols[self.schema.index_of(name)] = column
-            return GTable(self.schema, cols, self.device)
-        schema = Schema(list(self.schema.fields) + [Field(name, column.dtype)])
-        return GTable(schema, self.columns + [column], self.device)
-
-    def rename(self, names: Sequence[str]) -> "GTable":
-        if len(names) != self.num_columns:
-            raise ValueError("rename needs one name per column")
-        schema = Schema([Field(n, f.dtype) for n, f in zip(names, self.schema)])
-        return GTable(schema, self.columns, self.device)
 
     def free(self) -> None:
         for c in self.columns:

@@ -9,12 +9,11 @@ A :class:`QueryProfile` is the one structure every harness consumes:
 * when a real :class:`~repro.obs.Tracer` is installed, the profile also
   carries the query's span tree and the device-memory high-water mark.
 
-``to_json()`` is the ``--trace`` export format.
+``to_dict()`` is what the ``--trace`` export serialises.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["OperatorTiming", "QueryProfile"]
@@ -75,12 +74,6 @@ class QueryProfile:
     fused_kernels: int = 0
     fusion_saved_bytes: int = 0
 
-    def breakdown_fractions(self) -> dict:
-        total = sum(self.breakdown.values())
-        if total == 0:
-            return {k: 0.0 for k in self.breakdown}
-        return {k: v / total for k, v in self.breakdown.items()}
-
     # -- Table-2 decomposition ----------------------------------------------
 
     def table2_split(self) -> dict[str, float]:
@@ -119,18 +112,6 @@ class QueryProfile:
             return {k: 0.0 for k in split}
         return {k: v / total for k, v in split.items()}
 
-    # -- span access ---------------------------------------------------------
-
-    def span_events(self, name: str | None = None) -> list:
-        """Events across the profile's spans, optionally filtered by name."""
-        events = [e for s in self.spans for e in s.events]
-        if name is not None:
-            events = [e for e in events if e.name == name]
-        return events
-
-    def operator_spans(self) -> list:
-        return [s for s in self.spans if s.kind == "operator"]
-
     # -- export --------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -164,9 +145,6 @@ class QueryProfile:
             "operator_timings": [t.to_dict() for t in self.operator_timings],
             "spans": [s.to_dict() for s in self.spans],
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def explain_analyze(self) -> str:
         """EXPLAIN ANALYZE-style report: per-operator simulated time."""

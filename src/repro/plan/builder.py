@@ -39,11 +39,10 @@ __all__ = ["col", "lit", "NamedExpr", "PlanBuilder"]
 class NamedExpr:
     """A deferred expression over column *names*, resolved at build time."""
 
-    def __init__(self, kind: str, payload: Any, children: Sequence["NamedExpr"] = (), options=None):
+    def __init__(self, kind: str, payload: Any, children: Sequence["NamedExpr"] = ()):
         self.kind = kind  # "col" | "lit" | "call"
         self.payload = payload
         self.children = list(children)
-        self.options = dict(options or {})
 
     # -- operator sugar -----------------------------------------------------
 
@@ -111,7 +110,7 @@ class NamedExpr:
         if self.kind == "lit":
             return Literal(self.payload)
         args = [c.resolve(schema) for c in self.children]
-        return ScalarCall(self.payload, args, self.options or None)
+        return ScalarCall(self.payload, args)
 
     def __hash__(self):
         return id(self)

@@ -20,6 +20,9 @@ from .job import QueryJob
 
 __all__ = ["AdmissionController", "TokenBucket"]
 
+# Reservation cap of an over-pool query under ``out_of_core`` admission.
+SPILL_FOOTPRINT_FRACTION = 0.5
+
 
 class TokenBucket:
     """A deterministic token bucket on the virtual serving timeline.
@@ -56,29 +59,15 @@ class TokenBucket:
         self._refill(now)
         return self.tokens
 
-    def try_take(self, now: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens at ``now`` if available."""
+    def try_take(self, now: float) -> bool:
+        """Consume one token at ``now`` if available."""
         self._refill(now)
-        if self.tokens + 1e-12 >= amount:
-            self.tokens -= amount
+        if self.tokens + 1e-12 >= 1.0:
+            self.tokens -= 1.0
             self.granted += 1
             return True
         self.throttled += 1
         return False
-
-    def stats(self) -> dict:
-        return {
-            "rate_per_s": self.rate_per_s,
-            "burst": self.burst,
-            "granted": self.granted,
-            "throttled": self.throttled,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"TokenBucket(rate={self.rate_per_s}/s, burst={self.burst}, "
-            f"tokens={self.tokens:.2f})"
-        )
 
 
 class AdmissionController:
@@ -91,7 +80,6 @@ class AdmissionController:
         max_queue_depth: int = 32,
         max_working_set_fraction: float | None = None,
         out_of_core: bool = False,
-        spill_footprint_fraction: float = 0.5,
     ):
         """
         Args:
@@ -112,10 +100,8 @@ class AdmissionController:
                 spilling, so (a) the static working-set rejection gate
                 does not apply — the query is admissible, just slower —
                 and (b) its reservation is capped at
-                ``spill_footprint_fraction`` of pool capacity (the spill
+                ``SPILL_FOOTPRINT_FRACTION`` of pool capacity (the spill
                 machinery holds at most about that much resident).
-            spill_footprint_fraction: Reservation cap for over-pool
-                queries under ``out_of_core`` admission.
         """
         if not 0.0 < headroom_fraction <= 1.0:
             raise ValueError("headroom_fraction must be in (0, 1]")
@@ -123,14 +109,11 @@ class AdmissionController:
             raise ValueError("max_queue_depth must be at least 1")
         if max_working_set_fraction is not None and max_working_set_fraction <= 0.0:
             raise ValueError("max_working_set_fraction must be positive")
-        if not 0.0 < spill_footprint_fraction <= 1.0:
-            raise ValueError("spill_footprint_fraction must be in (0, 1]")
         self.pool = pool
         self.headroom_fraction = headroom_fraction
         self.max_queue_depth = max_queue_depth
         self.max_working_set_fraction = max_working_set_fraction
         self.out_of_core = bool(out_of_core)
-        self.spill_footprint_fraction = spill_footprint_fraction
         self.admitted = 0
         self.rejected = 0
         self.forced = 0
@@ -147,7 +130,7 @@ class AdmissionController:
         if self.out_of_core:
             # A spilling query's resident footprint is bounded by the
             # partition budget, not its full working set.
-            cap = int(self.pool.capacity * self.spill_footprint_fraction)
+            cap = int(self.pool.capacity * SPILL_FOOTPRINT_FRACTION)
             return min(demand, cap)
         return demand
 

@@ -150,7 +150,6 @@ class WorkloadDriver:
         self,
         clients: int,
         requests_per_client: int,
-        think_time_s: float = 0.0,
         policy="fifo",
         streams: int = 4,
         deadline_s: float | None = None,
@@ -185,7 +184,7 @@ class WorkloadDriver:
             client = job.meta.get("client")
             if client is not None and sent[client] < requests_per_client:
                 base = job.completion_s if job.completion_s is not None else 0.0
-                submit_next(client, base + think_time_s)
+                submit_next(client, base)
 
         sched.on_complete = on_complete
         for c in range(clients):

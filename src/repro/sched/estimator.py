@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..columnar import Table
-from ..core.buffer_manager import DEFAULT_LOAD_CHUNK_BYTES
 from ..gpu.costmodel import KernelClass, KernelCostModel
 from ..gpu.device import Device
 from ..plan import Plan, walk_relations
@@ -42,9 +41,8 @@ __all__ = ["PlanEstimate", "base_tables", "estimate_plan"]
 def base_tables(plan: Plan) -> list[str]:
     """Names of the base tables a plan scans, in plan order without
     duplicates.  Shared by placement-aware fleet routing (score replicas
-    by which of these are hot), cache dependency tracking (a result is
-    stale when any of these tables' versions move), and the estimator's
-    cold-table pricing.
+    by which of these are hot) and cache dependency tracking (a result
+    is stale when any of these tables' versions move).
     """
     # walk_relations is pre-order (parents first, inputs left to right);
     # a dict keeps first-seen order.
@@ -77,38 +75,22 @@ class PlanEstimate:
     # Where the working set comes from: (site, kind, bytes) per pipeline
     # breaker in post-order, then the materialised result.  An explanation
     # of ``working_set_bytes`` (they sum to it), not part of the estimate's
-    # identity: left out of equality, hash and ``to_dict()``.
+    # identity: left out of equality and hash.
     working_sets: tuple[tuple[str, str, int], ...] = field(
         default=(), compare=False, repr=False
     )
-
-    def to_dict(self) -> dict:
-        return {
-            "working_set_bytes": self.working_set_bytes,
-            "service_s": self.service_s,
-            "rows": self.rows,
-        }
 
 
 def estimate_plan(
     plan: Plan,
     catalog: Mapping[str, Table],
     device: Device,
-    cold_tables: Mapping[str, Table] | None = None,
-    overlap: bool = False,
     out_of_core: bool = False,
     fusion: bool = False,
 ) -> PlanEstimate:
     """Estimate a plan's processing-pool working set and service time.
 
     Args:
-        cold_tables: Base tables the query will have to cold-load (not yet
-            in the caching region); their host->device copy time is added
-            to the service estimate.
-        overlap: Price cold loads under copy/compute overlap — only the
-            first chunk plus whatever copy time the estimated kernel work
-            cannot hide is exposed (matches the engine's ``overlap=True``
-            execution model, chunk granularity included).
         fusion: Price streaming runs the way the fused executor bills
             them — a maximal chain of adjacent filters/projects becomes a
             single launch whose streaming term covers only the chain's
@@ -132,25 +114,6 @@ def estimate_plan(
         excess = working_set - device.processing_pool.capacity
         if excess > 0:
             service += 2.0 * device.cost_model.transfer_cost(int(excess), pinned=True)
-    if cold_tables:
-        for table in cold_tables.values():
-            total = int(table.nbytes)
-            if not overlap:
-                service += device.cost_model.transfer_cost(total)
-                continue
-            # Overlapped cold load: the first chunk is synchronous; the
-            # remaining chunk copies hide behind the plan's kernel work,
-            # exposing only the tail the compute cannot cover.
-            first = min(DEFAULT_LOAD_CHUNK_BYTES, total)
-            service += device.cost_model.transfer_cost(first)
-            remaining = total - first
-            if remaining > 0:
-                copy_s = 0.0
-                while remaining > 0:
-                    step = min(DEFAULT_LOAD_CHUNK_BYTES, remaining)
-                    copy_s += device.cost_model.transfer_cost(step)
-                    remaining -= step
-                service += max(0.0, copy_s - est.seconds)
     return PlanEstimate(
         int(working_set), float(service), int(rows), tuple(est.working_sets)
     )

@@ -88,9 +88,6 @@ class ServingReport:
             schedule_digest=schedule_digest,
         )
 
-    def completed_jobs(self) -> list[QueryJob]:
-        return [j for j in self.jobs if j.state == JobState.COMPLETED]
-
     def to_dict(self) -> dict:
         return {
             "policy": self.policy,

@@ -237,11 +237,6 @@ class ServingScheduler:
         """Whether any submitted job is not yet terminal."""
         return bool(self._arrivals or self.queue or self.running or self._completions)
 
-    @property
-    def virtual_now(self) -> float:
-        """The serving-timeline instant the event loop has reached."""
-        return self._vt
-
     def next_event_time(self) -> float:
         """Virtual time of the next event :meth:`step_event` would
         process (``inf`` when nothing is pending).

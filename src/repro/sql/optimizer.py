@@ -37,7 +37,13 @@ from ..plan import (
     walk_expressions,
 )
 
-__all__ = ["optimize_plan", "prune_columns", "choose_build_sides", "push_filters_into_scans"]
+__all__ = [
+    "choose_build_sides",
+    "estimate_rows",
+    "optimize_plan",
+    "prune_columns",
+    "push_filters_into_scans",
+]
 
 
 def optimize_plan(plan: Plan, row_counts: Mapping[str, int] | None = None) -> Plan:
@@ -214,8 +220,8 @@ def choose_build_sides(rel: Relation, row_counts: Mapping[str, int]) -> Relation
     rel = rel.with_inputs(new_inputs) if rel.inputs else rel
     if not isinstance(rel, JoinRel) or rel.join_type != "inner" or not rel.left_keys:
         return rel
-    left_est = _estimate(rel.left, row_counts)
-    right_est = _estimate(rel.right, row_counts)
+    left_est = estimate_rows(rel.left, row_counts)
+    right_est = estimate_rows(rel.right, row_counts)
     if right_est <= left_est:
         return rel
     # Swap: output ordinals change, so a re-ordering projection restores
@@ -243,22 +249,23 @@ def _swap_post_filter(post, left_arity: int, right_arity: int):
     return _remap_expr(post, mapping)
 
 
-def _estimate(rel: Relation, row_counts: Mapping[str, int]) -> float:
+def estimate_rows(rel: Relation, row_counts: Mapping[str, int]) -> float:
+    """Estimated output rows of ``rel`` from base-table row counts."""
     if isinstance(rel, ReadRel):
         base = float(row_counts.get(rel.table_name, 1000.0))
         return base * (0.25 if rel.filter_expr is not None else 1.0)
     if isinstance(rel, FilterRel):
-        return _estimate(rel.input_rel, row_counts) * 0.25
+        return estimate_rows(rel.input_rel, row_counts) * 0.25
     if isinstance(rel, (ProjectRel, SortRel, ExchangeRel)):
-        return _estimate(rel.inputs[0], row_counts)
+        return estimate_rows(rel.inputs[0], row_counts)
     if isinstance(rel, AggregateRel):
-        return max(_estimate(rel.input_rel, row_counts) * 0.1, 1.0)
+        return max(estimate_rows(rel.input_rel, row_counts) * 0.1, 1.0)
     if isinstance(rel, FetchRel):
-        est = _estimate(rel.input_rel, row_counts)
+        est = estimate_rows(rel.input_rel, row_counts)
         return min(est, rel.count) if rel.count is not None else est
     if isinstance(rel, JoinRel):
-        left = _estimate(rel.left, row_counts)
-        right = _estimate(rel.right, row_counts)
+        left = estimate_rows(rel.left, row_counts)
+        right = estimate_rows(rel.right, row_counts)
         if not rel.left_keys:
             return left * right
         if rel.join_type in ("semi", "anti"):

@@ -7,7 +7,7 @@ from .queries import (
     TPCH_QUERIES,
     tpch_query,
 )
-from .schema import TABLE_BASE_ROWS, TPCH_SCHEMAS, tpch_schema
+from .schema import TABLE_BASE_ROWS, TPCH_SCHEMAS
 
 __all__ = [
     "CLICKHOUSE_REWRITES",
@@ -18,5 +18,4 @@ __all__ = [
     "generate_table",
     "generate_tpch",
     "tpch_query",
-    "tpch_schema",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..columnar import Schema
 
-__all__ = ["TPCH_SCHEMAS", "TABLE_BASE_ROWS", "tpch_schema"]
+__all__ = ["TPCH_SCHEMAS", "TABLE_BASE_ROWS"]
 
 TPCH_SCHEMAS: dict[str, Schema] = {
     "region": Schema(
@@ -117,8 +117,3 @@ TABLE_BASE_ROWS = {
     "orders": 1_500_000,
     "lineitem": 6_000_000,  # approximate: 1-7 lines per order
 }
-
-
-def tpch_schema(table: str) -> Schema:
-    """Schema of one TPC-H table; raises KeyError for unknown names."""
-    return TPCH_SCHEMAS[table]

@@ -9,6 +9,7 @@ reproduction blob (``print_blob`` is on in the registered profile).
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.columnar import Schema, Table
@@ -69,6 +70,16 @@ for _hook in ("span", "record_span", "event", "count", "gauge", "mark", "spans_s
 @pytest.fixture
 def config_observer():
     return EngineConfigObserver()
+
+
+@pytest.fixture
+def unique_calls(monkeypatch):
+    """One entry per ``np.unique`` call made while the test runs — the
+    cost of taking a table's distinct counts, counted rather than timed."""
+    calls = []
+    real_unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k))
+    return calls
 
 
 @pytest.fixture

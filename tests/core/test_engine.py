@@ -94,6 +94,27 @@ class TestRelationalCoverage:
         out = engine.execute(plan, data).to_pydict()
         assert out == {"label": ["two", "four", "six"], "v": [20.0, 40.0, 60.0]}
 
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_inner_join_residual_stays_with_the_probe(self, data, fusion):
+        """A join condition beyond the equi-keys is the probe's to apply,
+        with or without fusion of the operators downstream of it."""
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, fusion=fusion)
+        plan = (
+            read()
+            .join(
+                PlanBuilder.read("dims", data["dims"].schema),
+                "inner",
+                [("k", "k")],
+                post_filter=col("v") > lit(30.0),
+            )
+            .project([("label", "label"), ("v", "v")])
+            .filter(col("v") < lit(100.0))
+            .sort([("v", True)])
+            .build()
+        )
+        out = engine.execute(plan, data).to_pydict()
+        assert out == {"label": ["four", "six"], "v": [40.0, 60.0]}
+
     def test_semi_and_anti_join(self, engine, data):
         dims = PlanBuilder.read("dims", data["dims"].schema)
         semi = read().join(dims, "semi", [("k", "k")]).build()

@@ -61,8 +61,8 @@ class TestExplainAnalyze:
             GH200,
             memory_limit_gb=0.00003,  # ~15 KB caching: cannot hold 160 KB
             enable_spill=False,
-            host_executor=lambda p: CpuEngine().execute(p, big),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, big))
         plan = PlanBuilder.read("t", SCHEMA).build()
         assert "fell back" in engine.explain_analyze(plan, big)
 

@@ -27,8 +27,8 @@ class TestFallback:
             A100_40G,
             memory_limit_gb=0.00003,  # ~30 KB: cannot hold the table
             enable_spill=False,
-            host_executor=lambda plan: CpuEngine().execute(plan, data),
         )
+        engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
         plan = PlanBuilder.read("t", SCHEMA).filter(col("v") > lit(10.0)).build()
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
@@ -42,7 +42,8 @@ class TestFallback:
             calls.append(plan)
             return CpuEngine().execute(plan, data)
 
-        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0, host_executor=host)
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        engine.set_host_executor(host)
         plan = PlanBuilder.read("t", SCHEMA).build()
         engine.execute(plan, {})  # table absent on the GPU path
         assert len(calls) == 1
@@ -61,8 +62,8 @@ class TestFallback:
             A100_40G,
             memory_limit_gb=0.00003,
             enable_spill=False,
-            host_executor=lambda plan: CpuEngine().execute(plan, data),
         )
+        engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
         plan = PlanBuilder.read("t", SCHEMA).build()
         engine.execute(plan, data)
         assert engine.last_profile is None  # GPU profile would be misleading

@@ -13,7 +13,7 @@ controller's footprint cap both rely on:
 * a fragment's contents survive any number of spill/unspill hops.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import Schema, Table
@@ -108,6 +108,9 @@ class TestFragmentInterleavings:
         assert stats["disk_fragment_bytes"] == 0
 
     @given(ops=ops_strategy)
+    # Two live fragments spilled in turn: the second spill overflows the
+    # budget, f0 goes to disk and is read back from there.
+    @example(ops=[("put", "f0"), ("put", "f1"), ("spill", "f0"), ("spill", "f1"), ("get", "f0")])
     @settings(max_examples=25, deadline=None)
     def test_tiny_pinned_budget_demotes_to_disk(self, ops):
         """With a one-fragment pinned budget, spilling a second fragment
@@ -115,6 +118,7 @@ class TestFragmentInterleavings:
         promotes back to the device intact."""
         bm = fresh_manager(pinned_budget=make_table(50).nbytes)
         contents = {}
+        demotions = 0
         for i, (op, name) in enumerate(ops):
             if op == "put":
                 host = make_table(50, offset=i)
@@ -122,7 +126,11 @@ class TestFragmentInterleavings:
                 contents[name] = host.to_rows()
             elif op in ("spill", "drop") and name in bm._fragments:
                 if op == "spill":
+                    # All fragments are one size and the budget holds one.
+                    if bm.fragment_location(name) == "device" and tier_bytes(bm, "pinned"):
+                        demotions += 1
                     bm.spill_fragment(name)
+                    assert bm.disk_spills == demotions
                 else:
                     bm.drop_fragment(name)
                     contents.pop(name, None)
@@ -132,3 +140,4 @@ class TestFragmentInterleavings:
             assert bm.fragment_pinned_bytes <= bm.pinned_fragment_budget
         for name in list(bm._fragments):
             assert bm.get_fragment(name).to_host().to_rows() == contents[name]
+        assert bm.device.disk_read_bytes <= bm.device.disk_write_bytes == bm.disk_spilled_bytes

@@ -17,8 +17,10 @@ falling back off the GPU.  These tests pin:
 import numpy as np
 import pytest
 
+from repro.columnar import INT64, Column, Schema, Table
 from repro.core import SiriusEngine
 from repro.gpu.specs import GH200
+from repro.hosts import CpuEngine, MiniDuck
 from repro.sql import SqlPlanner, TableStats
 from repro.tpch import TPCH_SCHEMAS, generate_tpch, tpch_query
 
@@ -139,6 +141,94 @@ class TestOverHbmCompletion:
         assert event.memory_watermark is not None and event.memory_watermark > 0
         assert event.spill_bytes_attempted is not None
         assert event.spill_bytes_attempted >= 0
+
+
+class TestDiskTier:
+    def test_pinned_budget_below_spill_volume_demotes_to_disk(self, data, planner):
+        """Pinned staging smaller than what the query spills: fragments
+        go on down to the simulated disk and come back intact."""
+        plan = planner.plan_sql(tpch_query(9))
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=OVER_HBM_GB, out_of_core=True
+        )
+        engine.buffer_manager.pinned_fragment_budget = 1 << 16
+        got = engine.execute(plan, data)
+        spill = engine.last_profile.spill
+        assert spill["spilled_bytes"] > engine.buffer_manager.pinned_fragment_budget
+        assert spill["disk_spills"] > 0 and spill["disk_spilled_bytes"] > 0
+        assert engine.device.disk_read_bytes > 0
+        assert engine.fallback.fallback_count == 0
+        assert normalise(got) == normalise(CpuEngine().execute(plan, data))
+
+
+class TestRecursivePartitioning:
+    """A first-level partition over the leaf budget (a quarter of the
+    pool) is re-split with the next salt, and the probe follows it down."""
+
+    ROWS = 150_000
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(7)
+        keys = np.arange(self.ROWS)
+
+        def table(**cols):
+            return Table(
+                Schema([(name, "int64") for name in cols]),
+                [Column(INT64, np.asarray(v, dtype=np.int64)) for v in cols.values()],
+            )
+
+        return {
+            "t": table(
+                k=rng.integers(0, self.ROWS, self.ROWS + 1),
+                v=rng.integers(0, 100, self.ROWS + 1),
+            ),
+            # 4.8 MB build side against a 2 MB pool: 600 KB per first-level
+            # partition, 500 KB leaf budget.
+            "u": table(k=keys, g=keys % 1000, a=keys % 7, b=keys % 11),
+        }
+
+    def test_over_budget_leaf_is_resplit_and_probe_descends(self, wide, monkeypatch):
+        from repro.core.operators import join, spool
+
+        calls = []  # (module, level, rows in, largest part out)
+
+        def counting(module):
+            real = module.partition_by_keys
+
+            def partition(table, key_indices, fanout, level=0):
+                rows = table.num_rows
+                parts = real(table, key_indices, fanout, level=level)
+                largest = max(p.num_rows for p in parts if p is not None)
+                calls.append((module.__name__.rsplit(".", 1)[-1], level, rows, largest))
+                return parts
+
+            return partition
+
+        monkeypatch.setattr(spool, "partition_by_keys", counting(spool))
+        monkeypatch.setattr(join, "partition_by_keys", counting(join))
+
+        db = MiniDuck()
+        db.load_tables(wide)
+        plan = db.plan(
+            "select u.g, sum(t.v + u.a + u.b) as s, count(*) as n "
+            "from t join u on t.k = u.k group by u.g"
+        )
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=0.02, caching_fraction=0.9, out_of_core=True,
+            batch_rows=4096,
+        )
+        got = engine.execute(plan, wide)
+
+        resplits = [c for c in calls if c[0] == "spool" and c[1] >= 1]
+        descents = [c for c in calls if c[0] == "join" and c[1] >= 1]
+        assert resplits and descents
+        # A re-split that sends every row to one bucket again splits nothing.
+        assert all(largest < rows / 4 for _m, _l, rows, largest in resplits if rows > 1000)
+        assert max(level for _m, level, _r, _l in calls) == 1
+        assert engine.last_profile.fallback_tier is None
+        assert engine.fallback.fallback_count == 0
+        assert normalise(got) == normalise(CpuEngine().execute(plan, wide))
 
 
 class TestDefaultsUnchanged:

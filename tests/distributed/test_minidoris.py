@@ -103,6 +103,14 @@ class TestAccounting:
             cached = engine.buffer_manager.cached_tables()
             assert not any(name.startswith("__ex") for name in cached)
 
+    def test_statistics_counted_once_per_table(self, doris, unique_calls):
+        """The coordinator's per-query planning cost must not scale with
+        the data: distinct counts are taken once per loaded table."""
+        doris.plan_fragments(tpch_query(3))
+        del unique_calls[:]
+        doris.plan_fragments(tpch_query(3))
+        assert unique_calls == []
+
     def test_node_stats_available(self, sirius_cluster):
         stats = sirius_cluster.node_stats()
         assert len(stats) == 4

@@ -95,8 +95,8 @@ class TestEngineDeadlines:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=1.0,
-            host_executor=lambda p: CpuEngine().execute(p, data),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         with pytest.raises(DeadlineExceededError):
             engine.execute(plan, data, deadline_s=1e-12)
         assert engine.fallback.fallback_count == 0

@@ -92,8 +92,8 @@ class TestTierOrdering:
             A100_40G,
             memory_limit_gb=0.00003,
             enable_spill=False,
-            host_executor=lambda p: CpuEngine().execute(p, data),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
         assert engine.fallback.fallback_count == 1
@@ -113,9 +113,9 @@ class TestTierOrdering:
             A100_40G,
             memory_limit_gb=0.00003,
             enable_spill=False,
-            host_executor=host,
-            pipeline_cpu_executor=lambda p, catalog: CpuEngine().execute(p, catalog),
         )
+        engine.set_host_executor(host)
+        engine.set_pipeline_cpu_executor(lambda p, catalog: CpuEngine().execute(p, catalog))
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
         assert host_calls == []  # absorbed one tier earlier
@@ -129,8 +129,8 @@ class TestTierOrdering:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=1.0,
-            host_executor=lambda p: CpuEngine().execute(p, data),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         engine.execute(plan, {})  # table absent on the GPU path
         event = engine.fallback.events[0]
         assert event.tiers_attempted == ("cpu-plan",)
@@ -160,8 +160,8 @@ class TestTransientKernelFaults:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=1.0,
-            host_executor=lambda p: CpuEngine().execute(p, data),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         inject(engine, FaultPlan().kernel_fault(at=0.0, count=10))
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
@@ -184,8 +184,8 @@ class TestSummary:
             A100_40G,
             memory_limit_gb=0.00003,
             enable_spill=False,
-            host_executor=lambda p: CpuEngine().execute(p, data),
         )
+        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         engine.execute(plan, data)
         engine.execute(plan, data)
         report = engine.fallback.summary()

@@ -66,7 +66,7 @@ class TestShuffleRetryConservation:
         sent = sorted(v for vals in per_node for v in vals)
         got = sorted(v for _, t in received for v in t["k"].to_pylist())
         assert got == sent
-        # Every drop costs exactly one retry (drops < max_exchange_retries,
+        # Every drop costs exactly one retry (drops < MAX_EXCHANGE_RETRIES,
         # so nothing escalates), and each is visible in both logs.
         assert len(executor.retry_events) == drops
         assert cluster.communicator.dropped_collectives == drops

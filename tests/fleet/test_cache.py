@@ -4,7 +4,7 @@ serve stale results after invalidation, and account every lookup as
 exactly one hit or miss."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import Schema, Table
@@ -123,6 +123,12 @@ _ops = st.lists(
 class TestResultCacheProperties:
     @settings(max_examples=60, deadline=None)
     @given(ops=_ops, budget_rows=st.integers(min_value=1, max_value=48))
+    # An oversized replacement is rejected but still supersedes the entry
+    # it would have replaced.
+    @example(
+        ops=[("put", "alpha", 1, set()), ("put", "alpha", 2, set()), ("get", "alpha")],
+        budget_rows=1,
+    )
     def test_budget_staleness_and_accounting(self, ops, budget_rows):
         unit = small_table(1).nbytes
         cache = ResultCache(int(unit * budget_rows))

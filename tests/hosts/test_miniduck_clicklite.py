@@ -39,11 +39,15 @@ class TestMiniDuck:
         assert '"projection": ["n_name", "n_regionkey"]' in plan.to_json() or \
                '"projection": ["n_regionkey", "n_name"]' in plan.to_json()
 
-    def test_distinct_statistics_cached(self, duck):
-        duck._stats()
-        first = dict(duck._distinct_cache)
-        duck._stats()
-        assert duck._distinct_cache.keys() == first.keys()
+    def test_distinct_statistics_cached(self, duck, data, unique_calls):
+        first = duck.stats()
+        counted = len(unique_calls)
+        assert counted == sum(len(t.schema) for t in data.values())
+        assert duck.stats() == first
+        assert len(unique_calls) == counted  # unchanged tables are never re-counted
+        duck.create_table("nation", data["nation"].slice(0, 5))
+        assert duck.stats()["nation"].distinct["n_nationkey"] == 5
+        assert len(unique_calls) == counted + len(data["nation"].schema)
 
     def test_extension_receives_substrait_json(self, duck, data):
         received = []

@@ -230,14 +230,15 @@ def _fnv1a(text):
     return acc
 
 
-def hash_partition_ids(keys, num_partitions, level=0):
-    """The partition hash as first shipped: the raw payload of a
-    non-string column is mixed in whatever its validity says, so this is
-    the reference only for columns without NULLs (and for string columns,
-    whose NULLs it already hashed as zero)."""
+def hash_partition_ids(keys, num_partitions):
+    """The unsalted (level 0) partition hash as first shipped: the raw
+    payload of a non-string column is mixed in whatever its validity says,
+    so this is the reference only for columns without NULLs (and for
+    string columns, whose NULLs it already hashed as zero).  The salted
+    levels as first shipped sent every row of a bucket to one bucket
+    again, so they have no reference to agree with."""
     rows = len(keys[0])
-    salt = (level * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    acc = np.full(rows, np.uint64(salt), dtype=np.uint64)
+    acc = np.zeros(rows, dtype=np.uint64)
     for col in keys:
         if col.dtype.is_string:
             hashes = np.array([_fnv1a(str(s)) for s in col.dictionary], dtype=np.uint64)

@@ -289,11 +289,23 @@ class TestPartitionByKeys:
     @settings(max_examples=200, deadline=None)
     @given(partition_case())
     def test_columns_without_nulls_hash_as_first_shipped(self, case):
-        _dev, cols, level, fanout = case
+        _dev, cols, _level, fanout = case
         # String NULLs always hashed as zero; other dtypes did not look.
         cols = [c for c in cols if c.dtype.is_string or c.validity is None]
         if cols:
             assert_identical(
-                hash_partition_ids(cols, fanout, level=level),
-                reference.hash_partition_ids(cols, fanout, level=level),
+                hash_partition_ids(cols, fanout),
+                reference.hash_partition_ids(cols, fanout),
             )
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 8, 64])
+    def test_salted_level_redistributes_one_bucket(self, level, stride):
+        """The point of re-splitting an over-budget partition: the rows
+        that met in one bucket one level up spread over every bucket."""
+        dev = Device(GH200, memory_limit_gb=2.0)
+        values = np.arange(0, 4096 * stride, stride)
+        above = hash_partition_ids([column(dev, INT64, values)], 8, level=level - 1)
+        bucket = column(dev, INT64, values[above == above[0]])
+        spread = np.bincount(hash_partition_ids([bucket], 8, level=level), minlength=8)
+        assert spread.min() > 0 and spread.max() < len(bucket) // 4
