@@ -140,6 +140,13 @@ def test_oocore_survives_shrinking_pools_without_fallback(results_dir):
     for faster, slower in zip(times, times[1:]):
         assert slower < faster * 3.0
     assert times[-1] < times[0] * 10.0
+    # Free when it fits: the spool holds a sink's input in core until it
+    # outgrows a leaf, so asking for out-of-core costs at most 5 % at the
+    # roomiest pool and wherever the flag-off engine needs the ladder.
+    assert sweep[0]["ooc_s"] <= sweep[0]["off_s"] * 1.05
+    for entry in sweep:
+        if entry["off_tier"] is not None:
+            assert entry["ooc_s"] <= entry["off_s"] * 1.05
 
 
 def test_fusion_shrinks_streaming_queries(harness, results_dir):

@@ -20,7 +20,7 @@ from ...plan import AggregateCall
 from ...plan.expressions import aggregate_result_type
 from .. import expr_eval
 from .base import Category, ExecutionContext, SinkOperator
-from .spool import PARTITION_FANOUT, spool_chunk, spooled_leaves
+from .spool import PARTITION_FANOUT, finish_held, scattered, spool_chunk, spooled_leaves
 
 __all__ = ["GroupBySink", "PartitionedGroupBySink", "GlobalAggSink"]
 
@@ -116,7 +116,8 @@ class PartitionedGroupBySink(GroupBySink):
     being one key value), every group lives wholly inside one leaf, so
     aggregating leaves independently and concatenating the per-leaf
     results is exact (including the avg = sum/count decomposition, which
-    fuses per leaf), and the resident working set is one leaf.
+    fuses per leaf), and the resident working set is one leaf.  An input
+    that fits one leaf never scatters and is aggregated once.
     """
 
     def __init__(self, group_indices, measures, input_schema: Schema, slot: str):
@@ -127,6 +128,8 @@ class PartitionedGroupBySink(GroupBySink):
         spool_chunk(ctx, chunk, self.group_indices, self.slot, state)
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
+        if not scattered(state):
+            return finish_held(ctx, state, super().finalize)
         results: list[GTable] = []
         for _path, leaf in spooled_leaves(ctx, self.group_indices, state):
             results.append(self._aggregate_table(ctx, leaf))

@@ -49,7 +49,7 @@ from .base import (
     StreamingOperator,
     dispose_chunk,
 )
-from .spool import PARTITION_FANOUT, spool_chunk, spooled_leaves
+from .spool import PARTITION_FANOUT, finish_held, scattered, spool_chunk, spooled_leaves
 
 __all__ = [
     "HashJoinBuildSink",
@@ -299,7 +299,8 @@ class PartitionedHashJoinBuildSink(HashJoinBuildSink):
     The slot receives a :class:`PartitionedBuild` handle naming the leaf
     fragments; the paired :class:`PartitionedHashJoinProbe` routes probe
     rows through the same salted hashes, so every key pair meets in
-    exactly one leaf and the join is exact.
+    exactly one leaf and the join is exact.  A build that fits one leaf
+    never scatters, and the slot receives the plain build table.
     """
 
     def __init__(self, slot: str, schema: Schema, key_indices):
@@ -310,6 +311,8 @@ class PartitionedHashJoinBuildSink(HashJoinBuildSink):
         spool_chunk(ctx, chunk, self.key_indices, self.slot, state)
 
     def finalize(self, ctx: ExecutionContext, state: dict):
+        if not scattered(state):
+            return finish_held(ctx, state, super().finalize)
         build = PartitionedBuild()
         for path, table in spooled_leaves(ctx, self.key_indices, state):
             name = f"{state['frag_ns']}/{self.slot}/" + ".".join(str(d) for d in path)
@@ -347,8 +350,8 @@ class PartitionedHashJoinProbe(HashJoinProbe):
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict):
         build = state["slots"][self.build_slot]
         if not isinstance(build, PartitionedBuild):
-            # Empty-build degenerate case (or a non-partitioned rerun):
-            # the slot holds a plain GTable; probe it in-core.
+            # The build fit one leaf (or was empty): the slot holds a
+            # plain GTable; probe it in-core.
             return self._probe_against(ctx, chunk, build)
         return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
 
@@ -377,7 +380,7 @@ class PartitionedHashJoinProbe(HashJoinProbe):
             pending.clear()
             return out
 
-        parts = partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT)
+        parts = list(partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT))
         dispose_chunk(ctx, chunk, state["slots"])  # sub-partitions are copies; drop the input
         for q, sub in enumerate(parts):
             if sub is None:

@@ -1,14 +1,16 @@
-"""The partition spool: how out-of-core operator state is scattered,
+"""The partition spool: how out-of-core operator state is held, scattered,
 spilled and brought back (§3.4 extended to operator state).
 
 A partitioned sink is two halves around the buffer manager's fragment
-store.  :func:`spool_chunk` (the sink's ``consume``) radix-partitions one
-chunk by the operator's keys and registers the pieces as spillable
-fragments, which memory pressure migrates device → pinned host → disk on
-the copy stream.  :func:`spooled_leaves` (the sink's ``finalize``) brings
-one partition back at a time, merges its chunk pieces and re-splits it
-with the next salt level while it is over budget, yielding the leaves
-depth-first so the caller holds one leaf at a time.
+store.  :func:`spool_chunk` (the sink's ``consume``) holds chunks in core
+while they fit one leaf; past that it radix-partitions each chunk by the
+operator's keys and registers the pieces as spillable fragments, which
+memory pressure migrates device → pinned host → disk on the copy stream.
+:func:`spooled_leaves` (the sink's ``finalize``) brings one partition
+back at a time, merges its chunk pieces and re-splits it with the next
+salt level while it is over budget, yielding the leaves depth-first so
+the caller holds one leaf at a time.  A sink that never scattered
+finalizes the in-core way (:func:`finish_held`).
 
 The fan-out, the depth limit and the leaf budget are policy, and this is
 the one module that knows them.
@@ -36,30 +38,65 @@ PARTITION_MAX_DEPTH = 3
 
 
 def _leaf_budget(ctx: ExecutionContext) -> int:
-    """A leaf may take a quarter of the processing pool: the leaf, its
-    merge or probe input and the operator's output are resident together,
-    and a quarter leaves the fourth for the pieces still waiting."""
-    return max(ctx.device.processing_pool.capacity // 4, 1)
+    """A leaf may take a quarter of the processing pool's effective limit
+    (a memory-pressure window shrinks it): the leaf, its merge or probe
+    input and the operator's output are resident together, and a quarter
+    leaves the fourth for the pieces still waiting."""
+    pool = ctx.device.processing_pool
+    limit = pool.capacity if pool.soft_limit is None else min(pool.capacity, pool.soft_limit)
+    return max(limit // 4, 1)
+
+
+def _hold(ctx: ExecutionContext, held_bytes: int) -> bool:
+    """The hold decision: a sink keeps its input in core, unpartitioned and
+    unspillable, while the ``held_bytes`` fit one leaf."""
+    return held_bytes <= _leaf_budget(ctx)
+
+
+def scattered(state: dict) -> bool:
+    """Whether the sink's input outgrew the hold and went to fragments."""
+    return "part_chunks" in state
 
 
 def spool_chunk(
     ctx: ExecutionContext, chunk: GTable, key_indices: Sequence[int], slot: str, state: dict
 ) -> None:
-    """Scatter ``chunk`` into per-partition fragments named under the
-    run's namespace and ``slot``, then drop the chunk (the pieces are
-    copies)."""
-    parts = partition_by_keys(chunk, key_indices, PARTITION_FANOUT)
-    dispose_chunk(ctx, chunk, state["slots"])
-    by_part = state.setdefault("part_chunks", {p: [] for p in range(PARTITION_FANOUT)})
+    """Hold ``chunk`` in ``state["chunks"]`` while the held total fits one
+    leaf.  The chunk that outgrows it scatters every held chunk, and every
+    later chunk is scattered on arrival: each piece is registered as a
+    fragment named under the run's namespace and ``slot`` before the next
+    is made, then the chunk is dropped (the pieces are copies)."""
+    if scattered(state):
+        held = [chunk]
+    else:
+        held = state.setdefault("chunks", [])
+        held.append(chunk)
+        if _hold(ctx, sum(c.nbytes for c in held)):
+            return
+        state["part_chunks"] = {p: [] for p in range(PARTITION_FANOUT)}
+        del state["chunks"]
+    by_part = state["part_chunks"]
     seq = state.setdefault("frag_seq", 0)
-    for p, part in enumerate(parts):
-        if part is None:
-            continue
-        name = f"{state['frag_ns']}/{slot}/c{seq}.{p}"
-        seq += 1
-        ctx.buffer_manager.put_fragment(name, part)
-        by_part[p].append(name)
+    for c in held:
+        for p, part in enumerate(partition_by_keys(c, key_indices, PARTITION_FANOUT)):
+            if part is None:
+                continue
+            name = f"{state['frag_ns']}/{slot}/c{seq}.{p}"
+            seq += 1
+            ctx.buffer_manager.put_fragment(name, part)
+            by_part[p].append(name)
+        dispose_chunk(ctx, c, state["slots"])
     state["frag_seq"] = seq
+
+
+def finish_held(ctx: ExecutionContext, state: dict, finalize) -> GTable:
+    """Finalize a sink that never scattered as its in-core parent does
+    (``finalize``), then dispose the chunks it held, keeping what the
+    output carries (a single held chunk *is* the build table)."""
+    out = finalize(ctx, state)
+    for chunk in state.get("chunks", ()):
+        dispose_chunk(ctx, chunk, state["slots"], successor=out)
+    return out
 
 
 def spooled_leaves(
@@ -72,7 +109,7 @@ def spooled_leaves(
     """
     bm = ctx.buffer_manager
     budget = _leaf_budget(ctx)
-    for p, names in sorted(state.get("part_chunks", {}).items()):
+    for p, names in sorted(state["part_chunks"].items()):
         if not names:
             continue
         merged = concat_gtables([bm.get_fragment(n) for n in names])
@@ -85,9 +122,9 @@ def _split_over_budget(table: GTable, key_indices, path: tuple[int, ...], budget
     level = len(path)
     if level <= PARTITION_MAX_DEPTH and table.nbytes > budget and table.num_rows > 1:
         parts = partition_by_keys(table, key_indices, PARTITION_FANOUT, level=level)
-        table.free()
         for q, sub in enumerate(parts):
             if sub is not None:
                 yield from _split_over_budget(sub, key_indices, path + (q,), budget)
+        table.free()
         return
     yield path, table

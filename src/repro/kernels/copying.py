@@ -92,43 +92,60 @@ def slice_table(table: GTable, start: int, length: int) -> GTable:
     return GTable(table.schema, cols, device)
 
 
+class _Pieces(Sequence):
+    """The buckets of one scatter, each copied out of the source table when
+    it is taken: a caller that stores bucket ``p`` (as a spillable
+    fragment, say) before taking ``p + 1`` needs pool headroom for one
+    bucket, not the table.  The source must outlive the last bucket."""
+
+    def __init__(self, table: GTable, part_ids: np.ndarray, num_partitions: int):
+        self._table = table
+        self._ids = part_ids
+        self._n = num_partitions
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, p: int) -> GTable | None:
+        if not 0 <= p < self._n:
+            raise IndexError(p)
+        rows = np.flatnonzero(self._ids == p)
+        if len(rows) == 0:
+            return None
+        table = self._table
+        cols = [
+            GColumn.from_array(
+                table.device, c.dtype, c.data[rows], c.valid_mask()[rows], c.dictionary
+            )
+            for c in table.columns
+        ]
+        return GTable(table.schema, cols, table.device)
+
+
 def scatter_to_partitions(
     table: GTable, part_ids: np.ndarray, num_partitions: int
-) -> list[GTable | None]:
+) -> Sequence[GTable | None]:
     """Scatter rows into per-partition tables (libcudf ``partition``).
 
-    Charged as one scatter pass over the whole table — a radix
+    Charged here, as one scatter pass over the whole table — a radix
     partitioning kernel reads each row once and writes it to its bucket,
-    regardless of fan-out.  Empty partitions come back as ``None`` so
-    callers can skip them without allocating empty tables.
+    regardless of fan-out — though each bucket is built as it is taken.
+    Empty partitions come back as ``None`` so callers can skip them
+    without allocating empty tables.
     """
-    device = table.device
     part_ids = np.asarray(part_ids)
-    device.launch(
+    table.device.launch(
         KernelClass.SCATTER,
         table.traffic_bytes + part_ids.nbytes,
         table.traffic_bytes,
         table.num_rows,
     )
-    out: list[GTable | None] = []
-    for p in range(num_partitions):
-        rows = np.flatnonzero(part_ids == p)
-        if len(rows) == 0:
-            out.append(None)
-            continue
-        cols = [
-            GColumn.from_array(
-                device, c.dtype, c.data[rows], c.valid_mask()[rows], c.dictionary
-            )
-            for c in table.columns
-        ]
-        out.append(GTable(table.schema, cols, device))
-    return out
+    return _Pieces(table, part_ids, num_partitions)
 
 
 def partition_by_keys(
     table: GTable, key_indices: Sequence[int], num_partitions: int, level: int = 0
-) -> list[GTable | None]:
+) -> Sequence[GTable | None]:
     """Radix-partition ``table`` by the key columns at ``key_indices``.
 
     Rows with equal keys (NULL equal to NULL) land in the same bucket, so

@@ -83,6 +83,18 @@ def unique_calls(monkeypatch):
 
 
 @pytest.fixture
+def partition_every_sink(monkeypatch):
+    """Out-of-core sinks scatter every chunk, as if no input ever fit the
+    spool's in-core hold.  An oracle whose pool is roomy enough for the
+    spool to hold everything would otherwise check only the in-core
+    branch; in-core engines never reach the spool, so this is inert for
+    them."""
+    from repro.core.operators import spool
+
+    monkeypatch.setattr(spool, "_hold", lambda ctx, held_bytes: False)
+
+
+@pytest.fixture
 def root_walks(monkeypatch):
     """Every relation tree handed to the structural pass
     (``repro.plan.check``) while the test runs, one entry per walk.  The

@@ -19,15 +19,19 @@ import pytest
 
 from repro.columnar import INT64, Column, Schema, Table
 from repro.core import SiriusEngine
+from repro.core.fallback import OOC_RETRY_BATCH_ROWS
 from repro.gpu.specs import GH200
 from repro.hosts import CpuEngine, MiniDuck
+from repro.kernels import GTable
 from repro.sql import SqlPlanner, TableStats
 from repro.tpch import TPCH_SCHEMAS, generate_tpch, tpch_query
 
 SF = 0.01
 # Pool size (GB) at which Q9's working set exceeds device memory at this
-# scale — the benchmarks sweep a curve; here one point pins the behaviour.
-OVER_HBM_GB = 0.015
+# scale and its sink inputs outgrow the spool's in-core hold (one leaf, a
+# quarter of the processing pool), so fragments really spill — the
+# benchmarks sweep a curve; here one point pins the behaviour.
+OVER_HBM_GB = 0.012
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,7 @@ def normalise(table):
     return out
 
 
+@pytest.mark.usefixtures("partition_every_sink")
 class TestOutOfCoreCorrectness:
     @pytest.mark.parametrize("q", range(1, 23))
     def test_matches_in_core_engine(self, data, planner, in_core, ooc, q):
@@ -198,7 +203,7 @@ class TestRecursivePartitioning:
 
             def partition(table, key_indices, fanout, level=0):
                 rows = table.num_rows
-                parts = real(table, key_indices, fanout, level=level)
+                parts = list(real(table, key_indices, fanout, level=level))
                 largest = max(p.num_rows for p in parts if p is not None)
                 calls.append((module.__name__.rsplit(".", 1)[-1], level, rows, largest))
                 return parts
@@ -229,6 +234,168 @@ class TestRecursivePartitioning:
         assert engine.last_profile.fallback_tier is None
         assert engine.fallback.fallback_count == 0
         assert normalise(got) == normalise(CpuEngine().execute(plan, wide))
+
+
+def _ints(**cols):
+    return Table(
+        Schema([(name, "int64") for name in cols]),
+        [Column(INT64, np.asarray(v, dtype=np.int64)) for v in cols.values()],
+    )
+
+
+def _counting(monkeypatch, target, name, calls):
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+
+
+class TestInCoreFirst:
+    """The spool partitions only what does not fit: a sink holds its input
+    in core, as the in-core sink does, until the held total outgrows one
+    leaf (a quarter of the pool's effective limit)."""
+
+    ROWS = 40_000
+
+    @pytest.fixture(scope="class")
+    def roomy_pair(self, data):
+        """An out-of-core engine and the in-core engine with its chunking."""
+        engines = (
+            SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, out_of_core=True),
+            SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, batch_rows=OOC_RETRY_BATCH_ROWS),
+        )
+        for engine in engines:
+            engine.warm_cache(data)
+        return engines
+
+    @pytest.mark.parametrize("q", range(1, 23))
+    def test_roomy_pool_runs_the_in_core_plan(self, data, planner, roomy_pair, q, monkeypatch):
+        from repro.core.operators import join, spool
+
+        on, off = roomy_pair
+        calls = []
+        _counting(monkeypatch, spool, "partition_by_keys", calls)
+        _counting(monkeypatch, join, "partition_by_keys", calls)
+        _counting(monkeypatch, on.buffer_manager, "put_fragment", calls)
+        plan = planner.plan_sql(tpch_query(q))
+        got, want = on.execute(plan, data), off.execute(plan, data)
+        assert got.to_rows() == want.to_rows()
+        assert on.last_profile.kernel_count == off.last_profile.kernel_count
+        assert repr(on.last_profile.sim_seconds) == repr(off.last_profile.sim_seconds)
+        assert calls == []
+
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        rng = np.random.default_rng(11)
+        keys = np.arange(self.ROWS)
+        return {
+            "t": _ints(k=rng.integers(0, self.ROWS, self.ROWS), v=rng.integers(0, 100, self.ROWS)),
+            "u": _ints(k=keys, g=keys % 1000, a=keys % 7, b=keys % 11),
+        }
+
+    @pytest.mark.parametrize("memory_gb", [0.02, 8.0], ids=["crossing", "roomy"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select count(*) as n, sum(t.v + u.a + u.b) as s from t join u on t.k = u.k",
+            "select g, sum(a) as sa, sum(b) as sb, count(*) as n from u group by g",
+        ],
+        ids=["join-build", "group-by"],
+    )
+    def test_held_chunks_are_scattered_once_or_released(self, narrow, sql, memory_gb, monkeypatch):
+        """960 KB of sink input in 196 KB chunks.  Against a 500 KB leaf
+        budget the held total crosses it at a later chunk, which scatters
+        every held chunk; each later chunk is scattered on arrival, and
+        every chunk exactly once.  In a roomy pool nothing is scattered and
+        the held chunks are released after the concat."""
+        from repro.core.operators import spool
+        from repro.core.operators.aggregate import PartitionedGroupBySink
+        from repro.core.operators.join import PartitionedHashJoinBuildSink
+
+        scattered = []  # level-0 spool inputs, in order
+
+        real_partition = spool.partition_by_keys
+
+        def partition(table, key_indices, fanout, level=0):
+            if level == 0:
+                scattered.append(table)
+            return real_partition(table, key_indices, fanout, level=level)
+
+        monkeypatch.setattr(spool, "partition_by_keys", partition)
+        consumed = []  # (chunk, spool inputs scattered while consuming it)
+        for sink in (PartitionedHashJoinBuildSink, PartitionedGroupBySink):
+
+            def consume(self, ctx, chunk, state, real=sink.consume):
+                before = len(scattered)
+                real(self, ctx, chunk, state)
+                consumed.append((chunk, scattered[before:]))
+
+            monkeypatch.setattr(sink, "consume", consume)
+
+        db = MiniDuck()
+        db.load_tables(narrow)
+        plan = db.plan(sql)
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=memory_gb, caching_fraction=0.9, out_of_core=True,
+            batch_rows=8192, sanitize=True,
+        )
+        got = engine.execute(plan, narrow)
+
+        chunks = [chunk for chunk, _ in consumed]
+        per_chunk = [len(made) for _, made in consumed]
+        assert len(chunks) == 5
+        if memory_gb > 1:
+            assert per_chunk == [0] * 5
+        else:
+            k = next(i for i, n in enumerate(per_chunk) if n)
+            assert k >= 1  # at least one chunk was held before the crossing
+            assert per_chunk == [0] * k + [k + 1] + [1] * (len(chunks) - k - 1)
+            assert [id(t) for _, made in consumed for t in made] == [id(c) for c in chunks]
+        assert all(col.buffer.is_freed for chunk in chunks for col in chunk.columns)
+        assert normalise(got) == normalise(CpuEngine().execute(plan, narrow))
+        assert engine.buffer_manager.spill_stats()["live_fragments"] == 0
+        san = engine.sanitizer.report("spool")
+        assert san.ok, san.to_json()
+
+    def test_hold_follows_the_soft_limit_of_a_pressure_window(self):
+        from types import SimpleNamespace
+
+        from repro.core.operators import spool
+        from repro.faults import FaultInjector, FaultPlan
+
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=0.02, out_of_core=True)
+        pool = engine.device.processing_pool
+        ctx = SimpleNamespace(device=engine.device)
+        quarter = pool.capacity // 4
+        assert spool._hold(ctx, quarter) and not spool._hold(ctx, quarter + 1)
+
+        FaultInjector(
+            FaultPlan().memory_pressure(start=0.0, end=100.0, factor=0.3)
+        ).attach_device(engine.device)
+        engine.device.new_buffer(np.zeros(1), "processing")  # the window bites here
+        assert pool.soft_limit == int(pool.capacity * 0.3)
+        quarter = pool.soft_limit // 4
+        assert spool._hold(ctx, quarter) and not spool._hold(ctx, quarter + 1)
+
+    def test_scatter_needs_headroom_for_one_piece_not_the_chunk(self):
+        """Room for half the chunk: the pieces registered first spill to
+        make room for the later ones instead of the scatter raising OOM."""
+        from repro.core.operators import spool
+        from repro.core.operators.base import ExecutionContext
+
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=0.02, out_of_core=True)
+        bm, pool = engine.buffer_manager, engine.device.processing_pool
+        keys = np.arange(100_000)
+        chunk = GTable.from_host(engine.device, _ints(k=keys, v=keys * 3))
+        pool.soft_limit = pool.in_use + chunk.nbytes // 2
+        ctx = ExecutionContext(engine.device, bm, {}, engine.registry)
+        state = {"slots": {}, "frag_ns": bm.fragment_namespace()}
+
+        spool.spool_chunk(ctx, chunk, [0], "s", state)
+
+        assert spool.scattered(state) and bm.pressure_spills > 0
+        leaves = [table for _path, table in spool.spooled_leaves(ctx, [0], state)]
+        got = np.concatenate([leaf.column("k").data for leaf in leaves])
+        assert np.array_equal(np.sort(got), keys)
+        assert bm.spill_stats()["live_fragments"] == 0
 
 
 class TestDefaultsUnchanged:

@@ -1,8 +1,9 @@
 """The SQL shape battery: 340+ one-line statements over TPC-H, each
 validated against its committed (rows, cols) shape on BOTH engines, with
 CPU and GPU values cross-checked — once on the default GPU engine, once
-with ``out_of_core=True`` so every keyed join and group-by runs through
-the partition spool.  Zero tolerated mismatches."""
+with ``out_of_core=True`` and the spool's in-core hold switched off, so
+every keyed join and group-by scatters through the partition spool.  Zero
+tolerated mismatches."""
 
 import pytest
 
@@ -69,5 +70,6 @@ class TestBatteryShapes:
         _check_shape_and_agreement(engines, case)
 
     @pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
+    @pytest.mark.usefixtures("partition_every_sink")
     def test_shape_and_engine_agreement_out_of_core(self, out_of_core_engines, case):
         _check_shape_and_agreement(out_of_core_engines, case)

@@ -40,6 +40,11 @@ STATEMENTS = {
     ),
 }
 
+# At these pools the spool would hold most sink inputs in core, so both
+# out-of-core configurations scatter every chunk: NULL-key partitioning
+# stays under the oracle.
+pytestmark = pytest.mark.usefixtures("partition_every_sink")
+
 # The paper default, the partitioned operators alone, and tpch_pressure's
 # configuration (perfbench/workloads.py): partitions that really spill.
 ENGINES = {
