@@ -10,7 +10,9 @@ these kernels.  Conventions:
   through the codes — the payoff of dictionary encoding — but are charged
   as full character-stream kernels, which is what libcudf (no dictionary
   by default) pays and what makes Q13's low-selectivity NOT LIKE expensive
-  in the paper.
+  in the paper.  LIKE's per-entry hits, SUBSTRING's mapped dictionary and
+  the partition hash's entry hashes are computed once per dictionary
+  object and remembered for as long as it lives.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from ..columnar import BOOL, DATE32, FLOAT64, INT64, STRING, DType
 from ..columnar.dtypes import common_numeric_type, date_to_days
 from ..gpu.costmodel import KernelClass
-from .gtable import GColumn
+from .gtable import GColumn, _has_value, _per_dictionary
 
 __all__ = [
     "binary_arith",
@@ -438,6 +440,12 @@ def _like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
 
 
+def _like_hits(dictionary: np.ndarray, pattern: str, escape: str | None) -> np.ndarray:
+    """Whether each dictionary entry matches the LIKE ``pattern``."""
+    regex = _like_to_regex(pattern, escape)
+    return np.array([regex.match(str(s)) is not None for s in dictionary], dtype=np.bool_)
+
+
 def like(
     column: GColumn, pattern: str, negate: bool = False, escape: str | None = None
 ) -> GColumn:
@@ -446,12 +454,11 @@ def like(
         raise TypeError("LIKE requires a string column")
     device = column.device
     rows = len(column)
-    regex = _like_to_regex(pattern, escape)
     dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
-    hits = np.array([regex.match(str(s)) is not None for s in dictionary], dtype=np.bool_)
+    hits = _per_dictionary(dictionary, _like_hits, pattern, escape)
     if negate:
         hits = ~hits
-    valid = column.valid_mask() & (column.data >= 0)
+    valid = _has_value(column)
     data = np.zeros(rows, dtype=np.bool_)
     data[valid] = hits[column.data[valid]]
     device.launch(KernelClass.STRING, column.traffic_bytes, rows, rows)
@@ -469,16 +476,25 @@ def substring(column: GColumn, start: int, length: int) -> GColumn:
         raise TypeError("substring requires a string column")
     device = column.device
     dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
-    mapped = np.array([str(s)[start - 1 : start - 1 + length] for s in dictionary], dtype=object)
+    uniques, remap = _per_dictionary(dictionary, _substring_entries, start, length)
     device.launch(KernelClass.STRING, column.traffic_bytes, column.traffic_bytes, len(column))
-    # Re-encode: mapped dictionary may contain duplicates and lose order.
-    uniques, remap = np.unique(mapped, return_inverse=True) if len(mapped) else (
-        np.array([], object), np.array([], np.int64)
-    )
-    valid = column.valid_mask() & (column.data >= 0)
+    valid = _has_value(column)
     codes = np.full(len(column), -1, dtype=np.int32)
-    codes[valid] = remap[column.data[valid]].astype(np.int32)
+    codes[valid] = remap[column.data[valid]]
     return GColumn.from_array(device, STRING, codes, valid, uniques)
+
+
+def _substring_entries(
+    dictionary: np.ndarray, start: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct substrings of the entries, and each entry's
+    code among them (int32)."""
+    mapped = np.array([str(s)[start - 1 : start - 1 + length] for s in dictionary], dtype=object)
+    # Re-encode: mapped dictionary may contain duplicates and lose order.
+    if not len(mapped):
+        return np.array([], object), np.array([], np.int32)
+    uniques, remap = np.unique(mapped, return_inverse=True)
+    return uniques, remap.astype(np.int32)
 
 
 def string_case(column: GColumn, upper: bool) -> GColumn:
@@ -634,12 +650,12 @@ def hash_partition_ids(
     acc = np.full(rows, np.uint64(salt), dtype=np.uint64)
     for col in keys:
         if col.dtype.is_string:
-            # Hash dictionary entries once with a process-stable FNV-1a,
+            # Hash each dictionary entry once with a process-stable FNV-1a,
             # then map through the codes.
             dictionary = col.dictionary if col.dictionary is not None else np.array([], object)
-            dict_hashes = np.array([_fnv1a(str(s)) for s in dictionary], dtype=np.uint64)
+            dict_hashes = _per_dictionary(dictionary, _fnv1a_entries)
             vals = np.zeros(rows, dtype=np.uint64)
-            valid = col.valid_mask() & (col.data >= 0)
+            valid = _has_value(col)
             vals[valid] = dict_hashes[col.data[valid]]
         else:
             vals = col.data.astype(np.int64).view(np.uint64) if col.data.dtype != np.uint64 else col.data
@@ -664,6 +680,11 @@ def _fnv1a(text: str) -> int:
         acc ^= byte
         acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return acc
+
+
+def _fnv1a_entries(dictionary: np.ndarray) -> np.ndarray:
+    """:func:`_fnv1a` of every dictionary entry."""
+    return np.array([_fnv1a(str(s)) for s in dictionary], dtype=np.uint64)
 
 
 def _encode_strings(device, values: np.ndarray) -> GColumn:

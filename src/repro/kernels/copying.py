@@ -1,8 +1,19 @@
-"""Row-movement kernels: gather, boolean masking, slicing, concatenation.
+"""Row-movement kernels: gather, boolean masking, slicing, scatter,
+concatenation.
 
 These follow libcudf's copying module.  ``gather`` accepts the int32 index
 arrays joins produce; a ``-1`` index yields a NULL output row (how outer
 join results materialise).
+
+Gather, mask, slice and scatter select rows through :func:`_take`, and
+work out the selection once per table, not once per column:
+``mask_table`` turns the boolean mask into row numbers once,
+``gather_table`` looks for ``-1`` once, and a scatter sorts the partition
+ids once for all of its buckets.  As in libcudf, a column without a
+validity buffer is all-valid and is never given an all-true one: an
+output carries a validity buffer exactly when a row it selected is NULL.
+The cost model sees none of this — each kernel charges the bytes and rows
+it touches, whichever way NumPy got there.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import numpy as np
 from ..columnar import Field, Schema
 from ..gpu.costmodel import KernelClass
 from .compute import hash_partition_ids
-from .gtable import GColumn, GTable
+from .gtable import GColumn, GTable, _concat_validity
 from .keys import _merge_dictionaries
 
 __all__ = [
@@ -28,19 +39,51 @@ __all__ = [
 ]
 
 
-def gather_column(column: GColumn, indices: np.ndarray, charge: bool = True) -> GColumn:
-    """Gather rows of ``column`` at ``indices`` (int32; -1 -> NULL)."""
+def _take(
+    column: GColumn, rows: np.ndarray | slice, null_rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(data, validity)`` of ``column`` at ``rows`` (row numbers or a
+    slice).  ``null_rows`` marks output rows that are NULL whatever row
+    they took; ``validity`` is ``None`` when no output row can be NULL."""
+    data = column.data[rows]
+    if column.validity is None:
+        return data, None if null_rows is None else ~null_rows
+    validity = column.validity.array[rows]
+    if null_rows is not None:
+        validity = validity & ~null_rows
+    return data, validity
+
+
+def _take_column(column: GColumn, rows: np.ndarray | slice) -> GColumn:
+    """``column`` at ``rows`` as a new device column."""
+    data, validity = _take(column, rows)
+    return GColumn.from_array(column.device, column.dtype, data, validity, column.dictionary)
+
+
+def _gather_map(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows a gather map takes, and the output rows its ``-1`` entries
+    make NULL (``None`` when it has none)."""
+    if len(indices) == 0 or indices.min() >= 0:
+        return indices, None
+    null_rows = indices < 0
+    return np.where(null_rows, 0, indices), null_rows
+
+
+def _gather(
+    column: GColumn,
+    indices: np.ndarray,
+    rows: np.ndarray,
+    null_rows: np.ndarray | None,
+    charge: bool,
+) -> GColumn:
+    """One gather kernel: ``column`` at ``rows`` of :func:`_gather_map`.
+    An empty column gathers NULLs whatever the map says."""
     device = column.device
-    indices = np.asarray(indices)
-    null_out = indices < 0
-    safe = np.where(null_out, 0, indices)
     if len(column) == 0:
         data = np.zeros(len(indices), dtype=column.dtype.numpy_dtype)
         validity = np.zeros(len(indices), dtype=np.bool_)
     else:
-        data = column.data[safe]
-        validity = column.valid_mask()[safe]
-        validity = validity & ~null_out
+        data, validity = _take(column, rows, null_rows)
     if charge:
         device.launch(
             KernelClass.GATHER,
@@ -51,9 +94,17 @@ def gather_column(column: GColumn, indices: np.ndarray, charge: bool = True) -> 
     return GColumn.from_array(device, column.dtype, data, validity, column.dictionary)
 
 
+def gather_column(column: GColumn, indices: np.ndarray, charge: bool = True) -> GColumn:
+    """Gather rows of ``column`` at ``indices`` (int32; -1 -> NULL)."""
+    indices = np.asarray(indices)
+    return _gather(column, indices, *_gather_map(indices), charge)
+
+
 def gather_table(table: GTable, indices: np.ndarray) -> GTable:
     """Gather whole rows of ``table``; one gather kernel per column."""
-    cols = [gather_column(c, indices) for c in table.columns]
+    indices = np.asarray(indices)
+    rows, null_rows = _gather_map(indices)
+    cols = [_gather(c, indices, rows, null_rows, True) for c in table.columns]
     return GTable(table.schema, cols, table.device)
 
 
@@ -63,31 +114,24 @@ def mask_table(table: GTable, keep: np.ndarray) -> GTable:
     Charged as one streaming pass over the table plus the compacted output.
     """
     keep = np.asarray(keep, dtype=np.bool_)
+    rows = np.flatnonzero(keep)
     device = table.device
-    out_rows = int(keep.sum())
     device.launch(
         KernelClass.STREAM,
         table.traffic_bytes + keep.nbytes,
-        int(table.traffic_bytes * (out_rows / max(table.num_rows, 1))),
+        int(table.traffic_bytes * (len(rows) / max(table.num_rows, 1))),
         table.num_rows,
     )
-    cols = []
-    for c in table.columns:
-        data = c.data[keep]
-        validity = c.valid_mask()[keep]
-        cols.append(GColumn.from_array(device, c.dtype, data, validity, c.dictionary))
-    return GTable(table.schema, cols, device)
+    return GTable(table.schema, [_take_column(c, rows) for c in table.columns], device)
 
 
 def slice_table(table: GTable, start: int, length: int) -> GTable:
-    """Zero-ish-copy row slice (used by LIMIT); charges only output bytes."""
+    """Zero-ish-copy row slice (used by LIMIT); charges only output bytes.
+
+    A slice starting past the last row is empty."""
     device = table.device
-    end = min(start + length, table.num_rows)
-    cols = []
-    for c in table.columns:
-        data = c.data[start:end]
-        validity = c.valid_mask()[start:end]
-        cols.append(GColumn.from_array(device, c.dtype, data, validity, c.dictionary))
+    end = max(min(start + length, table.num_rows), start)
+    cols = [_take_column(c, slice(start, end)) for c in table.columns]
     device.launch(KernelClass.STREAM, 0, sum(c.nbytes for c in cols), end - start)
     return GTable(table.schema, cols, device)
 
@@ -96,11 +140,16 @@ class _Pieces(Sequence):
     """The buckets of one scatter, each copied out of the source table when
     it is taken: a caller that stores bucket ``p`` (as a spillable
     fragment, say) before taking ``p + 1`` needs pool headroom for one
-    bucket, not the table.  The source must outlive the last bucket."""
+    bucket, not the table.  The source must outlive the last bucket.
+
+    One stable sort of the partition ids finds every bucket's rows, in
+    source order, at once."""
 
     def __init__(self, table: GTable, part_ids: np.ndarray, num_partitions: int):
         self._table = table
-        self._ids = part_ids
+        self._order = np.argsort(part_ids, kind="stable")
+        counts = np.bincount(part_ids, minlength=num_partitions)[:num_partitions]
+        self._bounds = np.concatenate(([0], np.cumsum(counts)))
         self._n = num_partitions
 
     def __len__(self) -> int:
@@ -109,17 +158,12 @@ class _Pieces(Sequence):
     def __getitem__(self, p: int) -> GTable | None:
         if not 0 <= p < self._n:
             raise IndexError(p)
-        rows = np.flatnonzero(self._ids == p)
-        if len(rows) == 0:
+        lo, hi = self._bounds[p], self._bounds[p + 1]
+        if lo == hi:
             return None
+        rows = self._order[lo:hi]
         table = self._table
-        cols = [
-            GColumn.from_array(
-                table.device, c.dtype, c.data[rows], c.valid_mask()[rows], c.dictionary
-            )
-            for c in table.columns
-        ]
-        return GTable(table.schema, cols, table.device)
+        return GTable(table.schema, [_take_column(c, rows) for c in table.columns], table.device)
 
 
 def scatter_to_partitions(
@@ -190,6 +234,5 @@ def concat_gtables(tables: Sequence[GTable]) -> GTable:
             )
         else:
             data = np.concatenate([p.data for p in parts])
-            validity = np.concatenate([p.valid_mask() for p in parts])
-            out_cols.append(GColumn.from_array(device, field.dtype, data, validity))
+            out_cols.append(GColumn.from_array(device, field.dtype, data, _concat_validity(parts)))
     return GTable(Schema([Field(f.name, f.dtype) for f in schema]), out_cols, device)

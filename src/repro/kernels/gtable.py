@@ -15,7 +15,7 @@ reporting hot runs (Sirius' buffer manager caches the device tables).
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -31,29 +31,58 @@ NULL_INDEX = np.int32(-1)
 # ``from_host`` charge mode -> whether ``Device.htod`` prices the pinned rate.
 _HTOD_PINNED = {"pageable": False, "pinned": True}
 
-# id(dictionary) -> (weak reference, mean entry length).  Dictionaries are
-# never mutated in place (RR08), so the mean is a property of the object;
-# the weak reference both drops the entry when the dictionary dies and
-# proves on lookup that the id still names the same object.
-_MEAN_ENTRY_LENGTH: dict[int, tuple[weakref.ref, float]] = {}
+# id(dictionary) -> (weak reference, {key: value}).  Dictionaries are never
+# mutated in place (RR08), so whatever is computed from one is a property
+# of the object; the weak reference both drops the entry when the
+# dictionary dies and proves on lookup that the id still names the same
+# object.  Values are shared by every caller and never mutated.
+_DICTIONARY_MEMO: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _per_dictionary(dictionary: np.ndarray, compute: Callable[..., Any], *args: Any) -> Any:
+    """``compute(dictionary, *args)``, computed once per dictionary object
+    and ``(compute, *args)``."""
+    slot = id(dictionary)
+    known = _DICTIONARY_MEMO.get(slot)
+    if known is None or known[0]() is not dictionary:
+
+        def forget(_ref, memo=_DICTIONARY_MEMO):  # bound now: globals may be gone at exit
+            memo.pop(slot, None)
+
+        known = _DICTIONARY_MEMO[slot] = (weakref.ref(dictionary, forget), {})
+    values = known[1]
+    key = (compute, *args)
+    if key not in values:
+        values[key] = compute(dictionary, *args)
+    return values[key]
 
 
 def _mean_entry_length(dictionary: np.ndarray) -> float:
-    """Mean ``len(str(entry))`` over ``dictionary``, computed once per object."""
-    key = id(dictionary)
-    known = _MEAN_ENTRY_LENGTH.get(key)
-    if known is not None and known[0]() is dictionary:
-        return known[1]
-    if len(dictionary) > 0:
-        mean = sum(len(str(s)) for s in dictionary) / len(dictionary)
-    else:
-        mean = 0.0
+    """Mean ``len(str(entry))`` over ``dictionary``."""
+    if len(dictionary) == 0:
+        return 0.0
+    return sum(len(str(s)) for s in dictionary) / len(dictionary)
 
-    def forget(_ref, memo=_MEAN_ENTRY_LENGTH):  # bound now: globals may be gone at exit
-        memo.pop(key, None)
 
-    _MEAN_ENTRY_LENGTH[key] = (weakref.ref(dictionary, forget), mean)
-    return mean
+def _has_value(column: "GColumn") -> np.ndarray:
+    """Rows of a string column that hold a value: valid, with a code >= 0."""
+    present = column.data >= 0
+    if column.validity is not None:
+        present &= column.validity.array
+    return present
+
+
+def _concat_validity(columns: Sequence["GColumn"]) -> np.ndarray | None:
+    """The columns' validity end to end, or ``None`` when none has a mask."""
+    if all(c.validity is None for c in columns):
+        return None
+    out = np.ones(sum(len(c) for c in columns), dtype=np.bool_)
+    start = 0
+    for c in columns:
+        if c.validity is not None:
+            out[start : start + len(c)] = c.validity.array
+        start += len(c)
+    return out
 
 
 class GColumn:
@@ -139,7 +168,7 @@ class GColumn:
         is what a non-dictionary engine like libcudf actually moves.
         """
         if self.dtype.is_string and len(self) > 0 and self.dictionary is not None:
-            avg_len = _mean_entry_length(self.dictionary)
+            avg_len = _per_dictionary(self.dictionary, _mean_entry_length)
             return int(len(self) * avg_len) + self.buffer.nbytes
         return self.nbytes
 

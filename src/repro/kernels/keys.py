@@ -19,6 +19,10 @@ exactly the ranks ``np.unique(..., return_inverse=True)`` would:
   only the dictionary *entries* the valid rows reference and remaps the
   codes through a per-dictionary lookup table — no row is ever decoded.
 
+A key column with no validity buffer is all-valid and is ranked as it
+stands, with no mask built; a single key column's codes already are the
+ranks of its values, so they are not ranked a second time.
+
 Null semantics differ by consumer and are explicit:
 
 * joins: ``nulls_match=False`` — a NULL key never equals anything,
@@ -33,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gtable import GColumn
+from .gtable import GColumn, _concat_validity, _has_value
 
 __all__ = ["factorize_keys", "NULL_CODE"]
 
@@ -85,11 +89,7 @@ def _merge_dictionaries(columns: Sequence[GColumn]) -> tuple[np.ndarray, np.ndar
             size += len(col.dictionary)
     slots = np.concatenate(
         [
-            np.where(
-                col.valid_mask() & (col.data >= 0),
-                col.data + np.int64(bases[id(col.dictionary)][0]),
-                -1,
-            )
+            np.where(_has_value(col), col.data + np.int64(bases[id(col.dictionary)][0]), -1)
             for col in columns
         ]
     )
@@ -132,8 +132,8 @@ def factorize_keys(
         raise ValueError("both sides must have the same number of key columns")
     n_left = len(left[0])
 
-    combined = np.int64(0)
-    any_null = np.False_
+    combined = None
+    any_null = None  # rows with a NULL in some key column; None: no such row
     running_card = 1
 
     for idx, lcol in enumerate(left):
@@ -141,28 +141,39 @@ def factorize_keys(
         if lcol.dtype.is_string:
             # Compare by dictionary *values*: two tables have different dicts.
             dictionary, codes = _merge_dictionaries(cols)
-            mask = codes >= 0
+            null = codes < 0
             card = len(dictionary)
         else:
             values = np.concatenate([c.data for c in cols])
-            mask = np.concatenate([c.valid_mask() for c in cols])
-            codes = np.empty(len(values), dtype=np.int64)
-            codes[mask], card = _dense_rank(values[mask])
-        # NULLs take a dedicated fresh code so they form their own group
-        # (group-by) and never collide with a real value.
-        null = ~mask
-        codes[null] = card
-        col_card = max(card + int(null.any()), 1)
-        combined = combined * np.int64(col_card) + codes
-        any_null = any_null | null
+            valid = _concat_validity(cols)
+            if valid is None:
+                codes, card = _dense_rank(values)
+                null = None
+            else:
+                codes = np.empty(len(values), dtype=np.int64)
+                codes[valid], card = _dense_rank(values[valid])
+                null = ~valid
+        has_null = null is not None and bool(null.any())
+        if has_null:
+            # NULLs take a dedicated fresh code so they form their own
+            # group (group-by) and never collide with a real value.
+            codes[null] = card
+            any_null = null if any_null is None else any_null | null
+        col_card = max(card + has_null, 1)
+        combined = codes if combined is None else combined * np.int64(col_card) + codes
         running_card *= col_card
         if running_card > 2**40:
             # Re-densify mid-way so many / high-cardinality key columns
             # cannot overflow the int64 combination.
             combined, running_card = _dense_rank(combined)
 
-    # Re-densify the combined codes across both sides.
-    dense, num_distinct = _dense_rank(combined)
-    if not nulls_match:
+    if len(left) == 1:
+        # One column's codes already are the dense ranks of its values,
+        # NULL ranked last: re-ranking them would be the identity.
+        dense, num_distinct = combined, card + has_null
+    else:
+        # Re-densify the combined codes across both sides.
+        dense, num_distinct = _dense_rank(combined)
+    if not nulls_match and any_null is not None:
         dense[any_null] = NULL_CODE
     return dense[:n_left].copy(), dense[n_left:].copy(), num_distinct

@@ -9,14 +9,18 @@ concatenation decodes and re-sorts every row.  They are slow and obviously
 right; ``test_differential.py`` requires the kernels to return arrays equal
 to theirs in dtype, shape and every element.
 
-Nothing here charges a device or builds a ``GTable``: results are plain
-arrays (group-by returns one ``(dtype, data, validity, dictionary)`` per
-output column).
+The key references charge no device and build no ``GTable``: results are
+plain arrays (group-by returns one ``(dtype, data, validity, dictionary)``
+per output column).  The row-movement references at the end are whole
+kernels, charges and allocations included, because what
+``test_row_movement.py`` compares is the device they leave behind.
 """
 
 import numpy as np
 
-from repro.columnar import FLOAT64, INT64
+from repro.columnar import FLOAT64, INT64, Field, Schema
+from repro.gpu.costmodel import KernelClass
+from repro.kernels import GColumn, GTable
 
 NULL_CODE = np.int64(-1)
 
@@ -249,3 +253,131 @@ def hash_partition_ids(keys, num_partitions):
             vals = col.data.astype(np.int64).view(np.uint64)
         acc = acc * np.uint64(1099511628211) + vals
     return (acc % np.uint64(num_partitions)).astype(np.int32)
+
+
+# -- row movement ---------------------------------------------------------------
+#
+# The copying kernels as first shipped.  Every column selects its rows on
+# its own, through ``valid_mask()`` (an all-true array for a column with no
+# validity buffer), and ``GColumn.from_array`` drops the mask again when it
+# comes out all-true.  One fix is applied: a slice that starts past the
+# last row ends at its start (the first version charged the negative
+# difference as a row count).
+
+
+def gather_column(column, indices, charge=True):
+    device = column.device
+    indices = np.asarray(indices)
+    null_out = indices < 0
+    safe = np.where(null_out, 0, indices)
+    if len(column) == 0:
+        data = np.zeros(len(indices), dtype=column.dtype.numpy_dtype)
+        validity = np.zeros(len(indices), dtype=np.bool_)
+    else:
+        data = column.data[safe]
+        validity = column.valid_mask()[safe]
+        validity = validity & ~null_out
+    if charge:
+        device.launch(
+            KernelClass.GATHER,
+            column.traffic_bytes + indices.nbytes,
+            int(len(indices) * max(column.dtype.itemsize, 1)),
+            len(indices),
+        )
+    return GColumn.from_array(device, column.dtype, data, validity, column.dictionary)
+
+
+def gather_table(table, indices):
+    cols = [gather_column(c, indices) for c in table.columns]
+    return GTable(table.schema, cols, table.device)
+
+
+def mask_table(table, keep):
+    keep = np.asarray(keep, dtype=np.bool_)
+    device = table.device
+    out_rows = int(keep.sum())
+    device.launch(
+        KernelClass.STREAM,
+        table.traffic_bytes + keep.nbytes,
+        int(table.traffic_bytes * (out_rows / max(table.num_rows, 1))),
+        table.num_rows,
+    )
+    cols = []
+    for c in table.columns:
+        data = c.data[keep]
+        validity = c.valid_mask()[keep]
+        cols.append(GColumn.from_array(device, c.dtype, data, validity, c.dictionary))
+    return GTable(table.schema, cols, device)
+
+
+def slice_table(table, start, length):
+    device = table.device
+    end = max(min(start + length, table.num_rows), start)
+    cols = []
+    for c in table.columns:
+        data = c.data[start:end]
+        validity = c.valid_mask()[start:end]
+        cols.append(GColumn.from_array(device, c.dtype, data, validity, c.dictionary))
+    device.launch(KernelClass.STREAM, 0, sum(c.nbytes for c in cols), end - start)
+    return GTable(table.schema, cols, device)
+
+
+class Pieces:
+    """The buckets of ``scatter_to_partitions``, built when taken, one
+    ``flatnonzero`` pass over the ids per bucket."""
+
+    def __init__(self, table, part_ids, num_partitions):
+        self._table = table
+        self._ids = part_ids
+        self._n = num_partitions
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, p):
+        if not 0 <= p < self._n:
+            raise IndexError(p)
+        rows = np.flatnonzero(self._ids == p)
+        if len(rows) == 0:
+            return None
+        table = self._table
+        cols = [
+            GColumn.from_array(
+                table.device, c.dtype, c.data[rows], c.valid_mask()[rows], c.dictionary
+            )
+            for c in table.columns
+        ]
+        return GTable(table.schema, cols, table.device)
+
+
+def scatter_to_partitions(table, part_ids, num_partitions):
+    part_ids = np.asarray(part_ids)
+    table.device.launch(
+        KernelClass.SCATTER,
+        table.traffic_bytes + part_ids.nbytes,
+        table.traffic_bytes,
+        table.num_rows,
+    )
+    return Pieces(table, part_ids, num_partitions)
+
+
+def concat_gtables(tables):
+    """String columns through :func:`concat_string_columns` (decode every
+    row, ``np.unique`` the strings)."""
+    tables = [t for t in tables if t is not None]
+    device = tables[0].device
+    schema = tables[0].schema
+    total_rows = sum(t.num_rows for t in tables)
+    total_bytes = sum(t.traffic_bytes for t in tables)
+    device.launch(KernelClass.STREAM, total_bytes, total_bytes, total_rows)
+    out_cols = []
+    for i, field in enumerate(schema):
+        parts = [t.columns[i] for t in tables]
+        if field.dtype.is_string:
+            codes, validity, dictionary = concat_string_columns(parts)
+            out_cols.append(GColumn.from_array(device, field.dtype, codes, validity, dictionary))
+        else:
+            data = np.concatenate([p.data for p in parts])
+            validity = np.concatenate([p.valid_mask() for p in parts])
+            out_cols.append(GColumn.from_array(device, field.dtype, data, validity))
+    return GTable(Schema([Field(f.name, f.dtype) for f in schema]), out_cols, device)

@@ -153,9 +153,21 @@ def check_concat(dev, fragments):
         assert_identical(col.valid_mask(), validity, f"concat column {i} validity")
 
 
+def no_rows(col):
+    """``col`` cut to zero rows: same dtype, dictionary and mask-or-not."""
+    dev = col.device
+    validity = None if col.validity is None else dev.new_buffer(col.validity.array[:0])
+    return GColumn(col.dtype, dev.new_buffer(col.data[:0]), validity, col.dictionary)
+
+
 def check_against_reference(dev, left, right=()):
     left, right = list(left), list(right)
     check_factorize(left, right)
+    # Every key column alone takes the single-column path (its codes are
+    # already the ranks), and cut to no rows the empty one (0 distinct).
+    for i, col in enumerate(left):
+        check_factorize([col], [right[i]] if right else [])
+        check_factorize([no_rows(col)], [no_rows(right[i])] if right else [])
     check_groupby(dev, left)
     if right:
         check_joins(left, right)

@@ -5,6 +5,7 @@ SqlPlanningError, never an untyped exception)."""
 
 import pytest
 
+from repro.bench.baselines.engines import SqliteBaseline
 from repro.core import SiriusEngine
 from repro.gpu.specs import GH200
 from repro.hosts import CpuEngine, MiniDuck, SiriusExtension
@@ -178,6 +179,31 @@ class TestOffset:
     def test_offset_requires_number(self, dbs):
         with pytest.raises(SqlSyntaxError):
             dbs[0].execute("select r_name from region offset x")
+
+
+class TestUnorderedOffsetPastTheEnd:
+    """An unordered OFFSET at or past the last row (``FetchSink`` ->
+    ``slice_table``) charged ``end - start`` rows, a negative count: the
+    launch was billed less than its fixed cost, and far enough past the
+    end the clock refused to run backwards, out of ``execute`` even with
+    a CPU fallback installed."""
+
+    @pytest.fixture(scope="class")
+    def sqlite(self):
+        engine = SqliteBaseline()
+        engine.load({"nation": generate_tpch(0.01)["nation"]})
+        yield engine
+        engine.close()
+
+    @pytest.mark.parametrize("offset", [25, 26, 10**6, 10**8])
+    @pytest.mark.parametrize("limit", ["", "limit 5 "])
+    def test_empty_on_every_engine(self, dbs, sqlite, limit, offset):
+        sql = f"select n_name from nation {limit}offset {offset}"
+        assert sqlite.execute(sql) == []
+        assert both(dbs, sql) == []
+        result = dbs[1].execute(sql)
+        assert result.profile is not None, "left the GPU tier"
+        assert result.sim_seconds > 0.99 * GH200.kernel_launch_us * 1e-6  # a whole launch
 
 
 class TestLeftJoinResidualOn:
