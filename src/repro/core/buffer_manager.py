@@ -644,31 +644,29 @@ class BufferManager:
         """Convert Sirius' uint64 row ids to libcudf's int32.
 
         This is the conversion the paper singles out as *not* zero-copy;
-        it is charged as a streaming kernel over both buffers.
+        it is charged as a streaming kernel over both buffers.  The
+        sentinel ``UINT64_MAX`` is ``-1`` in two's complement.
         """
         if indices.dtype != np.uint64:
             raise TypeError(f"engine indices must be uint64, got {indices.dtype}")
-        sentinel = np.uint64(2**64 - 1)
-        non_sentinel = indices[indices != sentinel]
-        if len(non_sentinel) and int(non_sentinel.max()) > np.iinfo(np.int32).max:
+        signed = indices.view(np.int64)
+        if len(signed) and (signed.max() > np.iinfo(np.int32).max or signed.min() < -1):
             raise OverflowError("row index exceeds int32 range of the kernel library")
         self.device.launch(
             KernelClass.STREAM, indices.nbytes, indices.nbytes // 2, len(indices)
         )
-        out = indices.astype(np.int64, copy=True)
-        out[indices == sentinel] = -1
-        return out.astype(np.int32)
+        return signed.astype(np.int32)
 
     def kernel_indices_to_engine(self, indices: np.ndarray) -> np.ndarray:
         """Convert libcudf int32 gather maps back to uint64 engine row ids.
 
-        ``-1`` (no-match sentinel) maps to ``UINT64_MAX``.
+        ``-1`` (no-match sentinel) maps to ``UINT64_MAX``, its two's
+        complement.
         """
         self.device.launch(
             KernelClass.STREAM, indices.nbytes, indices.nbytes * 2, len(indices)
         )
-        out = indices.astype(np.int64)
-        return np.where(out < 0, np.uint64(2**64 - 1), out.astype(np.uint64)).astype(np.uint64)
+        return indices.astype(np.int64).view(np.uint64)
 
     # -- reporting ------------------------------------------------------------
 

@@ -123,10 +123,12 @@ def compile_projection(expr: Expression, dtype: DType | None = None) -> Compiled
 
 
 def keep_mask(value, table: GTable) -> np.ndarray:
-    """A boolean result as a keep-mask over ``table`` (NULL -> False)."""
+    """A boolean result as a keep-mask over ``table`` (NULL -> False): the
+    column's data itself when it has no validity buffer."""
     if not isinstance(value, GColumn):
         return np.full(table.num_rows, bool(value), dtype=np.bool_)
-    return value.data.astype(np.bool_) & value.valid_mask()
+    data = np.asarray(value.data, dtype=np.bool_)
+    return data if value.validity is None else data & value.validity.array
 
 
 def materialise(value, table: GTable, dtype: DType | None = None) -> GColumn:
@@ -230,6 +232,14 @@ def _null_propagating(op):
     return lambda left, right: None if left is None or right is None else op(left, right)
 
 
+def _remainder(left, right):
+    """SQL's ``%``: it takes the dividend's sign, and a zero divisor is NULL."""
+    if right == 0:
+        return None
+    remainder = abs(left) % abs(right)
+    return remainder if left >= 0 else -remainder
+
+
 def _null_is_false(op):
     return lambda left, right: left is not None and right is not None and bool(op(left, right))
 
@@ -240,7 +250,7 @@ _ARITH_FOLDS = {
     "subtract": _null_propagating(operator.sub),
     "multiply": _null_propagating(operator.mul),
     "divide": _null_propagating(lambda left, right: left / right if right != 0 else None),
-    "modulo": _null_propagating(lambda left, right: left % right if right != 0 else None),
+    "modulo": _null_propagating(_remainder),
 }
 _CMP_FOLDS = {
     "eq": _null_is_false(operator.eq),

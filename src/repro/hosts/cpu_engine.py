@@ -597,13 +597,15 @@ class CpuEngine:
             valid = a.valid & b.valid
             av = a.values.astype(np.float64)
             bv = b.values.astype(np.float64)
-            if f == "divide":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out = np.divide(av, bv)
+            op = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply,
+                  "divide": np.divide, "modulo": np.fmod}[f]  # fmod: the dividend's sign
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = op(av, bv)
+            if f in ("divide", "modulo"):  # a zero divisor is NULL
                 valid = valid & (bv != 0)
-                return self._num_vec(np.where(valid, out, 0.0), valid, FLOAT64)
-            op = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply, "modulo": np.mod}[f]
-            out = op(av, bv)
+                out = np.where(valid, out, 0.0)
+                if f == "divide":
+                    return self._num_vec(out, valid, FLOAT64)
             if a.dtype is DATE32 and b.dtype.is_integer and f in ("add", "subtract"):
                 return self._num_vec(out.astype(np.int32), valid, DATE32)
             if a.dtype is DATE32 and b.dtype is DATE32 and f == "subtract":
@@ -672,7 +674,8 @@ class CpuEngine:
 
         if f in ("in", "not_in"):
             a = self._eval(call.args[0], table)
-            literals = [arg.value for arg in call.args[1:]]
+            values = [arg.value for arg in call.args[1:]]
+            literals = [v for v in values if v is not None]
             if a.dtype.is_string:
                 targets = {str(v) for v in literals}
                 decoded = self._decode(a)
@@ -680,17 +683,22 @@ class CpuEngine:
             else:
                 raw = [date_to_days(v) if isinstance(v, datetime.date) else v for v in literals]
                 out = np.isin(a.values, np.array(raw))
+            out &= a.valid
+            # A NULL in the list makes every row it does not match NULL.
+            valid = a.valid & out if len(literals) < len(values) else a.valid
             if f == "not_in":
                 out = ~out
-            return self._num_vec(out & a.valid, a.valid, BOOL)
+            return self._num_vec(out & valid, valid, BOOL)
 
         if f == "between":
             a = self._eval(call.args[0], table)
             lo = self._eval(call.args[1], table)
             hi = self._eval(call.args[2], table)
-            valid = a.valid & lo.valid & hi.valid
-            out = (a.values >= lo.values) & (a.values <= hi.values)
-            return self._num_vec(out & valid, valid, BOOL)
+            # Kleene AND of the two comparisons: a FALSE one decides the row.
+            lo_ok, hi_ok = a.valid & lo.valid, a.valid & hi.valid
+            above, below = lo_ok & (a.values >= lo.values), hi_ok & (a.values <= hi.values)
+            valid = (lo_ok & hi_ok) | (lo_ok & ~above) | (hi_ok & ~below)
+            return self._num_vec(above & below, valid, BOOL)
 
         if f == "case":
             pairs = call.args[:-1]

@@ -4,8 +4,13 @@ The engine's expression evaluator lowers each expression node onto one of
 these kernels.  Conventions:
 
 * operands are :class:`GColumn` or Python scalars (at least one column);
-* NULL propagates through arithmetic and comparisons;
+  a column without a validity buffer, or a non-NULL scalar, carries no
+  mask at all (``None``), masks combine through :func:`_and_valid`, and
+  NULL handling runs only where a NULL can be;
+* NULL propagates through arithmetic and comparisons; ``/`` and ``%`` by
+  zero are NULL, and ``%`` takes the dividend's sign;
 * AND/OR use Kleene three-valued logic (``FALSE AND NULL = FALSE``);
+* ``IN`` with a NULL in its list is NULL, not FALSE, where nothing matches;
 * string predicates are evaluated once per *dictionary entry* and mapped
   through the codes — the payoff of dictionary encoding — but are charged
   as full character-stream kernels, which is what libcudf (no dictionary
@@ -57,7 +62,7 @@ _ARITH_OPS = {
     "subtract": np.subtract,
     "multiply": np.multiply,
     "divide": np.divide,
-    "modulo": np.mod,
+    "modulo": np.fmod,  # SQL's remainder takes the dividend's sign
 }
 
 _CMP_OPS = {
@@ -95,14 +100,36 @@ def _scalar_to_raw(value: Any) -> Any:
     return value
 
 
+def _validity(column: GColumn) -> np.ndarray | None:
+    return None if column.validity is None else column.validity.array
+
+
+def _and_valid(*masks: np.ndarray | None) -> np.ndarray | None:
+    """The AND of boolean masks, ``None`` standing for all-true (and
+    returned when every mask is ``None``): how validity masks combine, and
+    how data is cleared under NULL rows."""
+    out = None
+    for mask in masks:
+        if mask is not None:
+            out = mask if out is None else out & mask
+    return out
+
+
+def _scrub(data: np.ndarray, valid: np.ndarray | None, zero=0) -> np.ndarray:
+    """``data`` with ``zero`` under its NULL rows."""
+    return data if valid is None else np.where(valid, data, zero)
+
+
 def _values_and_mask(operand, rows: int):
-    """Physical value array + validity mask for a column or broadcast scalar."""
+    """Physical values and validity mask of a column or broadcast scalar.
+    The mask is ``None`` when every row is valid; a non-NULL scalar's values
+    are the 0-d ``np.asarray(raw)``, which promotes as a full array would."""
     if isinstance(operand, GColumn):
-        return operand.data, operand.valid_mask()
+        return operand.data, _validity(operand)
     raw = _scalar_to_raw(operand)
     if raw is None:
         return np.zeros(rows), np.zeros(rows, dtype=np.bool_)
-    return np.full(rows, raw), np.ones(rows, dtype=np.bool_)
+    return np.asarray(raw), None
 
 
 def _dtype_of(operand) -> DType:
@@ -125,7 +152,9 @@ def _dtype_of(operand) -> DType:
 def binary_arith(op: str, left, right) -> GColumn:
     """Arithmetic between columns/scalars.  Division always yields float64
     (SQL decimal semantics in this reproduction); date +/- integer yields
-    date32; date - date yields int64 days."""
+    date32; date - date yields int64 days.  ``modulo`` is SQL's remainder:
+    it takes the dividend's sign.  A zero divisor makes ``divide`` and
+    ``modulo`` NULL."""
     if op not in _ARITH_OPS:
         raise ValueError(f"unknown arithmetic op {op!r}")
     device = _device_of(left, right)
@@ -136,23 +165,24 @@ def binary_arith(op: str, left, right) -> GColumn:
 
     if op == "divide":
         out_dtype = FLOAT64
-        with np.errstate(divide="ignore", invalid="ignore"):
-            data = np.divide(lv.astype(np.float64), rv.astype(np.float64))
-        valid = lm & rm & (np.asarray(rv) != 0)
-        data = np.where(valid, data, 0.0)
+    elif ldt is DATE32 and rdt.is_integer and op in ("add", "subtract"):
+        out_dtype = DATE32
+    elif ldt is DATE32 and rdt is DATE32 and op == "subtract":
+        out_dtype = INT64
     else:
-        if ldt is DATE32 and rdt.is_integer and op in ("add", "subtract"):
-            out_dtype = DATE32
-        elif ldt is DATE32 and rdt is DATE32 and op == "subtract":
-            out_dtype = INT64
-        else:
-            out_dtype = common_numeric_type(ldt, rdt)
+        out_dtype = common_numeric_type(ldt, rdt)
+    with np.errstate(divide="ignore", invalid="ignore"):
         data = _ARITH_OPS[op](lv.astype(np.float64), rv.astype(np.float64))
-        valid = lm & rm
-        # Canonicalise NULL slots to zero before the cast: garbage inputs
-        # (NaN under an invalid slot) would otherwise survive as undefined
-        # payload bytes in the output.
-        data = np.where(valid, data, 0.0).astype(out_dtype.numpy_dtype)
+    valid = _and_valid(lm, rm)
+    if op in ("divide", "modulo"):
+        nonzero = rv != 0
+        if nonzero.ndim == 0:  # a scalar divisor
+            nonzero = None if nonzero else np.zeros(rows, dtype=np.bool_)
+        valid = _and_valid(valid, nonzero)
+    # Canonicalise NULL slots to zero before the cast: garbage inputs
+    # (NaN under an invalid slot) would otherwise survive as undefined
+    # payload bytes in the output.
+    data = _scrub(data, valid, 0.0).astype(out_dtype.numpy_dtype, copy=False)
 
     device.launch(KernelClass.STREAM, _traffic(left, right), data.nbytes, rows)
     return GColumn.from_array(device, out_dtype, data, valid)
@@ -172,11 +202,11 @@ def compare(op: str, left, right) -> GColumn:
     else:
         lv, lm = _values_and_mask(left, rows)
         rv, rm = _values_and_mask(right, rows)
-        valid = lm & rm
+        valid = _and_valid(lm, rm)
         # Scrub payloads under NULL slots: comparing garbage (e.g. NaN
         # left behind by an outer-join gather) can yield True with
         # valid=False, which astype(bool) consumers would surface.
-        data = _CMP_OPS[op](lv, rv) & valid
+        data = _and_valid(_CMP_OPS[op](lv, rv), valid)
         device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
     return GColumn.from_array(device, BOOL, data, valid)
 
@@ -187,10 +217,7 @@ def _compare_strings(op: str, left, right, rows: int):
         return np.zeros(rows, dtype=np.bool_), np.zeros(rows, dtype=np.bool_)
     if isinstance(left, GColumn) and isinstance(right, GColumn):
         lvals, rvals = left.decoded(), right.decoded()
-        valid = left.valid_mask() & right.valid_mask()
-        valid &= np.array([v is not None for v in lvals]) & np.array(
-            [v is not None for v in rvals]
-        )
+        valid = _has_value(left) & _has_value(right)
         data = np.zeros(rows, dtype=np.bool_)
         idx = np.flatnonzero(valid)
         data[idx] = [_py_cmp(op, lvals[i], rvals[i]) for i in idx]
@@ -204,7 +231,7 @@ def _compare_strings(op: str, left, right, rows: int):
     hits = np.array(
         [_py_cmp(effective_op, str(s), scalar) for s in dictionary], dtype=np.bool_
     )
-    valid = col.valid_mask() & (col.data >= 0)
+    valid = _has_value(col)
     data = np.zeros(rows, dtype=np.bool_)
     data[valid] = hits[col.data[valid]]
     return data, valid
@@ -229,14 +256,15 @@ def _flip(op: str) -> str:
 
 
 def _bool_parts(operand, rows: int):
-    """(value, valid) arrays for a boolean column/scalar under 3VL."""
+    """(value, valid) of a boolean column/scalar under 3VL; ``valid`` is
+    ``None`` when every row is valid, and a non-NULL scalar's value is 0-d."""
     if isinstance(operand, GColumn):
         if not operand.dtype.is_boolean:
             raise TypeError("logical ops need boolean operands")
-        return operand.data.astype(np.bool_), operand.valid_mask()
+        return operand.data.astype(np.bool_, copy=False), _validity(operand)
     if operand is None:
         return np.zeros(rows, dtype=np.bool_), np.zeros(rows, dtype=np.bool_)
-    return np.full(rows, bool(operand)), np.ones(rows, dtype=np.bool_)
+    return np.asarray(bool(operand)), None
 
 
 def logical_and(left, right) -> GColumn:
@@ -246,11 +274,12 @@ def logical_and(left, right) -> GColumn:
     lv, lm = _bool_parts(left, rows)
     rv, rm = _bool_parts(right, rows)
     data = lv & rv
-    false_l = lm & ~lv
-    false_r = rm & ~rv
-    valid = (lm & rm) | false_l | false_r
+    valid = _and_valid(lm, rm)
+    if valid is not None:  # a valid FALSE decides the row whatever the other side is
+        valid = valid | _and_valid(lm, ~lv) | _and_valid(rm, ~rv)
+        data &= valid
     device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
-    return GColumn.from_array(device, BOOL, data & valid, valid)
+    return GColumn.from_array(device, BOOL, data, valid)
 
 
 def logical_or(left, right) -> GColumn:
@@ -259,10 +288,11 @@ def logical_or(left, right) -> GColumn:
     rows = _rows_of(left, right)
     lv, lm = _bool_parts(left, rows)
     rv, rm = _bool_parts(right, rows)
-    true_l = lm & lv
-    true_r = rm & rv
+    true_l, true_r = _and_valid(lm, lv), _and_valid(rm, rv)
     data = true_l | true_r
-    valid = (lm & rm) | true_l | true_r
+    valid = _and_valid(lm, rm)
+    if valid is not None:  # a valid TRUE decides the row whatever the other side is
+        valid = valid | true_l | true_r
     device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
     return GColumn.from_array(device, BOOL, data, valid)
 
@@ -272,37 +302,41 @@ def logical_not(operand: GColumn) -> GColumn:
     rows = len(operand)
     v, m = _bool_parts(operand, rows)
     device.launch(KernelClass.STREAM, operand.traffic_bytes, rows, rows)
-    return GColumn.from_array(device, BOOL, ~v & m, m)
+    return GColumn.from_array(device, BOOL, _and_valid(~v, m), m)
 
 
 def is_null(operand: GColumn, negate: bool = False) -> GColumn:
     device = operand.device
     rows = len(operand)
-    mask = operand.valid_mask()
-    if operand.dtype.is_string:
-        mask = mask & (operand.data >= 0)
-    data = mask if negate else ~mask
+    present = _has_value(operand) if operand.dtype.is_string else _validity(operand)
+    if present is None:
+        present = np.ones(rows, dtype=np.bool_)
+    data = present if negate else ~present
     device.launch(KernelClass.STREAM, rows, rows, rows)
-    return GColumn.from_array(device, BOOL, data, np.ones(rows, dtype=np.bool_))
+    return GColumn.from_array(device, BOOL, data)
 
 
 def in_list(column: GColumn, values: Sequence[Any]) -> GColumn:
-    """SQL ``IN (literal, ...)``."""
+    """SQL ``IN (literal, ...)``.  With a NULL in the list, a row that
+    matches no element is NULL, not FALSE."""
     device = column.device
     rows = len(column)
+    listed = [v for v in values if v is not None]
     if column.dtype.is_string:
-        targets = {str(v) for v in values}
+        targets = {str(v) for v in listed}
         dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
         hits = np.array([str(s) in targets for s in dictionary], dtype=np.bool_)
-        valid = column.valid_mask() & (column.data >= 0)
+        valid = _has_value(column)
         data = np.zeros(rows, dtype=np.bool_)
         data[valid] = hits[column.data[valid]]
         device.launch(KernelClass.STRING, column.traffic_bytes, rows, rows)
     else:
-        raw = np.array([_scalar_to_raw(v) for v in values])
-        valid = column.valid_mask()
-        data = np.isin(column.data, raw) & valid  # scrub NULL-slot payloads
+        raw = np.array([_scalar_to_raw(v) for v in listed])
+        valid = _validity(column)
+        data = _and_valid(np.isin(column.data, raw), valid)  # scrub NULL-slot payloads
         device.launch(KernelClass.STREAM, column.traffic_bytes, rows, rows)
+    if len(listed) < len(values):
+        valid = _and_valid(valid, data)
     return GColumn.from_array(device, BOOL, data, valid)
 
 
@@ -320,19 +354,19 @@ def case_when(conditions: Sequence[GColumn], results: Sequence, default) -> GCol
     if out_dtype.is_string:
         return _case_when_strings(device, rows, conditions, results, default)
     data = np.zeros(rows, dtype=out_dtype.numpy_dtype)
-    dv, dm = _values_and_mask(default, rows) if default is not None else (
-        np.zeros(rows), np.zeros(rows, dtype=np.bool_)
-    )
+    dv, valid = _values_and_mask(default, rows)
     data[:] = dv.astype(out_dtype.numpy_dtype)
-    valid = dm.copy()
     decided = np.zeros(rows, dtype=np.bool_)
     for cond, result in zip(conditions, results):
-        fire = cond.data.astype(np.bool_) & cond.valid_mask() & ~decided
+        fire = _and_valid(cond.data.astype(np.bool_), _validity(cond), ~decided)
         rv, rm = _values_and_mask(result, rows)
-        data[fire] = rv.astype(out_dtype.numpy_dtype)[fire] if hasattr(rv, "__getitem__") else rv
-        valid[fire] = rm[fire]
+        rv = rv.astype(out_dtype.numpy_dtype)
+        data[fire] = rv[fire] if rv.ndim else rv
+        if valid is not None or rm is not None:
+            # The row takes the firing result's validity (None: valid).
+            valid = np.where(fire, True if rm is None else rm, True if valid is None else valid)
         decided |= fire
-    data = np.where(valid, data, 0).astype(out_dtype.numpy_dtype)  # scrub NULL slots
+    data = _scrub(data, valid).astype(out_dtype.numpy_dtype, copy=False)  # scrub NULL slots
     device.launch(
         KernelClass.STREAM, _traffic(*conditions) + rows * out_dtype.itemsize, rows, rows
     )
@@ -346,7 +380,7 @@ def _case_when_strings(device, rows, conditions, results, default) -> GColumn:
         out[:] = default.decoded()
     decided = np.zeros(rows, dtype=np.bool_)
     for cond, result in zip(conditions, results):
-        fire = cond.data.astype(np.bool_) & cond.valid_mask() & ~decided
+        fire = _and_valid(cond.data.astype(np.bool_), _validity(cond), ~decided)
         if isinstance(result, GColumn):
             decoded = result.decoded()
             out[fire] = decoded[fire]
@@ -380,8 +414,12 @@ def coalesce(operands: Sequence) -> GColumn:
     valid = np.zeros(rows, dtype=np.bool_)
     for op in operands:
         v, m = _values_and_mask(op, rows)
-        fill = m & ~valid
-        data[fill] = v.astype(out_dtype.numpy_dtype)[fill]
+        fill = _and_valid(m, ~valid)
+        v = v.astype(out_dtype.numpy_dtype)
+        data[fill] = v[fill] if v.ndim else v
+        if m is None:  # every row is filled now
+            valid = None
+            break
         valid |= m
     device.launch(KernelClass.STREAM, _traffic(*operands), rows, rows)
     return GColumn.from_array(device, out_dtype, data, valid)
@@ -414,8 +452,8 @@ def extract_date_part(part: str, column: GColumn) -> GColumn:
         out = (days - months.astype("datetime64[D]")).astype(np.int64) + 1
     else:
         raise ValueError(f"unsupported date part {part!r}")
-    valid = column.valid_mask()
-    out = np.where(valid, out, 0)  # scrub NULL-slot payloads
+    valid = _validity(column)
+    out = _scrub(out, valid)  # scrub NULL-slot payloads
     device.launch(KernelClass.STREAM, column.nbytes, rows * 8, rows)
     return GColumn.from_array(device, INT64, out, valid)
 
@@ -514,7 +552,7 @@ def string_case(column: GColumn, upper: bool) -> GColumn:
         if len(mapped)
         else (np.array([], object), np.array([], np.int64))
     )
-    valid = column.valid_mask() & (column.data >= 0)
+    valid = _has_value(column)
     codes = np.full(rows, -1, dtype=np.int32)
     codes[valid] = remap[column.data[valid]].astype(np.int32)
     return GColumn.from_array(device, STRING, codes, valid, uniques)
@@ -528,7 +566,7 @@ def string_length(column: GColumn) -> GColumn:
     rows = len(column)
     dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
     lengths = np.array([len(str(s)) for s in dictionary], dtype=np.int64)
-    valid = column.valid_mask() & (column.data >= 0)
+    valid = _has_value(column)
     out = np.zeros(rows, dtype=np.int64)
     out[valid] = lengths[column.data[valid]]
     device.launch(KernelClass.STRING, column.traffic_bytes, rows * 8, rows)
@@ -563,8 +601,8 @@ def absolute(column: GColumn) -> GColumn:
         raise TypeError("abs requires a numeric column")
     device = column.device
     rows = len(column)
-    valid = column.valid_mask()
-    data = np.where(valid, np.abs(column.data), 0).astype(column.dtype.numpy_dtype)
+    valid = _validity(column)
+    data = _scrub(np.abs(column.data), valid).astype(column.dtype.numpy_dtype, copy=False)
     device.launch(KernelClass.STREAM, column.nbytes, data.nbytes, rows)
     return GColumn.from_array(device, column.dtype, data, valid)
 
@@ -575,8 +613,8 @@ def round_column(column: GColumn, digits: int = 0) -> GColumn:
         raise TypeError("round requires a numeric column")
     device = column.device
     rows = len(column)
-    valid = column.valid_mask()
-    data = np.where(valid, np.round(column.data.astype(np.float64), digits), 0.0)
+    valid = _validity(column)
+    data = _scrub(np.round(column.data.astype(np.float64), digits), valid, 0.0)
     device.launch(KernelClass.STREAM, column.nbytes, rows * 8, rows)
     return GColumn.from_array(device, FLOAT64, data, valid)
 
@@ -590,10 +628,10 @@ def cast_column(column: GColumn, target: DType) -> GColumn:
         host = column.to_host(charge_transfer=False).cast(target)
         device.launch(KernelClass.STRING, column.traffic_bytes, host.nbytes, len(column))
         return GColumn.from_array(device, target, host.data, host.is_valid_mask(), host.dictionary)
-    valid = column.valid_mask()
+    valid = _validity(column)
     # Scrub before the cast: casting garbage payloads (NaN -> int) is
     # undefined and would leave non-canonical bytes under NULL slots.
-    data = np.where(valid, column.data, 0).astype(target.numpy_dtype)
+    data = _scrub(column.data, valid).astype(target.numpy_dtype)
     device.launch(KernelClass.STREAM, column.nbytes, data.nbytes, len(column))
     return GColumn.from_array(device, target, data, valid)
 

@@ -8,10 +8,11 @@ join results materialise).
 Gather, mask, slice and scatter select rows through :func:`_take`, and
 work out the selection once per table, not once per column:
 ``mask_table`` turns the boolean mask into row numbers once,
-``gather_table`` looks for ``-1`` once, and a scatter sorts the partition
-ids once for all of its buckets.  As in libcudf, a column without a
-validity buffer is all-valid and is never given an all-true one: an
-output carries a validity buffer exactly when a row it selected is NULL.
+``gather_table`` converts the int32 map to ``np.intp`` and looks for
+``-1`` once, and a scatter sorts the partition ids once for all of its
+buckets.  As in libcudf, a column without a validity buffer is all-valid
+and is never given an all-true one: an output carries a validity buffer
+exactly when a row it selected is NULL.
 The cost model sees none of this — each kernel charges the bytes and rows
 it touches, whichever way NumPy got there.
 """
@@ -61,12 +62,14 @@ def _take_column(column: GColumn, rows: np.ndarray | slice) -> GColumn:
 
 
 def _gather_map(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rows a gather map takes, and the output rows its ``-1`` entries
-    make NULL (``None`` when it has none)."""
-    if len(indices) == 0 or indices.min() >= 0:
-        return indices, None
-    null_rows = indices < 0
-    return np.where(null_rows, 0, indices), null_rows
+    """The rows a gather map takes, as ``np.intp`` (NumPy would convert an
+    int32 map again for every column it indexes), and the output rows its
+    ``-1`` entries make NULL (``None`` when it has none)."""
+    rows = indices.astype(np.intp, copy=False)
+    if len(rows) == 0 or rows.min() >= 0:
+        return rows, None
+    null_rows = rows < 0
+    return np.where(null_rows, 0, rows), null_rows
 
 
 def _gather(

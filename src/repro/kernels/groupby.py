@@ -24,7 +24,7 @@ import numpy as np
 
 from ..columnar import Field, INT64, FLOAT64, Schema
 from ..gpu.costmodel import KernelClass
-from .gtable import GColumn, GTable
+from .gtable import GColumn, GTable, _value_rows
 from .keys import factorize_keys
 
 __all__ = ["AggSpec", "groupby", "AGG_OPS"]
@@ -94,7 +94,7 @@ def groupby(keys: list[GColumn], aggs: list[AggSpec], force_hash: bool = False) 
     out_fields: list[Field] = []
     for key in keys:
         data = key.data[first_idx]
-        validity = key.valid_mask()[first_idx]
+        validity = None if key.validity is None else key.validity.array[first_idx]
         out_cols.append(
             GColumn.from_array(device, key.dtype, data, validity, key.dictionary)
         )
@@ -115,9 +115,7 @@ def _aggregate(device, agg: AggSpec, gids: np.ndarray, num_groups: int):
         return GColumn.from_array(device, INT64, counts), INT64
 
     col = agg.column
-    valid = col.valid_mask()
-    if col.dtype.is_string:
-        valid = valid & (col.data >= 0)
+    valid = _value_rows(col)
 
     if agg.op == "count":
         counts = np.bincount(gids[valid], minlength=num_groups).astype(np.int64)

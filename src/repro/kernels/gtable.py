@@ -72,6 +72,15 @@ def _has_value(column: "GColumn") -> np.ndarray:
     return present
 
 
+def _value_rows(column: "GColumn") -> np.ndarray | slice:
+    """Selects the rows of ``column`` that hold a value: a boolean mask, or
+    ``slice(None)`` (every row, no pass over a mask) when the column is not
+    a string column and has no validity buffer."""
+    if column.dtype.is_string:
+        return _has_value(column)
+    return slice(None) if column.validity is None else column.validity.array
+
+
 def _concat_validity(columns: Sequence["GColumn"]) -> np.ndarray | None:
     """The columns' validity end to end, or ``None`` when none has a mask."""
     if all(c.validity is None for c in columns):

@@ -13,11 +13,16 @@ The simulated hash join charges:
   index bytes,
 
 which is the traffic pattern of a real GPU hash join.  The matching in
-NumPy is direct-addressed too: ``factorize_keys`` gives both sides dense
-codes, a ``bincount`` + ``cumsum`` over the build codes gives every probe
-row its run of matches, and only the joins that emit build rows (inner,
-left) order the build side, to lay those runs out.  Simulated time comes
-from the cost model, not from NumPy's runtime.
+NumPy is direct-addressed either way, and both ways emit the same pairs in
+the same order.  One integer-kind key column (ints, dates, bools) whose
+build side spans no more than ``_dense_rank``'s table budget is *looked
+up*: a span-sized table holds each build key's row, and a probe key is one
+subtract, range check and gather away from it — for inner and left joins
+when a side's keys are unique, for semi and anti joins always.  Otherwise
+``factorize_keys`` gives both sides dense codes, a ``bincount`` + ``cumsum``
+over the build codes gives every probe row its run of matches, and only
+inner and left joins order the build side, to lay those runs out.
+Simulated time comes from the cost model, not from NumPy's runtime.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from ..gpu.costmodel import KernelClass
 from .gtable import GColumn, GTable, NULL_INDEX
-from .keys import NULL_CODE, factorize_keys
+from .keys import NULL_CODE, TABLE_SLOTS_FLOOR, TABLE_SLOTS_PER_ROW, factorize_keys
 
 __all__ = [
     "inner_join",
@@ -109,47 +114,100 @@ def _charge(build_keys, probe_keys, out_rows: int) -> None:
     device.launch(KernelClass.HASH_PROBE, probe_bytes + 32 * probe_rows, out_rows * 8, probe_rows)
 
 
+def _lookup(build_keys, probe_keys, unique: bool) -> np.ndarray | None:
+    """Each probe row's build row (``-1``: NULL or no match), or ``None``
+    unless the key is one integer-kind column whose valid build rows span
+    at most ``_dense_rank``'s budget and, with ``unique``, repeat no key."""
+    if len(build_keys) != 1:
+        return None
+    build, probe = build_keys[0], probe_keys[0]
+    for key in (build, probe):
+        if key.dtype.is_string or key.data.dtype.kind not in "ib":  # string codes are int32
+            return None
+    if build.validity is None:
+        rows = np.arange(len(build))
+        values = build.data
+    else:
+        rows = np.flatnonzero(build.validity.array)
+        values = build.data[rows]
+    lo = int(values.min()) if len(rows) else 0
+    span = int(values.max()) - lo + 1 if len(rows) else 0  # Python ints: cannot overflow
+    if span > TABLE_SLOTS_PER_ROW * len(rows) + TABLE_SLOTS_FLOOR:
+        return None
+    # One slot per key in [lo, lo + span), plus a last one no key reaches.
+    table = np.full(span + 1, -1, dtype=np.intp)
+    table[np.subtract(values, lo, dtype=np.intp)] = rows
+    if unique and np.count_nonzero(table >= 0) != len(rows):
+        return None
+    # Viewed unsigned, a key below ``lo`` wraps past ``span`` (as one above
+    # the range is past it already): ``minimum`` sends both to the last slot.
+    slots = np.subtract(probe.data, lo, dtype=np.intp)
+    np.minimum(slots.view(np.uint64), span, out=slots.view(np.uint64))
+    if probe.validity is not None:
+        slots[~probe.validity.array] = span
+    return table[slots]
+
+
 def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> JoinResult:
     """Inner equi-join; returns all matching (left, right) index pairs.
 
     The smaller side plays the hash-table build role for cost purposes,
     matching the planner behaviour of real engines.
     """
-    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
-    build_on_right = len(rcodes) <= len(lcodes)
-    if build_on_right:
-        lo, hi = _match_ranges(rcodes, lcodes, num_codes)
-        probe_idx, build_idx, _ = _expand(rcodes, lo, hi)
-        left_idx, right_idx = probe_idx, build_idx
-        _charge(right_keys, left_keys, len(probe_idx))
+    build_on_right = len(right_keys[0]) <= len(left_keys[0])
+    build_keys, probe_keys = (right_keys, left_keys) if build_on_right else (left_keys, right_keys)
+    if (match := _lookup(build_keys, probe_keys, unique=True)) is not None:
+        probe_idx = np.flatnonzero(match >= 0)
+        build_idx = match[probe_idx]
+    elif (match := _lookup(probe_keys, build_keys, unique=True)) is not None:
+        # Only the probe side is unique: order the pairs by probe row, as
+        # the build side's runs would have laid them out.
+        build_idx = np.flatnonzero(match >= 0)
+        probe_idx = match[build_idx]
+        order = np.argsort(probe_idx, kind="stable")
+        probe_idx, build_idx = probe_idx[order], build_idx[order]
     else:
-        lo, hi = _match_ranges(lcodes, rcodes, num_codes)
-        probe_idx, build_idx, _ = _expand(lcodes, lo, hi)
-        left_idx, right_idx = build_idx, probe_idx
-        _charge(left_keys, right_keys, len(probe_idx))
-    return JoinResult(left_idx, right_idx)
+        lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
+        bcodes, pcodes = (rcodes, lcodes) if build_on_right else (lcodes, rcodes)
+        probe_idx, build_idx, _ = _expand(bcodes, *_match_ranges(bcodes, pcodes, num_codes))
+    _charge(build_keys, probe_keys, len(probe_idx))
+    if build_on_right:
+        return JoinResult(probe_idx, build_idx)
+    return JoinResult(build_idx, probe_idx)
 
 
 def left_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> JoinResult:
     """Left outer equi-join: unmatched left rows appear once with right
     index ``-1`` (to be gathered as NULLs)."""
-    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
-    lo, hi = _match_ranges(rcodes, lcodes, num_codes)
-    probe_idx, build_idx, counts = _expand(rcodes, lo, hi)
-    unmatched = np.flatnonzero(counts == 0)
-    left_idx = np.concatenate([probe_idx, unmatched])
-    right_idx = np.concatenate(
-        [build_idx, np.full(len(unmatched), NULL_INDEX, dtype=np.int64)]
-    )
+    if (match := _lookup(right_keys, left_keys, unique=True)) is not None:
+        matched = match >= 0
+        left_idx = np.concatenate([np.flatnonzero(matched), np.flatnonzero(~matched)])
+        right_idx = match[left_idx]
+    else:
+        lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
+        lo, hi = _match_ranges(rcodes, lcodes, num_codes)
+        probe_idx, build_idx, counts = _expand(rcodes, lo, hi)
+        unmatched = np.flatnonzero(counts == 0)
+        left_idx = np.concatenate([probe_idx, unmatched])
+        right_idx = np.concatenate(
+            [build_idx, np.full(len(unmatched), NULL_INDEX, dtype=np.int64)]
+        )
     _charge(right_keys, left_keys, len(left_idx))
     return JoinResult(left_idx, right_idx)
 
 
-def semi_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np.ndarray:
-    """Left semi-join: int32 indices of left rows with >= 1 right match."""
+def _has_match(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np.ndarray:
+    """Whether each left row has at least one right match."""
+    if (match := _lookup(right_keys, left_keys, unique=False)) is not None:
+        return match >= 0
     lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
     lo, hi = _match_ranges(rcodes, lcodes, num_codes)
-    matched = np.flatnonzero(hi > lo).astype(np.int32)
+    return hi > lo
+
+
+def semi_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np.ndarray:
+    """Left semi-join: int32 indices of left rows with >= 1 right match."""
+    matched = np.flatnonzero(_has_match(left_keys, right_keys)).astype(np.int32)
     _charge(right_keys, left_keys, len(matched))
     return matched
 
@@ -160,8 +218,6 @@ def anti_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np
     NULL probe keys have no match and therefore *are* returned, matching
     the NOT EXISTS (not the NOT IN) semantics Sirius' planner emits.
     """
-    lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
-    lo, hi = _match_ranges(rcodes, lcodes, num_codes)
-    unmatched = np.flatnonzero(hi == lo).astype(np.int32)
+    unmatched = np.flatnonzero(~_has_match(left_keys, right_keys)).astype(np.int32)
     _charge(right_keys, left_keys, len(unmatched))
     return unmatched

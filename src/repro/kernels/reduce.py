@@ -10,7 +10,7 @@ import numpy as np
 
 from ..columnar.dtypes import days_to_date
 from ..gpu.costmodel import KernelClass
-from .gtable import GColumn
+from .gtable import GColumn, _value_rows
 
 __all__ = ["reduce_column"]
 
@@ -20,16 +20,11 @@ def reduce_column(column: GColumn, op: str):
     {sum, min, max, count, count_star, count_distinct, mean}."""
     device = column.device
     device.launch(KernelClass.STREAM, column.traffic_bytes, 8, len(column))
-    valid = column.valid_mask()
-    if column.dtype.is_string:
-        valid = valid & (column.data >= 0)
-
     if op == "count_star":
         return int(len(column))
+    values = column.data[_value_rows(column)]
     if op == "count":
-        return int(valid.sum())
-
-    values = column.data[valid]
+        return int(len(values))
     if op == "count_distinct":
         return int(len(np.unique(values)))
     if len(values) == 0:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import Schema, Table
 from repro.core import BufferManager
 from repro.gpu import Device, GH200, OutOfDeviceMemory
+
+INT32_MAX = 2**31 - 1
 
 
 def make_table(rows: int, name_prefix="v") -> Table:
@@ -119,6 +123,44 @@ class TestIndexConversion:
         before = device.kernel_count
         bm.engine_indices_to_kernel(np.arange(10, dtype=np.uint64))
         assert device.kernel_count == before + 1
+
+    def test_round_trip_at_the_int32_edge(self, bm, device):
+        kernel_ids = np.array([0, INT32_MAX, -1, INT32_MAX - 1, -1], dtype=np.int32)
+        before = device.kernel_count
+        engine_ids = bm.kernel_indices_to_engine(kernel_ids)
+        assert engine_ids.tolist() == [0, INT32_MAX, 2**64 - 1, INT32_MAX - 1, 2**64 - 1]
+        back = bm.engine_indices_to_kernel(engine_ids)
+        assert back.dtype == np.int32 and back.tolist() == kernel_ids.tolist()
+        assert device.kernel_count == before + 2
+
+    def test_empty_maps(self, bm):
+        engine_ids = bm.kernel_indices_to_engine(np.array([], dtype=np.int32))
+        assert engine_ids.dtype == np.uint64 and len(engine_ids) == 0
+        assert bm.engine_indices_to_kernel(engine_ids).dtype == np.int32
+
+    @pytest.mark.parametrize(
+        "too_big", [INT32_MAX + 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2], ids=str
+    )
+    def test_overflow_just_above_int32_and_beyond(self, bm, device, too_big):
+        ids = np.array([0, too_big, 2**64 - 1], dtype=np.uint64)
+        before = (device.kernel_count, repr(device.clock.now))
+        with pytest.raises(OverflowError):
+            bm.engine_indices_to_kernel(ids)
+        assert (device.kernel_count, repr(device.clock.now)) == before  # nothing charged
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-1, INT32_MAX), max_size=20))
+    def test_round_trip_property(self, values):
+        bm = BufferManager(Device(GH200, memory_limit_gb=0.001))
+        kernel_ids = np.array(values, dtype=np.int32)
+        engine_ids = bm.kernel_indices_to_engine(kernel_ids)
+        # The first formulation: -1 -> UINT64_MAX, everything else as is.
+        want = np.where(kernel_ids < 0, np.uint64(2**64 - 1), kernel_ids.astype(np.uint64))
+        assert engine_ids.dtype == np.uint64
+        assert engine_ids.tobytes() == want.astype(np.uint64).tobytes()
+        back = bm.engine_indices_to_kernel(engine_ids)
+        assert back.dtype == np.int32 and back.tobytes() == kernel_ids.tobytes()
+        assert bm.device.kernel_count == 2
 
     def test_stats_keys(self, bm):
         stats = bm.stats()

@@ -11,16 +11,21 @@ to theirs in dtype, shape and every element.
 
 The key references charge no device and build no ``GTable``: results are
 plain arrays (group-by returns one ``(dtype, data, validity, dictionary)``
-per output column).  The row-movement references at the end are whole
-kernels, charges and allocations included, because what
-``test_row_movement.py`` compares is the device they leave behind.
+per output column).  The row-movement and expression references at the
+end are whole kernels, charges and allocations included, because what
+``test_row_movement.py`` and ``test_compute_reference.py`` compare is the
+device they leave behind.
 """
+
+from datetime import date
 
 import numpy as np
 
-from repro.columnar import FLOAT64, INT64, Field, Schema
+from repro.columnar import BOOL, DATE32, FLOAT64, INT64, Field, Schema
+from repro.columnar.dtypes import common_numeric_type, date_to_days
 from repro.gpu.costmodel import KernelClass
 from repro.kernels import GColumn, GTable
+from repro.kernels.compute import _device_of, _dtype_of, _rows_of, _traffic
 
 NULL_CODE = np.int64(-1)
 
@@ -381,3 +386,158 @@ def concat_gtables(tables):
             validity = np.concatenate([p.valid_mask() for p in parts])
             out_cols.append(GColumn.from_array(device, field.dtype, data, validity))
     return GTable(Schema([Field(f.name, f.dtype) for f in schema]), out_cols, device)
+
+
+# -- expression kernels -----------------------------------------------------------
+#
+# The compute kernels as first shipped.  Every operand becomes a full value
+# array and a full validity mask — all-true for a column without a validity
+# buffer and for a non-NULL scalar — and ``GColumn.from_array`` drops the
+# mask again when it comes out all-true.  Two fixes are applied: ``%``
+# takes the dividend's sign and is NULL for a zero divisor (the first
+# version floored, and cast the NaN of ``x % 0`` to int64's minimum), and a
+# NULL in an IN list makes the rows that match no element NULL (the first
+# version left them FALSE).
+
+_ARITH_OPS = {
+    "add": np.add,
+    "subtract": np.subtract,
+    "multiply": np.multiply,
+    "divide": np.divide,
+    "modulo": np.fmod,
+}
+_CMP_OPS = {
+    "eq": np.equal,
+    "ne": np.not_equal,
+    "lt": np.less,
+    "le": np.less_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
+}
+
+
+def _values_and_mask(operand, rows):
+    if isinstance(operand, GColumn):
+        return operand.data, operand.valid_mask()
+    raw = date_to_days(operand) if isinstance(operand, date) else operand
+    if raw is None:
+        return np.zeros(rows), np.zeros(rows, dtype=np.bool_)
+    return np.full(rows, raw), np.ones(rows, dtype=np.bool_)
+
+
+def binary_arith(op, left, right):
+    device = _device_of(left, right)
+    rows = _rows_of(left, right)
+    lv, lm = _values_and_mask(left, rows)
+    rv, rm = _values_and_mask(right, rows)
+    ldt, rdt = _dtype_of(left), _dtype_of(right)
+    if op == "divide":
+        out_dtype = FLOAT64
+        with np.errstate(divide="ignore", invalid="ignore"):
+            data = np.divide(lv.astype(np.float64), rv.astype(np.float64))
+        valid = lm & rm & (np.asarray(rv) != 0)
+        data = np.where(valid, data, 0.0)
+    else:
+        if ldt is DATE32 and rdt.is_integer and op in ("add", "subtract"):
+            out_dtype = DATE32
+        elif ldt is DATE32 and rdt is DATE32 and op == "subtract":
+            out_dtype = INT64
+        else:
+            out_dtype = common_numeric_type(ldt, rdt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            data = _ARITH_OPS[op](lv.astype(np.float64), rv.astype(np.float64))
+        valid = lm & rm
+        if op == "modulo":
+            valid = valid & (rv != 0)
+        data = np.where(valid, data, 0.0).astype(out_dtype.numpy_dtype)
+    device.launch(KernelClass.STREAM, _traffic(left, right), data.nbytes, rows)
+    return GColumn.from_array(device, out_dtype, data, valid)
+
+
+def compare(op, left, right):
+    """Non-string operands only."""
+    device = _device_of(left, right)
+    rows = _rows_of(left, right)
+    lv, lm = _values_and_mask(left, rows)
+    rv, rm = _values_and_mask(right, rows)
+    valid = lm & rm
+    data = _CMP_OPS[op](lv, rv) & valid
+    device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
+    return GColumn.from_array(device, BOOL, data, valid)
+
+
+def _bool_parts(operand, rows):
+    if isinstance(operand, GColumn):
+        return operand.data.astype(np.bool_), operand.valid_mask()
+    if operand is None:
+        return np.zeros(rows, dtype=np.bool_), np.zeros(rows, dtype=np.bool_)
+    return np.full(rows, bool(operand)), np.ones(rows, dtype=np.bool_)
+
+
+def logical_and(left, right):
+    device = _device_of(left, right)
+    rows = _rows_of(left, right)
+    lv, lm = _bool_parts(left, rows)
+    rv, rm = _bool_parts(right, rows)
+    data = lv & rv
+    valid = (lm & rm) | (lm & ~lv) | (rm & ~rv)
+    device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
+    return GColumn.from_array(device, BOOL, data & valid, valid)
+
+
+def logical_or(left, right):
+    device = _device_of(left, right)
+    rows = _rows_of(left, right)
+    lv, lm = _bool_parts(left, rows)
+    rv, rm = _bool_parts(right, rows)
+    true_l = lm & lv
+    true_r = rm & rv
+    valid = (lm & rm) | true_l | true_r
+    device.launch(KernelClass.STREAM, _traffic(left, right), rows, rows)
+    return GColumn.from_array(device, BOOL, true_l | true_r, valid)
+
+
+def logical_not(operand):
+    device = operand.device
+    rows = len(operand)
+    v, m = _bool_parts(operand, rows)
+    device.launch(KernelClass.STREAM, operand.traffic_bytes, rows, rows)
+    return GColumn.from_array(device, BOOL, ~v & m, m)
+
+
+def is_null(operand, negate=False):
+    device = operand.device
+    rows = len(operand)
+    mask = operand.valid_mask()
+    if operand.dtype.is_string:
+        mask = mask & (operand.data >= 0)
+    data = mask if negate else ~mask
+    device.launch(KernelClass.STREAM, rows, rows, rows)
+    return GColumn.from_array(device, BOOL, data, np.ones(rows, dtype=np.bool_))
+
+
+def in_list(column, values):
+    device = column.device
+    rows = len(column)
+    listed = [v for v in values if v is not None]
+    if column.dtype.is_string:
+        targets = {str(v) for v in listed}
+        hits = np.array([str(s) in targets for s in column.dictionary], dtype=np.bool_)
+        valid = column.valid_mask() & (column.data >= 0)
+        data = np.zeros(rows, dtype=np.bool_)
+        data[valid] = hits[column.data[valid]]
+        device.launch(KernelClass.STRING, column.traffic_bytes, rows, rows)
+    else:
+        raw = np.array([date_to_days(v) if isinstance(v, date) else v for v in listed])
+        valid = column.valid_mask()
+        data = np.isin(column.data, raw) & valid
+        device.launch(KernelClass.STREAM, column.traffic_bytes, rows, rows)
+    if len(listed) < len(values):
+        valid = valid & data
+    return GColumn.from_array(device, BOOL, data, valid)
+
+
+def keep_mask(value, table):
+    if not isinstance(value, GColumn):
+        return np.full(table.num_rows, bool(value), dtype=np.bool_)
+    return value.data.astype(np.bool_) & value.valid_mask()

@@ -7,15 +7,19 @@ sort-merge), ``groupby`` with every aggregate, ``concat_gtables`` — over
 one pair of key-column lists and requires arrays equal to the reference in
 dtype, shape and every element, **in order**.  The named cases below are
 the degenerate and boundary inputs; ``test_properties.py`` feeds the same
-check from hypothesis strategies.
+check from hypothesis strategies.  The joins' key lookup has its own
+boundary cases and property at the end, each saying which joins looked
+the key up and which factorized it.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.columnar import BOOL, DATE32, FLOAT64, INT64, STRING, Field, Schema
+from repro.columnar import BOOL, DATE32, FLOAT64, INT32, INT64, STRING, Field, Schema
 from repro.core.operators.join import custom_sort_merge_join
 from repro.kernels import (
     AggSpec,
@@ -28,7 +32,9 @@ from repro.kernels import (
     left_join,
     semi_join,
 )
+from repro.kernels import join as join_module
 from repro.kernels import keys as keys_module
+from repro.gpu import GH200, Device
 from repro.kernels.gtable import GColumn
 
 from . import reference
@@ -68,12 +74,17 @@ def assert_identical(got, want, what=""):
 
 
 def value_columns(dev, rows):
-    """Deterministic aggregate inputs (int, float, string; each with NULLs)."""
+    """Deterministic aggregate inputs: int, float and string columns with
+    NULLs, then an int and a string column without a validity buffer (the
+    string's NULLs are ``-1`` codes)."""
     rng = np.random.default_rng(rows)
     return (
         column(dev, INT64, rng.integers(-50, 50, rows), rng.random(rows) < 0.8),
         column(dev, FLOAT64, rng.normal(size=rows).round(3), rng.random(rows) < 0.8),
         strings(dev, rng.integers(0, 3, rows), ["a", "b", "c"], rng.random(rows) < 0.8),
+        column(dev, INT64, rng.integers(-50, 50, rows)),
+        GColumn(STRING, dev.new_buffer(rng.integers(-1, 3, rows).astype(np.int32)), None,
+                np.asarray(["a", "b", "c"], dtype=object)),
     )
 
 
@@ -119,14 +130,16 @@ def check_joins(left, right):
 
 
 def check_groupby(dev, keys):
-    ints_, floats_, strs_ = value_columns(dev, len(keys[0]))
+    ints_, floats_, strs_, plain_ints, plain_strs = value_columns(dev, len(keys[0]))
     aggs = [AggSpec("count_star", None, "n")]
-    aggs += [
-        AggSpec(op, ints_, f"i_{op}")
-        for op in ("sum", "min", "max", "count", "count_distinct", "mean")
-    ]
+    for name, col in (("i", ints_), ("p", plain_ints)):
+        aggs += [
+            AggSpec(op, col, f"{name}_{op}")
+            for op in ("sum", "min", "max", "count", "count_distinct", "mean")
+        ]
     aggs += [AggSpec(op, floats_, f"f_{op}") for op in ("sum", "min", "max", "mean")]
-    aggs += [AggSpec(op, strs_, f"s_{op}") for op in ("min", "max", "count", "count_distinct")]
+    for name, col in (("s", strs_), ("q", plain_strs)):
+        aggs += [AggSpec(op, col, f"{name}_{op}") for op in ("min", "max", "count", "count_distinct")]
     got = groupby(keys, aggs)
     want = reference.groupby(keys, aggs)
     assert got.num_columns == len(want)
@@ -365,3 +378,158 @@ class TestWideKeys:
         assert len(row_sorts) > 0
         check_joins(left, right)
         check_groupby(dev, left)
+
+
+# -- the joins' key lookup: which joins take it, and that they agree --------------------
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """Names of the join kernels that fell back to ``factorize_keys``
+    (``_has_match`` stands for semi and anti)."""
+    seen = []
+    real = join_module.factorize_keys
+
+    def spy(*args, **kwargs):
+        seen.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(join_module, "factorize_keys", spy)
+    return seen
+
+
+EVERY_JOIN = {"inner_join", "left_join", "_has_match"}
+SEMI_ANTI = ["_has_match", "_has_match"]
+
+
+def check_lookup(left, right, factorized, fallbacks):
+    """The kernel joins equal the reference, and exactly the joins named in
+    ``fallbacks`` (in call order) factorized their keys."""
+    factorized.clear()
+    check_joins([left], [right])
+    kernel_calls = [name for name in factorized if name in EVERY_JOIN]
+    assert kernel_calls == fallbacks
+
+
+KEY_DTYPES = {"int32": INT32, "int64": INT64, "date": DATE32, "bool": BOOL}
+
+
+class TestKeyLookup:
+    @pytest.mark.parametrize("probe_kind", list(KEY_DTYPES))
+    @pytest.mark.parametrize("build_kind", list(KEY_DTYPES))
+    def test_every_integer_kind_and_mixed_widths(self, dev, factorized, build_kind, probe_kind):
+        bools = "bool" in (build_kind, probe_kind)
+        build = column(dev, KEY_DTYPES[build_kind], [1, 0] if bools else [3, -2, 7, 0])
+        probe = column(
+            dev, KEY_DTYPES[probe_kind], [0, 1, 1, 0, 1] if bools else [7, 3, 9, -2, 3, 0, -5]
+        )
+        # The probe side repeats keys but the build side does not: every
+        # join looks up, in either argument order (the inner join's
+        # smaller side is the unique one).
+        check_lookup(probe, build, factorized, [])
+        check_lookup(build, probe, factorized, ["left_join"])
+
+    def test_nulls_on_either_side_or_both(self, dev, factorized):
+        build = ints(dev, [4, 1, 9, 2**62, 5], [1, 1, 1, 0, 1])  # garbage under the NULL
+        probe = ints(dev, [9, 4, -(2**62), 1, 4, 5, 9], [1, 1, 0, 1, 0, 1, 1])
+        plain_build, plain_probe = ints(dev, [4, 1, 9, 7, 5]), ints(dev, [9, 4, 0, 1, 4, 5, 9])
+        for left, right in ((probe, plain_build), (plain_probe, build), (probe, build)):
+            check_lookup(left, right, factorized, [])
+
+    def test_all_null_sides(self, dev, factorized):
+        nulls = ints(dev, [1, 2, 3], [0, 0, 0])
+        check_lookup(ints(dev, [1, 2, 2, 3]), nulls, factorized, [])
+        check_lookup(nulls, ints(dev, [1, 2]), factorized, [])
+        check_lookup(nulls, ints(dev, [3, 2, 1], [0, 0, 0]), factorized, [])
+
+    def test_which_side_is_unique(self, dev, factorized):
+        unique = ints(dev, [5, 1, 3, 8])
+        repeated = ints(dev, [3, 3, 1, 8, 8, 8, 2])
+        small_repeated = ints(dev, [3, 1, 3])
+        # Build (the smaller side) unique.
+        check_lookup(repeated, unique, factorized, [])
+        # Only the probe side unique: inner looks the probe side up and
+        # orders the pairs as the build side's runs would; left cannot.
+        check_lookup(unique, small_repeated, factorized, ["left_join"])
+        # Both sides unique.
+        check_lookup(unique, ints(dev, [8, 7, 5]), factorized, [])
+        # Neither: only semi and anti look up.
+        check_lookup(repeated, ints(dev, [8, 1, 8, 4]), factorized, ["inner_join", "left_join"])
+
+    def test_empty_sides_and_one_row_builds(self, dev, factorized):
+        empty = ints(dev, [])
+        # An empty side is unique; a repeated build side still is not.
+        check_lookup(empty, ints(dev, [1, 2, 2]), factorized, ["left_join"])
+        check_lookup(ints(dev, [1, 2, 2]), empty, factorized, [])
+        check_lookup(empty, empty, factorized, [])
+        check_lookup(ints(dev, [4, 7, 4, -1]), ints(dev, [4]), factorized, [])
+        check_lookup(ints(dev, [4, 7, 4, -1]), ints(dev, [5]), factorized, [])
+        check_lookup(ints(dev, [4, 7, 4, -1]), ints(dev, [4], [0]), factorized, [])
+
+    def test_negative_keys_and_probes_outside_the_build_range(self, dev, factorized):
+        build = ints(dev, [-9, -4, -6, -5])
+        probe = ints(dev, [-10, -9, -3, I64.min, I64.max, -5, -4, 0, -9])
+        check_lookup(probe, build, factorized, [])
+        # The build range touches both ends of int64: a probe key far below
+        # ``lo`` wraps past the table when viewed unsigned, never into it.
+        top = ints(dev, [I64.max, I64.max - 2])
+        bottom = ints(dev, [I64.min, I64.min + 1])
+        check_lookup(ints(dev, [I64.min, I64.min + 2, I64.max - 2, -1, 0]), top, factorized, [])
+        check_lookup(ints(dev, [I64.max, I64.max - 1, I64.min + 1, 1, 0]), bottom, factorized, [])
+
+    def test_the_span_budget_is_the_dense_rank_one(self, dev, factorized):
+        bound = keys_module.TABLE_SLOTS_PER_ROW * 2 + keys_module.TABLE_SLOTS_FLOOR
+        fits = ints(dev, [0, bound - 1])
+        check_lookup(ints(dev, [bound - 1, 0, 5, bound - 1]), fits, factorized, [])
+        # One slot wider on both sides: nothing can be looked up.
+        wide = ints(dev, [0, bound])
+        every = ["inner_join", "left_join", *SEMI_ANTI]
+        check_lookup(ints(dev, [bound, 0, 5, bound]), wide, factorized, every)
+        # Only NULL rows reach past the budget: the span is the valid rows'.
+        masked = ints(dev, [0, bound - 1, 10 * bound], [1, 1, 0])
+        check_lookup(ints(dev, [bound - 1, 0, 10 * bound]), masked, factorized, [])
+
+    def test_strings_floats_and_several_keys_factorize(self, dev, factorized):
+        every = ["inner_join", "left_join", *SEMI_ANTI]
+        check_lookup(
+            strings(dev, [0, 1, 1], ["a", "b"]), strings(dev, [1, 0], ["a", "b"]), factorized, every
+        )
+        floats = column(dev, FLOAT64, [1.0, 2.0])
+        check_lookup(column(dev, FLOAT64, [2.0, 3.0, 1.0]), floats, factorized, every)
+        factorized.clear()
+        check_joins([ints(dev, [1, 2]), ints(dev, [3, 4])], [ints(dev, [2]), ints(dev, [4])])
+        assert [n for n in factorized if n in EVERY_JOIN] == every
+
+
+@st.composite
+def lookup_sides(draw):
+    """One integer-kind key column per side: widths mixed, NULLs (with
+    garbage under them) anywhere, keys unique or repeated, negative, and
+    outside the other side's range."""
+    dev = Device(GH200, memory_limit_gb=2.0)
+    sides = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(list(KEY_DTYPES)))
+        rows = draw(st.integers(0, 12))
+        if kind == "bool":
+            values = st.booleans()
+        else:
+            lo = draw(st.integers(-20, 5))
+            values = st.integers(lo, lo + draw(st.integers(0, 25)))
+        unique = draw(st.booleans())
+        data = draw(st.lists(values, min_size=0 if unique else rows, max_size=rows, unique=unique))
+        rows = len(data)
+        validity = draw(
+            st.one_of(st.none(), st.lists(st.booleans(), min_size=rows, max_size=rows))
+        )
+        if validity is not None and draw(st.booleans()):
+            data = [v if ok else 2**30 for v, ok in zip(data, validity)]
+        sides.append(column(dev, KEY_DTYPES[kind], data, validity))
+    return sides
+
+
+class TestKeyLookupProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_sides())
+    def test_joins_equal_the_reference(self, sides):
+        check_joins([sides[0]], [sides[1]])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.columnar import STRING
 from repro.kernels import (
+    GColumn,
     concat_gtables,
     gather_column,
     gather_table,
@@ -202,6 +204,13 @@ class TestReduce:
     def test_count_distinct(self, make_gtable):
         g = make_gtable({"v": [1, 1, 2, None]}, [("v", "int64")])
         assert reduce_column(g.column("v"), "count_distinct") == 2
+
+    def test_minus_one_codes_are_null_without_a_validity_buffer(self, dev):
+        codes = dev.new_buffer(np.array([2, -1, 0, -1, 2], dtype=np.int32))
+        col = GColumn(STRING, codes, None, np.asarray(["a", "b", "c"], dtype=object))
+        got = {op: reduce_column(col, op) for op in ("count", "count_distinct", "min", "max")}
+        assert got == {"count": 3, "count_distinct": 2, "min": "a", "max": "c"}
+        assert reduce_column(col, "count_star") == 5
 
     def test_integer_sum_returns_int(self, make_gtable):
         g = make_gtable({"v": [1, 2]}, [("v", "int64")])
