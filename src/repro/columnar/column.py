@@ -21,6 +21,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from ._keys import KeyArrays, decode
 from .dtypes import BOOL, DATE32, STRING, DType, date_to_days, days_to_date
 
 __all__ = ["Column", "column_from_pylist"]
@@ -177,18 +178,10 @@ class Column:
         data = self.data.astype(target.numpy_dtype)
         return Column(target, data, self.validity, None)
 
-    def compact_dictionary(self) -> "Column":
-        """Rebuild a string column so the dictionary contains only codes in
-        use.  Used after filters/gathers shrink a column far below its
-        original dictionary."""
-        if not self.dtype.is_string:
-            return self
-        valid = self.is_valid_mask()
-        used = self.data[valid & (self.data >= 0)]
-        uniques, inverse = np.unique(used, return_inverse=True)
-        codes = np.full(len(self), _NULL_CODE, dtype=np.int32)
-        codes[valid & (self.data >= 0)] = inverse.astype(np.int32)
-        return Column(STRING, codes, self.validity, self.dictionary[uniques])
+    @property
+    def arrays(self) -> KeyArrays:
+        """``(data, validity, dictionary)``, what placement and merging read."""
+        return self.data, self.validity, self.dictionary
 
     def decoded(self) -> np.ndarray:
         """Return an object array of decoded strings (NULL -> None).
@@ -198,11 +191,7 @@ class Column:
         """
         if not self.dtype.is_string:
             raise TypeError("decoded() is only defined for string columns")
-        out = np.empty(len(self), dtype=object)
-        valid = self.is_valid_mask() & (self.data >= 0)
-        out[valid] = self.dictionary[self.data[valid]]
-        out[~valid] = None
-        return out
+        return decode(*self.arrays)
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(self[i]) for i in range(min(len(self), 5)))

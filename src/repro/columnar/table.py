@@ -7,6 +7,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._keys import bucket_rows, concat_validity, merge_dictionaries, partition_ids
 from .column import Column, column_from_pylist
 from .dtypes import DType, dtype_from_name
 
@@ -150,6 +151,14 @@ class Table:
     def slice(self, start: int, length: int) -> "Table":
         return Table(self.schema, [c.slice(start, length) for c in self.columns])
 
+    def partition(self, key_ordinals: Sequence[int], num_partitions: int) -> list["Table"]:
+        """Piece ``p`` holds, in source order, the rows whose key columns at
+        ``key_ordinals`` hash to ``p`` — the level-0 ids
+        ``kernels.hash_partition_ids`` gives the same keys on a device."""
+        keys = [self.columns[i].arrays for i in key_ordinals]
+        ids = partition_ids(keys, num_partitions)
+        return [self.take(rows) for rows in bucket_rows(ids, num_partitions)]
+
     def rename(self, names: Sequence[str]) -> "Table":
         if len(names) != self.num_columns:
             raise ValueError("rename needs one name per column")
@@ -218,14 +227,12 @@ def concat_tables(tables: Sequence[Table]) -> Table:
             raise ValueError("concat_tables: mismatched schemas")
     out_cols = []
     for i, field in enumerate(schema):
-        parts = [t.columns[i] for t in tables]
+        parts = [t.columns[i].arrays for t in tables]
         if field.dtype.is_string:
-            decoded = np.concatenate([p.decoded() for p in parts]) if parts else np.array([], object)
-            out_cols.append(Column.from_strings(list(decoded)))
+            # The dictionary is the sorted set of entries valid rows use.
+            dictionary, codes = merge_dictionaries(parts)
+            out_cols.append(Column(field.dtype, codes, codes >= 0, dictionary))
         else:
-            data = np.concatenate([p.data for p in parts])
-            masks = [p.is_valid_mask() for p in parts]
-            validity = np.concatenate(masks)
-            validity_arg = None if bool(validity.all()) else validity
-            out_cols.append(Column(field.dtype, data, validity_arg))
+            data = np.concatenate([data for data, _validity, _dictionary in parts])
+            out_cols.append(Column(field.dtype, data, concat_validity(parts)))
     return Table(schema, out_cols)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..columnar import Table
 from ..gpu.clock import SimClock
 from ..gpu.device import Device
@@ -42,17 +40,10 @@ PARTITION_KEYS = {
 
 
 def partition_table(table: Table, key: str, num_partitions: int) -> list[Table]:
-    """Hash-partition a host table on ``key`` into ``num_partitions`` parts.
-
-    Uses a stable modulo hash of the key column so that co-partitioned
-    tables (orders/lineitem on orderkey) land matching rows on the same
-    node — which is what makes their join local.
-    """
-    col = table.column(key)
-    if col.dtype.is_string:
-        raise ValueError("partitioning on string keys is not supported")
-    ids = (col.data.astype(np.int64) % num_partitions + num_partitions) % num_partitions
-    return [table.mask(ids == p) for p in range(num_partitions)]
+    """Hash-partition a host table on ``key`` into ``num_partitions`` parts
+    with the shuffle's hash, so co-partitioned tables and shuffled rows
+    with equal keys share a node — which is what makes their join local."""
+    return table.partition([table.schema.index_of(key)], num_partitions)
 
 
 @dataclass

@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from ..columnar import Table, concat_tables
 from ..core.deadline import Deadline
 from ..gpu.nccl import LinkDroppedError
-from ..kernels.compute import _fnv1a
 from ..obs import NULL_TRACER, QueryProfile
 from ..plan import Plan
 from .cluster import Cluster
@@ -337,7 +334,7 @@ class DistributedExecutor:
             return
 
         if spec.kind == "merge":
-            sizes = [outputs.get(i, _empty_like(spec)).nbytes for i in range(n)]
+            sizes = [outputs[i].nbytes if i in outputs else 0 for i in range(n)]
             self._collective(spec.kind, lambda: comm.gather(COORDINATOR, sizes))
             merged = concat_tables([outputs[i] for i in sorted(outputs)])
             temp_tables[COORDINATOR][name] = merged
@@ -347,9 +344,7 @@ class DistributedExecutor:
             partitions: list[list[Table]] = [[] for _ in range(n)]
             matrix = [[0] * n for _ in range(n)]
             for sender, table in outputs.items():
-                ids = _partition_ids(table, spec.key_ordinals, n)
-                for dest in range(n):
-                    piece = table.mask(ids == dest)
+                for dest, piece in enumerate(table.partition(spec.key_ordinals, n)):
                     partitions[dest].append(piece)
                     matrix[sender][dest] = piece.nbytes
             self._collective(spec.kind, lambda: comm.all_to_all(matrix))
@@ -395,40 +390,3 @@ class DistributedExecutor:
             for ex_id in f.consumes:
                 counts[ex_id] = counts.get(ex_id, 0) + 1
         return counts
-
-
-def _partition_ids(table: Table, key_ordinals, num_partitions: int) -> np.ndarray:
-    """Stable row->node assignment consistent with base-table partitioning.
-
-    Single integer keys use plain modulo (matching
-    :func:`~repro.distributed.cluster.partition_table`); multi-column or
-    string keys use the mix of :func:`~repro.kernels.compute
-    .hash_partition_ids` at level 0.  NULL is one key value: whatever
-    payload lies under an invalid slot routes as zero.
-    """
-    cols = [table.columns[ordinal] for ordinal in key_ordinals]
-    if len(cols) == 1 and (cols[0].dtype.is_integer or cols[0].dtype.is_temporal):
-        vals = _key_payload(cols[0])
-        return ((vals % num_partitions) + num_partitions) % num_partitions
-    acc = np.zeros(table.num_rows, dtype=np.uint64)
-    for col in cols:
-        acc = acc * np.uint64(1099511628211) + _key_payload(col).view(np.uint64)
-    return (acc % np.uint64(num_partitions)).astype(np.int64)
-
-
-def _key_payload(col) -> np.ndarray:
-    """One 64-bit word per row: the value, or for strings the FNV-1a of
-    the dictionary entry (hashed once per entry, indexed by code); NULL
-    rows carry zero."""
-    valid = col.is_valid_mask()
-    if not col.dtype.is_string:
-        return np.where(valid, col.data.astype(np.int64), 0)
-    hashes = np.array([_fnv1a(str(s)) for s in col.dictionary], dtype=np.uint64)
-    valid &= col.data >= 0
-    vals = np.zeros(len(col), dtype=np.uint64)
-    vals[valid] = hashes[col.data[valid]]
-    return vals
-
-
-def _empty_like(spec) -> Table:
-    return Table.empty(spec.schema)

@@ -151,8 +151,6 @@ class DistributedPlanner:
             # Every node would return an identical copy (replicated), or
             # the data already lives on the initiator: run it once.
             self._emit(rel, None, runs_on="coordinator")
-        elif self._is_coordinator_only(rel):
-            self._emit(rel, None, runs_on="coordinator")
         else:
             # Merge partitions to the coordinator, identity final fragment.
             merged = self._cut(rel, "merge", [])
@@ -176,12 +174,6 @@ class DistributedPlanner:
         frag = Fragment(len(self.fragments), rel, spec, "all", _consumed_exchanges(rel))
         self.fragments.append(frag)
         return ReadRel(spec.table_name, schema)
-
-    def _is_coordinator_only(self, rel: Relation) -> bool:
-        """True when the relation reads only merged exchange tables."""
-        if isinstance(rel, ReadRel):
-            return rel.table_name.startswith("__ex")
-        return bool(rel.inputs) and all(self._is_coordinator_only(c) for c in rel.inputs)
 
     # -- recursion -----------------------------------------------------------
 
@@ -220,14 +212,14 @@ class DistributedPlanner:
             local = FetchRel(SortRel(child, sort_rel.sort_keys), 0, rel.offset + (rel.count or 0) or None)
             merged = self._cut(local, "merge", [])
             final = FetchRel(SortRel(merged, sort_rel.sort_keys), rel.offset, rel.count)
-            return final, _ARBITRARY
+            return final, _COORDINATOR
 
         if isinstance(rel, SortRel):
             child, part = self._visit(rel.input_rel)
             if part in (_REPLICATED, _COORDINATOR):
                 return SortRel(child, rel.sort_keys), part
             merged = self._cut(child, "merge", [])
-            return SortRel(merged, rel.sort_keys), _ARBITRARY
+            return SortRel(merged, rel.sort_keys), _COORDINATOR
 
         if isinstance(rel, FetchRel):
             child, part = self._visit(rel.input_rel)
@@ -235,7 +227,7 @@ class DistributedPlanner:
                 return FetchRel(child, rel.offset, rel.count), part
             local = FetchRel(child, 0, rel.offset + (rel.count or 0) or None)
             merged = self._cut(local, "merge", [])
-            return FetchRel(merged, rel.offset, rel.count), _ARBITRARY
+            return FetchRel(merged, rel.offset, rel.count), _COORDINATOR
 
         raise DistributedUnsupportedError(
             f"distributed mode does not support {type(rel).__name__}"
@@ -368,7 +360,7 @@ class DistributedPlanner:
             # raw rows by group key first, then aggregate once.
             if not n_groups:
                 merged = self._cut(child, "merge", [])
-                return AggregateRel(merged, [], rel.measures), _ARBITRARY
+                return AggregateRel(merged, [], rel.measures), _COORDINATOR
             shuffled = self._cut(child, "shuffle", [rel.group_indices[0]])
             return AggregateRel(shuffled, rel.group_indices, rel.measures), _ARBITRARY
 
@@ -383,7 +375,7 @@ class DistributedPlanner:
         final = AggregateRel(redistributed, list(range(n_groups)), final_measures)
         if finish_exprs is not None:
             final = ProjectRel(final, finish_exprs, finish_names)
-        return final, (_hash_part([0]) if n_groups else _ARBITRARY)
+        return final, (_hash_part([0]) if n_groups else _COORDINATOR)
 
 
 def _project_partitioning(part, expressions):
@@ -445,7 +437,4 @@ def _two_phase_measures(rel: AggregateRel, n_groups: int):
         if finish_exprs is not None:
             finish_exprs.append(FieldRef(n_groups + len(finals) - 1))
             finish_names.append(name)
-    if finish_exprs is not None:
-        # Re-derive group key outputs by position for the finishing project.
-        pass
     return partials, finals, finish_exprs, finish_names

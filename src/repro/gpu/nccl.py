@@ -2,7 +2,9 @@
 
 The paper's exchange service layer implements broadcast, shuffle, merge and
 multi-cast on NCCL primitives running over PCIe / NVLink / InfiniBand.
-Here, each participating device keeps its *own* simulated clock (nodes
+Here three collectives carry every exchange — ``all_to_all`` (a shuffle,
+and a broadcast as an all-gather), ``gather`` (a merge) and ``barrier`` —
+and each participating device keeps its *own* simulated clock (nodes
 compute in parallel); a collective is a synchronisation point:
 
 1. every rank "arrives" at its local time;
@@ -194,25 +196,6 @@ class Communicator:
         """Synchronise all ranks with a latency-only round."""
         return self._complete(self.fabric.latency, 0, kind="barrier")
 
-    def broadcast(self, root: int, nbytes: int) -> float:
-        """Pipelined broadcast of ``nbytes`` from ``root`` to all ranks.
-
-        With heterogeneous links the slowest receiver paces the pipeline.
-        """
-        self._check_rank(root)
-        if self.world_size == 1:
-            return self._complete(0.0, 0, kind="broadcast")
-        links = [self.link(root, r) for r in range(self.world_size) if r != root]
-        slowest = min(link.bandwidth for link in links)
-        latency = max(link.latency for link in links)
-        seconds = latency + nbytes / slowest
-        return self._complete(
-            seconds,
-            nbytes * (self.world_size - 1),
-            kind="broadcast",
-            links=[(root, r, nbytes) for r in range(self.world_size) if r != root],
-        )
-
     def all_to_all(self, bytes_matrix: Sequence[Sequence[int]]) -> float:
         """Full shuffle: rank ``i`` sends ``bytes_matrix[i][j]`` to rank ``j``.
 
@@ -258,23 +241,6 @@ class Communicator:
             incoming,
             kind="gather",
             links=[(r, root, b) for r, b in enumerate(nbytes_per_rank) if r != root and b],
-        )
-
-    def multicast(self, root: int, targets: Sequence[int], nbytes: int) -> float:
-        """Send ``nbytes`` from ``root`` to a subset of ranks."""
-        self._check_rank(root)
-        remote = [t for t in targets if t != root]
-        for t in remote:
-            self._check_rank(t)
-        if not remote:
-            return self._complete(0.0, 0, kind="multicast")
-        # Root's egress link serialises distinct destinations.
-        seconds = self.fabric.latency + nbytes * len(remote) / self.fabric.bandwidth
-        return self._complete(
-            seconds,
-            nbytes * len(remote),
-            kind="multicast",
-            links=[(root, t, nbytes) for t in remote],
         )
 
     def _check_rank(self, rank: int) -> None:

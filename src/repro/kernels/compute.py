@@ -30,8 +30,9 @@ import numpy as np
 
 from ..columnar import BOOL, DATE32, FLOAT64, INT64, STRING, DType
 from ..columnar.dtypes import common_numeric_type, date_to_days
+from ..columnar._keys import partition_ids, per_dictionary
 from ..gpu.costmodel import KernelClass
-from .gtable import GColumn, _has_value, _per_dictionary
+from .gtable import GColumn, _has_value
 
 __all__ = [
     "binary_arith",
@@ -493,7 +494,7 @@ def like(
     device = column.device
     rows = len(column)
     dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
-    hits = _per_dictionary(dictionary, _like_hits, pattern, escape)
+    hits = per_dictionary(dictionary, _like_hits, pattern, escape)
     if negate:
         hits = ~hits
     valid = _has_value(column)
@@ -514,7 +515,7 @@ def substring(column: GColumn, start: int, length: int) -> GColumn:
         raise TypeError("substring requires a string column")
     device = column.device
     dictionary = column.dictionary if column.dictionary is not None else np.array([], object)
-    uniques, remap = _per_dictionary(dictionary, _substring_entries, start, length)
+    uniques, remap = per_dictionary(dictionary, _substring_entries, start, length)
     device.launch(KernelClass.STRING, column.traffic_bytes, column.traffic_bytes, len(column))
     valid = _has_value(column)
     codes = np.full(len(column), -1, dtype=np.int32)
@@ -660,69 +661,17 @@ def fill_constant(device, rows: int, value: Any, dtype: DType | None = None) -> 
 def hash_partition_ids(
     keys: Sequence[GColumn], num_partitions: int, level: int = 0
 ) -> np.ndarray:
-    """Deterministic partition id per row from the key columns.
-
-    Rows whose keys are equal receive the same id, and NULL is one key
-    value for every dtype: whatever payload lies under an invalid slot is
-    hashed as zero.  This is the hash of out-of-core radix partitioning
-    (:func:`~repro.kernels.copying.partition_by_keys`).  The distributed
-    shuffle routes with ``distributed/engine._partition_ids`` instead:
-    the same mix at level 0, except that a single integer key goes by
-    plain modulo to match base-table placement — the two differ on
-    negative single-integer keys when the node count is not a power of
-    two, and a property test pins where they agree.
-
-    ``level`` salts the accumulator so recursive radix partitioning
-    redistributes at depth ``L+1`` the rows that landed in one bucket at
-    depth ``L``.  ``level=0`` is the unsalted hash.  The mix is linear
-    modulo 2**64, so a salt alone would only renumber the buckets (rows
-    that agreed at one level would agree at every level); salted levels
-    therefore pass the accumulator through a splitmix64 finaliser.
-    """
+    """Deterministic partition id per row from the key columns: the hash
+    of radix partitioning (:func:`~repro.kernels.copying.partition_by_keys`),
+    ``columnar._keys.partition_ids`` at ``level`` (see there)."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     if level < 0:
         raise ValueError("level must be non-negative")
     rows = _rows_of(*keys)
-    salt = (level * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    acc = np.full(rows, np.uint64(salt), dtype=np.uint64)
-    for col in keys:
-        if col.dtype.is_string:
-            # Hash each dictionary entry once with a process-stable FNV-1a,
-            # then map through the codes.
-            dictionary = col.dictionary if col.dictionary is not None else np.array([], object)
-            dict_hashes = _per_dictionary(dictionary, _fnv1a_entries)
-            vals = np.zeros(rows, dtype=np.uint64)
-            valid = _has_value(col)
-            vals[valid] = dict_hashes[col.data[valid]]
-        else:
-            vals = col.data.astype(np.int64).view(np.uint64) if col.data.dtype != np.uint64 else col.data
-            vals = vals.astype(np.uint64)
-            if col.validity is not None:
-                vals[~col.validity.array] = 0
-        acc = acc * np.uint64(1099511628211) + vals  # FNV-ish mix
-    if level:
-        acc ^= acc >> np.uint64(30)
-        acc *= np.uint64(0xBF58476D1CE4E5B9)
-        acc ^= acc >> np.uint64(27)
-        acc *= np.uint64(0x94D049BB133111EB)
-        acc ^= acc >> np.uint64(31)
+    ids = partition_ids([c.arrays for c in keys], num_partitions, level)
     keys[0].device.launch(KernelClass.STREAM, _traffic(*keys), rows * 4, rows)
-    return (acc % np.uint64(num_partitions)).astype(np.int32)
-
-
-def _fnv1a(text: str) -> int:
-    """Process-stable 64-bit FNV-1a (Python's hash() is salted per run)."""
-    acc = 0xCBF29CE484222325
-    for byte in text.encode("utf-8"):
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc
-
-
-def _fnv1a_entries(dictionary: np.ndarray) -> np.ndarray:
-    """:func:`_fnv1a` of every dictionary entry."""
-    return np.array([_fnv1a(str(s)) for s in dictionary], dtype=np.uint64)
+    return ids
 
 
 def _encode_strings(device, values: np.ndarray) -> GColumn:

@@ -24,10 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from ..columnar import Field, Schema
+from ..columnar._keys import bucket_rows, concat_validity, merge_dictionaries
 from ..gpu.costmodel import KernelClass
 from .compute import hash_partition_ids
-from .gtable import GColumn, GTable, _concat_validity
-from .keys import _merge_dictionaries
+from .gtable import GColumn, GTable
 
 __all__ = [
     "gather_column",
@@ -145,26 +145,20 @@ class _Pieces(Sequence):
     fragment, say) before taking ``p + 1`` needs pool headroom for one
     bucket, not the table.  The source must outlive the last bucket.
 
-    One stable sort of the partition ids finds every bucket's rows, in
-    source order, at once."""
+    Every bucket's rows, in source order, come from one stable sort of
+    the partition ids (``columnar._keys.bucket_rows``)."""
 
     def __init__(self, table: GTable, part_ids: np.ndarray, num_partitions: int):
         self._table = table
-        self._order = np.argsort(part_ids, kind="stable")
-        counts = np.bincount(part_ids, minlength=num_partitions)[:num_partitions]
-        self._bounds = np.concatenate(([0], np.cumsum(counts)))
-        self._n = num_partitions
+        self._buckets = bucket_rows(part_ids, num_partitions)
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._buckets)
 
     def __getitem__(self, p: int) -> GTable | None:
-        if not 0 <= p < self._n:
-            raise IndexError(p)
-        lo, hi = self._bounds[p], self._bounds[p + 1]
-        if lo == hi:
+        rows = self._buckets[p]
+        if not len(rows):
             return None
-        rows = self._order[lo:hi]
         table = self._table
         return GTable(table.schema, [_take_column(c, rows) for c in table.columns], table.device)
 
@@ -229,7 +223,7 @@ def concat_gtables(tables: Sequence[GTable]) -> GTable:
     for i, field in enumerate(schema):
         parts = [t.columns[i] for t in tables]
         if field.dtype.is_string:
-            dictionary, codes = _merge_dictionaries(parts)
+            dictionary, codes = merge_dictionaries([p.arrays for p in parts])
             out_cols.append(
                 GColumn.from_array(
                     device, field.dtype, codes.astype(np.int32), codes >= 0, dictionary
@@ -237,5 +231,6 @@ def concat_gtables(tables: Sequence[GTable]) -> GTable:
             )
         else:
             data = np.concatenate([p.data for p in parts])
-            out_cols.append(GColumn.from_array(device, field.dtype, data, _concat_validity(parts)))
+            validity = concat_validity([p.arrays for p in parts])
+            out_cols.append(GColumn.from_array(device, field.dtype, data, validity))
     return GTable(Schema([Field(f.name, f.dtype) for f in schema]), out_cols, device)

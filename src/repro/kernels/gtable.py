@@ -14,12 +14,12 @@ reporting hot runs (Sirius' buffer manager caches the device tables).
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..columnar import Column, DType, Schema, Table
+from ..columnar._keys import KeyArrays, decode, has_value, per_dictionary
 from ..gpu.buffer import DeviceBuffer
 from ..gpu.device import Device
 
@@ -31,31 +31,6 @@ NULL_INDEX = np.int32(-1)
 # ``from_host`` charge mode -> whether ``Device.htod`` prices the pinned rate.
 _HTOD_PINNED = {"pageable": False, "pinned": True}
 
-# id(dictionary) -> (weak reference, {key: value}).  Dictionaries are never
-# mutated in place (RR08), so whatever is computed from one is a property
-# of the object; the weak reference both drops the entry when the
-# dictionary dies and proves on lookup that the id still names the same
-# object.  Values are shared by every caller and never mutated.
-_DICTIONARY_MEMO: dict[int, tuple[weakref.ref, dict]] = {}
-
-
-def _per_dictionary(dictionary: np.ndarray, compute: Callable[..., Any], *args: Any) -> Any:
-    """``compute(dictionary, *args)``, computed once per dictionary object
-    and ``(compute, *args)``."""
-    slot = id(dictionary)
-    known = _DICTIONARY_MEMO.get(slot)
-    if known is None or known[0]() is not dictionary:
-
-        def forget(_ref, memo=_DICTIONARY_MEMO):  # bound now: globals may be gone at exit
-            memo.pop(slot, None)
-
-        known = _DICTIONARY_MEMO[slot] = (weakref.ref(dictionary, forget), {})
-    values = known[1]
-    key = (compute, *args)
-    if key not in values:
-        values[key] = compute(dictionary, *args)
-    return values[key]
-
 
 def _mean_entry_length(dictionary: np.ndarray) -> float:
     """Mean ``len(str(entry))`` over ``dictionary``."""
@@ -66,10 +41,8 @@ def _mean_entry_length(dictionary: np.ndarray) -> float:
 
 def _has_value(column: "GColumn") -> np.ndarray:
     """Rows of a string column that hold a value: valid, with a code >= 0."""
-    present = column.data >= 0
-    if column.validity is not None:
-        present &= column.validity.array
-    return present
+    data, validity, _dictionary = column.arrays
+    return has_value(data, validity)
 
 
 def _value_rows(column: "GColumn") -> np.ndarray | slice:
@@ -79,19 +52,6 @@ def _value_rows(column: "GColumn") -> np.ndarray | slice:
     if column.dtype.is_string:
         return _has_value(column)
     return slice(None) if column.validity is None else column.validity.array
-
-
-def _concat_validity(columns: Sequence["GColumn"]) -> np.ndarray | None:
-    """The columns' validity end to end, or ``None`` when none has a mask."""
-    if all(c.validity is None for c in columns):
-        return None
-    out = np.ones(sum(len(c) for c in columns), dtype=np.bool_)
-    start = 0
-    for c in columns:
-        if c.validity is not None:
-            out[start : start + len(c)] = c.validity.array
-        start += len(c)
-    return out
 
 
 class GColumn:
@@ -177,7 +137,7 @@ class GColumn:
         is what a non-dictionary engine like libcudf actually moves.
         """
         if self.dtype.is_string and len(self) > 0 and self.dictionary is not None:
-            avg_len = _per_dictionary(self.dictionary, _mean_entry_length)
+            avg_len = per_dictionary(self.dictionary, _mean_entry_length)
             return int(len(self) * avg_len) + self.buffer.nbytes
         return self.nbytes
 
@@ -192,15 +152,16 @@ class GColumn:
             return 0
         return int((~self.validity.array).sum())
 
+    @property
+    def arrays(self) -> KeyArrays:
+        """``(data, validity, dictionary)`` as ``Column.arrays`` gives them."""
+        return self.data, None if self.validity is None else self.validity.array, self.dictionary
+
     def decoded(self) -> np.ndarray:
         """Object array of decoded strings (NULL -> None)."""
         if not self.dtype.is_string:
             raise TypeError("decoded() is only defined for string columns")
-        out = np.empty(len(self), dtype=object)
-        valid = self.valid_mask() & (self.data >= 0)
-        out[valid] = self.dictionary[self.data[valid]]
-        out[~valid] = None
-        return out
+        return decode(*self.arrays)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -6,8 +6,8 @@ reduction consistently across *two* tables at once so the codes are
 directly comparable — which is what a shared hash function gives libcudf.
 
 Like a hash operator it does not sort rows when the key domain can be
-addressed directly.  Two private primitives do the work, and both return
-exactly the ranks ``np.unique(..., return_inverse=True)`` would:
+addressed directly.  Two primitives do the work, and both return exactly
+the ranks ``np.unique(..., return_inverse=True)`` would:
 
 * :func:`_dense_rank` ranks an integer-kind array (ints, dates, bools,
   combined codes) through a presence table + ``cumsum`` when the span
@@ -15,9 +15,10 @@ exactly the ranks ``np.unique(..., return_inverse=True)`` would:
   TABLE_SLOTS_FLOOR``; sparse integer domains and floats (whose NaN /
   ``-0.0`` handling ``np.unique`` defines) take the row sort inside the
   same function.  The choice reads only dtype, span and row count.
-* :func:`_merge_dictionaries` keeps strings dictionary-encoded: it sorts
-  only the dictionary *entries* the valid rows reference and remaps the
-  codes through a per-dictionary lookup table — no row is ever decoded.
+* ``columnar._keys.merge_dictionaries`` (the merge host and device
+  concatenation share) keeps strings dictionary-encoded: it sorts only
+  the dictionary *entries* the valid rows reference and remaps the codes
+  through a per-dictionary lookup table — no row is ever decoded.
 
 A key column with no validity buffer is all-valid and is ranked as it
 stands, with no mask built; a single key column's codes already are the
@@ -37,7 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gtable import GColumn, _concat_validity, _has_value
+from ..columnar._keys import concat_validity, merge_dictionaries
+from .gtable import GColumn
 
 __all__ = ["factorize_keys", "NULL_CODE"]
 
@@ -67,40 +69,6 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
             return rank_of_slot[slots], int(rank_of_slot[-1]) + 1
     uniques, inverse = np.unique(values, return_inverse=True)
     return inverse.astype(np.int64), len(uniques)
-
-
-def _merge_dictionaries(columns: Sequence[GColumn]) -> tuple[np.ndarray, np.ndarray]:
-    """Re-encode string columns against one merged, sorted dictionary.
-
-    Returns ``(dictionary, codes)``: the sorted distinct strings the valid
-    rows of ``columns`` reference (an object array — what ``np.unique``
-    over the decoded rows would give) and the int64 codes into it of all
-    columns' rows, concatenated in order, ``-1`` for NULL.
-    """
-    # One table addresses every entry of every distinct dictionary object
-    # (columns sharing a dictionary share its slots), plus a last slot that
-    # NULL rows hit as index -1 — so payloads under invalid rows never
-    # index anything.
-    bases: dict[int, tuple[int, np.ndarray]] = {}
-    size = 0
-    for col in columns:
-        if id(col.dictionary) not in bases:
-            bases[id(col.dictionary)] = (size, col.dictionary)
-            size += len(col.dictionary)
-    slots = np.concatenate(
-        [
-            np.where(_has_value(col), col.data + np.int64(bases[id(col.dictionary)][0]), -1)
-            for col in columns
-        ]
-    )
-    referenced = np.zeros(size + 1, dtype=np.bool_)
-    referenced[slots] = True
-    referenced[-1] = False
-    entries = [d[referenced[base : base + len(d)]] for base, d in bases.values()]
-    merged, ranks = np.unique(np.concatenate(entries).astype(object), return_inverse=True)
-    code_of_slot = np.full(size + 1, -1, dtype=np.int64)
-    code_of_slot[referenced] = ranks
-    return merged, code_of_slot[slots]
 
 
 def factorize_keys(
@@ -140,12 +108,12 @@ def factorize_keys(
         cols = [lcol, right[idx]] if right else [lcol]
         if lcol.dtype.is_string:
             # Compare by dictionary *values*: two tables have different dicts.
-            dictionary, codes = _merge_dictionaries(cols)
+            dictionary, codes = merge_dictionaries([c.arrays for c in cols])
             null = codes < 0
             card = len(dictionary)
         else:
             values = np.concatenate([c.data for c in cols])
-            valid = _concat_validity(cols)
+            valid = concat_validity([c.arrays for c in cols])
             if valid is None:
                 codes, card = _dense_rank(values)
                 null = None

@@ -31,10 +31,18 @@ class TestPartitioning:
         homes = [i for i, p in enumerate(parts) if 7 in p["k"].to_pylist()]
         assert len(homes) == 1
 
-    def test_string_partition_key_rejected(self):
-        t = Table.from_pydict({"s": ["a"]}, Schema([("s", "string")]))
-        with pytest.raises(ValueError):
-            partition_table(t, "s", 2)
+    def test_string_partition_keys_co_locate(self):
+        """Strings place by their value, not their code: two tables with
+        different dictionaries put an equal string on the same node."""
+        schema = Schema([("s", "string")])
+        a = Table.from_pydict({"s": ["pear", "fig", None, "kiwi", "fig"]}, schema)
+        b = Table.from_pydict({"s": ["kiwi", None, "fig", "apple"]}, schema)
+        pa, pb = partition_table(a, "s", 3), partition_table(b, "s", 3)
+        for node in range(3):
+            assert set(pb[node]["s"].to_pylist()) & set(a["s"].to_pylist()) <= set(
+                pa[node]["s"].to_pylist()
+            )
+        assert sum(p.num_rows for p in pa) == a.num_rows
 
     def test_co_partitioning_of_equal_keys(self):
         """Rows with equal key values land on the same node across tables -

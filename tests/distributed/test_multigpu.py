@@ -34,10 +34,12 @@ class TestHeterogeneousCommunicator:
         comm2.all_to_all(matrix)
         assert clocks1[0].now < clocks2[0].now
 
-    def test_broadcast_paced_by_slowest_receiver(self):
+    def test_cross_host_send_paced_by_infiniband(self):
         _, comm = self.make_comm()
-        seconds = comm.broadcast(0, 50 * GB)
-        # Rank 2/3 sit across InfiniBand (50 GB/s): ~1 s, not NVLink speed.
+        matrix = [[0] * 4 for _ in range(4)]
+        matrix[0][2] = 50 * GB
+        seconds = comm.all_to_all(matrix)
+        # Rank 2 sits across InfiniBand (50 GB/s): ~1 s, not NVLink speed.
         assert seconds == pytest.approx(1.0, rel=0.01)
 
 

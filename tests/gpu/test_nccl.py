@@ -30,26 +30,6 @@ class TestBarrierSemantics:
         assert clocks[1].bucket("exchange") == pytest.approx(2.0 + INFINIBAND_NDR.latency)
 
 
-class TestBroadcast:
-    def test_time_is_bytes_over_bandwidth(self, clocks, comm):
-        comm.broadcast(0, 50 * GB)
-        expected = INFINIBAND_NDR.latency + 50 * GB / (50 * GB)
-        assert clocks[0].now == pytest.approx(expected)
-
-    def test_wire_bytes_counted_per_receiver(self, comm):
-        comm.broadcast(0, 1000)
-        assert comm.bytes_on_wire == 3000
-
-    def test_single_rank_broadcast_free(self):
-        solo = Communicator([SimClock()], INFINIBAND_NDR)
-        solo.broadcast(0, 10**9)
-        assert solo.bytes_on_wire == 0
-
-    def test_bad_root_rejected(self, comm):
-        with pytest.raises(ValueError):
-            comm.broadcast(9, 100)
-
-
 class TestAllToAll:
     def test_diagonal_is_free(self, clocks, comm):
         # Everything stays local: only latency is charged.
@@ -70,20 +50,15 @@ class TestAllToAll:
             comm.all_to_all([[0, 0], [0, 0]])
 
 
-class TestGatherAndMulticast:
+class TestGather:
     def test_gather_charges_incoming_bytes(self, clocks, comm):
         comm.gather(0, [0, 50 * GB, 50 * GB, 50 * GB])
         expected = INFINIBAND_NDR.latency + 150 * GB / (50 * GB)
         assert clocks[0].now == pytest.approx(expected)
 
-    def test_multicast_serialises_destinations(self, clocks, comm):
-        comm.multicast(0, [1, 2], 50 * GB)
-        expected = INFINIBAND_NDR.latency + 2 * 50 * GB / (50 * GB)
-        assert clocks[0].now == pytest.approx(expected)
-
-    def test_multicast_to_self_only_free(self, clocks, comm):
-        comm.multicast(0, [0], GB)
-        assert comm.bytes_on_wire == 0
+    def test_bad_root_rejected(self, comm):
+        with pytest.raises(ValueError):
+            comm.gather(9, [0, 0, 0, 0])
 
 
 class TestFabric:

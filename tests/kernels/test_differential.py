@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import BOOL, DATE32, FLOAT64, INT32, INT64, STRING, Field, Schema
+from repro.columnar import BOOL, DATE32, FLOAT64, INT32, INT64, STRING, Field, Schema, _keys
 from repro.core.operators.join import custom_sort_merge_join
 from repro.kernels import (
     AggSpec,
@@ -195,13 +195,15 @@ def check_against_reference(dev, left, right=()):
 
 @pytest.fixture
 def row_sorts(monkeypatch):
-    """Lengths of the arrays ``repro.kernels.keys`` hands to ``np.unique``
-    (the reference's own calls are not counted)."""
+    """Lengths of the arrays ``repro.kernels.keys`` hands to ``np.unique``,
+    itself or through the dictionary merge (``columnar._keys``); the
+    reference's own calls are not counted."""
     seen = []
     real = np.unique
+    callers = {keys_module.__name__, _keys.__name__}
 
     def spy(values, *args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == keys_module.__name__:
+        if sys._getframe(1).f_globals.get("__name__") in callers:
             seen.append(len(values))
         return real(values, *args, **kwargs)
 

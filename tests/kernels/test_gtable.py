@@ -1,4 +1,6 @@
-"""The per-dictionary memo (``gtable._per_dictionary``) and what it serves.
+"""What the kernels take from the per-dictionary memo
+(``columnar._keys.per_dictionary``; its own tests are in
+``tests/columnar/test_keys.py``).
 
 ``GColumn.traffic_bytes`` measures a dictionary's mean entry length once
 per dictionary object and charges the seed formula's integer; ``like``,
@@ -10,11 +12,10 @@ id."""
 import gc
 
 import numpy as np
-import pytest
 
-from repro.columnar import Schema, Table
+from repro.columnar import Schema, Table, _keys
 from repro.hosts import MiniDuck
-from repro.kernels import gtable, hash_partition_ids, like, substring
+from repro.kernels import hash_partition_ids, like, substring
 from repro.kernels.gtable import GTable
 
 from . import reference
@@ -46,8 +47,8 @@ class Counted(str):
         return str.__str__(self)
 
 
-@pytest.fixture
 def counted_dictionary():
+    """Three :class:`Counted` entries, with the read count reset."""
     Counted.reads = 0
     dictionary = np.empty(3, dtype=object)
     dictionary[:] = [Counted("ab"), Counted("c"), Counted("def")]
@@ -98,21 +99,22 @@ class TestTrafficBytes:
 
     def test_the_memo_does_not_keep_dictionaries_alive(self, dev):
         gc.collect()
-        before = len(gtable._DICTIONARY_MEMO)
+        before = len(_keys._DICTIONARY_MEMO)
         cols = [strings(dev, [0], dictionary_of("k" * n)) for n in range(1, 30)]
         assert [c.traffic_bytes for c in cols] == [n + 4 for n in range(1, 30)]
         for c in cols:
             like(c, "k%")
             substring(c, 1, 2)
             hash_partition_ids([c], 4)
-        assert len(gtable._DICTIONARY_MEMO) == before + 29
+        assert len(_keys._DICTIONARY_MEMO) == before + 29
         del cols, c
         gc.collect()
-        assert len(gtable._DICTIONARY_MEMO) == before
+        assert len(_keys._DICTIONARY_MEMO) == before
 
-    def test_the_dictionary_is_measured_once(self, dev, counted_dictionary):
-        col = strings(dev, [0, 1, 2, 2], counted_dictionary)
-        other = strings(dev, [1], counted_dictionary)
+    def test_the_dictionary_is_measured_once(self, dev):
+        dictionary = counted_dictionary()
+        col = strings(dev, [0, 1, 2, 2], dictionary)
+        other = strings(dev, [1], dictionary)
         assert [col.traffic_bytes, other.traffic_bytes, col.traffic_bytes] == [24, 6, 24]
         assert Counted.reads == 3
 
@@ -126,37 +128,6 @@ class TestTrafficBytes:
             assert device_table.traffic_bytes == sum(
                 seed_traffic_bytes(c) for c in device_table.columns
             )
-
-
-class TestDictionaryMemo:
-    def test_each_dictionary_and_key_is_computed_once(self, dev, counted_dictionary):
-        col = strings(dev, [0, 1, 2, 2, -1], counted_dictionary)
-        other = strings(dev, [2, 0], counted_dictionary)
-        for _ in range(3):
-            for c in (col, other):
-                like(c, "%d%")
-                like(c, "%d%", negate=True)
-                substring(c, 1, 1)
-                hash_partition_ids([c], 4)
-        # One pass over the three entries per distinct key: the mean length
-        # every launch charges, LIKE '%d%' (its negation shares the hits),
-        # SUBSTRING(1, 1) and the entry hashes.
-        assert Counted.reads == 4 * 3
-        like(col, "%c%")
-        substring(col, 2, 1)
-        assert Counted.reads == 6 * 3
-
-    def test_memo_values_are_not_mutated_by_their_callers(self, dev):
-        dictionary = dictionary_of("apple", "banana", "cherry")
-        col = strings(dev, [0, 1, 2], dictionary)
-        assert like(col, "%an%").data.tolist() == [False, True, False]
-        assert like(col, "%an%", negate=True).data.tolist() == [True, False, True]
-        assert like(col, "%an%").data.tolist() == [False, True, False]
-        first = substring(col, 2, 3)
-        second = substring(strings(dev, [2, 2, -1], dictionary, [1, 0, 1]), 2, 3)
-        assert first.dictionary is second.dictionary  # one remap per dictionary
-        assert first.to_host(False).to_pylist() == ["ppl", "ana", "her"]
-        assert second.to_host(False).to_pylist() == ["her", None, None]
 
 
 LIKE_CASES = [
