@@ -9,8 +9,9 @@ Demonstrates three §3.2/§3.4 mechanisms:
 2. **out-of-core execution** — a device with a deliberately tiny memory
    limit spills cached tables to pinned host memory and streams pipelines
    in batches, still producing exact results;
-3. **graceful CPU fallback** — an engine without spilling falls back to
-   the host CPU engine when the device cannot hold the data.
+3. **graceful CPU fallback** — an engine whose device cannot hold the
+   data even with spilling walks its GPU retries, then falls back to the
+   host CPU engine.
 
 Run:  python examples/custom_kernels_and_ooc.py
 """
@@ -50,7 +51,6 @@ def main() -> None:
         memory_limit_gb=0.4,
         caching_fraction=0.08,
         batch_rows=20_000,
-        enable_spill=True,
     )
     small.warm_cache(data)
     plan1 = host.plan(tpch_query(1))
@@ -66,14 +66,16 @@ def main() -> None:
     print("out-of-core result identical to the in-memory run")
 
     # --- 3. graceful CPU fallback ----------------------------------------
-    strict = SiriusEngine.for_spec(
-        A100_40G, memory_limit_gb=0.004, enable_spill=False
-    )
+    # A 2 MB caching region cannot hold lineitem's Q1 columns even with
+    # spilling: both GPU retries run out of memory too.
+    strict = SiriusEngine.for_spec(A100_40G, memory_limit_gb=0.004)
     strict.set_host_executor(lambda p: CpuEngine().execute(p, data))
     result = strict.execute(plan1, data)  # device OOMs -> host engine runs it
+    event = strict.fallback.events[-1]
     print(
         f"\n4 MB device fell back to the host engine "
-        f"({strict.fallback.fallback_count} fallback events): {result.num_rows} rows"
+        f"({strict.fallback.fallback_count} fallback events, tiers tried: "
+        f"{', '.join(event.tiers_attempted)}): {result.num_rows} rows"
     )
     print("last fallback reason:", strict.fallback.events[-1].reason[:80])
 

@@ -3,14 +3,13 @@
 Both analyzer fronts — the plan dataflow pass and the codebase invariant
 linter — report through the same vocabulary: a :class:`Finding` is one
 rule violation at one site, and an :class:`AnalysisReport` aggregates a
-plan's findings together with the quantities admission control consumes
-(static working-set estimate, GPU supportability, the degradation tier
-the query is predicted to need).
+plan's findings together with its static working-set estimate, GPU
+supportability, and the degradation tier the query is predicted to need.
 
 Severity semantics:
 
-* ``error`` — the plan is structurally broken; executing it would raise.
-  Admission should reject it outright (``suggested_tier == "reject"``).
+* ``error`` — the plan is structurally broken; executing it would raise
+  (``suggested_tier == "reject"``).
 * ``warning`` — the plan executes, but not on the happy path: a construct
   needs the CPU fallback, or the working set will not fit the pool.
 * ``info`` — advisory observations (estimate details, redundancies).

@@ -104,18 +104,12 @@ class SpillFragment:
 class BufferManager:
     """Owns the caching region contents and the format-conversion paths."""
 
-    def __init__(
-        self,
-        device: Device,
-        enable_spill: bool = True,
-        compress_cache: bool = False,
-        overlap: bool = False,
-    ):
+    def __init__(self, device: Device, compress_cache: bool = False, overlap: bool = False):
         """
         Args:
-            device: The owning device.
-            enable_spill: Spill LRU tables to pinned host memory when the
-                caching region fills (§3.4 out-of-core extension).
+            device: The owning device.  LRU tables spill to its pinned
+                host memory when the caching region fills (§3.4
+                out-of-core extension).
             compress_cache: Store integer/date columns FOR+bit-packed in
                 the caching region (§3.4's lightweight-compression
                 extension): smaller footprint and cheaper cold loads, at
@@ -128,7 +122,6 @@ class BufferManager:
                 loader is byte-identical to the seed.
         """
         self.device = device
-        self.enable_spill = enable_spill
         self.compress_cache = compress_cache
         self.overlap = overlap
         self._cache: "OrderedDict[str, CacheEntry]" = OrderedDict()
@@ -159,8 +152,8 @@ class BufferManager:
         # LRU-first.  Empty unless the engine runs out-of-core.
         self._fragments: "OrderedDict[str, SpillFragment]" = OrderedDict()
         # Pinned-host bytes the fragments may hold before the oldest
-        # pinned fragment is demoted to the simulated disk tier.  None
-        # (default) = unbounded pinned staging.
+        # pinned fragment is demoted to the simulated disk tier.  Every
+        # engine sets it to its pool's capacity; None = unbounded.
         self.pinned_fragment_budget: int | None = None
         self.fragment_pinned_bytes = 0
         self.fragment_spills = 0
@@ -366,8 +359,6 @@ class BufferManager:
         an in-flight entry really is the only candidate, :meth:`_spill`
         syncs its outstanding chunks before freeing the device bytes.
         """
-        if not self.enable_spill:
-            return False
         for require_quiescent in (True, False):
             candidates = [
                 entry

@@ -5,11 +5,11 @@ systems in the case of an error or missing features".  The engine wraps
 GPU execution; recoverable failures walk an ordered ladder of
 :class:`DegradationTier`\\ s instead of jumping straight to the host:
 
-1. ``gpu-retry-spill`` — device OOM only: re-run on the GPU with buffer
-   spilling enabled and batched out-of-core execution (§3.4);
+1. ``gpu-retry-spill`` — device OOM only: re-run on the GPU in small
+   batches (§3.4);
 2. ``gpu-spill`` — device OOM on an in-core engine only: re-run with the
-   partitioned out-of-core operators (:func:`retry_settings` holds what
-   each of these two rungs changes);
+   partitioned out-of-core operators (:func:`gpu_rungs` lists these two
+   rungs, :func:`retry_settings` holds what each changes);
 3. ``cpu-pipeline`` — re-run this pipeline/fragment on the node's CPU
    while the rest of the query stays on the GPU (wired by hosts that
    execute fragment-at-a-time, e.g. MiniDoris);
@@ -43,6 +43,7 @@ __all__ = [
     "DegradationTier",
     "FALLBACK_EXCEPTIONS",
     "OOC_RETRY_BATCH_ROWS",
+    "gpu_rungs",
     "retry_settings",
 ]
 
@@ -88,13 +89,19 @@ class DegradationTier:
 OOC_RETRY_BATCH_ROWS = 65_536
 
 
+def gpu_rungs(out_of_core: bool) -> tuple[str, ...]:
+    """The GPU-resident rungs, cheapest first, that an engine walks on
+    device OOM.  An out-of-core engine already runs partitioned, so it
+    has no ``gpu-spill`` rung to escalate to."""
+    return ("gpu-retry-spill",) if out_of_core else ("gpu-retry-spill", "gpu-spill")
+
+
 def retry_settings(tier: str, batch_rows: int | None) -> dict:
-    """``SiriusEngine.start_query`` overrides with which the GPU-resident
-    tier ``tier`` re-runs a query that ran at ``batch_rows``: both
-    ``gpu-retry-spill`` and ``gpu-spill`` stream in small batches (the
-    caller also enables buffer-manager spilling); only ``gpu-spill``
-    recompiles to the partitioned operators, ``None`` keeping the
-    engine's own mode."""
+    """``SiriusEngine.start_query`` arguments with which the GPU-resident
+    tier ``tier`` re-runs a query that ran at ``batch_rows``: both rungs
+    stream in small batches; only ``gpu-spill`` recompiles to the
+    partitioned operators, ``None`` keeping the engine's own mode.  A
+    retry changes these arguments and nothing else."""
     return {
         "batch_rows": min(batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS),
         "out_of_core": True if tier == "gpu-spill" else None,

@@ -36,6 +36,7 @@ from .fallback import (
     OOC_RETRY_BATCH_ROWS,
     DegradationTier,
     FallbackHandler,
+    gpu_rungs,
     retry_settings,
 )
 from .operators.base import ExecutionContext, OperatorRegistry
@@ -71,7 +72,6 @@ class SiriusEngine:
     def __init__(
         self,
         device: Device,
-        enable_spill: bool = True,
         batch_rows: int | None = None,
         compress_cache: bool = False,
         tracer=None,
@@ -82,9 +82,10 @@ class SiriusEngine:
     ):
         """
         Args:
-            device: The simulated GPU to execute on.
-            enable_spill: Allow the buffer manager to spill cached tables
-                to pinned host memory under pressure (§3.4 out-of-core).
+            device: The simulated GPU to execute on.  Cached tables spill
+                to pinned host memory under pressure (§3.4 out-of-core),
+                and the processing pool's pressure callback spills
+                partition fragments before an allocation fails.
             batch_rows: If set, pipelines stream inputs in batches of this
                 many rows instead of whole tables (§3.4 batch execution).
             compress_cache: FOR+bit-pack integer columns in the caching
@@ -123,12 +124,8 @@ class SiriusEngine:
         self.device = device
         self.tracer = tracer if tracer is not None else NULL_TRACER
         device.tracer = self.tracer
-        self.buffer_manager = BufferManager(
-            device,
-            enable_spill=enable_spill,
-            compress_cache=compress_cache,
-            overlap=overlap,
-        )
+        self.buffer_manager = BufferManager(device, compress_cache=compress_cache, overlap=overlap)
+        self._install_pressure_hooks()
         self.registry = default_registry()
         self.batch_rows = batch_rows
         self.fallback = FallbackHandler(tracer=self.tracer)
@@ -144,13 +141,11 @@ class SiriusEngine:
 
             self.sanitizer = Sanitizer()
             self.sanitizer.attach(device, self.buffer_manager)
-        if out_of_core:
-            self._install_pressure_hooks()
-            if self.batch_rows is None:
-                # Out-of-core execution needs bounded chunks: streaming in
-                # whole-table chunks would put the full probe side in the
-                # pool at once, defeating the partitioned spill.
-                self.batch_rows = OOC_RETRY_BATCH_ROWS
+        if out_of_core and self.batch_rows is None:
+            # Out-of-core execution needs bounded chunks: streaming in
+            # whole-table chunks would put the full probe side in the
+            # pool at once, defeating the partitioned spill.
+            self.batch_rows = OOC_RETRY_BATCH_ROWS
 
     @classmethod
     def for_spec(
@@ -185,11 +180,12 @@ class SiriusEngine:
     def _install_pressure_hooks(self) -> None:
         """Route processing-pool allocation pressure into partition spills
         (instead of straight to :class:`OutOfDeviceMemory`) and cap the
-        pinned staging tier so overflow demotes to the simulated disk."""
+        pinned staging tier so overflow demotes to the simulated disk.
+        Installed once for every engine: with no live fragment the
+        callback spills nothing and the allocation fails as before."""
         pool = self.device.processing_pool
         pool.pressure_callback = self.buffer_manager.handle_pressure
-        if self.buffer_manager.pinned_fragment_budget is None:
-            self.buffer_manager.pinned_fragment_budget = pool.capacity
+        self.buffer_manager.pinned_fragment_budget = pool.capacity
 
     def _memory_probe(self) -> dict:
         """Memory state sampled into :class:`FallbackEvent` records."""
@@ -218,11 +214,12 @@ class SiriusEngine:
         table (device->host copy of the result is charged).
 
         Recoverable failures walk the degradation ladder: device OOM first
-        retries on the GPU with spilling + batched out-of-core execution,
-        then (in-core engines) with the partitioned out-of-core operators,
-        then (if wired) the ``cpu-pipeline`` tier, then the registered host
-        executor.  ``deadline_s`` is a simulated-time budget enforced at
-        pipeline boundaries; exceeding it raises
+        walks the engine's GPU rungs (:func:`~.fallback.gpu_rungs`: a
+        batched retry, then for in-core engines the partitioned
+        out-of-core operators), then (if wired) the ``cpu-pipeline`` tier,
+        then the registered host executor.  ``deadline_s`` is a
+        simulated-time budget enforced at pipeline boundaries; exceeding
+        it raises
         :class:`~repro.core.deadline.DeadlineExceededError`, which is *not*
         absorbed by any tier.
         """
@@ -244,29 +241,17 @@ class SiriusEngine:
             return result
 
         def gpu_retry(name: str) -> DegradationTier:
-            # Same query under the tier's settings, with cached tables
-            # allowed to spill.  The wasted first attempt has already
-            # been charged to the clock.
-            def handler(_plan: Plan, _exc: BaseException) -> Table:
-                saved_spill = self.buffer_manager.enable_spill
-                self.buffer_manager.enable_spill = True
-                try:
-                    return gpu_run(**retry_settings(name, self.batch_rows))
-                finally:
-                    self.buffer_manager.enable_spill = saved_spill
+            # Same query under the tier's arguments; the wasted first
+            # attempt has already been charged to the clock.
+            settings = retry_settings(name, self.batch_rows)
+            return DegradationTier(
+                name,
+                lambda _plan, _exc: gpu_run(**settings),
+                (OutOfDeviceMemory,),
+                gpu_result=True,
+            )
 
-            return DegradationTier(name, handler, (OutOfDeviceMemory,), gpu_result=True)
-
-        tiers = [gpu_retry("gpu-retry-spill")]
-        if not self.out_of_core:
-            # Out-of-core engines already run partitioned.  For in-core
-            # engines an OOM escalates through GPU-resident remedies in
-            # cost order — first the cheap batched retry, then the same
-            # query recompiled with partitioned joins/group-bys whose
-            # state spills through the tiered store (it stays on the GPU
-            # where the batched retry would thrash or still OOM) — before
-            # any CPU degradation is considered.
-            tiers.append(gpu_retry("gpu-spill"))
+        tiers = [gpu_retry(name) for name in gpu_rungs(self.out_of_core)]
         if self.pipeline_cpu_executor is not None:
             tiers.append(
                 DegradationTier(
@@ -324,8 +309,8 @@ class SiriusEngine:
                 this query only (serving uses small batches so queries
                 interleave at fine granularity).
             out_of_core: Override the engine's out-of-core mode for this
-                query only (serving admits over-HBM queries as streaming
-                jobs on the spill tier); ``None`` = engine default.
+                query only (serving's ``gpu-spill`` retry recompiles to
+                the partitioned operators); ``None`` = engine default.
         """
         plan.validate()
         return self._start(plan, catalog, deadline, tracer, batch_rows, out_of_core)
@@ -345,10 +330,8 @@ class SiriusEngine:
         physical = self._compile(plan, out_of_core)
         if batch_rows is None:
             batch_rows = self.batch_rows
-        if physical.out_of_core:
-            self._install_pressure_hooks()
-            if batch_rows is None:
-                batch_rows = OOC_RETRY_BATCH_ROWS
+        if physical.out_of_core and batch_rows is None:
+            batch_rows = OOC_RETRY_BATCH_ROWS
         ctx = ExecutionContext(
             device=self.device,
             buffer_manager=self.buffer_manager,

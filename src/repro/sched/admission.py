@@ -78,7 +78,6 @@ class AdmissionController:
         pool: PoolAllocator,
         headroom_fraction: float = 0.9,
         max_queue_depth: int = 32,
-        max_working_set_fraction: float | None = None,
         out_of_core: bool = False,
     ):
         """
@@ -88,18 +87,10 @@ class AdmissionController:
                 collectively reserve (the rest absorbs estimate error).
             max_queue_depth: Bound on the admission wait queue; arrivals
                 beyond it are rejected.
-            max_working_set_fraction: When set, a query whose *static*
-                working-set estimate exceeds this fraction of pool
-                capacity is rejected outright at arrival — it could only
-                ever run forced-and-degraded, so load-shed it instead of
-                letting it camp in the queue.  ``None`` (default)
-                preserves the pre-analysis behaviour.
             out_of_core: The engine behind the pool runs partitioned
                 out-of-core execution: an over-pool query is then a
                 *streaming* job whose resident footprint is bounded by
-                spilling, so (a) the static working-set rejection gate
-                does not apply — the query is admissible, just slower —
-                and (b) its reservation is capped at
+                spilling, so its reservation is capped at
                 ``SPILL_FOOTPRINT_FRACTION`` of pool capacity (the spill
                 machinery holds at most about that much resident).
         """
@@ -107,17 +98,11 @@ class AdmissionController:
             raise ValueError("headroom_fraction must be in (0, 1]")
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
-        if max_working_set_fraction is not None and max_working_set_fraction <= 0.0:
-            raise ValueError("max_working_set_fraction must be positive")
         self.pool = pool
         self.headroom_fraction = headroom_fraction
         self.max_queue_depth = max_queue_depth
-        self.max_working_set_fraction = max_working_set_fraction
         self.out_of_core = bool(out_of_core)
-        self.admitted = 0
-        self.rejected = 0
-        self.forced = 0
-        self.static_rejected = 0
+        self.forced = 0  # admissions that overrode the headroom check
 
     @property
     def headroom_bytes(self) -> int:
@@ -138,37 +123,6 @@ class AdmissionController:
         """Would admitting ``job`` keep reservations within headroom?"""
         return self._demand(job) <= self.headroom_bytes
 
-    def static_reject_reason(self, job: QueryJob) -> str | None:
-        """Why ``job`` should be rejected from its plan alone, or ``None``.
-
-        Two static gates, both decided before any GPU memory moves:
-
-        * the plan analyzer found errors (``suggested_tier == "reject"``:
-          executing the plan would raise, so don't queue it);
-        * the static working-set estimate exceeds
-          ``max_working_set_fraction`` of pool capacity (the query could
-          only ever run forced-and-degraded).
-        """
-        report = job.meta.get("analysis")
-        if report is not None and getattr(report, "suggested_tier", None) == "reject":
-            n = len(report.errors)
-            return f"plan analysis found {n} error(s): {report.errors[0].message}"
-        if self.out_of_core:
-            # Over-pool queries are streaming spill jobs, not lost causes:
-            # admit them (priced slower by the estimator) instead of
-            # load-shedding.
-            return None
-        if self.max_working_set_fraction is not None:
-            limit = int(self.pool.capacity * self.max_working_set_fraction)
-            demand = self._demand(job)
-            if demand > limit:
-                return (
-                    f"static working set {demand} B exceeds "
-                    f"{self.max_working_set_fraction:.0%} of pool capacity "
-                    f"({limit} B)"
-                )
-        return None
-
     def admit(self, job: QueryJob, forced: bool = False) -> None:
         """Reserve the job's estimated working set in the pool.
 
@@ -178,20 +132,9 @@ class AdmissionController:
         than the pool must still get its chance to run and degrade).
         """
         self.pool.reserve(job.owner_key, self._demand(job))
-        self.admitted += 1
         if forced:
             self.forced += 1
 
     def release(self, job: QueryJob) -> int:
         """Drop the job's reservation (on completion or failure)."""
         return self.pool.unreserve(job.owner_key)
-
-    def stats(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "static_rejected": self.static_rejected,
-            "forced": self.forced,
-            "headroom_bytes": self.headroom_bytes,
-            "reserved_bytes": self.pool.reserved_total,
-        }

@@ -36,7 +36,12 @@ from typing import Callable, Mapping
 
 from ..columnar import Table
 from ..core.deadline import Deadline, DeadlineExceededError, DidNotFinishError
-from ..core.fallback import FALLBACK_EXCEPTIONS, OOC_RETRY_BATCH_ROWS, retry_settings
+from ..core.fallback import (
+    FALLBACK_EXCEPTIONS,
+    OOC_RETRY_BATCH_ROWS,
+    gpu_rungs,
+    retry_settings,
+)
 from ..core.sirius import SiriusEngine
 from ..obs import NULL_TRACER
 from ..plan import Plan
@@ -68,7 +73,6 @@ class ServingScheduler:
         batch_rows: int | None = SERVING_BATCH_ROWS,
         tracer=None,
         tracer_factory: Callable[[], object] | None = None,
-        static_admission: bool = False,
         sanitize: bool = False,
     ):
         """
@@ -89,14 +93,6 @@ class ServingScheduler:
                 admission events).
             tracer_factory: Zero-arg callable making one tracer per query;
                 interleaved queries must not share a span stack.
-            static_admission: Run the plan analyzer on every submitted
-                query (report stored in ``job.meta["analysis"]``) and let
-                admission act on it *before* execution: plans the analyzer
-                proves broken are rejected at arrival, and queries whose
-                report predicts the spill tier are admitted pre-degraded
-                (spilling enabled, out-of-core batch size) instead of
-                burning a wasted full-size attempt.  Off by default — the
-                analyzer is advisory at execution time.
             sanitize: Attach a :class:`~repro.analysis.sanitizers
                 .Sanitizer` to the engine (if it does not already carry
                 one) and run the end-of-run leak/drift checks at
@@ -116,7 +112,6 @@ class ServingScheduler:
             )
         )
         self.batch_rows = batch_rows
-        self.static_admission = bool(static_admission)
         if sanitize and getattr(engine, "sanitizer", None) is None:
             from ..analysis.sanitizers import Sanitizer
 
@@ -143,7 +138,6 @@ class ServingScheduler:
         self.step_log: list[tuple[int, int, float, float]] = []
         self.expired_in_queue = 0
         self.degraded = 0
-        self.pre_degraded = 0
         self._ran = False
         # Incremental-run state (see begin_run/step_event/end_run): the
         # loop's virtual clock and worker-stream frontiers live on the
@@ -151,7 +145,6 @@ class ServingScheduler:
         # several ServingSchedulers event by event.
         self._vt = 0.0
         self._stream_free: list[float] = []
-        self._saved_spill = False
         self._began = False
 
     # -- submission ----------------------------------------------------------
@@ -190,12 +183,6 @@ class ServingScheduler:
             ),
             meta=meta if meta is not None else {},
         )
-        if self.static_admission and "analysis" not in job.meta:
-            from ..analysis import analyze_plan
-
-            job.meta["analysis"] = analyze_plan(
-                plan, catalog, self.engine.device, out_of_core=self.engine.out_of_core
-            )
         self._seq += 1
         self.jobs.append(job)
         heapq.heappush(self._arrivals, (job.arrival_s, job.seq, job))
@@ -226,7 +213,6 @@ class ServingScheduler:
             raise RuntimeError("a ServingScheduler instance serves exactly one run")
         self._ran = True
         self.engine.device.reset_processing_pool()
-        self._saved_spill = self.engine.buffer_manager.enable_spill
         self.engine.buffer_manager.active_queries = self.active
         self._stream_free = [0.0] * self.streams
         self._vt = 0.0
@@ -306,7 +292,6 @@ class ServingScheduler:
             return
         self._began = False
         self.engine.buffer_manager.active_queries = None
-        self.engine.buffer_manager.enable_spill = self._saved_spill
         self.engine.device.query_owner = None
         sanitizer = getattr(self.engine, "sanitizer", None)
         if sanitizer is not None:
@@ -339,29 +324,9 @@ class ServingScheduler:
     def _drain_arrivals(self, vt: float) -> None:
         while self._arrivals and self._arrivals[0][0] <= vt:
             _, _, job = heapq.heappop(self._arrivals)
-            if self.static_admission:
-                reason = self.admission.static_reject_reason(job)
-                if reason is not None:
-                    job.state = JobState.REJECTED
-                    job.completion_s = job.arrival_s
-                    job.meta["reject_reason"] = reason
-                    self.admission.rejected += 1
-                    self.admission.static_rejected += 1
-                    self.tracer.event(
-                        "sched.rejected_static",
-                        sim_time=vt,
-                        job=job.label,
-                        seq=job.seq,
-                        reason=reason,
-                    )
-                    self.tracer.count("sched.rejected_static")
-                    if self.on_complete is not None:
-                        self.on_complete(job)
-                    continue
             if len(self.queue) >= self.admission.max_queue_depth:
                 job.state = JobState.REJECTED
                 job.completion_s = job.arrival_s
-                self.admission.rejected += 1
                 self.tracer.event(
                     "sched.rejected", sim_time=vt, job=job.label, seq=job.seq
                 )
@@ -419,34 +384,12 @@ class ServingScheduler:
             except DeadlineExceededError as exc:
                 self._finish(job, vt, error=exc)
                 return
-        overrides = {"batch_rows": self.batch_rows}
-        if self.static_admission:
-            report = job.meta.get("analysis")
-            suggested = getattr(report, "suggested_tier", None) if report else None
-            if suggested in ("gpu-retry-spill", "gpu-spill"):
-                # Pre-degrade from the plan alone: start directly in the
-                # out-of-core configuration instead of burning a wasted
-                # full-size attempt that the estimate says will OOM.  A
-                # "gpu-spill" verdict admits the query as a streaming job
-                # on the partitioned spill tier.
-                job.degraded_tier = suggested
-                self.pre_degraded += 1
-                self.engine.buffer_manager.enable_spill = True
-                overrides = retry_settings(suggested, self.batch_rows)
-                self.tracer.event(
-                    "sched.pre_degraded",
-                    sim_time=vt,
-                    job=job.label,
-                    seq=job.seq,
-                    tier=job.degraded_tier,
-                )
-                self.tracer.count("sched.pre_degraded")
         job.qrun = self.engine.start_query(
             job.plan,
             job.catalog,
             deadline=job.deadline,
             tracer=job.tracer,
-            **overrides,
+            batch_rows=self.batch_rows,
         )
         job.state = JobState.RUNNING
         job.ready_at = vt
@@ -510,24 +453,22 @@ class ServingScheduler:
     def _degrade(self, job: QueryJob, end: float, exc: BaseException) -> None:
         """Walk the job one degradation tier down, or fail it.
 
-        Serving-mode analogue of the engine's ladder: the first
-        recoverable failure (device OOM, unsupported feature, persistent
-        kernel fault) retries the query out-of-core — spilling enabled,
-        small batches — under the *same* deadline; a query that fails on
-        the batched retry escalates once more to the partitioned
-        ``gpu-spill`` tier before the failure is final.  The wasted
-        attempts' time stays charged, exactly like the single-query path.
+        Serving-mode walk of the engine's GPU rungs
+        (:func:`~repro.core.fallback.gpu_rungs`), under the *same*
+        deadline.  Serving has no CPU tier, so every recoverable failure
+        (device OOM, unsupported feature, persistent kernel fault)
+        triggers the next rung; past the last one the failure is final.
+        The wasted attempts' time stays charged, exactly like the
+        single-query path.
         """
         self.engine.device.processing_pool.release_owner(job.owner_key)
-        if job.degraded_tier is None:
-            job.degraded_tier = "gpu-retry-spill"
-        elif job.degraded_tier == "gpu-retry-spill":
-            job.degraded_tier = "gpu-spill"
-        else:
+        rungs = gpu_rungs(self.engine.out_of_core)
+        step = 0 if job.degraded_tier is None else rungs.index(job.degraded_tier) + 1
+        if step == len(rungs):
             self._finish(job, end, error=exc)
             return
+        job.degraded_tier = rungs[step]
         self.degraded += 1
-        self.engine.buffer_manager.enable_spill = True
         job.qrun = self.engine.start_query(
             job.plan,
             job.catalog,
@@ -598,7 +539,6 @@ class ServingScheduler:
             "rejected": sum(1 for j in self.jobs if j.state == JobState.REJECTED),
             "expired_in_queue": self.expired_in_queue,
             "degraded": self.degraded,
-            "pre_degraded": self.pre_degraded,
             "forced_admissions": self.admission.forced,
             "steps": len(self.step_log),
             "contention_avoided_evictions": (

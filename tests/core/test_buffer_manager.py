@@ -77,12 +77,6 @@ class TestSpilling:
         assert bm.unspills >= 1
         assert len(again.columns[0]) == 12000
 
-    def test_spill_disabled_raises(self, device):
-        bm = BufferManager(device, enable_spill=False)
-        with pytest.raises(OutOfDeviceMemory):
-            for i in range(40):
-                bm.get_table(f"t{i}", make_table(2000))
-
     def test_table_larger_than_region_raises_even_with_spill(self, bm):
         with pytest.raises(OutOfDeviceMemory):
             bm.get_table("huge", make_table(200_000))  # ~3.2 MB > 500 KB

@@ -60,7 +60,6 @@ class TestExplainAnalyze:
         engine = SiriusEngine.for_spec(
             GH200,
             memory_limit_gb=0.00003,  # ~15 KB caching: cannot hold 160 KB
-            enable_spill=False,
         )
         engine.set_host_executor(lambda p: CpuEngine().execute(p, big))
         plan = PlanBuilder.read("t", SCHEMA).build()

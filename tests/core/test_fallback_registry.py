@@ -26,7 +26,6 @@ class TestFallback:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=0.00003,  # ~30 KB: cannot hold the table
-            enable_spill=False,
         )
         engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
         plan = PlanBuilder.read("t", SCHEMA).filter(col("v") > lit(10.0)).build()
@@ -50,7 +49,7 @@ class TestFallback:
 
     def test_no_host_executor_reraises(self, data):
         engine = SiriusEngine.for_spec(
-            A100_40G, memory_limit_gb=0.00003, enable_spill=False
+            A100_40G, memory_limit_gb=0.00003
         )
         plan = PlanBuilder.read("t", SCHEMA).build()
         with pytest.raises(Exception):
@@ -61,7 +60,6 @@ class TestFallback:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=0.00003,
-            enable_spill=False,
         )
         engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
         plan = PlanBuilder.read("t", SCHEMA).build()

@@ -16,6 +16,7 @@ from repro.gpu import OutOfDeviceMemory
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
 from repro.plan import PlanBuilder, col, lit
+from repro.sched import JobState, ServingScheduler
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
 
@@ -44,7 +45,7 @@ class TestRetrySpillTier:
     def test_oom_spike_retried_on_gpu(self, data, plan):
         """A transient OOM is absorbed by the out-of-core retry; the query
         never leaves the GPU and the profile stays valid."""
-        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0, enable_spill=False)
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
         inject(engine, FaultPlan().oom_spike(at=0.0, count=1))
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
@@ -57,13 +58,12 @@ class TestRetrySpillTier:
 
     def test_retry_restores_engine_configuration(self, data, plan, config_observer):
         engine = SiriusEngine.for_spec(
-            A100_40G, memory_limit_gb=1.0, enable_spill=False, tracer=config_observer
+            A100_40G, memory_limit_gb=1.0, tracer=config_observer
         )
         config_observer.engine = engine
         inject(engine, FaultPlan().oom_spike(at=0.0, count=1))
         engine.execute(plan, data)
         assert engine.fallback.events[0].tier == "gpu-retry-spill"
-        assert engine.buffer_manager.enable_spill is False
         assert engine.batch_rows is None
         # The retry ran batched without ever writing the batch size (or
         # the out-of-core mode) into the engine: re-entrant readers saw
@@ -71,7 +71,7 @@ class TestRetrySpillTier:
         assert config_observer.seen == {(False, None)}
 
     def test_event_enrichment(self, data, plan):
-        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0, enable_spill=False)
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
         inject(engine, FaultPlan().oom_spike(at=0.0, count=1))
         engine.execute(plan, data)
         event = engine.fallback.events[0]
@@ -91,7 +91,6 @@ class TestTierOrdering:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=0.00003,
-            enable_spill=False,
         )
         engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         out = engine.execute(plan, data)
@@ -112,7 +111,6 @@ class TestTierOrdering:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=0.00003,
-            enable_spill=False,
         )
         engine.set_host_executor(host)
         engine.set_pipeline_cpu_executor(lambda p, catalog: CpuEngine().execute(p, catalog))
@@ -137,7 +135,7 @@ class TestTierOrdering:
 
     def test_exhausted_ladder_raises_original(self, data, plan):
         engine = SiriusEngine.for_spec(
-            A100_40G, memory_limit_gb=0.00003, enable_spill=False
+            A100_40G, memory_limit_gb=0.00003
         )
         with pytest.raises(OutOfDeviceMemory):
             engine.execute(plan, data)
@@ -145,6 +143,41 @@ class TestTierOrdering:
         event = engine.fallback.events[0]
         assert event.tier == "raise"
         assert event.tiers_attempted == ("gpu-retry-spill", "gpu-spill")
+
+
+class TestRungsWriteNoEngineState:
+    """A GPU rung changes the arguments of its re-run and nothing else:
+    the pool's pressure hooks, the pinned staging budget and the engine's
+    own configuration read the same before and after ``gpu-spill``."""
+
+    @staticmethod
+    def state(engine):
+        return (
+            engine.device.processing_pool.pressure_callback,
+            engine.buffer_manager.pinned_fragment_budget,
+            engine.out_of_core,
+            engine.batch_rows,
+        )
+
+    def test_execute_through_gpu_spill(self, data, plan):
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        before = self.state(engine)
+        inject(engine, FaultPlan().oom_spike(at=0.0, count=2))
+        assert engine.execute(plan, data).num_rows == 1989
+        assert engine.fallback.events[0].tiers_attempted == ("gpu-retry-spill", "gpu-spill")
+        assert self.state(engine) == before
+
+    def test_serving_through_gpu_spill(self, data, plan):
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        before = self.state(engine)
+        inject(engine, FaultPlan().oom_spike(at=0.0, count=2))
+        sched = ServingScheduler(engine, streams=1)
+        job = sched.submit(plan, data)
+        report = sched.run()
+        assert job.state == JobState.COMPLETED
+        assert job.degraded_tier == "gpu-spill"
+        assert report.counters["degraded"] == 2
+        assert self.state(engine) == before
 
 
 class TestTransientKernelFaults:
@@ -183,7 +216,6 @@ class TestSummary:
         engine = SiriusEngine.for_spec(
             A100_40G,
             memory_limit_gb=0.00003,
-            enable_spill=False,
         )
         engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
         engine.execute(plan, data)

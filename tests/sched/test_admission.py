@@ -1,6 +1,6 @@
 """Admission control: headroom gating, the bounded queue, queue-wait
-deadline accounting (the satellite bug fix), reservations, and the
-static (plan-analysis) rejection and pre-degradation paths."""
+deadline accounting (the satellite bug fix), reservations, and a plan
+that only fails once it runs."""
 
 import pytest
 
@@ -189,67 +189,11 @@ class TestQueueWaitDeadline:
         assert big.state == JobState.COMPLETED
 
 
-class TestStaticAdmission:
-    """Admission acting on the plan alone, before any GPU memory moves."""
-
-    def test_static_working_set_rejection_unit(self):
-        """The acceptance-criterion path: rejection decided purely from
-        the static working-set estimate vs pool capacity."""
-        pool = PoolAllocator(1000)
-        ctrl = AdmissionController(pool, max_working_set_fraction=0.5)
-        small = fake_job(0, working_set=400)
-        big = fake_job(1, working_set=600)
-        assert ctrl.static_reject_reason(small) is None
-        reason = ctrl.static_reject_reason(big)
-        assert reason is not None and "static working set" in reason
-        # Without the knob the same job is not statically rejected.
-        assert AdmissionController(pool).static_reject_reason(big) is None
-        with pytest.raises(ValueError):
-            AdmissionController(pool, max_working_set_fraction=0.0)
-
-    def test_oversized_query_rejected_at_arrival(self, data, plan):
-        """End-to-end: with static admission on, a query whose static
-        estimate exceeds the cap is shed at arrival — it never queues,
-        never executes a task, and the report says why."""
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
-        engine.warm_cache(data)
-        pool = engine.device.processing_pool
-        probe = ServingScheduler(engine)
-        demand = probe.submit(plan, data).estimate.working_set_bytes
-        assert demand > 0
-        admission = AdmissionController(
-            pool, max_working_set_fraction=(demand - 1) / pool.capacity
-        )
-        sched = ServingScheduler(
-            engine, policy="fifo", streams=1, admission=admission,
-            static_admission=True,
-        )
-        doomed = sched.submit(plan, data, label="doomed", arrival_s=0.0)
-        report = sched.run()
-        assert doomed.state == JobState.REJECTED
-        assert doomed.steps == 0
-        assert "static working set" in doomed.meta["reject_reason"]
-        assert report.counters["rejected"] == 1
-        assert admission.static_rejected == 1
-        assert admission.stats()["static_rejected"] == 1
-
-    def test_analyzer_error_plan_rejected_at_arrival(self, data):
-        """A plan that validate() accepts but the analyzer proves broken
-        (unknown table: validate has no catalog) is rejected statically
-        instead of failing mid-execution."""
-        bad_plan = PlanBuilder.read("nonexistent", SCHEMA).build()
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
-        sched = ServingScheduler(engine, streams=1, static_admission=True)
-        job = sched.submit(bad_plan, data, label="broken")
-        assert job.meta["analysis"].suggested_tier == "reject"
-        report = sched.run()
-        assert job.state == JobState.REJECTED
-        assert "plan analysis" in job.meta["reject_reason"]
-        assert report.counters["rejected"] == 1
-
-    def test_same_plan_without_static_admission_fails_at_runtime(self, data):
-        """Control: static admission off, the broken plan is admitted and
-        dies mid-query — the failure mode the static path prevents."""
+class TestRuntimeFailure:
+    def test_unknown_table_plan_fails_at_runtime(self, data):
+        """A plan that validate() accepts but that reads a table absent
+        from the catalog (validate has no catalog) is admitted like any
+        other and fails once it runs: serving analyzes nothing at submit."""
         bad_plan = PlanBuilder.read("nonexistent", SCHEMA).build()
         engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
         sched = ServingScheduler(engine, streams=1)
@@ -257,33 +201,3 @@ class TestStaticAdmission:
         assert "analysis" not in job.meta
         sched.run()
         assert job.state == JobState.FAILED
-
-    def test_spill_prediction_pre_degrades(self, data):
-        """A query whose static working set exceeds the whole pool is
-        admitted directly in the out-of-core configuration (no wasted
-        full-size attempt) and still completes."""
-        # Aggregation has a real working set (hash state + sort buffer),
-        # so a 0.7x pool is tight statically yet survivable batched.
-        plan = (
-            PlanBuilder.read("t", SCHEMA)
-            .aggregate(groups=["k"], aggs=[("sum", "v", "sv"), ("count", None, "c")])
-            .sort([("k", True)])
-            .build()
-        )
-        probe_engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
-        probe = ServingScheduler(probe_engine)
-        demand = probe.submit(plan, data).estimate.working_set_bytes
-        small_engine = SiriusEngine.for_spec(
-            GH200, memory_limit_gb=2 * 0.7 * demand / (1024**3)
-        )
-        pool_cap = small_engine.device.processing_pool.capacity
-        assert demand > pool_cap, (demand, pool_cap)
-        sched = ServingScheduler(
-            small_engine, policy="fifo", streams=1, static_admission=True
-        )
-        job = sched.submit(plan, data, label="spiller")
-        assert job.meta["analysis"].suggested_tier == "gpu-retry-spill"
-        report = sched.run()
-        assert job.degraded_tier == "gpu-retry-spill"
-        assert report.counters["pre_degraded"] == 1
-        assert job.state == JobState.COMPLETED

@@ -160,7 +160,7 @@ class TestDegradationUnderContention:
     def test_oom_spike_degrades_and_completes(self, data, plans):
         """An injected device-OOM during serving walks the job down one
         tier (out-of-core retry) instead of failing the whole run."""
-        engine = fresh_engine(data, enable_spill=False)
+        engine = fresh_engine(data)
         injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=1))
         injector.attach_device(engine.device)
         sched = ServingScheduler(engine, policy="fair", streams=2)
@@ -183,7 +183,7 @@ class TestDegradationUnderContention:
         host.load_tables(data)
         plans = [host.plan(tpch_query(n)) for n in (1, 3, 6)]
         planned = len(root_walks)
-        engine = fresh_engine(data, enable_spill=False)
+        engine = fresh_engine(data)
         injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=1))
         injector.attach_device(engine.device)
         sched = ServingScheduler(engine, policy="fair", streams=2)
@@ -198,7 +198,7 @@ class TestDegradationUnderContention:
         assert len(root_walks) == planned
 
     def test_persistent_oom_fails_only_that_job(self, data, plans):
-        engine = fresh_engine(data, enable_spill=False)
+        engine = fresh_engine(data)
         injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=50))
         injector.attach_device(engine.device)
         sched = ServingScheduler(engine, policy="fifo", streams=2)
@@ -213,6 +213,20 @@ class TestDegradationUnderContention:
         for job in report.jobs:
             if job.state == JobState.FAILED:
                 assert job.degraded_tier == "gpu-spill"
+
+    def test_out_of_core_engine_walks_the_same_rungs_as_execute(self, data, plans):
+        """An out-of-core engine already runs partitioned, so its ladder
+        has no ``gpu-spill`` rung under serving either: a persistent OOM
+        fails the job after the one batched retry."""
+        engine = fresh_engine(data, out_of_core=True)
+        injector = FaultInjector(FaultPlan().oom_spike(at=0.0, count=50))
+        injector.attach_device(engine.device)
+        sched = ServingScheduler(engine, policy="fifo", streams=1)
+        job = sched.submit(plans[6], data, label="q6")
+        report = sched.run()
+        assert job.state == JobState.FAILED
+        assert job.degraded_tier == "gpu-retry-spill"
+        assert report.counters["degraded"] == 1
 
 
 class TestClosedLoop:
