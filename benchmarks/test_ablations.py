@@ -73,17 +73,6 @@ def test_batch_execution_matches_whole_table(harness, results_dir):
     assert result["batched_s"] < result["whole_s"] * 10
 
 
-def test_compression_saves_capacity(harness, results_dir):
-    """§3.4 lightweight compression: the caching footprint must shrink
-    substantially while hot-run time stays in the same class."""
-    from repro.bench import compression_ablation
-
-    result = compression_ablation(harness)
-    (results_dir / "ablation_compression.txt").write_text(repr(result) + "\n")
-    assert result["packed_cache_bytes"] < 0.7 * result["plain_cache_bytes"]
-    assert result["packed_hot_s"] < result["plain_hot_s"] * 3
-
-
 def test_multi_gpu_scales_compute(results_dir):
     """§3.4 multi-GPU per node: 8 ranks beat 4 ranks on compute time."""
     from repro.bench import multi_gpu_ablation

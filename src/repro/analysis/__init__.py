@@ -3,9 +3,9 @@
 Two fronts, one vocabulary (:class:`Finding` / :class:`AnalysisReport`):
 
 * :func:`analyze_plan` — a dataflow pass over the plan IR that
-  type-checks every expression, verifies exchange placement, estimates
-  the working set, and predicts the degradation tier *before* any GPU
-  memory is committed.  Admission control consumes the report.
+  type-checks every expression, estimates the working set, and predicts
+  the degradation tier *before* any GPU memory is committed.  Admission
+  control consumes the report.
 * :mod:`repro.analysis.lints` — AST lints enforcing the repo's
   determinism and ownership invariants (``python -m repro.analysis lint``).
 * :mod:`repro.analysis.sanitizers` — runtime sanitizers proving the

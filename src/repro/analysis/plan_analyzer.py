@@ -1,8 +1,8 @@
 """Front 1: static dataflow analysis over the plan IR.
 
 The structural pass itself — schemas propagated defensively through every
-relation, every expression type-checked, exchange placement verified, GPU
-supportability decided statically — lives once, in
+relation, every expression type-checked, GPU supportability decided
+statically — lives once, in
 :mod:`repro.plan.check`.  :meth:`repro.plan.Plan.validate` runs it and
 raises on the *first* error; the analyzer runs the same pass and keeps
 going, collecting every finding into one
@@ -25,15 +25,13 @@ rule    severity   meaning
 ======  =========  ===========================================================
 PA01    error      read references a table absent from the catalog
 PA02    error      ordinal not an int in [0, arity) (field ref, group, sort,
-                   join, exchange key)
+                   join key)
 PA03    error      expression fails type inference
 PA04    error      filter / pushed filter / join post-filter is not boolean
 PA05    error      aggregate misuse: non-aggregate measure, aggregate call in
                    a scalar position, nested aggregates, duplicate output
                    names
 PA06    error      join keys incompatible, or key-less non-inner join
-PA07    warning    exchange misplacement: ignored partition keys, redundant
-                   adjacent exchanges (error: shuffle without keys)
 PA08    warning    construct unsupported on the GPU (non-literal LIKE
                    pattern / IN list / substring bounds, ...): query will
                    need the cpu-plan fallback tier
@@ -66,12 +64,11 @@ __all__ = ["analyze_plan", "PLAN_RULES"]
 # rule id -> short description, for ``python -m repro.analysis rules``.
 PLAN_RULES = {
     "PA01": "read references a table absent from the catalog",
-    "PA02": "ordinal out of range (field/group/sort/join/exchange key)",
+    "PA02": "ordinal out of range (field/group/sort/join key)",
     "PA03": "expression fails type inference",
     "PA04": "predicate position holds a non-boolean expression",
     "PA05": "aggregate misuse (measure shape, scalar position, duplicates)",
     "PA06": "join keys incompatible, or key-less non-inner join",
-    "PA07": "exchange misplacement (keys ignored / missing / redundant)",
     "PA08": "construct unsupported on the GPU (needs cpu-plan fallback)",
     "PA09": "static working set exceeds the processing pool (needs spill)",
     "PA10": "fetch offset/count negative",

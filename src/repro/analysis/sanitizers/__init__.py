@@ -5,9 +5,9 @@ plans and source; this subpackage proves properties of *runs*:
 
 * :class:`Sanitizer` — happens-before graph over stream issue/wait
   edges plus a shadow ledger of pool allocations, attached opt-in via
-  ``SiriusEngine(..., sanitize=True)``, ``ServingScheduler(...,
-  sanitize=True)``, ``FleetScheduler(..., sanitize=True)``, or the
-  :func:`sanitized` context manager (SA01–SA08);
+  ``SiriusEngine(..., sanitize=True)`` (a fleet passes it through
+  :func:`~repro.fleet.engine_factory`) or the :func:`sanitized` context
+  manager (SA01–SA08);
 * :class:`DeterminismChecker` — re-runs schedules under permuted
   tie-breaks and runtime nondeterminism traps (SA09–SA10);
 * suite runners behind ``python -m repro sanitize`` (:mod:`.cli`).

@@ -119,13 +119,12 @@ def run_fleet_suite(requests: int = 16, replicas: int = 3) -> SanitizerReport:
         def run_once(transform, routing=routing, fleets=fleets):
             policy = "fair" if transform is None else transform(_make_fair())
             fleet = FleetScheduler(
-                engine_factory(GH200, warm=data),
+                engine_factory(GH200, warm=data, sanitize=True),
                 replicas=replicas,
                 routing=routing,
                 policy=policy,
                 streams=2,
                 seed=_SEED,
-                sanitize=True,
             )
             fleets.append(fleet)
             driver = FleetWorkloadDriver(data, mix, seed=_SEED)

@@ -294,15 +294,6 @@ class Sanitizer:
                 f"device-resident cache entries account for {caching} bytes",
                 site,
             )
-        if bm.compressed_saved_bytes < 0 or (
-            not bm.compress_cache and bm.compressed_saved_bytes != 0
-        ):
-            self._finding(
-                "SA08",
-                f"compressed_saved_bytes={bm.compressed_saved_bytes} with "
-                f"compress_cache={bm.compress_cache}",
-                site,
-            )
 
     def check_namespace_dropped(self, buffer_manager, ns: str) -> None:
         """SA05 at ``drop_namespace``: nothing of the namespace survives."""

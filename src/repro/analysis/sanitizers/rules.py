@@ -27,8 +27,8 @@ SA06    double release: a live-generation pool allocation was freed twice
 SA07    use-after-free: a cached table or fragment was read through device
         buffers that were already freed
 SA08    accounting drift: a live counter (pool in-use, pinned-host bytes,
-        fragment tier bytes, caching-region bytes, compressed savings)
-        disagrees with the shadow ledger's ground truth
+        fragment tier bytes, caching-region bytes) disagrees with the
+        shadow ledger's ground truth
 SA09    nondeterminism source touched at runtime: a wall-clock or global-
         state RNG call fired during a sanitized run (the dynamic complement
         of lints RR01/RR02)

@@ -1,7 +1,6 @@
 """Benchmark harness: one runner per paper table/figure plus ablations."""
 
 from .ablations import (
-    compression_ablation,
     fusion_ablation,
     impl_swap_string_groupby,
     multi_gpu_ablation,
@@ -35,7 +34,6 @@ __all__ = [
     "geomean",
     "hot_vs_cold",
     "impl_swap",
-    "compression_ablation",
     "fusion_ablation",
     "impl_swap_string_groupby",
     "multi_gpu_ablation",

@@ -159,25 +159,6 @@ def impl_swap_string_groupby(harness: AblationHarness) -> dict[str, float]:
     return results
 
 
-def compression_ablation(harness: AblationHarness, query: int = 12) -> dict[str, float]:
-    """Lightweight caching-region compression (§3.4): capacity saved vs
-    decompression cost on a hot run."""
-    plan = harness.plan(query)
-    plain = harness.fresh_engine()
-    plain.warm_cache(harness.data)
-    plain.execute(plan, harness.data)
-    packed = harness.fresh_engine(compress_cache=True)
-    packed.warm_cache(harness.data)
-    packed.execute(plan, harness.data)
-    return {
-        "plain_hot_s": plain.last_profile.sim_seconds,
-        "packed_hot_s": packed.last_profile.sim_seconds,
-        "plain_cache_bytes": plain.device.caching_region.used,
-        "packed_cache_bytes": packed.device.caching_region.used,
-        "saved_bytes": packed.buffer_manager.compressed_saved_bytes,
-    }
-
-
 def multi_gpu_ablation(sf: float = 0.02, query: int = 1) -> dict[str, float]:
     """Multi-GPU per node (§3.4): compute time at 1 vs 2 GPUs per host."""
     from ..hosts import MiniDoris

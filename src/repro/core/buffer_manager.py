@@ -57,20 +57,16 @@ class CacheEntry:
         "host_table",
         "nbytes",
         "location",
-        "compressed",
-        "logical_nbytes",
         "last_user",
         "ready_at",
     )
 
-    def __init__(self, name: str, gtable: GTable, host_table: Table, compressed: bool = False):
+    def __init__(self, name: str, gtable: GTable, host_table: Table):
         self.name = name
         self.gtable = gtable
         self.host_table = host_table
-        self.nbytes = gtable.nbytes  # accounted (packed when compressed)
-        self.logical_nbytes = host_table.nbytes
+        self.nbytes = gtable.nbytes
         self.location = "device"
-        self.compressed = compressed
         # Query that touched the entry last (device.query_owner); used by
         # contention-aware eviction under concurrent serving.
         self.last_user = None
@@ -104,25 +100,19 @@ class SpillFragment:
 class BufferManager:
     """Owns the caching region contents and the format-conversion paths."""
 
-    def __init__(self, device: Device, compress_cache: bool = False, overlap: bool = False):
+    def __init__(self, device: Device, overlap: bool = False):
         """
         Args:
             device: The owning device.  LRU tables spill to its pinned
                 host memory when the caching region fills (§3.4
                 out-of-core extension).
-            compress_cache: Store integer/date columns FOR+bit-packed in
-                the caching region (§3.4's lightweight-compression
-                extension): smaller footprint and cheaper cold loads, at
-                the price of a decompression pass on every access.
             overlap: Chunk + double-buffer cold loads on the device's copy
                 stream so transfers overlap the consuming pipeline's
-                kernels, and honour executor prefetch requests.  Applies
-                to uncompressed loads (compressed loads keep the
-                synchronous path).  Off by default — the synchronous
-                loader is byte-identical to the seed.
+                kernels, and honour executor prefetch requests.  Off by
+                default — the synchronous loader is byte-identical to the
+                seed.
         """
         self.device = device
-        self.compress_cache = compress_cache
         self.overlap = overlap
         self._cache: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.cold_loads = 0
@@ -132,7 +122,6 @@ class BufferManager:
         self.prefetches = 0
         self.prefetch_hits = 0
         self.pinned_host_bytes = 0
-        self.compressed_saved_bytes = 0
         # In-flight copy-stream events (full-completion timestamps):
         # ``_in_flight`` holds prefetched entries no query has consumed yet;
         # ``_must_sync`` holds consumed entries the host must join before
@@ -195,20 +184,12 @@ class BufferManager:
             entry.last_user = self.device.query_owner
             if entry.location == "pinned":
                 self._unspill(entry)
-            if entry.compressed:
-                # Decompression pass: packed bytes in, logical bytes out.
-                self.device.launch(
-                    KernelClass.STREAM,
-                    entry.nbytes,
-                    entry.logical_nbytes,
-                    entry.gtable.num_rows,
-                )
             self.hot_hits += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_entry_read(entry, None)
             return entry.gtable
         gtable, event = self._load(name, host_table)
-        entry = CacheEntry(name, gtable, host_table, compressed=self.compress_cache)
+        entry = CacheEntry(name, gtable, host_table)
         entry.last_user = self.device.query_owner
         self._cache[name] = entry
         if event is not None:
@@ -224,12 +205,11 @@ class BufferManager:
         base table).
 
         Best-effort: a no-op unless overlap mode is on, the table is not
-        already cached, the cache is uncompressed, and the table fits the
-        caching region *without* evicting (prefetch must never thrash
-        tables the running pipeline still needs).  Returns True when the
-        prefetch was issued.
+        already cached, and the table fits the caching region *without*
+        evicting (prefetch must never thrash tables the running pipeline
+        still needs).  Returns True when the prefetch was issued.
         """
-        if not self.overlap or self.compress_cache or name in self._cache:
+        if not self.overlap or name in self._cache:
             return False
         try:
             gtable = GTable.from_host(self.device, host_table, "caching", charge=None)
@@ -244,7 +224,7 @@ class BufferManager:
             if first_event is None:
                 first_event = event
             remaining -= nbytes
-        entry = CacheEntry(name, gtable, host_table, compressed=False)
+        entry = CacheEntry(name, gtable, host_table)
         entry.last_user = self.device.query_owner
         entry.ready_at = first_event if first_event is not None else event
         self._cache[name] = entry
@@ -274,8 +254,6 @@ class BufferManager:
         loads)."""
         while True:
             try:
-                if self.compress_cache:
-                    return self._load_compressed(host_table), None
                 if self.overlap:
                     return self._load_overlapped(host_table)
                 return GTable.from_host(self.device, host_table, region="caching"), None
@@ -300,43 +278,6 @@ class BufferManager:
             event = self.device.htod_async(nbytes)
             remaining -= nbytes
         return gtable, event
-
-    def _load_compressed(
-        self, host_table: Table, count_savings: bool = True, pinned: bool = False
-    ) -> GTable:
-        """Load with FOR+bit-packing applied to the packable columns.
-
-        ``count_savings`` is False on the unspill path: the cumulative
-        savings counter reflects first loads only, not every spill cycle.
-        """
-        from ..kernels import GColumn
-        from ..kernels.compression import pack_column, packable
-
-        columns = []
-        try:
-            for col in host_table.columns:
-                if packable(col):
-                    packed = pack_column(col)
-                    self.device.htod(packed.packed_nbytes, pinned=pinned)  # compressed wire
-                    buf = self.device.new_buffer(
-                        col.data, "caching", account_nbytes=packed.packed_nbytes
-                    )
-                    if count_savings:
-                        self.compressed_saved_bytes += col.nbytes - packed.packed_nbytes
-                    columns.append(GColumn(col.dtype, buf, None, col.dictionary))
-                else:
-                    self.device.htod(col.nbytes, pinned=pinned)
-                    columns.append(
-                        GColumn.from_array(
-                            self.device, col.dtype, col.data,
-                            col.is_valid_mask(), col.dictionary, "caching",
-                        )
-                    )
-        except BaseException:
-            for column in columns:
-                column.free()
-            raise
-        return GTable(host_table.schema, columns, self.device)
 
     def _quiescent(self, name: str) -> bool:
         """Whether no copy-stream chunks are still landing in ``name``."""
@@ -398,14 +339,9 @@ class BufferManager:
         pinned host memory, at the pinned rate)."""
         while True:
             try:
-                if self.compress_cache:
-                    entry.gtable = self._load_compressed(
-                        entry.host_table, count_savings=False, pinned=True
-                    )
-                else:
-                    entry.gtable = GTable.from_host(
-                        self.device, entry.host_table, "caching", charge="pinned"
-                    )
+                entry.gtable = GTable.from_host(
+                    self.device, entry.host_table, "caching", charge="pinned"
+                )
                 break
             except OutOfDeviceMemory:
                 if not self._evict_one(keep=entry):
@@ -673,7 +609,6 @@ class BufferManager:
             "caching_used": self.device.caching_region.used,
             "caching_capacity": self.device.caching_region.capacity,
             "pinned_host_bytes": self.pinned_host_bytes,
-            "compressed_saved_bytes": self.compressed_saved_bytes,
             "contention_avoided_evictions": self.contention_avoided_evictions,
             "fragment_spills": self.fragment_spills,
             "fragment_unspills": self.fragment_unspills,

@@ -6,12 +6,7 @@ Each pipeline is ``source -> streaming operators -> sink``; sinks
 materialise their output into named *slots* that downstream pipelines
 read (as their source, or as a hash-join build table).
 
-Fusions performed here:
-
-* ``Fetch(Sort(x))`` -> a single top-N sink;
-* ``Exchange`` relations are pass-through in single-node plans (the paper:
-  the exchange layer "can be bypassed entirely") — distributed fragments
-  replace them with exchange sinks/sources before reaching this planner.
+One fusion is performed here: ``Fetch(Sort(x))`` -> a single top-N sink.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from dataclasses import dataclass, field
 
 from ..plan import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -202,10 +196,6 @@ class _Compiler:
         if isinstance(rel, FetchRel):
             sink = FetchSink(rel.offset, rel.count, rel.input_rel.output_schema())
             return self._break(rel.input_rel, sink, "fetch")
-
-        if isinstance(rel, ExchangeRel):
-            # Single-node: bypass entirely.
-            return self.compile(rel.input_rel)
 
         raise UnsupportedFeatureError(f"no physical operator for {type(rel).__name__}")
 

@@ -73,7 +73,6 @@ class SiriusEngine:
         self,
         device: Device,
         batch_rows: int | None = None,
-        compress_cache: bool = False,
         tracer=None,
         overlap: bool = False,
         out_of_core: bool = False,
@@ -88,8 +87,6 @@ class SiriusEngine:
                 partition fragments before an allocation fails.
             batch_rows: If set, pipelines stream inputs in batches of this
                 many rows instead of whole tables (§3.4 batch execution).
-            compress_cache: FOR+bit-pack integer columns in the caching
-                region (§3.4's lightweight-compression extension).
             tracer: Observability sink (:class:`repro.obs.Tracer`); the
                 no-op null tracer by default, keeping untraced execution
                 byte-identical.
@@ -124,7 +121,7 @@ class SiriusEngine:
         self.device = device
         self.tracer = tracer if tracer is not None else NULL_TRACER
         device.tracer = self.tracer
-        self.buffer_manager = BufferManager(device, compress_cache=compress_cache, overlap=overlap)
+        self.buffer_manager = BufferManager(device, overlap=overlap)
         self._install_pressure_hooks()
         self.registry = default_registry()
         self.batch_rows = batch_rows

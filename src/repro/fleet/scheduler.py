@@ -62,12 +62,10 @@ class FleetScheduler:
         batch_rows: int | None = SERVING_BATCH_ROWS,
         result_cache_bytes: int = 0,
         plan_cache_entries: int = 0,
-        plan_overhead_s: float = 0.0,
         quotas: Mapping[str, TenantQuota] | None = None,
         autoscaler: Autoscaler | None = None,
         fault_plan: FaultPlan | None = None,
         metrics: MetricSet | None = None,
-        sanitize: bool = False,
     ):
         """
         Args:
@@ -84,9 +82,6 @@ class FleetScheduler:
                 0 (default) disables it.
             plan_cache_entries: Entry budget of the parameterized plan
                 cache; 0 (default) disables it.
-            plan_overhead_s: Planning latency charged on a plan-cache
-                miss (the routed arrival is delayed by this much); 0.0
-                keeps the default timeline untouched.
             quotas: Per-tenant token-bucket quotas; tenants absent from
                 the mapping are unlimited.
             autoscaler: Reactive :class:`~repro.fleet.autoscale
@@ -96,9 +91,6 @@ class FleetScheduler:
                 on survivors.
             metrics: Shared :class:`~repro.obs.MetricSet` for cache and
                 fleet gauges (one is created if omitted).
-            sanitize: Run every replica's scheduler with the sanitizer
-                layer attached (leak/drift/race checks per replica);
-                read the merged findings via :meth:`sanitizer_report`.
         """
         if replicas < 1:
             raise ValueError("the fleet needs at least one replica")
@@ -109,7 +101,6 @@ class FleetScheduler:
         self.streams = streams
         self.seed = seed
         self.batch_rows = batch_rows
-        self.plan_overhead_s = float(plan_overhead_s)
         self.metrics = metrics if metrics is not None else MetricSet()
         self.result_cache = (
             ResultCache(result_cache_bytes, self.metrics)
@@ -124,7 +115,6 @@ class FleetScheduler:
         self.versions = TableVersions()
         self.tenants = TenantTable(quotas)
         self.autoscaler = autoscaler
-        self.sanitize = bool(sanitize)
         self._crashes: list[NodeCrash] = sorted(
             (f for f in (fault_plan.faults if fault_plan else []) if isinstance(f, NodeCrash)),
             key=lambda c: (c.at, c.node_id),
@@ -201,7 +191,6 @@ class FleetScheduler:
             streams=self.streams,
             seed=self.seed,
             batch_rows=self.batch_rows,
-            sanitize=self.sanitize,
         )
         scheduler.on_complete = self._on_job_complete
         scheduler.begin_run()
@@ -307,7 +296,6 @@ class FleetScheduler:
             return
         tables = digest.tables if digest is not None else ()
         replica = self.routing.select(candidates, tables, record.catalog)
-        arrival = vt
         estimate = None
         if self.plan_cache is not None and digest is not None:
             estimate = self.plan_cache.lookup(digest.plan_key)
@@ -319,14 +307,13 @@ class FleetScheduler:
                     out_of_core=replica.engine.out_of_core,
                 )
                 self.plan_cache.insert(digest.plan_key, estimate)
-                arrival = vt + self.plan_overhead_s  # planning charged on miss
         if digest is not None:
             record.dep_versions = self.versions.snapshot(digest.tables)
         job = replica.scheduler.submit(
             record.plan,
             record.catalog,
             label=record.label,
-            arrival_s=arrival,
+            arrival_s=vt,
             deadline_s=record.deadline_s,
             estimate=estimate,
             meta={"_fleet_seq": record.seq, "_fleet_replica": replica.id},

@@ -25,31 +25,19 @@ class DeviceBuffer:
         region: ``"processing"`` or ``"caching"``.
     """
 
-    __slots__ = ("array", "device", "region", "_allocation", "_freed", "_account_nbytes")
+    __slots__ = ("array", "device", "region", "_allocation", "_freed", "_nbytes")
 
-    def __init__(
-        self,
-        array: np.ndarray,
-        device,
-        region: str,
-        allocation: Allocation | None,
-        account_nbytes: int | None = None,
-    ):
+    def __init__(self, array: np.ndarray, device, region: str, allocation: Allocation | None):
         self.array = array
         self.device = device
         self.region = region
         self._allocation = allocation
         self._freed = False
-        # Bytes this buffer occupies on the device.  Normally the array
-        # size; smaller when the buffer is stored compressed (the caching
-        # region's lightweight-compression extension).
-        self._account_nbytes = (
-            int(array.nbytes) if account_nbytes is None else int(account_nbytes)
-        )
+        self._nbytes = int(array.nbytes)  # read on every accounting path
 
     @property
     def nbytes(self) -> int:
-        return self._account_nbytes
+        return self._nbytes
 
     @property
     def is_freed(self) -> bool:
@@ -61,7 +49,7 @@ class DeviceBuffer:
             return
         self._freed = True
         self.device.release_buffer(self, self._allocation)
-        self.device.tracer.count("device.freed_bytes", self._account_nbytes)
+        self.device.tracer.count("device.freed_bytes", self._nbytes)
 
     def __len__(self) -> int:
         return int(self.array.shape[0])

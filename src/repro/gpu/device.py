@@ -313,23 +313,14 @@ class Device:
 
     # -- buffers ---------------------------------------------------------------
 
-    def new_buffer(
-        self,
-        array: np.ndarray,
-        region: str = "processing",
-        account_nbytes: int | None = None,
-    ) -> DeviceBuffer:
+    def new_buffer(self, array: np.ndarray, region: str = "processing") -> DeviceBuffer:
         """Place ``array`` on the device, accounting its bytes to ``region``.
-
-        ``account_nbytes`` overrides the accounted size (used by the
-        caching region's compression extension, where the stored footprint
-        is smaller than the logical array).
 
         Raises:
             OutOfDeviceMemory: When the region cannot hold the bytes.
         """
         array = np.ascontiguousarray(array)
-        size = int(array.nbytes) if account_nbytes is None else int(account_nbytes)
+        size = int(array.nbytes)
         injector = self.fault_injector
         if (
             injector is not None
@@ -357,12 +348,12 @@ class Device:
             allocation = self.processing_pool.allocate(size, owner=self.query_owner)
             self.tracer.count("device.alloc_bytes", size)
             self.tracer.gauge("device.pool_in_use", self.processing_pool.in_use)
-            return DeviceBuffer(array, self, region, allocation, size)
+            return DeviceBuffer(array, self, region, allocation)
         if region == "caching":
             self.caching_region.allocate(size)
             self.tracer.count("device.cache_bytes", size)
             self.tracer.gauge("device.cache_in_use", self.caching_region.used)
-            return DeviceBuffer(array, self, region, None, size)
+            return DeviceBuffer(array, self, region, None)
         raise ValueError(f"unknown memory region {region!r}")
 
     def release_buffer(self, buffer: DeviceBuffer, allocation: Allocation | None) -> None:

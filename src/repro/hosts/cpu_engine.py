@@ -25,7 +25,6 @@ from ..gpu.device import Device
 from ..gpu.specs import M7I_CPU, DeviceSpec
 from ..plan import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FieldRef,
     FilterRel,
@@ -148,8 +147,6 @@ class CpuEngine:
             table = self._run(rel.input_rel, catalog)
             count = table.num_rows if rel.count is None else rel.count
             return table.slice(rel.offset, count)
-        if isinstance(rel, ExchangeRel):
-            return self._run(rel.input_rel, catalog)  # single-node bypass
         raise CpuEvalError(f"unsupported relation {type(rel).__name__}")
 
     def _charge(self, kclass, bytes_in, bytes_out, rows, num_groups=None):

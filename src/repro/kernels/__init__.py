@@ -28,7 +28,6 @@ from .compute import (
     string_length,
     substring,
 )
-from .compression import PackedColumn, pack_column, packable, unpack_column
 from .copying import (
     concat_gtables,
     gather_column,
@@ -83,10 +82,6 @@ __all__ = [
     "logical_and",
     "logical_not",
     "logical_or",
-    "PackedColumn",
-    "pack_column",
-    "packable",
-    "unpack_column",
     "mask_table",
     "partition_by_keys",
     "reduce_column",

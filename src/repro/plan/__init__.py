@@ -15,10 +15,8 @@ from .expressions import (
 )
 from .plan import Plan, PlanValidationError, walk_relations
 from .relations import (
-    EXCHANGE_KINDS,
     JOIN_TYPES,
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -33,8 +31,6 @@ __all__ = [
     "AGGREGATE_FUNCTIONS",
     "AggregateCall",
     "AggregateRel",
-    "EXCHANGE_KINDS",
-    "ExchangeRel",
     "Expression",
     "FetchRel",
     "FieldRef",

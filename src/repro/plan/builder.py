@@ -23,7 +23,6 @@ from .expressions import AggregateCall, Expression, FieldRef, Literal, ScalarCal
 from .plan import Plan
 from .relations import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -232,10 +231,6 @@ class PlanBuilder:
 
     def limit(self, count: int, offset: int = 0) -> "PlanBuilder":
         return PlanBuilder(FetchRel(self._rel, offset, count))
-
-    def exchange(self, kind: str, keys: Sequence[str] = ()) -> "PlanBuilder":
-        schema = self.schema()
-        return PlanBuilder(ExchangeRel(self._rel, kind, [schema.index_of(k) for k in keys]))
 
     def build(self) -> Plan:
         plan = Plan(self._rel)

@@ -2,10 +2,10 @@
 
 A full bottom-up walk: each relation's output schema is derived from the
 schemas its inputs returned (never re-derived with ``output_schema()`` at
-every level), every expression is type-checked, ordinals are bounded,
-exchange placement is verified and GPU supportability is decided
-statically.  Every defect goes through one ``flag(rule, severity,
-message, site)`` callable, and the caller decides what a defect means:
+every level), every expression is type-checked, ordinals are bounded
+and GPU supportability is decided statically.  Every defect goes through
+one ``flag(rule, severity, message, site)`` callable, and the caller
+decides what a defect means:
 
 * :meth:`repro.plan.Plan.validate` raises on the first ``error``;
 * :func:`repro.analysis.analyze_plan` collects them all into a report.
@@ -31,7 +31,6 @@ from .expressions import (
 )
 from .relations import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -121,8 +120,6 @@ class PlanChecker:
                     site,
                 )
             return schema
-        if isinstance(rel, ExchangeRel):
-            return self._exchange(rel, path, site)
         # Unknown relation subclass: pass through the first input's schema.
         if rel.inputs:
             return self.visit(rel.inputs[0], f"{path}.input")
@@ -281,39 +278,6 @@ class PlanChecker:
         if broken:
             return None
         return Schema(fields)
-
-    def _exchange(self, rel: ExchangeRel, path: str, site: str) -> Schema | None:
-        schema = self.visit(rel.input_rel, f"{path}.input")
-        if rel.kind == "shuffle" and not rel.keys:
-            self.flag(
-                "PA07", SEVERITY_ERROR, "shuffle exchange has no partition keys", site
-            )
-        if rel.kind != "shuffle" and rel.keys:
-            self.flag(
-                "PA07",
-                SEVERITY_WARNING,
-                f"{rel.kind} exchange ignores its partition keys {rel.keys}",
-                site,
-            )
-        if isinstance(rel.input_rel, ExchangeRel):
-            self.flag(
-                "PA07",
-                SEVERITY_WARNING,
-                f"redundant adjacent exchanges "
-                f"({rel.input_rel.kind} feeding {rel.kind})",
-                site,
-            )
-        if schema is not None:
-            for idx in rel.keys:
-                if not _is_ordinal(idx, len(schema)):
-                    self.flag(
-                        "PA02",
-                        SEVERITY_ERROR,
-                        f"exchange key ordinal ${idx!r} out of range "
-                        f"(input arity {len(schema)})",
-                        site,
-                    )
-        return schema
 
     # -- expression checks ---------------------------------------------------
 

@@ -3,7 +3,7 @@
 A :class:`Plan` is what a host database hands Sirius — the equivalent of a
 serialized Substrait plan.  ``validate`` performs the structural checks a
 consumer needs before executing third-party plans: ordinal bounds, boolean
-filter conditions, join-key type compatibility, and exchange placement.
+filter conditions, and join-key type compatibility.
 The checks themselves live once, in :mod:`repro.plan.check`; ``validate``
 is that pass stopped at its first error.
 """

@@ -31,14 +31,11 @@ __all__ = [
     "AggregateRel",
     "SortRel",
     "FetchRel",
-    "ExchangeRel",
     "JOIN_TYPES",
-    "EXCHANGE_KINDS",
     "rel_from_dict",
 ]
 
 JOIN_TYPES = ("inner", "left", "semi", "anti")
-EXCHANGE_KINDS = ("broadcast", "shuffle", "merge", "multicast")
 
 
 def join_output_schema(left: Schema, right: Schema) -> Schema:
@@ -348,46 +345,6 @@ class FetchRel(Relation):
         return f"Fetch(offset={self.offset}, count={self.count})"
 
 
-class ExchangeRel(Relation):
-    """Data redistribution boundary in a distributed plan.
-
-    ``kind`` is one of broadcast / shuffle / merge / multicast — the four
-    patterns Sirius' exchange service layer implements on NCCL.  ``keys``
-    are the hash-partition key ordinals for shuffles.
-    """
-
-    def __init__(self, input_rel: Relation, kind: str, keys: Sequence[int] = ()):
-        if kind not in EXCHANGE_KINDS:
-            raise ValueError(f"unknown exchange kind {kind!r}")
-        if kind == "shuffle" and not keys:
-            raise ValueError("shuffle exchange requires partition keys")
-        self.inputs = (input_rel,)
-        self.kind = kind
-        self.keys = list(keys)
-
-    @property
-    def input_rel(self) -> Relation:
-        return self.inputs[0]
-
-    def output_schema(self) -> Schema:
-        return self.input_rel.output_schema()
-
-    def to_dict(self) -> dict:
-        return {
-            "rel": "exchange",
-            "input": self.input_rel.to_dict(),
-            "kind": self.kind,
-            "keys": list(self.keys),
-        }
-
-    def with_inputs(self, inputs: Sequence[Relation]) -> "ExchangeRel":
-        (inp,) = inputs
-        return ExchangeRel(inp, self.kind, self.keys)
-
-    def __repr__(self) -> str:
-        return f"Exchange({self.kind}, keys={self.keys})"
-
-
 def rel_from_dict(data: dict) -> Relation:
     """Deserialize a relation tree from its dict form."""
     kind = data["rel"]
@@ -420,6 +377,4 @@ def rel_from_dict(data: dict) -> Relation:
         return SortRel(rel_from_dict(data["input"]), [tuple(k) for k in data["keys"]])
     if kind == "fetch":
         return FetchRel(rel_from_dict(data["input"]), data["offset"], data.get("count"))
-    if kind == "exchange":
-        return ExchangeRel(rel_from_dict(data["input"]), data["kind"], data.get("keys", ()))
     raise ValueError(f"unknown relation kind {kind!r}")

@@ -167,9 +167,7 @@ class _Estimator:
                 keep = min(float(rel.count), rows) / rows
                 return rows * keep, nbytes * keep
             return rows, nbytes
-        if rel.inputs:  # ExchangeRel, unknown unary relation: pass through
-            return self.visit(rel.inputs[0], f"{path}.input")
-        return 0.0, 0.0
+        raise TypeError(f"cannot estimate {type(rel).__name__}")
 
     def _fused_chain(self, rel: Relation, path: str) -> tuple[float, float]:
         """Price a maximal adjacent Filter/Project chain as one fused

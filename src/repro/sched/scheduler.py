@@ -73,7 +73,6 @@ class ServingScheduler:
         batch_rows: int | None = SERVING_BATCH_ROWS,
         tracer=None,
         tracer_factory: Callable[[], object] | None = None,
-        sanitize: bool = False,
     ):
         """
         Args:
@@ -93,10 +92,6 @@ class ServingScheduler:
                 admission events).
             tracer_factory: Zero-arg callable making one tracer per query;
                 interleaved queries must not share a span stack.
-            sanitize: Attach a :class:`~repro.analysis.sanitizers
-                .Sanitizer` to the engine (if it does not already carry
-                one) and run the end-of-run leak/drift checks at
-                :meth:`end_run`.  Purely observational.
         """
         if streams < 1:
             raise ValueError("streams must be at least 1")
@@ -112,11 +107,6 @@ class ServingScheduler:
             )
         )
         self.batch_rows = batch_rows
-        if sanitize and getattr(engine, "sanitizer", None) is None:
-            from ..analysis.sanitizers import Sanitizer
-
-            engine.sanitizer = Sanitizer()
-            engine.sanitizer.attach(engine.device, engine.buffer_manager)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer_factory = tracer_factory
         # Called with each job reaching a terminal state; closed-loop

@@ -21,7 +21,6 @@ from typing import Mapping
 from ..plan import (
     AggregateCall,
     AggregateRel,
-    ExchangeRel,
     Expression,
     FetchRel,
     FieldRef,
@@ -202,12 +201,6 @@ def _prune(rel: Relation, required: set[int]) -> tuple[Relation, dict[int, int]]
         child, mapping = _prune(rel.input_rel, required)
         return FetchRel(child, rel.offset, rel.count), mapping
 
-    if isinstance(rel, ExchangeRel):
-        needed = set(required) | set(rel.keys)
-        child, mapping = _prune(rel.input_rel, needed)
-        keys = [mapping[k] for k in rel.keys]
-        return ExchangeRel(child, rel.kind, keys), {i: mapping[i] for i in required}
-
     raise TypeError(f"cannot prune {type(rel).__name__}")
 
 
@@ -256,7 +249,7 @@ def estimate_rows(rel: Relation, row_counts: Mapping[str, int]) -> float:
         return base * (0.25 if rel.filter_expr is not None else 1.0)
     if isinstance(rel, FilterRel):
         return estimate_rows(rel.input_rel, row_counts) * 0.25
-    if isinstance(rel, (ProjectRel, SortRel, ExchangeRel)):
+    if isinstance(rel, (ProjectRel, SortRel)):
         return estimate_rows(rel.inputs[0], row_counts)
     if isinstance(rel, AggregateRel):
         return max(estimate_rows(rel.input_rel, row_counts) * 0.1, 1.0)

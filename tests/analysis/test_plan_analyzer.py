@@ -27,7 +27,6 @@ from repro.plan import Plan, PlanValidationError
 from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
 from repro.plan.relations import (
     AggregateRel,
-    ExchangeRel,
     FetchRel,
     FilterRel,
     JoinRel,
@@ -63,14 +62,6 @@ def agg(op, arg_index=None):
     return AggregateCall(op if arg is not None else "count_star", arg)
 
 
-def shuffle_without_keys(input_rel):
-    # The constructor refuses this shape; a hand-mutated payload can
-    # still carry it, which is exactly what the analyzer is for.
-    ex = ExchangeRel(input_rel, "shuffle", [0])
-    ex.keys = []
-    return ex
-
-
 # (rule, failing relation factory, passing relation factory)
 CORPUS = [
     ("PA01", lambda: ReadRel("missing", SCHEMA), read),
@@ -82,8 +73,8 @@ CORPUS = [
      lambda: AggregateRel(read(), [1], [(agg("sum", 2), "m")])),
     ("PA02", lambda: JoinRel(read(), dim_read(), "inner", [0], [5]),
      lambda: JoinRel(read(), dim_read(), "inner", [0], [0])),
-    ("PA02", lambda: ExchangeRel(read(), "shuffle", [9]),
-     lambda: ExchangeRel(read(), "shuffle", [0])),
+    ("PA02", lambda: AggregateRel(read(), [1], [(agg("sum", 9), "m")]),
+     lambda: AggregateRel(read(), [1], [(agg("sum", 2), "m")])),
     ("PA03",
      lambda: ProjectRel(
          read(), [ScalarCall("add", [FieldRef(3), Literal(1)])], ["x"]),
@@ -112,15 +103,14 @@ CORPUS = [
      lambda: JoinRel(read(), dim_read(), "inner", [0], [0])),
     ("PA06", lambda: JoinRel(read(), dim_read(), "left", [], []),
      lambda: JoinRel(read(), dim_read(), "inner", [], [])),
-    ("PA07", lambda: shuffle_without_keys(read()),
-     lambda: ExchangeRel(read(), "shuffle", [0])),
-    ("PA07", lambda: ExchangeRel(read(), "broadcast", [0]),
-     lambda: ExchangeRel(read(), "broadcast")),
-    ("PA07",
-     lambda: ExchangeRel(ExchangeRel(read(), "shuffle", [0]), "broadcast"),
-     lambda: ExchangeRel(FilterRel(
-         ExchangeRel(read(), "shuffle", [0]),
-         ScalarCall("gt", [FieldRef(0), Literal(1)])), "broadcast")),
+    ("PA03", lambda: AggregateRel(read(), [1], [(agg("sum", 3), "m")]),
+     lambda: AggregateRel(read(), [1], [(agg("sum", 2), "m")])),
+    ("PA04", lambda: JoinRel(read(), dim_read(), "inner", [0], [0], FieldRef(5)),
+     lambda: JoinRel(
+         read(), dim_read(), "inner", [0], [0],
+         ScalarCall("gt", [FieldRef(5), Literal(1)]))),
+    ("PA06", lambda: JoinRel(read(), dim_read(), "semi", [], []),
+     lambda: JoinRel(read(), dim_read(), "semi", [0], [0])),
     ("PA08",
      lambda: FilterRel(read(), ScalarCall("like", [FieldRef(3), FieldRef(3)])),
      lambda: FilterRel(read(), ScalarCall("like", [FieldRef(3), Literal("a%")]))),
@@ -152,11 +142,15 @@ CORPUS = [
      lambda: JoinRel(read(), dim_read(), "inner", [0], [1])),
     ("PA02", lambda: AggregateRel(read(), [-1], [(agg("sum", 2), "m")]),
      lambda: AggregateRel(read(), [3], [(agg("sum", 2), "m")])),
-    ("PA02", lambda: ExchangeRel(read(), "shuffle", [-1]),
-     lambda: ExchangeRel(read(), "shuffle", [3])),
+    # A filter pushed into the scan is bounded by the scanned schema.
+    ("PA02",
+     lambda: ReadRel(
+         "fact", SCHEMA, filter_expr=ScalarCall("gt", [FieldRef(9), Literal(0)])),
+     lambda: ReadRel(
+         "fact", SCHEMA, filter_expr=ScalarCall("gt", [FieldRef(0), Literal(0)]))),
 ]
 
-ERROR_RULES = {r for r, d in PLAN_RULES.items() if r not in ("PA07", "PA08", "PA09")}
+ERROR_RULES = {r for r, d in PLAN_RULES.items() if r not in ("PA08", "PA09")}
 
 
 class TestDefectCorpus:
@@ -209,11 +203,6 @@ class TestDefectCorpus:
         assert report.suggested_tier == TIER_CPU_PLAN
         assert all(f.severity == SEVERITY_WARNING for f in report.findings)
 
-    def test_exchange_warnings_stay_on_gpu(self, catalog):
-        report = analyze_plan(Plan(ExchangeRel(read(), "broadcast", [0])), catalog)
-        assert report.ok
-        assert report.suggested_tier == TIER_GPU
-
 
 # kind -> (a valid single-operator relation, where its one ordinal sits in
 # the serialised root)
@@ -226,8 +215,6 @@ ORDINAL_SITES = {
                    lambda root, o: root.update(right_keys=[o])),
     "group": (lambda: AggregateRel(read(), [0], [(agg("sum", 2), "m")]),
               lambda root, o: root.update(groups=[o])),
-    "exchange": (lambda: ExchangeRel(read(), "shuffle", [0]),
-                 lambda root, o: root.update(keys=[o])),
 }
 
 

@@ -289,14 +289,6 @@ def pinned_counter_drifts():
     return sanitizer.findings, "drift-check"
 
 
-@defect("SA08")
-def compression_savings_without_compression():
-    device, bm, sanitizer = sanitized_bm(overlap=False)
-    bm.compressed_saved_bytes = 512  # the seeded defect
-    sanitizer.check_drift(bm, "drift-check")
-    return sanitizer.findings, "drift-check"
-
-
 @clean("SA08")
 def untampered_counters_have_no_drift():
     device, bm, sanitizer = sanitized_bm(overlap=False)

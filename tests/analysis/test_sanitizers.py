@@ -60,10 +60,11 @@ class TestZeroObserverEffect:
     def test_sanitized_serving_report_is_byte_identical(self, data, batch):
         reports = {}
         for sanitize in (False, True):
-            engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
+            engine = SiriusEngine.for_spec(
+                GH200, memory_limit_gb=1.0, sanitize=sanitize
+            )
             sched = ServingScheduler(
-                engine, policy="fair", streams=2, sanitize=sanitize,
-                tracer_factory=Tracer,
+                engine, policy="fair", streams=2, tracer_factory=Tracer
             )
             jobs = [
                 sched.submit(plan, data, label=f"q{i}", arrival_s=0.0)

@@ -1,13 +1,10 @@
 """Buffer-manager accounting regressions and stats invariants.
 
-Pins the three accounting bugs fixed alongside the copy/compute-overlap
-work:
+Pins the accounting bugs fixed alongside the copy/compute-overlap work:
 
 * dropping (or clearing) a *spilled* entry must release its
-  ``pinned_host_bytes`` — previously the counter stayed inflated forever;
-* repeated spill/unspill cycles must not re-count
-  ``compressed_saved_bytes`` (the cumulative-savings counter reflects
-  first loads only);
+  ``pinned_host_bytes`` — previously the counter stayed inflated forever,
+  and eviction-driven spill/unspill cycles keep it exact;
 * spill traffic streams from/to pinned host memory and is priced as
   such (see ``TestPinnedTransferPricing`` in tests/gpu for the rate).
 
@@ -81,45 +78,22 @@ class TestDropAccounting:
         assert bm.pinned_host_bytes == 0
 
 
-class TestCompressedSavingsCountedOnce:
-    def test_unspill_does_not_recount_savings(self):
-        device = Device(GH200, memory_limit_gb=1.0)
-        bm = BufferManager(device, compress_cache=True)
-        table = make_table(1000)
-        bm.get_table("a", table)
-        saved_once = bm.compressed_saved_bytes
-        assert saved_once > 0  # the int64 column is packable
-        for _ in range(3):
-            bm._spill(bm._cache["a"])
-            bm.get_table("a", table)  # unspill round-trip
-        assert bm.unspills == 3
-        assert bm.compressed_saved_bytes == saved_once
-
-    def test_savings_accumulate_across_distinct_tables(self):
-        bm = BufferManager(Device(GH200, memory_limit_gb=1.0), compress_cache=True)
-        bm.get_table("a", make_table(1000))
-        saved_one = bm.compressed_saved_bytes
-        bm.get_table("b", make_table(1000))
-        assert bm.compressed_saved_bytes == 2 * saved_one
-
-    def test_natural_thrash_keeps_savings_at_first_load_level(self):
+class TestSpillCycles:
+    def test_natural_thrash_keeps_pinned_bytes_exact(self):
         """Eviction-driven spill/unspill cycles (not direct _spill calls):
-        the counter still reflects one first-load per table."""
-        # Size the region off the *packed* footprint so two compressed
-        # tables cannot both be resident.
-        probe = BufferManager(Device(GH200, memory_limit_gb=1.0), compress_cache=True)
-        packed_nbytes = probe.get_table("a", make_table(1000)).nbytes
-        limit_gb = (packed_nbytes * 1.2 * 2) / (1024**3)
-        bm = BufferManager(Device(GH200, memory_limit_gb=limit_gb), compress_cache=True)
+        ``pinned_host_bytes`` always equals the spilled entries' bytes."""
+        device = fitted_device(1.2)  # one table resident at a time
+        bm = BufferManager(device)
         tables = {"a": make_table(1000), "b": make_table(1000)}
-        bm.get_table("a", tables["a"])
-        bm.get_table("b", tables["b"])
-        saved_two = bm.compressed_saved_bytes
-        for i in range(2, 8):
+        for i in range(8):
             name = "a" if i % 2 == 0 else "b"
             bm.get_table(name, tables[name])
+            spilled = sum(
+                e.nbytes for e in bm._cache.values() if e.location == "pinned"
+            )
+            assert bm.pinned_host_bytes == spilled
         assert bm.spills >= 3 and bm.unspills >= 3
-        assert bm.compressed_saved_bytes == saved_two
+        assert bm.pinned_host_bytes == tables["a"].nbytes
 
 
 NAMES = ("a", "b", "c", "d")

@@ -166,20 +166,6 @@ class TestPlanCache:
         # Both jobs ran with the same cached estimate object.
         assert ja.job.estimate is jb.job.estimate
 
-    def test_plan_overhead_is_charged_on_miss_only(self, data, plans):
-        fleet = FleetScheduler(
-            engine_factory(GH200, warm=data),
-            replicas=1,
-            plan_cache_entries=16,
-            plan_overhead_s=0.5,
-        )
-        first = fleet.submit(plans[6], data, arrival_s=0.0)
-        second = fleet.submit(plans[6], data, arrival_s=10.0)
-        fleet.run()
-        # Miss: the routed arrival is delayed by the planning overhead.
-        assert first.job.arrival_s == pytest.approx(0.5)
-        assert second.job.arrival_s == pytest.approx(10.0)
-
 
 class TestPlanCheckedOnce:
     """Every boundary a plan crosses still calls ``plan.validate()``, but

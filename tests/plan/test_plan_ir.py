@@ -1,6 +1,7 @@
 """Unit tests for the plan IR: expressions, relations, validation, JSON."""
 
 import datetime
+import json
 
 import pytest
 
@@ -186,6 +187,16 @@ class TestSerialization:
         back = Plan.from_json(plan.to_json())
         assert back.output_schema() == plan.output_schema()
 
+    def test_exchange_node_is_rejected(self):
+        # Distributed plans state their exchanges on fragments, never as
+        # a relation in the tree.
+        payload = Plan(ReadRel("t", SCHEMA)).to_dict()
+        payload["root"] = {
+            "rel": "exchange", "input": payload["root"], "kind": "broadcast", "keys": [],
+        }
+        with pytest.raises(ValueError, match="unknown relation kind 'exchange'"):
+            Plan.from_json(json.dumps(payload))
+
     def test_date_literals_survive_json(self):
         e = Literal(datetime.date(1995, 3, 15))
         back = expr_from_dict(e.to_dict())
@@ -209,8 +220,3 @@ class TestBuilderSugar:
             .build()
         )
         plan.validate()
-
-    def test_exchange_builder(self):
-        b = PlanBuilder.read("t", SCHEMA).exchange("shuffle", keys=["k"])
-        plan = b.build()
-        assert plan.root.kind == "shuffle"

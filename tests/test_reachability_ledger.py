@@ -3,9 +3,10 @@
 ``benchmarks/results/reachability.json`` is regenerated by hand
 (``tools/reachability.py``, about half an hour under line tracing), so
 its line counts drift as the code moves.  What must hold at every commit:
-the artifact adds up, DESIGN.md quotes it, and a function it says nothing
-enters is gone, is an interface stub or a ``__repr__``, or has its reason
-written down in DESIGN.md §3.
+the artifact adds up, DESIGN.md quotes it, it names no module or function
+the tree no longer defines, and a function it says nothing enters is an
+interface stub or a ``__repr__``, or has its reason written down in
+DESIGN.md §3.
 """
 
 import ast
@@ -75,6 +76,27 @@ def _definitions(path: Path) -> dict:
 
     visit(ast.parse(path.read_text()), "")
     return found
+
+
+def test_ledger_names_only_what_exists(ledger):
+    # Folded code objects (`<lambda>`, `<dictcomp>`) have no definition
+    # to find; every other name must still be defined where it is filed.
+    stale = []
+    for name, module in ledger["modules"].items():
+        path = ROOT / "src" / name
+        if not path.exists():
+            stale.append(f"{name} (module)")
+            continue
+        definitions = _definitions(path)
+        stale += [
+            f"{name}: {function}"
+            for function in module["functions"]
+            if not function.startswith("<") and function not in definitions
+        ]
+    assert not stale, (
+        "benchmarks/results/reachability.json names what the tree no longer "
+        "defines; regenerate it with tools/reachability.py:\n" + "\n".join(stale)
+    )
 
 
 def test_unentered_functions_are_gone_or_accounted_for(ledger):
