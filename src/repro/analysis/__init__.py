@@ -3,9 +3,9 @@
 Two fronts, one vocabulary (:class:`Finding` / :class:`AnalysisReport`):
 
 * :func:`analyze_plan` — a dataflow pass over the plan IR that
-  type-checks every expression, estimates the working set, and predicts
-  the degradation tier *before* any GPU memory is committed.  Admission
-  control consumes the report.
+  type-checks every expression, asks the expression compiler what the
+  device can run, estimates the working set, and predicts the
+  degradation tier *before* any GPU memory is committed.
 * :mod:`repro.analysis.lints` — AST lints enforcing the repo's
   determinism and ownership invariants (``python -m repro.analysis lint``).
 * :mod:`repro.analysis.sanitizers` — runtime sanitizers proving the
@@ -16,29 +16,12 @@ Two fronts, one vocabulary (:class:`Finding` / :class:`AnalysisReport`):
 
 from .fusion_check import FUSION_RULES, verify_fused_plan
 from .plan_analyzer import PLAN_RULES, analyze_plan
-from .report import (
-    SEVERITY_ERROR,
-    SEVERITY_INFO,
-    SEVERITY_WARNING,
-    TIER_CPU_PLAN,
-    TIER_GPU,
-    TIER_REJECT,
-    TIER_SPILL,
-    AnalysisReport,
-    Finding,
-)
-from .sanitizers import (
-    SA_RULES,
-    DeterminismChecker,
-    Sanitizer,
-    SanitizerReport,
-    sanitized,
-)
+from .report import SEVERITY_ERROR, SEVERITY_WARNING, AnalysisReport, Finding
+from .sanitizers import SA_RULES, DeterminismChecker, Sanitizer, SanitizerReport
 
 __all__ = [
     "SA_RULES",
     "Sanitizer",
-    "sanitized",
     "SanitizerReport",
     "DeterminismChecker",
     "analyze_plan",
@@ -49,9 +32,4 @@ __all__ = [
     "Finding",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "SEVERITY_INFO",
-    "TIER_GPU",
-    "TIER_SPILL",
-    "TIER_CPU_PLAN",
-    "TIER_REJECT",
 ]

@@ -5,8 +5,8 @@
     python -m repro.analysis rules
 
 ``lint`` exits non-zero when any invariant is violated (the CI gate);
-``plan`` analyzes a serialized plan JSON file; ``rules`` prints the
-catalog of both fronts.
+``plan`` analyzes a serialized plan JSON file; ``rules`` prints every
+catalog (PA, FC, RR, SA).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import PLAN_RULES, analyze_plan
+from . import FUSION_RULES, PLAN_RULES, analyze_plan
 from .lints import LINT_RULES, default_rules, lint_paths
 
 
@@ -72,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     # rules
     print("plan analyzer (PA):")
     for rule_id, desc in sorted(PLAN_RULES.items()):
+        print(f"  {rule_id}  {desc}")
+    print("fused-plan verifier (FC):")
+    for rule_id, desc in sorted(FUSION_RULES.items()):
         print(f"  {rule_id}  {desc}")
     print("invariant lints (RR):")
     for rule_id, cls in sorted(LINT_RULES.items()):

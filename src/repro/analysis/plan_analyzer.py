@@ -1,21 +1,24 @@
 """Front 1: static dataflow analysis over the plan IR.
 
 The structural pass itself — schemas propagated defensively through every
-relation, every expression type-checked, GPU supportability decided
-statically — lives once, in
+relation, every expression type-checked — lives once, in
 :mod:`repro.plan.check`.  :meth:`repro.plan.Plan.validate` runs it and
 raises on the *first* error; the analyzer runs the same pass and keeps
 going, collecting every finding into one
 :class:`~repro.analysis.report.AnalysisReport`, then adds what is its
 own: the plan fingerprint, the estimator's processing-pool working set
-per pipeline breaker, and the predicted degradation tier.
+per pipeline breaker, and the predicted degradation tier.  Every verdict
+it cannot make itself it reads from the code that makes it at run time:
+GPU support from the expression compiler
+(:func:`repro.core.expr_compile.compile_expression`), tier names from the
+degradation ladder (:mod:`repro.core.fallback`).
 
-Admission control consumes the report *before* the query touches the
-device (the Theseus-style front-loaded feasibility check): an ``error``
-finding means the plan cannot execute and should be rejected; a
-``gpu-unsupported`` warning means the query will need the ``cpu-plan``
-fallback tier; a working set beyond the pool predicts the
-``gpu-retry-spill`` tier.
+The report is the front-loaded feasibility check (the Theseus idea) for
+callers that want one before the query touches the device — ``python -m
+repro analyze`` and ``python -m repro.analysis plan``: an ``error``
+finding means the plan cannot execute; a PA08 warning means the query
+will need the host tier; a working set beyond the pool predicts the
+engine's first GPU retry rung.
 
 Rule catalog (each rule has passing and failing fixtures in
 ``tests/analysis``):
@@ -26,17 +29,18 @@ rule    severity   meaning
 PA01    error      read references a table absent from the catalog
 PA02    error      ordinal not an int in [0, arity) (field ref, group, sort,
                    join key)
-PA03    error      expression fails type inference
+PA03    error      expression fails type inference, or is a call the
+                   expression compiler cannot build (missing arguments)
 PA04    error      filter / pushed filter / join post-filter is not boolean
 PA05    error      aggregate misuse: non-aggregate measure, aggregate call in
                    a scalar position, nested aggregates, duplicate output
                    names
 PA06    error      join keys incompatible, or key-less non-inner join
-PA08    warning    construct unsupported on the GPU (non-literal LIKE
-                   pattern / IN list / substring bounds, ...): query will
-                   need the cpu-plan fallback tier
+PA08    warning    the expression compiler cannot lower an expression for
+                   the device (whatever it rejects): query will need the
+                   host (cpu-plan) tier
 PA09    warning    static working set exceeds the device processing pool:
-                   query will need the gpu-retry-spill tier
+                   query will need the first GPU retry rung
 PA10    error      fetch offset / count negative
 ======  =========  ===========================================================
 """
@@ -46,18 +50,12 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..columnar import Table
+from ..core.expr_compile import UnsupportedExpressionError, compile_expression
+from ..core.fallback import HOST_TIER, gpu_rungs, plan_fingerprint
 from ..plan import Plan
 from ..plan.check import PlanChecker
-from .report import (
-    SEVERITY_WARNING,
-    TIER_CPU_PLAN,
-    TIER_GPU,
-    TIER_GPU_SPILL,
-    TIER_REJECT,
-    TIER_SPILL,
-    AnalysisReport,
-    Finding,
-)
+from ..sched.estimator import estimate_plan
+from .report import SEVERITY_ERROR, SEVERITY_WARNING, AnalysisReport, Finding
 
 __all__ = ["analyze_plan", "PLAN_RULES"]
 
@@ -69,17 +67,31 @@ PLAN_RULES = {
     "PA04": "predicate position holds a non-boolean expression",
     "PA05": "aggregate misuse (measure shape, scalar position, duplicates)",
     "PA06": "join keys incompatible, or key-less non-inner join",
-    "PA08": "construct unsupported on the GPU (needs cpu-plan fallback)",
+    "PA08": "expression the compiler cannot lower for the GPU (needs cpu-plan)",
     "PA09": "static working set exceeds the processing pool (needs spill)",
     "PA10": "fetch offset/count negative",
 }
+
+
+class _DeviceChecker(PlanChecker):
+    """The structural pass, asking the expression compiler about every
+    type-correct expression: PA08 is exactly what it rejects."""
+
+    def check_lowering(self, expr, site: str, what: str) -> None:
+        try:
+            compile_expression(expr)
+        except UnsupportedExpressionError as exc:
+            self.flag("PA08", SEVERITY_WARNING, f"{what}: {exc}", site)
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            # A payload call short of arguments or options: no tier can
+            # build it, and the analyzer reports rather than raises.
+            self.flag("PA03", SEVERITY_ERROR, f"{what}: malformed call ({exc!r})", site)
 
 
 def analyze_plan(
     plan: Plan,
     catalog: Mapping[str, Table] | None = None,
     device=None,
-    out_of_core: bool = False,
 ) -> AnalysisReport:
     """Statically analyze ``plan``; never raises on plan defects.
 
@@ -90,29 +102,20 @@ def analyze_plan(
             (``__ex*``) are treated as known-but-unsized.
         device: A :class:`~repro.gpu.device.Device`; enables the service
             estimate and the pool-capacity (spill-tier) check.
-        out_of_core: The engine that will run the plan supports partitioned
-            out-of-core execution: an over-pool working set is then a
-            priced ``gpu-spill`` verdict (the query completes on the GPU
-            through the tiered spill store) instead of a prediction of the
-            batched ``gpu-retry-spill`` tier.
     """
-    from ..core.fallback import plan_fingerprint  # lazy: core imports us back
-
     report = AnalysisReport(plan_fingerprint=plan_fingerprint(plan))
 
     def flag(rule: str, severity: str, message: str, site: str) -> None:
         report.findings.append(Finding(rule, severity, message, site))
 
-    schema = PlanChecker(flag, catalog).visit(plan.root, "root")
+    schema = _DeviceChecker(flag, catalog).visit(plan.root, "root")
     if schema is not None:
         report.output_schema = [(f.name, f.dtype.name) for f in schema]
 
     if report.ok and catalog is not None and device is not None:
         # The numbers admission control gates on, totals and per-pipeline-
         # breaker breakdown alike: one estimator prices both.
-        from ..sched.estimator import estimate_plan  # lazy: sched imports us back
-
-        est = estimate_plan(plan, catalog, device, out_of_core=out_of_core)
+        est = estimate_plan(plan, catalog, device)
         report.working_set_bytes = est.working_set_bytes
         report.estimated_rows = est.rows
         report.estimated_service_s = est.service_s
@@ -123,9 +126,9 @@ def analyze_plan(
 
     report.gpu_supported = not any(f.rule == "PA08" for f in report.findings)
     if not report.ok:
-        report.suggested_tier = TIER_REJECT
+        report.suggested_tier = "reject"
     elif not report.gpu_supported:
-        report.suggested_tier = TIER_CPU_PLAN
+        report.suggested_tier = HOST_TIER
     elif (
         report.working_set_bytes is not None
         and device is not None
@@ -141,7 +144,5 @@ def analyze_plan(
                 "root",
             )
         )
-        report.suggested_tier = TIER_GPU_SPILL if out_of_core else TIER_SPILL
-    else:
-        report.suggested_tier = TIER_GPU
+        report.suggested_tier = gpu_rungs(False)[0]
     return report

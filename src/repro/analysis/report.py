@@ -12,7 +12,6 @@ Severity semantics:
   (``suggested_tier == "reject"``).
 * ``warning`` — the plan executes, but not on the happy path: a construct
   needs the CPU fallback, or the working set will not fit the pool.
-* ``info`` — advisory observations (estimate details, redundancies).
 """
 
 from __future__ import annotations
@@ -27,23 +26,7 @@ __all__ = [
     "AnalysisReport",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "SEVERITY_INFO",
-    "TIER_GPU",
-    "TIER_SPILL",
-    "TIER_GPU_SPILL",
-    "TIER_CPU_PLAN",
-    "TIER_REJECT",
 ]
-
-SEVERITY_INFO = "info"
-
-# Statically-predicted execution tiers (mirrors the degradation ladder in
-# repro.core.fallback, plus "reject" for plans that cannot run at all).
-TIER_GPU = "gpu"
-TIER_SPILL = "gpu-retry-spill"
-TIER_GPU_SPILL = "gpu-spill"  # partitioned out-of-core execution
-TIER_CPU_PLAN = "cpu-plan"
-TIER_REJECT = "reject"
 
 
 @dataclass(frozen=True)
@@ -51,7 +34,7 @@ class Finding:
     """One rule violation at one site (a plan path or a source location)."""
 
     rule: str  # rule id, e.g. "PA02" or "RR01"
-    severity: str  # "error" | "warning" | "info"
+    severity: str  # "error" | "warning"
     message: str
     site: str  # plan path like "root.join.left" or "file.py:42"
 
@@ -88,9 +71,9 @@ class AnalysisReport:
         estimated_service_s: Estimated simulated device seconds (``None``
             without a device).
         gpu_supported: False when any construct requires the CPU fallback.
-        suggested_tier: The degradation tier the query is predicted to
-            need: ``gpu`` | ``gpu-retry-spill`` | ``cpu-plan`` |
-            ``reject``.
+        suggested_tier: Where the query is predicted to run: ``gpu``, a
+            rung of :func:`repro.core.fallback.gpu_rungs`, the host tier
+            (:data:`repro.core.fallback.HOST_TIER`), or ``reject``.
     """
 
     plan_fingerprint: str = "unknown"
@@ -101,7 +84,7 @@ class AnalysisReport:
     estimated_rows: int | None = None
     estimated_service_s: float | None = None
     gpu_supported: bool = True
-    suggested_tier: str = TIER_GPU
+    suggested_tier: str = "gpu"
 
     # -- accessors -----------------------------------------------------------
 

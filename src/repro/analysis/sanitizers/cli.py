@@ -20,7 +20,6 @@ The clean suite must report **zero** findings — CI fails on any.
 
 from __future__ import annotations
 
-from .core import Sanitizer
 from .determinism import DeterminismChecker
 from .report import SanitizerReport
 
@@ -163,19 +162,3 @@ def run_suite(suite: str = "all") -> SanitizerReport:
     for runner in SUITES.values():
         merged.merge(runner())
     return merged
-
-
-def sanitized_query_check(engine, plan, catalog) -> SanitizerReport:
-    """One-shot convenience: execute ``plan`` under a fresh sanitizer
-    attached to ``engine`` and return the report (used by tests and the
-    ``Sanitizer`` context examples)."""
-    sanitizer = Sanitizer()
-    sanitizer.attach(engine.device, engine.buffer_manager)
-    previous = getattr(engine, "sanitizer", None)
-    engine.sanitizer = sanitizer
-    try:
-        engine.execute(plan, catalog)
-    finally:
-        engine.sanitizer = previous
-        sanitizer.detach()
-    return sanitizer.report("adhoc")

@@ -2,7 +2,7 @@
 
 A :class:`Sanitizer` attaches to a device (clock + RMM pool) and its
 buffer manager through ``None``-default hook attributes — the same
-pattern as the fault injector and the null tracer, so a detached run
+pattern as the fault injector and the null tracer, so an unsanitized run
 pays nothing and an attached run only *observes*.  Checks never advance
 the simulated clock and never change control flow; the hypothesis suite
 asserts the observer effect is exactly zero.
@@ -27,14 +27,12 @@ Typical use::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from ..report import Finding
 from .report import SanitizerReport
 from .rules import SA_SEVERITY
 from .shadow import HBGraph, ShadowLedger
 
-__all__ = ["Sanitizer", "sanitized"]
+__all__ = ["Sanitizer"]
 
 _COPY_STREAM = "copy"
 
@@ -58,7 +56,6 @@ class Sanitizer:
         # The pool-vs-ledger comparison is only sound once the ledger has
         # observed a whole pool generation from its reset.
         self._ledger_synced = False
-        self._attached: list[tuple[object, object | None]] = []
 
     # -- findings --------------------------------------------------------------
 
@@ -86,14 +83,6 @@ class Sanitizer:
         device.attach_sanitizer(self)
         if buffer_manager is not None:
             buffer_manager.sanitizer = self
-        self._attached.append((device, buffer_manager))
-
-    def detach(self) -> None:
-        for device, buffer_manager in self._attached:
-            device.detach_sanitizer()
-            if buffer_manager is not None:
-                buffer_manager.sanitizer = None
-        self._attached.clear()
 
     # -- stream hooks (fed by StreamClock) ---------------------------------------
 
@@ -366,19 +355,3 @@ class Sanitizer:
                     site,
                 )
                 return
-
-
-@contextmanager
-def sanitized(engine):
-    """Context manager: attach a fresh :class:`Sanitizer` to ``engine``
-    for the scope, run the end-of-query checks on exit, and detach."""
-    sanitizer = Sanitizer()
-    sanitizer.attach(engine.device, engine.buffer_manager)
-    previous = engine.sanitizer
-    engine.sanitizer = sanitizer
-    try:
-        yield sanitizer
-        sanitizer.check_query_end(engine, "sanitized:exit")
-    finally:
-        engine.sanitizer = previous
-        sanitizer.detach()

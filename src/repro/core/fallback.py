@@ -42,6 +42,7 @@ __all__ = [
     "FallbackEvent",
     "DegradationTier",
     "FALLBACK_EXCEPTIONS",
+    "HOST_TIER",
     "OOC_RETRY_BATCH_ROWS",
     "gpu_rungs",
     "retry_settings",
@@ -83,6 +84,9 @@ class DegradationTier:
     gpu_result: bool = False
 
 
+# The last rung: the whole plan re-run by the registered host executor.
+HOST_TIER = "cpu-plan"
+
 # Batch size of the GPU-resident retry tiers (and of out-of-core engines
 # that were given none): small enough to fit tight processing pools,
 # large enough to keep kernels efficient.
@@ -120,7 +124,7 @@ class FallbackEvent:
 
     reason: str
     exception_type: str
-    tier: str = "cpu-plan"  # tier that absorbed the failure ("raise" = none)
+    tier: str = HOST_TIER  # tier that absorbed the failure ("raise" = none)
     tiers_attempted: tuple = ()
     plan_fingerprint: str = "unknown"
     sim_time: float | None = None
@@ -172,7 +176,7 @@ class FallbackHandler:
         if self.host_executor is not None:
             ladder.append(
                 DegradationTier(
-                    "cpu-plan", lambda p, _exc: self.host_executor(p), FALLBACK_EXCEPTIONS
+                    HOST_TIER, lambda p, _exc: self.host_executor(p), FALLBACK_EXCEPTIONS
                 )
             )
         attempted: list[str] = []

@@ -344,6 +344,16 @@ class SiriusEngine:
             out_of_core = self.out_of_core
         return compile_plan(plan, out_of_core=out_of_core, fusion=self.fusion)
 
+    def estimate(self, plan: Plan, catalog: Mapping[str, Table]):
+        """Price ``plan`` the way this engine runs it — spill waves when it
+        is out-of-core, fused chains when it fuses (the
+        :class:`~repro.sched.estimator.PlanEstimate` serving admits on)."""
+        from ..sched.estimator import estimate_plan  # lazy: sched imports core
+
+        return estimate_plan(
+            plan, catalog, self.device, out_of_core=self.out_of_core, fusion=self.fusion
+        )
+
     def explain_physical(self, plan: Plan) -> str:
         """Render the pipeline decomposition this engine runs the plan as."""
         return self._compile(plan).explain()

@@ -29,7 +29,7 @@ from ..core.sirius import SiriusEngine
 from ..faults import FaultPlan, NodeCrash
 from ..obs import MetricSet
 from ..plan import Plan
-from ..sched import SERVING_BATCH_ROWS, ServingScheduler, estimate_plan
+from ..sched import SERVING_BATCH_ROWS, ServingScheduler
 from .autoscale import Autoscaler
 from .cache import PlanCache, ResultCache, TableVersions
 from .digest import plan_digest
@@ -300,12 +300,7 @@ class FleetScheduler:
         if self.plan_cache is not None and digest is not None:
             estimate = self.plan_cache.lookup(digest.plan_key)
             if estimate is None:
-                estimate = estimate_plan(
-                    record.plan,
-                    record.catalog,
-                    replica.engine.device,
-                    out_of_core=replica.engine.out_of_core,
-                )
+                estimate = replica.engine.estimate(record.plan, record.catalog)
                 self.plan_cache.insert(digest.plan_key, estimate)
         if digest is not None:
             record.dep_versions = self.versions.snapshot(digest.tables)

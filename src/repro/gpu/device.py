@@ -147,13 +147,9 @@ class Device:
     def attach_sanitizer(self, sanitizer) -> None:
         """Wire a :class:`~repro.analysis.sanitizers.Sanitizer` into this
         device's clock (happens-before graph) and processing pool (shadow
-        ledger).  Detached devices carry ``None`` hooks and pay nothing."""
+        ledger).  Devices without one carry ``None`` hooks and pay nothing."""
         self.clock.sanitizer = sanitizer
         self.processing_pool.sanitizer = sanitizer
-
-    def detach_sanitizer(self) -> None:
-        self.clock.sanitizer = None
-        self.processing_pool.sanitizer = None
 
     # -- kernel execution -----------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 A full bottom-up walk: each relation's output schema is derived from the
 schemas its inputs returned (never re-derived with ``output_schema()`` at
-every level), every expression is type-checked, ordinals are bounded
-and GPU supportability is decided statically.  Every defect goes through
-one ``flag(rule, severity, message, site)`` callable, and the caller
-decides what a defect means:
+every level), every expression is type-checked and ordinals are bounded.
+Every defect goes through one ``flag(rule, severity, message, site)``
+callable, and the caller decides what a defect means:
 
 * :meth:`repro.plan.Plan.validate` raises on the first ``error``;
-* :func:`repro.analysis.analyze_plan` collects them all into a report.
+* :func:`repro.analysis.analyze_plan` collects them all into a report,
+  and also asks the expression compiler whether the device can lower
+  each type-correct expression (:meth:`PlanChecker.check_lowering`).
 
 The rule ids (``PA01`` .. ``PA10``) are catalogued in
 :mod:`repro.analysis.plan_analyzer`.
@@ -23,8 +24,6 @@ from .expressions import (
     AggregateCall,
     Expression,
     FieldRef,
-    Literal,
-    ScalarCall,
     aggregate_result_type,
     infer_type,
     walk_expressions,
@@ -45,16 +44,6 @@ __all__ = ["PlanChecker", "SEVERITY_ERROR", "SEVERITY_WARNING"]
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
-
-# Scalar-call argument positions the device evaluator requires to be
-# literals (mirrors repro.core.expr_compile's _literal_value sites).
-_LITERAL_ONLY_ARGS = {
-    "like": [(1, "LIKE pattern")],
-    "not_like": [(1, "LIKE pattern")],
-    "contains": [(1, "contains needle")],
-    "starts_with": [(1, "starts_with prefix")],
-}
-
 
 def _is_ordinal(index, arity: int) -> bool:
     """Ordinals arrive in payloads from outside the program: only an
@@ -305,8 +294,6 @@ class PlanChecker:
                     site,
                 )
                 ok = False
-            if isinstance(node, ScalarCall):
-                self._check_gpu_support(node, site, what)
         if isinstance(expr, AggregateCall):
             self.flag(
                 "PA05",
@@ -318,10 +305,18 @@ class PlanChecker:
         if not ok:
             return None
         try:
-            return infer_type(expr, schema)
+            dtype = infer_type(expr, schema)
         except (TypeError, KeyError, IndexError) as exc:
             self.flag("PA03", SEVERITY_ERROR, f"{what}: {exc}", site)
             return None
+        self.check_lowering(expr, site, what)
+        return dtype
+
+    def check_lowering(self, expr: Expression, site: str, what: str) -> None:
+        """Called with every type-correct scalar-position expression.
+        Whether the device can run it is the expression compiler's
+        decision, which the plan layer does not know; the analyzer
+        overrides this to ask."""
 
     def _check_predicate(
         self, expr: Expression, schema: Schema, site: str, what: str
@@ -334,37 +329,3 @@ class PlanChecker:
                 f"{what} is not boolean (inferred {dtype})",
                 site,
             )
-
-    def _check_gpu_support(self, call: ScalarCall, site: str, what: str) -> None:
-        """Flag constructs the device evaluator rejects at runtime."""
-        for pos, label in _LITERAL_ONLY_ARGS.get(call.func, ()):
-            if pos < len(call.args) and not isinstance(call.args[pos], Literal):
-                self.flag(
-                    "PA08",
-                    SEVERITY_WARNING,
-                    f"{what}: {label} must be a literal for GPU execution, "
-                    f"got {call.args[pos]!r}",
-                    site,
-                )
-        if call.func in ("in", "not_in"):
-            for arg in call.args[1:]:
-                if not isinstance(arg, Literal):
-                    self.flag(
-                        "PA08",
-                        SEVERITY_WARNING,
-                        f"{what}: IN list element must be a literal for GPU "
-                        f"execution, got {arg!r}",
-                        site,
-                    )
-        if call.func == "substring" and not (
-            "start" in call.options and "length" in call.options
-        ):
-            for pos, label in ((1, "substring start"), (2, "substring length")):
-                if pos < len(call.args) and not isinstance(call.args[pos], Literal):
-                    self.flag(
-                        "PA08",
-                        SEVERITY_WARNING,
-                        f"{what}: {label} must be a literal for GPU execution, "
-                        f"got {call.args[pos]!r}",
-                        site,
-                    )

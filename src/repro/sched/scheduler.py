@@ -46,7 +46,6 @@ from ..core.sirius import SiriusEngine
 from ..obs import NULL_TRACER
 from ..plan import Plan
 from .admission import AdmissionController
-from .estimator import estimate_plan
 from .job import JobState, QueryJob
 from .policies import SchedulingPolicy, make_policy
 from .report import ServingReport
@@ -156,7 +155,8 @@ class ServingScheduler:
         ``estimate`` lets a front-end that already priced the plan (the
         fleet router consults its plan cache) pass the
         :class:`~repro.sched.estimator.PlanEstimate` through instead of
-        re-deriving it; ``None`` computes it here, as before.
+        re-deriving it; ``None`` asks the engine
+        (:meth:`~repro.core.SiriusEngine.estimate`).
         """
         plan.validate()
         job = QueryJob(
@@ -166,11 +166,7 @@ class ServingScheduler:
             catalog=catalog,
             arrival_s=float(arrival_s),
             deadline_s=deadline_s,
-            estimate=estimate
-            if estimate is not None
-            else estimate_plan(
-                plan, catalog, self.engine.device, out_of_core=self.engine.out_of_core
-            ),
+            estimate=estimate if estimate is not None else self.engine.estimate(plan, catalog),
             meta=meta if meta is not None else {},
         )
         self._seq += 1

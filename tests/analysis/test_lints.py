@@ -271,5 +271,5 @@ class TestSrcTreeIsClean:
 
         assert main(["rules"]) == 0
         out = capsys.readouterr().out
-        for rule in list(LINT_RULES) + ["PA01", "PA10"]:
+        for rule in list(LINT_RULES) + ["PA01", "PA10", "FC02", "FC03", "SA01", "SA10"]:
             assert rule in out

@@ -11,19 +11,13 @@ import json
 
 import pytest
 
-from repro.analysis import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    TIER_CPU_PLAN,
-    TIER_GPU,
-    TIER_REJECT,
-    TIER_SPILL,
-    analyze_plan,
-)
+from repro.analysis import SEVERITY_ERROR, SEVERITY_WARNING, analyze_plan
 from repro.analysis.plan_analyzer import PLAN_RULES
 from repro.columnar import Schema, Table
+from repro.core.expr_compile import UnsupportedExpressionError, compile_expression
+from repro.core.fallback import gpu_rungs
 from repro.gpu import GH200, Device
-from repro.plan import Plan, PlanValidationError
+from repro.plan import Plan, PlanValidationError, walk_relations
 from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
 from repro.plan.relations import (
     AggregateRel,
@@ -148,6 +142,12 @@ CORPUS = [
          "fact", SCHEMA, filter_expr=ScalarCall("gt", [FieldRef(9), Literal(0)])),
      lambda: ReadRel(
          "fact", SCHEMA, filter_expr=ScalarCall("gt", [FieldRef(0), Literal(0)]))),
+    # The device lowers ROUND only with a constant digit count.
+    ("PA08",
+     lambda: ProjectRel(
+         read(), [ScalarCall("round", [FieldRef(2), FieldRef(1)])], ["x"]),
+     lambda: ProjectRel(
+         read(), [ScalarCall("round", [FieldRef(2), Literal(1)])], ["x"])),
 ]
 
 ERROR_RULES = {r for r, d in PLAN_RULES.items() if r not in ("PA08", "PA09")}
@@ -192,7 +192,7 @@ class TestDefectCorpus:
     def test_errors_reject(self, catalog):
         report = analyze_plan(Plan(FetchRel(read(), -1, None)), catalog)
         assert not report.ok
-        assert report.suggested_tier == TIER_REJECT
+        assert report.suggested_tier == "reject"
         assert all(f.severity == SEVERITY_ERROR for f in report.errors)
 
     def test_gpu_unsupported_suggests_cpu_plan(self, catalog):
@@ -200,8 +200,56 @@ class TestDefectCorpus:
         report = analyze_plan(Plan(rel), catalog)
         assert report.ok  # warnings only
         assert not report.gpu_supported
-        assert report.suggested_tier == TIER_CPU_PLAN
+        assert report.suggested_tier == "cpu-plan"
         assert all(f.severity == SEVERITY_WARNING for f in report.findings)
+        # The finding is the compiler's own verdict, at the relation's site.
+        (finding,) = report.findings
+        assert finding.message == "filter condition: LIKE pattern must be a literal, got $3"
+        assert finding.site == "root (FilterRel)"
+
+
+def _scalar_positions(plan):
+    """Every expression the engine evaluates: pushed and plain filters,
+    projections, join post-filters, measure arguments."""
+    for rel in walk_relations(plan.root):
+        if isinstance(rel, ReadRel):
+            yield rel.filter_expr
+        elif isinstance(rel, FilterRel):
+            yield rel.condition
+        elif isinstance(rel, ProjectRel):
+            yield from rel.expressions
+        elif isinstance(rel, JoinRel):
+            yield rel.post_filter
+        elif isinstance(rel, AggregateRel):
+            yield from (measure.arg for measure, _name in rel.measures)
+
+
+def _compiles(expr) -> bool:
+    try:
+        compile_expression(expr)
+    except UnsupportedExpressionError:
+        return False
+    return True
+
+
+ALL_FIXTURES = [f for _, bad, good in CORPUS for f in (bad, good)]
+FIXTURE_IDS = [f"{r}-{i}-{w}" for i, (r, _, _) in enumerate(CORPUS) for w in ("bad", "good")]
+
+
+class TestTheAnalyzerAsksTheEngine:
+    @pytest.mark.parametrize("rel", ALL_FIXTURES, ids=FIXTURE_IDS)
+    def test_gpu_support_is_the_compilers_verdict(self, rel, catalog):
+        plan = Plan(rel())
+        report = analyze_plan(plan, catalog)
+        if not report.ok:
+            return  # an ill-typed expression is never offered to the compiler
+        expected = all(_compiles(e) for e in _scalar_positions(plan) if e is not None)
+        assert report.gpu_supported == expected, report.findings
+
+    @pytest.mark.parametrize("rel", ALL_FIXTURES, ids=FIXTURE_IDS)
+    def test_tiers_are_the_ladders(self, rel, catalog):
+        report = analyze_plan(Plan(rel()), catalog, Device(GH200, memory_limit_gb=1.0))
+        assert report.suggested_tier in {"gpu", *gpu_rungs(False), "cpu-plan", "reject"}
 
 
 # kind -> (a valid single-operator relation, where its one ordinal sits in
@@ -266,13 +314,13 @@ class TestWorkingSetTier:
         report = analyze_plan(Plan(SortRel(read(), [(0, True)])), {"fact": fact}, device)
         assert report.ok
         assert "PA09" in report.rules_hit()
-        assert report.suggested_tier == TIER_SPILL
+        assert report.suggested_tier == gpu_rungs(False)[0]
         assert report.working_set_bytes > device.processing_pool.capacity
 
     def test_small_working_set_stays_gpu(self, catalog):
         device = Device(GH200, memory_limit_gb=1.0)
         report = analyze_plan(Plan(SortRel(read(), [(0, True)])), catalog, device)
-        assert report.suggested_tier == TIER_GPU
+        assert report.suggested_tier == "gpu"
         assert "PA09" not in report.rules_hit()
 
 
@@ -301,9 +349,15 @@ class TestReportShape:
         ]
         doc = json.loads(report.to_json())
         assert doc["ok"] is True
-        assert doc["suggested_tier"] == TIER_GPU
+        assert doc["suggested_tier"] == "gpu"
         assert doc["findings"] == []
         assert report.summary()
+
+    def test_a_call_short_of_arguments_is_rejected_not_raised(self):
+        # Type inference does not count arguments; the compiler does.
+        report = analyze_plan(Plan(FilterRel(read(), ScalarCall("like", [FieldRef(3)]))))
+        assert report.suggested_tier == "reject"
+        assert report.rules_hit() == {"PA03"}
 
     def test_analyzer_never_raises_on_broken_trees(self):
         rel = ProjectRel(ReadRel("missing", SCHEMA), [FieldRef(42)], ["x"])

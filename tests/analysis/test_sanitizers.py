@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.sanitizers import SanitizerReport, sanitized
+from repro.analysis.sanitizers import SanitizerReport
 from repro.analysis.sanitizers.cli import (
     run_battery_suite,
     run_fleet_suite,
     run_tpch_suite,
-    sanitized_query_check,
 )
 from repro.core import SiriusEngine
 from repro.gpu.specs import GH200
@@ -88,38 +87,6 @@ class TestZeroObserverEffect:
             assert busy == pytest.approx(
                 job.qrun.service_seconds, rel=1e-9, abs=1e-15
             )
-
-
-class TestSanitizedContext:
-    def test_context_manager_attaches_and_detaches(self):
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
-        assert engine.sanitizer is None
-        from repro.columnar import Schema, Table
-        from repro.plan import Plan
-        from repro.plan.relations import ReadRel
-
-        t = Table.from_pydict(
-            {"a": [1, 2, 3]}, Schema([("a", "int64")])
-        )
-        plan = Plan(ReadRel("t", t.schema))
-        with sanitized(engine) as sanitizer:
-            engine.execute(plan, {"t": t})
-        assert sanitizer.ok, [str(f) for f in sanitizer.findings]
-        assert sanitizer.checks_run > 0
-        assert engine.sanitizer is None
-        assert engine.device.clock.sanitizer is None
-        assert engine.buffer_manager.sanitizer is None
-
-    def test_one_shot_query_check_helper(self):
-        from repro.columnar import Schema, Table
-        from repro.plan import Plan
-        from repro.plan.relations import ReadRel
-
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
-        t = Table.from_pydict({"a": [1, 2]}, Schema([("a", "int64")]))
-        report = sanitized_query_check(engine, Plan(ReadRel("t", t.schema)), {"t": t})
-        assert report.ok
-        assert report.counters["checks_run"] > 0
 
 
 class TestReportMachinery:

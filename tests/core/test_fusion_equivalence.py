@@ -20,6 +20,7 @@ The gate:
 * a hypothesis property re-checks fused == unfused over random plans.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -119,6 +120,18 @@ class TestTpchByteIdentity:
             assert unfused_profile.fusion_saved_bytes == 0
 
 
+_FP_SCHEMA = Schema([("a", "int64"), ("b", "float64")])
+
+
+def _filter_project_plan():
+    from repro.plan import Plan
+    from repro.plan.expressions import FieldRef, Literal, ScalarCall
+    from repro.plan.relations import FilterRel, ProjectRel, ReadRel
+
+    condition = ScalarCall("gt", [FieldRef(0), Literal(1)])
+    return Plan(ProjectRel(FilterRel(ReadRel("t", _FP_SCHEMA), condition), [FieldRef(1)], ["b"]))
+
+
 class TestFusedPlanVerifier:
     @pytest.mark.parametrize("q", range(1, 23))
     def test_zero_findings(self, q, planner):
@@ -126,6 +139,40 @@ class TestFusedPlanVerifier:
         assert physical.fusion
         findings = verify_fused_plan(physical)
         assert findings == [], [str(f) for f in findings]
+
+    def test_fc03_flags_a_fusible_run_left_unfused(self):
+        physical = compile_plan(_filter_project_plan(), fusion=False)
+        findings = verify_fused_plan(physical)
+        assert [f.rule for f in findings] == ["FC03"], [str(f) for f in findings]
+        assert findings[0].site == "P0"
+
+    def test_fc02_flags_a_stage_declaring_the_wrong_input(self):
+        from repro.core.operators.fused import FusedOp
+        from repro.core.operators.streaming import FilterOp, ProjectOp
+        from repro.plan.expressions import FieldRef, Literal, ScalarCall
+
+        physical = compile_plan(_filter_project_plan(), fusion=True)
+        # A project to (b) followed by a filter that declares it reads (a, b).
+        wrong = FusedOp(
+            [
+                ProjectOp([FieldRef(1)], ["b"], Schema([("b", "float64")])),
+                FilterOp(ScalarCall("gt", [FieldRef(0), Literal(1.0)]), _FP_SCHEMA),
+            ]
+        )
+        pipeline = dataclasses.replace(physical.pipelines[0], operators=[wrong])
+        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=[pipeline]))
+        assert [(f.rule, f.site) for f in findings] == [("FC02", "P0[0].stage1")]
+
+    def test_fused_op_refuses_an_empty_run_and_a_non_streaming_stage(self):
+        """An empty run or a non-streaming stage never becomes a FusedOp,
+        so the verifier has no rule for either."""
+        from repro.core.operators.fused import FusedOp
+        from repro.core.operators.sort import MaterializeSink
+
+        with pytest.raises(ValueError):
+            FusedOp([])
+        with pytest.raises(TypeError):
+            FusedOp([MaterializeSink(_FP_SCHEMA)])
 
     def test_unfused_plan_operator_lists_are_seed_shaped(self, planner):
         """fusion=False compiles the exact seed operator classes."""
@@ -247,10 +294,11 @@ class TestBusyPartitionUnderFusion:
 class TestSanitizedFusion:
     @pytest.mark.parametrize("q", [1, 6])
     def test_sanitizer_clean(self, q, data, planner):
-        from repro.analysis.sanitizers.cli import sanitized_query_check
-
-        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, fusion=True)
-        report = sanitized_query_check(engine, planner.plan_sql(tpch_query(q)), data)
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=8.0, fusion=True, sanitize=True
+        )
+        engine.execute(planner.plan_sql(tpch_query(q)), data)
+        report = engine.sanitizer.report()
         assert report.ok, [str(f) for f in report.findings]
 
 

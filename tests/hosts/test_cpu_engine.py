@@ -6,7 +6,9 @@ import pytest
 
 from repro.columnar import Schema, Table
 from repro.hosts import CpuEngine, CpuEvalError, DidNotFinishError
-from repro.plan import PlanBuilder, col, lit
+from repro.plan import Plan, PlanBuilder, col, lit
+from repro.plan.expressions import FieldRef, Literal, ScalarCall
+from repro.plan.relations import FilterRel, ProjectRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("s", "string"), ("v", "float64"), ("d", "date")])
 
@@ -128,6 +130,24 @@ class TestEngineBehaviours:
     def test_missing_table_raises(self, engine):
         with pytest.raises(CpuEvalError, match="not found"):
             run(engine, PlanBuilder.read("t", SCHEMA), {})
+
+    # A plan from outside (Substrait JSON) may put a column where the CPU
+    # engine needs a constant; SQL never does.
+    @pytest.mark.parametrize(
+        "call,argument",
+        [
+            (ScalarCall("like", [FieldRef(1), FieldRef(1)]), "like pattern"),
+            (ScalarCall("in", [FieldRef(0), Literal(1), FieldRef(0)]), "IN list element"),
+            (ScalarCall("substring", [FieldRef(1), FieldRef(0), Literal(2)]), "substring start"),
+            (ScalarCall("round", [FieldRef(2), FieldRef(0)]), "round digits"),
+        ],
+        ids=["like", "in", "substring", "round"],
+    )
+    def test_non_literal_argument_is_a_clean_error(self, engine, data, call, argument):
+        read = ReadRel("t", SCHEMA)
+        rel = FilterRel(read, call) if call.func in ("like", "in") else ProjectRel(read, [call], ["x"])
+        with pytest.raises(CpuEvalError, match=f"{argument} must be a literal"):
+            engine.execute(Plan(rel), data)
 
     def test_row_budget_enforced(self, data):
         engine = CpuEngine(max_intermediate_rows=5)

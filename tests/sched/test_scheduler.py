@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import SiriusEngine
 from repro.faults import FaultInjector, FaultPlan
+from repro.fleet import FleetScheduler, engine_factory
 from repro.gpu.specs import GH200
 from repro.hosts import MiniDuck
 from repro.obs import Tracer
@@ -13,6 +14,7 @@ from repro.sched import (
     ServingScheduler,
     WorkloadDriver,
     WorkloadQuery,
+    estimate_plan,
 )
 from repro.tpch import generate_tpch, tpch_query
 
@@ -248,3 +250,24 @@ class TestClosedLoop:
             jobs.sort(key=lambda j: j.arrival_s)
             for prev, nxt in zip(jobs, jobs[1:]):
                 assert nxt.arrival_s >= prev.completion_s
+
+
+class TestServingPricesLikeTheEngine:
+    """Admission sees the estimate of the plan as the engine will run it:
+    a fusing engine's queries are priced with fused chains (Q3 has one)."""
+
+    def test_fused_engine_job_estimate(self, data, plans):
+        engine = fresh_engine(data, fusion=True)
+        job = ServingScheduler(engine).submit(plans[3], data)
+        assert job.estimate == estimate_plan(plans[3], data, engine.device, fusion=True)
+        assert job.estimate != estimate_plan(plans[3], data, engine.device)
+
+    def test_fused_fleet_replica_job_estimate(self, data, plans):
+        fleet = FleetScheduler(
+            engine_factory(GH200, warm=data, fusion=True), replicas=1, plan_cache_entries=4
+        )
+        fleet.submit(plans[3], data)
+        fleet.run()
+        engine = fleet.replicas[0].engine
+        (job,) = fleet.replicas[0].scheduler.jobs
+        assert job.estimate == estimate_plan(plans[3], data, engine.device, fusion=True)

@@ -1,17 +1,19 @@
 """The committed reachability ledger, checked for what cannot go stale.
 
 ``benchmarks/results/reachability.json`` is regenerated by hand
-(``tools/reachability.py``, about half an hour under line tracing), so
-its line counts drift as the code moves.  What must hold at every commit:
-the artifact adds up, DESIGN.md quotes it, it names no module or function
-the tree no longer defines, and a function it says nothing enters is an
-interface stub or a ``__repr__``, or has its reason written down in
-DESIGN.md §3.
+(``tools/reachability.py``, about half an hour under line tracing).  What
+must hold at every commit: the artifact adds up, DESIGN.md quotes it, its
+``lines`` column is the tree's (under the Python minor version that wrote
+it), it names no module or function the tree no longer defines, and a
+function it says nothing enters is an interface stub or a ``__repr__``,
+or has its reason written down in DESIGN.md §3.
 """
 
 import ast
+import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,40 @@ def test_ledger_adds_up(ledger):
         for key in KEYS:
             totals[key] += module[key]
     assert totals == ledger["totals"]
+
+
+def test_ledger_lines_are_the_trees(ledger):
+    # Any edit to a function moves its line table, so this fails until the
+    # ledger is regenerated with the edit in place.
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    if ledger.get("python") != python:
+        pytest.skip(f"line tables differ across versions: ledger {ledger.get('python')}, "
+                    f"interpreter {python}")
+    spec = importlib.util.spec_from_file_location("reachability", ROOT / "tools" / "reachability.py")
+    reachability = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reachability)
+    tree = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        functions = {
+            name: len(lines) for name, lines in reachability.function_lines(path).items() if lines
+        }
+        if functions:
+            tree[str(path.relative_to(ROOT / "src"))] = functions
+    recorded = {
+        name: {function: counts[0] for function, counts in module["functions"].items()}
+        for name, module in ledger["modules"].items()
+    }
+    drift = sorted(
+        f"{name}: {function} ({recorded.get(name, {}).get(function)} -> "
+        f"{tree.get(name, {}).get(function)})"
+        for name in set(tree) | set(recorded)
+        for function in set(tree.get(name, {})) | set(recorded.get(name, {}))
+        if tree.get(name, {}).get(function) != recorded.get(name, {}).get(function)
+    )
+    assert not drift, (
+        "the ledger's `lines` column no longer matches the tree; regenerate it "
+        "with tools/reachability.py:\n" + "\n".join(drift)
+    )
 
 
 def test_design_quotes_the_ledger_totals(ledger):

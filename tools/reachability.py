@@ -211,6 +211,9 @@ def report(a_dir: Path, b_dir: Path) -> str:
         "what": "statement lines inside function bodies under src/repro: reached by a "
         "workload recording (set A), by a test recording only (set B), by neither; "
         "per function [lines, workload, tests_only, neither]; tools/reachability.py",
+        # Line tables differ between interpreter versions: `lines` is only
+        # comparable under the minor version that wrote it.
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "totals": totals,
         "modules": modules,
     }
