@@ -83,8 +83,9 @@ class _DeviceChecker(PlanChecker):
         except UnsupportedExpressionError as exc:
             self.flag("PA08", SEVERITY_WARNING, f"{what}: {exc}", site)
         except (IndexError, KeyError, TypeError, ValueError) as exc:
-            # A payload call short of arguments or options: no tier can
-            # build it, and the analyzer reports rather than raises.
+            # A payload call with a literal argument no tier can use
+            # (round's digits not an integer): the analyzer reports
+            # rather than raises.
             self.flag("PA03", SEVERITY_ERROR, f"{what}: malformed call ({exc!r})", site)
 
 

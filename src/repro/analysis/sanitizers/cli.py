@@ -10,10 +10,11 @@ workloads with the sanitizer attached and returns a
   and a memory-capped config that forces cache spills);
 * ``battery`` — a sample of the SQL shape battery through the
   MiniDuck -> Sirius acceleration path;
-* ``fleet`` — sanitized fleet runs on all three routing policies, each
-  additionally re-executed by the :class:`~.determinism
-  .DeterminismChecker` under permuted scheduler tie-breaks and runtime
-  nondeterminism traps.
+* ``fleet`` — sanitized fleet runs on all three routing policies with the
+  caches off, plus one with the result and plan caches on (identical
+  requests coalesce), each additionally re-executed by the
+  :class:`~.determinism.DeterminismChecker` under permuted scheduler
+  tie-breaks and runtime nondeterminism traps.
 
 The clean suite must report **zero** findings — CI fails on any.
 """
@@ -98,8 +99,8 @@ _ROUTINGS = ("round-robin", "least-outstanding", "placement")
 
 
 def run_fleet_suite(requests: int = 16, replicas: int = 3) -> SanitizerReport:
-    """Sanitize fleet serving on every routing policy and re-run each
-    schedule through the determinism checker."""
+    """Sanitize fleet serving on every routing policy (plus one cached
+    run) and re-run each schedule through the determinism checker."""
     from ...fleet import FleetScheduler, FleetWorkloadDriver, engine_factory
     from ...gpu.specs import GH200
     from ...hosts import MiniDuck
@@ -112,10 +113,20 @@ def run_fleet_suite(requests: int = 16, replicas: int = 3) -> SanitizerReport:
     mix = [WorkloadQuery(f"q{n}", host.plan(tpch_query(n))) for n in (1, 3, 6)]
     report = SanitizerReport(suite="fleet")
 
-    for routing in _ROUTINGS:
+    # (site, routing, arrival rate, cache budgets): every routing with the
+    # caches off, then one run with both on at a rate where identical
+    # requests overlap, so coalesced answers meet the checkers too.
+    runs = [(routing, routing, 2000.0, {}) for routing in _ROUTINGS]
+    runs.append((
+        "least-outstanding+caches",
+        "least-outstanding",
+        50000.0,
+        {"result_cache_bytes": 1 << 24, "plan_cache_entries": 32},
+    ))
+    for name, routing, rate, caches in runs:
         fleets: list[FleetScheduler] = []
 
-        def run_once(transform, routing=routing, fleets=fleets):
+        def run_once(transform, routing=routing, rate=rate, caches=caches, fleets=fleets):
             policy = "fair" if transform is None else transform(_make_fair())
             fleet = FleetScheduler(
                 engine_factory(GH200, warm=data, sanitize=True),
@@ -124,18 +135,23 @@ def run_fleet_suite(requests: int = 16, replicas: int = 3) -> SanitizerReport:
                 policy=policy,
                 streams=2,
                 seed=_SEED,
+                **caches,
             )
             fleets.append(fleet)
             driver = FleetWorkloadDriver(data, mix, seed=_SEED)
-            return driver.open_loop(fleet, requests, rate_qps=2000.0)
+            return driver.open_loop(fleet, requests, rate_qps=rate)
 
         checker = DeterminismChecker(permutations=2)
-        checker.check(run_once, site=f"fleet:{routing}")
+        checker.check(run_once, site=f"fleet:{name}")
         for finding in checker.findings:
             report.add(finding)
         for fleet in fleets:
-            report.merge(fleet.sanitizer_report(f"fleet:{routing}"))
-        report.counters[f"determinism_runs:{routing}"] = checker.runs
+            report.merge(fleet.sanitizer_report(f"fleet:{name}"))
+        report.counters[f"determinism_runs:{name}"] = checker.runs
+        if caches:
+            report.counters[f"coalesced:{name}"] = sum(
+                record.coalesced for record in fleets[0].records
+            )
     return report
 
 

@@ -368,17 +368,8 @@ def _extract(call):
 
 @_lowers("substring")
 def _substring(call):
-    options = call.options
-    start = int(
-        options["start"]
-        if "start" in options
-        else _literal_value(call.args[1], "substring start")
-    )
-    length = int(
-        options["length"]
-        if "length" in options
-        else _literal_value(call.args[2], "substring length")
-    )
+    start = int(_literal_value(call.args[1], "substring start"))
+    length = int(_literal_value(call.args[2], "substring length"))
     return _on_column(call, lambda col: substring(col, start, length))
 
 

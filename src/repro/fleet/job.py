@@ -7,6 +7,12 @@ replica-level :class:`~repro.sched.job.QueryJob` it wraps carries the
 execution detail; latency here is always measured from the *original*
 fleet arrival, so a crash-retried query's tail shows up honestly in the
 percentiles.
+
+A result-cache miss whose twin (same result key, same table versions) is
+already running becomes that twin's *follower*: it is never sent to a
+replica, waits in the leader's ``followers`` list, and is answered from
+the leader's table when the leader completes (``coalesced``; it counts
+as a cache hit, and its wait shows up in ``latency_s``).
 """
 
 from __future__ import annotations
@@ -39,10 +45,12 @@ class FleetJob:
     replica_id: int | None = None
     job: QueryJob | None = field(default=None, repr=False)
     cache_hit: bool = False
+    coalesced: bool = False  # answered from a running twin's result
     throttled: bool = False
     retries: int = 0
     retry_wait_s: float = 0.0  # original arrival -> last retry submission
     dep_versions: dict = field(default_factory=dict, repr=False)
+    followers: list["FleetJob"] = field(default_factory=list, repr=False)
     _table: Table | None = field(default=None, repr=False)
     _completion_s: float | None = field(default=None, repr=False)
     _error: str | None = None

@@ -69,6 +69,7 @@ class FleetReport:
             "rejected": sum(1 for j in jobs if j.state == JobState.REJECTED),
             "throttled": sum(1 for j in jobs if j.throttled),
             "cache_hits": sum(1 for j in jobs if j.cache_hit),
+            "coalesced": sum(1 for j in jobs if j.coalesced),
             "retries": sum(j.retries for j in jobs),
             "crashes": sum(1 for r in fleet.replicas if r.crashed),
             "replicas_spawned": len(fleet.replicas),
@@ -163,7 +164,8 @@ class FleetReport:
                 f"{self.result_cache['misses']} misses "
                 f"({self.result_cache_hit_rate:.0%}), "
                 f"{self.result_cache['bytes']} B resident, "
-                f"{self.result_cache['evictions']} evicted"
+                f"{self.result_cache['evictions']} evicted, "
+                f"{c['coalesced']} coalesced"
             )
         if self.plan_cache:
             lines.append(

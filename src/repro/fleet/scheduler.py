@@ -17,6 +17,15 @@ degenerates to pushing each arrival into the replica's own arrival heap
 at its arrival instant — the replica's event loop then makes the same
 decisions in the same order as a solo scheduler, so its serving report
 is byte-identical to one produced without the fleet layer.
+
+**Coalescing.**  With the result cache on, a miss whose result key and
+table versions match a request already routed and unfinished (its
+*leader*) is not routed: it joins the leader's ``followers`` and is
+answered, relabelled to its own output names, at the leader's completion
+instant.  If the leader fails or is rejected, its followers are routed
+afresh at that instant; if its replica crashes, they are retried with
+the crash victims.  A request with a deadline never follows (its
+deadline is the replica scheduler's to enforce).
 """
 
 from __future__ import annotations
@@ -129,6 +138,8 @@ class FleetScheduler:
         self._next_scale = autoscaler.interval_s if autoscaler else _INF
         self._crashing: EngineReplica | None = None
         self._crash_victims: list[FleetJob] = []
+        # result key -> the newest routed, unfinished request computing it
+        self._leaders: dict[str, FleetJob] = {}
         self._ran = False
         # Digests cost a plan walk; only pay it when something reads them.
         self._need_digest = (
@@ -275,8 +286,13 @@ class FleetScheduler:
             self.metrics.count("fleet.throttled")
             self.event_log.append(("throttle", record.seq, vt))
             return
+        self._dispatch(record, vt)
+
+    def _dispatch(self, record: FleetJob, vt: float) -> None:
+        """Result cache -> running twin -> routing, for an admitted request."""
         digest = record.digest
-        if self.result_cache is not None and digest is not None:
+        coalescing = self.result_cache is not None and digest is not None
+        if coalescing:
             versions = self.versions.snapshot(digest.tables)
             table = self.result_cache.lookup(digest.result_key, versions)
             if table is not None:
@@ -286,6 +302,17 @@ class FleetScheduler:
                     vt, table.rename(record.plan.output_schema().names())
                 )
                 self.event_log.append(("hit", record.seq, vt))
+                return
+            leader = self._leaders.get(digest.result_key)
+            if (
+                leader is not None
+                and record.deadline_s is None
+                and leader.dep_versions == versions
+            ):
+                record.dep_versions = versions
+                leader.followers.append(record)
+                self.metrics.count("fleet.coalesced")
+                self.event_log.append(("coalesce", record.seq, leader.seq, vt))
                 return
         candidates = self._routable()
         if not candidates:
@@ -315,6 +342,8 @@ class FleetScheduler:
         )
         record.replica_id = replica.id
         record.job = job
+        if coalescing:
+            self._leaders[digest.result_key] = record
         replica.routed += 1
         if job.estimate is not None:
             replica.outstanding_cost += job.estimate.service_s
@@ -330,21 +359,33 @@ class FleetScheduler:
             replica.outstanding_cost = max(
                 0.0, replica.outstanding_cost - job.estimate.service_s
             )
+        followers, record.followers = record.followers, []
+        if record.digest is not None and self._leaders.get(record.digest.result_key) is record:
+            del self._leaders[record.digest.result_key]
         if self._crashing is not None and replica is self._crashing:
-            # Aborted by the crash: the fleet retries it on a survivor.
+            # Aborted by the crash: the fleet retries it (and everything
+            # waiting on it) on a survivor.
             self._crash_victims.append(record)
+            self._crash_victims.extend(followers)
             return
-        if (
-            self.result_cache is not None
-            and record.digest is not None
-            and job.error is None
-            and job.table is not None
-        ):
+        answered = job.error is None and job.table is not None
+        if self.result_cache is not None and record.digest is not None and answered:
             current = self.versions.snapshot(record.digest.tables)
             if current == record.dep_versions:
                 self.result_cache.insert(
                     record.digest.result_key, job.table, current
                 )
+        for follower in followers:
+            if answered:
+                follower.coalesced = True
+                follower.complete_from_cache(
+                    job.completion_s,
+                    job.table.rename(follower.plan.output_schema().names()),
+                )
+            else:
+                # The leader failed, expired or was rejected: the
+                # followers arrive afresh now (their quota is already paid).
+                self._dispatch(follower, self._vt)
 
     def _process_crash(self, crash: NodeCrash, vt: float) -> None:
         replica = self._by_id.get(crash.node_id)

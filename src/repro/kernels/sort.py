@@ -26,20 +26,29 @@ def _stable_order(keys: Sequence[GColumn], ascending: Sequence[bool]) -> np.ndar
     # its NULL flag.
     lex_keys: list[np.ndarray] = []
     for col, asc in reversed(list(zip(keys, ascending))):
-        valid = col.valid_mask()
+        # An absent mask stays absent: no NULL handling is built for a
+        # column that has none.
+        valid = None if col.validity is None else col.validity.array
         if col.dtype.is_string:
-            valid = valid & (col.data >= 0)
+            coded = col.data >= 0
+            if not coded.all():
+                valid = coded if valid is None else valid & coded
         if col.data.dtype.kind == "f":
             # NULLS LAST for the requested direction: +inf sorts after
             # everything.
             data = col.data if asc else -col.data
-            lex_keys.append(np.where(valid, data, np.inf))
+            lex_keys.append(data if valid is None else np.where(valid, data, np.inf))
             continue
         # Integer kinds (ints, dates, bools, string codes) stay exact as
         # int64; ``~x`` reverses the order without the overflow ``-x`` has
         # at the int64 minimum.
         data = col.data.astype(np.int64, copy=False)
-        lex_keys.append(np.where(valid, data if asc else ~data, 0))
+        if not asc:
+            data = ~data
+        if valid is None:
+            lex_keys.append(data)
+            continue
+        lex_keys.append(np.where(valid, data, 0))
         if not bool(valid.all()):
             lex_keys.append(~valid)
     return np.lexsort(lex_keys).astype(np.int32)

@@ -24,7 +24,9 @@ from .expressions import (
     AggregateCall,
     Expression,
     FieldRef,
+    ScalarCall,
     aggregate_result_type,
+    check_arity,
     infer_type,
     walk_expressions,
 )
@@ -284,6 +286,12 @@ class PlanChecker:
                     site,
                 )
                 ok = False
+            if isinstance(node, ScalarCall):
+                try:
+                    check_arity(node)
+                except TypeError as exc:
+                    self.flag("PA03", SEVERITY_ERROR, f"{what}: {exc}", site)
+                    ok = False
             if isinstance(node, AggregateCall) and node is not expr:
                 # Direct measure checks pass the AggregateCall itself;
                 # anywhere deeper an aggregate is a scalar-position misuse.

@@ -2,7 +2,7 @@
 
 Like Substrait, expressions reference input columns by *ordinal*
 (:class:`FieldRef`), carry embedded literals, and invoke functions by
-name.  The function namespace is flat and closed (see ``SCALAR_FUNCTIONS``)
+name.  The function namespace is flat and closed (see ``SCALAR_ARITY``)
 — the engine's expression evaluator maps each name onto a kernel.
 
 Every node serialises to/from plain dicts so plans can round-trip through
@@ -24,27 +24,36 @@ __all__ = [
     "ScalarCall",
     "AggregateCall",
     "SCALAR_FUNCTIONS",
+    "SCALAR_ARITY",
     "AGGREGATE_FUNCTIONS",
+    "check_arity",
     "infer_type",
     "expr_from_dict",
     "walk_expressions",
 ]
 
+# (fewest, most) arguments each scalar function takes; ``None`` = any
+# number.  ``case`` is [cond, result]* + [default].
+SCALAR_ARITY: dict[str, tuple[int, int | None]] = {
+    **dict.fromkeys(
+        ("add", "subtract", "multiply", "divide", "modulo",
+         "eq", "ne", "lt", "le", "gt", "ge", "and", "or",
+         "like", "not_like", "contains", "starts_with"),
+        (2, 2),
+    ),
+    **dict.fromkeys(
+        ("negate", "not", "is_null", "is_not_null", "upper", "lower",
+         "length", "abs", "cast", "extract_year", "extract_month",
+         "extract_day"),
+        (1, 1),
+    ),
+    "round": (1, 2),
+    **dict.fromkeys(("substring", "between"), (3, 3)),
+    **dict.fromkeys(("in", "not_in", "concat", "coalesce", "case"), (1, None)),
+}
+
 # Scalar function names understood by the engines.
-SCALAR_FUNCTIONS = frozenset(
-    {
-        "add", "subtract", "multiply", "divide", "modulo", "negate",
-        "eq", "ne", "lt", "le", "gt", "ge",
-        "and", "or", "not",
-        "is_null", "is_not_null",
-        "like", "not_like", "contains", "starts_with", "substring",
-        "upper", "lower", "length", "concat",
-        "abs", "round",
-        "in", "not_in", "between",
-        "case", "coalesce", "cast",
-        "extract_year", "extract_month", "extract_day",
-    }
-)
+SCALAR_FUNCTIONS = frozenset(SCALAR_ARITY)
 
 AGGREGATE_FUNCTIONS = frozenset({"sum", "min", "max", "count", "count_star", "avg", "count_distinct"})
 
@@ -110,8 +119,9 @@ class Literal(Expression):
 class ScalarCall(Expression):
     """A scalar function invocation.
 
-    ``options`` carries non-expression arguments (cast target type,
-    substring offsets, LIKE patterns live as Literal args instead).
+    ``options`` carries non-expression arguments (the cast target type,
+    LIKE's escape character); LIKE patterns and substring bounds live as
+    Literal args.
     """
 
     __slots__ = ("func", "args", "options")
@@ -202,8 +212,29 @@ def infer_type(expr: Expression, schema: Schema) -> DType:
     if isinstance(expr, AggregateCall):
         return aggregate_result_type(expr, schema)
     if isinstance(expr, ScalarCall):
+        check_arity(expr)
         return _call_type(expr, schema)
     raise TypeError(f"cannot infer type of {expr!r}")
+
+
+def check_arity(call: ScalarCall) -> None:
+    """Raise ``TypeError`` unless ``call`` has as many arguments as its
+    function takes (:data:`SCALAR_ARITY`)."""
+    fewest, most = SCALAR_ARITY[call.func]
+    got = len(call.args)
+    if fewest <= got and (most is None or got <= most) and (
+        call.func != "case" or got % 2 == 1
+    ):
+        return
+    if call.func == "case":
+        takes = "an odd number of arguments"
+    elif most is None:
+        takes = f"at least {fewest} argument{'s' if fewest > 1 else ''}"
+    elif fewest == most:
+        takes = f"{fewest} argument{'s' if fewest > 1 else ''}"
+    else:
+        takes = f"{fewest} to {most} arguments"
+    raise TypeError(f"{call.func} takes {takes}, got {got}")
 
 
 def aggregate_result_type(agg: AggregateCall, schema: Schema) -> DType:

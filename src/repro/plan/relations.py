@@ -1,8 +1,8 @@
 """Relational operators of the Substrait-style plan IR.
 
-Each relation derives its own output schema, serialises to a dict, and can
-be rebuilt with new inputs (``with_inputs``) so optimizer rules can rewrite
-trees without mutation.
+Each relation derives its own output schema (once), serialises to a dict,
+and can be rebuilt with new inputs (``with_inputs``) so optimizer rules can
+rewrite trees without mutation.
 
 Join output schema follows Substrait: left fields then right fields (for
 semi/anti joins, left fields only).  Aggregate output schema is the group
@@ -60,11 +60,22 @@ def join_output_schema(left: Schema, right: Schema) -> Schema:
 
 
 class Relation:
-    """Base class for plan relations."""
+    """Base class for plan relations.
+
+    Relations are never mutated after construction (rewrites build new
+    nodes through :meth:`with_inputs`), so each derives its output schema
+    once, on first use.
+    """
 
     inputs: tuple["Relation", ...] = ()
+    _schema: Schema | None = None
 
     def output_schema(self) -> Schema:
+        if self._schema is None:
+            self._schema = self._derive_schema()
+        return self._schema
+
+    def _derive_schema(self) -> Schema:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -99,7 +110,7 @@ class ReadRel(Relation):
                 if name not in base_schema:
                     raise KeyError(f"projected column {name!r} not in {table_name}")
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         if self.projection is None:
             return self.base_schema
         return Schema([self.base_schema.field(n) for n in self.projection])
@@ -133,7 +144,7 @@ class FilterRel(Relation):
     def input_rel(self) -> Relation:
         return self.inputs[0]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         return self.input_rel.output_schema()
 
     def to_dict(self) -> dict:
@@ -165,7 +176,7 @@ class ProjectRel(Relation):
     def input_rel(self) -> Relation:
         return self.inputs[0]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         in_schema = self.input_rel.output_schema()
         return Schema(
             [Field(n, infer_type(e, in_schema)) for n, e in zip(self.names, self.expressions)]
@@ -217,7 +228,7 @@ class JoinRel(Relation):
     def right(self) -> Relation:
         return self.inputs[1]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         left_schema = self.left.output_schema()
         if self.join_type in ("semi", "anti"):
             return left_schema
@@ -259,7 +270,7 @@ class AggregateRel(Relation):
     def input_rel(self) -> Relation:
         return self.inputs[0]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         in_schema = self.input_rel.output_schema()
         fields = [in_schema.fields[i] for i in self.group_indices]
         for agg, name in self.measures:
@@ -296,7 +307,7 @@ class SortRel(Relation):
     def input_rel(self) -> Relation:
         return self.inputs[0]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         return self.input_rel.output_schema()
 
     def to_dict(self) -> dict:
@@ -326,7 +337,7 @@ class FetchRel(Relation):
     def input_rel(self) -> Relation:
         return self.inputs[0]
 
-    def output_schema(self) -> Schema:
+    def _derive_schema(self) -> Schema:
         return self.input_rel.output_schema()
 
     def to_dict(self) -> dict:

@@ -354,10 +354,19 @@ class TestReportShape:
         assert report.summary()
 
     def test_a_call_short_of_arguments_is_rejected_not_raised(self):
-        # Type inference does not count arguments; the compiler does.
+        # The arity table reports it (PA03) before the compiler sees it.
         report = analyze_plan(Plan(FilterRel(read(), ScalarCall("like", [FieldRef(3)]))))
         assert report.suggested_tier == "reject"
         assert report.rules_hit() == {"PA03"}
+        assert "like takes 2 arguments, got 1" in report.findings[0].message
+
+    def test_a_call_the_compiler_cannot_build_is_rejected_not_raised(self):
+        # Well-typed, right arity, but the digits literal is no integer.
+        rounded = ScalarCall("round", [FieldRef(2), Literal("x")])
+        report = analyze_plan(Plan(ProjectRel(read(), [rounded], ["r"])))
+        assert report.suggested_tier == "reject"
+        assert report.rules_hit() == {"PA03"}
+        assert "malformed call" in report.findings[0].message
 
     def test_analyzer_never_raises_on_broken_trees(self):
         rel = ProjectRel(ReadRel("missing", SCHEMA), [FieldRef(42)], ["x"])

@@ -130,3 +130,7 @@ class TestCleanSuites:
         assert report.ok, report.to_json()
         for routing in ("round-robin", "least-outstanding", "placement"):
             assert report.counters[f"determinism_runs:{routing}"] >= 4
+        # The cached run coalesces identical in-flight requests, and those
+        # answers are as clean and permutation-stable as executed ones.
+        assert report.counters["determinism_runs:least-outstanding+caches"] >= 4
+        assert report.counters["coalesced:least-outstanding+caches"] > 0

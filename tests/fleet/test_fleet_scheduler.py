@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core import SiriusEngine
+from repro.faults import FaultPlan
 from repro.fleet import (
     FleetScheduler,
     FleetWorkloadDriver,
@@ -149,6 +150,168 @@ class TestResultCache:
         # never inserted (or is dropped): the repeat must recompute.
         assert not second.cache_hit
         assert second.state == JobState.COMPLETED
+
+
+class TestCoalescing:
+    """A result-cache miss whose twin is already running waits for it
+    instead of executing again; with the cache off, duplicates run."""
+
+    # Q1 takes ~240 us of simulated time: a twin 10 us behind arrives mid-flight.
+    MID = 1e-5
+
+    @staticmethod
+    def fleet(data, replicas=2, result_cache_bytes=1 << 24, **kwargs):
+        return FleetScheduler(
+            engine_factory(GH200, warm=data),
+            replicas=replicas,
+            result_cache_bytes=result_cache_bytes,
+            **kwargs,
+        )
+
+    @staticmethod
+    def executions(fleet):
+        return sum(r.routed for r in fleet.replicas)
+
+    @staticmethod
+    def solo(data, plan):
+        engine = SiriusEngine.for_spec(GH200)
+        engine.warm_cache(data)
+        return normalise(engine.execute(plan, data))
+
+    def test_mid_flight_twin_executes_once(self, data, plans):
+        fleet = self.fleet(data)
+        leader = fleet.submit(plans[1], data, arrival_s=0.0)
+        twin = fleet.submit(plans[1], data, arrival_s=self.MID)
+        report = fleet.run()
+        assert self.executions(fleet) == 1
+        assert twin.coalesced and twin.cache_hit and twin.job is None
+        assert twin.service_s == 0.0 and twin.queue_wait_s == 0.0
+        # Answered at the leader's completion instant; the wait is latency.
+        assert twin.completion_s == leader.completion_s
+        assert twin.latency_s == pytest.approx(leader.latency_s - self.MID)
+        assert normalise(twin.table) == normalise(leader.table)
+        assert ("coalesce", twin.seq, leader.seq, self.MID) in fleet.event_log
+        assert report.counters["coalesced"] == 1
+        assert report.counters["cache_hits"] == 1
+        assert "1 coalesced" in report.summary()
+
+    def test_alias_twins_coalesce_and_are_relabelled(self, data, host):
+        fleet = self.fleet(data)
+        a = host.plan("SELECT l_returnflag, sum(l_quantity) AS total FROM lineitem GROUP BY l_returnflag")
+        b = host.plan("SELECT l_returnflag AS f, sum(l_quantity) AS qty FROM lineitem GROUP BY l_returnflag")
+        first = fleet.submit(a, data, arrival_s=0.0)
+        second = fleet.submit(b, data, arrival_s=self.MID)
+        fleet.run()
+        assert second.coalesced and self.executions(fleet) == 1
+        assert [f.name for f in first.table.schema] == ["l_returnflag", "total"]
+        assert [f.name for f in second.table.schema] == ["f", "qty"]
+        assert normalise(second.table) == normalise(first.table)
+
+    def test_different_literals_do_not_coalesce(self, data, host):
+        fleet = self.fleet(data)
+        a = host.plan("SELECT count(*) FROM lineitem WHERE l_quantity > 10")
+        b = host.plan("SELECT count(*) FROM lineitem WHERE l_quantity > 40")
+        fleet.submit(a, data, arrival_s=0.0)
+        second = fleet.submit(b, data, arrival_s=self.MID / 10)
+        report = fleet.run()
+        assert not second.coalesced and second.job is not None
+        assert self.executions(fleet) == 2 and report.counters["coalesced"] == 0
+
+    def test_caches_off_both_execute(self, data, plans):
+        fleet = self.fleet(data, result_cache_bytes=0)
+        fleet.submit(plans[1], data, arrival_s=0.0)
+        twin = fleet.submit(plans[1], data, arrival_s=self.MID)
+        report = fleet.run()
+        assert self.executions(fleet) == 2
+        assert not twin.coalesced and not twin.cache_hit
+        assert report.counters["coalesced"] == 0
+
+    def test_deadlines_never_coalesce(self, data, plans):
+        fleet = self.fleet(data)
+        fleet.submit(plans[1], data, arrival_s=0.0)
+        timed = fleet.submit(plans[1], data, arrival_s=self.MID, deadline_s=1.0)
+        fleet.submit(plans[1], data, arrival_s=2 * self.MID, deadline_s=1.0)
+        report = fleet.run()
+        assert self.executions(fleet) == 3
+        assert not timed.coalesced and timed.job is not None
+        assert report.counters["coalesced"] == 0
+
+    def test_leader_crash_retries_its_followers(self, data, plans):
+        fleet = self.fleet(
+            data, routing="round-robin", fault_plan=FaultPlan().crash_node(0, at=5 * self.MID)
+        )
+        leader = fleet.submit(plans[1], data, arrival_s=0.0)
+        twin = fleet.submit(plans[1], data, arrival_s=self.MID)
+        report = fleet.run()
+        assert report.counters["crashes"] == 1
+        # The twin was waiting on the crashed replica's query: it is a
+        # crash victim too, retried (and coalesced again) on the survivor.
+        assert leader.retries == 1 and twin.retries == 1
+        assert report.counters["retries"] == 2
+        assert leader.replica_id == 1 and twin.coalesced
+        assert leader.state == twin.state == JobState.COMPLETED
+        want = self.solo(data, plans[1])
+        assert normalise(leader.table) == normalise(twin.table) == want
+
+    def test_failed_leader_reroutes_its_followers(self, data, plans):
+        fleet = self.fleet(data)
+        # The leader's deadline expires mid-query; the twin has none.
+        leader = fleet.submit(plans[1], data, arrival_s=0.0, deadline_s=2 * self.MID)
+        twin = fleet.submit(plans[1], data, arrival_s=self.MID)
+        report = fleet.run()
+        assert ("coalesce", twin.seq, leader.seq, self.MID) in fleet.event_log
+        assert leader.state == JobState.FAILED
+        # Routed afresh when the leader failed: it executed, not retried.
+        assert twin.state == JobState.COMPLETED and twin.job is not None
+        assert not twin.coalesced and twin.retries == 0
+        assert twin.job.arrival_s == leader.completion_s
+        assert normalise(twin.table) == self.solo(data, plans[1])
+        assert report.counters["failed"] == 1
+
+    def test_rejected_leader_reroutes_its_followers(self, data, plans):
+        class FullReplicaZero(FleetScheduler):
+            def _spawn(self, vt):
+                replica = super()._spawn(vt)
+                if replica.id == 0:
+                    replica.scheduler.admission.max_queue_depth = 0
+                return replica
+
+        fleet = FullReplicaZero(
+            engine_factory(GH200, warm=data), replicas=2, result_cache_bytes=1 << 24
+        )
+        leader = fleet.submit(plans[1], data, arrival_s=0.0)
+        twin = fleet.submit(plans[1], data, arrival_s=0.0)
+        fleet.run()
+        assert ("coalesce", twin.seq, leader.seq, 0.0) in fleet.event_log
+        assert leader.state == JobState.REJECTED and leader.replica_id == 0
+        assert twin.state == JobState.COMPLETED and twin.replica_id == 1
+        assert normalise(twin.table) == self.solo(data, plans[1])
+
+    def test_invalidation_mid_flight_splits_the_followers(self, data, plans):
+        fleet = self.fleet(data, replicas=2)
+        original = fleet._route
+
+        def route_then_bump(record, vt):
+            original(record, vt)
+            if record.seq == 1:
+                fleet.invalidate_table("lineitem")
+
+        fleet._route = route_then_bump
+        old = [fleet.submit(plans[1], data, arrival_s=t) for t in (0.0, self.MID)]
+        new = [fleet.submit(plans[1], data, arrival_s=t) for t in (2 * self.MID, 3 * self.MID)]
+        report = fleet.run()
+        every = old + new
+        assert all(r.state == JobState.COMPLETED for r in every)
+        # One execution per version; each follower answered by its own.
+        assert self.executions(fleet) == 2
+        assert old[1].coalesced and new[1].coalesced
+        assert old[1].completion_s == old[0].completion_s
+        assert new[1].completion_s == new[0].completion_s != old[0].completion_s
+        assert [r.dep_versions["lineitem"] for r in every] == [0, 0, 1, 1]
+        # Only the post-bump result is cached, under the new version.
+        assert report.result_cache["inserts"] == 1
+        want = self.solo(data, plans[1])
+        assert all(normalise(r.table) == want for r in every)
 
 
 class TestPlanCache:

@@ -388,6 +388,30 @@ def concat_gtables(tables):
     return GTable(Schema([Field(f.name, f.dtype) for f in schema]), out_cols, device)
 
 
+# -- sort ------------------------------------------------------------------------
+
+# The sort order as first shipped: every key column's full validity mask
+# (all-true when it has none) feeds an ``np.where`` and, when not all-true,
+# a NULL-flag key.  Returns the permutation only; ``sorted_order`` charges.
+
+
+def stable_order(keys, ascending):
+    lex_keys = []
+    for col, asc in reversed(list(zip(keys, ascending))):
+        valid = col.valid_mask()
+        if col.dtype.is_string:
+            valid = valid & (col.data >= 0)
+        if col.data.dtype.kind == "f":
+            data = col.data if asc else -col.data
+            lex_keys.append(np.where(valid, data, np.inf))
+            continue
+        data = col.data.astype(np.int64, copy=False)
+        lex_keys.append(np.where(valid, data if asc else ~data, 0))
+        if not bool(valid.all()):
+            lex_keys.append(~valid)
+    return np.lexsort(lex_keys).astype(np.int32)
+
+
 # -- expression kernels -----------------------------------------------------------
 #
 # The compute kernels as first shipped.  Every operand becomes a full value

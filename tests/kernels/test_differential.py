@@ -31,6 +31,8 @@ from repro.kernels import (
     inner_join,
     left_join,
     semi_join,
+    sorted_order,
+    top_n_order,
 )
 from repro.kernels import join as join_module
 from repro.kernels import keys as keys_module
@@ -535,3 +537,107 @@ class TestKeyLookupProperty:
     @given(lookup_sides())
     def test_joins_equal_the_reference(self, sides):
         check_joins([sides[0]], [sides[1]])
+
+
+# -- sort -------------------------------------------------------------------------
+
+
+def check_sort(keys, monkeypatch=None):
+    """``sorted_order`` / ``top_n_order`` equal the reference permutation
+    in every direction combination.  Given ``monkeypatch``, the kernels run
+    with ``valid_mask()`` forbidden: a column without a validity buffer
+    must be sorted without one being built for it."""
+    cases = []
+    for bits in range(2 ** len(keys)):
+        ascending = [bool(bits >> i & 1) for i in range(len(keys))]
+        cases.append((ascending, reference.stable_order(keys, ascending)))
+    if monkeypatch is not None:
+        monkeypatch.setattr(GColumn, "valid_mask", _forbidden_valid_mask)
+    for ascending, want in cases:
+        assert_identical(sorted_order(keys, ascending), want, f"order {ascending}")
+        half = len(want) // 2
+        assert_identical(top_n_order(keys, ascending, half), want[:half], f"top {ascending}")
+    if monkeypatch is not None:
+        monkeypatch.undo()
+
+
+def _forbidden_valid_mask(col):
+    raise AssertionError(f"valid_mask() called on {col!r}")
+
+
+class TestSortOrder:
+    """The sort kernels against the reference: masked and unmasked keys,
+    strings with and without NULL codes, floats, and int64 extremes."""
+
+    def test_unmasked_keys_build_no_mask(self, dev, monkeypatch):
+        check_sort([
+            ints(dev, [I64.max, 0, I64.min, -1, I64.min + 1, I64.max - 1]),
+            column(dev, FLOAT64, [0.5, -0.0, 0.0, -2.5, np.inf, -np.inf]),
+            strings(dev, [2, 0, 1, 0, 2, 1], ["a", "b", "c"]),
+        ], monkeypatch)
+        check_sort(
+            [column(dev, DATE32, [3, 1, 2]), column(dev, BOOL, [True, False, True])],
+            monkeypatch,
+        )
+
+    def test_masked_keys(self, dev):
+        check_sort([
+            ints(dev, [I64.max, 7, I64.min, 7, 0], [True, False, True, True, False]),
+            column(dev, FLOAT64, [1.5, np.nan, -1.0, 1.5, 9.0], [True, True, False, True, True]),
+            strings(dev, [1, 0, 0, 2, 1], ["x", "y", "z"], [False, True, True, True, True]),
+        ])
+
+    def test_string_null_codes_without_a_mask(self, dev):
+        codes = GColumn(STRING, dev.new_buffer(np.array([1, -1, 0, -1, 2], dtype=np.int32)),
+                        None, np.asarray(["a", "b", "c"], dtype=object))
+        check_sort([codes, ints(dev, [5, 4, 3, 2, 1])])
+        both = strings(dev, [1, -1, 0, -1, 2], ["a", "b", "c"], [True, True, False, True, True])
+        check_sort([both, ints(dev, [1, 1, 1, 1, 1])])
+
+    def test_payload_under_nulls_is_ignored(self, dev):
+        check_sort([
+            ints(dev, [I64.min, 3, I64.max, 3], [False, True, False, True]),
+            column(dev, FLOAT64, [np.inf, 1.0, -np.inf, 2.0], [False, True, False, True]),
+        ])
+
+    def test_empty_and_one_row(self, dev):
+        check_sort([ints(dev, [])])
+        check_sort([ints(dev, [I64.min], [False]), column(dev, FLOAT64, [1.0])])
+
+
+@st.composite
+def sort_keys(draw):
+    """One to three equal-length key columns of any sortable kind, each
+    with or without a validity buffer (garbage under its NULLs)."""
+    dev = Device(GH200, memory_limit_gb=2.0)
+    rows = draw(st.integers(0, 10))
+    keys = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["int64", "float64", "string", "int32", "bool"]))
+        if kind == "float64":
+            values = st.floats(allow_nan=False, width=64)
+        elif kind == "string":
+            values = st.integers(-1, 2)
+        elif kind == "bool":
+            values = st.booleans()
+        elif kind == "int32":
+            values = st.integers(-(2**31), 2**31 - 1)
+        else:
+            values = st.sampled_from([I64.min, I64.min + 1, -1, 0, 1, I64.max - 1, I64.max])
+        data = draw(st.lists(values, min_size=rows, max_size=rows))
+        validity = draw(
+            st.one_of(st.none(), st.lists(st.booleans(), min_size=rows, max_size=rows))
+        )
+        if kind == "string":
+            keys.append(strings(dev, data, ["a", "b", "c"], validity))
+        else:
+            dtype = {"int64": INT64, "float64": FLOAT64, "int32": INT32, "bool": BOOL}[kind]
+            keys.append(column(dev, dtype, data, validity))
+    return keys
+
+
+class TestSortOrderProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(sort_keys())
+    def test_sort_equals_the_reference(self, keys):
+        check_sort(keys)

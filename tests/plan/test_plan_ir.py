@@ -135,6 +135,28 @@ class TestValidation:
         with pytest.raises(PlanValidationError, match="duplicate"):
             Plan(rel).validate()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (ScalarCall("like", [FieldRef(3)]), "like takes 2 arguments, got 1"),
+            (ScalarCall("between", [FieldRef(0), Literal(1)]), "between takes 3 arguments, got 2"),
+            (ScalarCall("substring", [FieldRef(3)]), "substring takes 3 arguments, got 1"),
+            (ScalarCall("round", [FieldRef(1), Literal(1), Literal(2)]),
+             "round takes 1 to 2 arguments, got 3"),
+            (ScalarCall("coalesce", []), "coalesce takes at least 1 argument, got 0"),
+            (ScalarCall("case", [ScalarCall("gt", [FieldRef(0), Literal(1)]), Literal(1)]),
+             "case takes an odd number of arguments, got 2"),
+        ],
+    )
+    def test_call_arity_rejected(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            infer_type(call, SCHEMA)
+        # Wherever the call sits in the tree, validation names it.
+        nested = ScalarCall("eq", [ScalarCall("is_null", [call]), Literal(False)])
+        for condition in (call, nested):
+            with pytest.raises(PlanValidationError, match=message):
+                Plan(FilterRel(ReadRel("t", SCHEMA), condition)).validate()
+
 
 class TestValidatedOnce:
     """``validate()`` remembers success for the root it checked — and
@@ -162,6 +184,32 @@ class TestValidatedOnce:
         plan.root = SortRel(plan.root, [(-1, True)])
         with pytest.raises(PlanValidationError, match="ordinal"):
             plan.validate()
+
+
+class TestSchemaDerivedOnce:
+    """Relations are never mutated after construction, so each derives its
+    output schema once; the memo must equal a fresh derivation everywhere."""
+
+    def test_tpch_and_battery_plans(self):
+        from repro.bench.baselines import battery_cases
+        from repro.bench.baselines.battery import SCALE_FACTOR
+        from repro.hosts import MiniDuck
+        from repro.plan.plan import walk_relations
+        from repro.tpch import generate_tpch, tpch_query
+
+        host = MiniDuck()
+        host.load_tables(generate_tpch(SCALE_FACTOR))
+        sqls = [tpch_query(n) for n in range(1, 23)] + [c.sql for c in battery_cases()]
+        nodes = 0
+        for sql in sqls:
+            plan = host.plan(sql)
+            plan.output_schema()  # memoizes the root, and through it every input
+            for rel in walk_relations(plan.root):
+                memo = rel.output_schema()
+                assert memo is rel.output_schema()
+                assert memo == rel._derive_schema(), sql
+                nodes += 1
+        assert nodes > len(sqls)
 
 
 class TestSerialization:

@@ -7,6 +7,10 @@
   partition that query's *service* time — they sum to the run's own clock
   advance even when other queries' tasks interleave arbitrarily between
   its steps.
+* **Fleet coalescing**: with the result cache on, a random stream of
+  repeated plans arriving close together ends with every request
+  terminal, every answer equal to a solo execution, and at most one
+  execution per distinct result key.
 """
 
 import pytest
@@ -14,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SiriusEngine
+from repro.fleet import FleetScheduler, engine_factory
+from repro.fleet.digest import plan_digest
 from repro.gpu.specs import GH200
 from repro.obs import Tracer
 from repro.sched import JobState, ServingScheduler
 
-from tests.core.test_random_plans import plans, tables
+from tests.core.test_random_plans import normalise, plans, tables
 
 
 def serve_batch(data, batch, policy, streams, tracer_factory=None):
@@ -86,3 +92,39 @@ class TestBusySecondsPartition:
             )
             # The job's recorded service adds only the result copy-out.
             assert job.service_s >= job.qrun.service_seconds - 1e-15
+
+
+class TestFleetCoalescing:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        data=tables(),
+        pool=st.lists(plans(), min_size=1, max_size=3),
+        requests=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 20)), min_size=2, max_size=8
+        ),
+        replicas=st.integers(1, 2),
+        routing=st.sampled_from(["round-robin", "least-outstanding", "placement"]),
+    )
+    def test_identical_requests_in_flight_execute_once(
+        self, data, pool, requests, replicas, routing
+    ):
+        fleet = FleetScheduler(
+            engine_factory(GH200, memory_limit_gb=1.0),
+            replicas=replicas,
+            routing=routing,
+            result_cache_bytes=1 << 24,
+        )
+        # Arrivals 5 us apart at most: twins overlap their leaders.
+        submitted = [
+            (fleet.submit(pool[i % len(pool)], data, arrival_s=t * 5e-6), pool[i % len(pool)])
+            for i, t in requests
+        ]
+        fleet.run()
+        solo = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
+        for record, plan in submitted:
+            assert record.state in JobState.TERMINAL
+            assert record.state == JobState.COMPLETED, record.error_name
+            assert normalise(record.table) == normalise(solo.execute(plan, data))
+        executed = sum(r.routed for r in fleet.replicas)
+        keys = {plan_digest(plan).result_key for _, plan in submitted}
+        assert executed <= len(keys)
