@@ -55,6 +55,9 @@ def run_tpch_suite(queries=(1, 3, 6)) -> SanitizerReport:
         "baseline": {},
         "overlap": {"overlap": True},
         "out-of-core": {"out_of_core": True},
+        # A pool small enough that Q1's group-by input outgrows the
+        # spool's hold: it scatters to fragments that come back leaf by leaf.
+        "out-of-core-scatter": {"out_of_core": True, "memory_limit_gb": 0.03},
         # Caching region capped below the working set: cold loads must
         # evict/spill mid-suite, exercising SA02/SA08 paths for real.
         "spill": {"memory_limit_gb": 0.0125, "overlap": True},

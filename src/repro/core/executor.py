@@ -363,7 +363,7 @@ class QueryRun:
         """
         ctx = self.ctx
         clock = ctx.device.clock
-        dispose = self.physical.out_of_core
+        dispose = ctx.out_of_core
         ops = pipeline.operators
         while idx < len(ops):
             op = ops[idx]

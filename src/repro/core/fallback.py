@@ -7,9 +7,9 @@ GPU execution; recoverable failures walk an ordered ladder of
 
 1. ``gpu-retry-spill`` — device OOM only: re-run on the GPU in small
    batches (§3.4);
-2. ``gpu-spill`` — device OOM on an in-core engine only: re-run with the
-   partitioned out-of-core operators (:func:`gpu_rungs` lists these two
-   rungs, :func:`retry_settings` holds what each changes);
+2. ``gpu-spill`` — device OOM on an in-core engine only: re-run the same
+   plan out-of-core, so its keyed sinks may spill (:func:`gpu_rungs`
+   lists these two rungs, :func:`retry_settings` holds what each changes);
 3. ``cpu-pipeline`` — re-run this pipeline/fragment on the node's CPU
    while the rest of the query stays on the GPU (wired by hosts that
    execute fragment-at-a-time, e.g. MiniDoris);
@@ -103,8 +103,8 @@ def gpu_rungs(out_of_core: bool) -> tuple[str, ...]:
 def retry_settings(tier: str, batch_rows: int | None) -> dict:
     """``SiriusEngine.start_query`` arguments with which the GPU-resident
     tier ``tier`` re-runs a query that ran at ``batch_rows``: both rungs
-    stream in small batches; only ``gpu-spill`` recompiles to the
-    partitioned operators, ``None`` keeping the engine's own mode.  A
+    stream in small batches; only ``gpu-spill`` runs out-of-core,
+    ``None`` keeping the engine's own mode.  A
     retry changes these arguments and nothing else."""
     return {
         "batch_rows": min(batch_rows or OOC_RETRY_BATCH_ROWS, OOC_RETRY_BATCH_ROWS),

@@ -8,8 +8,9 @@ Aggregate inputs that are expressions (e.g. ``sum(l_extendedprice * (1 -
 l_discount))``) are evaluated per chunk before accumulation, so the sink
 itself only ever aggregates materialised columns.
 
-:class:`PartitionedGroupBySink` is the out-of-core variant: the partition
-spool (:mod:`.spool`) with each leaf aggregated and freed.
+:class:`GroupBySink` consumes through the partition spool (:mod:`.spool`):
+in an out-of-core run its input may scatter, and then each leaf is
+aggregated and freed.
 """
 
 from __future__ import annotations
@@ -20,26 +21,37 @@ from ...plan import AggregateCall
 from ...plan.expressions import aggregate_result_type
 from .. import expr_eval
 from .base import Category, ExecutionContext, SinkOperator
-from .spool import PARTITION_FANOUT, finish_held, scattered, spool_chunk, spooled_leaves
+from .spool import finish_held, scattered, spool_chunk, spooled_leaves
 
-__all__ = ["GroupBySink", "PartitionedGroupBySink", "GlobalAggSink"]
+__all__ = ["GroupBySink", "GlobalAggSink"]
 
 
 class GroupBySink(SinkOperator):
-    """Grouped aggregation pipeline breaker."""
+    """Grouped aggregation pipeline breaker.
+
+    Input goes through the partition spool.  A sink that never scattered
+    aggregates everything it held at once.  One that scattered aggregates
+    leaf by leaf: the partition hash covers exactly the grouping keys
+    (NULL being one key value), so every group lives wholly inside one
+    leaf, aggregating leaves independently and concatenating the results
+    is exact (including the avg = sum/count decomposition, which fuses per
+    leaf), and the resident working set is one leaf.
+    """
 
     category = Category.GROUPBY
 
-    def __init__(self, group_indices, measures, input_schema: Schema):
+    def __init__(self, group_indices, measures, input_schema: Schema, slot: str):
         """
         Args:
             group_indices: Ordinals of the grouping keys in the input.
             measures: ``[(AggregateCall, output_name), ...]``.
             input_schema: Schema of incoming chunks.
+            slot: The sink's output slot, also its fragment-name prefix.
         """
         self.group_indices = list(group_indices)
         self.measures = list(measures)
         self.input_schema = input_schema
+        self.slot = slot
 
     def output_schema(self) -> Schema:
         fields = [self.input_schema.fields[i] for i in self.group_indices]
@@ -48,9 +60,25 @@ class GroupBySink(SinkOperator):
         return Schema(fields)
 
     def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        state.setdefault("chunks", []).append(chunk)
+        spool_chunk(ctx, chunk, self.group_indices, self.slot, state)
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
+        if not scattered(state):
+            return finish_held(ctx, state, self._finalize_held)
+        results: list[GTable] = []
+        for _path, leaf in spooled_leaves(ctx, self.group_indices, state):
+            results.append(self._aggregate_table(ctx, leaf))
+            leaf.free()
+        if not results:
+            return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
+        if len(results) == 1:
+            return results[0]
+        out = concat_gtables(results)
+        for r in results:  # per-leaf aggregates are exclusively ours
+            r.free()
+        return out
+
+    def _finalize_held(self, ctx: ExecutionContext, state: dict) -> GTable:
         chunks = state.get("chunks", [])
         if not chunks:
             return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
@@ -59,20 +87,17 @@ class GroupBySink(SinkOperator):
 
     def _aggregate_table(self, ctx: ExecutionContext, data: GTable) -> GTable:
         """Run the grouped aggregation over one materialised table (the
-        whole input in-core; one radix partition of it out-of-core)."""
+        whole held input, or one leaf of a scattered one)."""
         keys = [data.columns[i] for i in self.group_indices]
         specs: list[AggSpec] = []
-        post_avg: list[tuple[int, int, int]] = []  # (out_pos, sum_pos, count_pos)
         for agg, name in self.measures:
             arg_col = (
                 expr_eval.evaluate_to_column(agg.arg, data) if agg.arg is not None else None
             )
             if agg.op == "avg":
                 # Decompose: avg = sum / count, fused back after the kernel.
-                sum_pos = len(specs)
                 specs.append(AggSpec("sum", arg_col, f"__avg_sum_{name}"))
                 specs.append(AggSpec("count", arg_col, f"__avg_cnt_{name}"))
-                post_avg.append((len(post_avg), sum_pos, sum_pos + 1))
                 continue
             op = agg.op
             if op == "count" and agg.distinct:
@@ -89,65 +114,19 @@ class GroupBySink(SinkOperator):
         n_keys = len(self.group_indices)
         out_cols = list(raw.columns[:n_keys])
         raw_pos = n_keys
-        spec_pos = 0
         for agg, name in self.measures:
             if agg.op == "avg":
                 sums = raw.columns[raw_pos]
                 counts = raw.columns[raw_pos + 1]
                 out_cols.append(binary_arith("divide", sums, counts))
                 raw_pos += 2
-                spec_pos += 2
             else:
                 out_cols.append(raw.columns[raw_pos])
                 raw_pos += 1
-                spec_pos += 1
         return GTable(out_schema, out_cols, ctx.device)
 
     def describe(self) -> str:
         return f"GroupBy(keys={self.group_indices}, measures={[n for _, n in self.measures]})"
-
-
-class PartitionedGroupBySink(GroupBySink):
-    """Out-of-core grouped aggregation: the partition spool
-    (:mod:`.spool`) with every leaf aggregated and freed instead of every
-    chunk buffered resident.
-
-    Because the partition hash covers exactly the grouping keys (NULL
-    being one key value), every group lives wholly inside one leaf, so
-    aggregating leaves independently and concatenating the per-leaf
-    results is exact (including the avg = sum/count decomposition, which
-    fuses per leaf), and the resident working set is one leaf.  An input
-    that fits one leaf never scatters and is aggregated once.
-    """
-
-    def __init__(self, group_indices, measures, input_schema: Schema, slot: str):
-        super().__init__(group_indices, measures, input_schema)
-        self.slot = slot  # unique fragment-name prefix for this sink
-
-    def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        spool_chunk(ctx, chunk, self.group_indices, self.slot, state)
-
-    def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
-        if not scattered(state):
-            return finish_held(ctx, state, super().finalize)
-        results: list[GTable] = []
-        for _path, leaf in spooled_leaves(ctx, self.group_indices, state):
-            results.append(self._aggregate_table(ctx, leaf))
-            leaf.free()
-        if not results:
-            return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
-        if len(results) == 1:
-            return results[0]
-        out = concat_gtables(results)
-        for r in results:  # per-leaf aggregates are exclusively ours
-            r.free()
-        return out
-
-    def describe(self) -> str:
-        return (
-            f"PartitionedGroupBy(keys={self.group_indices}, "
-            f"measures={[n for _, n in self.measures]}, fanout={PARTITION_FANOUT})"
-        )
 
 
 class GlobalAggSink(SinkOperator):

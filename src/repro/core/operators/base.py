@@ -109,12 +109,15 @@ class ExecutionContext:
         buffer_manager: Caching region + format conversion.
         catalog: Host tables by name (the host database's storage).
         registry: Operator-implementation registry (libcudf vs custom).
-        exchange: Exchange service for distributed runs; ``None`` single-node
-            (the paper: "in single-node deployments, this layer can be
-            bypassed entirely").
         batch_rows: If set, sources push data in batches of this many rows
             (the out-of-core/pipelined execution extension of §3.4).
-        node_id: This node's rank in a distributed run.
+        out_of_core: The run may spill operator state.  Keyed sinks
+            scatter their input to spillable fragments once it outgrows the
+            spool's hold (:mod:`.spool`), a sink that never scattered
+            disposes the chunks it held, and the executor frees each dead
+            intermediate chunk as soon as the next operator has consumed it.
+            Off, every sink holds its input resident; the operator tree is
+            the same either way.
         tracer: Observability sink for spans/metrics; the no-op
             :data:`~repro.obs.NULL_TRACER` by default, so fault-free
             untraced execution is byte-identical.
@@ -124,9 +127,8 @@ class ExecutionContext:
     buffer_manager: BufferManager
     catalog: Mapping[str, Table]
     registry: "OperatorRegistry"
-    exchange: object | None = None
     batch_rows: int | None = None
-    node_id: int = 0
+    out_of_core: bool = False
     tracer: object = NULL_TRACER
 
 

@@ -15,10 +15,11 @@ Two implementations are registered (§3.2.2's libcudf/custom switch):
 Row indices crossing the engine/kernel boundary pay the paper's
 uint64 <-> int32 conversion through the buffer manager.
 
-Out of core, :class:`PartitionedHashJoinBuildSink` is the partition spool
-(:mod:`.spool`) with each leaf kept as a fragment, and
-:class:`PartitionedHashJoinProbe` routes probe rows through the same
-``partition_by_keys`` hashes, level by level, to the leaf they can match.
+The build sink consumes through the partition spool (:mod:`.spool`).  When
+an out-of-core run scatters it, each leaf is kept as a fragment of a
+:class:`PartitionedBuild`, and the probe routes probe rows through the
+same ``partition_by_keys`` hashes, level by level, to the leaf they can
+match.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ __all__ = [
     "HashJoinBuildSink",
     "HashJoinProbe",
     "PartitionedBuild",
-    "PartitionedHashJoinBuildSink",
-    "PartitionedHashJoinProbe",
     "libcudf_join",
     "custom_sort_merge_join",
 ]
@@ -110,21 +109,43 @@ def custom_sort_merge_join(join_type: str, probe_keys, build_keys):
 
 
 class HashJoinBuildSink(SinkOperator):
-    """Materialises the build (right) side of a join into a slot."""
+    """Materialises the build (right) side of a join into a slot.
+
+    Input goes through the partition spool.  A build that never scattered
+    puts the plain build table in the slot.  One that scattered registers
+    every leaf as a buffer-manager fragment and puts a
+    :class:`PartitionedBuild` handle naming them in the slot; the probe
+    routes probe rows through the same salted hashes, so every key pair
+    meets in exactly one leaf and the join is exact.
+    """
 
     category = Category.JOIN
 
-    def __init__(self, slot: str, schema: Schema):
+    def __init__(self, slot: str, schema: Schema, key_indices):
         self.slot = slot
         self.schema = schema
+        self.key_indices = list(key_indices)
 
     def output_schema(self) -> Schema:
         return self.schema
 
     def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        state.setdefault("chunks", []).append(chunk)
+        spool_chunk(ctx, chunk, self.key_indices, self.slot, state)
 
-    def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
+    def finalize(self, ctx: ExecutionContext, state: dict):
+        if not scattered(state):
+            return finish_held(ctx, state, self._finalize_held)
+        build = PartitionedBuild()
+        for path, table in spooled_leaves(ctx, self.key_indices, state):
+            name = f"{state['frag_ns']}/{self.slot}/" + ".".join(str(d) for d in path)
+            ctx.buffer_manager.put_fragment(name, table)
+            build.add_leaf(path, name, table.num_rows)
+        if not build.leaves:
+            # Degenerate empty build: hand the probe a plain empty GTable.
+            return _empty_gtable(ctx, self.schema)
+        return build
+
+    def _finalize_held(self, ctx: ExecutionContext, state: dict) -> GTable:
         chunks = state.get("chunks", [])
         if not chunks:
             return _empty_gtable(ctx, self.schema)
@@ -137,7 +158,24 @@ class HashJoinBuildSink(SinkOperator):
 
 
 class HashJoinProbe(StreamingOperator):
-    """Streams probe chunks against a materialised build table."""
+    """Streams probe chunks against the build slot.
+
+    Against a plain build table each chunk is probed once.  Against a
+    :class:`PartitionedBuild` each chunk is routed through the same salted
+    radix hashes the build used, so probe rows of leaf ``path`` meet
+    exactly the build rows of leaf ``path``; leaves are unspilled one at a
+    time via the buffer manager (LRU — hot leaves stay resident, cold ones
+    come back from pinned host or disk).  Probe rows whose build partition
+    is empty short-circuit: dropped for inner/semi, probed against an empty
+    table for left/anti so unmatched-row semantics hold.
+
+    Per-leaf join outputs are *streamed* downstream as a
+    :class:`~.base.ChunkStream` rather than concatenated: the executor
+    pushes each leaf output through the rest of the pipeline before the
+    next leaf is probed, so the probe never holds its full output
+    resident — that residency is exactly what would put a lower bound of
+    ``output_size`` on the memory floor.
+    """
 
     category = Category.JOIN
 
@@ -166,13 +204,15 @@ class HashJoinProbe(StreamingOperator):
 
         return join_output_schema(self.probe_schema, self.build_schema)
 
-    def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        build_table: GTable = state["slots"][self.build_slot]
-        return self._probe_against(ctx, chunk, build_table)
+    def process(self, ctx: ExecutionContext, chunk: GTable, state: dict):
+        build = state["slots"][self.build_slot]
+        if isinstance(build, PartitionedBuild):
+            return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
+        return self._probe_against(ctx, chunk, build)
 
     def _probe_against(self, ctx: ExecutionContext, chunk: GTable, build_table: GTable) -> GTable:
         """Probe one chunk against one materialised build table (the whole
-        build in-core; one partition of it out-of-core)."""
+        build, or one leaf of a partitioned one)."""
         if not self.probe_key_indices:
             return self._cross_join(ctx, chunk, build_table)
         probe_keys = [chunk.columns[i] for i in self.probe_key_indices]
@@ -259,109 +299,13 @@ class HashJoinProbe(StreamingOperator):
             survivors = np.setdiff1d(all_rows, matched_probe).astype(np.int32)
         return gather_table(chunk, survivors)
 
-    def describe(self) -> str:
-        return f"HashJoinProbe({self.join_type}, slot={self.build_slot})"
-
-
-class PartitionedBuild:
-    """Handle for an out-of-core build side, stored in the build slot.
-
-    The build rows live as radix partitions registered with the buffer
-    manager's fragment store (device / pinned host / disk, wherever
-    pressure pushed them) rather than as one resident :class:`GTable`.
-    ``leaves`` maps a partition path — a tuple of radix digits, one per
-    recursion level — to the fragment name holding that partition.  A
-    path is absent when the build side had no rows for it.
-    """
-
-    def __init__(self):
-        self.leaves: dict[tuple[int, ...], str] = {}
-        self.num_rows = 0
-        self._prefixes: set[tuple[int, ...]] = set()
-
-    def add_leaf(self, path: tuple[int, ...], name: str, rows: int) -> None:
-        self.leaves[path] = name
-        self.num_rows += rows
-        for i in range(len(path)):
-            self._prefixes.add(path[:i])
-
-    def has_descendants(self, path: tuple[int, ...]) -> bool:
-        """Whether any leaf lives strictly below ``path`` (meaning the
-        probe side must subdivide further to find its match partition)."""
-        return path in self._prefixes
-
-
-class PartitionedHashJoinBuildSink(HashJoinBuildSink):
-    """Out-of-core build sink: the partition spool (:mod:`.spool`) with
-    every leaf registered as a buffer-manager fragment instead of the
-    build side materialised as one table.
-
-    The slot receives a :class:`PartitionedBuild` handle naming the leaf
-    fragments; the paired :class:`PartitionedHashJoinProbe` routes probe
-    rows through the same salted hashes, so every key pair meets in
-    exactly one leaf and the join is exact.  A build that fits one leaf
-    never scatters, and the slot receives the plain build table.
-    """
-
-    def __init__(self, slot: str, schema: Schema, key_indices):
-        super().__init__(slot, schema)
-        self.key_indices = list(key_indices)
-
-    def consume(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> None:
-        spool_chunk(ctx, chunk, self.key_indices, self.slot, state)
-
-    def finalize(self, ctx: ExecutionContext, state: dict):
-        if not scattered(state):
-            return finish_held(ctx, state, super().finalize)
-        build = PartitionedBuild()
-        for path, table in spooled_leaves(ctx, self.key_indices, state):
-            name = f"{state['frag_ns']}/{self.slot}/" + ".".join(str(d) for d in path)
-            ctx.buffer_manager.put_fragment(name, table)
-            build.add_leaf(path, name, table.num_rows)
-        if not build.leaves:
-            # Degenerate empty build: hand the probe a plain empty GTable
-            # (the probe falls back to the in-core path for it).
-            return _empty_gtable(ctx, self.schema)
-        return build
-
-    def describe(self) -> str:
-        return f"PartitionedHashJoinBuild({self.slot}, fanout={PARTITION_FANOUT})"
-
-
-class PartitionedHashJoinProbe(HashJoinProbe):
-    """Probe variant for :class:`PartitionedBuild` slots.
-
-    Each probe chunk is routed through the same salted radix hashes the
-    build used, so probe rows of leaf ``path`` meet exactly the build rows
-    of leaf ``path``; leaves are unspilled one at a time via the buffer
-    manager (LRU — hot leaves stay resident, cold ones come back from
-    pinned host or disk).  Probe rows whose build partition is empty
-    short-circuit: dropped for inner/semi, probed against an empty table
-    for left/anti so unmatched-row semantics hold.
-
-    Per-leaf join outputs are *streamed* downstream as a
-    :class:`~.base.ChunkStream` rather than concatenated: the executor
-    pushes each leaf output through the rest of the pipeline before the
-    next leaf is probed, so the probe never holds its full output
-    resident — that residency is exactly what would put a lower bound of
-    ``output_size`` on the memory floor.
-    """
-
-    def process(self, ctx: ExecutionContext, chunk: GTable, state: dict):
-        build = state["slots"][self.build_slot]
-        if not isinstance(build, PartitionedBuild):
-            # The build fit one leaf (or was empty): the slot holds a
-            # plain GTable; probe it in-core.
-            return self._probe_against(ctx, chunk, build)
-        return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
-
     def _stream_leaf_outputs(self, ctx, chunk: GTable, build, state: dict):
         """Partition the input, free it, then lazily yield join outputs
         (the executor interleaves downstream work between pulls).
 
         Consecutive per-leaf outputs are coalesced up to ~1/8 of the
         processing pool before being emitted: unbounded accumulation would
-        re-materialise the whole probe output (the memory floor this class
+        re-materialise the whole probe output (the memory floor streaming
         exists to remove), while emitting every leaf individually multiplies
         downstream kernel launches by the leaf count and drowns the query
         in launch latency.
@@ -427,7 +371,35 @@ class PartitionedHashJoinProbe(HashJoinProbe):
             out.free()
 
     def describe(self) -> str:
-        return f"PartitionedHashJoinProbe({self.join_type}, slot={self.build_slot})"
+        return f"HashJoinProbe({self.join_type}, slot={self.build_slot})"
+
+
+class PartitionedBuild:
+    """Handle for an out-of-core build side, stored in the build slot.
+
+    The build rows live as radix partitions registered with the buffer
+    manager's fragment store (device / pinned host / disk, wherever
+    pressure pushed them) rather than as one resident :class:`GTable`.
+    ``leaves`` maps a partition path — a tuple of radix digits, one per
+    recursion level — to the fragment name holding that partition.  A
+    path is absent when the build side had no rows for it.
+    """
+
+    def __init__(self):
+        self.leaves: dict[tuple[int, ...], str] = {}
+        self.num_rows = 0
+        self._prefixes: set[tuple[int, ...]] = set()
+
+    def add_leaf(self, path: tuple[int, ...], name: str, rows: int) -> None:
+        self.leaves[path] = name
+        self.num_rows += rows
+        for i in range(len(path)):
+            self._prefixes.add(path[:i])
+
+    def has_descendants(self, path: tuple[int, ...]) -> bool:
+        """Whether any leaf lives strictly below ``path`` (meaning the
+        probe side must subdivide further to find its match partition)."""
+        return path in self._prefixes
 
 
 def _empty_gtable(ctx: ExecutionContext, schema: Schema) -> GTable:

@@ -1,16 +1,16 @@
 """The partition spool: how out-of-core operator state is held, scattered,
 spilled and brought back (§3.4 extended to operator state).
 
-A partitioned sink is two halves around the buffer manager's fragment
-store.  :func:`spool_chunk` (the sink's ``consume``) holds chunks in core
-while they fit one leaf; past that it radix-partitions each chunk by the
-operator's keys and registers the pieces as spillable fragments, which
-memory pressure migrates device → pinned host → disk on the copy stream.
-:func:`spooled_leaves` (the sink's ``finalize``) brings one partition
-back at a time, merges its chunk pieces and re-splits it with the next
-salt level while it is over budget, yielding the leaves depth-first so
-the caller holds one leaf at a time.  A sink that never scattered
-finalizes the in-core way (:func:`finish_held`).
+Every keyed sink is two halves around the buffer manager's fragment
+store.  :func:`spool_chunk` (the sink's ``consume``) holds chunks in core;
+in an out-of-core run, past what fits one leaf, it radix-partitions each
+chunk by the operator's keys and registers the pieces as spillable
+fragments, which memory pressure migrates device → pinned host → disk on
+the copy stream.  :func:`spooled_leaves` (the sink's ``finalize``) brings
+one partition back at a time, merges its chunk pieces and re-splits it
+with the next salt level while it is over budget, yielding the leaves
+depth-first so the caller holds one leaf at a time.  A sink that never
+scattered finalizes the in-core way (:func:`finish_held`).
 
 The fan-out, the depth limit and the leaf budget are policy, and this is
 the one module that knows them.
@@ -61,17 +61,18 @@ def scattered(state: dict) -> bool:
 def spool_chunk(
     ctx: ExecutionContext, chunk: GTable, key_indices: Sequence[int], slot: str, state: dict
 ) -> None:
-    """Hold ``chunk`` in ``state["chunks"]`` while the held total fits one
-    leaf.  The chunk that outgrows it scatters every held chunk, and every
-    later chunk is scattered on arrival: each piece is registered as a
-    fragment named under the run's namespace and ``slot`` before the next
-    is made, then the chunk is dropped (the pieces are copies)."""
+    """Hold ``chunk`` in ``state["chunks"]``: always in an in-core run or
+    for a key-less sink, otherwise while the held total fits one leaf.  The
+    chunk that outgrows it scatters every held chunk, and every later chunk
+    is scattered on arrival: each piece is registered as a fragment named
+    under the run's namespace and ``slot`` before the next is made, then
+    the chunk is dropped (the pieces are copies)."""
     if scattered(state):
         held = [chunk]
     else:
         held = state.setdefault("chunks", [])
         held.append(chunk)
-        if _hold(ctx, sum(c.nbytes for c in held)):
+        if not (ctx.out_of_core and key_indices) or _hold(ctx, sum(c.nbytes for c in held)):
             return
         state["part_chunks"] = {p: [] for p in range(PARTITION_FANOUT)}
         del state["chunks"]
@@ -90,12 +91,14 @@ def spool_chunk(
 
 
 def finish_held(ctx: ExecutionContext, state: dict, finalize) -> GTable:
-    """Finalize a sink that never scattered as its in-core parent does
-    (``finalize``), then dispose the chunks it held, keeping what the
-    output carries (a single held chunk *is* the build table)."""
+    """Finalize a sink that never scattered with its in-core body
+    (``finalize``); an out-of-core run then disposes the chunks it held,
+    keeping what the output carries (a single held chunk *is* the build
+    table)."""
     out = finalize(ctx, state)
-    for chunk in state.get("chunks", ()):
-        dispose_chunk(ctx, chunk, state["slots"], successor=out)
+    if ctx.out_of_core:
+        for chunk in state.get("chunks", ()):
+            dispose_chunk(ctx, chunk, state["slots"], successor=out)
     return out
 
 

@@ -24,14 +24,9 @@ from ..plan import (
     Relation,
     SortRel,
 )
-from .operators.aggregate import GlobalAggSink, GroupBySink, PartitionedGroupBySink
+from .operators.aggregate import GlobalAggSink, GroupBySink
 from .operators.base import SinkOperator, SourceOperator, StreamingOperator, UnsupportedFeatureError
-from .operators.join import (
-    HashJoinBuildSink,
-    HashJoinProbe,
-    PartitionedHashJoinBuildSink,
-    PartitionedHashJoinProbe,
-)
+from .operators.join import HashJoinBuildSink, HashJoinProbe
 from .expr_compile import UnsupportedExpressionError
 from .operators.fused import FusedOp
 from .operators.scan import IntermediateSource, TableScan
@@ -78,10 +73,6 @@ class PhysicalPlan:
 
     pipelines: list[Pipeline]
     final_slot: str
-    # Compiled with the partitioned/spillable operator variants; tells the
-    # executor to run its chunk-disposal protocol so dead intermediates do
-    # not accumulate in the processing pool for the lifetime of the query.
-    out_of_core: bool = False
     # Streaming runs were collapsed into FusedOp regions (fuse_operators).
     fusion: bool = False
 
@@ -97,13 +88,9 @@ class PhysicalPlan:
 
 
 class _Compiler:
-    def __init__(self, out_of_core: bool = False):
+    def __init__(self):
         self.pipelines: list[Pipeline] = []
         self._next_slot = 0
-        # Out-of-core mode swaps keyed joins / group-bys for their radix-
-        # partitioned spillable variants; off (the default) compiles the
-        # exact same operator tree as always.
-        self.out_of_core = out_of_core
 
     def fresh_slot(self, hint: str) -> str:
         self._next_slot += 1
@@ -136,19 +123,12 @@ class _Compiler:
             build_schema = rel.right.output_schema()
             build_slot = self.fresh_slot("build")
             b_source, b_ops, b_deps = self.compile(rel.right)
-            partitioned = self.out_of_core and bool(rel.right_keys)
-            if partitioned:
-                build_sink = PartitionedHashJoinBuildSink(
-                    build_slot, build_schema, rel.right_keys
-                )
-            else:
-                build_sink = HashJoinBuildSink(build_slot, build_schema)
+            build_sink = HashJoinBuildSink(build_slot, build_schema, rel.right_keys)
             build_pid = self.add_pipeline(b_source, b_ops, build_sink, build_slot, b_deps)
             # Probe side continues the current pipeline.
             source, ops, deps = self.compile(rel.left)
-            probe_cls = PartitionedHashJoinProbe if partitioned else HashJoinProbe
             ops.append(
-                probe_cls(
+                HashJoinProbe(
                     build_slot,
                     rel.join_type,
                     rel.left_keys,
@@ -163,46 +143,38 @@ class _Compiler:
 
         if isinstance(rel, AggregateRel):
             schema = rel.input_rel.output_schema()
+            slot = self.fresh_slot("agg")
             if rel.group_indices:
-                if self.out_of_core:
-                    sink = PartitionedGroupBySink(
-                        rel.group_indices,
-                        rel.measures,
-                        schema,
-                        slot=self.fresh_slot("oocagg"),
-                    )
-                else:
-                    sink = GroupBySink(rel.group_indices, rel.measures, schema)
+                sink = GroupBySink(rel.group_indices, rel.measures, schema, slot)
             else:
                 sink = GlobalAggSink(rel.measures, schema)
-            return self._break(rel.input_rel, sink, "agg")
+            return self._break(rel.input_rel, sink, slot)
 
         if isinstance(rel, FetchRel) and isinstance(rel.input_rel, SortRel):
             sort_rel = rel.input_rel
             if rel.count is None and rel.offset == 0:
                 sink = SortSink(sort_rel.sort_keys, sort_rel.input_rel.output_schema())
-                return self._break(sort_rel.input_rel, sink, "topn")
+                return self._break(sort_rel.input_rel, sink, self.fresh_slot("topn"))
             if rel.count is not None:
                 sink = TopNSink(
                     sort_rel.sort_keys, rel.count, rel.offset, sort_rel.input_rel.output_schema()
                 )
-                return self._break(sort_rel.input_rel, sink, "topn")
+                return self._break(sort_rel.input_rel, sink, self.fresh_slot("topn"))
             # OFFSET without LIMIT: sort fully, then slice in a fetch sink.
 
         if isinstance(rel, SortRel):
             sink = SortSink(rel.sort_keys, rel.input_rel.output_schema())
-            return self._break(rel.input_rel, sink, "sort")
+            return self._break(rel.input_rel, sink, self.fresh_slot("sort"))
 
         if isinstance(rel, FetchRel):
             sink = FetchSink(rel.offset, rel.count, rel.input_rel.output_schema())
-            return self._break(rel.input_rel, sink, "fetch")
+            return self._break(rel.input_rel, sink, self.fresh_slot("fetch"))
 
         raise UnsupportedFeatureError(f"no physical operator for {type(rel).__name__}")
 
-    def _break(self, input_rel: Relation, sink: SinkOperator, hint: str):
-        """Terminate the input sub-tree into ``sink`` and continue from the
-        materialised slot."""
-        slot = self.fresh_slot(hint)
+    def _break(self, input_rel: Relation, sink: SinkOperator, slot: str):
+        """Terminate the input sub-tree into ``sink``, which materialises
+        ``slot``, and continue from that slot."""
         source, ops, deps = self.compile(input_rel)
         pid = self.add_pipeline(source, ops, sink, slot, deps)
         return IntermediateSource(slot, sink.output_schema()), [], {pid}
@@ -243,22 +215,17 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
     return fused
 
 
-def compile_plan(
-    plan: Plan, out_of_core: bool = False, fusion: bool = False
-) -> PhysicalPlan:
+def compile_plan(plan: Plan, fusion: bool = False) -> PhysicalPlan:
     """Compile a validated plan into pipelines ending in a result slot.
 
-    With ``out_of_core=True``, keyed hash joins and group-bys compile to
-    their radix-partitioned variants whose state lives in spillable
-    buffer-manager fragments (device -> pinned host -> disk) instead of
-    resident tables; the default compiles the seed operator tree
-    unchanged.
+    The operator tree is the same whether the run is out-of-core or not:
+    that is decided at run time (``ExecutionContext.out_of_core``).
 
     With ``fusion=True``, each pipeline's streaming run is post-processed
     by :func:`fuse_operators`; the default leaves the operator lists
     byte-identical to the seed planner.
     """
-    compiler = _Compiler(out_of_core=out_of_core)
+    compiler = _Compiler()
     source, ops, deps = compiler.compile(plan.root)
     compiler.add_pipeline(
         source, ops, MaterializeSink(plan.root.output_schema()), RESULT_SLOT, deps
@@ -266,6 +233,4 @@ def compile_plan(
     if fusion:
         for pipeline in compiler.pipelines:
             pipeline.operators = fuse_operators(pipeline.operators)
-    return PhysicalPlan(
-        compiler.pipelines, RESULT_SLOT, out_of_core=out_of_core, fusion=fusion
-    )
+    return PhysicalPlan(compiler.pipelines, RESULT_SLOT, fusion=fusion)

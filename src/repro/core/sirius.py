@@ -41,7 +41,7 @@ from .fallback import (
 )
 from .operators.base import ExecutionContext, OperatorRegistry
 from .operators.join import custom_sort_merge_join, libcudf_join
-from .planner import PhysicalPlan, compile_plan
+from .planner import compile_plan
 
 __all__ = ["SiriusEngine"]
 
@@ -94,15 +94,18 @@ class SiriusEngine:
                 onto the device's copy stream and prefetched ahead of the
                 consuming pipeline.  Off by default; the default path is
                 byte-identical to the synchronous loader.
-            out_of_core: Compile keyed joins and group-bys to their
-                radix-partitioned variants whose partitions spill through
-                the tiered store (device -> pinned host -> disk) under
-                memory pressure, so over-HBM working sets complete on the
-                GPU instead of falling back.  Pinned host staging for
-                spilled partitions is capped at the processing pool's
-                capacity; overflow demotes to the simulated disk tier.
-                Off by default; the default path is byte-identical to the
-                seed engine.
+            out_of_core: Run every query out-of-core
+                (``ExecutionContext.out_of_core``): keyed join builds and
+                group-bys that outgrow the spool's hold scatter into radix
+                partitions that spill through the tiered store (device ->
+                pinned host -> disk) under memory pressure, so over-HBM
+                working sets complete on the GPU instead of falling back,
+                and streams are batched (``OOC_RETRY_BATCH_ROWS`` unless
+                ``batch_rows`` is set).  Pinned host staging for spilled
+                partitions is capped at the processing pool's capacity;
+                overflow demotes to the simulated disk tier.  The operator
+                tree is the same either way.  Off by default; the default
+                path is byte-identical to the seed engine.
             sanitize: Attach a :class:`~repro.analysis.sanitizers
                 .Sanitizer` to the device, pool, and buffer manager:
                 happens-before, shadow-ledger, and drift checks run
@@ -138,11 +141,6 @@ class SiriusEngine:
 
             self.sanitizer = Sanitizer()
             self.sanitizer.attach(device, self.buffer_manager)
-        if out_of_core and self.batch_rows is None:
-            # Out-of-core execution needs bounded chunks: streaming in
-            # whole-table chunks would put the full probe side in the
-            # pool at once, defeating the partitioned spill.
-            self.batch_rows = OOC_RETRY_BATCH_ROWS
 
     @classmethod
     def for_spec(
@@ -212,9 +210,9 @@ class SiriusEngine:
 
         Recoverable failures walk the degradation ladder: device OOM first
         walks the engine's GPU rungs (:func:`~.fallback.gpu_rungs`: a
-        batched retry, then for in-core engines the partitioned
-        out-of-core operators), then (if wired) the ``cpu-pipeline`` tier,
-        then the registered host executor.  ``deadline_s`` is a
+        batched retry, then for in-core engines an out-of-core run), then
+        (if wired) the ``cpu-pipeline`` tier, then the registered host
+        executor.  ``deadline_s`` is a
         simulated-time budget enforced at pipeline boundaries; exceeding
         it raises
         :class:`~repro.core.deadline.DeadlineExceededError`, which is *not*
@@ -306,8 +304,8 @@ class SiriusEngine:
                 this query only (serving uses small batches so queries
                 interleave at fine granularity).
             out_of_core: Override the engine's out-of-core mode for this
-                query only (serving's ``gpu-spill`` retry recompiles to
-                the partitioned operators); ``None`` = engine default.
+                query only (serving's ``gpu-spill`` retry runs the same
+                plan out-of-core); ``None`` = engine default.
         """
         plan.validate()
         return self._start(plan, catalog, deadline, tracer, batch_rows, out_of_core)
@@ -324,10 +322,14 @@ class SiriusEngine:
         """The one way a validated plan starts running: :meth:`execute`
         (first attempt and GPU retry tiers) and :meth:`start_query` both
         come through here.  ``None`` overrides mean the engine's own."""
-        physical = self._compile(plan, out_of_core)
+        if out_of_core is None:
+            out_of_core = self.out_of_core
         if batch_rows is None:
             batch_rows = self.batch_rows
-        if physical.out_of_core and batch_rows is None:
+        if out_of_core and batch_rows is None:
+            # Out-of-core execution needs bounded chunks: streaming in
+            # whole-table chunks would put the full probe side in the
+            # pool at once, defeating the partitioned spill.
             batch_rows = OOC_RETRY_BATCH_ROWS
         ctx = ExecutionContext(
             device=self.device,
@@ -335,14 +337,11 @@ class SiriusEngine:
             catalog=catalog,
             registry=self.registry,
             batch_rows=batch_rows,
+            out_of_core=out_of_core,
             tracer=tracer if tracer is not None else self.tracer,
         )
+        physical = compile_plan(plan, fusion=self.fusion)
         return PipelineExecutor(ctx).start(physical, deadline=deadline)
-
-    def _compile(self, plan: Plan, out_of_core: bool | None = None) -> PhysicalPlan:
-        if out_of_core is None:
-            out_of_core = self.out_of_core
-        return compile_plan(plan, out_of_core=out_of_core, fusion=self.fusion)
 
     def estimate(self, plan: Plan, catalog: Mapping[str, Table]):
         """Price ``plan`` the way this engine runs it — spill waves when it
@@ -356,7 +355,7 @@ class SiriusEngine:
 
     def explain_physical(self, plan: Plan) -> str:
         """Render the pipeline decomposition this engine runs the plan as."""
-        return self._compile(plan).explain()
+        return compile_plan(plan, fusion=self.fusion).explain()
 
     def explain_analyze(self, plan: Plan, catalog: Mapping[str, Table]) -> str:
         """Execute the plan and render per-operator simulated timings

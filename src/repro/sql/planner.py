@@ -46,6 +46,7 @@ from ..plan import (
     SortRel,
 )
 from . import ast_nodes as A
+from .optimizer import estimate_rows
 from .parser import parse_sql
 
 __all__ = ["SqlPlanner", "SqlPlanningError", "TableStats"]
@@ -238,15 +239,13 @@ class SqlPlanner:
         if isinstance(item, A.SubqueryRef):
             sub_rel, sub_scope = self._plan_select(item.subquery, outer_scope, ctes)
             cols = [(item.alias, name) for _, name in sub_scope.columns]
-            est = max(_estimate_rows(sub_rel, self.catalog), 1.0)
-            return _FromNode(sub_rel, cols, est, item.alias)
+            return _FromNode(sub_rel, cols, self._estimate_rows(sub_rel), item.alias)
         if isinstance(item, A.TableRef):
             if item.name in ctes:
                 sub_rel, sub_scope = self._plan_select(ctes[item.name], None, ctes)
                 alias = item.alias or item.name
                 cols = [(alias, name) for _, name in sub_scope.columns]
-                est = max(_estimate_rows(sub_rel, self.catalog), 1.0)
-                return _FromNode(sub_rel, cols, est, alias)
+                return _FromNode(sub_rel, cols, self._estimate_rows(sub_rel), alias)
             stats = self.catalog.get(item.name)
             if stats is None:
                 raise SqlPlanningError(f"unknown table {item.name!r}")
@@ -260,6 +259,12 @@ class SqlPlanner:
                         distinct[pos] = float(stats.distinct[f.name])
             return _FromNode(rel, cols, float(stats.row_count), alias, distinct)
         raise SqlPlanningError(f"unsupported FROM item {item!r}")
+
+    def _estimate_rows(self, rel: Relation) -> float:
+        """A derived table's or CTE's row estimate, from the one estimator
+        the optimizer uses."""
+        row_counts = {name: stats.row_count for name, stats in self.catalog.items()}
+        return max(estimate_rows(rel, row_counts), 1.0)
 
     def _try_place_conjunct(self, conj, nodes, edges, outer_scope) -> bool:
         """Push a conjunct into one node, or record it as a join edge."""
@@ -1379,34 +1384,6 @@ def _dedupe(names: list[str]) -> list[str]:
 
 def _merged_scope_columns(left, right):
     return list(left) + list(right)
-
-
-def _estimate_join(left_rows: float, right_rows: float, has_keys: bool) -> float:
-    if not has_keys:
-        return left_rows * right_rows
-    return max(left_rows, right_rows)
-
-
-def _estimate_rows(rel: Relation, catalog) -> float:
-    if isinstance(rel, ReadRel):
-        stats = catalog.get(rel.table_name)
-        return float(stats.row_count) if stats else 1000.0
-    if isinstance(rel, FilterRel):
-        return _estimate_rows(rel.input_rel, catalog) * _FILTER_SELECTIVITY
-    if isinstance(rel, (ProjectRel, SortRel)):
-        return _estimate_rows(rel.inputs[0], catalog)
-    if isinstance(rel, AggregateRel):
-        return max(_estimate_rows(rel.input_rel, catalog) * 0.1, 1.0)
-    if isinstance(rel, FetchRel):
-        base = _estimate_rows(rel.input_rel, catalog)
-        return min(base, rel.count) if rel.count is not None else base
-    if isinstance(rel, JoinRel):
-        return _estimate_join(
-            _estimate_rows(rel.left, catalog),
-            _estimate_rows(rel.right, catalog),
-            bool(rel.left_keys),
-        )
-    return 1000.0
 
 
 def _fold_constants(func: str, left: Expression, right: Expression) -> Optional[Expression]:

@@ -112,11 +112,23 @@ class TestCleanSuites:
     """The repo's own workloads run clean under the sanitizer (the CI
     ``sanitize`` job runs the full versions; these are scaled-down)."""
 
-    def test_tpch_suite_clean(self):
+    def test_tpch_suite_clean(self, monkeypatch):
+        from repro.core.operators import spool
+
+        scatters = []
+        real_partition = spool.partition_by_keys
+
+        def partition(table, key_indices, fanout, level=0):
+            scatters.append(level)
+            return real_partition(table, key_indices, fanout, level=level)
+
+        monkeypatch.setattr(spool, "partition_by_keys", partition)
         report = run_tpch_suite(queries=(1, 6))
         assert report.ok, report.to_json()
         assert report.counters["checks_run"] > 0
         assert report.counters["stream_events"] > 0
+        # The out-of-core-scatter config really scatters operator state.
+        assert 0 in scatters
 
     def test_battery_suite_clean(self):
         report = run_battery_suite(limit=12)

@@ -84,11 +84,12 @@ def unique_calls(monkeypatch):
 
 @pytest.fixture
 def partition_every_sink(monkeypatch):
-    """Out-of-core sinks scatter every chunk, as if no input ever fit the
-    spool's in-core hold.  An oracle whose pool is roomy enough for the
-    spool to hold everything would otherwise check only the in-core
-    branch; in-core engines never reach the spool, so this is inert for
-    them."""
+    """Keyed sinks of an out-of-core run scatter every chunk, as if no
+    input ever fit the spool's in-core hold.  An oracle whose pool is
+    roomy enough for the spool to hold everything would otherwise check
+    only the in-core branch.  An in-core run never asks for the hold
+    decision, so this is inert for it (``TestOneOperatorTree`` in
+    ``tests/core/test_out_of_core.py`` checks that)."""
     from repro.core.operators import spool
 
     monkeypatch.setattr(spool, "_hold", lambda ctx, held_bytes: False)

@@ -175,14 +175,16 @@ class TestEngineMechanics:
         text = engine.explain_physical(plan)
         assert "HashJoinBuild" in text and "GroupBy" in text
         assert text.count("P") >= 3  # at least three pipelines
-        # An out-of-core engine explains the partitioned plan it runs.
+        # An out-of-core engine explains the plan it runs, which is the
+        # in-core engine's plan.
         tpch = generate_tpch(sf=0.001)
         host = MiniDuck()
         host.load_tables(tpch)
         q3 = host.plan(tpch_query(3))
         ooc = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, out_of_core=True)
         text = ooc.explain_physical(q3)
-        assert "PartitionedHashJoinBuild" in text and "PartitionedGroupBy" in text
+        assert "HashJoinBuild" in text and "GroupBy" in text
+        assert text == engine.explain_physical(q3)
         assert text == ooc.start_query(q3, tpch).physical.explain()
 
     def test_batched_execution_identical(self, data):

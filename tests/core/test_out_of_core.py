@@ -307,8 +307,8 @@ class TestInCoreFirst:
         every chunk exactly once.  In a roomy pool nothing is scattered and
         the held chunks are released after the concat."""
         from repro.core.operators import spool
-        from repro.core.operators.aggregate import PartitionedGroupBySink
-        from repro.core.operators.join import PartitionedHashJoinBuildSink
+        from repro.core.operators.aggregate import GroupBySink
+        from repro.core.operators.join import HashJoinBuildSink
 
         scattered = []  # level-0 spool inputs, in order
 
@@ -321,7 +321,7 @@ class TestInCoreFirst:
 
         monkeypatch.setattr(spool, "partition_by_keys", partition)
         consumed = []  # (chunk, spool inputs scattered while consuming it)
-        for sink in (PartitionedHashJoinBuildSink, PartitionedGroupBySink):
+        for sink in (HashJoinBuildSink, GroupBySink):
 
             def consume(self, ctx, chunk, state, real=sink.consume):
                 before = len(scattered)
@@ -386,7 +386,7 @@ class TestInCoreFirst:
         keys = np.arange(100_000)
         chunk = GTable.from_host(engine.device, _ints(k=keys, v=keys * 3))
         pool.soft_limit = pool.in_use + chunk.nbytes // 2
-        ctx = ExecutionContext(engine.device, bm, {}, engine.registry)
+        ctx = ExecutionContext(engine.device, bm, {}, engine.registry, out_of_core=True)
         state = {"slots": {}, "frag_ns": bm.fragment_namespace()}
 
         spool.spool_chunk(ctx, chunk, [0], "s", state)
@@ -396,6 +396,35 @@ class TestInCoreFirst:
         got = np.concatenate([leaf.column("k").data for leaf in leaves])
         assert np.array_equal(np.sort(got), keys)
         assert bm.spill_stats()["live_fragments"] == 0
+
+
+class TestOneOperatorTree:
+    """Out-of-core is a property of the run, not of the plan: both modes
+    compile the same pipelines, and only the run's context tells the
+    spool whether it may scatter."""
+
+    @pytest.mark.parametrize("q", range(1, 23))
+    def test_both_modes_explain_the_same_pipelines(self, planner, in_core, ooc, q):
+        plan = planner.plan_sql(tpch_query(q))
+        assert ooc.explain_physical(plan) == in_core.explain_physical(plan)
+
+    @pytest.mark.parametrize("q", [3, 9])
+    def test_partition_every_sink_is_inert_in_core(self, data, planner, q, request):
+        """The fixture forces every out-of-core hold decision to scatter; an
+        in-core run never asks, so it runs exactly as without it."""
+        plan = planner.plan_sql(tpch_query(q))
+
+        def run():
+            engine = SiriusEngine.for_spec(GH200, memory_limit_gb=8.0)
+            engine.warm_cache(data)
+            return engine.execute(plan, data).to_rows(), engine.last_profile
+
+        rows, profile = run()
+        request.getfixturevalue("partition_every_sink")
+        forced_rows, forced = run()
+        assert forced_rows == rows
+        assert forced.kernel_count == profile.kernel_count
+        assert repr(forced.sim_seconds) == repr(profile.sim_seconds)
 
 
 class TestDefaultsUnchanged:
