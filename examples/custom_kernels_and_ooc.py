@@ -69,7 +69,7 @@ def main() -> None:
     # A 2 MB caching region cannot hold lineitem's Q1 columns even with
     # spilling: both GPU retries run out of memory too.
     strict = SiriusEngine.for_spec(A100_40G, memory_limit_gb=0.004)
-    strict.set_host_executor(lambda p: CpuEngine().execute(p, data))
+    strict.set_host_executor(CpuEngine().execute)
     result = strict.execute(plan1, data)  # device OOMs -> host engine runs it
     event = strict.fallback.events[-1]
     print(

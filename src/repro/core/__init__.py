@@ -9,7 +9,7 @@ from .deadline import (
 )
 from .executor import OperatorTiming, PipelineExecutor, QueryProfile
 from .expr_compile import UnsupportedExpressionError
-from .fallback import DegradationTier, FALLBACK_EXCEPTIONS, FallbackEvent, FallbackHandler
+from .fallback import FALLBACK_EXCEPTIONS, FallbackEvent, FallbackHandler
 from .operators.base import Category, ExecutionContext, OperatorRegistry, UnsupportedFeatureError
 from .planner import PhysicalPlan, Pipeline, compile_plan
 from .sirius import SiriusEngine
@@ -19,7 +19,6 @@ __all__ = [
     "Category",
     "Deadline",
     "DeadlineExceededError",
-    "DegradationTier",
     "DidNotFinishError",
     "MemoryBudgetExceededError",
     "ExecutionContext",

@@ -1,21 +1,22 @@
-"""Graceful degradation tiers (§3.2.2, extended with a fault model).
+"""Graceful degradation (§3.2.2, extended with a fault model).
 
 Sirius "includes a graceful fallback mechanism to the host database
 systems in the case of an error or missing features".  The engine wraps
-GPU execution; recoverable failures walk an ordered ladder of
-:class:`DegradationTier`\\ s instead of jumping straight to the host:
+GPU execution; recoverable failures climb an ordered ladder instead of
+jumping straight to the host:
 
-1. ``gpu-retry-spill`` — device OOM only: re-run on the GPU in small
-   batches (§3.4);
-2. ``gpu-spill`` — device OOM on an in-core engine only: re-run the same
-   plan out-of-core, so its keyed sinks may spill (:func:`gpu_rungs`
-   lists these two rungs, :func:`retry_settings` holds what each changes);
-3. ``cpu-pipeline`` — re-run this pipeline/fragment on the node's CPU
-   while the rest of the query stays on the GPU (wired by hosts that
-   execute fragment-at-a-time, e.g. MiniDoris);
-4. ``cpu-plan`` — the seed behaviour: re-execute the whole plan through
+1. ``gpu-retry-spill`` — re-run on the GPU in small batches (§3.4);
+2. ``gpu-spill`` — in-core engines only: re-run the same plan
+   out-of-core, so its keyed sinks may spill (:func:`gpu_rungs` lists
+   these two rungs, :func:`retry_settings` holds what each changes);
+3. ``cpu-plan`` — the seed behaviour: re-execute the whole plan through
    the registered host executor;
-5. raise — no tier could absorb the failure.
+4. raise — no rung could absorb the failure.
+
+:func:`next_rung` is the one rule for the GPU rungs, shared by
+``SiriusEngine.execute`` and the serving scheduler: a query starts
+climbing only on device OOM, and once on a rung any recoverable failure
+moves it one rung up.
 
 Exactly **one** :class:`FallbackEvent` is recorded per degraded query —
 carrying the original error, the tier that finally absorbed it, and every
@@ -27,9 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..columnar import Table
 from ..gpu.device import TransientKernelError
 from ..gpu.memory import OutOfDeviceMemory
 from ..obs import NULL_TRACER
@@ -40,11 +39,11 @@ from .operators.base import UnsupportedFeatureError
 __all__ = [
     "FallbackHandler",
     "FallbackEvent",
-    "DegradationTier",
     "FALLBACK_EXCEPTIONS",
     "HOST_TIER",
     "OOC_RETRY_BATCH_ROWS",
     "gpu_rungs",
+    "next_rung",
     "retry_settings",
 ]
 
@@ -64,26 +63,6 @@ def plan_fingerprint(plan: Plan) -> str:
         return "unknown"
 
 
-@dataclass(frozen=True)
-class DegradationTier:
-    """One rung of the degradation ladder.
-
-    Attributes:
-        name: Tier label recorded in events (e.g. ``"gpu-retry-spill"``).
-        handler: ``(plan, original_exception) -> Table``; may itself raise
-            a fallback exception, which passes control to the next tier.
-        triggers: Exception types this tier can absorb; the tier is
-            skipped when the original failure is not an instance.
-        gpu_result: True when the tier still produces its result on the
-            GPU (so the engine's query profile remains valid).
-    """
-
-    name: str
-    handler: Callable[[Plan, BaseException], Table]
-    triggers: tuple = FALLBACK_EXCEPTIONS
-    gpu_result: bool = False
-
-
 # The last rung: the whole plan re-run by the registered host executor.
 HOST_TIER = "cpu-plan"
 
@@ -98,6 +77,20 @@ def gpu_rungs(out_of_core: bool) -> tuple[str, ...]:
     device OOM.  An out-of-core engine already runs partitioned, so it
     has no ``gpu-spill`` rung to escalate to."""
     return ("gpu-retry-spill",) if out_of_core else ("gpu-retry-spill", "gpu-spill")
+
+
+def next_rung(
+    out_of_core: bool, failure: BaseException, tier: str | None
+) -> str | None:
+    """The GPU rung to re-run on after the recoverable ``failure`` ended
+    the attempt at ``tier`` (``None`` = the first attempt), or ``None``
+    once the rungs are spent.  Climbing starts only on device OOM; once
+    on a rung, any recoverable failure moves one rung up."""
+    rungs = gpu_rungs(out_of_core)
+    if tier is None:
+        return rungs[0] if isinstance(failure, OutOfDeviceMemory) else None
+    step = rungs.index(tier) + 1
+    return rungs[step] if step < len(rungs) else None
 
 
 def retry_settings(tier: str, batch_rows: int | None) -> dict:
@@ -119,82 +112,40 @@ class FallbackEvent:
     ``memory_watermark`` is the processing-pool bytes in use when the
     event was recorded (how full the pool was at the failure) and
     ``spill_bytes_attempted`` the total bytes the engine had spilled
-    trying to stay on the GPU — both ``None`` when the engine has no
-    memory probe wired (e.g. a bare handler under test)."""
+    trying to stay on the GPU."""
 
     reason: str
     exception_type: str
-    tier: str = HOST_TIER  # tier that absorbed the failure ("raise" = none)
-    tiers_attempted: tuple = ()
-    plan_fingerprint: str = "unknown"
-    sim_time: float | None = None
-    memory_watermark: int | None = None
-    spill_bytes_attempted: int | None = None
+    tier: str  # tier that absorbed the failure ("raise" = none)
+    tiers_attempted: tuple
+    plan_fingerprint: str
+    sim_time: float
+    memory_watermark: int
+    spill_bytes_attempted: int
 
 
 @dataclass
 class FallbackHandler:
-    """Wraps GPU execution with the tiered degradation ladder."""
+    """The engine's degradation log: one :class:`FallbackEvent` per
+    degraded query, mirrored to the tracer."""
 
-    host_executor: Callable[[Plan], Table] | None = None
     events: list[FallbackEvent] = field(default_factory=list)
     # Observability sink; every recorded FallbackEvent is mirrored as a
     # span event carrying the tier label and the ladder walked.
     tracer: object = NULL_TRACER
-    # Optional ``() -> {"memory_watermark": int, "spill_bytes_attempted": int}``
-    # sampled at record time so every event says how full the pool was and
-    # how much spilling was tried before degrading (None fields otherwise).
-    memory_probe: Callable[[], dict] | None = None
 
-    def run(
+    def record(
         self,
-        gpu_execute: Callable[[], Table],
+        exc: BaseException,
         plan: Plan,
-        tiers: tuple = (),
-        clock=None,
-    ) -> tuple[Table, DegradationTier | None]:
-        """Run ``gpu_execute``; walk the degradation tiers on known failures.
-
-        ``tiers`` are tried in order; the registered ``host_executor`` (if
-        any) is appended as the final ``cpu-plan`` tier.  One event is
-        recorded per degraded query regardless of how many tiers ran.
-
-        Returns:
-            ``(result, tier)`` — ``tier`` is ``None`` on the happy path,
-            else the :class:`DegradationTier` that produced the result.
-
-        Raises:
-            The original exception if no tier absorbed it, or any
-            exception outside the fallback set (bugs must surface).
-        """
-        try:
-            return gpu_execute(), None
-        except FALLBACK_EXCEPTIONS as exc:
-            original = exc
-
-        ladder = list(tiers)
-        if self.host_executor is not None:
-            ladder.append(
-                DegradationTier(
-                    HOST_TIER, lambda p, _exc: self.host_executor(p), FALLBACK_EXCEPTIONS
-                )
-            )
-        attempted: list[str] = []
-        for tier in ladder:
-            if not isinstance(original, tier.triggers):
-                continue
-            attempted.append(tier.name)
-            try:
-                result = tier.handler(plan, original)
-            except FALLBACK_EXCEPTIONS:
-                continue  # this tier could not absorb it either; next rung
-            self._record(original, plan, tier.name, attempted, clock)
-            return result, tier
-        self._record(original, plan, "raise", attempted, clock)
-        raise original
-
-    def _record(self, exc, plan, tier: str, attempted: list, clock) -> None:
-        memory = self.memory_probe() if self.memory_probe is not None else {}
+        tier: str,
+        attempted: list,
+        clock,
+        memory_watermark: int,
+        spill_bytes_attempted: int,
+    ) -> None:
+        """Log that ``exc`` degraded ``plan`` to ``tier`` (``"raise"`` =
+        no tier absorbed it) after trying ``attempted``."""
         self.events.append(
             FallbackEvent(
                 reason=str(exc),
@@ -202,14 +153,14 @@ class FallbackHandler:
                 tier=tier,
                 tiers_attempted=tuple(attempted),
                 plan_fingerprint=plan_fingerprint(plan),
-                sim_time=clock.now if clock is not None else None,
-                memory_watermark=memory.get("memory_watermark"),
-                spill_bytes_attempted=memory.get("spill_bytes_attempted"),
+                sim_time=clock.now,
+                memory_watermark=memory_watermark,
+                spill_bytes_attempted=spill_bytes_attempted,
             )
         )
         self.tracer.event(
             "fallback",
-            sim_time=clock.now if clock is not None else 0.0,
+            sim_time=clock.now,
             tier=tier,
             tiers_attempted=tuple(attempted),
             exception=type(exc).__name__,

@@ -23,7 +23,6 @@ from typing import Callable, Mapping
 
 from ..columnar import Table
 from ..gpu.device import Device
-from ..gpu.memory import OutOfDeviceMemory
 from ..gpu.specs import GH200, DeviceSpec
 from ..obs import NULL_TRACER
 from ..kernels import groupby as groupby_kernel
@@ -33,10 +32,10 @@ from .deadline import Deadline
 from .executor import PipelineExecutor, QueryProfile, QueryRun
 from .fallback import (
     FALLBACK_EXCEPTIONS,
+    HOST_TIER,
     OOC_RETRY_BATCH_ROWS,
-    DegradationTier,
     FallbackHandler,
-    gpu_rungs,
+    next_rung,
     retry_settings,
 )
 from .operators.base import ExecutionContext, OperatorRegistry
@@ -67,7 +66,12 @@ def default_registry() -> OperatorRegistry:
 
 
 class SiriusEngine:
-    """GPU-native execution engine consuming Substrait-style plans."""
+    """GPU-native execution engine consuming Substrait-style plans.
+
+    :meth:`execute` climbs one degradation ladder on recoverable failures:
+    the GPU rungs by :func:`~.fallback.next_rung`, then the one CPU tier,
+    the ``(plan, catalog)`` executor given to :meth:`set_host_executor`.
+    """
 
     def __init__(
         self,
@@ -129,8 +133,7 @@ class SiriusEngine:
         self.registry = default_registry()
         self.batch_rows = batch_rows
         self.fallback = FallbackHandler(tracer=self.tracer)
-        self.fallback.memory_probe = self._memory_probe
-        self.pipeline_cpu_executor = None
+        self.host_executor: Callable[[Plan, Mapping[str, Table]], Table] | None = None
         self.last_profile: QueryProfile | None = None
         self.queries_executed = 0
         self.out_of_core = out_of_core
@@ -167,10 +170,14 @@ class SiriusEngine:
         ``use_implementation("groupby", "custom")``."""
         self.registry.use(op_kind, impl_name)
 
-    def set_host_executor(self, host_executor: Callable[[Plan], Table]) -> None:
-        """Register the host-engine callback of the final ``cpu-plan``
-        degradation tier."""
-        self.fallback.host_executor = host_executor
+    def set_host_executor(
+        self, host_executor: Callable[[Plan, Mapping[str, Table]], Table]
+    ) -> None:
+        """Register the ``(plan, catalog) -> Table`` host engine of the
+        final ``cpu-plan`` degradation tier, e.g. ``CpuEngine().execute``;
+        it re-runs the plan against the catalog of the :meth:`execute`
+        call that degraded."""
+        self.host_executor = host_executor
 
     def _install_pressure_hooks(self) -> None:
         """Route processing-pool allocation pressure into partition spills
@@ -182,24 +189,6 @@ class SiriusEngine:
         pool.pressure_callback = self.buffer_manager.handle_pressure
         self.buffer_manager.pinned_fragment_budget = pool.capacity
 
-    def _memory_probe(self) -> dict:
-        """Memory state sampled into :class:`FallbackEvent` records."""
-        bm = self.buffer_manager
-        return {
-            "memory_watermark": self.device.processing_pool.stats().in_use,
-            # Cached tables pushed to pinned host + partition fragments
-            # spilled: everything the engine moved trying to stay on-GPU.
-            "spill_bytes_attempted": bm.pinned_host_bytes + bm.spilled_fragment_bytes,
-        }
-
-    def set_pipeline_cpu_executor(
-        self, executor: Callable[[Plan, Mapping[str, Table]], Table]
-    ) -> None:
-        """Register the ``(plan, catalog) -> Table`` callback of the
-        ``cpu-pipeline`` tier, which re-runs just the failed fragment plan
-        on the node's CPU (hosts that execute fragment-at-a-time)."""
-        self.pipeline_cpu_executor = executor
-
     # -- execution --------------------------------------------------------------
 
     def execute(
@@ -208,11 +197,10 @@ class SiriusEngine:
         """Execute a plan against host ``catalog`` tables; returns a host
         table (device->host copy of the result is charged).
 
-        Recoverable failures walk the degradation ladder: device OOM first
-        walks the engine's GPU rungs (:func:`~.fallback.gpu_rungs`: a
+        Recoverable failures climb the degradation ladder: the GPU rungs
+        that :func:`~.fallback.next_rung` picks (device OOM only: a
         batched retry, then for in-core engines an out-of-core run), then
-        (if wired) the ``cpu-pipeline`` tier, then the registered host
-        executor.  ``deadline_s`` is a
+        the registered host executor.  ``deadline_s`` is a
         simulated-time budget enforced at pipeline boundaries; exceeding
         it raises
         :class:`~repro.core.deadline.DeadlineExceededError`, which is *not*
@@ -223,55 +211,81 @@ class SiriusEngine:
             Deadline(deadline_s, self.device.clock) if deadline_s is not None else None
         )
         relaunches_before = self.device.kernel_relaunches
-
-        def gpu_run(**overrides) -> Table:
-            self.buffer_manager.clear_fragments()
-            self.device.reset_processing_pool()
-            run = self._start(plan, catalog, deadline, **overrides)
-            while run.step():
-                pass
-            self.last_profile = run.profile
-            result = run.result.to_host()  # deep copy back to the host format
-            self.buffer_manager.clear_fragments()
-            return result
-
-        def gpu_retry(name: str) -> DegradationTier:
-            # Same query under the tier's arguments; the wasted first
-            # attempt has already been charged to the clock.
-            settings = retry_settings(name, self.batch_rows)
-            return DegradationTier(
-                name,
-                lambda _plan, _exc: gpu_run(**settings),
-                (OutOfDeviceMemory,),
-                gpu_result=True,
-            )
-
-        tiers = [gpu_retry(name) for name in gpu_rungs(self.out_of_core)]
-        if self.pipeline_cpu_executor is not None:
-            tiers.append(
-                DegradationTier(
-                    "cpu-pipeline",
-                    lambda p, _exc: self.pipeline_cpu_executor(p, catalog),
-                    FALLBACK_EXCEPTIONS,
-                )
-            )
-        result, tier = self.fallback.run(
-            gpu_run, plan, tiers=tuple(tiers), clock=self.device.clock
-        )
+        try:
+            result, tier = self._run_on_gpu(plan, catalog, deadline), None
+        except FALLBACK_EXCEPTIONS as exc:
+            result, tier = self._degrade(plan, catalog, deadline, exc)
         self.queries_executed += 1
-        if self.sanitizer is not None and (tier is None or tier.gpu_result):
+        if tier == HOST_TIER:
+            self.last_profile = None  # GPU profile would be misleading
+        elif self.sanitizer is not None:
             # CPU-tier results are excluded: a failed GPU attempt's
-            # fragments are cleared by the *next* gpu_run by design.
+            # fragments are cleared by the *next* GPU attempt by design.
             self.sanitizer.check_query_end(
                 self, f"engine.execute:q{self.queries_executed}"
             )
-        if tier is not None and not tier.gpu_result:
-            self.last_profile = None  # GPU profile would be misleading
         if self.last_profile is not None:
             self.last_profile.retries = self.device.kernel_relaunches - relaunches_before
             if tier is not None:
-                self.last_profile.fallback_tier = tier.name
+                self.last_profile.fallback_tier = tier
         return result
+
+    def _run_on_gpu(
+        self, plan: Plan, catalog: Mapping[str, Table], deadline, **settings
+    ) -> Table:
+        """One GPU attempt on a reset processing pool, copied back to a
+        host table; ``settings`` are a retry's :func:`~.fallback
+        .retry_settings`."""
+        self.buffer_manager.clear_fragments()
+        self.device.reset_processing_pool()
+        run = self._start(plan, catalog, deadline, **settings)
+        while run.step():
+            pass
+        self.last_profile = run.profile
+        result = run.result.to_host()  # deep copy back to the host format
+        self.buffer_manager.clear_fragments()
+        return result
+
+    def _degrade(
+        self, plan: Plan, catalog: Mapping[str, Table], deadline, original: BaseException
+    ) -> tuple[Table, str]:
+        """Climb the ladder after ``original`` failed the first attempt;
+        returns the result and the tier that produced it, recording one
+        event either way.  The wasted attempts stay charged to the clock."""
+        attempted: list[str] = []
+        failure, tier = original, None
+        while (tier := next_rung(self.out_of_core, failure, tier)) is not None:
+            attempted.append(tier)
+            try:
+                result = self._run_on_gpu(
+                    plan, catalog, deadline, **retry_settings(tier, self.batch_rows)
+                )
+                break
+            except FALLBACK_EXCEPTIONS as exc:
+                failure = exc
+        else:  # the GPU rungs are spent
+            tier = "raise"
+            if self.host_executor is not None:
+                attempted.append(HOST_TIER)
+                try:
+                    result, tier = self.host_executor(plan, catalog), HOST_TIER
+                except FALLBACK_EXCEPTIONS:
+                    pass
+        bm = self.buffer_manager
+        self.fallback.record(
+            original,
+            plan,
+            tier,
+            attempted,
+            self.device.clock,
+            memory_watermark=self.device.processing_pool.stats().in_use,
+            # Cached tables pushed to pinned host + partition fragments
+            # spilled: everything the engine moved trying to stay on-GPU.
+            spill_bytes_attempted=bm.pinned_host_bytes + bm.spilled_fragment_bytes,
+        )
+        if tier == "raise":
+            raise original
+        return result, tier
 
     def start_query(
         self,

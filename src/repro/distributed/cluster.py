@@ -100,7 +100,6 @@ class Cluster:
         device_factory: Callable[[SimClock], Device] | None = None,
         fabric: Fabric = INFINIBAND_NDR,
         gpus_per_node: int = 1,
-        intra_node_fabric: Fabric | None = None,
         heartbeat_timeout_s: float = 0.25,
     ):
         """
@@ -111,8 +110,6 @@ class Cluster:
             fabric: Inter-host interconnect (default: 4x NDR InfiniBand).
             gpus_per_node: Ranks per host (§3.4's multi-GPU extension);
                 total execution ranks = ``num_nodes * gpus_per_node``.
-            intra_node_fabric: Link between ranks sharing a host (default:
-                NVLink peer-to-peer).
             heartbeat_timeout_s: Simulated seconds of heartbeat silence
                 after which the coordinator declares a node dead.
         """
@@ -127,9 +124,6 @@ class Cluster:
 
         self.gpus_per_node = gpus_per_node
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self._intra_node_fabric = (
-            intra_node_fabric if intra_node_fabric is not None else NVLINK_P2P
-        )
         self.fault_injector = None
         self.nodes = []
         for rank in range(num_nodes * gpus_per_node):
@@ -143,7 +137,7 @@ class Cluster:
 
         def fabric_for(i: int, j: int):
             if self.nodes[i].host_id == self.nodes[j].host_id:
-                return self._intra_node_fabric
+                return NVLINK_P2P
             return None  # default inter-host fabric
 
         self.communicator = Communicator(

@@ -27,23 +27,16 @@ __all__ = ["EngineReplica", "engine_factory"]
 def engine_factory(
     spec: DeviceSpec = GH200,
     warm: Mapping[str, Table] | None = None,
-    clock=None,
-    caching_fraction: float = 0.5,
     memory_limit_gb: float | None = None,
     **engine_kwargs,
 ) -> Callable[[int], SiriusEngine]:
-    """A replica-engine builder: each call makes a fresh device (on the
-    shared ``clock`` when given) and engine, warm-caching ``warm``.
+    """A replica-engine builder: each call makes a fresh device and
+    engine, warm-caching ``warm``.
     The returned callable takes the replica id (unused by the default
     factory, but custom factories can vary hardware per replica)."""
 
     def build(replica_id: int) -> SiriusEngine:
-        device = Device(
-            spec,
-            clock=clock,
-            caching_fraction=caching_fraction,
-            memory_limit_gb=memory_limit_gb,
-        )
+        device = Device(spec, memory_limit_gb=memory_limit_gb)
         engine = SiriusEngine(device, **engine_kwargs)
         if warm:
             engine.warm_cache(warm)

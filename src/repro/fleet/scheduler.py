@@ -38,7 +38,7 @@ from ..core.sirius import SiriusEngine
 from ..faults import FaultPlan, NodeCrash
 from ..obs import MetricSet
 from ..plan import Plan
-from ..sched import SERVING_BATCH_ROWS, ServingScheduler
+from ..sched import ServingScheduler
 from .autoscale import Autoscaler
 from .cache import PlanCache, ResultCache, TableVersions
 from .digest import plan_digest
@@ -68,13 +68,11 @@ class FleetScheduler:
         policy="fifo",
         streams: int = 4,
         seed: int = 0,
-        batch_rows: int | None = SERVING_BATCH_ROWS,
         result_cache_bytes: int = 0,
         plan_cache_entries: int = 0,
         quotas: Mapping[str, TenantQuota] | None = None,
         autoscaler: Autoscaler | None = None,
         fault_plan: FaultPlan | None = None,
-        metrics: MetricSet | None = None,
     ):
         """
         Args:
@@ -85,7 +83,7 @@ class FleetScheduler:
             routing: ``round-robin`` / ``least-outstanding`` /
                 ``placement`` or a :class:`~repro.fleet.routing
                 .RoutingPolicy`.
-            policy / streams / seed / batch_rows: Passed to every
+            policy / streams / seed: Passed to every
                 replica's :class:`~repro.sched.ServingScheduler`.
             result_cache_bytes: Byte budget of the exact-result cache;
                 0 (default) disables it.
@@ -98,8 +96,6 @@ class FleetScheduler:
             fault_plan: Scheduled faults; ``NodeCrash(node_id=i)`` halts
                 replica ``i`` and the fleet retries its in-flight work
                 on survivors.
-            metrics: Shared :class:`~repro.obs.MetricSet` for cache and
-                fleet gauges (one is created if omitted).
         """
         if replicas < 1:
             raise ValueError("the fleet needs at least one replica")
@@ -109,8 +105,7 @@ class FleetScheduler:
         self.policy = policy
         self.streams = streams
         self.seed = seed
-        self.batch_rows = batch_rows
-        self.metrics = metrics if metrics is not None else MetricSet()
+        self.metrics = MetricSet()  # cache and fleet gauges
         self.result_cache = (
             ResultCache(result_cache_bytes, self.metrics)
             if result_cache_bytes > 0
@@ -201,7 +196,6 @@ class FleetScheduler:
             policy=self.policy,
             streams=self.streams,
             seed=self.seed,
-            batch_rows=self.batch_rows,
         )
         scheduler.on_complete = self._on_job_complete
         scheduler.begin_run()

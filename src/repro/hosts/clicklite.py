@@ -61,10 +61,8 @@ class ClickLite(Catalog):
 
     def __init__(
         self,
-        spec: DeviceSpec = CLICKLITE_SPEC,
         max_intermediate_rows: int | None = 4_000_000,
         deadline_s: float | None = None,
-        tracer=None,
     ):
         """Both arguments are dimensions of the per-query
         :class:`~repro.core.deadline.Deadline` envelope, enforced inside
@@ -74,18 +72,14 @@ class ClickLite(Catalog):
         written-order cross join outgrows any realistic ceiling (and, at
         scale, any timeout), reproducing the paper's "Q9 does not
         finish"."""
-        from ..obs import NULL_TRACER
-
         super().__init__()
-        self.device = Device(spec)
+        self.device = Device(CLICKLITE_SPEC)
         self.deadline_s = deadline_s
         self.cpu_engine = CpuEngine(
             self.device,
             max_intermediate_rows=max_intermediate_rows,
             materialize_joins=True,
         )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.device.tracer = self.tracer
 
     def plan(self, sql: str) -> Plan:
         planner = SqlPlanner(
@@ -99,22 +93,8 @@ class ClickLite(Catalog):
         return Plan(prune_columns(plan.root), plan.version)
 
     def execute(self, sql: str) -> QueryResult:
-        from ..core.deadline import DidNotFinishError
-
         plan = self.plan(sql)
-        with self.tracer.span(
-            "query", kind="query", clock=self.device.clock, engine="clicklite"
-        ) as qspan:
-            try:
-                table = self.cpu_engine.execute(
-                    plan, self.tables, deadline_s=self.deadline_s
-                )
-            except DidNotFinishError as exc:
-                self.tracer.event(
-                    "did-not-finish", sim_time=self.device.clock.now, reason=str(exc)
-                )
-                raise
-            qspan.set(rows_out=table.num_rows)
+        table = self.cpu_engine.execute(plan, self.tables, deadline_s=self.deadline_s)
         return QueryResult(table, "clicklite", self.cpu_engine.last_sim_seconds)
 
     def supports_tpch(self, query_number: int) -> bool:

@@ -22,7 +22,7 @@ from ..columnar.dtypes import date_to_days, dtype_from_name
 from ..core.deadline import Deadline
 from ..gpu.costmodel import KernelClass
 from ..gpu.device import Device
-from ..gpu.specs import M7I_CPU, DeviceSpec
+from ..gpu.specs import M7I_CPU
 from ..plan import (
     AggregateRel,
     FetchRel,
@@ -72,14 +72,12 @@ class CpuEngine:
     def __init__(
         self,
         device: Device | None = None,
-        spec: DeviceSpec = M7I_CPU,
         max_intermediate_rows: int | None = 50_000_000,
         materialize_joins: bool = False,
     ):
         """
         Args:
-            device: Shared CPU device (a fresh one is made from ``spec``).
-            spec: Hardware parameters when no device is given.
+            device: Shared CPU device (a fresh ``M7I_CPU`` one by default).
             max_intermediate_rows: Memory ceiling of the per-query
                 :class:`~repro.core.deadline.Deadline` envelope — abort
                 (``DidNotFinishError``) when a join would materialise more
@@ -89,7 +87,7 @@ class CpuEngine:
                 ClickHouse-style execution behaviour that makes join-heavy
                 queries degrade in the paper's Figure 4.
         """
-        self.device = device if device is not None else Device(spec)
+        self.device = device if device is not None else Device(M7I_CPU)
         self.max_intermediate_rows = max_intermediate_rows
         self.materialize_joins = materialize_joins
         self.queries_executed = 0

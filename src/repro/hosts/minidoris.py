@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..columnar import Table
 from ..core import SiriusEngine
 from ..gpu.device import Device
-from ..gpu.nccl import ETHERNET_100G, INFINIBAND_NDR, Fabric
+from ..gpu.nccl import ETHERNET_100G, INFINIBAND_NDR
 from ..gpu.specs import A100_40G, DeviceSpec, XEON_6526Y
 from ..plan import Plan
 from ..sql import SqlPlanner
@@ -65,9 +65,6 @@ class MiniDoris(Catalog):
         self,
         num_nodes: int = 4,
         mode: str = "doris",
-        fabric: Fabric | None = None,
-        gpu_spec: DeviceSpec = A100_40G,
-        gpu_memory_limit_gb: float | None = None,
         gpus_per_node: int = 1,
         predicate_transfer: bool = False,
         heartbeat_timeout_s: float = 0.25,
@@ -92,17 +89,14 @@ class MiniDoris(Catalog):
 
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.predicate_transfer = predicate_transfer
-        if fabric is None:
-            # Sirius exchanges over InfiniBand via NCCL; the CPU hosts'
-            # exchange services run on plain Ethernet-class throughput.
-            fabric = INFINIBAND_NDR if mode == "sirius" else ETHERNET_100G
+        # Sirius exchanges over InfiniBand via NCCL; the CPU hosts'
+        # exchange services run on plain Ethernet-class throughput.
+        fabric = INFINIBAND_NDR if mode == "sirius" else ETHERNET_100G
 
         if mode == "sirius":
 
             def factory(clock):
-                return Device(
-                    gpu_spec, clock=clock, memory_limit_gb=gpu_memory_limit_gb
-                )
+                return Device(A100_40G, clock=clock)
 
         else:
             spec = DORIS_SPEC if mode == "doris" else CLICKLITE_SPEC
@@ -140,7 +134,7 @@ class MiniDoris(Catalog):
             return CpuEngine(node.device, materialize_joins=(self.mode == "clickhouse"))
         engine = SiriusEngine(node.device, tracer=self.tracer, overlap=self.overlap)
         # Standby CPU device on the *same clock* as the node's GPU: the
-        # cpu-pipeline degradation tier re-runs a failed fragment there,
+        # cpu-plan degradation tier re-runs a failed fragment there,
         # so its (slower) execution time lands in the query total.
         standby = CpuEngine(Device(DORIS_SPEC, clock=node.device.clock))
         uid = node.uid
@@ -155,7 +149,7 @@ class MiniDoris(Catalog):
             )
             return standby.execute(plan, catalog)
 
-        engine.set_pipeline_cpu_executor(run_fragment_on_cpu)
+        engine.set_host_executor(run_fragment_on_cpu)
         return engine
 
     # -- catalog ----------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Mapping, Protocol
 
 from ..columnar import Table
 from ..gpu.device import Device
-from ..gpu.specs import M7I_CPU, DeviceSpec
+from ..gpu.specs import M7I_CPU
 from ..plan import Plan
 from ..sql import SqlPlanner
 from ..sql.optimizer import optimize_plan
@@ -53,18 +53,11 @@ class QueryResult:
 class MiniDuck(Catalog):
     """An embedded analytical database with a swappable execution engine."""
 
-    def __init__(self, spec: DeviceSpec = M7I_CPU, tracer=None):
-        from ..obs import NULL_TRACER
-
+    def __init__(self):
         super().__init__()
-        self.device = Device(spec)
+        self.device = Device(M7I_CPU)
         self.cpu_engine = CpuEngine(self.device)
         self._extension: ExecutionExtension | None = None
-        # Observability: the host traces its own CPU path; an installed
-        # extension (e.g. Sirius) traces GPU execution with whatever
-        # tracer its engine was built with.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.device.tracer = self.tracer
 
     # -- persistence ---------------------------------------------------------
     #
@@ -82,14 +75,14 @@ class MiniDuck(Catalog):
             write_table(table, directory / f"{name}.rpq")
 
     @classmethod
-    def open(cls, directory: str | Path, **kwargs) -> "MiniDuck":
+    def open(cls, directory: str | Path) -> "MiniDuck":
         """Open a database directory previously written by :meth:`save`."""
         from ..columnar import read_table
 
         directory = Path(directory)
         if not directory.is_dir():
             raise FileNotFoundError(f"no database directory at {directory}")
-        db = cls(**kwargs)
+        db = cls()
         for path in sorted(directory.glob("*.rpq")):
             db.create_table(path.stem, read_table(path))
         return db
@@ -127,9 +120,5 @@ class MiniDuck(Catalog):
             profile = getattr(self._extension, "last_profile", None)
             sim = profile.sim_seconds if profile is not None else 0.0
             return QueryResult(table, self._extension.name, sim, profile)
-        with self.tracer.span(
-            "query", kind="query", clock=self.device.clock, engine="miniduck-cpu"
-        ) as qspan:
-            table = self.cpu_engine.execute(plan, self.tables)
-            qspan.set(rows_out=table.num_rows)
+        table = self.cpu_engine.execute(plan, self.tables)
         return QueryResult(table, "miniduck-cpu", self.cpu_engine.last_sim_seconds)

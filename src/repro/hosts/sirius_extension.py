@@ -30,16 +30,12 @@ class SiriusExtension:
 
     def __init__(self, engine: SiriusEngine, fallback_engine: CpuEngine | None = None):
         self.engine = engine
-        self._catalog: Mapping[str, Table] = {}
         if fallback_engine is not None:
-            engine.set_host_executor(
-                lambda plan: fallback_engine.execute(plan, self._catalog)
-            )
+            engine.set_host_executor(fallback_engine.execute)
         self.plans_received = 0
 
     def execute_substrait(self, plan_json: str, catalog: Mapping[str, Table]) -> Table:
         """Deserialize and execute one Substrait-style plan."""
-        self._catalog = catalog
         plan = Plan.from_json(plan_json)
         self.plans_received += 1
         return self.engine.execute(plan, catalog)

@@ -39,7 +39,7 @@ from ..core.deadline import Deadline, DeadlineExceededError, DidNotFinishError
 from ..core.fallback import (
     FALLBACK_EXCEPTIONS,
     OOC_RETRY_BATCH_ROWS,
-    gpu_rungs,
+    next_rung,
     retry_settings,
 )
 from ..core.sirius import SiriusEngine
@@ -437,23 +437,20 @@ class ServingScheduler:
             heapq.heappush(self._completions, (end, job.seq, job))
 
     def _degrade(self, job: QueryJob, end: float, exc: BaseException) -> None:
-        """Walk the job one degradation tier down, or fail it.
+        """Move the job one degradation tier up, or fail it.
 
-        Serving-mode walk of the engine's GPU rungs
-        (:func:`~repro.core.fallback.gpu_rungs`), under the *same*
-        deadline.  Serving has no CPU tier, so every recoverable failure
-        (device OOM, unsupported feature, persistent kernel fault)
-        triggers the next rung; past the last one the failure is final.
-        The wasted attempts' time stays charged, exactly like the
-        single-query path.
+        The engine's own rule (:func:`~repro.core.fallback.next_rung`)
+        picks the GPU rung, under the *same* deadline: a first failure
+        other than device OOM, or one past the last rung, is final —
+        serving has no CPU tier.  The wasted attempts' time stays charged,
+        exactly like the single-query path.
         """
         self.engine.device.processing_pool.release_owner(job.owner_key)
-        rungs = gpu_rungs(self.engine.out_of_core)
-        step = 0 if job.degraded_tier is None else rungs.index(job.degraded_tier) + 1
-        if step == len(rungs):
+        tier = next_rung(self.engine.out_of_core, exc, job.degraded_tier)
+        if tier is None:
             self._finish(job, end, error=exc)
             return
-        job.degraded_tier = rungs[step]
+        job.degraded_tier = tier
         self.degraded += 1
         job.qrun = self.engine.start_query(
             job.plan,

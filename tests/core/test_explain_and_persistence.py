@@ -61,7 +61,7 @@ class TestExplainAnalyze:
             GH200,
             memory_limit_gb=0.00003,  # ~15 KB caching: cannot hold 160 KB
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, big))
+        engine.set_host_executor(CpuEngine().execute)
         plan = PlanBuilder.read("t", SCHEMA).build()
         assert "fell back" in engine.explain_analyze(plan, big)
 

@@ -27,7 +27,7 @@ class TestFallback:
             A100_40G,
             memory_limit_gb=0.00003,  # ~30 KB: cannot hold the table
         )
-        engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
+        engine.set_host_executor(CpuEngine().execute)
         plan = PlanBuilder.read("t", SCHEMA).filter(col("v") > lit(10.0)).build()
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
@@ -37,7 +37,7 @@ class TestFallback:
     def test_missing_table_falls_back(self, data):
         calls = []
 
-        def host(plan):
+        def host(plan, _catalog):
             calls.append(plan)
             return CpuEngine().execute(plan, data)
 
@@ -61,7 +61,7 @@ class TestFallback:
             A100_40G,
             memory_limit_gb=0.00003,
         )
-        engine.set_host_executor(lambda plan: CpuEngine().execute(plan, data))
+        engine.set_host_executor(CpuEngine().execute)
         plan = PlanBuilder.read("t", SCHEMA).build()
         engine.execute(plan, data)
         assert engine.last_profile is None  # GPU profile would be misleading

@@ -98,7 +98,7 @@ class TestOOMSpikes:
         result = db.execute(tpch_query(6))
         assert normalise(result.table) == baseline[6]
         events = db._node_engines[1].fallback.events
-        assert any(e.tier == "cpu-pipeline" for e in events)
+        assert any(e.tier == "cpu-plan" for e in events)
         assert any(e["event"] == "pipeline_cpu_fallback" for e in db.event_log)
 
 

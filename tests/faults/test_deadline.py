@@ -96,7 +96,7 @@ class TestEngineDeadlines:
             A100_40G,
             memory_limit_gb=1.0,
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
+        engine.set_host_executor(CpuEngine().execute)
         with pytest.raises(DeadlineExceededError):
             engine.execute(plan, data, deadline_s=1e-12)
         assert engine.fallback.fallback_count == 0

@@ -2,17 +2,20 @@
 
 The contract under test: OOM escalates through GPU-resident remedies in
 cost order — the cheap spill+batched retry, then full partitioned
-out-of-core execution — then the per-pipeline CPU tier (when wired), then
-the whole-plan host fallback, and only then raises — with exactly one
-enriched event recorded per degraded query.
+out-of-core execution — then the whole-plan host fallback, and only then
+raises — with exactly one enriched event recorded per degraded query.
+``execute`` and the serving scheduler climb the GPU rungs by one rule,
+:func:`~repro.core.fallback.next_rung`.
 """
 
 import pytest
 
 from repro.columnar import Schema, Table
-from repro.core import SiriusEngine
+from repro.core import SiriusEngine, UnsupportedFeatureError
+from repro.core.fallback import next_rung
 from repro.faults import FaultInjector, FaultPlan
 from repro.gpu import OutOfDeviceMemory
+from repro.gpu.device import TransientKernelError
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
 from repro.plan import PlanBuilder, col, lit
@@ -39,6 +42,71 @@ def inject(engine: SiriusEngine, fault_plan: FaultPlan) -> FaultInjector:
     injector = FaultInjector(fault_plan)
     injector.attach_device(engine.device)
     return injector
+
+
+FAILURES = {
+    "oom": OutOfDeviceMemory(1 << 20, 0, "processing"),
+    "unsupported": UnsupportedFeatureError("no GPU kernel"),
+    "kernel-fault": TransientKernelError("kernel kept failing"),
+}
+
+
+class TestNextRung:
+    """The one rule: climbing starts only on device OOM; once on a rung,
+    any recoverable failure moves one rung up until the rungs are spent."""
+
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    @pytest.mark.parametrize(
+        "out_of_core, tier, oom_rung, other_rung",
+        [
+            (False, None, "gpu-retry-spill", None),
+            (False, "gpu-retry-spill", "gpu-spill", "gpu-spill"),
+            (False, "gpu-spill", None, None),
+            (True, None, "gpu-retry-spill", None),
+            (True, "gpu-retry-spill", None, None),
+        ],
+    )
+    def test_table(self, out_of_core, tier, oom_rung, other_rung, failure):
+        expected = oom_rung if failure == "oom" else other_rung
+        assert next_rung(out_of_core, FAILURES[failure], tier) == expected
+
+
+class TestServingSharesTheRule:
+    def test_non_oom_first_failure_is_final(self, plan):
+        """A served query whose table is missing fails after one step and
+        climbs no rung — exactly what ``execute`` does with it."""
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        sched = ServingScheduler(engine, streams=1)
+        job = sched.submit(plan, {})  # table absent on the GPU path
+        report = sched.run()
+        assert job.state == JobState.FAILED
+        assert job.steps == 1
+        assert job.degraded_tier is None
+        assert report.counters["degraded"] == 0
+
+        solo = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        with pytest.raises(UnsupportedFeatureError):
+            solo.execute(plan, {})
+        assert solo.fallback.events[0].tiers_attempted == ()
+        assert solo.fallback.events[0].tier == "raise"
+
+
+class TestHostTierCatalog:
+    def test_host_tier_runs_against_the_calls_catalog(self, plan):
+        """The ``cpu-plan`` tier re-runs the plan on the catalog of the
+        ``execute`` call that degraded, not on one captured earlier."""
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=0.00003)
+        engine.set_host_executor(CpuEngine().execute)
+        for n in (2000, 3000):
+            catalog = {
+                "t": Table.from_pydict(
+                    {"k": list(range(n)), "v": [float(i) for i in range(n)]}, SCHEMA
+                )
+            }
+            out = engine.execute(plan, catalog)
+            assert engine.fallback.events[-1].tier == "cpu-plan"
+            assert out.to_pydict() == CpuEngine().execute(plan, catalog).to_pydict()
+            assert out.num_rows == n - 11
 
 
 class TestRetrySpillTier:
@@ -92,7 +160,7 @@ class TestTierOrdering:
             A100_40G,
             memory_limit_gb=0.00003,
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
+        engine.set_host_executor(CpuEngine().execute)
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
         assert engine.fallback.fallback_count == 1
@@ -101,26 +169,6 @@ class TestTierOrdering:
         assert event.tiers_attempted == ("gpu-retry-spill", "gpu-spill", "cpu-plan")
         assert event.exception_type == "OutOfDeviceMemory"
 
-    def test_cpu_pipeline_tier_runs_before_host(self, data, plan):
-        host_calls = []
-
-        def host(p):
-            host_calls.append(p)
-            return CpuEngine().execute(p, data)
-
-        engine = SiriusEngine.for_spec(
-            A100_40G,
-            memory_limit_gb=0.00003,
-        )
-        engine.set_host_executor(host)
-        engine.set_pipeline_cpu_executor(lambda p, catalog: CpuEngine().execute(p, catalog))
-        out = engine.execute(plan, data)
-        assert out.num_rows == 1989
-        assert host_calls == []  # absorbed one tier earlier
-        event = engine.fallback.events[0]
-        assert event.tier == "cpu-pipeline"
-        assert event.tiers_attempted == ("gpu-retry-spill", "gpu-spill", "cpu-pipeline")
-
     def test_unsupported_feature_skips_gpu_retry(self, data, plan):
         """Only OOM triggers the out-of-core retry; feature gaps go
         straight to the CPU tiers."""
@@ -128,7 +176,7 @@ class TestTierOrdering:
             A100_40G,
             memory_limit_gb=1.0,
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
+        engine.set_host_executor(lambda p, _catalog: CpuEngine().execute(p, data))
         engine.execute(plan, {})  # table absent on the GPU path
         event = engine.fallback.events[0]
         assert event.tiers_attempted == ("cpu-plan",)
@@ -143,6 +191,23 @@ class TestTierOrdering:
         event = engine.fallback.events[0]
         assert event.tier == "raise"
         assert event.tiers_attempted == ("gpu-retry-spill", "gpu-spill")
+
+    def test_failing_host_tier_raises_original(self, data, plan):
+        """A host executor that cannot run the plan either ends the ladder:
+        the original error surfaces, and the one event lists the host tier
+        among the tiers tried."""
+
+        def host(_plan, _catalog):
+            raise UnsupportedFeatureError("host engine lacks it too")
+
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=0.00003)
+        engine.set_host_executor(host)
+        with pytest.raises(OutOfDeviceMemory):
+            engine.execute(plan, data)
+        assert engine.fallback.fallback_count == 1
+        event = engine.fallback.events[0]
+        assert event.tier == "raise"
+        assert event.tiers_attempted == ("gpu-retry-spill", "gpu-spill", "cpu-plan")
 
 
 class TestRungsWriteNoEngineState:
@@ -194,7 +259,7 @@ class TestTransientKernelFaults:
             A100_40G,
             memory_limit_gb=1.0,
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
+        engine.set_host_executor(CpuEngine().execute)
         inject(engine, FaultPlan().kernel_fault(at=0.0, count=10))
         out = engine.execute(plan, data)
         assert out.num_rows == 1989
@@ -217,7 +282,7 @@ class TestSummary:
             A100_40G,
             memory_limit_gb=0.00003,
         )
-        engine.set_host_executor(lambda p: CpuEngine().execute(p, data))
+        engine.set_host_executor(CpuEngine().execute)
         engine.execute(plan, data)
         engine.execute(plan, data)
         report = engine.fallback.summary()

@@ -82,11 +82,11 @@ class TestDegradationEvents:
 
         fallbacks = tracer.find_events("fallback")
         assert fallbacks, "degradation must surface as a span event"
-        assert fallbacks[0].attributes["tier"] == "cpu-pipeline"
+        assert fallbacks[0].attributes["tier"] == "cpu-plan"
         assert "gpu-retry-spill" in fallbacks[0].attributes["tiers_attempted"]
         assert fallbacks[0].attributes["exception"] == "OutOfDeviceMemory"
         # The tier label matches the node engine's own fallback record.
-        assert db._node_engines[1].fallback.events[0].tier == "cpu-pipeline"
+        assert db._node_engines[1].fallback.events[0].tier == "cpu-plan"
 
 
 class TestKernelRelaunchEvents:
