@@ -14,15 +14,20 @@ every fused TPC-H plan.
 :class:`FusedOp` itself refuses an empty run or a non-streaming stage
 (``ValueError`` / ``TypeError`` at construction, and RR04 forbids
 changing it afterwards), and its output schema *is* its last stage's,
-so the verifier checks only what construction does not:
+so the verifier checks only what construction does not.  A fused
+:class:`HashJoinProbe` carries the Filter/Project run it absorbed as its
+``stages`` and is checked the same way:
 
 ======  =========  ===========================================================
 rule    severity   meaning
 ======  =========  ===========================================================
 FC02    error      stage schemas do not chain (a stage's declared input
-                   arity disagrees with its predecessor's output)
-FC03    error      two adjacent unfused Filter/Project operators survive in
-                   a fused pipeline (the pass missed a fusible run)
+                   arity disagrees with its predecessor's output; a probe's
+                   first absorbed stage chains from the probe's join schema)
+FC03    error      a fusible run survives unfused in a fused pipeline: two
+                   adjacent unfused Filter/Project operators, or a
+                   ``FusedOp`` / Filter / Project directly after a
+                   ``HashJoinProbe`` that could have absorbed it
 ======  =========  ===========================================================
 """
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from ..core.expr_compile import UnsupportedExpressionError
 from ..core.operators.fused import FusedOp
+from ..core.operators.join import HashJoinProbe
 from ..core.operators.streaming import FilterOp, ProjectOp
 from ..core.planner import PhysicalPlan, Pipeline
 from .report import SEVERITY_ERROR, Finding
@@ -38,7 +44,7 @@ __all__ = ["FUSION_RULES", "verify_fused_plan"]
 
 FUSION_RULES = {
     "FC02": "fused stage schemas do not chain",
-    "FC03": "adjacent unfused Filter/Project operators in a fused pipeline",
+    "FC03": "a fusible run left unfused in a fused pipeline",
 }
 
 
@@ -55,10 +61,11 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
     site = f"P{pipeline.pid}"
     ops = pipeline.operators
 
-    # FC03: the pass promises *maximal* runs — two adjacent plain
-    # streaming operators mean a fusible pair survived unfused.  (A single
-    # unfused Filter/Project is legal: expression-compile fallback keeps
-    # whole runs in interpreted form.)
+    # FC03: the pass promises *maximal* regions — two adjacent plain
+    # streaming operators, or a run left behind a probe that could have
+    # absorbed it, mean fusible work survived unfused.  (A single unfused
+    # Filter/Project is legal: expression-compile fallback keeps whole
+    # runs in interpreted form.)
     for prev, op in zip(ops, ops[1:]):
         prev_plain = type(prev) in (FilterOp, ProjectOp)
         op_plain = type(op) in (FilterOp, ProjectOp)
@@ -71,18 +78,31 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
                     site,
                 )
             )
+        elif isinstance(prev, HashJoinProbe) and (op_plain or isinstance(op, FusedOp)):
+            stages = op.stages if isinstance(op, FusedOp) else [op]
+            if _absorbable(prev, stages):
+                findings.append(
+                    Finding(
+                        "FC03",
+                        SEVERITY_ERROR,
+                        f"{op.describe()} left unfused after {prev.describe()}",
+                        site,
+                    )
+                )
 
     for pos, op in enumerate(ops):
         if isinstance(op, FusedOp):
-            _check_fused_op(op, f"{site}[{pos}]", findings)
+            _check_stages(op.stages, None, f"{site}[{pos}]", findings)
+        elif isinstance(op, HashJoinProbe) and op.stages:
+            _check_stages(op.stages, op.join_schema(), f"{site}[{pos}]", findings)
 
 
-def _check_fused_op(op: FusedOp, site: str, findings: list[Finding]) -> None:
+def _check_stages(stages, prev_schema, site: str, findings: list[Finding]) -> None:
     # FC02: schemas must chain — a filter passes its input schema through;
     # a project starts a new one.  Compare arities at each boundary where
-    # the stage declares its input.
-    prev_schema = None
-    for idx, stage in enumerate(op.stages):
+    # the stage declares its input; ``prev_schema`` is what feeds the
+    # first stage, when the region knows it.
+    for idx, stage in enumerate(stages):
         if isinstance(stage, FilterOp):
             declared = stage.input_schema
             if prev_schema is not None and declared.dtypes() != prev_schema.dtypes():
@@ -108,3 +128,12 @@ def _fallback_run(*ops) -> bool:
         return True
     return False
 
+
+def _absorbable(probe: HashJoinProbe, stages) -> bool:
+    """True when ``probe`` could have run ``stages`` in its own output
+    region — the probe's constructor is the oracle."""
+    try:
+        probe.fused(list(probe.stages or []) + list(stages))
+    except UnsupportedExpressionError:
+        return False
+    return True

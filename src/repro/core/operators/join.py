@@ -24,6 +24,8 @@ match.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from ...columnar import Schema, Table
@@ -41,6 +43,7 @@ from ...kernels import (
 )
 from ...kernels.join import JoinResult, _expand, _match_ranges
 from ...kernels.keys import factorize_keys
+from ...plan.relations import join_output_schema
 from .. import expr_eval
 from .base import (
     Category,
@@ -50,6 +53,7 @@ from .base import (
     StreamingOperator,
     dispose_chunk,
 )
+from .fused import compile_stages, run_stages
 from .spool import PARTITION_FANOUT, finish_held, scattered, spool_chunk, spooled_leaves
 
 __all__ = [
@@ -175,6 +179,14 @@ class HashJoinProbe(StreamingOperator):
     next leaf is probed, so the probe never holds its full output
     resident — that residency is exactly what would put a lower bound of
     ``output_size`` on the memory floor.
+
+    A fused probe (``stages`` not ``None``, built by
+    :func:`~repro.core.planner.fuse_operators`) assembles its output as
+    one fused region: the hash-join kernel and the §3.2.3 gather-map
+    conversions stay separately charged, then both sides' gathers, the
+    residual ``post_filter`` and ``stages`` — the Filter/Project run that
+    followed the probe, compiled once here — bill a single launch, per
+    chunk or per partitioned leaf.
     """
 
     category = Category.JOIN
@@ -188,6 +200,7 @@ class HashJoinProbe(StreamingOperator):
         probe_schema: Schema,
         build_schema: Schema,
         post_filter=None,
+        stages=None,
     ):
         self.build_slot = build_slot
         self.join_type = join_type
@@ -196,25 +209,65 @@ class HashJoinProbe(StreamingOperator):
         self.probe_schema = probe_schema
         self.build_schema = build_schema
         self.post_filter = post_filter
+        self.stages = None if stages is None else list(stages)
+        self._program = None if stages is None else compile_stages(self.stages)
 
-    def output_schema(self) -> Schema:
+    def fused(self, stages) -> "HashJoinProbe":
+        """This probe as one fused output region that also runs ``stages``;
+        raises ``UnsupportedExpressionError`` when a stage cannot be
+        compiled."""
+        return HashJoinProbe(
+            self.build_slot,
+            self.join_type,
+            self.probe_key_indices,
+            self.build_key_indices,
+            self.probe_schema,
+            self.build_schema,
+            self.post_filter,
+            stages,
+        )
+
+    def join_schema(self) -> Schema:
+        """The schema the join itself produces, before any fused stage."""
         if self.join_type in ("semi", "anti"):
             return self.probe_schema
-        from ...plan.relations import join_output_schema
-
         return join_output_schema(self.probe_schema, self.build_schema)
+
+    def output_schema(self) -> Schema:
+        if self.stages:
+            return self.stages[-1].output_schema()
+        return self.join_schema()
 
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict):
         build = state["slots"][self.build_slot]
         if isinstance(build, PartitionedBuild):
             return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
-        return self._probe_against(ctx, chunk, build)
+        return self._probe_against(ctx, chunk, build, state["slots"])
 
-    def _probe_against(self, ctx: ExecutionContext, chunk: GTable, build_table: GTable) -> GTable:
+    def _region(self, ctx: ExecutionContext):
+        """The output assembly's fused-kernel scope; a null one (yielding
+        ``None``) when the probe is unfused."""
+        return nullcontext() if self._program is None else ctx.device.fused_kernel()
+
+    def _finish(self, ctx, scope, joined: GTable, slots: dict, bytes_in: int) -> GTable:
+        """Close the output region: run the absorbed stages and declare the
+        external traffic.  An out-of-core run drops the interior join
+        output, as the executor would have at the operator boundary."""
+        if scope is None:
+            return joined
+        out = run_stages(self._program, joined)
+        scope.external(bytes_in, out.traffic_bytes)
+        if ctx.out_of_core and out is not joined:
+            dispose_chunk(ctx, joined, slots, successor=out)
+        return out
+
+    def _probe_against(
+        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict
+    ) -> GTable:
         """Probe one chunk against one materialised build table (the whole
         build, or one leaf of a partitioned one)."""
         if not self.probe_key_indices:
-            return self._cross_join(ctx, chunk, build_table)
+            return self._cross_join(ctx, chunk, build_table, slots)
         probe_keys = [chunk.columns[i] for i in self.probe_key_indices]
         build_keys = [build_table.columns[i] for i in self.build_key_indices]
         impl = ctx.registry.get("join")
@@ -223,36 +276,51 @@ class HashJoinProbe(StreamingOperator):
         bm = ctx.buffer_manager
         if self.join_type in ("semi", "anti"):
             if self.post_filter is not None:
-                return self._filtered_semi_anti(ctx, chunk, build_table, probe_keys, build_keys)
+                return self._filtered_semi_anti(
+                    ctx, chunk, build_table, probe_keys, build_keys, slots
+                )
             engine_ids = bm.kernel_indices_to_engine(result)
             kernel_ids = bm.engine_indices_to_kernel(engine_ids)
-            out = gather_table(chunk, kernel_ids)
-            return out
-        else:
-            # Round-trip the gather maps through engine uint64 ids — the
-            # one non-zero-copy conversion the paper calls out (§3.2.3).
-            left_ids = bm.engine_indices_to_kernel(
-                bm.kernel_indices_to_engine(result.left_indices)
-            )
-            right_ids = bm.engine_indices_to_kernel(
-                bm.kernel_indices_to_engine(result.right_indices)
-            )
+            with self._region(ctx) as scope:
+                out = gather_table(chunk, kernel_ids)
+                return self._finish(
+                    ctx, scope, out, slots, chunk.traffic_bytes + kernel_ids.nbytes
+                )
+        # Round-trip the gather maps through engine uint64 ids — the
+        # one non-zero-copy conversion the paper calls out (§3.2.3).
+        left_ids = bm.engine_indices_to_kernel(
+            bm.kernel_indices_to_engine(result.left_indices)
+        )
+        right_ids = bm.engine_indices_to_kernel(
+            bm.kernel_indices_to_engine(result.right_indices)
+        )
+        # Residual predicates are *filtering* work (Q13's NOT LIKE on
+        # o_comment lives here); attribute them as Figure 5 does.
+        return self._assemble(ctx, chunk, build_table, left_ids, right_ids, slots, Category.FILTER)
+
+    def _assemble(self, ctx, chunk, build_table, left_ids, right_ids, slots, residual) -> GTable:
+        """Gather both sides' output rows and apply the residual
+        ``post_filter``, its time attributed to ``residual``."""
+        with self._region(ctx) as scope:
             left_out = gather_table(chunk, left_ids)
             right_out = gather_table(build_table, right_ids)
             out = GTable(
-                self.output_schema(),
+                self.join_schema(),
                 list(left_out.columns) + list(right_out.columns),
                 chunk.device,
             )
-        if self.post_filter is not None:
-            # Residual predicates are *filtering* work (Q13's NOT LIKE on
-            # o_comment lives here); attribute them as Figure 5 does.
-            with ctx.device.clock.attributed(Category.FILTER):
-                keep = expr_eval.evaluate_predicate(self.post_filter, out)
-                out = mask_table(out, keep)
-        return out
+            if self.post_filter is not None:
+                with ctx.device.clock.attributed(residual):
+                    keep = expr_eval.evaluate_predicate(self.post_filter, out)
+                    out = mask_table(out, keep)
+            bytes_in = (
+                chunk.traffic_bytes + right_out.traffic_bytes + left_ids.nbytes + right_ids.nbytes
+            )
+            return self._finish(ctx, scope, out, slots, bytes_in)
 
-    def _cross_join(self, ctx: ExecutionContext, chunk: GTable, build_table: GTable) -> GTable:
+    def _cross_join(
+        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict
+    ) -> GTable:
         """Key-less join: full cartesian product.
 
         Produced by the planner only for single-row scalar-subquery joins,
@@ -264,40 +332,40 @@ class HashJoinProbe(StreamingOperator):
         left_idx = np.repeat(np.arange(n, dtype=np.int32), m)
         right_idx = np.tile(np.arange(m, dtype=np.int32), n)
         ctx.device.launch(KernelClass.STREAM, chunk.nbytes + build_table.nbytes, n * m * 8, n * m)
-        left_out = gather_table(chunk, left_idx)
-        right_out = gather_table(build_table, right_idx)
-        out = GTable(
-            self.output_schema(), list(left_out.columns) + list(right_out.columns), chunk.device
-        )
-        if self.post_filter is not None:
-            keep = expr_eval.evaluate_predicate(self.post_filter, out)
-            out = mask_table(out, keep)
-        return out
+        return self._assemble(ctx, chunk, build_table, left_idx, right_idx, slots, Category.JOIN)
 
-    def _filtered_semi_anti(self, ctx, chunk, build_table, probe_keys, build_keys) -> GTable:
+    def _filtered_semi_anti(self, ctx, chunk, build_table, probe_keys, build_keys, slots) -> GTable:
         """Semi/anti join with a residual non-equi predicate (Q21's
         ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the inner join,
         filter the pairs, then reduce back to distinct probe rows."""
         pairs = inner_join(probe_keys, build_keys)
-        left_out = gather_table(chunk, pairs.left_indices)
-        right_out = gather_table(build_table, pairs.right_indices)
-        from ...plan.relations import join_output_schema
-
-        combined = GTable(
-            join_output_schema(self.probe_schema, self.build_schema),
-            list(left_out.columns) + list(right_out.columns),
-            chunk.device,
-        )
-        with ctx.device.clock.attributed(Category.FILTER):
-            keep = expr_eval.evaluate_predicate(self.post_filter, combined)
-        matched_probe = np.unique(pairs.left_indices[keep])
-        ctx.device.launch(KernelClass.STREAM, pairs.left_indices.nbytes, matched_probe.nbytes, len(pairs))
-        if self.join_type == "semi":
-            survivors = matched_probe.astype(np.int32)
-        else:
-            all_rows = np.arange(chunk.num_rows, dtype=np.int64)
-            survivors = np.setdiff1d(all_rows, matched_probe).astype(np.int32)
-        return gather_table(chunk, survivors)
+        with self._region(ctx) as scope:
+            left_out = gather_table(chunk, pairs.left_indices)
+            right_out = gather_table(build_table, pairs.right_indices)
+            combined = GTable(
+                join_output_schema(self.probe_schema, self.build_schema),
+                list(left_out.columns) + list(right_out.columns),
+                chunk.device,
+            )
+            with ctx.device.clock.attributed(Category.FILTER):
+                keep = expr_eval.evaluate_predicate(self.post_filter, combined)
+            matched_probe = np.unique(pairs.left_indices[keep])
+            ctx.device.launch(
+                KernelClass.STREAM, pairs.left_indices.nbytes, matched_probe.nbytes, len(pairs)
+            )
+            if self.join_type == "semi":
+                survivors = matched_probe.astype(np.int32)
+            else:
+                all_rows = np.arange(chunk.num_rows, dtype=np.int64)
+                survivors = np.setdiff1d(all_rows, matched_probe).astype(np.int32)
+            out = gather_table(chunk, survivors)
+            bytes_in = (
+                chunk.traffic_bytes
+                + right_out.traffic_bytes
+                + pairs.left_indices.nbytes
+                + pairs.right_indices.nbytes
+            )
+            return self._finish(ctx, scope, out, slots, bytes_in)
 
     def _stream_leaf_outputs(self, ctx, chunk: GTable, build, state: dict):
         """Partition the input, free it, then lazily yield join outputs
@@ -329,7 +397,7 @@ class HashJoinProbe(StreamingOperator):
         for q, sub in enumerate(parts):
             if sub is None:
                 continue
-            for out in self._probe_stream(ctx, sub, build, (q,), 1):
+            for out in self._probe_stream(ctx, sub, build, (q,), 1, state["slots"]):
                 pending.append(out)
                 pending_bytes += out.nbytes
                 if pending_bytes >= budget:
@@ -339,30 +407,30 @@ class HashJoinProbe(StreamingOperator):
         if pending:
             yield flush()
 
-    def _probe_stream(self, ctx, chunk: GTable, build, path, level: int):
+    def _probe_stream(self, ctx, chunk: GTable, build, path, level: int, slots: dict):
         """Probe the rows of ``chunk`` (already routed to ``path``) against
         the build leaves under ``path``, recursing level by level."""
         if path in build.leaves:
             build_table = ctx.buffer_manager.get_fragment(build.leaves[path])
-            yield from self._emit(ctx, chunk, build_table)
+            yield from self._emit(ctx, chunk, build_table, slots)
             return
         if not build.has_descendants(path):
             # No build rows hash here.  Inner/semi probe rows can never
             # match; left/anti still owe output for unmatched rows.
             if self.join_type in ("left", "anti"):
                 empty = _empty_gtable(ctx, self.build_schema)
-                yield from self._emit(ctx, chunk, empty)
+                yield from self._emit(ctx, chunk, empty, slots)
                 empty.free()
             return
         parts = partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT, level=level)
         for q, sub in enumerate(parts):
             if sub is None:
                 continue
-            yield from self._probe_stream(ctx, sub, build, path + (q,), level + 1)
+            yield from self._probe_stream(ctx, sub, build, path + (q,), level + 1, slots)
             sub.free()
 
-    def _emit(self, ctx, chunk: GTable, build_table: GTable):
-        out = self._probe_against(ctx, chunk, build_table)
+    def _emit(self, ctx, chunk: GTable, build_table: GTable, slots: dict):
+        out = self._probe_against(ctx, chunk, build_table, slots)
         if out is None:
             return
         if out.num_rows > 0:
@@ -371,7 +439,10 @@ class HashJoinProbe(StreamingOperator):
             out.free()
 
     def describe(self) -> str:
-        return f"HashJoinProbe({self.join_type}, slot={self.build_slot})"
+        fused = ""
+        if self.stages is not None:
+            fused = ", fused=[" + " -> ".join(s.describe() for s in self.stages) + "]"
+        return f"HashJoinProbe({self.join_type}, slot={self.build_slot}{fused})"
 
 
 class PartitionedBuild:

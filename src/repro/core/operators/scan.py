@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from ...columnar import Schema
-from ...kernels import GTable, mask_table, slice_table
-from .. import expr_eval
+from ...kernels import slice_table
 from .base import Category, ExecutionContext, SourceOperator, UnsupportedFeatureError
 
 __all__ = ["TableScan", "IntermediateSource"]
@@ -14,16 +13,18 @@ class TableScan(SourceOperator):
     """Scan a named base table from the buffer manager's caching region.
 
     Applies the ReadRel's column projection (free: column pruning is just
-    buffer selection) and any pushed-down filter (charged as a filter).
+    buffer selection) and yields the table whole or in ``batch_rows``
+    slices.  A pushed-down filter is not the scan's: the planner emits it
+    as the :class:`~.streaming.FilterOp` that follows, which fusion can
+    fold into the pipeline's first region.
     """
 
-    category = Category.OTHER  # scan time itself; the pushed filter is FILTER
+    category = Category.OTHER
 
-    def __init__(self, table_name: str, schema: Schema, projection, filter_expr):
+    def __init__(self, table_name: str, schema: Schema, projection):
         self.table_name = table_name
         self.schema = schema
         self.projection = list(projection) if projection is not None else None
-        self.filter_expr = filter_expr
 
     def output_schema(self) -> Schema:
         if self.projection is None:
@@ -40,22 +41,13 @@ class TableScan(SourceOperator):
         batch = ctx.batch_rows
         total = gtable.num_rows
         if batch is None or total <= batch:
-            yield self._filtered(ctx, gtable)
+            yield gtable
             return
         for start in range(0, total, batch):
-            chunk = slice_table(gtable, start, min(batch, total - start))
-            yield self._filtered(ctx, chunk)
-
-    def _filtered(self, ctx: ExecutionContext, chunk: GTable) -> GTable:
-        if self.filter_expr is None:
-            return chunk
-        with ctx.device.clock.attributed(Category.FILTER):
-            keep = expr_eval.evaluate_predicate(self.filter_expr, chunk)
-            return mask_table(chunk, keep)
+            yield slice_table(gtable, start, min(batch, total - start))
 
     def describe(self) -> str:
-        extra = ", filter" if self.filter_expr is not None else ""
-        return f"TableScan({self.table_name}{extra})"
+        return f"TableScan({self.table_name})"
 
 
 class IntermediateSource(SourceOperator):

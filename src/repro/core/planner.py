@@ -6,7 +6,9 @@ Each pipeline is ``source -> streaming operators -> sink``; sinks
 materialise their output into named *slots* that downstream pipelines
 read (as their source, or as a hash-join build table).
 
-One fusion is performed here: ``Fetch(Sort(x))`` -> a single top-N sink.
+One fusion is performed while compiling: ``Fetch(Sort(x))`` -> a single
+top-N sink.  Kernel fusion (``fusion=True``) is a pass over the compiled
+pipelines, :func:`fuse_operators`.
 """
 
 from __future__ import annotations
@@ -105,8 +107,11 @@ class _Compiler:
     # been terminated by a sink.
     def compile(self, rel: Relation):
         if isinstance(rel, ReadRel):
-            scan = TableScan(rel.table_name, rel.base_schema, rel.projection, rel.filter_expr)
-            return scan, [], set()
+            scan = TableScan(rel.table_name, rel.base_schema, rel.projection)
+            ops = []
+            if rel.filter_expr is not None:
+                ops.append(FilterOp(rel.filter_expr, scan.output_schema()))
+            return scan, ops, set()
 
         if isinstance(rel, FilterRel):
             source, ops, deps = self.compile(rel.input_rel)
@@ -181,37 +186,49 @@ class _Compiler:
 
 
 def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOperator]":
-    """Collapse maximal runs of adjacent Filter/Project operators into
-    :class:`FusedOp` regions.
+    """Collapse each pipeline's fusible work into fused regions.
 
-    Legality rules:
+    The region follows the data path:
 
-    * only ``FilterOp``/``ProjectOp`` fuse — anything stateful or
-      one-to-many (probes, which keep applying their own residual
-      ``post_filter``) is a fusion barrier;
-    * an expression the compiler cannot lower leaves its run unfused
-      (the unfused operators compile it again per chunk and are rejected
-      identically, so this preserves the engine's fallback behaviour).
+    * a maximal run of adjacent Filter/Project operators — the scan's
+      pushed filter included, which the compiler emits as the pipeline's
+      first ``FilterOp`` — becomes one :class:`FusedOp`;
+    * a :class:`HashJoinProbe` is rebuilt as a fused probe
+      (:meth:`HashJoinProbe.fused`) whose output region — both sides'
+      gathers, the residual ``post_filter`` — also runs the Filter/Project
+      run that follows it, so a probe and its consumers bill one launch
+      after the join kernel.
+
+    Anything else (sinks, sources) bounds a region.  An expression the
+    compiler cannot lower leaves its run unfused (the unfused operators
+    compile it again per chunk and are rejected identically, so this
+    preserves the engine's fallback behaviour); a probe whose run cannot
+    be absorbed still fuses its own gathers.
     """
-    fused: list[StreamingOperator] = []
-    run: list[StreamingOperator] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        try:
-            fused.append(FusedOp(run[:]))
-        except UnsupportedExpressionError:
-            fused.extend(run)
-        run.clear()
-
+    segments: list[tuple[StreamingOperator | None, list[StreamingOperator]]] = []
     for op in operators:
         if type(op) in (FilterOp, ProjectOp):
-            run.append(op)
-            continue
-        flush()
-        fused.append(op)
-    flush()
+            if not segments:
+                segments.append((None, []))
+            segments[-1][1].append(op)
+        else:
+            segments.append((op, []))
+
+    fused: list[StreamingOperator] = []
+    for head, run in segments:
+        if isinstance(head, HashJoinProbe):
+            try:
+                fused.append(head.fused(run))
+                continue
+            except UnsupportedExpressionError:
+                head = head.fused([])
+        if head is not None:
+            fused.append(head)
+        if run:
+            try:
+                fused.append(FusedOp(run))
+            except UnsupportedExpressionError:
+                fused.extend(run)
     return fused
 
 
@@ -222,8 +239,9 @@ def compile_plan(plan: Plan, fusion: bool = False) -> PhysicalPlan:
     that is decided at run time (``ExecutionContext.out_of_core``).
 
     With ``fusion=True``, each pipeline's streaming run is post-processed
-    by :func:`fuse_operators`; the default leaves the operator lists
-    byte-identical to the seed planner.
+    by :func:`fuse_operators`; the default runs every operator on its own
+    (a scan's pushed filter as the ``FilterOp`` after it), charging the
+    same kernels the seed planner did.
     """
     compiler = _Compiler()
     source, ops, deps = compiler.compile(plan.root)

@@ -118,12 +118,14 @@ class SiriusEngine:
                 observational — a sanitized run is byte-identical to an
                 unsanitized one.
             fusion: Collapse each pipeline's runs of adjacent filters and
-                projections into single
+                projections (a scan's pushed filter included) into single
                 :class:`~.operators.fused.FusedOp` regions with
-                compiled expressions — one read and one write per chunk,
-                interior materialisations priced at zero.  Off by
-                default; the default path compiles the seed operator
-                tree unchanged and results are byte-identical either way.
+                compiled expressions, and run each join probe's gathers,
+                residual filter and following run as one region — one
+                read and one write per chunk, interior materialisations
+                priced at zero.  Off by default; the default path charges
+                the seed operators' kernels unchanged and results are
+                byte-identical either way.
         """
         self.device = device
         self.tracer = tracer if tracer is not None else NULL_TRACER

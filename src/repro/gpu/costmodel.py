@@ -186,14 +186,19 @@ class KernelCostModel:
         per-part compute, random-access, and contention terms are
         preserved (fusion removes memory round-trips, not ALU work), and
         only one launch overhead is paid.  The streaming term is capped
-        at the parts' combined interior traffic: a fused region whose
-        constituent kernels touch *fewer* bytes than the external chunk
-        (pass-through columns are never copied) keeps the cheaper charge,
-        so by construction the fused cost is never more than the sum of
-        the parts' standalone costs.
+        at the bytes the parts stream standalone — input and output of a
+        streaming kernel, only the output of a random-access one, whose
+        input is already priced as random traffic: a fused region whose
+        constituent kernels stream *fewer* bytes than the external chunk
+        (pass-through columns are never copied, gathers read at random)
+        keeps the cheaper charge, so by construction the fused cost is
+        never more than the sum of the parts' standalone costs.
         """
-        interior = sum(p[1] + p[2] for p in parts)
-        streamed = min(bytes_in + bytes_out, interior) / self._bw
+        standalone = sum(
+            p_out if kclass in _RANDOM_CLASSES else p_in + p_out
+            for kclass, p_in, p_out, _rows, _groups in parts
+        )
+        streamed = min(bytes_in + bytes_out, standalone) / self._bw
         random = 0.0
         compute = 0.0
         penalty = 0.0

@@ -143,6 +143,8 @@ class _Estimator:
         ``path`` (``root.input.left`` ...: the site its pool bytes are
         recorded under)."""
         if isinstance(rel, ReadRel):
+            if self.fusion and rel.filter_expr is not None:
+                return self._fused_chain(rel, path)
             return self._read(rel)
         if isinstance(rel, (FilterRel, ProjectRel)):
             if self.fusion:
@@ -174,25 +176,34 @@ class _Estimator:
         launch: each hop keeps its non-streaming terms (the work still
         happens), but the memory-bandwidth term covers only the chain's
         external input and final output — interior materialisations are
-        priced at zero, matching the fused executor.  The selectivity
-        cascade is preserved hop by hop."""
+        priced at zero, matching the fused executor.  A scan's pushed
+        filter is the chain's first hop, as the compiler emits it.  The
+        selectivity cascade is preserved hop by hop."""
         chain: list[Relation] = []
         node = rel
         while isinstance(node, (FilterRel, ProjectRel)):
             chain.append(node)
             node = node.inputs[0]
-        rows, nbytes = self.visit(node, path + ".input" * len(chain))
+        filters = [isinstance(hop, FilterRel) for hop in reversed(chain)]
+        if isinstance(node, ReadRel):
+            rows, nbytes = self._scan(node)
+            if node.filter_expr is not None:
+                filters.insert(0, True)
+        else:
+            rows, nbytes = self.visit(node, path + ".input" * len(chain))
         ext_in = nbytes
         parts = []
-        for hop in reversed(chain):
+        for is_filter in filters:
             parts.append((KernelClass.STREAM, int(nbytes), int(nbytes), int(max(rows, 1)), None))
-            if isinstance(hop, FilterRel):
+            if is_filter:
                 rows *= FILTER_SELECTIVITY
                 nbytes *= FILTER_SELECTIVITY
         self.seconds += self.model.fused_cost(parts, int(ext_in), int(nbytes)).total
         return rows, nbytes
 
-    def _read(self, rel: ReadRel) -> tuple[float, float]:
+    def _scan(self, rel: ReadRel) -> tuple[float, float]:
+        """Rows and bytes a scan reads (its projected columns); scans read
+        from the caching region and launch nothing themselves."""
         table = self.catalog.get(rel.table_name)
         if table is None:
             return 0.0, 0.0
@@ -208,12 +219,15 @@ class _Estimator:
             )
         else:
             nbytes = float(table.nbytes)
-        # Scans read from the caching region; only the filter (if pushed)
-        # is a processing kernel.
-        if rel.filter_expr is not None:
-            self._charge(KernelClass.STREAM, nbytes, nbytes, rows)
-            return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
         return rows, nbytes
+
+    def _read(self, rel: ReadRel) -> tuple[float, float]:
+        rows, nbytes = self._scan(rel)
+        if rel.filter_expr is None or rel.table_name not in self.catalog:
+            return rows, nbytes
+        # The pushed filter is the scan's one processing kernel.
+        self._charge(KernelClass.STREAM, nbytes, nbytes, rows)
+        return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
 
     def _join(self, rel: JoinRel, path: str) -> tuple[float, float]:
         probe_rows, probe_bytes = self.visit(rel.inputs[0], f"{path}.left")

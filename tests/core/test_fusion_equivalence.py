@@ -8,10 +8,14 @@ count and wall time strictly shrink on streaming-heavy queries.
 
 The gate:
 
-* all 22 TPC-H queries, fused vs unfused, raw column buffers compared
-  byte-for-byte;
-* a 50-case battery sample under the same comparison, with the unfused
-  engine's simulated cost pinned per statement against a golden file;
+* all 22 TPC-H queries and the whole battery, fused vs unfused, raw
+  column buffers compared byte-for-byte;
+* the same on the scattered path (out-of-core, every keyed sink
+  partitioned), where each leaf of a partitioned build runs its own probe
+  region — Q21's filtered semi/anti joins and the key-less cross joins
+  named explicitly;
+* a 50-case battery sample's unfused simulated cost pinned per statement
+  against a golden file;
 * common-subexpression elimination happens inside fused regions only;
 * the ``busy_s`` partition invariant holds for fused runs (every clock
   advance still lands in exactly one measured operator region);
@@ -73,6 +77,29 @@ def fused(data):
     engine = SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, fusion=True)
     engine.warm_cache(data)
     return engine
+
+
+def values(table):
+    """Each column's valid values, strings decoded, and its validity: what
+    a reader of the result sees.  The scattered path coalesces per-leaf
+    probe outputs with ``concat_gtables``, whose merged dictionary keeps
+    only the entries its rows reference; a fused probe filters each leaf
+    before that merge, so a string column may carry fewer *unused*
+    dictionary entries than unfused (TPC-H Q2) while every value is the
+    same."""
+    out = []
+    for c in table.columns:
+        valid = (
+            np.ones(len(c.data), dtype=bool)
+            if c.validity is None
+            else np.asarray(c.validity, dtype=bool)
+        )
+        data = np.asarray(c.data)[valid]
+        if getattr(c, "dictionary", None) is not None:
+            out.append((tuple(np.asarray(c.dictionary)[data].tolist()), valid.tobytes()))
+        else:
+            out.append((data.tobytes(), valid.tobytes()))
+    return out
 
 
 def raw_bytes(table):
@@ -163,6 +190,82 @@ class TestFusedPlanVerifier:
         findings = verify_fused_plan(dataclasses.replace(physical, pipelines=[pipeline]))
         assert [(f.rule, f.site) for f in findings] == [("FC02", "P0[0].stage1")]
 
+    @staticmethod
+    def _fused_probe_site(planner):
+        """Q3's fused plan and the (pipeline, position) of a probe that
+        absorbed a run."""
+        from repro.core.operators.join import HashJoinProbe
+
+        physical = compile_plan(planner.plan_sql(tpch_query(3)), fusion=True)
+        for pipeline in physical.pipelines:
+            for pos, op in enumerate(pipeline.operators):
+                if isinstance(op, HashJoinProbe) and op.stages:
+                    return physical, pipeline, pos
+        raise AssertionError("Q3 has no probe with an absorbed run")
+
+    @staticmethod
+    def _with_operators(physical, pipeline, operators):
+        replaced = dataclasses.replace(pipeline, operators=operators)
+        pipelines = [replaced if p is pipeline else p for p in physical.pipelines]
+        return dataclasses.replace(physical, pipelines=pipelines)
+
+    def test_fc03_flags_a_run_left_behind_a_probe(self, planner):
+        from repro.core.operators.fused import FusedOp
+
+        physical, pipeline, pos = self._fused_probe_site(planner)
+        probe = pipeline.operators[pos]
+        ops = list(pipeline.operators)
+        ops[pos : pos + 1] = [probe.fused([]), FusedOp(probe.stages)]
+        findings = verify_fused_plan(self._with_operators(physical, pipeline, ops))
+        assert [(f.rule, f.site) for f in findings] == [("FC03", f"P{pipeline.pid}")]
+
+    def test_fc02_flags_an_absorbed_run_not_chaining_from_the_join(self, planner):
+        from repro.core.operators.streaming import FilterOp
+        from repro.plan.expressions import FieldRef, ScalarCall
+
+        physical, pipeline, pos = self._fused_probe_site(planner)
+        probe = pipeline.operators[pos]
+        assert probe.probe_schema.dtypes() != probe.join_schema().dtypes()
+        # A filter declaring the probe side's schema, not the join's.
+        wrong = FilterOp(ScalarCall("is_not_null", [FieldRef(0)]), probe.probe_schema)
+        ops = list(pipeline.operators)
+        ops[pos] = probe.fused([wrong])
+        findings = verify_fused_plan(self._with_operators(physical, pipeline, ops))
+        assert [(f.rule, f.site) for f in findings] == [
+            ("FC02", f"P{pipeline.pid}[{pos}].stage0")
+        ]
+
+    def test_a_run_the_compiler_cannot_lower_stays_unfused_behind_its_probe(self, planner):
+        """The probe still fuses its own gathers; the run stays on the
+        unfused operators, and FC03 accepts that (the compile fallback)."""
+        from repro.core.operators.join import HashJoinProbe
+        from repro.core.operators.streaming import FilterOp
+        from repro.core.planner import fuse_operators
+        from repro.plan.expressions import FieldRef, ScalarCall
+
+        physical, pipeline, pos = self._fused_probe_site(planner)
+        fused = pipeline.operators[pos]
+        unfused = HashJoinProbe(
+            fused.build_slot,
+            fused.join_type,
+            fused.probe_key_indices,
+            fused.build_key_indices,
+            fused.probe_schema,
+            fused.build_schema,
+            fused.post_filter,
+        )
+        schema = fused.join_schema()
+        text = next(i for i, f in enumerate(schema.fields) if f.dtype.is_string)
+        # LIKE lowers only with a literal pattern.
+        like = ScalarCall("like", [FieldRef(text), FieldRef(text)])
+        unlowerable = FilterOp(like, schema)
+        got = fuse_operators([unfused, unlowerable])
+        assert isinstance(got[0], HashJoinProbe) and got[0].stages == []
+        assert got[1:] == [unlowerable]
+        ops = list(pipeline.operators)
+        ops[pos : pos + 1] = got
+        assert verify_fused_plan(self._with_operators(physical, pipeline, ops)) == []
+
     def test_fused_op_refuses_an_empty_run_and_a_non_streaming_stage(self):
         """An empty run or a non-streaming stage never becomes a FusedOp,
         so the verifier has no rule for either."""
@@ -185,22 +288,29 @@ class TestFusedPlanVerifier:
 
 
 @pytest.fixture(scope="module")
-def battery_sample():
-    """The first 50 battery statements, planned over the battery's data."""
+def battery():
+    """Every battery statement, planned over the battery's data."""
     from repro.bench.baselines.battery import SCALE_FACTOR, battery_cases
     from repro.hosts import MiniDuck
 
     bdata = generate_tpch(sf=SCALE_FACTOR, seed=19920101)
     host = MiniDuck()
     host.load_tables(bdata)
-    cases = battery_cases()[:50]
-    assert len(cases) == 50
+    cases = battery_cases()
+    assert len(cases) == 348
     return bdata, [(case.sql, host.plan(case.sql)) for case in cases]
 
 
+@pytest.fixture(scope="module")
+def battery_sample(battery):
+    """The first 50 battery statements."""
+    bdata, planned = battery
+    return bdata, planned[:50]
+
+
 class TestBatterySample:
-    def test_fifty_battery_cases_byte_identical(self, plain, fused, battery_sample):
-        bdata, planned = battery_sample
+    def test_battery_byte_identical(self, plain, fused, battery):
+        bdata, planned = battery
         for sql, plan in planned:
             a = plain.execute(plan, bdata)
             b = fused.execute(plan, bdata)
@@ -227,6 +337,83 @@ class TestBatterySample:
                 }
             )
         assert got == json.loads(GOLDEN_SIM_CLOCK.read_text())
+
+
+@pytest.fixture(scope="module")
+def scattered_pair(data):
+    """Out-of-core engines, unfused and fused.  Under
+    ``partition_every_sink`` every keyed sink scatters, so every keyed
+    probe meets a partitioned build and runs one region per leaf."""
+    engines = []
+    for fusion in (False, True):
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=8.0, out_of_core=True, fusion=fusion
+        )
+        engine.warm_cache(data)
+        engines.append(engine)
+    return engines
+
+
+def _spy(monkeypatch, cls, name, seen, record):
+    real = getattr(cls, name)
+
+    def spy(self, *args):
+        seen.append(record(self))
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+
+
+@pytest.mark.usefixtures("partition_every_sink")
+class TestScatteredPath:
+    @pytest.mark.parametrize("q", range(1, 23))
+    def test_tpch_values_identical(self, q, data, planner, scattered_pair):
+        plan = planner.plan_sql(tpch_query(q))
+        a, b = (engine.execute(plan, data) for engine in scattered_pair)
+        assert a.schema == b.schema
+        assert values(a) == values(b)
+
+    def test_battery_values_identical(self, battery):
+        bdata, planned = battery
+        plain_ooc, fused_ooc = (
+            SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, out_of_core=True, fusion=f)
+            for f in (False, True)
+        )
+        for sql, plan in planned:
+            a = plain_ooc.execute(plan, bdata)
+            b = fused_ooc.execute(plan, bdata)
+            assert a.schema == b.schema, sql
+            assert values(a) == values(b), sql
+
+    def test_q21_filtered_semi_and_anti_run_per_leaf(
+        self, data, planner, scattered_pair, monkeypatch
+    ):
+        from repro.core.operators.join import HashJoinProbe
+
+        seen = []
+        _spy(
+            monkeypatch, HashJoinProbe, "_emit", seen,
+            lambda op: (op.join_type, op.post_filter is not None, op.stages is not None),
+        )
+        plan = planner.plan_sql(tpch_query(21))
+        a, b = (engine.execute(plan, data) for engine in scattered_pair)
+        assert values(a) == values(b)
+        for join_type in ("semi", "anti"):
+            assert (join_type, True, False) in seen  # unfused, per leaf
+            assert (join_type, True, True) in seen  # one region per leaf
+
+    @pytest.mark.parametrize("q", [11, 15, 22])
+    def test_keyless_cross_join_runs_as_a_region(
+        self, q, data, planner, scattered_pair, monkeypatch
+    ):
+        from repro.core.operators.join import HashJoinProbe
+
+        seen = []
+        _spy(monkeypatch, HashJoinProbe, "_cross_join", seen, lambda op: op.stages is not None)
+        plan = planner.plan_sql(tpch_query(q))
+        a, b = (engine.execute(plan, data) for engine in scattered_pair)
+        assert values(a) == values(b)
+        assert False in seen and True in seen
 
 
 class TestCseOnlyInsideFusedRegions:
@@ -346,6 +533,32 @@ class TestEstimatorFusionPricing:
         assert opt.service_s <= base.service_s
         assert opt.working_set_bytes == base.working_set_bytes
         assert opt.rows == base.rows
+
+    def test_filtered_scan_then_project_prices_one_launch(self):
+        """The pushed filter is the head of the fused chain, as the
+        compiler emits it: raising the launch constant by 1 ms raises the
+        fused estimate by exactly one launch (two unfused)."""
+        from repro.gpu.device import Device
+        from repro.plan import Plan
+        from repro.plan.expressions import FieldRef, Literal, ScalarCall
+        from repro.plan.relations import ProjectRel, ReadRel
+        from repro.sched.estimator import estimate_plan
+
+        pushed = ScalarCall("gt", [FieldRef(0), Literal(1)])
+        plan = Plan(ProjectRel(ReadRel("t", _FP_SCHEMA, filter_expr=pushed), [FieldRef(1)], ["b"]))
+        table = Table.from_pydict(
+            {"a": list(range(64)), "b": [float(i) for i in range(64)]}, _FP_SCHEMA
+        )
+
+        def launches(fusion):
+            def service(launch_us):
+                spec = dataclasses.replace(GH200, kernel_launch_us=launch_us)
+                return estimate_plan(plan, {"t": table}, Device(spec), fusion=fusion).service_s
+
+            return (service(1006.0) - service(6.0)) / 1e-3
+
+        assert launches(True) == pytest.approx(1.0)
+        assert launches(False) == pytest.approx(2.0)
 
     def test_fused_estimate_strictly_better_on_q6(self, data, planner):
         from repro.gpu.device import Device

@@ -427,6 +427,39 @@ class TestOneOperatorTree:
         assert repr(forced.sim_seconds) == repr(profile.sim_seconds)
 
 
+class TestFilteredScanReleasesItsBatches:
+    """A scan's pushed filter runs as the ``FilterOp`` after it, so an
+    out-of-core run disposes each pre-filter batch at that operator
+    boundary instead of keeping every slice in the pool until the query
+    ends."""
+
+    ROWS, BATCH = 40_000, 5_000
+
+    def test_peak_is_about_one_batch(self):
+        from repro.plan import Plan
+        from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
+        from repro.plan.relations import AggregateRel, ReadRel
+
+        keys = np.arange(self.ROWS)
+        table = _ints(k=keys, v=keys * 3)
+        pushed = ScalarCall("lt", [FieldRef(0), Literal(100)])
+        plan = Plan(
+            AggregateRel(
+                ReadRel("t", table.schema, filter_expr=pushed),
+                [],
+                [(AggregateCall("sum", FieldRef(1)), "total")],
+            )
+        )
+        engine = SiriusEngine.for_spec(
+            GH200, memory_limit_gb=1.0, out_of_core=True, batch_rows=self.BATCH
+        )
+        got = engine.execute(plan, {"t": table})
+        assert got.to_rows() == [(int((keys[:100] * 3).sum()),)]
+        batch_bytes = table.nbytes * self.BATCH // self.ROWS
+        assert engine.last_profile.chunks_processed > self.ROWS // self.BATCH
+        assert engine.last_profile.device_mem_peak <= 2 * batch_bytes
+
+
 class TestDefaultsUnchanged:
     def test_flag_off_profile_has_no_spill_section(self, data, planner, in_core):
         in_core.execute(planner.plan_sql(tpch_query(6)), data)

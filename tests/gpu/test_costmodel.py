@@ -1,6 +1,8 @@
 """Unit tests pinning the analytical kernel cost model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu import GH200, KernelClass, KernelCostModel, M7I_CPU
 
@@ -50,6 +52,46 @@ class TestRandomAccessKernels:
         cost = gpu_model.kernel_cost(KernelClass.GATHER, GB, 0, 1)
         expected = GB / (3000 * GB * 0.25)
         assert cost.random == pytest.approx(expected)
+
+
+_FUSIBLE = st.sampled_from(
+    [KernelClass.STREAM, KernelClass.STRING, KernelClass.GATHER, KernelClass.HASH_PROBE]
+)
+_PART = st.tuples(
+    _FUSIBLE,
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+    st.integers(0, 10**7),
+    st.none(),
+)
+
+
+class TestFusedCost:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(_PART, min_size=1, max_size=6).filter(
+            lambda ps: any(p[0] == KernelClass.GATHER for p in ps)
+        ),
+        bytes_in=st.integers(0, 10**10),
+        bytes_out=st.integers(0, 10**10),
+    )
+    def test_never_more_than_the_parts(self, parts, bytes_in, bytes_out):
+        """Whatever external traffic a region declares, one fused launch
+        costs no more than its parts launched standalone — gathers
+        included, whose input is priced as random traffic, not streamed."""
+        gpu_model = KernelCostModel(GH200)
+        fused = gpu_model.fused_cost(parts, bytes_in, bytes_out)
+        standalone = sum(gpu_model.kernel_cost(*p).total for p in parts)
+        assert fused.total <= standalone * (1 + 1e-12)
+
+    def test_filter_project_region_streams_its_external_traffic(self, gpu_model):
+        parts = [
+            (KernelClass.STREAM, 4000, 2000, 500, None),
+            (KernelClass.STREAM, 2000, 1000, 250, None),
+        ]
+        cost = gpu_model.fused_cost(parts, 4000, 1000)
+        assert cost.streaming == pytest.approx(5000 / (3000 * GB))
+        assert cost.launch == gpu_model.kernel_cost(*parts[0]).launch
 
 
 class TestSortKernels:
