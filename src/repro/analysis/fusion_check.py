@@ -16,7 +16,8 @@ every fused TPC-H plan.
 changing it afterwards), and its output schema *is* its last stage's,
 so the verifier checks only what construction does not.  A fused
 :class:`HashJoinProbe` carries the Filter/Project run it absorbed as its
-``stages`` and is checked the same way:
+``stages`` and is checked the same way; a fused Sort/Top-N sink gathers
+its output as one region, which the compiler must not leave out:
 
 ======  =========  ===========================================================
 rule    severity   meaning
@@ -24,10 +25,12 @@ rule    severity   meaning
 FC02    error      stage schemas do not chain (a stage's declared input
                    arity disagrees with its predecessor's output; a probe's
                    first absorbed stage chains from the probe's join schema)
-FC03    error      a fusible run survives unfused in a fused pipeline: two
+FC03    error      fusible work survives unfused in a fused pipeline: two
                    adjacent unfused Filter/Project operators, or a
                    ``FusedOp`` / Filter / Project directly after a
-                   ``HashJoinProbe`` that could have absorbed it
+                   ``HashJoinProbe`` that could have absorbed it, or a
+                   ``SortSink`` / ``TopNSink`` gathering its output one
+                   kernel per column (not rebuilt with ``fused()``)
 ======  =========  ===========================================================
 """
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 from ..core.expr_compile import UnsupportedExpressionError
 from ..core.operators.fused import FusedOp
 from ..core.operators.join import HashJoinProbe
+from ..core.operators.sort import SortSink, TopNSink
 from ..core.operators.streaming import FilterOp, ProjectOp
 from ..core.planner import PhysicalPlan, Pipeline
 from .report import SEVERITY_ERROR, Finding
@@ -44,7 +48,7 @@ __all__ = ["FUSION_RULES", "verify_fused_plan"]
 
 FUSION_RULES = {
     "FC02": "fused stage schemas do not chain",
-    "FC03": "a fusible run left unfused in a fused pipeline",
+    "FC03": "fusible work (a run, or a sort sink's gather) left unfused in a fused pipeline",
 }
 
 
@@ -89,6 +93,12 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
                         site,
                     )
                 )
+
+    sink = pipeline.sink
+    if isinstance(sink, (SortSink, TopNSink)) and not sink.fused_gather:
+        findings.append(
+            Finding("FC03", SEVERITY_ERROR, f"{sink.describe()} gathers its output unfused", site)
+        )
 
     for pos, op in enumerate(ops):
         if isinstance(op, FusedOp):

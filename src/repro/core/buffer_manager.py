@@ -570,9 +570,12 @@ class BufferManager:
     def engine_indices_to_kernel(self, indices: np.ndarray) -> np.ndarray:
         """Convert Sirius' uint64 row ids to libcudf's int32.
 
-        This is the conversion the paper singles out as *not* zero-copy;
-        it is charged as a streaming kernel over both buffers.  The
-        sentinel ``UINT64_MAX`` is ``-1`` in two's complement.
+        The return half of the round trip an unfused probe pays, charged
+        as a streaming kernel over both buffers.  A fused probe calls it
+        inside its output region, which records the launch as one of its
+        parts.  The sentinel ``UINT64_MAX`` is ``-1`` in two's complement;
+        an id past int32 raises ``OverflowError`` before anything is
+        charged or recorded.
         """
         if indices.dtype != np.uint64:
             raise TypeError(f"engine indices must be uint64, got {indices.dtype}")
@@ -587,8 +590,10 @@ class BufferManager:
     def kernel_indices_to_engine(self, indices: np.ndarray) -> np.ndarray:
         """Convert libcudf int32 gather maps back to uint64 engine row ids.
 
-        ``-1`` (no-match sentinel) maps to ``UINT64_MAX``, its two's
-        complement.
+        This is the conversion the paper singles out as *not* zero-copy
+        (§3.2.3), charged once per gather map as a streaming kernel over
+        both buffers.  ``-1`` (no-match sentinel) maps to ``UINT64_MAX``,
+        its two's complement.
         """
         self.device.launch(
             KernelClass.STREAM, indices.nbytes, indices.nbytes * 2, len(indices)

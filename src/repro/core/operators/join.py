@@ -12,8 +12,12 @@ Two implementations are registered (§3.2.2's libcudf/custom switch):
   profile (two sort passes + a streaming merge instead of random-access
   hashing); results are identical.
 
-Row indices crossing the engine/kernel boundary pay the paper's
-uint64 <-> int32 conversion through the buffer manager.
+Row indices crossing the kernel/engine boundary pay the paper's one
+non-zero-copy conversion (§3.2.3) through the buffer manager: each int32
+gather map becomes uint64 engine row ids, one charged launch per map.
+Unfused, libcudf's ``gather`` needs the map back as int32, a second
+launch; a fused probe's output region is the engine's own kernel, reads
+the uint64 ids, and converts them back inside itself.
 
 The build sink consumes through the partition spool (:mod:`.spool`).  When
 an out-of-core run scatters it, each leaf is kept as a fragment of a
@@ -182,11 +186,13 @@ class HashJoinProbe(StreamingOperator):
 
     A fused probe (``stages`` not ``None``, built by
     :func:`~repro.core.planner.fuse_operators`) assembles its output as
-    one fused region: the hash-join kernel and the §3.2.3 gather-map
-    conversions stay separately charged, then both sides' gathers, the
-    residual ``post_filter`` and ``stages`` — the Filter/Project run that
-    followed the probe, compiled once here — bill a single launch, per
-    chunk or per partitioned leaf.
+    one fused region: the hash-join kernel and the §3.2.3 conversion of
+    each gather map to uint64 engine ids stay separately charged, then
+    the maps' return trip to int32, both sides' gathers, the residual
+    ``post_filter`` and ``stages`` — the Filter/Project run that followed
+    the probe, compiled once here — bill a single launch, per chunk or
+    per partitioned leaf.  Unfused, every map pays both conversions as
+    launches of their own.
     """
 
     category = Category.JOIN
@@ -273,37 +279,38 @@ class HashJoinProbe(StreamingOperator):
         impl = ctx.registry.get("join")
         result = impl(self.join_type, probe_keys, build_keys)
 
-        bm = ctx.buffer_manager
         if self.join_type in ("semi", "anti"):
             if self.post_filter is not None:
                 return self._filtered_semi_anti(
                     ctx, chunk, build_table, probe_keys, build_keys, slots
                 )
-            engine_ids = bm.kernel_indices_to_engine(result)
-            kernel_ids = bm.engine_indices_to_kernel(engine_ids)
+            (ids,) = self._engine_maps(ctx, [result])
             with self._region(ctx) as scope:
-                out = gather_table(chunk, kernel_ids)
-                return self._finish(
-                    ctx, scope, out, slots, chunk.traffic_bytes + kernel_ids.nbytes
-                )
-        # Round-trip the gather maps through engine uint64 ids — the
-        # one non-zero-copy conversion the paper calls out (§3.2.3).
-        left_ids = bm.engine_indices_to_kernel(
-            bm.kernel_indices_to_engine(result.left_indices)
-        )
-        right_ids = bm.engine_indices_to_kernel(
-            bm.kernel_indices_to_engine(result.right_indices)
-        )
+                bytes_in = chunk.traffic_bytes + ids.nbytes
+                out = gather_table(chunk, _kernel_ids(ctx, ids))
+                return self._finish(ctx, scope, out, slots, bytes_in)
+        left_ids, right_ids = self._engine_maps(ctx, [result.left_indices, result.right_indices])
         # Residual predicates are *filtering* work (Q13's NOT LIKE on
         # o_comment lives here); attribute them as Figure 5 does.
         return self._assemble(ctx, chunk, build_table, left_ids, right_ids, slots, Category.FILTER)
+
+    def _engine_maps(self, ctx, maps: list) -> list:
+        """The §3.2.3 copy of each int32 gather map to uint64 engine ids;
+        unfused, each map also pays its return trip to int32 here."""
+        bm = ctx.buffer_manager
+        out = []
+        for indices in maps:
+            ids = bm.kernel_indices_to_engine(indices)
+            out.append(ids if self._program is not None else bm.engine_indices_to_kernel(ids))
+        return out
 
     def _assemble(self, ctx, chunk, build_table, left_ids, right_ids, slots, residual) -> GTable:
         """Gather both sides' output rows and apply the residual
         ``post_filter``, its time attributed to ``residual``."""
         with self._region(ctx) as scope:
-            left_out = gather_table(chunk, left_ids)
-            right_out = gather_table(build_table, right_ids)
+            map_bytes = left_ids.nbytes + right_ids.nbytes
+            left_out = gather_table(chunk, _kernel_ids(ctx, left_ids))
+            right_out = gather_table(build_table, _kernel_ids(ctx, right_ids))
             out = GTable(
                 self.join_schema(),
                 list(left_out.columns) + list(right_out.columns),
@@ -313,9 +320,7 @@ class HashJoinProbe(StreamingOperator):
                 with ctx.device.clock.attributed(residual):
                     keep = expr_eval.evaluate_predicate(self.post_filter, out)
                     out = mask_table(out, keep)
-            bytes_in = (
-                chunk.traffic_bytes + right_out.traffic_bytes + left_ids.nbytes + right_ids.nbytes
-            )
+            bytes_in = chunk.traffic_bytes + right_out.traffic_bytes + map_bytes
             return self._finish(ctx, scope, out, slots, bytes_in)
 
     def _cross_join(
@@ -336,9 +341,10 @@ class HashJoinProbe(StreamingOperator):
 
     def _filtered_semi_anti(self, ctx, chunk, build_table, probe_keys, build_keys, slots) -> GTable:
         """Semi/anti join with a residual non-equi predicate (Q21's
-        ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the inner join,
-        filter the pairs, then reduce back to distinct probe rows."""
-        pairs = inner_join(probe_keys, build_keys)
+        ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the registered
+        implementation's inner join, filter the pairs, then reduce back to
+        distinct probe rows."""
+        pairs = ctx.registry.get("join")("inner", probe_keys, build_keys)
         with self._region(ctx) as scope:
             left_out = gather_table(chunk, pairs.left_indices)
             right_out = gather_table(build_table, pairs.right_indices)
@@ -471,6 +477,15 @@ class PartitionedBuild:
         """Whether any leaf lives strictly below ``path`` (meaning the
         probe side must subdivide further to find its match partition)."""
         return path in self._prefixes
+
+
+def _kernel_ids(ctx: ExecutionContext, ids: np.ndarray) -> np.ndarray:
+    """The int32 gather map for ``ids``: engine uint64 row ids are
+    converted (inside a fused probe's region, which records the launch as
+    one of its parts); the kernel's own int32 maps pass through."""
+    if ids.dtype == np.uint64:
+        return ctx.buffer_manager.engine_indices_to_kernel(ids)
+    return ids
 
 
 def _empty_gtable(ctx: ExecutionContext, schema: Schema) -> GTable:

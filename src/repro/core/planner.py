@@ -194,10 +194,11 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
       pushed filter included, which the compiler emits as the pipeline's
       first ``FilterOp`` — becomes one :class:`FusedOp`;
     * a :class:`HashJoinProbe` is rebuilt as a fused probe
-      (:meth:`HashJoinProbe.fused`) whose output region — both sides'
-      gathers, the residual ``post_filter`` — also runs the Filter/Project
-      run that follows it, so a probe and its consumers bill one launch
-      after the join kernel.
+      (:meth:`HashJoinProbe.fused`) whose output region — the int32
+      return trip of its uint64 gather maps, both sides' gathers, the
+      residual ``post_filter`` — also runs the Filter/Project run that
+      follows it, so a probe and its consumers bill one launch after the
+      join kernel and the one §3.2.3 conversion per map.
 
     Anything else (sinks, sources) bounds a region.  An expression the
     compiler cannot lower leaves its run unfused (the unfused operators
@@ -239,9 +240,11 @@ def compile_plan(plan: Plan, fusion: bool = False) -> PhysicalPlan:
     that is decided at run time (``ExecutionContext.out_of_core``).
 
     With ``fusion=True``, each pipeline's streaming run is post-processed
-    by :func:`fuse_operators`; the default runs every operator on its own
-    (a scan's pushed filter as the ``FilterOp`` after it), charging the
-    same kernels the seed planner did.
+    by :func:`fuse_operators`, and a Sort/Top-N sink is rebuilt with its
+    ``fused()`` constructor, so it gathers its output columns as one
+    region; the default runs every operator on its own (a scan's pushed
+    filter as the ``FilterOp`` after it), charging the same kernels the
+    seed planner did.
     """
     compiler = _Compiler()
     source, ops, deps = compiler.compile(plan.root)
@@ -251,4 +254,6 @@ def compile_plan(plan: Plan, fusion: bool = False) -> PhysicalPlan:
     if fusion:
         for pipeline in compiler.pipelines:
             pipeline.operators = fuse_operators(pipeline.operators)
+            if isinstance(pipeline.sink, (SortSink, TopNSink)):
+                pipeline.sink = pipeline.sink.fused()
     return PhysicalPlan(compiler.pipelines, RESULT_SLOT, fusion=fusion)

@@ -7,7 +7,9 @@ from repro.core import SiriusEngine
 from repro.core.operators.base import OperatorRegistry
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
-from repro.plan import PlanBuilder, col, lit
+from repro.plan import Plan, PlanBuilder, col, lit
+from repro.plan.expressions import FieldRef, ScalarCall
+from repro.plan.relations import JoinRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
 
@@ -104,6 +106,42 @@ class TestRegistry:
         baseline = engine.execute(plan, data).to_pydict()
         engine.use_implementation("join", "custom")
         assert engine.execute(plan, data).to_pydict() == baseline
+
+    def test_filtered_semi_join_runs_the_registered_join(self, data, monkeypatch):
+        """A semi join with a residual predicate (Q21's shape) runs an inner
+        join under the hood; the custom implementation must run it too."""
+        other = Schema([("k2", "int64"), ("w", "float64")])
+        data = dict(
+            data,
+            u=Table.from_pydict(
+                {"k2": [i % 500 for i in range(1500)], "w": [float(i % 7) for i in range(1500)]},
+                other,
+            ),
+        )
+        # The residual reads both sides: v > w over the (k, v, k2, w) pairs.
+        residual = ScalarCall("gt", [FieldRef(1), FieldRef(3)])
+        plan = Plan(
+            JoinRel(ReadRel("t", SCHEMA), ReadRel("u", other), "semi", [0], [0], residual)
+        )
+        rows = {}
+        for impl in ("libcudf", "custom"):
+            engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+            engine.use_implementation("join", impl)
+            kinds = []
+            charge = engine.device._charge_launch
+
+            def recording(kclass, cost, kinds=kinds, charge=charge):
+                kinds.append(kclass)
+                return charge(kclass, cost)
+
+            monkeypatch.setattr(engine.device, "_charge_launch", recording)
+            rows[impl] = engine.execute(plan, data).to_pydict()
+            if impl == "custom":
+                # Two sort passes for the semi join, two for its inner join.
+                assert kinds.count("sort") == 4
+                assert "hash_build" not in kinds and "hash_probe" not in kinds
+        assert rows["custom"] == rows["libcudf"]
+        assert 0 < len(rows["custom"]["k"]) < 500
 
     def test_engine_rejects_unknown_impl(self, data):
         engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)

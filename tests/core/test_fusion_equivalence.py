@@ -235,6 +235,23 @@ class TestFusedPlanVerifier:
             ("FC02", f"P{pipeline.pid}[{pos}].stage0")
         ]
 
+    @pytest.mark.parametrize("q, kind", [(1, "SortSink"), (3, "TopNSink")])
+    def test_fc03_flags_a_sort_sink_left_unfused(self, q, kind, planner):
+        from repro.core.operators.sort import SortSink, TopNSink
+
+        physical = compile_plan(planner.plan_sql(tpch_query(q)), fusion=True)
+        pipeline = next(p for p in physical.pipelines if type(p.sink).__name__ == kind)
+        sink = pipeline.sink
+        assert sink.fused_gather
+        if isinstance(sink, TopNSink):
+            unfused = TopNSink(sink.sort_keys, sink.limit, sink.offset, sink.input_schema)
+        else:
+            unfused = SortSink(sink.sort_keys, sink.input_schema)
+        replaced = dataclasses.replace(pipeline, sink=unfused)
+        pipelines = [replaced if p is pipeline else p for p in physical.pipelines]
+        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=pipelines))
+        assert [(f.rule, f.site) for f in findings] == [("FC03", f"P{pipeline.pid}")]
+
     def test_a_run_the_compiler_cannot_lower_stays_unfused_behind_its_probe(self, planner):
         """The probe still fuses its own gathers; the run stays on the
         unfused operators, and FC03 accepts that (the compile fallback)."""
@@ -414,6 +431,168 @@ class TestScatteredPath:
         a, b = (engine.execute(plan, data) for engine in scattered_pair)
         assert values(a) == values(b)
         assert False in seen and True in seen
+
+
+_PROBE = Schema([("k", "int64"), ("v", "float64")])
+_BUILD = Schema([("k2", "int64"), ("w", "float64")])
+
+
+def _join_data():
+    return {
+        "p": Table.from_pydict(
+            {"k": [1, 2, 3, 4, 2, 9], "v": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, _PROBE
+        ),
+        "b": Table.from_pydict({"k2": [2, 3, 5, 2], "w": [2.0, 1.0, 0.0, 7.0]}, _BUILD),
+    }
+
+
+def _join_plan(join_type):
+    return (
+        PlanBuilder.read("p", _PROBE)
+        .join(PlanBuilder.read("b", _BUILD), join_type, [("k", "k2")])
+        .build()
+    )
+
+
+def _record_launches(monkeypatch, engine):
+    """The kernel class of every launch ``engine``'s device charges, and
+    the part classes of every fused region it prices."""
+    charged, regions = [], []
+    device = engine.device
+    charge, fused_cost = device._charge_launch, device.cost_model.fused_cost
+
+    def recording_charge(kclass, cost):
+        charged.append(kclass)
+        return charge(kclass, cost)
+
+    def recording_fused_cost(parts, bytes_in, bytes_out):
+        regions.append([p[0] for p in parts])
+        return fused_cost(parts, bytes_in, bytes_out)
+
+    monkeypatch.setattr(device, "_charge_launch", recording_charge)
+    monkeypatch.setattr(device.cost_model, "fused_cost", recording_fused_cost)
+    return charged, regions
+
+
+class TestOneConversionPerGatherMap:
+    """§3.2.3's one copy: a fused probe charges ``kernel_indices_to_engine``
+    once per gather map and converts back to int32 inside its region;
+    unfused, each map still pays the round trip as two launches."""
+
+    @pytest.mark.parametrize(
+        "join_type, maps", [("inner", 2), ("left", 2), ("semi", 1), ("anti", 1)]
+    )
+    def test_launches_per_probe_chunk(self, monkeypatch, join_type, maps):
+        data = _join_data()
+        got = {}
+        for fusion in (False, True):
+            engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, fusion=fusion)
+            charged, regions = _record_launches(monkeypatch, engine)
+            got[fusion] = raw_bytes(engine.execute(_join_plan(join_type), data))
+            head = ["hash_build", "hash_probe"]
+            columns = 2 if join_type in ("semi", "anti") else 4
+            gathers = ["gather"] * columns
+            if fusion:
+                assert charged == head + ["stream"] * maps + ["fused"]
+                # Each map is converted back just before its side's gathers.
+                assert regions == [(["stream"] + gathers[: columns // maps]) * maps]
+            else:
+                assert charged == head + ["stream"] * (2 * maps) + gathers
+                assert regions == []
+        assert got[False] == got[True]
+
+    def test_overflow_inside_the_region_propagates_and_charges_nothing(self, monkeypatch):
+        """A uint64 map past int32 reaches ``engine_indices_to_kernel``
+        inside the open region: the guard raises, the error propagates
+        and the region bills nothing."""
+        from repro.core import BufferManager
+
+        real = BufferManager.kernel_indices_to_engine
+
+        def crafted(self, indices):
+            return real(self, indices) + np.uint64(2**31)  # every id past int32
+
+        monkeypatch.setattr(BufferManager, "kernel_indices_to_engine", crafted)
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, fusion=True)
+        charged, regions = _record_launches(monkeypatch, engine)
+        with pytest.raises(OverflowError, match="int32"):
+            engine.execute(_join_plan("inner"), _join_data())
+        assert charged == ["hash_build", "hash_probe", "stream", "stream"]
+        assert regions == [] and engine.device.fused_kernel_count == 0
+        assert engine.device._fused_scope is None
+
+
+_SORT_SCHEMA = Schema([("g", "int64"), ("x", "float64"), ("s", "string")])
+
+
+def _sort_data(rows=40):
+    return {
+        "t": Table.from_pydict(
+            {
+                "g": [i % 7 for i in range(rows)],
+                "x": [float((i * 37) % 11) for i in range(rows)],
+                "s": [f"s{i % 5}" for i in range(rows)],
+            },
+            _SORT_SCHEMA,
+        )
+    }
+
+
+def _sort_plans():
+    read = PlanBuilder.read("t", _SORT_SCHEMA)
+    keys = [("x", False), ("g", True)]
+    grouped = read.aggregate(groups=["g", "s"], aggs=[("sum", "x", "x")])
+    return {
+        "sort": read.sort(keys).build(),
+        "top_n_offset": read.sort(keys).limit(5, offset=3).build(),
+        "top_n_past_the_end": read.sort(keys).limit(5, offset=38).build(),
+        "empty": read.filter(col("x") > lit(100.0)).sort(keys).limit(4, offset=1).build(),
+        "grouped_top_n": grouped.sort([("x", False), ("g", True), ("s", True)])
+        .limit(6, offset=2)
+        .build(),
+    }
+
+
+class TestSortOutputRegion:
+    """A fused Sort/Top-N sink gathers every column by its order map as
+    one region: byte-identical output, one launch for the gather."""
+
+    @pytest.mark.parametrize("name", sorted(_sort_plans()))
+    @pytest.mark.parametrize("batch_rows", [None, 7])
+    def test_fused_equals_unfused(self, name, batch_rows):
+        plan, data = _sort_plans()[name], _sort_data()
+        plain, fused = (
+            SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, batch_rows=batch_rows, fusion=f)
+            for f in (False, True)
+        )
+        a, b = plain.execute(plan, data), fused.execute(plan, data)
+        assert a.schema == b.schema
+        assert raw_bytes(a) == raw_bytes(b)
+        if name != "empty":
+            assert fused.last_profile.kernel_count < plain.last_profile.kernel_count
+
+    @pytest.mark.usefixtures("partition_every_sink")
+    @pytest.mark.parametrize("name", sorted(_sort_plans()))
+    def test_fused_equals_unfused_scattered(self, name):
+        plan, data = _sort_plans()[name], _sort_data()
+        plain, fused = (
+            SiriusEngine.for_spec(
+                GH200, memory_limit_gb=1.0, batch_rows=9, out_of_core=True, fusion=f
+            )
+            for f in (False, True)
+        )
+        a, b = plain.execute(plan, data), fused.execute(plan, data)
+        assert a.schema == b.schema
+        assert values(a) == values(b)
+
+    def test_the_gather_is_one_region_reading_map_and_columns(self, monkeypatch):
+        plan, data = _sort_plans()["top_n_offset"], _sort_data()
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0, fusion=True)
+        charged, regions = _record_launches(monkeypatch, engine)
+        out = engine.execute(plan, data)
+        assert out.num_rows == 5
+        assert regions == [["gather"] * 3]
+        assert "gather" not in charged and charged.count("fused") == 1
 
 
 class TestCseOnlyInsideFusedRegions:
