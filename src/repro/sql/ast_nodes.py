@@ -38,11 +38,32 @@ __all__ = [
     "JoinClause",
     "OrderItem",
     "SelectStmt",
+    "nodes_of",
 ]
 
 
 class SqlExpr:
     """Base class for SQL expressions."""
+
+    def children(self) -> tuple["SqlExpr", ...]:
+        """Child expressions in source order.  A subquery is a statement,
+        not a child: traversals stop at its boundary."""
+        return ()
+
+
+def nodes_of(expr: SqlExpr, kind) -> list:
+    """Every node of ``kind`` (a class or a tuple of classes) in
+    ``expr``'s tree, parents first, children in source order: the one AST
+    traversal, as ``walk_expressions`` is the plan IR's."""
+    out, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            out.append(node)
+        children = node.children()
+        if children:
+            stack.extend(children[::-1])
+    return out
 
 
 @dataclass
@@ -97,11 +118,17 @@ class BinaryOp(SqlExpr):
     left: SqlExpr
     right: SqlExpr
 
+    def children(self):
+        return (self.left, self.right)
+
 
 @dataclass
 class UnaryOp(SqlExpr):
     op: str  # "-" | "not"
     operand: SqlExpr
+
+    def children(self):
+        return (self.operand,)
 
 
 @dataclass
@@ -112,6 +139,9 @@ class FuncCall(SqlExpr):
     args: list[SqlExpr]
     extra: dict = field(default_factory=dict)  # e.g. extract part
 
+    def children(self):
+        return tuple(self.args)
+
 
 @dataclass
 class AggCall(SqlExpr):
@@ -121,17 +151,27 @@ class AggCall(SqlExpr):
     arg: Optional[SqlExpr]  # None for count(*)
     distinct: bool = False
 
+    def children(self):
+        return () if self.arg is None else (self.arg,)
+
 
 @dataclass
 class CaseExpr(SqlExpr):
     whens: list[tuple[SqlExpr, SqlExpr]]
     default: Optional[SqlExpr]
 
+    def children(self):
+        out = tuple(e for when in self.whens for e in when)
+        return out if self.default is None else out + (self.default,)
+
 
 @dataclass
 class CastExpr(SqlExpr):
     operand: SqlExpr
     type_name: str
+
+    def children(self):
+        return (self.operand,)
 
 
 @dataclass
@@ -140,6 +180,9 @@ class BetweenExpr(SqlExpr):
     low: SqlExpr
     high: SqlExpr
     negated: bool = False
+
+    def children(self):
+        return (self.operand, self.low, self.high)
 
 
 @dataclass
@@ -150,6 +193,9 @@ class InExpr(SqlExpr):
     subquery: Optional["SelectStmt"] = None
     negated: bool = False
 
+    def children(self):
+        return (self.operand, *(self.values or ()))
+
 
 @dataclass
 class LikeExpr(SqlExpr):
@@ -158,11 +204,17 @@ class LikeExpr(SqlExpr):
     negated: bool = False
     escape: Optional[str] = None  # single-char ESCAPE clause
 
+    def children(self):
+        return (self.operand,)
+
 
 @dataclass
 class IsNullExpr(SqlExpr):
     operand: SqlExpr
     negated: bool = False
+
+    def children(self):
+        return (self.operand,)
 
 
 @dataclass

@@ -37,12 +37,17 @@ from ..plan import (
 )
 
 __all__ = [
+    "FILTER_SELECTIVITY",
     "choose_build_sides",
     "estimate_rows",
     "optimize_plan",
     "prune_columns",
     "push_filters_into_scans",
 ]
+
+# The fraction of rows one filter keeps, wherever a row count is estimated
+# (here, and per pushed conjunct in the SQL planner's join ordering).
+FILTER_SELECTIVITY = 0.25
 
 
 def optimize_plan(plan: Plan, row_counts: Mapping[str, int] | None = None) -> Plan:
@@ -246,9 +251,9 @@ def estimate_rows(rel: Relation, row_counts: Mapping[str, int]) -> float:
     """Estimated output rows of ``rel`` from base-table row counts."""
     if isinstance(rel, ReadRel):
         base = float(row_counts.get(rel.table_name, 1000.0))
-        return base * (0.25 if rel.filter_expr is not None else 1.0)
+        return base * (FILTER_SELECTIVITY if rel.filter_expr is not None else 1.0)
     if isinstance(rel, FilterRel):
-        return estimate_rows(rel.input_rel, row_counts) * 0.25
+        return estimate_rows(rel.input_rel, row_counts) * FILTER_SELECTIVITY
     if isinstance(rel, (ProjectRel, SortRel)):
         return estimate_rows(rel.inputs[0], row_counts)
     if isinstance(rel, AggregateRel):

@@ -19,6 +19,17 @@ Sirius.  The planner covers all 22 TPC-H queries:
   with ``avg`` left to the engine to decompose;
 * DISTINCT via grouping, ORDER BY (aliases, output columns, ordinals),
   LIMIT, and CTEs (WITH ... AS).
+
+There is one binder, ``_plan_expr``.  After aggregation it takes a
+``bound`` map from the structural key of each expression already computed
+(group keys, aggregate calls, a HAVING scalar subquery) to its column, so
+every expression form binds the same way over an aggregate as over a
+column: ``not (sum(a) > 0)``, ``cast(sum(a) as double)``, ``count(*) in
+(1, 2)``, ``round(sum(a), -1)``, ``case when ... then null ...``.  One
+output planner serves plain and aggregate selects: an ORDER BY term that
+is not an output column (``order by sum(b)``, or an unselected group key)
+rides through the sort as a hidden column.  Every search of an expression
+for nodes of a kind goes through the one traversal, ``ast_nodes.nodes_of``.
 """
 
 from __future__ import annotations
@@ -46,13 +57,12 @@ from ..plan import (
     SortRel,
 )
 from . import ast_nodes as A
-from .optimizer import estimate_rows
+from .optimizer import FILTER_SELECTIVITY, estimate_rows
 from .parser import parse_sql
 
 __all__ = ["SqlPlanner", "SqlPlanningError", "TableStats"]
 
 _CMP_TO_FUNC = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-_FILTER_SELECTIVITY = 0.25  # per pushed conjunct, for join-order estimates
 
 
 class SqlPlanningError(ValueError):
@@ -179,15 +189,10 @@ class SqlPlanner:
             raise SqlPlanningError("SELECT without FROM is not supported")
 
         rel, scope = self._plan_from(stmt, outer_scope, ctes)
-
+        bound = None
         if stmt.group_by or _contains_aggregate(stmt):
-            rel, scope = self._plan_aggregate_select(stmt, rel, scope, ctes)
-            if stmt.distinct:
-                rel = AggregateRel(rel, list(range(len(scope.columns))), [])
-            rel = self._plan_order_limit(stmt, rel, scope)
-            return rel, scope
-
-        return self._plan_plain_select_full(stmt, rel, scope)
+            rel, bound = self._plan_aggregate(stmt, rel, scope, ctes)
+        return self._plan_output(stmt, rel, scope, bound)
 
     # -- FROM clause + WHERE classification -----------------------------------
 
@@ -202,7 +207,7 @@ class SqlPlanner:
         plain: list[A.SqlExpr] = []
         subquery_preds: list[A.SqlExpr] = []
         for conj in conjuncts:
-            if _contains_subquery(conj):
+            if _has_subquery(conj):
                 subquery_preds.append(conj)
             else:
                 plain.append(conj)
@@ -268,7 +273,7 @@ class SqlPlanner:
 
     def _try_place_conjunct(self, conj, nodes, edges, outer_scope) -> bool:
         """Push a conjunct into one node, or record it as a join edge."""
-        refs = _collect_column_refs(conj)
+        refs = A.nodes_of(conj, A.ColumnRef)
         owners = set()
         for ref in refs:
             owner = self._owning_node(ref, nodes)
@@ -280,7 +285,7 @@ class SqlPlanner:
             node = nodes[idx]
             scope = Scope(node.scope_columns)
             node.relation = FilterRel(node.relation, self._plan_expr(conj, scope))
-            node.est_rows = max(node.est_rows * _FILTER_SELECTIVITY, 1.0)
+            node.est_rows = max(node.est_rows * FILTER_SELECTIVITY, 1.0)
             return True
         if (
             len(owners) == 2
@@ -301,7 +306,7 @@ class SqlPlanner:
         return None
 
     def _owning_side(self, expr, nodes) -> Optional[int]:
-        refs = _collect_column_refs(expr)
+        refs = A.nodes_of(expr, A.ColumnRef)
         owners = {self._owning_node(r, nodes) for r in refs}
         owners.discard(None)
         return owners.pop() if len(owners) == 1 else None
@@ -411,7 +416,7 @@ class SqlPlanner:
             node_offsets[next_i] = len(scope_cols)
             for pos, d in node.distinct_by_pos.items():
                 comp_distinct[len(scope_cols) + pos] = d
-            scope_cols = _merged_scope_columns(scope_cols, node.scope_columns)
+            scope_cols = scope_cols + node.scope_columns
             est = max(next_est, 1.0)
             joined.add(next_i)
             remaining.remove(next_i)
@@ -432,7 +437,7 @@ class SqlPlanner:
     def _apply_explicit_join(self, clause: A.JoinClause, rel, scope, outer_scope, ctes):
         node = self._plan_from_item(clause.right, outer_scope, ctes)
         right_scope = Scope(node.scope_columns)
-        combined_cols = _merged_scope_columns(scope.columns, node.scope_columns)
+        combined_cols = scope.columns + node.scope_columns
         combined = Scope(combined_cols, parent=outer_scope)
         left_keys, right_keys = [], []
         post = None
@@ -456,7 +461,7 @@ class SqlPlanner:
                     # null-extend.  A post-join filter would wrongly drop
                     # them, so push right-only conjuncts below the join and
                     # reject anything referencing the left side.
-                    refs = _collect_column_refs(conj)
+                    refs = A.nodes_of(conj, A.ColumnRef)
                     if any(right_scope.try_resolve(r) is None for r in refs):
                         raise SqlPlanningError(
                             "LEFT JOIN ON conditions beyond equi-keys may only "
@@ -501,7 +506,7 @@ class SqlPlanner:
         corr_eq: list[tuple[A.ColumnRef, A.SqlExpr]] = []
         residual: list[A.SqlExpr] = []
         for conj in _split_conjuncts(sub.where):
-            refs = _collect_column_refs(conj)
+            refs = A.nodes_of(conj, A.ColumnRef)
             outer_refs = [r for r in refs if inner_nodes_scope.try_resolve(r) is None]
             if not outer_refs:
                 inner_conjs.append(conj)
@@ -517,7 +522,7 @@ class SqlPlanner:
             if isinstance(conj, A.BinaryOp) and conj.op == "=":
                 for outer_side, inner_side in ((conj.left, conj.right), (conj.right, conj.left)):
                     ref = _single_ref(outer_side)
-                    inner_refs = _collect_column_refs(inner_side)
+                    inner_refs = A.nodes_of(inner_side, A.ColumnRef)
                     if (
                         ref is not None
                         and inner_nodes_scope.try_resolve(ref) is None
@@ -616,36 +621,12 @@ class SqlPlanner:
             # Correlated: aggregate grouped by the correlation keys, then
             # inner-join back on them (classic decorrelation).
             corr_exprs = [self._plan_expr(e, inner_scope) for _, e in corr_eq]
-            aggs = _collect_agg_calls(sub.items[0].expr)
+            aggs = A.nodes_of(sub.items[0].expr, A.AggCall)
             if not aggs:
                 raise SqlPlanningError("correlated scalar subquery must aggregate")
-            pre_exprs = list(corr_exprs)
-            pre_names = [f"__ck{i}" for i in range(len(corr_exprs))]
-            arg_positions = {}
-            for i, agg in enumerate(aggs):
-                if agg.arg is not None:
-                    arg_positions[id(agg)] = len(pre_exprs)
-                    pre_exprs.append(self._plan_expr(agg.arg, inner_scope))
-                    pre_names.append(f"__a{i}")
-            pre = ProjectRel(inner_rel, pre_exprs, pre_names)
-            measures = []
-            measure_pos = {}
-            for i, agg in enumerate(aggs):
-                arg = (
-                    FieldRef(arg_positions[id(agg)]) if agg.arg is not None else None
-                )
-                op = agg.func if agg.func != "count" or arg is not None else "count_star"
-                if agg.func == "count" and agg.distinct:
-                    op = "count_distinct"
-                measures.append((AggregateCall(op, arg, agg.distinct), f"__m{i}"))
-                measure_pos[id(agg)] = len(corr_exprs) + i
-            agg_rel = AggregateRel(pre, list(range(len(corr_exprs))), measures)
-            agg_scope_cols = [(None, n) for n in pre_names[: len(corr_exprs)]]
-            agg_scope_cols += [(None, f"__m{i}") for i in range(len(aggs))]
+            agg_rel, bound = self._aggregate(inner_rel, inner_scope, corr_exprs, "__ck", aggs)
             # The scalar value may be an expression over aggregates.
-            value_expr = self._plan_agg_expr(
-                sub.items[0].expr, Scope(agg_scope_cols), measure_pos, {}, aggs
-            )
+            value_expr = self._plan_expr(sub.items[0].expr, inner_scope, bound)
             value_rel = ProjectRel(
                 agg_rel,
                 [FieldRef(i) for i in range(len(corr_exprs))] + [value_expr],
@@ -713,84 +694,67 @@ class SqlPlanner:
     def _references_outer(self, expr, scope: Scope) -> bool:
         return any(
             scope.try_resolve(r) is None and scope.is_outer(r)
-            for r in _collect_column_refs(expr)
+            for r in A.nodes_of(expr, A.ColumnRef)
         )
 
     # -- aggregation ------------------------------------------------------------
 
-    def _plan_aggregate_select(self, stmt, rel, scope, ctes):
+    def _plan_aggregate(self, stmt, rel, scope, ctes):
+        """GROUP BY, aggregates and HAVING.  Returns the relation the select
+        list is projected from and the ``bound`` map that binds group keys,
+        aggregate calls and a HAVING scalar subquery to its columns."""
         group_items = [self._resolve_group_item(g, stmt, scope) for g in stmt.group_by]
         group_exprs = [self._plan_expr(g, scope) for g in group_items]
-        group_keys = [_expr_key(g) for g in group_items]
-
-        aggs: list[A.AggCall] = []
-        for item in stmt.items:
-            aggs.extend(_collect_agg_calls(item.expr))
+        terms = [item.expr for item in stmt.items]
         if stmt.having is not None:
-            aggs.extend(_collect_agg_calls(stmt.having))
-        for order in stmt.order_by:
-            aggs.extend(_collect_agg_calls(order.expr))
+            terms.append(stmt.having)
+        terms += [order.expr for order in stmt.order_by]
+        aggs = [agg for term in terms for agg in A.nodes_of(term, A.AggCall)]
+        rel, bound = self._aggregate(rel, scope, group_exprs, "__g", aggs)
+        # Group keys take precedence over aggregates; a repeated key binds
+        # to its last position.
+        bound.update({repr(g): FieldRef(i) for i, g in enumerate(group_items)})
 
-        # Pre-projection: group expressions then aggregate arguments.
-        pre_exprs = list(group_exprs)
-        pre_names = [f"__g{i}" for i in range(len(group_exprs))]
-        arg_pos: dict[int, int] = {}
+        if stmt.having is not None:
+            subs = A.nodes_of(stmt.having, A.ScalarSubquery)
+            if len(subs) > 1:
+                raise SqlPlanningError("only one scalar subquery per HAVING is supported")
+            if subs:
+                # An uncorrelated scalar subquery (Q11): cross-join its
+                # single row and bind the subquery to that column.
+                value_rel, _ = self._plan_select(subs[0].subquery, None, ctes)
+                bound[repr(subs[0])] = FieldRef(len(group_exprs) + len(aggs))
+                rel = JoinRel(rel, value_rel, "inner", [], [])
+            rel = FilterRel(rel, self._plan_expr(stmt.having, scope, bound))
+        return rel, bound
+
+    def _aggregate(self, rel, scope, keys, key_prefix, aggs):
+        """Project ``keys`` then every aggregate's argument, aggregate by the
+        keys, and bind each aggregate call to its first occurrence's
+        measure.  A repeated aggregate still gets a measure of its own."""
+        pre_exprs = list(keys)
+        pre_names = [f"{key_prefix}{i}" for i in range(len(keys))]
+        measures = []
+        bound: dict[str, Expression] = {}
         for i, agg in enumerate(aggs):
+            arg = None
             if agg.arg is not None:
-                arg_pos[id(agg)] = len(pre_exprs)
+                arg = FieldRef(len(pre_exprs))
                 pre_exprs.append(self._plan_expr(agg.arg, scope))
                 pre_names.append(f"__a{i}")
-        if not pre_exprs:
-            # count(*)-only queries: keep one column so the projected table
-            # retains its row count (zero-column tables have no length).
-            pre_exprs = [FieldRef(0)]
-            pre_names = ["__rowcount_anchor"]
-        pre = ProjectRel(rel, pre_exprs, pre_names)
-
-        measures = []
-        measure_pos: dict[int, int] = {}
-        for i, agg in enumerate(aggs):
-            arg = FieldRef(arg_pos[id(agg)]) if agg.arg is not None else None
             op = agg.func
             if op == "count" and agg.distinct:
                 op = "count_distinct"
             elif op == "count" and arg is None:
                 op = "count_star"
             measures.append((AggregateCall(op, arg, agg.distinct), f"__m{i}"))
-            measure_pos[id(agg)] = len(group_exprs) + i
-        agg_rel = AggregateRel(pre, list(range(len(group_exprs))), measures)
-
-        agg_scope = Scope(
-            [(None, f"__g{i}") for i in range(len(group_exprs))]
-            + [(None, f"__m{i}") for i in range(len(aggs))],
-            parent=scope.parent,
-        )
-        group_pos = {key: i for i, key in enumerate(group_keys)}
-
-        out_rel: Relation = agg_rel
-        if stmt.having is not None:
-            scalar_subs = _collect_scalar_subqueries(stmt.having)
-            if scalar_subs:
-                out_rel, agg_scope, having_expr = self._plan_having_with_subquery(
-                    stmt.having, out_rel, agg_scope, group_pos, measure_pos, aggs, ctes, scope
-                )
-                out_rel = FilterRel(out_rel, having_expr)
-            else:
-                having_expr = self._plan_agg_expr(
-                    stmt.having, agg_scope, measure_pos, group_pos, aggs
-                )
-                out_rel = FilterRel(out_rel, having_expr)
-
-        exprs, names = [], []
-        for i, item in enumerate(stmt.items):
-            exprs.append(
-                self._plan_agg_expr(item.expr, agg_scope, measure_pos, group_pos, aggs)
-            )
-            names.append(_item_name(item, i))
-        names = _dedupe(names)
-        out_rel = ProjectRel(out_rel, exprs, names)
-        out_scope = Scope([(None, n) for n in names], parent=scope.parent)
-        return out_rel, out_scope
+            bound.setdefault(repr(agg), FieldRef(len(keys) + i))
+        if not pre_exprs:
+            # count(*)-only queries: keep one column so the projected table
+            # retains its row count (zero-column tables have no length).
+            pre_exprs, pre_names = [FieldRef(0)], ["__rowcount_anchor"]
+        pre = ProjectRel(rel, pre_exprs, pre_names)
+        return AggregateRel(pre, list(range(len(keys))), measures), bound
 
     def _resolve_group_item(self, g, stmt, scope) -> A.SqlExpr:
         """Resolve GROUP BY ordinals (``GROUP BY 1``) and select-list
@@ -802,7 +766,7 @@ class SqlPlanner:
             item = stmt.items[pos]
             if isinstance(item.expr, A.Star):
                 raise SqlPlanningError("GROUP BY ordinal cannot reference *")
-            if _collect_agg_calls(item.expr):
+            if A.nodes_of(item.expr, A.AggCall):
                 raise SqlPlanningError("GROUP BY ordinal references an aggregate")
             return item.expr
         if (
@@ -812,153 +776,22 @@ class SqlPlanner:
         ):
             for item in stmt.items:
                 if item.alias == g.name and not isinstance(item.expr, A.Star):
-                    if _collect_agg_calls(item.expr):
+                    if A.nodes_of(item.expr, A.AggCall):
                         raise SqlPlanningError(f"GROUP BY alias {g.name!r} is an aggregate")
                     return item.expr
         return g
 
-    def _plan_having_with_subquery(
-        self, having, rel, agg_scope, group_pos, measure_pos, aggs, ctes, base_scope
-    ):
-        """HAVING with an uncorrelated scalar subquery (Q11): cross-join the
-        single-row subquery result, compare, and keep the agg schema."""
-        subs = _collect_scalar_subqueries(having)
-        if len(subs) != 1:
-            raise SqlPlanningError("only one scalar subquery per HAVING is supported")
-        sub = subs[0]
-        value_rel, value_scope = self._plan_select(sub.subquery, None, ctes)
-        joined = JoinRel(rel, value_rel, "inner", [], [])
-        new_scope = Scope(
-            list(agg_scope.columns) + [(None, "__hv")], parent=agg_scope.parent
-        )
-        value_ref = FieldRef(len(agg_scope.columns))
+    # -- select list, DISTINCT, ORDER BY, LIMIT ---------------------------------
 
-        def plan_inner(expr):
-            if isinstance(expr, A.ScalarSubquery):
-                return value_ref
-            if isinstance(expr, A.BinaryOp):
-                if expr.op in ("and", "or"):
-                    return ScalarCall(expr.op, [plan_inner(expr.left), plan_inner(expr.right)])
-                if expr.op in _CMP_TO_FUNC:
-                    return ScalarCall(
-                        _CMP_TO_FUNC[expr.op], [plan_inner(expr.left), plan_inner(expr.right)]
-                    )
-                return ScalarCall(
-                    {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}[expr.op],
-                    [plan_inner(expr.left), plan_inner(expr.right)],
-                )
-            return self._plan_agg_expr(expr, new_scope, measure_pos, group_pos, aggs)
-
-        return joined, new_scope, plan_inner(having)
-
-    def _plan_agg_expr(self, expr, agg_scope, measure_pos, group_pos, aggs) -> Expression:
-        """Plan an expression in post-aggregate context: AggCalls map to
-        measure ordinals, group expressions map to group ordinals."""
-        key = _expr_key(expr)
-        if key in group_pos:
-            return FieldRef(group_pos[key])
-        if isinstance(expr, A.AggCall):
-            for agg in aggs:
-                if agg is expr or (
-                    agg.func == expr.func
-                    and agg.distinct == expr.distinct
-                    and _expr_key(agg.arg) == _expr_key(expr.arg)
-                ):
-                    return FieldRef(measure_pos[id(agg)])
-            raise SqlPlanningError(f"aggregate {expr!r} not collected")
-        if isinstance(expr, A.BinaryOp):
-            func = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "%": "modulo"}.get(
-                expr.op
-            )
-            if func is None:
-                func = _CMP_TO_FUNC.get(expr.op, expr.op)  # and/or/cmp
-            return ScalarCall(
-                func,
-                [
-                    self._plan_agg_expr(expr.left, agg_scope, measure_pos, group_pos, aggs),
-                    self._plan_agg_expr(expr.right, agg_scope, measure_pos, group_pos, aggs),
-                ],
-            )
-        if isinstance(expr, A.UnaryOp) and expr.op == "-":
-            return ScalarCall(
-                "negate", [self._plan_agg_expr(expr.operand, agg_scope, measure_pos, group_pos, aggs)]
-            )
-        if isinstance(expr, (A.NumberLit, A.StringLit, A.DateLit, A.BoolLit)):
-            return self._plan_expr(expr, agg_scope)
-        plan = lambda e: self._plan_agg_expr(e, agg_scope, measure_pos, group_pos, aggs)  # noqa: E731
-        if isinstance(expr, A.FuncCall):
-            return self._plan_func(expr, agg_scope, plan=plan)
-        if isinstance(expr, A.CaseExpr):
-            args = []
-            for cond, result in expr.whens:
-                args.append(plan(cond))
-                args.append(plan(result))
-            args.append(Literal(None) if expr.default is None else plan(expr.default))
-            return ScalarCall("case", args)
-        if isinstance(expr, A.ColumnRef):
-            # A bare column in an aggregate query must be a group expression.
-            raise SqlPlanningError(
-                f"column {expr!r} must appear in GROUP BY or inside an aggregate"
-            )
-        raise SqlPlanningError(f"unsupported expression in aggregate context: {expr!r}")
-
-    def _plan_plain_select_full(self, stmt, rel, scope):
-        """Plain (non-aggregate) select: projection, DISTINCT, ORDER BY
-        (including ordering by columns that are *not* in the select list —
-        standard SQL allows it; a hidden projection carries them through
-        the sort and a final projection drops them), and LIMIT."""
-        out_rel, out_scope = self._plan_plain_select(stmt, rel, scope)
-        out_names = [name for _, name in out_scope.columns]
-
-        if stmt.distinct:
-            out_rel = AggregateRel(out_rel, list(range(len(out_scope.columns))), [])
-
-        hidden: list[A.SqlExpr] = []
-        keys: list[tuple[int, bool]] = []
-        for order in stmt.order_by:
-            try:
-                idx = self._order_index(order.expr, stmt, out_names, out_scope)
-                keys.append((idx, order.ascending))
-            except SqlPlanningError:
-                if stmt.distinct:
-                    raise SqlPlanningError(
-                        "ORDER BY on a column outside the select list is "
-                        "incompatible with DISTINCT"
-                    )
-                keys.append((len(out_names) + len(hidden), order.ascending))
-                hidden.append(order.expr)
-
-        if hidden:
-            # Re-project from the pre-projection relation: select items plus
-            # the hidden order keys, sort, then drop the hidden columns.
-            exprs, names = [], []
-            for i, item in enumerate(stmt.items):
-                if isinstance(item.expr, A.Star):
-                    raise SqlPlanningError("SELECT * with hidden ORDER BY keys")
-                exprs.append(self._plan_expr(item.expr, scope))
-                names.append(_item_name(item, i))
-            names = _dedupe(names)
-            for i, expr in enumerate(hidden):
-                exprs.append(self._plan_expr(expr, scope))
-                names.append(f"__ob{i}")
-            widened = ProjectRel(rel, exprs, names)
-            sorted_rel = SortRel(widened, keys)
-            out_rel = ProjectRel(
-                sorted_rel,
-                [FieldRef(i) for i in range(len(out_names))],
-                names[: len(out_names)],
-            )
-        elif keys:
-            out_rel = SortRel(out_rel, keys)
-
-        if stmt.limit is not None or stmt.offset:
-            out_rel = FetchRel(out_rel, stmt.offset, stmt.limit)
-        return out_rel, out_scope
-
-    def _plan_plain_select(self, stmt, rel, scope):
-        exprs, names = [], []
+    def _plan_output(self, stmt, rel, scope, bound):
+        """Project the select list from ``rel``, then DISTINCT, ORDER BY and
+        LIMIT.  An ORDER BY term that is not an output column (standard
+        SQL allows it, also in an aggregate query) rides through the sort
+        as a hidden column and a final projection drops it."""
+        exprs, names, positions = [], [], []
         for i, item in enumerate(stmt.items):
-            if isinstance(item.expr, A.Star):
+            positions.append(None if isinstance(item.expr, A.Star) else len(exprs))
+            if isinstance(item.expr, A.Star) and bound is None:
                 qualifier = item.expr.qualifier
                 matched = False
                 for j, (qual, name) in enumerate(scope.columns):
@@ -970,50 +803,58 @@ class SqlPlanner:
                 if qualifier is not None and not matched:
                     raise SqlPlanningError(f"unknown table alias {qualifier!r} in {qualifier}.*")
                 continue
-            exprs.append(self._plan_expr(item.expr, scope))
+            exprs.append(self._plan_expr(item.expr, scope, bound))
             names.append(_item_name(item, i))
         names = _dedupe(names)
-        out = ProjectRel(rel, exprs, names)
         out_scope = Scope([(None, n) for n in names], parent=scope.parent)
-        return out, out_scope
 
-    def _plan_order_limit(self, stmt, rel, scope):
-        if stmt.order_by:
-            out_names = [name for _, name in _scope_columns(scope)]
-            keys = []
-            for order in stmt.order_by:
-                idx = self._order_index(order.expr, stmt, out_names, scope)
-                keys.append((idx, order.ascending))
-            rel = SortRel(rel, keys)
+        keys, hidden = [], []
+        for order in stmt.order_by:
+            idx = _order_index(order.expr, stmt, names, positions)
+            if idx is None:
+                if stmt.distinct:
+                    raise SqlPlanningError(
+                        "ORDER BY on a column outside the select list is "
+                        "incompatible with DISTINCT"
+                    )
+                if None in positions:
+                    raise SqlPlanningError("SELECT * with hidden ORDER BY keys")
+                idx = len(names) + len(hidden)
+                hidden.append(self._plan_expr(order.expr, scope, bound))
+            keys.append((idx, order.ascending))
+
+        if hidden:
+            hidden_names = [f"__ob{i}" for i in range(len(hidden))]
+            rel = SortRel(ProjectRel(rel, exprs + hidden, names + hidden_names), keys)
+            rel = ProjectRel(rel, [FieldRef(i) for i in range(len(names))], names)
+        else:
+            rel = ProjectRel(rel, exprs, names)
+            if stmt.distinct:
+                rel = AggregateRel(rel, list(range(len(names))), [])
+            if keys:
+                rel = SortRel(rel, keys)
         if stmt.limit is not None or stmt.offset:
             rel = FetchRel(rel, stmt.offset, stmt.limit)
-        return rel
-
-    def _order_index(self, expr, stmt, out_names, scope) -> int:
-        if isinstance(expr, A.NumberLit):
-            pos = int(expr.value) - 1
-            if not 0 <= pos < len(out_names):
-                raise SqlPlanningError(f"ORDER BY position {expr.value} out of range")
-            return pos
-        if isinstance(expr, A.ColumnRef) and expr.name in out_names:
-            return out_names.index(expr.name)
-        # Match by expression structure against select items.
-        key = _expr_key(expr)
-        for i, item in enumerate(stmt.items):
-            if _expr_key(item.expr) == key:
-                return i
-        raise SqlPlanningError(f"cannot resolve ORDER BY expression {expr!r}")
+        return rel, out_scope
 
     # -- scalar expressions -----------------------------------------------------
 
-    def _plan_expr(self, expr: A.SqlExpr, scope: Scope) -> Expression:
+    def _plan_expr(self, expr: A.SqlExpr, scope: Scope, bound=None) -> Expression:
+        """The one binder.  ``bound`` maps the structural key (``repr``) of
+        an expression that is already computed — a group key, an aggregate
+        call, a HAVING scalar subquery — to its column; under a ``bound``
+        map a column outside it is an error."""
+        if bound is not None:
+            ref = bound.get(repr(expr))
+            if ref is not None:
+                return ref
         if isinstance(expr, A.ColumnRef):
+            if bound is not None:
+                raise SqlPlanningError(
+                    f"column {expr!r} must appear in GROUP BY or inside an aggregate"
+                )
             return FieldRef(scope.resolve(expr))
-        if isinstance(expr, A.NumberLit):
-            return Literal(expr.value)
-        if isinstance(expr, A.StringLit):
-            return Literal(expr.value)
-        if isinstance(expr, A.BoolLit):
+        if isinstance(expr, (A.NumberLit, A.StringLit, A.BoolLit)):
             return Literal(expr.value)
         if isinstance(expr, A.DateLit):
             return Literal(datetime.date.fromisoformat(expr.value))
@@ -1022,70 +863,46 @@ class SqlPlanner:
         if isinstance(expr, A.IntervalLit):
             raise SqlPlanningError("bare INTERVAL outside date arithmetic")
         if isinstance(expr, A.BinaryOp):
-            return self._plan_binary(expr, scope)
-        if isinstance(expr, A.UnaryOp):
-            if expr.op == "not":
-                return ScalarCall("not", [self._plan_expr(expr.operand, scope)])
-            operand = self._plan_expr(expr.operand, scope)
-            if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
-                return Literal(-operand.value)
-            return ScalarCall("negate", [operand])
-        if isinstance(expr, A.BetweenExpr):
-            inner = ScalarCall(
-                "between",
-                [
-                    self._plan_expr(expr.operand, scope),
-                    self._plan_expr(expr.low, scope),
-                    self._plan_expr(expr.high, scope),
-                ],
-            )
-            return ScalarCall("not", [inner]) if expr.negated else inner
-        if isinstance(expr, A.LikeExpr):
-            func = "not_like" if expr.negated else "like"
-            options = {"escape": expr.escape} if expr.escape is not None else None
-            return ScalarCall(
-                func, [self._plan_expr(expr.operand, scope), Literal(expr.pattern)], options
-            )
-        if isinstance(expr, A.InExpr):
-            if expr.subquery is not None:
-                raise SqlPlanningError("IN subquery outside a top-level conjunct")
-            func = "not_in" if expr.negated else "in"
-            return ScalarCall(
-                func,
-                [self._plan_expr(expr.operand, scope)]
-                + [self._plan_expr(v, scope) for v in expr.values],
-            )
-        if isinstance(expr, A.IsNullExpr):
-            func = "is_not_null" if expr.negated else "is_null"
-            return ScalarCall(func, [self._plan_expr(expr.operand, scope)])
-        if isinstance(expr, A.CaseExpr):
-            args = []
-            for cond, result in expr.whens:
-                args.append(self._plan_expr(cond, scope))
-                args.append(self._plan_expr(result, scope))
-            # Standard SQL: a missing ELSE branch yields NULL.
-            if expr.default is None:
-                args.append(Literal(None))
-            else:
-                args.append(self._plan_expr(expr.default, scope))
-            return ScalarCall("case", args)
-        if isinstance(expr, A.CastExpr):
-            return ScalarCall(
-                "cast", [self._plan_expr(expr.operand, scope)], {"to": expr.type_name}
-            )
-        if isinstance(expr, A.FuncCall):
-            return self._plan_func(expr, scope)
+            return self._plan_binary(expr, scope, bound)
+        if isinstance(expr, A.InExpr) and expr.subquery is not None:
+            raise SqlPlanningError("IN subquery outside a top-level conjunct")
         if isinstance(expr, (A.ExistsExpr, A.ScalarSubquery)):
             raise SqlPlanningError("subquery outside a top-level WHERE conjunct")
         if isinstance(expr, A.AggCall):
             raise SqlPlanningError("aggregate in a non-aggregate context")
+        args = [self._plan_expr(child, scope, bound) for child in expr.children()]
+        if isinstance(expr, A.FuncCall):
+            return _plan_func(expr, args)
+        if isinstance(expr, A.UnaryOp):
+            if expr.op == "not":
+                return ScalarCall("not", args)
+            operand = args[0]
+            if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
+                return Literal(-operand.value)
+            return ScalarCall("negate", args)
+        if isinstance(expr, A.BetweenExpr):
+            inner = ScalarCall("between", args)
+            return ScalarCall("not", [inner]) if expr.negated else inner
+        if isinstance(expr, A.LikeExpr):
+            func = "not_like" if expr.negated else "like"
+            options = {"escape": expr.escape} if expr.escape is not None else None
+            return ScalarCall(func, args + [Literal(expr.pattern)], options)
+        if isinstance(expr, A.InExpr):
+            return ScalarCall("not_in" if expr.negated else "in", args)
+        if isinstance(expr, A.IsNullExpr):
+            return ScalarCall("is_not_null" if expr.negated else "is_null", args)
+        if isinstance(expr, A.CaseExpr):
+            # Standard SQL: a missing ELSE branch yields NULL.
+            return ScalarCall("case", args + [Literal(None)] if expr.default is None else args)
+        if isinstance(expr, A.CastExpr):
+            return ScalarCall("cast", args, {"to": expr.type_name})
         raise SqlPlanningError(f"unsupported expression {expr!r}")
 
-    def _plan_binary(self, expr: A.BinaryOp, scope: Scope) -> Expression:
+    def _plan_binary(self, expr: A.BinaryOp, scope: Scope, bound) -> Expression:
         # Interval arithmetic folds to date literals (TPC-H always applies
         # intervals to literal dates).
         if expr.op in ("+", "-") and isinstance(expr.right, A.IntervalLit):
-            base = self._plan_expr(expr.left, scope)
+            base = self._plan_expr(expr.left, scope, bound)
             if isinstance(base, Literal) and isinstance(base.value, datetime.date):
                 sign = 1 if expr.op == "+" else -1
                 return Literal(_shift_date(base.value, expr.right, sign))
@@ -1093,70 +910,55 @@ class SqlPlanner:
             if expr.right.unit != "day":
                 raise SqlPlanningError("month/year intervals on columns are unsupported")
             return ScalarCall(func, [base, Literal(expr.right.amount)])
-        if expr.op in ("and", "or"):
+        if expr.op in ("and", "or") or expr.op in _CMP_TO_FUNC:
             return ScalarCall(
-                expr.op, [self._plan_expr(expr.left, scope), self._plan_expr(expr.right, scope)]
-            )
-        if expr.op in _CMP_TO_FUNC:
-            return ScalarCall(
-                _CMP_TO_FUNC[expr.op],
-                [self._plan_expr(expr.left, scope), self._plan_expr(expr.right, scope)],
+                _CMP_TO_FUNC.get(expr.op, expr.op),
+                [self._plan_expr(expr.left, scope, bound), self._plan_expr(expr.right, scope, bound)],
             )
         func = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "%": "modulo"}.get(
             expr.op
         )
         if func is None:
             raise SqlPlanningError(f"unsupported operator {expr.op!r}")
-        left = self._plan_expr(expr.left, scope)
-        right = self._plan_expr(expr.right, scope)
+        left = self._plan_expr(expr.left, scope, bound)
+        right = self._plan_expr(expr.right, scope, bound)
         folded = _fold_constants(func, left, right)
         return folded if folded is not None else ScalarCall(func, [left, right])
-
-    def _plan_func(self, expr: A.FuncCall, scope: Scope, plan=None) -> Expression:
-        # ``plan`` lets post-aggregate contexts reuse the same function
-        # validation with their own sub-expression planner.
-        if plan is None:
-            plan = lambda e: self._plan_expr(e, scope)  # noqa: E731
-        if expr.name == "extract":
-            part = expr.extra["part"]
-            if part not in ("year", "month", "day"):
-                raise SqlPlanningError(f"EXTRACT({part}) is not supported")
-            return ScalarCall(f"extract_{part}", [plan(expr.args[0])])
-        if expr.name == "substring":
-            arg = plan(expr.args[0])
-            start = plan(expr.args[1])
-            length = plan(expr.args[2])
-            if not isinstance(start, Literal) or not isinstance(length, Literal):
-                raise SqlPlanningError("substring bounds must be literals")
-            return ScalarCall("substring", [arg, start, length])
-        if expr.name == "coalesce":
-            return ScalarCall("coalesce", [plan(a) for a in expr.args])
-        if expr.name in ("upper", "lower", "length", "abs"):
-            if len(expr.args) != 1:
-                raise SqlPlanningError(f"{expr.name}() takes exactly one argument")
-            return ScalarCall(expr.name, [plan(expr.args[0])])
-        if expr.name == "round":
-            if len(expr.args) not in (1, 2):
-                raise SqlPlanningError("round() takes one or two arguments")
-            args = [plan(expr.args[0])]
-            if len(expr.args) == 2:
-                digits = plan(expr.args[1])
-                if not isinstance(digits, Literal) or not isinstance(digits.value, int):
-                    raise SqlPlanningError("round() digits must be an integer literal")
-                args.append(digits)
-            return ScalarCall("round", args)
-        if expr.name == "concat":
-            if len(expr.args) < 2:
-                raise SqlPlanningError("concat() takes at least two arguments")
-            return ScalarCall("concat", [plan(a) for a in expr.args])
-        raise SqlPlanningError(f"unsupported function {expr.name!r}")
 
 
 # -- helpers --------------------------------------------------------------------
 
 
-def _scope_columns(scope: Scope):
-    return scope.columns
+def _plan_func(expr: A.FuncCall, args: list[Expression]) -> Expression:
+    """A scalar function call over its bound arguments."""
+    if expr.name == "extract":
+        part = expr.extra["part"]
+        if part not in ("year", "month", "day"):
+            raise SqlPlanningError(f"EXTRACT({part}) is not supported")
+        return ScalarCall(f"extract_{part}", args)
+    if expr.name == "substring":
+        if not all(isinstance(bound_arg, Literal) for bound_arg in args[1:]):
+            raise SqlPlanningError("substring bounds must be literals")
+        return ScalarCall("substring", args)
+    if expr.name == "coalesce":
+        return ScalarCall("coalesce", args)
+    if expr.name in ("upper", "lower", "length", "abs"):
+        if len(args) != 1:
+            raise SqlPlanningError(f"{expr.name}() takes exactly one argument")
+        return ScalarCall(expr.name, args)
+    if expr.name == "round":
+        if len(args) not in (1, 2):
+            raise SqlPlanningError("round() takes one or two arguments")
+        if len(args) == 2 and not (
+            isinstance(args[1], Literal) and isinstance(args[1].value, int)
+        ):
+            raise SqlPlanningError("round() digits must be an integer literal")
+        return ScalarCall("round", args)
+    if expr.name == "concat":
+        if len(args) < 2:
+            raise SqlPlanningError("concat() takes at least two arguments")
+        return ScalarCall("concat", args)
+    raise SqlPlanningError(f"unsupported function {expr.name!r}")
 
 
 def _split_conjuncts(expr: Optional[A.SqlExpr]) -> list[A.SqlExpr]:
@@ -1178,15 +980,15 @@ def _factor_or(conj: A.SqlExpr) -> list[A.SqlExpr]:
         return [conj]
     branches = _split_disjuncts(conj)
     branch_conjs = [_split_conjuncts(b) for b in branches]
-    common_keys = set(_expr_key(c) for c in branch_conjs[0])
+    common_keys = set(repr(c) for c in branch_conjs[0])
     for bc in branch_conjs[1:]:
-        common_keys &= {_expr_key(c) for c in bc}
+        common_keys &= {repr(c) for c in bc}
     if not common_keys:
         return [conj]
-    hoisted = [c for c in branch_conjs[0] if _expr_key(c) in common_keys]
+    hoisted = [c for c in branch_conjs[0] if repr(c) in common_keys]
     remainders = []
     for bc in branch_conjs:
-        rest = [c for c in bc if _expr_key(c) not in common_keys]
+        rest = [c for c in bc if repr(c) not in common_keys]
         if not rest:
             # One branch is fully covered by the hoisted conjuncts, so the
             # residual OR is a tautology: hoisted conjuncts alone suffice.
@@ -1215,149 +1017,40 @@ def _conjoin(conjuncts: list[A.SqlExpr]) -> Optional[A.SqlExpr]:
     return out
 
 
-def _collect_column_refs(expr) -> list[A.ColumnRef]:
-    refs: list[A.ColumnRef] = []
-
-    def walk(node):
-        if isinstance(node, A.ColumnRef):
-            refs.append(node)
-        elif isinstance(node, A.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, A.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, A.FuncCall):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, A.AggCall):
-            if node.arg is not None:
-                walk(node.arg)
-        elif isinstance(node, A.CaseExpr):
-            for c, r in node.whens:
-                walk(c)
-                walk(r)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, A.CastExpr):
-            walk(node.operand)
-        elif isinstance(node, A.BetweenExpr):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, A.InExpr):
-            walk(node.operand)
-            for v in node.values or []:
-                walk(v)
-        elif isinstance(node, A.LikeExpr):
-            walk(node.operand)
-        elif isinstance(node, A.IsNullExpr):
-            walk(node.operand)
-
-    walk(expr)
-    return refs
-
-
-def _contains_subquery(expr) -> bool:
-    if isinstance(expr, (A.ExistsExpr, A.ScalarSubquery)):
-        return True
-    if isinstance(expr, A.InExpr):
-        return expr.subquery is not None
-    if isinstance(expr, A.BinaryOp):
-        return _contains_subquery(expr.left) or _contains_subquery(expr.right)
-    if isinstance(expr, A.UnaryOp):
-        return _contains_subquery(expr.operand)
-    return False
-
-
-def _collect_scalar_subqueries(expr) -> list[A.ScalarSubquery]:
-    out = []
-    if isinstance(expr, A.ScalarSubquery):
-        out.append(expr)
-    elif isinstance(expr, A.BinaryOp):
-        out += _collect_scalar_subqueries(expr.left)
-        out += _collect_scalar_subqueries(expr.right)
-    elif isinstance(expr, A.UnaryOp):
-        out += _collect_scalar_subqueries(expr.operand)
-    return out
-
-
-def _collect_agg_calls(expr) -> list[A.AggCall]:
-    out: list[A.AggCall] = []
-
-    def walk(node):
-        if isinstance(node, A.AggCall):
-            out.append(node)
-            return  # no nested aggregates
-        if isinstance(node, A.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, A.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, A.FuncCall):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, A.CaseExpr):
-            for c, r in node.whens:
-                walk(c)
-                walk(r)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, A.CastExpr):
-            walk(node.operand)
-
-    walk(expr)
-    return out
-
-
 def _contains_aggregate(stmt: A.SelectStmt) -> bool:
-    for item in stmt.items:
-        if not isinstance(item.expr, A.Star) and _collect_agg_calls(item.expr):
-            return True
-    if stmt.having is not None and _collect_agg_calls(stmt.having):
-        return True
-    return False
+    terms = [item.expr for item in stmt.items]
+    if stmt.having is not None:
+        terms.append(stmt.having)
+    return any(A.nodes_of(term, A.AggCall) for term in terms)
+
+
+def _has_subquery(expr: A.SqlExpr) -> bool:
+    return any(
+        not isinstance(node, A.InExpr) or node.subquery is not None
+        for node in A.nodes_of(expr, (A.ExistsExpr, A.ScalarSubquery, A.InExpr))
+    )
+
+
+def _order_index(expr, stmt, names, positions) -> Optional[int]:
+    """The output column an ORDER BY term names — an ordinal, an output
+    name, or a select item's expression — or None when it names none.
+    ``positions`` holds each select item's output column (None for ``*``)."""
+    if isinstance(expr, A.NumberLit):
+        pos = int(expr.value) - 1
+        if not 0 <= pos < len(names):
+            raise SqlPlanningError(f"ORDER BY position {expr.value} out of range")
+        return pos
+    if isinstance(expr, A.ColumnRef) and expr.name in names:
+        return names.index(expr.name)
+    key = repr(expr)
+    for item, pos in zip(stmt.items, positions):
+        if pos is not None and repr(item.expr) == key:
+            return pos
+    return None
 
 
 def _single_ref(expr) -> Optional[A.ColumnRef]:
     return expr if isinstance(expr, A.ColumnRef) else None
-
-
-def _expr_key(expr) -> str:
-    """A structural key for AST equality (group-by matching)."""
-    if expr is None:
-        return "none"
-    if isinstance(expr, A.ColumnRef):
-        # Qualifier-sensitive: self-joins (Q7's nation n1/n2) make the same
-        # column name mean different things.
-        return f"col:{expr.qualifier}.{expr.name}" if expr.qualifier else f"col:{expr.name}"
-    if isinstance(expr, A.NumberLit):
-        return f"num:{expr.value}"
-    if isinstance(expr, A.StringLit):
-        return f"str:{expr.value}"
-    if isinstance(expr, A.DateLit):
-        return f"date:{expr.value}"
-    if isinstance(expr, A.BinaryOp):
-        return f"({_expr_key(expr.left)}{expr.op}{_expr_key(expr.right)})"
-    if isinstance(expr, A.UnaryOp):
-        return f"{expr.op}({_expr_key(expr.operand)})"
-    if isinstance(expr, A.FuncCall):
-        inner = ",".join(_expr_key(a) for a in expr.args)
-        return f"{expr.name}[{expr.extra}]({inner})"
-    if isinstance(expr, A.AggCall):
-        return f"agg:{expr.func}:{expr.distinct}:{_expr_key(expr.arg)}"
-    if isinstance(expr, A.CaseExpr):
-        whens = ";".join(f"{_expr_key(c)}->{_expr_key(r)}" for c, r in expr.whens)
-        return f"case({whens};{_expr_key(expr.default)})"
-    if isinstance(expr, A.CastExpr):
-        return f"cast({_expr_key(expr.operand)} as {expr.type_name})"
-    if isinstance(expr, A.BetweenExpr):
-        return f"between({_expr_key(expr.operand)},{_expr_key(expr.low)},{_expr_key(expr.high)},{expr.negated})"
-    if isinstance(expr, A.LikeExpr):
-        return f"like({_expr_key(expr.operand)},{expr.pattern},{expr.negated},{expr.escape})"
-    if isinstance(expr, A.InExpr):
-        vals = ",".join(_expr_key(v) for v in expr.values or [])
-        return f"in({_expr_key(expr.operand)},[{vals}],{expr.negated})"
-    return repr(expr)
 
 
 def _item_name(item: A.SelectItem, position: int) -> str:
@@ -1380,10 +1073,6 @@ def _dedupe(names: list[str]) -> list[str]:
         seen.add(candidate)
         out.append(candidate)
     return out
-
-
-def _merged_scope_columns(left, right):
-    return list(left) + list(right)
 
 
 def _fold_constants(func: str, left: Expression, right: Expression) -> Optional[Expression]:

@@ -8,6 +8,11 @@ so ``NOT IN (1, NULL)`` returned rows; and the CPU engine ANDed all three
 validities of ``BETWEEN``, so ``x BETWEEN NULL AND 5`` was NULL even where
 ``x > 5`` makes it FALSE.  The table below holds every sign of dividend
 and divisor, zeros and NULLs, and a stored string ``'None'``.
+
+The same oracle covers the SQL planner's post-aggregate binder: NOT, CAST,
+BETWEEN, IN, LIKE and IS NULL over an aggregate, NULL and negative
+literals beside one, ORDER BY an aggregate or group key outside the select
+list, and ``%`` in a HAVING that holds a scalar subquery.
 """
 
 import itertools
@@ -71,7 +76,8 @@ def db(request, engines):
 
 
 def check(db, sqlite, sql):
-    """Same rows as SQLite, in order (every statement orders by ``id``)."""
+    """Same rows as SQLite, in order (every statement orders by a key
+    without NULLs or by one descending, where both put NULL last)."""
     name, engine = db
     result = engine.execute(sql)
     assert result.table.to_rows() == sqlite.execute(sql), sql
@@ -152,3 +158,45 @@ def test_between_with_a_null_bound(db, sqlite, bounds, form):
 
 def test_between_with_a_null_bound_in_a_projection(db, sqlite):
     check(db, sqlite, "select id, a between null and 5, a between b and null from t order by id")
+
+
+# Expressions over aggregates and ORDER BY keys outside the select list:
+# forms the post-aggregate binder once rejected although SQLite answers
+# them.  ``order by <key> desc`` puts a NULL group last on every engine.
+POST_AGGREGATE = {
+    "not": "select a, count(*) as n from t group by a having not (sum(a) > 0) order by a desc",
+    "cast": "select a, cast(sum(a) as double) as v from t group by a order by a desc",
+    "between": "select a from t group by a having sum(a) between -36 and 6 order by a desc",
+    "in": "select a from t group by a having sum(a) in (-42, 0, 42) order by a desc",
+    "like": "select b, count(*) as n from t group by b having max(s) like 'N%' order by b desc",
+    "is-null": "select a, count(*) as n from t group by a having sum(a) is null order by a desc",
+    "null-literal": (
+        "select a, case when sum(a) > 0 then null else count(*) end as v "
+        "from t group by a order by a desc"
+    ),
+    "order-by-unselected-aggregate": "select a from t group by a order by sum(id) desc",
+    "order-by-unselected-group-key": (
+        "select count(*) as n, sum(id) as v from t group by a order by a desc"
+    ),
+    "modulo-in-having-subquery": (
+        "select a, count(*) as n from t group by a "
+        "having sum(a) % 4 = (select min(b) + 1 from t) order by a desc"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(POST_AGGREGATE))
+def test_post_aggregate_forms(db, sqlite, name):
+    check(db, sqlite, POST_AGGREGATE[name])
+
+
+def test_round_to_a_negative_digit_count(db):
+    """SQLite ignores a negative digit count, so the oracle is by hand:
+    ``sum(a)`` is ``6 * a`` per group, rounded to tens."""
+    name, engine = db
+    result = engine.execute("select a, round(sum(a), -1) as v from t group by a order by a desc")
+    assert result.table.to_rows() == [
+        (7, 40), (6, 40), (1, 10), (0, 0), (-1, -10), (-6, -40), (-7, -40), (None, None)
+    ]
+    if name == "gpu":
+        assert result.profile is not None, "left the GPU tier"

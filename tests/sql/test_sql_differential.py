@@ -23,6 +23,16 @@ SCHEMA_U = Schema([("a", "int64"), ("w", "int64")])
 NUM_COLS = ["a", "b"]
 CMP_OPS = ["=", "<>", "<", "<=", ">", ">="]
 AGG_FUNCS = ["sum", "min", "max", "avg", "count"]
+# HAVING conditions over one aggregate ``{m}`` and a constant ``{k}``.
+HAVING_FORMS = [
+    "not ({m} > {k})",
+    "{m} between {k} and {k} + 10",
+    "{m} in ({k}, 1, 6)",
+    "{m} is null",
+    "{m} is not null",
+    "{m} * 2 - {k} > 0",
+    "{m} % 4 <> {k}",
+]
 
 
 @st.composite
@@ -53,8 +63,21 @@ def sql_queries(draw):
     for _ in range(n_preds):
         where.append(draw(predicates("t" if use_join else "")))
 
-    shape = draw(st.sampled_from(["plain", "group", "global"]))
-    if shape == "group":
+    shape = draw(st.sampled_from(["plain", "group", "global", "having"]))
+    if shape == "having":
+        # Expressions over an aggregate, and ORDER BY a group key or an
+        # aggregate the select list may leave out.
+        a = "t.a" if use_join else "a"
+        measures = [f"{agg}({column})" for agg in AGG_FUNCS for column in (a, "b")]
+        measures.append("count(*)")
+        key = draw(st.sampled_from(["s", a]))
+        condition = draw(st.sampled_from(HAVING_FORMS)).format(
+            m=draw(st.sampled_from(measures)), k=draw(st.integers(-5, 15))
+        )
+        order = draw(st.sampled_from([key] + measures))
+        select = draw(st.sampled_from([f"{key}, count(*) as n", "count(*) as n", "sum(b) as v"]))
+        tail = f" group by {key} having {condition} order by {order}"
+    elif shape == "group":
         agg = draw(st.sampled_from(AGG_FUNCS))
         select = f"s, {agg}(b) as m, count(*) as n"
         tail = " group by s order by s"
