@@ -47,6 +47,7 @@ from tests.core.test_random_plans import normalise, plans, tables
 
 SF = 0.01
 GOLDEN_SIM_CLOCK = Path(__file__).with_name("golden_battery50_sim_clock.json")
+GOLDEN_PAPER_SIM_CLOCK = Path(__file__).with_name("golden_paper_sim_clock.json")
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,10 @@ def data():
 
 @pytest.fixture(scope="module")
 def planner(data):
+    return stats_planner(data)
+
+
+def stats_planner(data):
     stats = {}
     for name, t in data.items():
         distinct = {
@@ -354,6 +359,41 @@ class TestBatterySample:
                 }
             )
         assert got == json.loads(GOLDEN_SIM_CLOCK.read_text())
+
+
+def paper_sim_clock(data, planner, out_of_core):
+    """Per TPC-H query, in order, on one warm paper-configuration engine:
+    the profile's ``repr(sim_seconds)``, ``kernel_count`` and the ``repr``
+    of every Figure-5 bucket."""
+    engine = SiriusEngine.for_spec(GH200, memory_limit_gb=8.0, out_of_core=out_of_core)
+    engine.warm_cache(data)
+    got = {}
+    for q in range(1, 23):
+        engine.execute(planner.plan_sql(tpch_query(q)), data)
+        profile = engine.last_profile
+        got[f"Q{q}"] = {
+            "sim_seconds": repr(profile.sim_seconds),
+            "kernel_count": profile.kernel_count,
+            "breakdown": {k: repr(v) for k, v in sorted(profile.breakdown.items())},
+        }
+    return got
+
+
+class TestPaperSimClockGolden:
+    """The paper configuration's simulated cost, pinned per query and per
+    Figure-5 bucket: warm and in-core, and out-of-core with every keyed
+    sink scattered (the scattered probe's clock is pinned nowhere else).
+    Regenerate deliberately with ``PYTHONPATH=src:. python -m
+    tests.core.test_fusion_equivalence``."""
+
+    def test_warm(self, data, planner):
+        golden = json.loads(GOLDEN_PAPER_SIM_CLOCK.read_text())
+        assert paper_sim_clock(data, planner, out_of_core=False) == golden["warm"]
+
+    @pytest.mark.usefixtures("partition_every_sink")
+    def test_scattered(self, data, planner):
+        golden = json.loads(GOLDEN_PAPER_SIM_CLOCK.read_text())
+        assert paper_sim_clock(data, planner, out_of_core=True) == golden["scattered"]
 
 
 @pytest.fixture(scope="module")
@@ -748,3 +788,14 @@ class TestEstimatorFusionPricing:
         base = estimate_plan(plan, data, device)
         opt = estimate_plan(plan, data, device, fusion=True)
         assert opt.service_s < base.service_s
+
+
+if __name__ == "__main__":
+    from repro.core.operators import spool
+
+    tpch = generate_tpch(sf=SF)
+    sql_planner = stats_planner(tpch)
+    payload = {"warm": paper_sim_clock(tpch, sql_planner, out_of_core=False)}
+    spool._hold = lambda ctx, held_bytes: False  # what partition_every_sink does
+    payload["scattered"] = paper_sim_clock(tpch, sql_planner, out_of_core=True)
+    GOLDEN_PAPER_SIM_CLOCK.write_text(json.dumps(payload, indent=1) + "\n")
