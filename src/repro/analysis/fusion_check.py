@@ -3,21 +3,20 @@
 :func:`repro.core.planner.fuse_operators` rewrites pipeline operator
 lists, collapsing streaming runs into :class:`FusedOp` regions.  Any
 rewrite pass is a place where a planner bug can silently change query
-semantics, so the fused form gets its own verifier:
-:func:`verify_fused_plan` re-checks every pipeline of a compiled
-:class:`~repro.core.planner.PhysicalPlan` and returns
+semantics, and every plan goes through it, so the fused form gets its
+own verifier: :func:`verify_fused_plan` re-checks every pipeline of a
+compiled :class:`~repro.core.planner.PhysicalPlan` and returns
 :class:`~repro.analysis.report.Finding` objects in the same vocabulary
 the plan analyzer and the lint front use.  The equivalence gate in
 ``tests/core/test_fusion_equivalence.py`` requires zero findings on
-every fused TPC-H plan.
+every TPC-H and battery plan.
 
 :class:`FusedOp` itself refuses an empty run or a non-streaming stage
 (``ValueError`` / ``TypeError`` at construction, and RR04 forbids
 changing it afterwards), and its output schema *is* its last stage's,
-so the verifier checks only what construction does not.  A fused
+so the verifier checks only what construction does not.  A
 :class:`HashJoinProbe` carries the Filter/Project run it absorbed as its
-``stages`` and is checked the same way; a fused Sort/Top-N sink gathers
-its output as one region, which the compiler must not leave out:
+``stages`` and is checked the same way:
 
 ======  =========  ===========================================================
 rule    severity   meaning
@@ -25,12 +24,10 @@ rule    severity   meaning
 FC02    error      stage schemas do not chain (a stage's declared input
                    arity disagrees with its predecessor's output; a probe's
                    first absorbed stage chains from the probe's join schema)
-FC03    error      fusible work survives unfused in a fused pipeline: two
+FC03    error      fusible work survives unfused in a pipeline: two
                    adjacent unfused Filter/Project operators, or a
                    ``FusedOp`` / Filter / Project directly after a
-                   ``HashJoinProbe`` that could have absorbed it, or a
-                   ``SortSink`` / ``TopNSink`` gathering its output one
-                   kernel per column (not rebuilt with ``fused()``)
+                   ``HashJoinProbe`` that could have absorbed it
 ======  =========  ===========================================================
 """
 
@@ -39,7 +36,6 @@ from __future__ import annotations
 from ..core.expr_compile import UnsupportedExpressionError
 from ..core.operators.fused import FusedOp
 from ..core.operators.join import HashJoinProbe
-from ..core.operators.sort import SortSink, TopNSink
 from ..core.operators.streaming import FilterOp, ProjectOp
 from ..core.planner import PhysicalPlan, Pipeline
 from .report import SEVERITY_ERROR, Finding
@@ -48,13 +44,13 @@ __all__ = ["FUSION_RULES", "verify_fused_plan"]
 
 FUSION_RULES = {
     "FC02": "fused stage schemas do not chain",
-    "FC03": "fusible work (a run, or a sort sink's gather) left unfused in a fused pipeline",
+    "FC03": "fusible work left unfused in a pipeline",
 }
 
 
 def verify_fused_plan(physical: PhysicalPlan) -> list[Finding]:
-    """Statically verify a fusion-compiled physical plan; returns findings
-    (empty list = the fused plan is structurally sound)."""
+    """Statically verify a compiled physical plan's fused regions; returns
+    findings (empty list = the plan is structurally sound)."""
     findings: list[Finding] = []
     for pipeline in physical.pipelines:
         _check_pipeline(pipeline, findings)
@@ -94,16 +90,10 @@ def _check_pipeline(pipeline: Pipeline, findings: list[Finding]) -> None:
                     )
                 )
 
-    sink = pipeline.sink
-    if isinstance(sink, (SortSink, TopNSink)) and not sink.fused_gather:
-        findings.append(
-            Finding("FC03", SEVERITY_ERROR, f"{sink.describe()} gathers its output unfused", site)
-        )
-
     for pos, op in enumerate(ops):
         if isinstance(op, FusedOp):
             _check_stages(op.stages, None, f"{site}[{pos}]", findings)
-        elif isinstance(op, HashJoinProbe) and op.stages:
+        elif isinstance(op, HashJoinProbe):
             _check_stages(op.stages, op.join_schema(), f"{site}[{pos}]", findings)
 
 
@@ -143,7 +133,7 @@ def _absorbable(probe: HashJoinProbe, stages) -> bool:
     """True when ``probe`` could have run ``stages`` in its own output
     region — the probe's constructor is the oracle."""
     try:
-        probe.fused(list(probe.stages or []) + list(stages))
+        probe.fused(probe.stages + list(stages))
     except UnsupportedExpressionError:
         return False
     return True

@@ -276,9 +276,10 @@ def oocore_ablation(
 def fusion_ablation(
     harness: AblationHarness, queries: tuple[int, ...] = (1, 6, 3)
 ) -> dict:
-    """Pipeline fusion + compiled expressions on and off.
+    """Fused billing against per-part billing of the same fused plans.
 
-    Cold and hot runs of the given queries with ``fusion`` toggled.  The
+    Cold and hot runs of the given queries with ``fusion`` toggled (the
+    ``baseline`` is per-part billing, the paper's configuration).  The
     streaming-bound queries (Q1, Q6) are where intermediate
     materialisation dominates, so fusion's effect is largest there; Q3 is
     the join-heavy control where most time sits in probe/build kernels

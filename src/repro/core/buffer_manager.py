@@ -570,12 +570,11 @@ class BufferManager:
     def engine_indices_to_kernel(self, indices: np.ndarray) -> np.ndarray:
         """Convert Sirius' uint64 row ids to libcudf's int32.
 
-        The return half of the round trip an unfused probe pays, charged
-        as a streaming kernel over both buffers.  A fused probe calls it
-        inside its output region, which records the launch as one of its
-        parts.  The sentinel ``UINT64_MAX`` is ``-1`` in two's complement;
-        an id past int32 raises ``OverflowError`` before anything is
-        charged or recorded.
+        The return half of a gather map's round trip, a streaming kernel
+        over both buffers.  A probe calls it inside its output region, so
+        it is one of the region's parts.  The sentinel ``UINT64_MAX`` is
+        ``-1`` in two's complement; an id past int32 raises
+        ``OverflowError`` before anything is charged or recorded.
         """
         if indices.dtype != np.uint64:
             raise TypeError(f"engine indices must be uint64, got {indices.dtype}")
@@ -592,10 +591,11 @@ class BufferManager:
 
         This is the conversion the paper singles out as *not* zero-copy
         (§3.2.3), charged once per gather map as a streaming kernel over
-        both buffers.  ``-1`` (no-match sentinel) maps to ``UINT64_MAX``,
-        its two's complement.
+        both buffers, as a launch of its own even inside an open fused
+        region.  ``-1`` (no-match sentinel) maps to ``UINT64_MAX``, its
+        two's complement.
         """
-        self.device.launch(
+        self.device.launch_unfused(
             KernelClass.STREAM, indices.nbytes, indices.nbytes * 2, len(indices)
         )
         return indices.astype(np.int64).view(np.uint64)

@@ -125,6 +125,9 @@ class QueryRun:
             yield from self._drive_steps(frag_ns)
         finally:
             self.ctx.buffer_manager.drop_namespace(frag_ns)
+            # A finished run keeps its result and profile, not its plan's
+            # compiled operators: serving keeps finished jobs' runs.
+            self.physical = None
 
     def _drive_steps(self, frag_ns: str):
         ctx = self.ctx

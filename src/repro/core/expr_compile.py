@@ -7,20 +7,21 @@ resolved and all constant option parsing (LIKE patterns, cast targets,
 substring offsets) is hoisted at compile time, so the closure performs
 only the per-chunk kernel calls.  Literals evaluate to Python scalars;
 the parent kernel broadcasts them, so constants never materialise columns
-unless an expression is a bare literal.  The unfused operators compile
-and call once per chunk through :mod:`repro.core.expr_eval`;
-:class:`~repro.core.operators.fused.FusedOp` compiles once per pipeline.
+unless an expression is a bare literal.  Compiled stages
+(:mod:`repro.core.operators.fused`) compile once per plan; a probe's
+residual filter and a run the compiler rejects compile and call once per
+chunk through :mod:`repro.core.expr_eval`.
 
 Common-subexpression elimination: with a ``cache`` dict, every call node
 is keyed by the stable digest of its ``to_dict()`` form and memoised, so
-a subtree shared between a filter predicate and a later projection in the
-same fused run evaluates once.  A cache is only valid for one *table
+a subtree repeated within one stage evaluates once; regions pass a
+cache under fused billing only.  A cache is only valid for one *table
 epoch* — the caller must supply a fresh dict whenever the chunk object
 changes (after a compaction or projection), because cached ``GColumn``
 results are positional.  With ``cache=None`` nothing is shared: a
 repeated subtree launches, and is charged for, its kernels every time it
-occurs, which is what the unfused cost model prices (and the digest is
-never computed).
+occurs, which is what per-part billing prices (and the digest is never
+computed).
 """
 
 from __future__ import annotations

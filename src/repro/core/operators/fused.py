@@ -1,34 +1,39 @@
-"""The fused streaming operator: one kernel for a run of filters/projects.
+"""The fused streaming operator: one region for a run of filters/projects.
 
 The paper's premise is that GPU analytical engines are bound by data
-movement, not arithmetic — every operator boundary in the unfused path
-materialises a full intermediate ``GTable`` to HBM that the next operator
-immediately reads back.  :class:`FusedOp` collapses a maximal run of
-adjacent :class:`~.streaming.FilterOp`/:class:`~.streaming.ProjectOp`
-stages into a single region that reads its input chunk once and writes
-only the final result: all interior traffic is recorded but priced at
-zero by :meth:`Device.fused_kernel`, and the whole run bills a single
-kernel launch.  The run may start with a scan's pushed filter, which the
-compiler emits as a ``FilterOp``; a run that follows a join probe is not
-a ``FusedOp`` at all but runs inside the probe's own output region
-(:class:`~.join.HashJoinProbe`).  Regions cannot nest, so both run the
-one stage loop here, :func:`run_stages`, over a program built by
+movement, not arithmetic — every operator boundary in a one-kernel-per-
+step engine materialises a full intermediate ``GTable`` to HBM that the
+next operator immediately reads back.  :class:`FusedOp` collapses a
+maximal run of adjacent :class:`~.streaming.FilterOp`/
+:class:`~.streaming.ProjectOp` stages into a single region
+(:meth:`Device.fused_kernel`), and the device's billing decides what it
+costs.  Under fused billing (Data Path Fusion) the region reads its
+input chunk once and writes only the final result: interior traffic is
+priced at zero and the run bills one launch.  Under per-part billing,
+the paper's Sirius, each stage's kernels are charged as they launch,
+under the stage's own Figure-5 category, as the separate Filter and
+Project operators were.  The run may start with a scan's pushed filter,
+which the compiler emits as a ``FilterOp``; a run that follows a join
+probe is not a ``FusedOp`` at all but runs inside the probe's own output
+region (:class:`~.join.HashJoinProbe`).  Regions cannot nest, so both
+run the one stage loop here, :func:`run_stages`, over a program built by
 :func:`compile_stages`.
 
 Expressions are compiled once at plan time (in the operator's
 ``__init__`` — the RR04 lint requires operators to be stateless after
-construction) into
-vectorized closures via :mod:`repro.core.expr_compile`, the evaluator the
-unfused operators also run (compiling per chunk instead), so fused
-results are bit-identical to the unfused pipeline.
+construction) into vectorized closures via
+:mod:`repro.core.expr_compile`, the engine's only evaluator, so results
+are bit-identical under either billing.
 
 Filter stages compact survivors eagerly (``mask_table``), which is the
 short-circuit mask propagation: every later stage only touches rows that
-survived every earlier predicate.  The CSE cache is keyed by expression
-digest and valid for one table epoch — each stage produces a new chunk
-object (compaction or projection), so the cache resets at every stage
-boundary and sharing happens *within* a stage (across a projection's
-expression list, or across a predicate tree's repeated subtrees).
+survived every earlier predicate.  Under fused billing a CSE cache, keyed
+by expression digest, is valid for one table epoch — each stage produces
+a new chunk object (compaction or projection), so the cache resets at
+every stage boundary and sharing happens *within* a stage (across a
+projection's expression list, or across a predicate tree's repeated
+subtrees).  Per-part billing shares nothing: a repeated subtree launches
+its kernels every time it occurs, as it did in separate operators.
 """
 
 from __future__ import annotations
@@ -36,46 +41,78 @@ from __future__ import annotations
 from ...columnar import Schema
 from ...kernels import GTable, mask_table
 from ..expr_compile import compile_predicate, compile_projection
-from .base import Category, ExecutionContext, StreamingOperator
+from .base import Category, ExecutionContext, StreamingOperator, dispose_chunk
 from .streaming import FilterOp, ProjectOp
 
-__all__ = ["FusedOp", "compile_stages", "run_stages"]
+__all__ = ["FusedOp", "compile_stages", "run_region", "run_stages"]
 
 
 def compile_stages(stages) -> list:
     """Compile a run of Filter/Project stages into the program
-    :func:`run_stages` executes; raises ``UnsupportedExpressionError`` for
-    an expression the compiler cannot lower, ``TypeError`` for any other
-    stage."""
+    :func:`run_stages` executes: one ``(category, stage)`` pair per stage,
+    ``stage(table, cache)`` returning the stage's output table.  Raises
+    ``UnsupportedExpressionError`` for an expression the compiler cannot
+    lower, ``TypeError`` for any other stage."""
     program = []
     for stage in stages:
         if isinstance(stage, FilterOp):
-            program.append(("filter", compile_predicate(stage.condition)))
+            program.append((stage.category, _filter(compile_predicate(stage.condition))))
         elif isinstance(stage, ProjectOp):
             schema = stage.output_schema()
             projections = [
                 compile_projection(expr, dtype=field.dtype)
                 for expr, field in zip(stage.expressions, schema.fields)
             ]
-            program.append(("project", (projections, schema)))
+            program.append((stage.category, _project(projections, schema)))
         else:
             raise TypeError(f"cannot fuse {type(stage).__name__}")
     return program
 
 
-def run_stages(program: list, table: GTable) -> GTable:
+def _filter(predicate):
+    return lambda table, cache: mask_table(table, predicate(table, cache))
+
+
+def _project(projections, schema: Schema):
+    return lambda table, cache: GTable(schema, [p(table, cache) for p in projections], table.device)
+
+
+def run_stages(ctx: ExecutionContext, scope, program: list, table: GTable, slots: dict) -> GTable:
     """Run a compiled program over ``table`` inside the caller's open
-    ``fused_kernel`` scope — the one loop every fused region runs."""
-    for kind, payload in program:
-        # Fresh CSE cache per stage: compaction/projection changes the
-        # row space, invalidating cached positional columns.
-        cache: dict = {}
-        if kind == "filter":
-            table = mask_table(table, payload(table, cache))
-        else:
-            projections, schema = payload
-            table = GTable(schema, [p(table, cache) for p in projections], table.device)
+    region ``scope`` — the one loop every region runs.
+
+    Under per-part billing the stages run as the Filter/Project operators
+    they replace: without a CSE cache, each attributed to its own
+    category and, out-of-core, each stage's input freed once its output
+    exists, where the executor freed between operators.  Under fused
+    billing each stage gets a fresh cache (compaction or projection
+    changes the row space, invalidating cached positional columns), and,
+    out-of-core, only the region's input is freed, once its output exists.
+    """
+    if scope.fused:
+        out = table
+        for _, stage in program:
+            out = stage(out, {})
+        if ctx.out_of_core and out is not table:
+            dispose_chunk(ctx, table, slots, successor=out)
+        return out
+    clock = ctx.device.clock
+    for category, stage in program:
+        with clock.attributed(category):
+            out = stage(table, None)
+        if ctx.out_of_core and out is not table:
+            dispose_chunk(ctx, table, slots, successor=out)
+        table = out
     return table
+
+
+def run_region(ctx: ExecutionContext, program: list, table: GTable, slots: dict) -> GTable:
+    """Run ``program`` over ``table`` as one region of its own."""
+    with ctx.device.fused_kernel() as scope:
+        out = run_stages(ctx, scope, program, table, slots)
+        if scope.fused:
+            scope.external(table.traffic_bytes, out.traffic_bytes)
+    return out
 
 
 class FusedOp(StreamingOperator):
@@ -87,23 +124,15 @@ class FusedOp(StreamingOperator):
             raise ValueError("FusedOp needs at least one stage")
         self._program = compile_stages(stages)
         self.stages = stages
-        # Attribute the fused region's time the way Figure 5 would: a run
-        # containing any filtering work counts as filter time.
-        self.category = (
-            Category.FILTER
-            if any(isinstance(s, FilterOp) for s in stages)
-            else Category.OTHER
-        )
+        # A region with any filtering work bills as filter time (Figure 5).
+        filters = any(isinstance(s, FilterOp) for s in stages)
+        self.category = Category.FILTER if filters else Category.OTHER
 
     def output_schema(self) -> Schema:
         return self.stages[-1].output_schema()
 
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        bytes_in = chunk.traffic_bytes
-        with ctx.device.fused_kernel() as scope:
-            table = run_stages(self._program, chunk)
-            scope.external(bytes_in, table.traffic_bytes)
-        return table
+        return run_region(ctx, self._program, chunk, state["slots"])
 
     def describe(self) -> str:
         inner = " -> ".join(s.describe() for s in self.stages)

@@ -15,9 +15,10 @@ Two implementations are registered (§3.2.2's libcudf/custom switch):
 Row indices crossing the kernel/engine boundary pay the paper's one
 non-zero-copy conversion (§3.2.3) through the buffer manager: each int32
 gather map becomes uint64 engine row ids, one charged launch per map.
-Unfused, libcudf's ``gather`` needs the map back as int32, a second
-launch; a fused probe's output region is the engine's own kernel, reads
-the uint64 ids, and converts them back inside itself.
+libcudf's ``gather`` needs the map back as int32: the probe's output
+region converts it as one of its parts — a second launch per map under
+per-part billing, the paper's Sirius, and inside the region's one launch
+under fused billing.
 
 The build sink consumes through the partition spool (:mod:`.spool`).  When
 an out-of-core run scatters it, each leaf is kept as a fragment of a
@@ -27,8 +28,6 @@ match.
 """
 
 from __future__ import annotations
-
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .base import (
     StreamingOperator,
     dispose_chunk,
 )
-from .fused import compile_stages, run_stages
+from .fused import compile_stages, run_region, run_stages
 from .spool import PARTITION_FANOUT, finish_held, scattered, spool_chunk, spooled_leaves
 
 __all__ = [
@@ -184,15 +183,16 @@ class HashJoinProbe(StreamingOperator):
     resident — that residency is exactly what would put a lower bound of
     ``output_size`` on the memory floor.
 
-    A fused probe (``stages`` not ``None``, built by
-    :func:`~repro.core.planner.fuse_operators`) assembles its output as
-    one fused region: the hash-join kernel and the §3.2.3 conversion of
-    each gather map to uint64 engine ids stay separately charged, then
-    the maps' return trip to int32, both sides' gathers, the residual
-    ``post_filter`` and ``stages`` — the Filter/Project run that followed
-    the probe, compiled once here — bill a single launch, per chunk or
-    per partitioned leaf.  Unfused, every map pays both conversions as
-    launches of their own.
+    The hash-join kernel and the §3.2.3 copy of each gather map to uint64
+    engine ids are launches of their own.  Everything after them is one
+    region (:meth:`Device.fused_kernel`): each map's return trip to
+    int32, both sides' gathers, the residual ``post_filter`` and
+    ``stages`` — the Filter/Project run that followed the probe, absorbed
+    by :func:`~repro.core.planner.fuse_operators` and compiled once here.
+    A probe against a plain build runs ``stages`` in that region, per
+    chunk; a scattered probe assembles each leaf's output without them
+    and runs them on every coalesced batch of leaf outputs, in a region
+    of their own.
     """
 
     category = Category.JOIN
@@ -206,7 +206,7 @@ class HashJoinProbe(StreamingOperator):
         probe_schema: Schema,
         build_schema: Schema,
         post_filter=None,
-        stages=None,
+        stages=(),
     ):
         self.build_slot = build_slot
         self.join_type = join_type
@@ -215,13 +215,12 @@ class HashJoinProbe(StreamingOperator):
         self.probe_schema = probe_schema
         self.build_schema = build_schema
         self.post_filter = post_filter
-        self.stages = None if stages is None else list(stages)
-        self._program = None if stages is None else compile_stages(self.stages)
+        self.stages = list(stages)
+        self._program = compile_stages(self.stages)
 
     def fused(self, stages) -> "HashJoinProbe":
-        """This probe as one fused output region that also runs ``stages``;
-        raises ``UnsupportedExpressionError`` when a stage cannot be
-        compiled."""
+        """This probe with ``stages`` run in its output region; raises
+        ``UnsupportedExpressionError`` when a stage cannot be compiled."""
         return HashJoinProbe(
             self.build_slot,
             self.join_type,
@@ -234,7 +233,7 @@ class HashJoinProbe(StreamingOperator):
         )
 
     def join_schema(self) -> Schema:
-        """The schema the join itself produces, before any fused stage."""
+        """The schema the join itself produces, before any absorbed stage."""
         if self.join_type in ("semi", "anti"):
             return self.probe_schema
         return join_output_schema(self.probe_schema, self.build_schema)
@@ -248,104 +247,97 @@ class HashJoinProbe(StreamingOperator):
         build = state["slots"][self.build_slot]
         if isinstance(build, PartitionedBuild):
             return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
-        return self._probe_against(ctx, chunk, build, state["slots"])
+        return self._probe_against(ctx, chunk, build, state["slots"], self._program)
 
-    def _region(self, ctx: ExecutionContext):
-        """The output assembly's fused-kernel scope; a null one (yielding
-        ``None``) when the probe is unfused."""
-        return nullcontext() if self._program is None else ctx.device.fused_kernel()
-
-    def _finish(self, ctx, scope, joined: GTable, slots: dict, bytes_in: int) -> GTable:
-        """Close the output region: run the absorbed stages and declare the
-        external traffic.  An out-of-core run drops the interior join
-        output, as the executor would have at the operator boundary."""
-        if scope is None:
-            return joined
-        out = run_stages(self._program, joined)
-        scope.external(bytes_in, out.traffic_bytes)
-        if ctx.out_of_core and out is not joined:
-            dispose_chunk(ctx, joined, slots, successor=out)
+    def _finish(self, ctx, scope, chunk, joined, right_out, map_bytes, slots, program) -> GTable:
+        """Close the output region: run ``program`` over the join output and,
+        under fused billing, declare the external traffic — the probe
+        chunk, the gathered build columns ``right_out`` (if any) and the
+        ``map_bytes`` of gather maps in, the output out.  Out-of-core under
+        per-part billing, a probe with stages frees its input once the join
+        output exists, where the executor freed it before the next
+        operator ran."""
+        if program and ctx.out_of_core and not scope.fused:
+            dispose_chunk(ctx, chunk, slots, successor=joined)
+        out = run_stages(ctx, scope, program, joined, slots)
+        if scope.fused:
+            bytes_in = chunk.traffic_bytes + map_bytes
+            if right_out is not None:
+                bytes_in += right_out.traffic_bytes
+            scope.external(bytes_in, out.traffic_bytes)
         return out
 
     def _probe_against(
-        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict
+        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict, program
     ) -> GTable:
         """Probe one chunk against one materialised build table (the whole
-        build, or one leaf of a partitioned one)."""
+        build, or one leaf of a partitioned one); the output region also
+        runs ``program``."""
         if not self.probe_key_indices:
-            return self._cross_join(ctx, chunk, build_table, slots)
+            return self._cross_join(ctx, chunk, build_table, slots, program)
         probe_keys = [chunk.columns[i] for i in self.probe_key_indices]
         build_keys = [build_table.columns[i] for i in self.build_key_indices]
-        impl = ctx.registry.get("join")
-        result = impl(self.join_type, probe_keys, build_keys)
-
-        if self.join_type in ("semi", "anti"):
-            if self.post_filter is not None:
-                return self._filtered_semi_anti(
-                    ctx, chunk, build_table, probe_keys, build_keys, slots
-                )
-            (ids,) = self._engine_maps(ctx, [result])
-            with self._region(ctx) as scope:
-                bytes_in = chunk.traffic_bytes + ids.nbytes
-                out = gather_table(chunk, _kernel_ids(ctx, ids))
-                return self._finish(ctx, scope, out, slots, bytes_in)
-        left_ids, right_ids = self._engine_maps(ctx, [result.left_indices, result.right_indices])
-        # Residual predicates are *filtering* work (Q13's NOT LIKE on
-        # o_comment lives here); attribute them as Figure 5 does.
-        return self._assemble(ctx, chunk, build_table, left_ids, right_ids, slots, Category.FILTER)
-
-    def _engine_maps(self, ctx, maps: list) -> list:
-        """The §3.2.3 copy of each int32 gather map to uint64 engine ids;
-        unfused, each map also pays its return trip to int32 here."""
-        bm = ctx.buffer_manager
-        out = []
-        for indices in maps:
-            ids = bm.kernel_indices_to_engine(indices)
-            out.append(ids if self._program is not None else bm.engine_indices_to_kernel(ids))
-        return out
-
-    def _assemble(self, ctx, chunk, build_table, left_ids, right_ids, slots, residual) -> GTable:
-        """Gather both sides' output rows and apply the residual
-        ``post_filter``, its time attributed to ``residual``."""
-        with self._region(ctx) as scope:
-            map_bytes = left_ids.nbytes + right_ids.nbytes
-            left_out = gather_table(chunk, _kernel_ids(ctx, left_ids))
-            right_out = gather_table(build_table, _kernel_ids(ctx, right_ids))
-            out = GTable(
-                self.join_schema(),
-                list(left_out.columns) + list(right_out.columns),
-                chunk.device,
+        result = ctx.registry.get("join")(self.join_type, probe_keys, build_keys)
+        semi = self.join_type in ("semi", "anti")
+        if semi and self.post_filter is not None:
+            return self._filtered_semi_anti(
+                ctx, chunk, build_table, probe_keys, build_keys, slots, program
             )
-            if self.post_filter is not None:
-                with ctx.device.clock.attributed(residual):
-                    keep = expr_eval.evaluate_predicate(self.post_filter, out)
-                    out = mask_table(out, keep)
-            bytes_in = chunk.traffic_bytes + right_out.traffic_bytes + map_bytes
-            return self._finish(ctx, scope, out, slots, bytes_in)
+        with ctx.device.fused_kernel() as scope:
+            indices = [result] if semi else [result.left_indices, result.right_indices]
+            maps, map_bytes = _round_trip(ctx, indices)
+            if semi:
+                out, right_out = gather_table(chunk, maps[0]), None
+            else:
+                # Residual predicates are *filtering* work (Q13's NOT LIKE
+                # on o_comment lives here); attribute them as Figure 5 does.
+                out, right_out = self._assemble(ctx, chunk, build_table, maps, Category.FILTER)
+            return self._finish(ctx, scope, chunk, out, right_out, map_bytes, slots, program)
 
-    def _cross_join(
-        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict
-    ) -> GTable:
+    def _assemble(self, ctx, chunk, build_table, maps, residual) -> tuple[GTable, GTable]:
+        """Gather both sides' output rows by the int32 ``maps`` and apply
+        the residual ``post_filter``, its time attributed to ``residual``;
+        returns the output and the gathered build columns."""
+        left_out = gather_table(chunk, maps[0])
+        right_out = gather_table(build_table, maps[1])
+        out = GTable(
+            self.join_schema(),
+            list(left_out.columns) + list(right_out.columns),
+            chunk.device,
+        )
+        if self.post_filter is not None:
+            with ctx.device.clock.attributed(residual):
+                keep = expr_eval.evaluate_predicate(self.post_filter, out)
+                out = mask_table(out, keep)
+        return out, right_out
+
+    def _cross_join(self, ctx, chunk: GTable, build_table: GTable, slots: dict, program) -> GTable:
         """Key-less join: full cartesian product.
 
         Produced by the planner only for single-row scalar-subquery joins,
-        but implemented generally.
+        but implemented generally.  Its int32 maps are the engine's own and
+        need no conversion.
         """
         if self.join_type != "inner":
             raise ValueError("cross join supports inner join type only")
         n, m = chunk.num_rows, build_table.num_rows
         left_idx = np.repeat(np.arange(n, dtype=np.int32), m)
-        right_idx = np.tile(np.arange(m, dtype=np.int32), n)
+        maps = [left_idx, np.tile(np.arange(m, dtype=np.int32), n)]
         ctx.device.launch(KernelClass.STREAM, chunk.nbytes + build_table.nbytes, n * m * 8, n * m)
-        return self._assemble(ctx, chunk, build_table, left_idx, right_idx, slots, Category.JOIN)
+        with ctx.device.fused_kernel() as scope:
+            out, right_out = self._assemble(ctx, chunk, build_table, maps, Category.JOIN)
+            map_bytes = maps[0].nbytes + maps[1].nbytes
+            return self._finish(ctx, scope, chunk, out, right_out, map_bytes, slots, program)
 
-    def _filtered_semi_anti(self, ctx, chunk, build_table, probe_keys, build_keys, slots) -> GTable:
+    def _filtered_semi_anti(
+        self, ctx, chunk, build_table, probe_keys, build_keys, slots, program
+    ) -> GTable:
         """Semi/anti join with a residual non-equi predicate (Q21's
         ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the registered
         implementation's inner join, filter the pairs, then reduce back to
         distinct probe rows."""
         pairs = ctx.registry.get("join")("inner", probe_keys, build_keys)
-        with self._region(ctx) as scope:
+        with ctx.device.fused_kernel() as scope:
             left_out = gather_table(chunk, pairs.left_indices)
             right_out = gather_table(build_table, pairs.right_indices)
             combined = GTable(
@@ -365,26 +357,22 @@ class HashJoinProbe(StreamingOperator):
                 all_rows = np.arange(chunk.num_rows, dtype=np.int64)
                 survivors = np.setdiff1d(all_rows, matched_probe).astype(np.int32)
             out = gather_table(chunk, survivors)
-            bytes_in = (
-                chunk.traffic_bytes
-                + right_out.traffic_bytes
-                + pairs.left_indices.nbytes
-                + pairs.right_indices.nbytes
-            )
-            return self._finish(ctx, scope, out, slots, bytes_in)
+            map_bytes = pairs.left_indices.nbytes + pairs.right_indices.nbytes
+            return self._finish(ctx, scope, chunk, out, right_out, map_bytes, slots, program)
 
     def _stream_leaf_outputs(self, ctx, chunk: GTable, build, state: dict):
         """Partition the input, free it, then lazily yield join outputs
         (the executor interleaves downstream work between pulls).
 
         Consecutive per-leaf outputs are coalesced up to ~1/8 of the
-        processing pool before being emitted: unbounded accumulation would
-        re-materialise the whole probe output (the memory floor streaming
-        exists to remove), while emitting every leaf individually multiplies
-        downstream kernel launches by the leaf count and drowns the query
-        in launch latency.
+        processing pool, and the absorbed stages run on each coalesced
+        batch: unbounded accumulation would re-materialise the whole probe
+        output (the memory floor streaming exists to remove), while
+        emitting every leaf individually multiplies downstream kernel
+        launches by the leaf count and drowns the query in launch latency.
         """
         budget = max(ctx.device.processing_pool.capacity // 8, 1 << 20)
+        slots = state["slots"]
         pending: list[GTable] = []
         pending_bytes = 0
 
@@ -396,14 +384,14 @@ class HashJoinProbe(StreamingOperator):
                 for t in pending:
                     t.free()
             pending.clear()
-            return out
+            return run_region(ctx, self._program, out, slots)
 
         parts = list(partition_by_keys(chunk, self.probe_key_indices, PARTITION_FANOUT))
-        dispose_chunk(ctx, chunk, state["slots"])  # sub-partitions are copies; drop the input
+        dispose_chunk(ctx, chunk, slots)  # sub-partitions are copies; drop the input
         for q, sub in enumerate(parts):
             if sub is None:
                 continue
-            for out in self._probe_stream(ctx, sub, build, (q,), 1, state["slots"]):
+            for out in self._probe_stream(ctx, sub, build, (q,), 1, slots):
                 pending.append(out)
                 pending_bytes += out.nbytes
                 if pending_bytes >= budget:
@@ -436,9 +424,7 @@ class HashJoinProbe(StreamingOperator):
             sub.free()
 
     def _emit(self, ctx, chunk: GTable, build_table: GTable, slots: dict):
-        out = self._probe_against(ctx, chunk, build_table, slots)
-        if out is None:
-            return
+        out = self._probe_against(ctx, chunk, build_table, slots, ())
         if out.num_rows > 0:
             yield out
         else:
@@ -446,7 +432,7 @@ class HashJoinProbe(StreamingOperator):
 
     def describe(self) -> str:
         fused = ""
-        if self.stages is not None:
+        if self.stages:
             fused = ", fused=[" + " -> ".join(s.describe() for s in self.stages) + "]"
         return f"HashJoinProbe({self.join_type}, slot={self.build_slot}{fused})"
 
@@ -479,13 +465,18 @@ class PartitionedBuild:
         return path in self._prefixes
 
 
-def _kernel_ids(ctx: ExecutionContext, ids: np.ndarray) -> np.ndarray:
-    """The int32 gather map for ``ids``: engine uint64 row ids are
-    converted (inside a fused probe's region, which records the launch as
-    one of its parts); the kernel's own int32 maps pass through."""
-    if ids.dtype == np.uint64:
-        return ctx.buffer_manager.engine_indices_to_kernel(ids)
-    return ids
+def _round_trip(ctx: ExecutionContext, maps: list) -> tuple[list, int]:
+    """Inside an open region: each int32 gather map's §3.2.3 copy to uint64
+    engine ids, a launch of its own, then at once its return trip to
+    int32, a part of the region.  Returns the int32 maps and the bytes of
+    the uint64 ids the region reads."""
+    bm = ctx.buffer_manager
+    out, nbytes = [], 0
+    for indices in maps:
+        ids = bm.kernel_indices_to_engine(indices)
+        nbytes += ids.nbytes
+        out.append(bm.engine_indices_to_kernel(ids))
+    return out, nbytes
 
 
 def _empty_gtable(ctx: ExecutionContext, schema: Schema) -> GTable:

@@ -30,16 +30,15 @@ class _CollectingSink(SinkOperator):
 
 class _OrderingSink(_CollectingSink):
     """Order the collected rows (``_order``), then gather every column by
-    that map: one gather kernel per column, or — in a sink built by
-    ``fused()``, as ``compile_plan(fusion=True)`` does — one
-    ``fused_kernel()`` region reading the map and the columns once."""
+    that map in one region (:meth:`Device.fused_kernel`) reading the map
+    and the columns once: one launch under fused billing, one gather
+    kernel per column under per-part billing."""
 
     category = Category.ORDERBY
 
-    def __init__(self, sort_keys, input_schema: Schema, fused_gather: bool = False):
+    def __init__(self, sort_keys, input_schema: Schema):
         super().__init__(input_schema)
         self.sort_keys = list(sort_keys)  # [(ordinal, ascending)]
-        self.fused_gather = fused_gather
 
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
         data = self._collect(ctx, state)
@@ -47,53 +46,37 @@ class _OrderingSink(_CollectingSink):
             return data
         keys = [data.columns[i] for i, _ in self.sort_keys]
         order = self._order(keys, [a for _, a in self.sort_keys])
-        if not self.fused_gather:
-            return gather_table(data, order)
         with ctx.device.fused_kernel() as scope:
             out = gather_table(data, order)
-            scope.external(data.traffic_bytes + order.nbytes, out.traffic_bytes)
+            if scope.fused:
+                scope.external(data.traffic_bytes + order.nbytes, out.traffic_bytes)
         return out
-
-    def _suffix(self) -> str:
-        return ", fused" if self.fused_gather else ""
 
 
 class SortSink(_OrderingSink):
     """Full ORDER BY."""
 
-    def fused(self) -> "SortSink":
-        """This sort with its output gathered as one fused region."""
-        return SortSink(self.sort_keys, self.input_schema, fused_gather=True)
-
     def _order(self, keys, ascending):
         return sorted_order(keys, ascending)
 
     def describe(self) -> str:
-        return f"Sort({self.sort_keys}{self._suffix()})"
+        return f"Sort({self.sort_keys})"
 
 
 class TopNSink(_OrderingSink):
     """ORDER BY + LIMIT fused into a top-N selection (cheaper than a full
     sort; the planner produces this when a FetchRel sits on a SortRel)."""
 
-    def __init__(
-        self, sort_keys, limit: int, offset: int, input_schema: Schema, fused_gather: bool = False
-    ):
-        super().__init__(sort_keys, input_schema, fused_gather)
+    def __init__(self, sort_keys, limit: int, offset: int, input_schema: Schema):
+        super().__init__(sort_keys, input_schema)
         self.limit = int(limit)
         self.offset = int(offset)
-
-    def fused(self) -> "TopNSink":
-        """This top-N with its output gathered as one fused region."""
-        return TopNSink(
-            self.sort_keys, self.limit, self.offset, self.input_schema, fused_gather=True
-        )
 
     def _order(self, keys, ascending):
         return top_n_order(keys, ascending, self.offset + self.limit)[self.offset :]
 
     def describe(self) -> str:
-        return f"TopN({self.sort_keys}, limit={self.limit}{self._suffix()})"
+        return f"TopN({self.sort_keys}, limit={self.limit})"
 
 
 class FetchSink(_CollectingSink):

@@ -7,8 +7,11 @@ materialise their output into named *slots* that downstream pipelines
 read (as their source, or as a hash-join build table).
 
 One fusion is performed while compiling: ``Fetch(Sort(x))`` -> a single
-top-N sink.  Kernel fusion (``fusion=True``) is a pass over the compiled
-pipelines, :func:`fuse_operators`.
+top-N sink.  Kernel fusion is a pass over the compiled pipelines,
+:func:`fuse_operators`, that every plan goes through: how a region is
+billed — as one launch, or as the launches its parts were — is the
+device's choice (:meth:`~repro.gpu.device.Device.fused_kernel`), not the
+plan's.
 """
 
 from __future__ import annotations
@@ -75,8 +78,6 @@ class PhysicalPlan:
 
     pipelines: list[Pipeline]
     final_slot: str
-    # Streaming runs were collapsed into FusedOp regions (fuse_operators).
-    fusion: bool = False
 
     def explain(self) -> str:
         return "\n".join(p.describe() for p in self.pipelines)
@@ -193,18 +194,18 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
     * a maximal run of adjacent Filter/Project operators — the scan's
       pushed filter included, which the compiler emits as the pipeline's
       first ``FilterOp`` — becomes one :class:`FusedOp`;
-    * a :class:`HashJoinProbe` is rebuilt as a fused probe
-      (:meth:`HashJoinProbe.fused`) whose output region — the int32
-      return trip of its uint64 gather maps, both sides' gathers, the
-      residual ``post_filter`` — also runs the Filter/Project run that
-      follows it, so a probe and its consumers bill one launch after the
-      join kernel and the one §3.2.3 conversion per map.
+    * a :class:`HashJoinProbe` is rebuilt (:meth:`HashJoinProbe.fused`)
+      to run the Filter/Project run that follows it in its output region
+      — the int32 return trip of its uint64 gather maps, both sides'
+      gathers, the residual ``post_filter`` — so under fused billing a
+      probe and its consumers bill one launch after the join kernel and
+      the one §3.2.3 conversion per map.
 
     Anything else (sinks, sources) bounds a region.  An expression the
-    compiler cannot lower leaves its run unfused (the unfused operators
-    compile it again per chunk and are rejected identically, so this
+    compiler cannot lower leaves its run as plain Filter/Project operators
+    (they compile it again per chunk and are rejected identically, so this
     preserves the engine's fallback behaviour); a probe whose run cannot
-    be absorbed still fuses its own gathers.
+    be absorbed keeps its own output region.
     """
     segments: list[tuple[StreamingOperator | None, list[StreamingOperator]]] = []
     for op in operators:
@@ -217,12 +218,12 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
 
     fused: list[StreamingOperator] = []
     for head, run in segments:
-        if isinstance(head, HashJoinProbe):
+        if isinstance(head, HashJoinProbe) and run:
             try:
                 fused.append(head.fused(run))
                 continue
             except UnsupportedExpressionError:
-                head = head.fused([])
+                pass
         if head is not None:
             fused.append(head)
         if run:
@@ -233,27 +234,21 @@ def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOpera
     return fused
 
 
-def compile_plan(plan: Plan, fusion: bool = False) -> PhysicalPlan:
+def compile_plan(plan: Plan) -> PhysicalPlan:
     """Compile a validated plan into pipelines ending in a result slot.
 
-    The operator tree is the same whether the run is out-of-core or not:
-    that is decided at run time (``ExecutionContext.out_of_core``).
-
-    With ``fusion=True``, each pipeline's streaming run is post-processed
-    by :func:`fuse_operators`, and a Sort/Top-N sink is rebuilt with its
-    ``fused()`` constructor, so it gathers its output columns as one
-    region; the default runs every operator on its own (a scan's pushed
-    filter as the ``FilterOp`` after it), charging the same kernels the
-    seed planner did.
+    Every pipeline's streaming run goes through :func:`fuse_operators`; a
+    Sort/Top-N sink gathers its output as one region by itself.  The
+    operator tree is the same whatever the engine's configuration: whether
+    the run is out-of-core is decided at run time
+    (``ExecutionContext.out_of_core``), and how its regions are billed by
+    the device.
     """
     compiler = _Compiler()
     source, ops, deps = compiler.compile(plan.root)
     compiler.add_pipeline(
         source, ops, MaterializeSink(plan.root.output_schema()), RESULT_SLOT, deps
     )
-    if fusion:
-        for pipeline in compiler.pipelines:
-            pipeline.operators = fuse_operators(pipeline.operators)
-            if isinstance(pipeline.sink, (SortSink, TopNSink)):
-                pipeline.sink = pipeline.sink.fused()
-    return PhysicalPlan(compiler.pipelines, RESULT_SLOT, fusion=fusion)
+    for pipeline in compiler.pipelines:
+        pipeline.operators = fuse_operators(pipeline.operators)
+    return PhysicalPlan(compiler.pipelines, RESULT_SLOT)

@@ -117,15 +117,13 @@ class SiriusEngine:
                 findings are read from ``engine.sanitizer``.  Purely
                 observational — a sanitized run is byte-identical to an
                 unsanitized one.
-            fusion: Collapse each pipeline's runs of adjacent filters and
-                projections (a scan's pushed filter included) into single
-                :class:`~.operators.fused.FusedOp` regions with
-                compiled expressions, and run each join probe's gathers,
-                residual filter and following run as one region — one
-                read and one write per chunk, interior materialisations
-                priced at zero.  Off by default; the default path charges
-                the seed operators' kernels unchanged and results are
-                byte-identical either way.
+            fusion: How the device bills a region; every plan runs its
+                filter/project runs, probe outputs and sort gathers as
+                regions (:func:`~.planner.fuse_operators`).  On, a region
+                is one launch, interior materialisations priced at zero
+                (Data Path Fusion).  Off, the paper's configuration, each
+                part is charged as the launch it was in Sirius.  Results
+                are byte-identical either way.
         """
         self.device = device
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -139,7 +137,7 @@ class SiriusEngine:
         self.last_profile: QueryProfile | None = None
         self.queries_executed = 0
         self.out_of_core = out_of_core
-        self.fusion = fusion
+        device.fused_billing = fusion
         self.sanitizer = None
         if sanitize:
             from ..analysis.sanitizers import Sanitizer
@@ -356,22 +354,23 @@ class SiriusEngine:
             out_of_core=out_of_core,
             tracer=tracer if tracer is not None else self.tracer,
         )
-        physical = compile_plan(plan, fusion=self.fusion)
+        physical = compile_plan(plan)
         return PipelineExecutor(ctx).start(physical, deadline=deadline)
 
     def estimate(self, plan: Plan, catalog: Mapping[str, Table]):
         """Price ``plan`` the way this engine runs it — spill waves when it
-        is out-of-core, fused chains when it fuses (the
+        is out-of-core, fused chains when it bills them fused (the
         :class:`~repro.sched.estimator.PlanEstimate` serving admits on)."""
         from ..sched.estimator import estimate_plan  # lazy: sched imports core
 
+        device = self.device
         return estimate_plan(
-            plan, catalog, self.device, out_of_core=self.out_of_core, fusion=self.fusion
+            plan, catalog, device, out_of_core=self.out_of_core, fusion=device.fused_billing
         )
 
     def explain_physical(self, plan: Plan) -> str:
         """Render the pipeline decomposition this engine runs the plan as."""
-        return compile_plan(plan, fusion=self.fusion).explain()
+        return compile_plan(plan).explain()
 
     def explain_analyze(self, plan: Plan, catalog: Mapping[str, Table]) -> str:
         """Execute the plan and render per-operator simulated timings

@@ -20,8 +20,6 @@ each GPU memory for data caching, and the other half for data processing."*
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..obs import NULL_TRACER
@@ -48,24 +46,43 @@ class TransientKernelError(RuntimeError):
 
 
 class FusedKernelScope:
-    """Open recording scope for one fused-kernel region.
+    """One region (:meth:`Device.fused_kernel`).
 
-    While active, :meth:`Device.launch` records each constituent kernel
-    here instead of charging the clock; the scope owner declares the
-    region's external traffic via :meth:`external` and, on clean exit,
-    the device charges one fused launch for the whole run (see
-    :meth:`KernelCostModel.fused_cost`).  Suppressed launches still
-    return their standalone :class:`CostBreakdown` so kernel-internal
-    callers observe the usual interface.
+    Under fused billing, while the scope is open :meth:`Device.launch`
+    records each kernel here instead of charging the clock; the owner
+    declares the region's external traffic via :meth:`external` and, on a
+    clean exit, the device charges one fused launch for the whole run
+    (:meth:`KernelCostModel.fused_cost`) — nothing on an exception.
+    Recorded launches still return their standalone :class:`CostBreakdown`.
+    Under per-part billing (``fused`` false) each launch is charged as it
+    happens, one library kernel per step, and nothing is recorded.
     """
 
-    __slots__ = ("cost_model", "parts", "ext_in", "ext_out")
+    __slots__ = ("device", "fused", "parts", "ext_in", "ext_out")
 
-    def __init__(self, cost_model: KernelCostModel):
-        self.cost_model = cost_model
+    def __init__(self, device: "Device", fused: bool):
+        self.device = device
+        self.fused = fused
         self.parts: list[tuple[str, int, int, int, int | None]] = []
         self.ext_in = 0
         self.ext_out = 0
+
+    def __enter__(self) -> "FusedKernelScope":
+        if self.fused:
+            self.device._fused_scope = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if not self.fused:
+            return False
+        device = self.device
+        device._fused_scope = None
+        if exc_type is None and self.parts:
+            cost = device.cost_model.fused_cost(self.parts, self.ext_in, self.ext_out)
+            device._charge_launch("fused", cost)
+            device.fused_kernel_count += 1
+            device.fusion_saved_bytes += max(self.interior_bytes - self.ext_in - self.ext_out, 0)
+        return False
 
     def record(
         self,
@@ -76,7 +93,7 @@ class FusedKernelScope:
         num_groups: int | None = None,
     ) -> CostBreakdown:
         self.parts.append((kclass, int(bytes_in), int(bytes_out), int(rows), num_groups))
-        return self.cost_model.kernel_cost(kclass, bytes_in, bytes_out, rows, num_groups)
+        return self.device.cost_model.kernel_cost(kclass, bytes_in, bytes_out, rows, num_groups)
 
     def external(self, bytes_in: int, bytes_out: int) -> None:
         """Declare the bytes the fused region reads/writes from HBM."""
@@ -128,8 +145,9 @@ class Device:
         self.fault_injector = None
         self.fault_rank = 0
         self.kernel_relaunches = 0
-        # Pipeline fusion: while a FusedKernelScope is open, launches are
-        # recorded instead of charged (None = normal per-kernel charging).
+        # Region billing (fused_kernel): per part by default, or fused —
+        # while a fused scope is open, launches are recorded, not charged.
+        self.fused_billing = False
         self._fused_scope = None
         self.fused_kernel_count = 0
         self.fusion_saved_bytes = 0
@@ -170,8 +188,7 @@ class Device:
         scope = self._fused_scope
         if scope is not None:
             return scope.record(kclass, bytes_in, bytes_out, rows, num_groups)
-        cost = self.cost_model.kernel_cost(kclass, bytes_in, bytes_out, rows, num_groups)
-        return self._charge_launch(kclass, cost)
+        return self.launch_unfused(kclass, bytes_in, bytes_out, rows, num_groups)
 
     def _charge_launch(self, kclass: str, cost: CostBreakdown) -> CostBreakdown:
         seconds = cost.total
@@ -202,31 +219,16 @@ class Device:
         self.kernel_count += 1
         return cost
 
-    @contextmanager
-    def fused_kernel(self):
-        """Fuse every :meth:`launch` inside the ``with`` block into one
-        charged kernel.  The caller must declare the region's external
-        traffic via :meth:`FusedKernelScope.external`; on a clean exit
-        the fused cost is charged (fault injection included) and the
-        saved interior traffic is accumulated in ``fusion_saved_bytes``.
-        On an exception nothing is charged — the degradation machinery
-        re-runs the pipeline from scratch.
-        """
-        scope = FusedKernelScope(self.cost_model)
-        self._fused_scope = scope
-        try:
-            yield scope
-        except BaseException:
-            self._fused_scope = None
-            raise
-        self._fused_scope = None
-        if not scope.parts:
-            return
-        cost = self.cost_model.fused_cost(scope.parts, scope.ext_in, scope.ext_out)
-        self._charge_launch("fused", cost)
-        self.fused_kernel_count += 1
-        saved = scope.interior_bytes - (scope.ext_in + scope.ext_out)
-        self.fusion_saved_bytes += max(saved, 0)
+    def launch_unfused(self, kclass, bytes_in, bytes_out, rows, num_groups=None) -> CostBreakdown:
+        """Charge one kernel launch of its own, even inside an open fused
+        region (a §3.2.3 gather-map copy is never a region's part)."""
+        cost = self.cost_model.kernel_cost(kclass, bytes_in, bytes_out, rows, num_groups)
+        return self._charge_launch(kclass, cost)
+
+    def fused_kernel(self) -> FusedKernelScope:
+        """The scope (``with`` it) of one region, billed as one launch when
+        ``fused_billing`` is set, else part by part."""
+        return FusedKernelScope(self, self.fused_billing)
 
     # -- transfers ---------------------------------------------------------------
 

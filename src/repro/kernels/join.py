@@ -5,8 +5,9 @@ tables; Sirius' operators gather the payload columns afterwards.  Also like
 libcudf, the indices are **int32** — the host engine uses uint64 row ids,
 and the buffer manager pays a conversion copy at the boundary (§3.2.3 of
 the paper calls this out as the one non-zero-copy conversion): one
-launch per gather map under fusion, where the probe's fused region
-converts back to int32 inside itself, and a round trip of two unfused.
+launch per gather map, after which the probe's output region converts
+back to int32 — inside its one launch under fused billing, a second
+launch per map under per-part billing.
 
 The simulated hash join charges:
 

@@ -68,9 +68,10 @@ class QueryProfile:
     # Out-of-core spill activity during this query (deltas of the buffer
     # manager's fragment counters); empty unless partitions actually moved.
     spill: dict = field(default_factory=dict)
-    # Pipeline fusion (``SiriusEngine(fusion=True)``): how many fused
+    # Fused billing (``SiriusEngine(fusion=True)``): how many fused
     # regions launched and how many intermediate-materialisation bytes the
-    # cost model stopped charging for.  Both zero when fusion is off.
+    # cost model stopped charging for.  Both zero under per-part billing,
+    # where every region's parts are charged as separate launches.
     fused_kernels: int = 0
     fusion_saved_bytes: int = 0
 

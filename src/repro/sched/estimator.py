@@ -91,7 +91,7 @@ def estimate_plan(
     """Estimate a plan's processing-pool working set and service time.
 
     Args:
-        fusion: Price streaming runs the way the fused executor bills
+        fusion: Price streaming runs the way fused billing charges
             them — a maximal chain of adjacent filters/projects becomes a
             single launch whose streaming term covers only the chain's
             external input and output; the interior intermediate
@@ -104,7 +104,7 @@ def estimate_plan(
             the pinned-copy rate.  This is what makes SJF and admission
             rank an over-pool query as *slower*, not *impossible*.
     """
-    est = _Estimator(catalog, device.cost_model, fusion=fusion)
+    est = _Estimator(catalog, device.cost_model, fusion)
     rows, nbytes = est.visit(plan.root, "root")
     # The final result is materialised in the pool, then copied out.
     est.hold("root", "result", nbytes)

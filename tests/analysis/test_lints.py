@@ -261,10 +261,31 @@ class TestSrcTreeIsClean:
         findings = lint_paths(SRC_ROOT, default_rules())
         assert findings == [], [str(f) for f in findings]
 
-    def test_cli_lint_exit_code(self):
+    @staticmethod
+    def _fixture_tree(root: Path, bad: bool) -> Path:
+        """Every case's bad snippet (or its good twin) at its relpath, one
+        subdirectory per case so the path-scoped rules still apply."""
+        for i, (_, relpath, bad_src, good_src) in enumerate(CASES):
+            path = root / f"case{i}" / relpath
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(bad_src if bad else good_src)
+        return root
+
+    def test_cli_lint_exit_code(self, tmp_path, capsys):
+        """The CLI exits 0 over a clean tree and 1 over a flagged one, whose
+        ``--json`` output names every rule.  The whole ``src/repro`` tree is
+        linted once, by ``test_src_repro_passes_all_lints``."""
+        import json
+
         from repro.analysis.__main__ import main
 
-        assert main(["lint", "--root", str(SRC_ROOT)]) == 0
+        clean = self._fixture_tree(tmp_path / "clean", bad=False)
+        assert main(["lint", "--root", str(clean)]) == 0
+        assert capsys.readouterr().out.startswith("0 finding(s)")
+        flagged = self._fixture_tree(tmp_path / "flagged", bad=True)
+        assert main(["lint", "--root", str(flagged), "--json"]) == 1
+        findings = json.loads(capsys.readouterr().out)
+        assert {f["rule"] for f in findings} == set(LINT_RULES)
 
     def test_cli_rules_listing(self, capsys):
         from repro.analysis.__main__ import main

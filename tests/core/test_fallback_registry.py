@@ -8,8 +8,8 @@ from repro.core.operators.base import OperatorRegistry
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
 from repro.plan import Plan, PlanBuilder, col, lit
-from repro.plan.expressions import FieldRef, ScalarCall
-from repro.plan.relations import JoinRel, ReadRel
+from repro.plan.expressions import FieldRef, Literal, ScalarCall
+from repro.plan.relations import FilterRel, JoinRel, ProjectRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
 
@@ -57,6 +57,27 @@ class TestFallback:
         with pytest.raises(Exception):
             engine.execute(plan, data)
         assert engine.fallback.fallback_count == 1  # event recorded anyway
+
+    def test_a_run_the_compiler_rejects_falls_back_when_it_runs(self, data):
+        """A run holding an expression the device cannot lower stays as
+        plain Filter/Project operators: the filter runs on the GPU, the
+        project raises when its chunk reaches it, and the host tier answers."""
+        calls = []
+
+        def host(plan, _catalog):
+            calls.append(plan)
+            return Table.empty(plan.root.output_schema())
+
+        engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
+        engine.set_host_executor(host)
+        rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])  # digits must be a literal
+        kept = FilterRel(ReadRel("t", SCHEMA), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
+        plan = Plan(ProjectRel(kept, [rounded], ["r"]))
+        assert "Fused[" not in engine.explain_physical(plan)
+        engine.execute(plan, data)
+        assert calls == [plan]
+        assert engine.fallback.events[0].exception_type == "UnsupportedExpressionError"
+        assert engine.device.kernel_count > 0  # the filter ran before the project raised
 
     def test_profile_cleared_after_fallback(self, data):
         engine = SiriusEngine.for_spec(

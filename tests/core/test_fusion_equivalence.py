@@ -1,27 +1,33 @@
-"""The fusion equivalence gate: ``fusion=True`` must be invisible.
+"""The fusion equivalence gate: fused billing must be invisible in results.
 
-Pipeline fusion (collapsing streaming runs into compiled :class:`FusedOp`
-regions) is a pure cost-model optimisation — fused and unfused operators
-run the same compiled closures over the same kernels, so every observable
-*result* must be byte-identical to the unfused engine while the modeled kernel
-count and wall time strictly shrink on streaming-heavy queries.
+Every plan runs fused (streaming runs collapsed into compiled
+:class:`FusedOp` regions, probes and Sort/Top-N sinks assembling their
+output in regions); ``SiriusEngine(fusion=)`` picks only how the device
+bills a region — one launch (fused billing) or each part as the launch
+it was (per-part billing, the paper's configuration).  Billing is a pure
+cost-model choice, so every observable *result* must be byte-identical
+either way, while the modeled kernel count and wall time strictly shrink
+on streaming-heavy queries under fused billing.
 
 The gate:
 
-* all 22 TPC-H queries and the whole battery, fused vs unfused, raw
-  column buffers compared byte-for-byte;
+* all 22 TPC-H queries and the whole battery, fused vs per-part billing,
+  raw column buffers compared byte-for-byte;
 * the same on the scattered path (out-of-core, every keyed sink
-  partitioned), where each leaf of a partitioned build runs its own probe
-  region — Q21's filtered semi/anti joins and the key-less cross joins
-  named explicitly;
-* a 50-case battery sample's unfused simulated cost pinned per statement
-  against a golden file;
-* common-subexpression elimination happens inside fused regions only;
+  partitioned), where each leaf of a partitioned build assembles its own
+  probe output and the absorbed stages run on each coalesced batch —
+  Q21's filtered semi/anti joins and the key-less cross joins named
+  explicitly;
+* the paper configuration's simulated cost pinned per TPC-H query and
+  Figure-5 bucket (warm, and scattered), and per statement for a 50-case
+  battery sample, against golden files;
+* common-subexpression elimination happens under fused billing only;
 * the ``busy_s`` partition invariant holds for fused runs (every clock
   advance still lands in exactly one measured operator region);
-* the fused-plan verifier reports zero findings on every fused plan;
+* the fused-plan verifier reports zero findings on every TPC-H and
+  battery plan;
 * the runtime sanitizer is clean executing under fusion;
-* a hypothesis property re-checks fused == unfused over random plans.
+* a hypothesis property re-checks fused == per-part over random plans.
 """
 
 import dataclasses
@@ -167,14 +173,24 @@ def _filter_project_plan():
 class TestFusedPlanVerifier:
     @pytest.mark.parametrize("q", range(1, 23))
     def test_zero_findings(self, q, planner):
-        physical = compile_plan(planner.plan_sql(tpch_query(q)), fusion=True)
-        assert physical.fusion
+        physical = compile_plan(planner.plan_sql(tpch_query(q)))
         findings = verify_fused_plan(physical)
         assert findings == [], [str(f) for f in findings]
 
+    def test_zero_findings_on_the_battery(self, battery):
+        _, planned = battery
+        for sql, plan in planned:
+            findings = verify_fused_plan(compile_plan(plan))
+            assert findings == [], (sql, [str(f) for f in findings])
+
     def test_fc03_flags_a_fusible_run_left_unfused(self):
-        physical = compile_plan(_filter_project_plan(), fusion=False)
-        findings = verify_fused_plan(physical)
+        from repro.core.operators.fused import FusedOp
+
+        physical = compile_plan(_filter_project_plan())
+        (region,) = physical.pipelines[0].operators
+        assert isinstance(region, FusedOp)
+        pipeline = dataclasses.replace(physical.pipelines[0], operators=list(region.stages))
+        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=[pipeline]))
         assert [f.rule for f in findings] == ["FC03"], [str(f) for f in findings]
         assert findings[0].site == "P0"
 
@@ -183,7 +199,7 @@ class TestFusedPlanVerifier:
         from repro.core.operators.streaming import FilterOp, ProjectOp
         from repro.plan.expressions import FieldRef, Literal, ScalarCall
 
-        physical = compile_plan(_filter_project_plan(), fusion=True)
+        physical = compile_plan(_filter_project_plan())
         # A project to (b) followed by a filter that declares it reads (a, b).
         wrong = FusedOp(
             [
@@ -201,7 +217,7 @@ class TestFusedPlanVerifier:
         absorbed a run."""
         from repro.core.operators.join import HashJoinProbe
 
-        physical = compile_plan(planner.plan_sql(tpch_query(3)), fusion=True)
+        physical = compile_plan(planner.plan_sql(tpch_query(3)))
         for pipeline in physical.pipelines:
             for pos, op in enumerate(pipeline.operators):
                 if isinstance(op, HashJoinProbe) and op.stages:
@@ -240,26 +256,10 @@ class TestFusedPlanVerifier:
             ("FC02", f"P{pipeline.pid}[{pos}].stage0")
         ]
 
-    @pytest.mark.parametrize("q, kind", [(1, "SortSink"), (3, "TopNSink")])
-    def test_fc03_flags_a_sort_sink_left_unfused(self, q, kind, planner):
-        from repro.core.operators.sort import SortSink, TopNSink
-
-        physical = compile_plan(planner.plan_sql(tpch_query(q)), fusion=True)
-        pipeline = next(p for p in physical.pipelines if type(p.sink).__name__ == kind)
-        sink = pipeline.sink
-        assert sink.fused_gather
-        if isinstance(sink, TopNSink):
-            unfused = TopNSink(sink.sort_keys, sink.limit, sink.offset, sink.input_schema)
-        else:
-            unfused = SortSink(sink.sort_keys, sink.input_schema)
-        replaced = dataclasses.replace(pipeline, sink=unfused)
-        pipelines = [replaced if p is pipeline else p for p in physical.pipelines]
-        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=pipelines))
-        assert [(f.rule, f.site) for f in findings] == [("FC03", f"P{pipeline.pid}")]
-
     def test_a_run_the_compiler_cannot_lower_stays_unfused_behind_its_probe(self, planner):
-        """The probe still fuses its own gathers; the run stays on the
-        unfused operators, and FC03 accepts that (the compile fallback)."""
+        """The probe keeps its own output region; the run stays on the
+        plain Filter/Project operators, and FC03 accepts that (the compile
+        fallback)."""
         from repro.core.operators.join import HashJoinProbe
         from repro.core.operators.streaming import FilterOp
         from repro.core.planner import fuse_operators
@@ -267,7 +267,7 @@ class TestFusedPlanVerifier:
 
         physical, pipeline, pos = self._fused_probe_site(planner)
         fused = pipeline.operators[pos]
-        unfused = HashJoinProbe(
+        bare = HashJoinProbe(
             fused.build_slot,
             fused.join_type,
             fused.probe_key_indices,
@@ -281,7 +281,7 @@ class TestFusedPlanVerifier:
         # LIKE lowers only with a literal pattern.
         like = ScalarCall("like", [FieldRef(text), FieldRef(text)])
         unlowerable = FilterOp(like, schema)
-        got = fuse_operators([unfused, unlowerable])
+        got = fuse_operators([bare, unlowerable])
         assert isinstance(got[0], HashJoinProbe) and got[0].stages == []
         assert got[1:] == [unlowerable]
         ops = list(pipeline.operators)
@@ -299,14 +299,12 @@ class TestFusedPlanVerifier:
         with pytest.raises(TypeError):
             FusedOp([MaterializeSink(_FP_SCHEMA)])
 
-    def test_unfused_plan_operator_lists_are_seed_shaped(self, planner):
-        """fusion=False compiles the exact seed operator classes."""
-        from repro.core.operators.fused import FusedOp
-
-        physical = compile_plan(planner.plan_sql(tpch_query(1)))
-        assert not physical.fusion
-        for pipeline in physical.pipelines:
-            assert not any(isinstance(op, FusedOp) for op in pipeline.operators)
+    @pytest.mark.parametrize("q", range(1, 23))
+    def test_both_billings_run_the_same_physical_plan(self, q, planner, plain, fused):
+        """Billing is the device's choice, not the plan's: the paper engine
+        and the fused engine explain the same pipelines."""
+        plan = planner.plan_sql(tpch_query(q))
+        assert plain.explain_physical(plan) == fused.explain_physical(plan)
 
 
 @pytest.fixture(scope="module")
@@ -411,16 +409,6 @@ def scattered_pair(data):
     return engines
 
 
-def _spy(monkeypatch, cls, name, seen, record):
-    real = getattr(cls, name)
-
-    def spy(self, *args):
-        seen.append(record(self))
-        return real(self, *args)
-
-    monkeypatch.setattr(cls, name, spy)
-
-
 @pytest.mark.usefixtures("partition_every_sink")
 class TestScatteredPath:
     @pytest.mark.parametrize("q", range(1, 23))
@@ -445,32 +433,57 @@ class TestScatteredPath:
     def test_q21_filtered_semi_and_anti_run_per_leaf(
         self, data, planner, scattered_pair, monkeypatch
     ):
+        """Q21's filtered semi and anti joins probe leaf by leaf without the
+        anti join's absorbed projection, which runs on each coalesced batch
+        of leaf outputs — where the Project operator ran before the probe
+        absorbed it."""
+        from repro.core.operators import join
         from repro.core.operators.join import HashJoinProbe
 
-        seen = []
-        _spy(
-            monkeypatch, HashJoinProbe, "_emit", seen,
-            lambda op: (op.join_type, op.post_filter is not None, op.stages is not None),
-        )
+        leaves, batches = [], []
+        probe, region = HashJoinProbe._probe_against, join.run_region
+
+        def leaf(self, ctx, chunk, build, slots, program):
+            leaves.append((self.join_type, self.post_filter is not None, len(self.stages), program))
+            return probe(self, ctx, chunk, build, slots, program)
+
+        def batch(ctx, program, table, slots):
+            batches.append(len(program))
+            return region(ctx, program, table, slots)
+
+        monkeypatch.setattr(HashJoinProbe, "_probe_against", leaf)
+        monkeypatch.setattr(join, "run_region", batch)
         plan = planner.plan_sql(tpch_query(21))
         a, b = (engine.execute(plan, data) for engine in scattered_pair)
         assert values(a) == values(b)
-        for join_type in ("semi", "anti"):
-            assert (join_type, True, False) in seen  # unfused, per leaf
-            assert (join_type, True, True) in seen  # one region per leaf
+        assert ("semi", True, 0, ()) in leaves
+        assert ("anti", True, 1, ()) in leaves
+        assert all(program == () for *_, program in leaves)
+        assert 1 in batches
 
     @pytest.mark.parametrize("q", [11, 15, 22])
     def test_keyless_cross_join_runs_as_a_region(
         self, q, data, planner, scattered_pair, monkeypatch
     ):
+        """A key-less probe never scatters: it assembles its output, its
+        absorbed stages included, in one region per chunk — one fused
+        launch under fused billing, each part charged under per-part."""
         from repro.core.operators.join import HashJoinProbe
 
         seen = []
-        _spy(monkeypatch, HashJoinProbe, "_cross_join", seen, lambda op: op.stages is not None)
+        real = HashJoinProbe._cross_join
+
+        def spy(self, ctx, *args):
+            before = ctx.device.fused_kernel_count
+            out = real(self, ctx, *args)
+            seen.append((ctx.device.fused_billing, ctx.device.fused_kernel_count - before))
+            return out
+
+        monkeypatch.setattr(HashJoinProbe, "_cross_join", spy)
         plan = planner.plan_sql(tpch_query(q))
         a, b = (engine.execute(plan, data) for engine in scattered_pair)
         assert values(a) == values(b)
-        assert False in seen and True in seen
+        assert set(seen) == {(False, 0), (True, 1)}
 
 
 _PROBE = Schema([("k", "int64"), ("v", "float64")])
@@ -515,9 +528,11 @@ def _record_launches(monkeypatch, engine):
 
 
 class TestOneConversionPerGatherMap:
-    """§3.2.3's one copy: a fused probe charges ``kernel_indices_to_engine``
-    once per gather map and converts back to int32 inside its region;
-    unfused, each map still pays the round trip as two launches."""
+    """§3.2.3's one copy: a probe charges ``kernel_indices_to_engine`` once
+    per gather map, a launch of its own, and converts back to int32 inside
+    its output region.  Per-part billing charges that return trip as a
+    launch right after the map's copy, and then every gather: the paper's
+    launch sequence.  Fused billing charges the copies and one region."""
 
     @pytest.mark.parametrize(
         "join_type, maps", [("inner", 2), ("left", 2), ("semi", 1), ("anti", 1)]
@@ -534,8 +549,8 @@ class TestOneConversionPerGatherMap:
             gathers = ["gather"] * columns
             if fusion:
                 assert charged == head + ["stream"] * maps + ["fused"]
-                # Each map is converted back just before its side's gathers.
-                assert regions == [(["stream"] + gathers[: columns // maps]) * maps]
+                # Each map is converted back right after its copy.
+                assert regions == [["stream"] * maps + gathers]
             else:
                 assert charged == head + ["stream"] * (2 * maps) + gathers
                 assert regions == []
@@ -543,8 +558,8 @@ class TestOneConversionPerGatherMap:
 
     def test_overflow_inside_the_region_propagates_and_charges_nothing(self, monkeypatch):
         """A uint64 map past int32 reaches ``engine_indices_to_kernel``
-        inside the open region: the guard raises, the error propagates
-        and the region bills nothing."""
+        inside the open region right after its copy: the guard raises,
+        the error propagates and the region bills nothing."""
         from repro.core import BufferManager
 
         real = BufferManager.kernel_indices_to_engine
@@ -557,7 +572,7 @@ class TestOneConversionPerGatherMap:
         charged, regions = _record_launches(monkeypatch, engine)
         with pytest.raises(OverflowError, match="int32"):
             engine.execute(_join_plan("inner"), _join_data())
-        assert charged == ["hash_build", "hash_probe", "stream", "stream"]
+        assert charged == ["hash_build", "hash_probe", "stream"]
         assert regions == [] and engine.device.fused_kernel_count == 0
         assert engine.device._fused_scope is None
 
@@ -594,8 +609,9 @@ def _sort_plans():
 
 
 class TestSortOutputRegion:
-    """A fused Sort/Top-N sink gathers every column by its order map as
-    one region: byte-identical output, one launch for the gather."""
+    """A Sort/Top-N sink gathers every column by its order map as one
+    region: byte-identical output under either billing, one launch for
+    the gather under fused billing and one per column under per-part."""
 
     @pytest.mark.parametrize("name", sorted(_sort_plans()))
     @pytest.mark.parametrize("batch_rows", [None, 7])
@@ -634,12 +650,21 @@ class TestSortOutputRegion:
         assert regions == [["gather"] * 3]
         assert "gather" not in charged and charged.count("fused") == 1
 
+    def test_per_part_billing_charges_one_gather_per_column(self, monkeypatch):
+        plan, data = _sort_plans()["top_n_offset"], _sort_data()
+        engine = SiriusEngine.for_spec(GH200, memory_limit_gb=1.0)
+        charged, regions = _record_launches(monkeypatch, engine)
+        assert engine.execute(plan, data).num_rows == 5
+        assert regions == [] and "fused" not in charged
+        assert charged.count("gather") == 3
+
 
 class TestCseOnlyInsideFusedRegions:
     """``x*y > a AND x*y < b`` repeats a subtree; ``x*y > a AND x*z < b``
-    has the same shape with nothing to share.  Unfused, both launch (and
-    are charged for) the same kernels — the seed figures price a repeated
-    subtree every time it occurs; fused, the repeat is computed once."""
+    has the same shape with nothing to share.  Under per-part billing both
+    launch (and are charged for) the same kernels — the seed figures price
+    a repeated subtree every time it occurs; under fused billing, the
+    repeat is computed once."""
 
     SCHEMA = Schema([("x", "float64"), ("y", "float64"), ("z", "float64")])
 
@@ -722,7 +747,7 @@ class TestRandomPlanFusion:
     @settings(max_examples=40, deadline=None)
     @given(data=tables(), plan=plans())
     def test_fused_plans_verify_clean(self, data, plan):
-        physical = compile_plan(plan, fusion=True)
+        physical = compile_plan(plan)
         assert verify_fused_plan(physical) == []
 
     @settings(max_examples=30, deadline=None)

@@ -165,6 +165,7 @@ class TestZeroRowChunks:
 
         class Ctx:
             device = dev
+            out_of_core = False
 
         empty = GTable.from_host(dev, Table.empty(SCHEMA))
         cond = ScalarCall("lt", [FieldRef(0), Literal(10, INT64)])
@@ -178,6 +179,8 @@ class TestZeroRowChunks:
                 ),
             ]
         )
-        out = op.process(Ctx(), empty, {})
-        assert out.num_rows == 0
-        assert [f.name for f in out.schema] == ["d"]
+        for fused_billing in (False, True):
+            dev.fused_billing = fused_billing
+            out = op.process(Ctx(), empty, {"slots": {}})
+            assert out.num_rows == 0
+            assert [f.name for f in out.schema] == ["d"]

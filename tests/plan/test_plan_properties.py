@@ -127,7 +127,7 @@ class TestPublishedPlansAreNotMutated:
         estimate_plan(plan, data, engine.device, out_of_core=True, fusion=True)
         plan_digest(plan)
         analyze_plan(plan, data, engine.device)
-        compile_plan(plan, fusion=True)
+        compile_plan(plan)
         engine.execute(plan, data)
         assert plan.root is root
         assert plan.to_dict() == before

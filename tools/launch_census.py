@@ -17,7 +17,7 @@ claim names the term that moved; this prints the terms.
 Each row is one ``(kernel class, site, operator)`` key: the class the
 device charged (``fused`` for a fused region), the function that issued
 the launch or opened the region (``kernel_indices_to_engine``,
-``_gather``, ``_assemble`` ...), and the class of the physical operator on
+``_gather``, ``_probe_against`` ...), and the class of the physical operator on
 the stack at the time (``-`` when none is).  The launch total equals the
 summed ``QueryProfile.kernel_count`` of the round's statements.
 """
