@@ -299,6 +299,37 @@ class TestFusedPlanVerifier:
         with pytest.raises(TypeError):
             FusedOp([MaterializeSink(_FP_SCHEMA)])
 
+    def test_unfused_plan_operator_lists_are_seed_shaped(self, planner):
+        """Fusion only groups operators: with every region expanded into
+        its parts, each pipeline runs the seed's operator classes in the
+        seed's order — the sequence per-part billing charges launch by
+        launch."""
+        from repro.core.operators.fused import FusedOp
+        from repro.core.operators.join import HashJoinProbe
+        from repro.core.planner import _Compiler
+
+        def expanded(operators):
+            for op in operators:
+                if isinstance(op, FusedOp):
+                    yield from op.stages
+                elif isinstance(op, HashJoinProbe) and op.stages:
+                    yield op.fused([])
+                    yield from op.stages
+                else:
+                    yield op
+
+        for q in (1, 3, 5, 9, 21):
+            plan = planner.plan_sql(tpch_query(q))
+            seed = _Compiler()
+            source, ops, deps = seed.compile(plan.root)
+            seed.add_pipeline(source, ops, None, "result", deps)  # sink unused here
+            physical = compile_plan(plan)
+            assert len(physical.pipelines) == len(seed.pipelines), q
+            for got, want in zip(physical.pipelines, seed.pipelines):
+                parts = list(expanded(got.operators))
+                assert not any(isinstance(op, FusedOp) for op in parts), q
+                assert [type(op) for op in parts] == [type(op) for op in want.operators], q
+
     @pytest.mark.parametrize("q", range(1, 23))
     def test_both_billings_run_the_same_physical_plan(self, q, planner, plain, fused):
         """Billing is the device's choice, not the plan's: the paper engine
