@@ -1,13 +1,11 @@
 """One-shot expression evaluation outside compiled stages.
 
-A probe's residual ``post_filter``, an aggregate's measure arguments,
-and a Filter/Project run that the compiler could not lower (kept as
-plain operators, so the failure surfaces when the chunk runs and the
-fallback ladder takes the query) evaluate a plan
-:class:`~repro.plan.Expression` against one chunk at a time: each entry
-point here compiles the expression with :mod:`repro.core.expr_compile`
-(the engine's only evaluator) and calls the closure once, without a CSE
-cache — a repeated subtree launches its kernels every time it occurs.
+A probe's residual ``post_filter`` and an aggregate's measure arguments
+evaluate a plan :class:`~repro.plan.Expression` against one chunk at a
+time: each entry point here compiles the expression with
+:mod:`repro.core.expr_compile` (the engine's only evaluator) and calls
+the closure once, without a CSE cache — a repeated subtree launches its
+kernels every time it occurs.
 """
 
 from __future__ import annotations

@@ -3,27 +3,28 @@
 The paper's premise is that GPU analytical engines are bound by data
 movement, not arithmetic — every operator boundary in a one-kernel-per-
 step engine materialises a full intermediate ``GTable`` to HBM that the
-next operator immediately reads back.  :class:`FusedOp` collapses a
-maximal run of adjacent :class:`~.streaming.FilterOp`/
-:class:`~.streaming.ProjectOp` stages into a single region
-(:meth:`Device.fused_kernel`), and the device's billing decides what it
-costs.  Under fused billing (Data Path Fusion) the region reads its
-input chunk once and writes only the final result: interior traffic is
-priced at zero and the run bills one launch.  Under per-part billing,
+next operator immediately reads back.  The compiler
+(:mod:`repro.core.planner`) emits every maximal run of adjacent
+:class:`~.streaming.FilterOp`/:class:`~.streaming.ProjectOp` stages as a
+single region (:meth:`Device.fused_kernel`): a :class:`FusedOp`, or, for
+a run that follows a join probe, the probe's own output region
+(:class:`~.join.HashJoinProbe`).  The device's billing decides what a
+region costs.  Under fused billing (Data Path Fusion) the region reads
+its input chunk once and writes only the final result: interior traffic
+is priced at zero and the run bills one launch.  Under per-part billing,
 the paper's Sirius, each stage's kernels are charged as they launch,
 under the stage's own Figure-5 category, as the separate Filter and
 Project operators were.  The run may start with a scan's pushed filter,
-which the compiler emits as a ``FilterOp``; a run that follows a join
-probe is not a ``FusedOp`` at all but runs inside the probe's own output
-region (:class:`~.join.HashJoinProbe`).  Regions cannot nest, so both
-run the one stage loop here, :func:`run_stages`, over a program built by
-:func:`compile_stages`.
+which the compiler emits as a ``FilterOp``.  Regions cannot nest, so
+both kinds run the one stage loop here, :func:`run_stages`, over a
+program built by :func:`compile_stages`.
 
-Expressions are compiled once at plan time (in the operator's
+Expressions are compiled once at plan time (in the region's
 ``__init__`` — the RR04 lint requires operators to be stateless after
 construction) into vectorized closures via
 :mod:`repro.core.expr_compile`, the engine's only evaluator, so results
-are bit-identical under either billing.
+are bit-identical under either billing, and a plan holding an expression
+the device cannot lower fails to compile before anything launches.
 
 Filter stages compact survivors eagerly (``mask_table``), which is the
 short-circuit mask propagation: every later stage only touches rows that
@@ -47,25 +48,33 @@ from .streaming import FilterOp, ProjectOp
 __all__ = ["FusedOp", "compile_stages", "run_region", "run_stages"]
 
 
-def compile_stages(stages) -> list:
+def compile_stages(stages, schema: Schema | None = None) -> list:
     """Compile a run of Filter/Project stages into the program
     :func:`run_stages` executes: one ``(category, stage)`` pair per stage,
-    ``stage(table, cache)`` returning the stage's output table.  Raises
-    ``UnsupportedExpressionError`` for an expression the compiler cannot
-    lower, ``TypeError`` for any other stage."""
+    ``stage(table, cache)`` returning the stage's output table.
+
+    ``schema`` is what feeds the first stage, when the region knows it.
+    Raises ``UnsupportedExpressionError`` for an expression the compiler
+    cannot lower, ``ValueError`` when a filter declares an input other than
+    what its predecessor produces, ``TypeError`` for any other stage."""
     program = []
     for stage in stages:
         if isinstance(stage, FilterOp):
+            if schema is not None and stage.input_schema.dtypes() != schema.dtypes():
+                raise ValueError(
+                    f"stage {len(program)} declares input {stage.input_schema.dtypes()} "
+                    f"but its predecessor produces {schema.dtypes()}"
+                )
             program.append((stage.category, _filter(compile_predicate(stage.condition))))
         elif isinstance(stage, ProjectOp):
-            schema = stage.output_schema()
             projections = [
                 compile_projection(expr, dtype=field.dtype)
-                for expr, field in zip(stage.expressions, schema.fields)
+                for expr, field in zip(stage.expressions, stage.output_schema().fields)
             ]
-            program.append((stage.category, _project(projections, schema)))
+            program.append((stage.category, _project(projections, stage.output_schema())))
         else:
             raise TypeError(f"cannot fuse {type(stage).__name__}")
+        schema = stage.output_schema()
     return program
 
 
@@ -81,25 +90,17 @@ def run_stages(ctx: ExecutionContext, scope, program: list, table: GTable, slots
     """Run a compiled program over ``table`` inside the caller's open
     region ``scope`` — the one loop every region runs.
 
-    Under per-part billing the stages run as the Filter/Project operators
-    they replace: without a CSE cache, each attributed to its own
-    category and, out-of-core, each stage's input freed once its output
-    exists, where the executor freed between operators.  Under fused
-    billing each stage gets a fresh cache (compaction or projection
-    changes the row space, invalidating cached positional columns), and,
-    out-of-core, only the region's input is freed, once its output exists.
+    Each stage runs under its own category.  Under fused billing it gets a
+    fresh CSE cache (compaction or projection changes the row space,
+    invalidating cached positional columns); per-part billing shares
+    nothing, as the separate Filter/Project operators did.  Out-of-core,
+    each stage's input is freed once its output exists, under either
+    billing.
     """
-    if scope.fused:
-        out = table
-        for _, stage in program:
-            out = stage(out, {})
-        if ctx.out_of_core and out is not table:
-            dispose_chunk(ctx, table, slots, successor=out)
-        return out
     clock = ctx.device.clock
     for category, stage in program:
         with clock.attributed(category):
-            out = stage(table, None)
+            out = stage(table, {} if scope.fused else None)
         if ctx.out_of_core and out is not table:
             dispose_chunk(ctx, table, slots, successor=out)
         table = out

@@ -187,8 +187,9 @@ class HashJoinProbe(StreamingOperator):
     engine ids are launches of their own.  Everything after them is one
     region (:meth:`Device.fused_kernel`): each map's return trip to
     int32, both sides' gathers, the residual ``post_filter`` and
-    ``stages`` — the Filter/Project run that followed the probe, absorbed
-    by :func:`~repro.core.planner.fuse_operators` and compiled once here.
+    ``stages`` — the Filter/Project run that follows the probe in the
+    plan, which the compiler hands the probe when it builds it and which
+    is compiled once here.
     A probe against a plain build runs ``stages`` in that region, per
     chunk; a scattered probe assembles each leaf's output without them
     and runs them on every coalesced batch of leaf outputs, in a region
@@ -216,21 +217,7 @@ class HashJoinProbe(StreamingOperator):
         self.build_schema = build_schema
         self.post_filter = post_filter
         self.stages = list(stages)
-        self._program = compile_stages(self.stages)
-
-    def fused(self, stages) -> "HashJoinProbe":
-        """This probe with ``stages`` run in its output region; raises
-        ``UnsupportedExpressionError`` when a stage cannot be compiled."""
-        return HashJoinProbe(
-            self.build_slot,
-            self.join_type,
-            self.probe_key_indices,
-            self.build_key_indices,
-            self.probe_schema,
-            self.build_schema,
-            self.post_filter,
-            stages,
-        )
+        self._program = compile_stages(self.stages, self.join_schema() if self.stages else None)
 
     def join_schema(self) -> Schema:
         """The schema the join itself produces, before any absorbed stage."""
@@ -253,11 +240,10 @@ class HashJoinProbe(StreamingOperator):
         """Close the output region: run ``program`` over the join output and,
         under fused billing, declare the external traffic — the probe
         chunk, the gathered build columns ``right_out`` (if any) and the
-        ``map_bytes`` of gather maps in, the output out.  Out-of-core under
-        per-part billing, a probe with stages frees its input once the join
-        output exists, where the executor freed it before the next
-        operator ran."""
-        if program and ctx.out_of_core and not scope.fused:
+        ``map_bytes`` of gather maps in, the output out.  Out-of-core, a
+        probe with stages frees its input once the join output exists, as
+        :func:`~.fused.run_stages` frees each stage's input."""
+        if program and ctx.out_of_core:
             dispose_chunk(ctx, chunk, slots, successor=joined)
         out = run_stages(ctx, scope, program, joined, slots)
         if scope.fused:

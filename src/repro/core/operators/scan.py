@@ -15,8 +15,8 @@ class TableScan(SourceOperator):
     Applies the ReadRel's column projection (free: column pruning is just
     buffer selection) and yields the table whole or in ``batch_rows``
     slices.  A pushed-down filter is not the scan's: the planner emits it
-    as the :class:`~.streaming.FilterOp` that follows, which fusion folds
-    into the pipeline's first region.
+    as the :class:`~.streaming.FilterOp` stage that opens the pipeline's
+    first region.
     """
 
     category = Category.OTHER

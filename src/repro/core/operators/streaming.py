@@ -1,16 +1,22 @@
-"""Streaming (non-breaking) operators: filter and project."""
+"""The stages of a region: filter and project.
+
+Neither is an operator a pipeline runs.  The compiler gathers each run of
+them into a region — one :class:`~.fused.FusedOp`, or the output region
+of the :class:`~.join.HashJoinProbe` the run follows — and
+:func:`~.fused.compile_stages` lowers them to the program that region
+runs.  Each declares the Figure-5 ``category`` its kernels are billed to
+under per-part billing.
+"""
 
 from __future__ import annotations
 
 from ...columnar import Schema
-from ...kernels import GTable, mask_table
-from .. import expr_eval
-from .base import Category, ExecutionContext, StreamingOperator
+from .base import Category
 
 __all__ = ["FilterOp", "ProjectOp"]
 
 
-class FilterOp(StreamingOperator):
+class FilterOp:
     """Row selection: evaluate the predicate, compact survivors."""
 
     category = Category.FILTER
@@ -22,15 +28,11 @@ class FilterOp(StreamingOperator):
     def output_schema(self) -> Schema:
         return self.input_schema
 
-    def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        keep = expr_eval.evaluate_predicate(self.condition, chunk)
-        return mask_table(chunk, keep)
-
     def describe(self) -> str:
         return f"Filter({self.condition!r})"
 
 
-class ProjectOp(StreamingOperator):
+class ProjectOp:
     """Compute named expressions over a chunk."""
 
     category = Category.OTHER
@@ -42,13 +44,6 @@ class ProjectOp(StreamingOperator):
 
     def output_schema(self) -> Schema:
         return self._schema
-
-    def process(self, ctx: ExecutionContext, chunk: GTable, state: dict) -> GTable:
-        columns = [
-            expr_eval.evaluate_to_column(e, chunk, dtype=field.dtype)
-            for e, field in zip(self.expressions, self._schema.fields)
-        ]
-        return GTable(self._schema, columns, chunk.device)
 
     def describe(self) -> str:
         return f"Project({self.names})"

@@ -6,17 +6,23 @@ Each pipeline is ``source -> streaming operators -> sink``; sinks
 materialise their output into named *slots* that downstream pipelines
 read (as their source, or as a hash-join build table).
 
-One fusion is performed while compiling: ``Fetch(Sort(x))`` -> a single
-top-N sink.  Kernel fusion is a pass over the compiled pipelines,
-:func:`fuse_operators`, that every plan goes through: how a region is
+The compiler emits regions (Data Path Fusion) as it walks the plan.  A
+maximal run of Filter/Project relations — a scan's pushed filter first,
+when it has one — becomes one :class:`~.operators.fused.FusedOp`, or
+the ``stages`` of the :class:`~.operators.join.HashJoinProbe` it
+follows, so a probe's gathers, residual filter and the run after it are
+one output region; ``Fetch(Sort(x))`` becomes a single top-N sink, and
+every Sort/Top-N sink gathers its output as a region.  How a region is
 billed — as one launch, or as the launches its parts were — is the
 device's choice (:meth:`~repro.gpu.device.Device.fused_kernel`), not the
-plan's.
+plan's.  A plan holding an expression the device cannot lower fails to
+compile with ``UnsupportedExpressionError`` before anything launches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..plan import (
     AggregateRel,
@@ -32,13 +38,12 @@ from ..plan import (
 from .operators.aggregate import GlobalAggSink, GroupBySink
 from .operators.base import SinkOperator, SourceOperator, StreamingOperator, UnsupportedFeatureError
 from .operators.join import HashJoinBuildSink, HashJoinProbe
-from .expr_compile import UnsupportedExpressionError
 from .operators.fused import FusedOp
 from .operators.scan import IntermediateSource, TableScan
 from .operators.sort import FetchSink, MaterializeSink, SortSink, TopNSink
 from .operators.streaming import FilterOp, ProjectOp
 
-__all__ = ["Pipeline", "PhysicalPlan", "compile_plan", "fuse_operators"]
+__all__ = ["Pipeline", "PhysicalPlan", "compile_plan"]
 
 RESULT_SLOT = "__result__"
 
@@ -101,11 +106,13 @@ class _Compiler:
 
     def add_pipeline(self, source, operators, sink, slot, deps) -> int:
         pid = len(self.pipelines)
-        self.pipelines.append(Pipeline(pid, source, operators, sink, slot, set(deps)))
+        self.pipelines.append(Pipeline(pid, source, _seal(operators), sink, slot, set(deps)))
         return pid
 
     # Returns (source, streaming_ops, deps) for a sub-tree that has NOT yet
-    # been terminated by a sink.
+    # been terminated by a sink.  The ops end in an open region: a probe
+    # still waiting for its stages (a ``partial``) and the Filter/Project
+    # stages after it, which ``_seal`` closes.
     def compile(self, rel: Relation):
         if isinstance(rel, ReadRel):
             scan = TableScan(rel.table_name, rel.base_schema, rel.projection)
@@ -131,10 +138,12 @@ class _Compiler:
             b_source, b_ops, b_deps = self.compile(rel.right)
             build_sink = HashJoinBuildSink(build_slot, build_schema, rel.right_keys)
             build_pid = self.add_pipeline(b_source, b_ops, build_sink, build_slot, b_deps)
-            # Probe side continues the current pipeline.
+            # Probe side continues the current pipeline; the probe opens a
+            # region for the run that follows it.
             source, ops, deps = self.compile(rel.left)
-            ops.append(
-                HashJoinProbe(
+            _seal(ops).append(
+                partial(
+                    HashJoinProbe,
                     build_slot,
                     rel.join_type,
                     rel.left_keys,
@@ -186,69 +195,37 @@ class _Compiler:
         return IntermediateSource(slot, sink.output_schema()), [], {pid}
 
 
-def fuse_operators(operators: "list[StreamingOperator]") -> "list[StreamingOperator]":
-    """Collapse each pipeline's fusible work into fused regions.
-
-    The region follows the data path:
-
-    * a maximal run of adjacent Filter/Project operators — the scan's
-      pushed filter included, which the compiler emits as the pipeline's
-      first ``FilterOp`` — becomes one :class:`FusedOp`;
-    * a :class:`HashJoinProbe` is rebuilt (:meth:`HashJoinProbe.fused`)
-      to run the Filter/Project run that follows it in its output region
-      — the int32 return trip of its uint64 gather maps, both sides'
-      gathers, the residual ``post_filter`` — so under fused billing a
-      probe and its consumers bill one launch after the join kernel and
-      the one §3.2.3 conversion per map.
-
-    Anything else (sinks, sources) bounds a region.  An expression the
-    compiler cannot lower leaves its run as plain Filter/Project operators
-    (they compile it again per chunk and are rejected identically, so this
-    preserves the engine's fallback behaviour); a probe whose run cannot
-    be absorbed keeps its own output region.
-    """
-    segments: list[tuple[StreamingOperator | None, list[StreamingOperator]]] = []
-    for op in operators:
-        if type(op) in (FilterOp, ProjectOp):
-            if not segments:
-                segments.append((None, []))
-            segments[-1][1].append(op)
-        else:
-            segments.append((op, []))
-
-    fused: list[StreamingOperator] = []
-    for head, run in segments:
-        if isinstance(head, HashJoinProbe) and run:
-            try:
-                fused.append(head.fused(run))
-                continue
-            except UnsupportedExpressionError:
-                pass
-        if head is not None:
-            fused.append(head)
-        if run:
-            try:
-                fused.append(FusedOp(run))
-            except UnsupportedExpressionError:
-                fused.extend(run)
-    return fused
+def _seal(ops: list) -> list:
+    """Close the open region at the end of ``ops`` in place: the trailing
+    Filter/Project stages become the stages of the probe they follow, or
+    one :class:`FusedOp`.  Raises ``UnsupportedExpressionError`` when a
+    stage holds an expression the device cannot lower."""
+    start = len(ops)
+    while start and isinstance(ops[start - 1], (FilterOp, ProjectOp)):
+        start -= 1
+    stages = ops[start:]
+    del ops[start:]
+    if ops and isinstance(ops[-1], partial):
+        ops[-1] = ops[-1](stages=stages)
+    elif stages:
+        ops.append(FusedOp(stages))
+    return ops
 
 
 def compile_plan(plan: Plan) -> PhysicalPlan:
     """Compile a validated plan into pipelines ending in a result slot.
 
-    Every pipeline's streaming run goes through :func:`fuse_operators`; a
-    Sort/Top-N sink gathers its output as one region by itself.  The
-    operator tree is the same whatever the engine's configuration: whether
-    the run is out-of-core is decided at run time
-    (``ExecutionContext.out_of_core``), and how its regions are billed by
-    the device.
+    Every pipeline's streaming operators are regions: fused runs and
+    probes carrying the run after them.  The operator tree is the same
+    whatever the engine's configuration: whether the run is out-of-core is
+    decided at run time (``ExecutionContext.out_of_core``), and how its
+    regions are billed by the device.  Raises
+    ``UnsupportedExpressionError`` for an expression the device cannot
+    lower.
     """
     compiler = _Compiler()
     source, ops, deps = compiler.compile(plan.root)
     compiler.add_pipeline(
         source, ops, MaterializeSink(plan.root.output_schema()), RESULT_SLOT, deps
     )
-    for pipeline in compiler.pipelines:
-        pipeline.operators = fuse_operators(pipeline.operators)
     return PhysicalPlan(compiler.pipelines, RESULT_SLOT)

@@ -119,7 +119,7 @@ class SiriusEngine:
                 unsanitized one.
             fusion: How the device bills a region; every plan runs its
                 filter/project runs, probe outputs and sort gathers as
-                regions (:func:`~.planner.fuse_operators`).  On, a region
+                regions (:func:`~.planner.compile_plan`).  On, a region
                 is one launch, interior materialisations priced at zero
                 (Data Path Fusion).  Off, the paper's configuration, each
                 part is charged as the launch it was in Sirius.  Results

@@ -370,13 +370,17 @@ class ServingScheduler:
             except DeadlineExceededError as exc:
                 self._finish(job, vt, error=exc)
                 return
-        job.qrun = self.engine.start_query(
-            job.plan,
-            job.catalog,
-            deadline=job.deadline,
-            tracer=job.tracer,
-            batch_rows=self.batch_rows,
-        )
+        try:
+            job.qrun = self.engine.start_query(
+                job.plan,
+                job.catalog,
+                deadline=job.deadline,
+                tracer=job.tracer,
+                batch_rows=self.batch_rows,
+            )
+        except FALLBACK_EXCEPTIONS as exc:  # e.g. a plan the compiler rejects
+            self._finish(job, vt, error=exc)
+            return
         job.state = JobState.RUNNING
         job.ready_at = vt
         self.running.append(job)

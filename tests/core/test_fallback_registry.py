@@ -59,9 +59,10 @@ class TestFallback:
         assert engine.fallback.fallback_count == 1  # event recorded anyway
 
     def test_a_run_the_compiler_rejects_falls_back_when_it_runs(self, data):
-        """A run holding an expression the device cannot lower stays as
-        plain Filter/Project operators: the filter runs on the GPU, the
-        project raises when its chunk reaches it, and the host tier answers."""
+        """A run holding an expression the device cannot lower fails to
+        compile: nothing launches on the GPU, and the host tier answers."""
+        from repro.core import UnsupportedExpressionError
+
         calls = []
 
         def host(plan, _catalog):
@@ -73,11 +74,13 @@ class TestFallback:
         rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])  # digits must be a literal
         kept = FilterRel(ReadRel("t", SCHEMA), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
         plan = Plan(ProjectRel(kept, [rounded], ["r"]))
-        assert "Fused[" not in engine.explain_physical(plan)
+        with pytest.raises(UnsupportedExpressionError):
+            engine.explain_physical(plan)
         engine.execute(plan, data)
         assert calls == [plan]
+        assert len(engine.fallback.events) == 1
         assert engine.fallback.events[0].exception_type == "UnsupportedExpressionError"
-        assert engine.device.kernel_count > 0  # the filter ran before the project raised
+        assert engine.device.kernel_count == 0  # refused before anything launched
 
     def test_profile_cleared_after_fallback(self, data):
         engine = SiriusEngine.for_spec(

@@ -24,8 +24,9 @@ The gate:
 * common-subexpression elimination happens under fused billing only;
 * the ``busy_s`` partition invariant holds for fused runs (every clock
   advance still lands in exactly one measured operator region);
-* the fused-plan verifier reports zero findings on every TPC-H and
-  battery plan;
+* every TPC-H and battery plan compiles into regions only — no bare
+  Filter/Project stage in a pipeline, no region that could have been
+  longer;
 * the runtime sanitizer is clean executing under fusion;
 * a hypothesis property re-checks fused == per-part over random plans.
 """
@@ -40,7 +41,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import verify_fused_plan
 from repro.columnar import Schema, Table
 from repro.core import SiriusEngine
 from repro.core.planner import compile_plan
@@ -170,127 +170,154 @@ def _filter_project_plan():
     return Plan(ProjectRel(FilterRel(ReadRel("t", _FP_SCHEMA), condition), [FieldRef(1)], ["b"]))
 
 
+def assert_regions_only(physical, what):
+    """The compiler emits regions: every streaming operator is a
+    :class:`FusedOp` or a probe, no bare Filter/Project stage stands in a
+    pipeline, and every region is maximal — no ``FusedOp`` follows another
+    region, because the run after a probe is that probe's ``stages``."""
+    from repro.core.operators.fused import FusedOp
+    from repro.core.operators.join import HashJoinProbe
+
+    for pipeline in physical.pipelines:
+        kinds = [type(op) for op in pipeline.operators]
+        assert set(kinds) <= {FusedOp, HashJoinProbe}, (what, pipeline.describe())
+        assert FusedOp not in kinds[1:], (what, pipeline.describe())
+
+
+# The seed compiler's operator classes per pipeline for TPC-H Q1/3/5/9/21
+# at SF 0.01 under the stats planner, recorded before the compiler emitted
+# regions: what per-part billing charges, launch by launch.
+SEED_OPERATOR_CLASSES = {
+    1: [["FilterOp", "ProjectOp"], ["ProjectOp"], []],
+    3: [["FilterOp"], ["FilterOp"], ["FilterOp", "HashJoinProbe", "HashJoinProbe", "ProjectOp"],
+        ["ProjectOp"], []],
+    5: [[], ["FilterOp", "FilterOp"], [], [], [],
+        ["FilterOp"] + ["HashJoinProbe"] * 5 + ["ProjectOp"], ["ProjectOp"], []],
+    9: [[], [], ["FilterOp"], [], [], ["HashJoinProbe"] * 5 + ["ProjectOp", "ProjectOp"],
+        ["ProjectOp"], []],
+    21: [["FilterOp"], [], ["FilterOp"], ["FilterOp"], [],
+         ["FilterOp"] + ["HashJoinProbe"] * 5 + ["ProjectOp"], ["ProjectOp"], []],
+}
+
+
+def _probe_with(probe, stages):
+    """``probe`` rebuilt to run ``stages`` in its output region."""
+    from repro.core.operators.join import HashJoinProbe
+
+    return HashJoinProbe(
+        probe.build_slot,
+        probe.join_type,
+        probe.probe_key_indices,
+        probe.build_key_indices,
+        probe.probe_schema,
+        probe.build_schema,
+        probe.post_filter,
+        stages,
+    )
+
+
 class TestFusedPlanVerifier:
+    """The compiler is the fused plan's verifier: it builds each region
+    once, from the plan, and ``compile_stages`` refuses stages whose
+    schemas do not chain (the former FC02 rule, now a ``ValueError``)."""
+
     @pytest.mark.parametrize("q", range(1, 23))
     def test_zero_findings(self, q, planner):
-        physical = compile_plan(planner.plan_sql(tpch_query(q)))
-        findings = verify_fused_plan(physical)
-        assert findings == [], [str(f) for f in findings]
+        assert_regions_only(compile_plan(planner.plan_sql(tpch_query(q))), q)
 
     def test_zero_findings_on_the_battery(self, battery):
         _, planned = battery
         for sql, plan in planned:
-            findings = verify_fused_plan(compile_plan(plan))
-            assert findings == [], (sql, [str(f) for f in findings])
+            assert_regions_only(compile_plan(plan), sql)
 
-    def test_fc03_flags_a_fusible_run_left_unfused(self):
-        from repro.core.operators.fused import FusedOp
+    def test_an_unlowerable_run_fails_compile_plan(self):
+        """A run holding an expression the device cannot lower cannot stand
+        outside a region: the plan fails to compile, before any launch."""
+        from repro.core import UnsupportedExpressionError
+        from repro.plan import Plan
+        from repro.plan.expressions import FieldRef, ScalarCall
+        from repro.plan.relations import ProjectRel
 
-        physical = compile_plan(_filter_project_plan())
-        (region,) = physical.pipelines[0].operators
-        assert isinstance(region, FusedOp)
-        pipeline = dataclasses.replace(physical.pipelines[0], operators=list(region.stages))
-        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=[pipeline]))
-        assert [f.rule for f in findings] == ["FC03"], [str(f) for f in findings]
-        assert findings[0].site == "P0"
+        lowerable = _filter_project_plan()
+        compile_plan(lowerable)
+        kept = lowerable.root.input_rel
+        rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])  # digits must be a literal
+        with pytest.raises(UnsupportedExpressionError):
+            compile_plan(Plan(ProjectRel(kept, [rounded], ["r"])))
 
     def test_fc02_flags_a_stage_declaring_the_wrong_input(self):
-        from repro.core.operators.fused import FusedOp
+        from repro.core.operators.fused import FusedOp, compile_stages
         from repro.core.operators.streaming import FilterOp, ProjectOp
         from repro.plan.expressions import FieldRef, Literal, ScalarCall
 
-        physical = compile_plan(_filter_project_plan())
         # A project to (b) followed by a filter that declares it reads (a, b).
-        wrong = FusedOp(
-            [
-                ProjectOp([FieldRef(1)], ["b"], Schema([("b", "float64")])),
-                FilterOp(ScalarCall("gt", [FieldRef(0), Literal(1.0)]), _FP_SCHEMA),
-            ]
-        )
-        pipeline = dataclasses.replace(physical.pipelines[0], operators=[wrong])
-        findings = verify_fused_plan(dataclasses.replace(physical, pipelines=[pipeline]))
-        assert [(f.rule, f.site) for f in findings] == [("FC02", "P0[0].stage1")]
+        stages = [
+            ProjectOp([FieldRef(1)], ["b"], Schema([("b", "float64")])),
+            FilterOp(ScalarCall("gt", [FieldRef(0), Literal(1.0)]), _FP_SCHEMA),
+        ]
+        with pytest.raises(ValueError, match="stage 1 declares input"):
+            compile_stages(stages)
+        with pytest.raises(ValueError, match="stage 1 declares input"):
+            FusedOp(stages)
+        FusedOp(stages[1:])  # the filter alone declares what it reads
 
     @staticmethod
-    def _fused_probe_site(planner):
-        """Q3's fused plan and the (pipeline, position) of a probe that
-        absorbed a run."""
+    def _fused_probe(planner):
+        """A probe of Q3's plan that runs a Filter/Project run."""
         from repro.core.operators.join import HashJoinProbe
 
-        physical = compile_plan(planner.plan_sql(tpch_query(3)))
-        for pipeline in physical.pipelines:
-            for pos, op in enumerate(pipeline.operators):
+        for pipeline in compile_plan(planner.plan_sql(tpch_query(3))).pipelines:
+            for op in pipeline.operators:
                 if isinstance(op, HashJoinProbe) and op.stages:
-                    return physical, pipeline, pos
+                    return op
         raise AssertionError("Q3 has no probe with an absorbed run")
 
-    @staticmethod
-    def _with_operators(physical, pipeline, operators):
-        replaced = dataclasses.replace(pipeline, operators=operators)
-        pipelines = [replaced if p is pipeline else p for p in physical.pipelines]
-        return dataclasses.replace(physical, pipelines=pipelines)
+    def test_a_run_the_compiler_cannot_lower_fails_its_probe(self, planner):
+        """A probe is built once, with its run: a run it cannot lower
+        leaves no probe behind to run without it."""
+        from repro.core import UnsupportedExpressionError
+        from repro.core.operators.streaming import FilterOp
+        from repro.plan.expressions import FieldRef, ScalarCall
 
-    def test_fc03_flags_a_run_left_behind_a_probe(self, planner):
-        from repro.core.operators.fused import FusedOp
-
-        physical, pipeline, pos = self._fused_probe_site(planner)
-        probe = pipeline.operators[pos]
-        ops = list(pipeline.operators)
-        ops[pos : pos + 1] = [probe.fused([]), FusedOp(probe.stages)]
-        findings = verify_fused_plan(self._with_operators(physical, pipeline, ops))
-        assert [(f.rule, f.site) for f in findings] == [("FC03", f"P{pipeline.pid}")]
+        probe = self._fused_probe(planner)
+        schema = probe.join_schema()
+        text = next(i for i, f in enumerate(schema.fields) if f.dtype.is_string)
+        # LIKE lowers only with a literal pattern.
+        like = ScalarCall("like", [FieldRef(text), FieldRef(text)])
+        with pytest.raises(UnsupportedExpressionError):
+            _probe_with(probe, [FilterOp(like, schema)])
 
     def test_fc02_flags_an_absorbed_run_not_chaining_from_the_join(self, planner):
         from repro.core.operators.streaming import FilterOp
         from repro.plan.expressions import FieldRef, ScalarCall
 
-        physical, pipeline, pos = self._fused_probe_site(planner)
-        probe = pipeline.operators[pos]
+        probe = self._fused_probe(planner)
         assert probe.probe_schema.dtypes() != probe.join_schema().dtypes()
         # A filter declaring the probe side's schema, not the join's.
         wrong = FilterOp(ScalarCall("is_not_null", [FieldRef(0)]), probe.probe_schema)
-        ops = list(pipeline.operators)
-        ops[pos] = probe.fused([wrong])
-        findings = verify_fused_plan(self._with_operators(physical, pipeline, ops))
-        assert [(f.rule, f.site) for f in findings] == [
-            ("FC02", f"P{pipeline.pid}[{pos}].stage0")
-        ]
+        with pytest.raises(ValueError, match="stage 0 declares input"):
+            _probe_with(probe, [wrong])
+        right = FilterOp(ScalarCall("is_not_null", [FieldRef(0)]), probe.join_schema())
+        assert _probe_with(probe, [right]).stages == [right]
 
-    def test_a_run_the_compiler_cannot_lower_stays_unfused_behind_its_probe(self, planner):
-        """The probe keeps its own output region; the run stays on the
-        plain Filter/Project operators, and FC03 accepts that (the compile
-        fallback)."""
-        from repro.core.operators.join import HashJoinProbe
-        from repro.core.operators.streaming import FilterOp
-        from repro.core.planner import fuse_operators
+    def test_an_unlowerable_run_behind_a_probe_fails_compile_plan(self):
+        """The whole plan is refused, not just the run: nothing is left for
+        the device to start and fail on mid-query."""
+        from repro.core import UnsupportedExpressionError
+        from repro.plan import Plan
         from repro.plan.expressions import FieldRef, ScalarCall
+        from repro.plan.relations import FilterRel, JoinRel, ReadRel
 
-        physical, pipeline, pos = self._fused_probe_site(planner)
-        fused = pipeline.operators[pos]
-        bare = HashJoinProbe(
-            fused.build_slot,
-            fused.join_type,
-            fused.probe_key_indices,
-            fused.build_key_indices,
-            fused.probe_schema,
-            fused.build_schema,
-            fused.post_filter,
-        )
-        schema = fused.join_schema()
-        text = next(i for i, f in enumerate(schema.fields) if f.dtype.is_string)
-        # LIKE lowers only with a literal pattern.
-        like = ScalarCall("like", [FieldRef(text), FieldRef(text)])
-        unlowerable = FilterOp(like, schema)
-        got = fuse_operators([bare, unlowerable])
-        assert isinstance(got[0], HashJoinProbe) and got[0].stages == []
-        assert got[1:] == [unlowerable]
-        ops = list(pipeline.operators)
-        ops[pos : pos + 1] = got
-        assert verify_fused_plan(self._with_operators(physical, pipeline, ops)) == []
+        left = ReadRel("l", Schema([("k", "int64"), ("s", "string")]))
+        right = ReadRel("r", Schema([("k", "int64"), ("t", "string")]))
+        join = JoinRel(left, right, "inner", [0], [0])
+        like = ScalarCall("like", [FieldRef(1), FieldRef(3)])
+        compile_plan(Plan(join))
+        with pytest.raises(UnsupportedExpressionError):
+            compile_plan(Plan(FilterRel(join, like)))
 
     def test_fused_op_refuses_an_empty_run_and_a_non_streaming_stage(self):
-        """An empty run or a non-streaming stage never becomes a FusedOp,
-        so the verifier has no rule for either."""
+        """An empty run or a non-streaming stage never becomes a FusedOp."""
         from repro.core.operators.fused import FusedOp
         from repro.core.operators.sort import MaterializeSink
 
@@ -306,29 +333,18 @@ class TestFusedPlanVerifier:
         launch."""
         from repro.core.operators.fused import FusedOp
         from repro.core.operators.join import HashJoinProbe
-        from repro.core.planner import _Compiler
 
         def expanded(operators):
             for op in operators:
-                if isinstance(op, FusedOp):
-                    yield from op.stages
-                elif isinstance(op, HashJoinProbe) and op.stages:
-                    yield op.fused([])
-                    yield from op.stages
-                else:
+                assert isinstance(op, (FusedOp, HashJoinProbe)), op
+                if isinstance(op, HashJoinProbe):
                     yield op
+                yield from op.stages
 
-        for q in (1, 3, 5, 9, 21):
-            plan = planner.plan_sql(tpch_query(q))
-            seed = _Compiler()
-            source, ops, deps = seed.compile(plan.root)
-            seed.add_pipeline(source, ops, None, "result", deps)  # sink unused here
-            physical = compile_plan(plan)
-            assert len(physical.pipelines) == len(seed.pipelines), q
-            for got, want in zip(physical.pipelines, seed.pipelines):
-                parts = list(expanded(got.operators))
-                assert not any(isinstance(op, FusedOp) for op in parts), q
-                assert [type(op) for op in parts] == [type(op) for op in want.operators], q
+        for q, seed in SEED_OPERATOR_CLASSES.items():
+            physical = compile_plan(planner.plan_sql(tpch_query(q)))
+            got = [[type(op).__name__ for op in expanded(p.operators)] for p in physical.pipelines]
+            assert got == seed, q
 
     @pytest.mark.parametrize("q", range(1, 23))
     def test_both_billings_run_the_same_physical_plan(self, q, planner, plain, fused):
@@ -778,8 +794,7 @@ class TestRandomPlanFusion:
     @settings(max_examples=40, deadline=None)
     @given(data=tables(), plan=plans())
     def test_fused_plans_verify_clean(self, data, plan):
-        physical = compile_plan(plan)
-        assert verify_fused_plan(physical) == []
+        assert_regions_only(compile_plan(plan), plan)
 
     @settings(max_examples=30, deadline=None)
     @given(data=tables(), plan=plans(), batch=st.integers(1, 17))

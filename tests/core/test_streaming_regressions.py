@@ -7,7 +7,8 @@ Two bug classes fixed alongside the fusion work:
   ``Literal``, so a literal whose python value's natural dtype differed
   from the declared field dtype (e.g. ``Literal(1, FLOAT64)``)
   materialised a wrongly-typed column that disagreed with the plan
-  schema.  ``ProjectOp`` now threads each output field's dtype through.
+  schema.  A project stage now threads each output field's dtype through
+  (``compile_stages``).
 * **zero-row chunks** — batched execution can hand any operator or sink
   a chunk with no rows (a filter that kills a whole batch); every
   downstream consumer must pass it through without tripping.

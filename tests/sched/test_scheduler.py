@@ -3,12 +3,16 @@ concurrency throughput win, and degradation under contention."""
 
 import pytest
 
-from repro.core import SiriusEngine
+from repro.columnar import Schema, Table
+from repro.core import SiriusEngine, UnsupportedExpressionError
 from repro.faults import FaultInjector, FaultPlan
 from repro.fleet import FleetScheduler, engine_factory
 from repro.gpu.specs import GH200
 from repro.hosts import MiniDuck
 from repro.obs import Tracer
+from repro.plan import Plan, PlanBuilder, col, lit
+from repro.plan.expressions import FieldRef, Literal, ScalarCall
+from repro.plan.relations import FilterRel, ProjectRel, ReadRel
 from repro.sched import (
     JobState,
     ServingScheduler,
@@ -229,6 +233,30 @@ class TestDegradationUnderContention:
         assert job.state == JobState.FAILED
         assert job.degraded_tier == "gpu-retry-spill"
         assert report.counters["degraded"] == 1
+
+
+    def test_a_plan_the_compiler_rejects_fails_at_admission(self):
+        """The plan does not compile (``round``'s digits must be a
+        literal): its job finishes FAILED when admitted, having spent no
+        service time, as a non-OOM first failure does; the job beside it
+        completes."""
+        schema = Schema([("k", "int64"), ("v", "float64")])
+        rows = range(2000)
+        catalog = {"t": Table.from_pydict({"k": list(rows), "v": [float(i) for i in rows]}, schema)}
+        rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])
+        kept = FilterRel(ReadRel("t", schema), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
+        bad = Plan(ProjectRel(kept, [rounded], ["r"]))
+        good = PlanBuilder.read("t", schema).filter(col("v") > lit(1990.0)).build()
+        sched = ServingScheduler(fresh_engine(catalog), streams=2)
+        bad_job = sched.submit(bad, catalog, label="bad")
+        good_job = sched.submit(good, catalog, label="good")
+        report = sched.run()
+        assert bad_job.state == JobState.FAILED
+        assert isinstance(bad_job.error, UnsupportedExpressionError)
+        assert bad_job.service_s == 0
+        assert good_job.state == JobState.COMPLETED
+        assert good_job.table.to_rows() == [(k, float(k)) for k in range(1991, 2000)]
+        assert (report.counters["completed"], report.counters["failed"]) == (1, 1)
 
 
 class TestClosedLoop:
