@@ -7,7 +7,7 @@ from .deadline import (
     DidNotFinishError,
     MemoryBudgetExceededError,
 )
-from .executor import OperatorTiming, PipelineExecutor, QueryProfile
+from .executor import OperatorTiming, QueryProfile
 from .expr_compile import UnsupportedExpressionError
 from .fallback import FALLBACK_EXCEPTIONS, FallbackEvent, FallbackHandler
 from .operators.base import Category, ExecutionContext, OperatorRegistry, UnsupportedFeatureError
@@ -29,7 +29,6 @@ __all__ = [
     "PhysicalPlan",
     "Pipeline",
     "OperatorTiming",
-    "PipelineExecutor",
     "QueryProfile",
     "SiriusEngine",
     "UnsupportedExpressionError",

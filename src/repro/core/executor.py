@@ -42,7 +42,7 @@ from .operators.join import PartitionedBuild
 from .operators.scan import IntermediateSource, TableScan
 from .planner import PhysicalPlan, Pipeline
 
-__all__ = ["PipelineExecutor", "QueryRun", "QueryProfile", "OperatorTiming"]
+__all__ = ["QueryRun", "QueryProfile", "OperatorTiming"]
 
 _DONE = object()
 
@@ -56,6 +56,11 @@ class QueryRun:
     as finalising a finished pipeline or opening the next one).  Pipelines
     are served from the global queue in dependency order, so stepping a
     run to completion executes the whole query.
+
+    A :class:`~repro.core.deadline.Deadline` (simulated-time budget) is
+    enforced at chunk and pipeline boundaries — the run stops pushing
+    work as soon as the clock passes the deadline, raising
+    :class:`~repro.core.deadline.DeadlineExceededError`.
 
     Attributes:
         service_seconds: Accumulated simulated time this run's own steps
@@ -451,23 +456,3 @@ class QueryRun:
                     # finishes so later pipelines reclaim the space.
                     for name in retired.leaves.values():
                         self.ctx.buffer_manager.drop_fragment(name)
-
-
-class PipelineExecutor:
-    """Runs a :class:`PhysicalPlan` on one device."""
-
-    def __init__(self, ctx: ExecutionContext):
-        self.ctx = ctx
-
-    def start(
-        self, physical: PhysicalPlan, deadline: Deadline | None = None
-    ) -> QueryRun:
-        """Begin task-granular execution; the caller drives the returned
-        :class:`QueryRun` one chunk-task at a time.
-
-        A :class:`~repro.core.deadline.Deadline` (simulated-time budget) is
-        enforced at chunk and pipeline boundaries — the run stops pushing
-        work as soon as the clock passes the deadline, raising
-        :class:`~repro.core.deadline.DeadlineExceededError`.
-        """
-        return QueryRun(self.ctx, physical, deadline)

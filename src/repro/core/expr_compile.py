@@ -7,10 +7,11 @@ resolved and all constant option parsing (LIKE patterns, cast targets,
 substring offsets) is hoisted at compile time, so the closure performs
 only the per-chunk kernel calls.  Literals evaluate to Python scalars;
 the parent kernel broadcasts them, so constants never materialise columns
-unless an expression is a bare literal.  Compiled stages
-(:mod:`repro.core.operators.fused`) compile once per plan; a probe's
-residual filter and a run the compiler rejects compile and call once per
-chunk through :mod:`repro.core.expr_eval`.
+unless an expression is a bare literal.  Every expression of a plan is
+compiled once, by ``compile_plan``, as it builds the operator that runs
+it: compiled stages (:mod:`repro.core.operators.fused`), a probe's
+residual filter and an aggregate's measure arguments.  An expression
+that cannot be lowered fails ``compile_plan`` before anything launches.
 
 Common-subexpression elimination: with a ``cache`` dict, every call node
 is keyed by the stable digest of its ``to_dict()`` form and memoised, so

@@ -5,8 +5,9 @@ the paper notes is missing from Sirius' *distributed* mode — our
 distributed layer supplies it explicitly as a future-work extension).
 
 Aggregate inputs that are expressions (e.g. ``sum(l_extendedprice * (1 -
-l_discount))``) are evaluated per chunk before accumulation, so the sink
-itself only ever aggregates materialised columns.
+l_discount))``) are compiled when the sink is built — a measure the
+device cannot lower fails ``compile_plan`` — and run over the sink's
+materialised input, so the aggregation kernels only ever see columns.
 
 :class:`GroupBySink` consumes through the partition spool (:mod:`.spool`):
 in an out-of-core run its input may scatter, and then each leaf is
@@ -19,7 +20,7 @@ from ...columnar import Field, Schema, Table
 from ...kernels import AggSpec, GTable, binary_arith, concat_gtables, fill_constant, reduce_column
 from ...plan import AggregateCall
 from ...plan.expressions import aggregate_result_type
-from .. import expr_eval
+from ..expr_compile import compile_projection
 from .base import Category, ExecutionContext, SinkOperator
 from .spool import finish_held, scattered, spool_chunk, spooled_leaves
 
@@ -52,6 +53,7 @@ class GroupBySink(SinkOperator):
         self.measures = list(measures)
         self.input_schema = input_schema
         self.slot = slot
+        self._args = _compile_args(self.measures)
 
     def output_schema(self) -> Schema:
         fields = [self.input_schema.fields[i] for i in self.group_indices]
@@ -90,10 +92,8 @@ class GroupBySink(SinkOperator):
         whole held input, or one leaf of a scattered one)."""
         keys = [data.columns[i] for i in self.group_indices]
         specs: list[AggSpec] = []
-        for agg, name in self.measures:
-            arg_col = (
-                expr_eval.evaluate_to_column(agg.arg, data) if agg.arg is not None else None
-            )
+        for (agg, name), arg in zip(self.measures, self._args):
+            arg_col = arg(data, None) if arg is not None else None
             if agg.op == "avg":
                 # Decompose: avg = sum / count, fused back after the kernel.
                 specs.append(AggSpec("sum", arg_col, f"__avg_sum_{name}"))
@@ -137,6 +137,7 @@ class GlobalAggSink(SinkOperator):
     def __init__(self, measures, input_schema: Schema):
         self.measures = list(measures)
         self.input_schema = input_schema
+        self._args = _compile_args(self.measures)
 
     def output_schema(self) -> Schema:
         return Schema(
@@ -158,8 +159,8 @@ class GlobalAggSink(SinkOperator):
             data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
 
         columns = []
-        for (agg, name), field in zip(self.measures, out_schema):
-            value = self._reduce(agg, data)
+        for (agg, name), arg, field in zip(self.measures, self._args, out_schema):
+            value = self._reduce(agg, arg, data)
             if value is None:
                 col = fill_constant(ctx.device, 1, 0, field.dtype)
                 import numpy as np
@@ -170,12 +171,12 @@ class GlobalAggSink(SinkOperator):
                 columns.append(fill_constant(ctx.device, 1, value, field.dtype))
         return GTable(out_schema, columns, ctx.device)
 
-    def _reduce(self, agg: AggregateCall, data: GTable | None):
+    def _reduce(self, agg: AggregateCall, arg, data: GTable | None):
         if data is None or data.num_rows == 0:
             return 0 if agg.op in ("count", "count_star") else None
         if agg.op == "count_star":
             return data.num_rows
-        col = expr_eval.evaluate_to_column(agg.arg, data)
+        col = arg(data, None)
         op = agg.op
         if op == "count" and agg.distinct:
             op = "count_distinct"
@@ -185,3 +186,11 @@ class GlobalAggSink(SinkOperator):
 
     def describe(self) -> str:
         return f"GlobalAgg({[n for _, n in self.measures]})"
+
+
+def _compile_args(measures) -> list:
+    """Each measure's argument lowered once (``None`` for ``count(*)``),
+    called per table without a CSE cache."""
+    return [
+        compile_projection(agg.arg) if agg.arg is not None else None for agg, _name in measures
+    ]

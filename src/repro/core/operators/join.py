@@ -47,7 +47,7 @@ from ...kernels import (
 from ...kernels.join import JoinResult, _expand, _match_ranges
 from ...kernels.keys import factorize_keys
 from ...plan.relations import join_output_schema
-from .. import expr_eval
+from ..expr_compile import compile_predicate
 from .base import (
     Category,
     ChunkStream,
@@ -188,8 +188,10 @@ class HashJoinProbe(StreamingOperator):
     region (:meth:`Device.fused_kernel`): each map's return trip to
     int32, both sides' gathers, the residual ``post_filter`` and
     ``stages`` — the Filter/Project run that follows the probe in the
-    plan, which the compiler hands the probe when it builds it and which
-    is compiled once here.
+    plan, which the compiler hands the probe when it builds it.  The
+    residual and the stages are compiled once, here, so a probe the
+    device cannot lower fails ``compile_plan``; the residual runs without
+    a CSE cache.
     A probe against a plain build runs ``stages`` in that region, per
     chunk; a scattered probe assembles each leaf's output without them
     and runs them on every coalesced batch of leaf outputs, in a region
@@ -216,6 +218,7 @@ class HashJoinProbe(StreamingOperator):
         self.probe_schema = probe_schema
         self.build_schema = build_schema
         self.post_filter = post_filter
+        self._residual = compile_predicate(post_filter) if post_filter is not None else None
         self.stages = list(stages)
         self._program = compile_stages(self.stages, self.join_schema() if self.stages else None)
 
@@ -291,9 +294,9 @@ class HashJoinProbe(StreamingOperator):
             list(left_out.columns) + list(right_out.columns),
             chunk.device,
         )
-        if self.post_filter is not None:
+        if self._residual is not None:
             with ctx.device.clock.attributed(residual):
-                keep = expr_eval.evaluate_predicate(self.post_filter, out)
+                keep = self._residual(out, None)
                 out = mask_table(out, keep)
         return out, right_out
 
@@ -332,7 +335,7 @@ class HashJoinProbe(StreamingOperator):
                 chunk.device,
             )
             with ctx.device.clock.attributed(Category.FILTER):
-                keep = expr_eval.evaluate_predicate(self.post_filter, combined)
+                keep = self._residual(combined, None)
             matched_probe = np.unique(pairs.left_indices[keep])
             ctx.device.launch(
                 KernelClass.STREAM, pairs.left_indices.nbytes, matched_probe.nbytes, len(pairs)

@@ -29,7 +29,7 @@ from ..kernels import groupby as groupby_kernel
 from ..plan import Plan
 from .buffer_manager import BufferManager
 from .deadline import Deadline
-from .executor import PipelineExecutor, QueryProfile, QueryRun
+from .executor import QueryProfile, QueryRun
 from .fallback import (
     FALLBACK_EXCEPTIONS,
     HOST_TIER,
@@ -251,38 +251,42 @@ class SiriusEngine:
     ) -> tuple[Table, str]:
         """Climb the ladder after ``original`` failed the first attempt;
         returns the result and the tier that produced it, recording one
-        event either way.  The wasted attempts stay charged to the clock."""
+        event whatever happens — an exception no tier absorbs (a host
+        executor's own error, a deadline) is recorded as ``raise`` and
+        propagates.  The wasted attempts stay charged to the clock."""
         attempted: list[str] = []
-        failure, tier = original, None
-        while (tier := next_rung(self.out_of_core, failure, tier)) is not None:
-            attempted.append(tier)
-            try:
-                result = self._run_on_gpu(
-                    plan, catalog, deadline, **retry_settings(tier, self.batch_rows)
-                )
-                break
-            except FALLBACK_EXCEPTIONS as exc:
-                failure = exc
-        else:  # the GPU rungs are spent
-            tier = "raise"
-            if self.host_executor is not None:
-                attempted.append(HOST_TIER)
+        failure, rung, tier = original, None, "raise"
+        try:
+            while (rung := next_rung(self.out_of_core, failure, rung)) is not None:
+                attempted.append(rung)
                 try:
-                    result, tier = self.host_executor(plan, catalog), HOST_TIER
-                except FALLBACK_EXCEPTIONS:
-                    pass
-        bm = self.buffer_manager
-        self.fallback.record(
-            original,
-            plan,
-            tier,
-            attempted,
-            self.device.clock,
-            memory_watermark=self.device.processing_pool.stats().in_use,
-            # Cached tables pushed to pinned host + partition fragments
-            # spilled: everything the engine moved trying to stay on-GPU.
-            spill_bytes_attempted=bm.pinned_host_bytes + bm.spilled_fragment_bytes,
-        )
+                    result = self._run_on_gpu(
+                        plan, catalog, deadline, **retry_settings(rung, self.batch_rows)
+                    )
+                    tier = rung
+                    break
+                except FALLBACK_EXCEPTIONS as exc:
+                    failure = exc
+            else:  # the GPU rungs are spent
+                if self.host_executor is not None:
+                    attempted.append(HOST_TIER)
+                    try:
+                        result, tier = self.host_executor(plan, catalog), HOST_TIER
+                    except FALLBACK_EXCEPTIONS:
+                        pass
+        finally:
+            bm = self.buffer_manager
+            self.fallback.record(
+                original,
+                plan,
+                tier,
+                attempted,
+                self.device.clock,
+                memory_watermark=self.device.processing_pool.stats().in_use,
+                # Cached tables pushed to pinned host + partition fragments
+                # spilled: everything the engine moved trying to stay on-GPU.
+                spill_bytes_attempted=bm.pinned_host_bytes + bm.spilled_fragment_bytes,
+            )
         if tier == "raise":
             raise original
         return result, tier
@@ -354,8 +358,7 @@ class SiriusEngine:
             out_of_core=out_of_core,
             tracer=tracer if tracer is not None else self.tracer,
         )
-        physical = compile_plan(plan)
-        return PipelineExecutor(ctx).start(physical, deadline=deadline)
+        return QueryRun(ctx, compile_plan(plan), deadline)
 
     def estimate(self, plan: Plan, catalog: Mapping[str, Table]):
         """Price ``plan`` the way this engine runs it — spill waves when it

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..sched import JobState
-from ..sched.report import _dist
+from ..sched.report import latency_lines, timeline
 from .job import FleetJob
 
 __all__ = ["FleetReport"]
@@ -45,26 +45,10 @@ class FleetReport:
     @classmethod
     def build(cls, fleet) -> "FleetReport":
         jobs: list[FleetJob] = fleet.records
-        completed = [j for j in jobs if j.state == JobState.COMPLETED]
-        if jobs:
-            t0 = min(j.arrival_s for j in jobs)
-            t1 = max(
-                (j.completion_s for j in jobs if j.completion_s is not None),
-                default=t0,
-            )
-            makespan = t1 - t0
-        else:
-            t0 = t1 = 0.0
-            makespan = 0.0
-        throughput = len(completed) / makespan if makespan > 0 else 0.0
-        latency = {
-            "total_s": _dist([j.latency_s for j in completed]),
-            "queue_wait_s": _dist([j.queue_wait_s for j in completed]),
-            "service_s": _dist([j.service_s for j in completed]),
-        }
+        t1, makespan, throughput, latency = timeline(jobs)
         counters = {
             "submitted": len(jobs),
-            "completed": len(completed),
+            "completed": sum(1 for j in jobs if j.state == JobState.COMPLETED),
             "failed": sum(1 for j in jobs if j.state == JobState.FAILED),
             "rejected": sum(1 for j in jobs if j.state == JobState.REJECTED),
             "throttled": sum(1 for j in jobs if j.throttled),
@@ -138,7 +122,6 @@ class FleetReport:
 
     def summary(self) -> str:
         c = self.counters
-        lat = self.latency
         lines = [
             f"fleet report — routing={self.routing} seed={self.seed} "
             f"replicas={c['replicas_spawned']}",
@@ -149,14 +132,7 @@ class FleetReport:
             f"  makespan: {self.makespan_s:.6f}s sim  "
             f"throughput: {self.throughput_qps:.2f} q/s  "
             f"cost: {self.replica_seconds:.6f} replica-seconds",
-            f"  total latency   p50={lat['total_s']['p50']:.6f}s  "
-            f"p95={lat['total_s']['p95']:.6f}s  p99={lat['total_s']['p99']:.6f}s",
-            f"  queue wait      p50={lat['queue_wait_s']['p50']:.6f}s  "
-            f"p95={lat['queue_wait_s']['p95']:.6f}s  "
-            f"p99={lat['queue_wait_s']['p99']:.6f}s",
-            f"  service time    p50={lat['service_s']['p50']:.6f}s  "
-            f"p95={lat['service_s']['p95']:.6f}s  "
-            f"p99={lat['service_s']['p99']:.6f}s",
+            *latency_lines(self.latency),
         ]
         if self.result_cache:
             lines.append(

@@ -142,18 +142,8 @@ class _Estimator:
         """Return (estimated rows, estimated bytes) of the relation at
         ``path`` (``root.input.left`` ...: the site its pool bytes are
         recorded under)."""
-        if isinstance(rel, ReadRel):
-            if self.fusion and rel.filter_expr is not None:
-                return self._fused_chain(rel, path)
-            return self._read(rel)
-        if isinstance(rel, (FilterRel, ProjectRel)):
-            if self.fusion:
-                return self._fused_chain(rel, path)
-            rows, nbytes = self.visit(rel.inputs[0], f"{path}.input")
-            self._charge(KernelClass.STREAM, nbytes, nbytes, rows)
-            if isinstance(rel, FilterRel):
-                return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
-            return rows, nbytes
+        if isinstance(rel, (ReadRel, FilterRel, ProjectRel)):
+            return self._chain(rel, path)
         if isinstance(rel, JoinRel):
             return self._join(rel, path)
         if isinstance(rel, AggregateRel):
@@ -171,14 +161,15 @@ class _Estimator:
             return rows, nbytes
         raise TypeError(f"cannot estimate {type(rel).__name__}")
 
-    def _fused_chain(self, rel: Relation, path: str) -> tuple[float, float]:
-        """Price a maximal adjacent Filter/Project chain as one fused
-        launch: each hop keeps its non-streaming terms (the work still
-        happens), but the memory-bandwidth term covers only the chain's
-        external input and final output — interior materialisations are
-        priced at zero, matching the fused executor.  A scan's pushed
-        filter is the chain's first hop, as the compiler emits it.  The
-        selectivity cascade is preserved hop by hop."""
+    def _chain(self, rel: Relation, path: str) -> tuple[float, float]:
+        """Price a maximal adjacent Filter/Project chain, down to and
+        including its scan, as the compiler emits it: a scan's pushed
+        filter is the first hop (when the table is in the catalog), and
+        the selectivity cascade is applied hop by hop.  Fused billing
+        prices the hops as one launch — each keeps its non-streaming
+        terms, but the memory-bandwidth term covers only the chain's
+        external input and final output (:meth:`KernelCostModel
+        .fused_cost`); per-part billing prices one launch per hop."""
         chain: list[Relation] = []
         node = rel
         while isinstance(node, (FilterRel, ProjectRel)):
@@ -187,7 +178,7 @@ class _Estimator:
         filters = [isinstance(hop, FilterRel) for hop in reversed(chain)]
         if isinstance(node, ReadRel):
             rows, nbytes = self._scan(node)
-            if node.filter_expr is not None:
+            if node.filter_expr is not None and node.table_name in self.catalog:
                 filters.insert(0, True)
         else:
             rows, nbytes = self.visit(node, path + ".input" * len(chain))
@@ -198,7 +189,11 @@ class _Estimator:
             if is_filter:
                 rows *= FILTER_SELECTIVITY
                 nbytes *= FILTER_SELECTIVITY
-        self.seconds += self.model.fused_cost(parts, int(ext_in), int(nbytes)).total
+        if self.fusion and parts:
+            self.seconds += self.model.fused_cost(parts, int(ext_in), int(nbytes)).total
+        else:
+            for part in parts:
+                self._charge(*part)
         return rows, nbytes
 
     def _scan(self, rel: ReadRel) -> tuple[float, float]:
@@ -220,14 +215,6 @@ class _Estimator:
         else:
             nbytes = float(table.nbytes)
         return rows, nbytes
-
-    def _read(self, rel: ReadRel) -> tuple[float, float]:
-        rows, nbytes = self._scan(rel)
-        if rel.filter_expr is None or rel.table_name not in self.catalog:
-            return rows, nbytes
-        # The pushed filter is the scan's one processing kernel.
-        self._charge(KernelClass.STREAM, nbytes, nbytes, rows)
-        return rows * FILTER_SELECTIVITY, nbytes * FILTER_SELECTIVITY
 
     def _join(self, rel: JoinRel, path: str) -> tuple[float, float]:
         probe_rows, probe_bytes = self.visit(rel.inputs[0], f"{path}.left")

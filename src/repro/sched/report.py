@@ -44,6 +44,32 @@ def _dist(values) -> dict:
     }
 
 
+def timeline(jobs) -> tuple[float, float, float, dict]:
+    """A run's ``(end_s, makespan_s, throughput_qps, latency)``: its span
+    from first arrival to last completion (0.0 without jobs) and the
+    total / queue-wait / service distributions of its completed jobs."""
+    completed = [j for j in jobs if j.state == JobState.COMPLETED]
+    start = min((j.arrival_s for j in jobs), default=0.0)
+    end = max((j.completion_s for j in jobs if j.completion_s is not None), default=start)
+    makespan = end - start
+    throughput = len(completed) / makespan if makespan > 0 else 0.0
+    latency = {
+        "total_s": _dist([j.latency_s for j in completed]),
+        "queue_wait_s": _dist([j.queue_wait_s for j in completed]),
+        "service_s": _dist([j.service_s for j in completed]),
+    }
+    return end, makespan, throughput, latency
+
+
+def latency_lines(latency: dict) -> list[str]:
+    """The three latency lines of a report summary."""
+    labels = {"total_s": "total latency", "queue_wait_s": "queue wait", "service_s": "service time"}
+    return [
+        f"  {label:<16}" + "  ".join(f"{q}={latency[key][q]:.6f}s" for q in ("p50", "p95", "p99"))
+        for key, label in labels.items()
+    ]
+
+
 @dataclass
 class ServingReport:
     """Everything a serving run produced, ready for JSON or a summary."""
@@ -60,22 +86,7 @@ class ServingReport:
 
     @classmethod
     def build(cls, policy, streams, seed, jobs, counters, schedule_digest):
-        completed = [j for j in jobs if j.state == JobState.COMPLETED]
-        if jobs:
-            t0 = min(j.arrival_s for j in jobs)
-            t1 = max(
-                (j.completion_s for j in jobs if j.completion_s is not None),
-                default=t0,
-            )
-            makespan = t1 - t0
-        else:
-            makespan = 0.0
-        throughput = len(completed) / makespan if makespan > 0 else 0.0
-        latency = {
-            "total_s": _dist([j.latency_s for j in completed]),
-            "queue_wait_s": _dist([j.queue_wait_s for j in completed]),
-            "service_s": _dist([j.service_s for j in completed]),
-        }
+        _end, makespan, throughput, latency = timeline(jobs)
         return cls(
             policy=policy,
             streams=streams,
@@ -106,7 +117,6 @@ class ServingReport:
 
     def summary(self) -> str:
         c = self.counters
-        lat = self.latency
         lines = [
             f"serving report — policy={self.policy} streams={self.streams} "
             f"seed={self.seed}",
@@ -115,14 +125,7 @@ class ServingReport:
             f"({c['expired_in_queue']} expired in queue, {c['degraded']} degraded)",
             f"  makespan: {self.makespan_s:.6f}s sim  "
             f"throughput: {self.throughput_qps:.2f} q/s",
-            f"  total latency   p50={lat['total_s']['p50']:.6f}s  "
-            f"p95={lat['total_s']['p95']:.6f}s  p99={lat['total_s']['p99']:.6f}s",
-            f"  queue wait      p50={lat['queue_wait_s']['p50']:.6f}s  "
-            f"p95={lat['queue_wait_s']['p95']:.6f}s  "
-            f"p99={lat['queue_wait_s']['p99']:.6f}s",
-            f"  service time    p50={lat['service_s']['p50']:.6f}s  "
-            f"p95={lat['service_s']['p95']:.6f}s  "
-            f"p99={lat['service_s']['p99']:.6f}s",
+            *latency_lines(self.latency),
             f"  schedule digest: {self.schedule_digest}",
         ]
         return "\n".join(lines)

@@ -56,6 +56,14 @@ def agg(op, arg_index=None):
     return AggregateCall(op if arg is not None else "count_star", arg)
 
 
+def sum_of_round(digits):
+    return AggregateCall("sum", ScalarCall("round", [FieldRef(2), digits]))
+
+
+def round_residual(digits):
+    return ScalarCall("gt", [ScalarCall("round", [FieldRef(2), digits]), Literal(0.0)])
+
+
 # (rule, failing relation factory, passing relation factory)
 CORPUS = [
     ("PA01", lambda: ReadRel("missing", SCHEMA), read),
@@ -148,6 +156,20 @@ CORPUS = [
          read(), [ScalarCall("round", [FieldRef(2), FieldRef(1)])], ["x"]),
      lambda: ProjectRel(
          read(), [ScalarCall("round", [FieldRef(2), Literal(1)])], ["x"])),
+    # ... wherever it sits: in a measure, global or grouped, and in an
+    # inner or semi join's residual (over fact's v and dim's w).
+    ("PA08",
+     lambda: AggregateRel(read(), [], [(sum_of_round(FieldRef(1)), "m")]),
+     lambda: AggregateRel(read(), [], [(sum_of_round(Literal(1)), "m")])),
+    ("PA08",
+     lambda: AggregateRel(read(), [1], [(sum_of_round(FieldRef(1)), "m")]),
+     lambda: AggregateRel(read(), [1], [(sum_of_round(Literal(1)), "m")])),
+    ("PA08",
+     lambda: JoinRel(read(), dim_read(), "inner", [0], [0], round_residual(FieldRef(5))),
+     lambda: JoinRel(read(), dim_read(), "inner", [0], [0], round_residual(Literal(1)))),
+    ("PA08",
+     lambda: JoinRel(read(), dim_read(), "semi", [0], [0], round_residual(FieldRef(5))),
+     lambda: JoinRel(read(), dim_read(), "semi", [0], [0], round_residual(Literal(1)))),
 ]
 
 ERROR_RULES = {r for r, d in PLAN_RULES.items() if r not in ("PA08", "PA09")}
@@ -245,6 +267,31 @@ class TestTheAnalyzerAsksTheEngine:
             return  # an ill-typed expression is never offered to the compiler
         expected = all(_compiles(e) for e in _scalar_positions(plan) if e is not None)
         assert report.gpu_supported == expected, report.findings
+
+    def test_pa08_is_exactly_what_compile_plan_refuses(self, catalog):
+        """``gpu_supported`` holds exactly when the plan compiles: over the
+        well-formed corpus fixtures, the 22 TPC-H queries and the whole
+        battery (planned over SF 0.01), no plan that PA08 sends to the
+        host tier compiles, and none it keeps on the GPU is refused."""
+        from repro.bench.baselines.battery import SCALE_FACTOR, battery_cases
+        from repro.core.planner import compile_plan
+        from repro.hosts import MiniDuck
+        from repro.tpch import TPCH_QUERIES, generate_tpch, tpch_query
+
+        host = MiniDuck()
+        host.load_tables(generate_tpch(sf=SCALE_FACTOR, seed=19920101))
+        sql = [tpch_query(n) for n in TPCH_QUERIES] + [case.sql for case in battery_cases()]
+        planned = [(text, host.plan(text)) for text in sql]
+        assert len(planned) == 370
+        fixtures = [(i, Plan(rel())) for i, rel in zip(FIXTURE_IDS, ALL_FIXTURES)]
+        well_formed = [(i, plan) for i, plan in fixtures if analyze_plan(plan, catalog).ok]
+        for what, plan in well_formed + planned:
+            try:
+                compile_plan(plan)
+                compiles = True
+            except UnsupportedExpressionError:
+                compiles = False
+            assert analyze_plan(plan).gpu_supported == compiles, what
 
     @pytest.mark.parametrize("rel", ALL_FIXTURES, ids=FIXTURE_IDS)
     def test_tiers_are_the_ladders(self, rel, catalog):

@@ -7,11 +7,40 @@ from repro.core import SiriusEngine
 from repro.core.operators.base import OperatorRegistry
 from repro.gpu.specs import A100_40G
 from repro.hosts import CpuEngine
+from repro.hosts.cpu_engine import CpuEvalError
 from repro.plan import Plan, PlanBuilder, col, lit
-from repro.plan.expressions import FieldRef, Literal, ScalarCall
-from repro.plan.relations import FilterRel, JoinRel, ProjectRel, ReadRel
+from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
+from repro.plan.relations import AggregateRel, FilterRel, JoinRel, ProjectRel, ReadRel
 
 SCHEMA = Schema([("k", "int64"), ("v", "float64")])
+
+
+def _kept():
+    return FilterRel(ReadRel("t", SCHEMA), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
+
+
+# round's digits must be a literal to lower: over the filtered table, and
+# over a join's (k, v, k, v) output.
+_ROUNDED = ScalarCall("round", [FieldRef(1), FieldRef(0)])
+_RESIDUAL = ScalarCall("gt", [ScalarCall("round", [FieldRef(1), FieldRef(2)]), Literal(0.0)])
+
+# Plans whose one unlowerable expression sits in each place an operator
+# compiles one.
+UNLOWERABLE = {
+    "project": lambda: Plan(ProjectRel(_kept(), [_ROUNDED], ["r"])),
+    "global-aggregate": lambda: Plan(
+        AggregateRel(_kept(), [], [(AggregateCall("sum", _ROUNDED), "s")])
+    ),
+    "grouped-aggregate": lambda: Plan(
+        AggregateRel(_kept(), [0], [(AggregateCall("sum", _ROUNDED), "s")])
+    ),
+    "inner-join-residual": lambda: Plan(
+        JoinRel(_kept(), ReadRel("t", SCHEMA), "inner", [0], [0], _RESIDUAL)
+    ),
+    "semi-join-residual": lambda: Plan(
+        JoinRel(_kept(), ReadRel("t", SCHEMA), "semi", [0], [0], _RESIDUAL)
+    ),
+}
 
 
 @pytest.fixture
@@ -58,9 +87,12 @@ class TestFallback:
             engine.execute(plan, data)
         assert engine.fallback.fallback_count == 1  # event recorded anyway
 
-    def test_a_run_the_compiler_rejects_falls_back_when_it_runs(self, data):
-        """A run holding an expression the device cannot lower fails to
-        compile: nothing launches on the GPU, and the host tier answers."""
+    @pytest.mark.parametrize("case", sorted(UNLOWERABLE))
+    def test_a_run_the_compiler_rejects_falls_back_when_it_runs(self, data, case):
+        """A plan holding an expression the device cannot lower — in a
+        Filter/Project run, an aggregate measure or a join residual —
+        fails to compile: nothing launches on the GPU, and the host tier
+        answers."""
         from repro.core import UnsupportedExpressionError
 
         calls = []
@@ -71,9 +103,7 @@ class TestFallback:
 
         engine = SiriusEngine.for_spec(A100_40G, memory_limit_gb=1.0)
         engine.set_host_executor(host)
-        rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])  # digits must be a literal
-        kept = FilterRel(ReadRel("t", SCHEMA), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
-        plan = Plan(ProjectRel(kept, [rounded], ["r"]))
+        plan = UNLOWERABLE[case]()
         with pytest.raises(UnsupportedExpressionError):
             engine.explain_physical(plan)
         engine.execute(plan, data)
@@ -81,6 +111,19 @@ class TestFallback:
         assert len(engine.fallback.events) == 1
         assert engine.fallback.events[0].exception_type == "UnsupportedExpressionError"
         assert engine.device.kernel_count == 0  # refused before anything launched
+
+    def test_a_host_tier_error_still_records_its_event(self, data):
+        """The host engine needs the same literal arguments the device
+        does: its own error propagates, and the degraded query still logs
+        exactly one event, as ``raise``."""
+        engine = SiriusEngine.for_spec(A100_40G)
+        engine.set_host_executor(CpuEngine().execute)
+        with pytest.raises(CpuEvalError):
+            engine.execute(UNLOWERABLE["global-aggregate"](), data)
+        (event,) = engine.fallback.events
+        assert event.tiers_attempted == ("cpu-plan",)
+        assert event.exception_type == "UnsupportedExpressionError"
+        assert event.tier == "raise"
 
     def test_profile_cleared_after_fallback(self, data):
         engine = SiriusEngine.for_spec(

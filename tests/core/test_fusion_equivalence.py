@@ -810,6 +810,19 @@ class TestRandomPlanFusion:
         )
 
 
+def _estimated_launches(plan, catalog, fusion) -> float:
+    """How many launches the estimate prices: raising the launch constant
+    by 1 ms raises the estimate by 1 ms per launch."""
+    from repro.gpu.device import Device
+    from repro.sched.estimator import estimate_plan
+
+    def service(launch_us):
+        spec = dataclasses.replace(GH200, kernel_launch_us=launch_us)
+        return estimate_plan(plan, catalog, Device(spec), fusion=fusion).service_s
+
+    return (service(1006.0) - service(6.0)) / 1e-3
+
+
 class TestEstimatorFusionPricing:
     @pytest.mark.parametrize("q", [1, 3, 6])
     def test_fused_estimate_never_worse(self, q, data, planner):
@@ -828,27 +841,29 @@ class TestEstimatorFusionPricing:
         """The pushed filter is the head of the fused chain, as the
         compiler emits it: raising the launch constant by 1 ms raises the
         fused estimate by exactly one launch (two unfused)."""
-        from repro.gpu.device import Device
         from repro.plan import Plan
         from repro.plan.expressions import FieldRef, Literal, ScalarCall
         from repro.plan.relations import ProjectRel, ReadRel
-        from repro.sched.estimator import estimate_plan
 
         pushed = ScalarCall("gt", [FieldRef(0), Literal(1)])
         plan = Plan(ProjectRel(ReadRel("t", _FP_SCHEMA, filter_expr=pushed), [FieldRef(1)], ["b"]))
         table = Table.from_pydict(
             {"a": list(range(64)), "b": [float(i) for i in range(64)]}, _FP_SCHEMA
         )
+        assert _estimated_launches(plan, {"t": table}, fusion=True) == pytest.approx(1.0)
+        assert _estimated_launches(plan, {"t": table}, fusion=False) == pytest.approx(2.0)
 
-        def launches(fusion):
-            def service(launch_us):
-                spec = dataclasses.replace(GH200, kernel_launch_us=launch_us)
-                return estimate_plan(plan, {"t": table}, Device(spec), fusion=fusion).service_s
+    @pytest.mark.parametrize("fusion", [False, True])
+    def test_a_pushed_filter_on_a_missing_table_prices_no_launch(self, fusion):
+        """A scan of a table the catalog lacks reads nothing, so its pushed
+        filter prices no launch, under either billing."""
+        from repro.plan import Plan
+        from repro.plan.expressions import FieldRef, Literal, ScalarCall
+        from repro.plan.relations import ReadRel
 
-            return (service(1006.0) - service(6.0)) / 1e-3
-
-        assert launches(True) == pytest.approx(1.0)
-        assert launches(False) == pytest.approx(2.0)
+        pushed = ScalarCall("gt", [FieldRef(0), Literal(1)])
+        plan = Plan(ReadRel("t", _FP_SCHEMA, filter_expr=pushed))
+        assert _estimated_launches(plan, {}, fusion) == pytest.approx(0.0)
 
     def test_fused_estimate_strictly_better_on_q6(self, data, planner):
         from repro.gpu.device import Device

@@ -2,7 +2,7 @@
 
 Two bug classes fixed alongside the fusion work:
 
-* **bare-literal dtype threading** — ``evaluate_to_column`` used to drop
+* **bare-literal dtype threading** — the projection evaluator used to drop
   the projection's declared dtype when the expression was a bare
   ``Literal``, so a literal whose python value's natural dtype differed
   from the declared field dtype (e.g. ``Literal(1, FLOAT64)``)

@@ -11,8 +11,8 @@ from repro.gpu.specs import GH200
 from repro.hosts import MiniDuck
 from repro.obs import Tracer
 from repro.plan import Plan, PlanBuilder, col, lit
-from repro.plan.expressions import FieldRef, Literal, ScalarCall
-from repro.plan.relations import FilterRel, ProjectRel, ReadRel
+from repro.plan.expressions import AggregateCall, FieldRef, Literal, ScalarCall
+from repro.plan.relations import AggregateRel, FilterRel, ProjectRel, ReadRel
 from repro.sched import (
     JobState,
     ServingScheduler,
@@ -235,17 +235,21 @@ class TestDegradationUnderContention:
         assert report.counters["degraded"] == 1
 
 
-    def test_a_plan_the_compiler_rejects_fails_at_admission(self):
+    @pytest.mark.parametrize("position", ["project", "aggregate"])
+    def test_a_plan_the_compiler_rejects_fails_at_admission(self, position):
         """The plan does not compile (``round``'s digits must be a
-        literal): its job finishes FAILED when admitted, having spent no
-        service time, as a non-OOM first failure does; the job beside it
-        completes."""
+        literal, in a projection or an aggregate's measure): its job
+        finishes FAILED when admitted, having spent no service time, as a
+        non-OOM first failure does; the job beside it completes."""
         schema = Schema([("k", "int64"), ("v", "float64")])
         rows = range(2000)
         catalog = {"t": Table.from_pydict({"k": list(rows), "v": [float(i) for i in rows]}, schema)}
         rounded = ScalarCall("round", [FieldRef(1), FieldRef(0)])
         kept = FilterRel(ReadRel("t", schema), ScalarCall("gt", [FieldRef(1), Literal(10.0)]))
-        bad = Plan(ProjectRel(kept, [rounded], ["r"]))
+        if position == "project":
+            bad = Plan(ProjectRel(kept, [rounded], ["r"]))
+        else:
+            bad = Plan(AggregateRel(kept, [], [(AggregateCall("sum", rounded), "s")]))
         good = PlanBuilder.read("t", schema).filter(col("v") > lit(1990.0)).build()
         sched = ServingScheduler(fresh_engine(catalog), streams=2)
         bad_job = sched.submit(bad, catalog, label="bad")
