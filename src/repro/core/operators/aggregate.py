@@ -12,9 +12,19 @@ materialised input, so the aggregation kernels only ever see columns.
 :class:`GroupBySink` consumes through the partition spool (:mod:`.spool`):
 in an out-of-core run its input may scatter, and then each leaf is
 aggregated and freed.
+
+Both sinks finalize in regions (:meth:`Device.fused_kernel`): a
+:class:`GroupBySink` one per held table or per scattered leaf, a
+:class:`GlobalAggSink` one in all.  A region holds the concat of the held
+chunks, the measure arguments, every aggregation kernel, the avg divides
+and, for a global aggregate, the one-row write.  Under fused billing it
+is one launch; per-part billing charges each of those kernels as it
+launches.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ...columnar import Field, Schema, Table
 from ...kernels import AggSpec, GTable, binary_arith, concat_gtables, fill_constant, reduce_column
@@ -69,7 +79,7 @@ class GroupBySink(SinkOperator):
             return finish_held(ctx, state, self._finalize_held)
         results: list[GTable] = []
         for _path, leaf in spooled_leaves(ctx, self.group_indices, state):
-            results.append(self._aggregate_table(ctx, leaf))
+            results.append(self._aggregate(ctx, [leaf]))
             leaf.free()
         if not results:
             return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
@@ -84,8 +94,17 @@ class GroupBySink(SinkOperator):
         chunks = state.get("chunks", [])
         if not chunks:
             return GTable.from_host(ctx.device, Table.empty(self.output_schema()))
-        data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
-        return self._aggregate_table(ctx, data)
+        return self._aggregate(ctx, chunks)
+
+    def _aggregate(self, ctx: ExecutionContext, chunks: list[GTable]) -> GTable:
+        """Concatenate ``chunks`` (the whole held input, or one leaf of a
+        scattered one) and aggregate them, as one region."""
+        with ctx.device.fused_kernel() as scope:
+            data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
+            out = self._aggregate_table(ctx, data)
+            if scope.fused:
+                scope.external(sum(c.traffic_bytes for c in chunks), out.traffic_bytes)
+        return out
 
     def _aggregate_table(self, ctx: ExecutionContext, data: GTable) -> GTable:
         """Run the grouped aggregation over one materialised table (the
@@ -153,23 +172,24 @@ class GlobalAggSink(SinkOperator):
     def finalize(self, ctx: ExecutionContext, state: dict) -> GTable:
         chunks = state.get("chunks", [])
         out_schema = self.output_schema()
-        if not chunks:
-            data = None
-        else:
-            data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
-
-        columns = []
-        for (agg, name), arg, field in zip(self.measures, self._args, out_schema):
-            value = self._reduce(agg, arg, data)
-            if value is None:
-                col = fill_constant(ctx.device, 1, 0, field.dtype)
-                import numpy as np
-
-                col.validity = ctx.device.new_buffer(np.array([False]))
-                columns.append(col)
+        with ctx.device.fused_kernel() as scope:
+            if not chunks:
+                data = None
             else:
-                columns.append(fill_constant(ctx.device, 1, value, field.dtype))
-        return GTable(out_schema, columns, ctx.device)
+                data = chunks[0] if len(chunks) == 1 else concat_gtables(chunks)
+            columns = []
+            for (agg, name), arg, field in zip(self.measures, self._args, out_schema):
+                value = self._reduce(agg, arg, data)
+                if value is None:
+                    col = fill_constant(ctx.device, 1, 0, field.dtype)
+                    col.validity = ctx.device.new_buffer(np.array([False]))
+                    columns.append(col)
+                else:
+                    columns.append(fill_constant(ctx.device, 1, value, field.dtype))
+            out = GTable(out_schema, columns, ctx.device)
+            if scope.fused:
+                scope.external(sum(c.traffic_bytes for c in chunks), out.traffic_bytes)
+        return out
 
     def _reduce(self, agg: AggregateCall, arg, data: GTable | None):
         if data is None or data.num_rows == 0:

@@ -6,18 +6,19 @@ step engine materialises a full intermediate ``GTable`` to HBM that the
 next operator immediately reads back.  The compiler
 (:mod:`repro.core.planner`) emits every maximal run of adjacent
 :class:`~.streaming.FilterOp`/:class:`~.streaming.ProjectOp` stages as a
-single region (:meth:`Device.fused_kernel`): a :class:`FusedOp`, or, for
-a run that follows a join probe, the probe's own output region
-(:class:`~.join.HashJoinProbe`).  The device's billing decides what a
-region costs.  Under fused billing (Data Path Fusion) the region reads
-its input chunk once and writes only the final result: interior traffic
-is priced at zero and the run bills one launch.  Under per-part billing,
-the paper's Sirius, each stage's kernels are charged as they launch,
-under the stage's own Figure-5 category, as the separate Filter and
-Project operators were.  The run may start with a scan's pushed filter,
-which the compiler emits as a ``FilterOp``.  Regions cannot nest, so
-both kinds run the one stage loop here, :func:`run_stages`, over a
-program built by :func:`compile_stages`.
+single region (:meth:`Device.fused_kernel`): a :class:`FusedOp`, or a
+join probe's own region (:class:`~.join.HashJoinProbe`) — its input
+region, with the hash-probe kernel, for a run that opens the pipeline
+and feeds the probe, its output region for a run that follows it.  The
+device's billing decides what a region costs.  Under fused billing
+(Data Path Fusion) the region reads its input chunk once and writes only
+the final result: interior traffic is priced at zero and the run bills
+one launch.  Under per-part billing, the paper's Sirius, each stage's
+kernels are charged as they launch, under the stage's own Figure-5
+category, as the separate Filter and Project operators were.  The run
+may start with a scan's pushed filter, which the compiler emits as a
+``FilterOp``.  Regions cannot nest, so both kinds run the one stage loop
+here, :func:`run_stages`, over a program built by :func:`compile_stages`.
 
 Expressions are compiled once at plan time (in the region's
 ``__init__`` — the RR04 lint requires operators to be stateless after

@@ -25,6 +25,12 @@ an out-of-core run scatters it, each leaf is kept as a fragment of a
 :class:`PartitionedBuild`, and the probe routes probe rows through the
 same ``partition_by_keys`` hashes, level by level, to the leaf they can
 match.
+
+Under fused billing a held build keeps its hash table: the sink builds it
+once, in one region with its concat, and each probe call charges only
+``HASH_PROBE``.  Per-part billing, the paper's Sirius, and the leaves of a
+partitioned build charge the build on every probe call, as the kernel
+library's join does.
 """
 
 from __future__ import annotations
@@ -36,12 +42,14 @@ from ...gpu.costmodel import KernelClass
 from ...kernels import (
     GTable,
     anti_join,
+    build_hash_table,
     concat_gtables,
     gather_table,
     inner_join,
     left_join,
     mask_table,
     partition_by_keys,
+    probe_hash_table,
     semi_join,
 )
 from ...kernels.join import JoinResult, _expand, _match_ranges
@@ -119,7 +127,9 @@ class HashJoinBuildSink(SinkOperator):
     """Materialises the build (right) side of a join into a slot.
 
     Input goes through the partition spool.  A build that never scattered
-    puts the plain build table in the slot.  One that scattered registers
+    puts the plain build table in the slot; under fused billing it is
+    finalized as one region, its concat and the hash table the probes
+    read, built once (:func:`_keeps_table`).  One that scattered registers
     every leaf as a buffer-manager fragment and puts a
     :class:`PartitionedBuild` handle naming them in the slot; the probe
     routes probe rows through the same salted hashes, so every key pair
@@ -149,19 +159,39 @@ class HashJoinBuildSink(SinkOperator):
             build.add_leaf(path, name, table.num_rows)
         if not build.leaves:
             # Degenerate empty build: hand the probe a plain empty GTable.
-            return _empty_gtable(ctx, self.schema)
+            return self._finalize_held(ctx, {})
         return build
 
     def _finalize_held(self, ctx: ExecutionContext, state: dict) -> GTable:
         chunks = state.get("chunks", [])
-        if not chunks:
-            return _empty_gtable(ctx, self.schema)
-        if len(chunks) == 1:
-            return chunks[0]
-        return concat_gtables(chunks)
+        if len(chunks) < 2:
+            table = chunks[0] if chunks else _empty_gtable(ctx, self.schema)
+            self._build(ctx, table)
+            return table
+        with ctx.device.fused_kernel() as scope:
+            table = concat_gtables(chunks)
+            table_bytes = self._build(ctx, table)
+            if scope.fused:
+                bytes_in = sum(c.traffic_bytes for c in chunks)
+                scope.external(bytes_in, table.traffic_bytes + table_bytes)
+        return table
+
+    def _build(self, ctx: ExecutionContext, table: GTable) -> int:
+        """Build the hash table every probe call reads, if the build keeps
+        one (:func:`_keeps_table`); returns its bytes, 0 when it does not."""
+        if not (self.key_indices and _keeps_table(ctx)):
+            return 0
+        return build_hash_table([table.columns[i] for i in self.key_indices])
 
     def describe(self) -> str:
         return f"HashJoinBuild({self.slot})"
+
+
+def _keeps_table(ctx: ExecutionContext) -> bool:
+    """Whether a held build keeps its hash table for every probe call: under
+    fused billing, when the hash join is the active implementation (the
+    sort-merge join has no table to keep)."""
+    return ctx.device.fused_billing and ctx.registry.get("join") is libcudf_join
 
 
 class HashJoinProbe(StreamingOperator):
@@ -183,19 +213,25 @@ class HashJoinProbe(StreamingOperator):
     resident — that residency is exactly what would put a lower bound of
     ``output_size`` on the memory floor.
 
-    The hash-join kernel and the §3.2.3 copy of each gather map to uint64
-    engine ids are launches of their own.  Everything after them is one
-    region (:meth:`Device.fused_kernel`): each map's return trip to
-    int32, both sides' gathers, the residual ``post_filter`` and
-    ``stages`` — the Filter/Project run that follows the probe in the
-    plan, which the compiler hands the probe when it builds it.  The
-    residual and the stages are compiled once, here, so a probe the
-    device cannot lower fails ``compile_plan``; the residual runs without
-    a CSE cache.
-    A probe against a plain build runs ``stages`` in that region, per
-    chunk; a scattered probe assembles each leaf's output without them
-    and runs them on every coalesced batch of leaf outputs, in a region
-    of their own.
+    A probe call is two regions (:meth:`Device.fused_kernel`) around the
+    launches of its own.  The input region runs ``input_stages`` — the
+    Filter/Project run that opens the pipeline and feeds the probe — and
+    the matching kernel (``HASH_PROBE``).  The hash build, when the call
+    charges one, is a launch of its own: a table is complete before any
+    probe reads it.  Against a held build under fused billing the sink
+    built the table once (:class:`HashJoinBuildSink`) and the call charges
+    no build.  The §3.2.3 copy of each gather map to uint64 engine ids is
+    a launch of its own.  The output region runs each map's return trip
+    to int32, both sides' gathers, the residual ``post_filter`` and
+    ``stages`` — the Filter/Project run that follows the probe.  The
+    compiler hands the probe both runs when it builds it; they and the
+    residual are compiled once, here, so a probe the device cannot lower
+    fails ``compile_plan``; the residual runs without a CSE cache.
+    A probe against a plain build runs both regions per chunk.  A
+    scattered probe runs ``input_stages`` as a region of their own before
+    it partitions the chunk, assembles each leaf's output without
+    ``stages`` and runs them on every coalesced batch of leaf outputs, in
+    a region of their own.
     """
 
     category = Category.JOIN
@@ -210,6 +246,7 @@ class HashJoinProbe(StreamingOperator):
         build_schema: Schema,
         post_filter=None,
         stages=(),
+        input_stages=(),
     ):
         self.build_slot = build_slot
         self.join_type = join_type
@@ -221,6 +258,8 @@ class HashJoinProbe(StreamingOperator):
         self._residual = compile_predicate(post_filter) if post_filter is not None else None
         self.stages = list(stages)
         self._program = compile_stages(self.stages, self.join_schema() if self.stages else None)
+        self.input_stages = list(input_stages)
+        self._inputs = compile_stages(self.input_stages)
 
     def join_schema(self) -> Schema:
         """The schema the join itself produces, before any absorbed stage."""
@@ -234,10 +273,14 @@ class HashJoinProbe(StreamingOperator):
         return self.join_schema()
 
     def process(self, ctx: ExecutionContext, chunk: GTable, state: dict):
-        build = state["slots"][self.build_slot]
+        slots = state["slots"]
+        build = slots[self.build_slot]
         if isinstance(build, PartitionedBuild):
+            if self._inputs:
+                chunk = run_region(ctx, self._inputs, chunk, slots)
             return ChunkStream(self._stream_leaf_outputs(ctx, chunk, build, state))
-        return self._probe_against(ctx, chunk, build, state["slots"], self._program)
+        kept = _keeps_table(ctx)
+        return self._probe_against(ctx, chunk, build, slots, self._program, self._inputs, kept)
 
     def _finish(self, ctx, scope, chunk, joined, right_out, map_bytes, slots, program) -> GTable:
         """Close the output region: run ``program`` over the join output and,
@@ -257,23 +300,63 @@ class HashJoinProbe(StreamingOperator):
         return out
 
     def _probe_against(
-        self, ctx: ExecutionContext, chunk: GTable, build_table: GTable, slots: dict, program
+        self, ctx, chunk: GTable, build_table: GTable, slots: dict, program, inputs=(), kept=False
     ) -> GTable:
         """Probe one chunk against one materialised build table (the whole
-        build, or one leaf of a partitioned one); the output region also
-        runs ``program``."""
+        build, or one leaf of a partitioned one): the input region runs
+        ``inputs`` and the match, the output region also runs ``program``.
+        ``kept``: the build sink built the table's hash table."""
+        if not inputs:
+            matched = self._match(ctx, chunk, build_table, kept)
+            return self._output(ctx, chunk, build_table, matched, slots, program, kept)
+        with ctx.device.fused_kernel() as scope:
+            probe_in = run_stages(ctx, scope, inputs, chunk, slots)
+            matched = self._match(ctx, probe_in, build_table, kept)
+            if scope.fused:
+                # Out: the probe side the gathers read, and 8 B per match.
+                scope.external(chunk.traffic_bytes, probe_in.traffic_bytes + 8 * len(matched))
+        out = self._output(ctx, probe_in, build_table, matched, slots, program, kept)
+        if ctx.out_of_core and probe_in is not chunk:
+            dispose_chunk(ctx, probe_in, slots, successor=out)
+        return out
+
+    def _match(self, ctx, chunk: GTable, build_table: GTable, kept: bool):
+        """The matching kernel: a :class:`JoinResult`, or the probe rows a
+        semi/anti join keeps.  A key-less join is the full cartesian
+        product, produced by the planner only for single-row
+        scalar-subquery joins but implemented generally."""
         if not self.probe_key_indices:
-            return self._cross_join(ctx, chunk, build_table, slots, program)
+            if self.join_type != "inner":
+                raise ValueError("cross join supports inner join type only")
+            n, m = chunk.num_rows, build_table.num_rows
+            pairs = JoinResult(
+                np.repeat(np.arange(n, dtype=np.int32), m),
+                np.tile(np.arange(m, dtype=np.int32), n),
+            )
+            ctx.device.launch(
+                KernelClass.STREAM, chunk.nbytes + build_table.nbytes, n * m * 8, n * m
+            )
+            return pairs
+        return self._join(ctx, self.join_type, chunk, build_table, kept)
+
+    def _join(self, ctx, join_type: str, chunk: GTable, build_table: GTable, kept: bool):
+        """A keyed ``join_type`` join: a probe of the ``kept`` hash table, or
+        a call of the active implementation, which builds its own."""
         probe_keys = [chunk.columns[i] for i in self.probe_key_indices]
         build_keys = [build_table.columns[i] for i in self.build_key_indices]
-        result = ctx.registry.get("join")(self.join_type, probe_keys, build_keys)
+        if kept:
+            return probe_hash_table(join_type, probe_keys, build_keys)
+        return ctx.registry.get("join")(join_type, probe_keys, build_keys)
+
+    def _output(self, ctx, chunk, build_table, matched, slots, program, kept) -> GTable:
+        """The output region over ``matched``."""
+        if not self.probe_key_indices:
+            return self._cross_join(ctx, chunk, build_table, matched, slots, program)
         semi = self.join_type in ("semi", "anti")
         if semi and self.post_filter is not None:
-            return self._filtered_semi_anti(
-                ctx, chunk, build_table, probe_keys, build_keys, slots, program
-            )
+            return self._filtered_semi_anti(ctx, chunk, build_table, slots, program, kept)
         with ctx.device.fused_kernel() as scope:
-            indices = [result] if semi else [result.left_indices, result.right_indices]
+            indices = [matched] if semi else [matched.left_indices, matched.right_indices]
             maps, map_bytes = _round_trip(ctx, indices)
             if semi:
                 out, right_out = gather_table(chunk, maps[0]), None
@@ -300,32 +383,20 @@ class HashJoinProbe(StreamingOperator):
                 out = mask_table(out, keep)
         return out, right_out
 
-    def _cross_join(self, ctx, chunk: GTable, build_table: GTable, slots: dict, program) -> GTable:
-        """Key-less join: full cartesian product.
-
-        Produced by the planner only for single-row scalar-subquery joins,
-        but implemented generally.  Its int32 maps are the engine's own and
-        need no conversion.
-        """
-        if self.join_type != "inner":
-            raise ValueError("cross join supports inner join type only")
-        n, m = chunk.num_rows, build_table.num_rows
-        left_idx = np.repeat(np.arange(n, dtype=np.int32), m)
-        maps = [left_idx, np.tile(np.arange(m, dtype=np.int32), n)]
-        ctx.device.launch(KernelClass.STREAM, chunk.nbytes + build_table.nbytes, n * m * 8, n * m)
+    def _cross_join(self, ctx, chunk, build_table, pairs, slots: dict, program) -> GTable:
+        """The cartesian product's output region.  Its int32 maps are the
+        engine's own and need no conversion."""
         with ctx.device.fused_kernel() as scope:
+            maps = [pairs.left_indices, pairs.right_indices]
             out, right_out = self._assemble(ctx, chunk, build_table, maps, Category.JOIN)
             map_bytes = maps[0].nbytes + maps[1].nbytes
             return self._finish(ctx, scope, chunk, out, right_out, map_bytes, slots, program)
 
-    def _filtered_semi_anti(
-        self, ctx, chunk, build_table, probe_keys, build_keys, slots, program
-    ) -> GTable:
+    def _filtered_semi_anti(self, ctx, chunk, build_table, slots, program, kept) -> GTable:
         """Semi/anti join with a residual non-equi predicate (Q21's
-        ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the registered
-        implementation's inner join, filter the pairs, then reduce back to
-        distinct probe rows."""
-        pairs = ctx.registry.get("join")("inner", probe_keys, build_keys)
+        ``l2.l_suppkey <> l1.l_suppkey`` pattern): run the inner join,
+        filter the pairs, then reduce back to distinct probe rows."""
+        pairs = self._join(ctx, "inner", chunk, build_table, kept)
         with ctx.device.fused_kernel() as scope:
             left_out = gather_table(chunk, pairs.left_indices)
             right_out = gather_table(build_table, pairs.right_indices)
@@ -420,10 +491,12 @@ class HashJoinProbe(StreamingOperator):
             out.free()
 
     def describe(self) -> str:
-        fused = ""
+        runs = ""
+        if self.input_stages:
+            runs = ", input=[" + " -> ".join(s.describe() for s in self.input_stages) + "]"
         if self.stages:
-            fused = ", fused=[" + " -> ".join(s.describe() for s in self.stages) + "]"
-        return f"HashJoinProbe({self.join_type}, slot={self.build_slot}{fused})"
+            runs += ", fused=[" + " -> ".join(s.describe() for s in self.stages) + "]"
+        return f"HashJoinProbe({self.join_type}, slot={self.build_slot}{runs})"
 
 
 class PartitionedBuild:

@@ -1,8 +1,9 @@
 """The stages of a region: filter and project.
 
 Neither is an operator a pipeline runs.  The compiler gathers each run of
-them into a region — one :class:`~.fused.FusedOp`, or the output region
-of the :class:`~.join.HashJoinProbe` the run follows — and
+them into a region — one :class:`~.fused.FusedOp`, or a region of a
+:class:`~.join.HashJoinProbe`: the input region of the probe a run that
+opens a pipeline feeds, the output region of the probe a run follows — and
 :func:`~.fused.compile_stages` lowers them to the program that region
 runs.  Each declares the Figure-5 ``category`` its kernels are billed to
 under per-part billing.

@@ -8,11 +8,14 @@ read (as their source, or as a hash-join build table).
 
 The compiler emits regions (Data Path Fusion) as it walks the plan.  A
 maximal run of Filter/Project relations — a scan's pushed filter first,
-when it has one — becomes one :class:`~.operators.fused.FusedOp`, or
-the ``stages`` of the :class:`~.operators.join.HashJoinProbe` it
-follows, so a probe's gathers, residual filter and the run after it are
-one output region; ``Fetch(Sort(x))`` becomes a single top-N sink, and
-every Sort/Top-N sink gathers its output as a region.  How a region is
+when it has one — becomes the ``input_stages`` of the
+:class:`~.operators.join.HashJoinProbe` it feeds when it opens the
+pipeline (the run and the hash probe are one input region), the
+``stages`` of the probe it follows (the probe's gathers, residual filter
+and the run are one output region), or else one
+:class:`~.operators.fused.FusedOp`.  ``Fetch(Sort(x))`` becomes a single
+top-N sink; every Sort/Top-N sink gathers its output as a region, and
+the aggregate and hash-build sinks finalize in regions.  How a region is
 billed — as one launch, or as the launches its parts were — is the
 device's choice (:meth:`~repro.gpu.device.Device.fused_kernel`), not the
 plan's.  A plan holding an expression the device cannot lower fails to
@@ -138,9 +141,13 @@ class _Compiler:
             b_source, b_ops, b_deps = self.compile(rel.right)
             build_sink = HashJoinBuildSink(build_slot, build_schema, rel.right_keys)
             build_pid = self.add_pipeline(b_source, b_ops, build_sink, build_slot, b_deps)
-            # Probe side continues the current pipeline; the probe opens a
-            # region for the run that follows it.
+            # Probe side continues the current pipeline.  A run that opens
+            # the pipeline is the probe's input; the probe opens a region
+            # for the run that follows it.
             source, ops, deps = self.compile(rel.left)
+            inputs = []
+            if all(isinstance(op, (FilterOp, ProjectOp)) for op in ops):
+                inputs, ops = ops, []
             _seal(ops).append(
                 partial(
                     HashJoinProbe,
@@ -151,6 +158,7 @@ class _Compiler:
                     rel.left.output_schema(),
                     build_schema,
                     rel.post_filter,
+                    input_stages=inputs,
                 )
             )
             deps = deps | {build_pid}
@@ -198,8 +206,10 @@ class _Compiler:
 def _seal(ops: list) -> list:
     """Close the open region at the end of ``ops`` in place: the trailing
     Filter/Project stages become the stages of the probe they follow, or
-    one :class:`FusedOp`.  Raises ``UnsupportedExpressionError`` when a
-    stage holds an expression the device cannot lower."""
+    one :class:`FusedOp` (a run that opens the pipeline and feeds a probe
+    never reaches here: it is that probe's ``input_stages``).  Raises
+    ``UnsupportedExpressionError`` when a stage holds an expression the
+    device cannot lower."""
     start = len(ops)
     while start and isinstance(ops[start - 1], (FilterOp, ProjectOp)):
         start -= 1
@@ -216,10 +226,10 @@ def compile_plan(plan: Plan) -> PhysicalPlan:
     """Compile a validated plan into pipelines ending in a result slot.
 
     Every pipeline's streaming operators are regions: fused runs and
-    probes carrying the run after them.  The operator tree is the same
-    whatever the engine's configuration: whether the run is out-of-core is
-    decided at run time (``ExecutionContext.out_of_core``), and how its
-    regions are billed by the device.  Raises
+    probes carrying the runs before and after them.  The operator tree is
+    the same whatever the engine's configuration: whether the run is
+    out-of-core is decided at run time (``ExecutionContext.out_of_core``),
+    and how its regions are billed by the device.  Raises
     ``UnsupportedExpressionError`` for an expression the device cannot
     lower.
     """

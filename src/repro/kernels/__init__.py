@@ -42,8 +42,10 @@ from .gtable import GColumn, GTable, NULL_INDEX
 from .join import (
     JoinResult,
     anti_join,
+    build_hash_table,
     inner_join,
     left_join,
+    probe_hash_table,
     semi_join,
 )
 from .keys import factorize_keys
@@ -60,6 +62,7 @@ __all__ = [
     "absolute",
     "anti_join",
     "binary_arith",
+    "build_hash_table",
     "case_when",
     "cast_column",
     "coalesce",
@@ -84,6 +87,7 @@ __all__ = [
     "logical_or",
     "mask_table",
     "partition_by_keys",
+    "probe_hash_table",
     "reduce_column",
     "round_column",
     "scatter_to_partitions",

@@ -15,13 +15,22 @@ The simulated hash join charges:
 * a ``HASH_PROBE`` kernel over the probe side's key bytes plus the output
   index bytes,
 
-which is the traffic pattern of a real GPU hash join.  The matching in
-NumPy is direct-addressed either way, and both ways emit the same pairs in
-the same order.  One integer-kind key column (ints, dates, bools) whose
-build side spans no more than ``_dense_rank``'s table budget is *looked
-up*: a span-sized table holds each build key's row, and a probe key is one
-subtract, range check and gather away from it — for inner and left joins
-when a side's keys are unique, for semi and anti joins always.  Otherwise
+which is the traffic pattern of a real GPU hash join.  The join functions
+charge both on every call, the build as a launch of its own even inside
+an open region: a hash table is complete before any probe reads it.  A
+table that outlives one call is charged apart: :func:`build_hash_table`
+charges its build once (a part of the caller's region), and each
+:func:`probe_hash_table` call charges only ``HASH_PROBE``.  Both charge
+around the join functions' own matching, so the pairs and their order
+do not depend on how the build is charged.
+
+The matching in NumPy is direct-addressed either way, and both ways emit
+the same pairs in the same order.  One integer-kind key column (ints,
+dates, bools) whose build side spans no more than ``_dense_rank``'s
+table budget is *looked up*: a span-sized table holds each build key's
+row, and a probe key is one subtract, range check and gather away from
+it — for inner and left joins when a side's keys are unique, for semi
+and anti joins always.  Otherwise
 ``factorize_keys`` gives both sides dense codes, a ``bincount`` + ``cumsum``
 over the build codes gives every probe row its run of matches, and only
 inner and left joins order the build side, to lay those runs out.
@@ -43,6 +52,8 @@ __all__ = [
     "left_join",
     "semi_join",
     "anti_join",
+    "build_hash_table",
+    "probe_hash_table",
     "JoinResult",
 ]
 
@@ -106,15 +117,43 @@ HASH_TABLE_EXPANSION = 2.5
 
 
 def _charge(build_keys, probe_keys, out_rows: int) -> None:
-    device = build_keys[0].device
+    """One call's build and probe.  The build is never a part of the
+    caller's region: the probe in that region reads the finished table."""
+    _charge_build(build_keys, build_keys[0].device.launch_unfused)
+    _charge_probe(probe_keys, out_rows)
+
+
+def _charge_build(build_keys, launch) -> int:
     build_bytes = sum(k.traffic_bytes for k in build_keys)
-    probe_bytes = sum(k.traffic_bytes for k in probe_keys)
     build_rows = len(build_keys[0])
-    probe_rows = len(probe_keys[0])
     table_bytes = int(HASH_TABLE_EXPANSION * (build_bytes + 8 * build_rows))
-    device.launch(KernelClass.HASH_BUILD, build_bytes, table_bytes, build_rows)
+    launch(KernelClass.HASH_BUILD, build_bytes, table_bytes, build_rows)
+    return table_bytes
+
+
+def _charge_probe(probe_keys, out_rows: int) -> None:
+    probe_bytes = sum(k.traffic_bytes for k in probe_keys)
+    probe_rows = len(probe_keys[0])
     # Each probe reads its keys plus one hash-table bucket (~32 B).
-    device.launch(KernelClass.HASH_PROBE, probe_bytes + 32 * probe_rows, out_rows * 8, probe_rows)
+    probe_keys[0].device.launch(
+        KernelClass.HASH_PROBE, probe_bytes + 32 * probe_rows, out_rows * 8, probe_rows
+    )
+
+
+def build_hash_table(build_keys: Sequence[GColumn]) -> int:
+    """Charge building a hash table over ``build_keys`` that later probes
+    read through :func:`probe_hash_table`; a part of the caller's open
+    region, if any.  Returns the bytes the table occupies."""
+    return _charge_build(build_keys, build_keys[0].device.launch)
+
+
+def probe_hash_table(join_type: str, probe_keys, build_keys):
+    """A ``join_type`` join of ``probe_keys`` against the table that
+    :func:`build_hash_table` built over ``build_keys``: the result of the
+    matching join function, charging ``HASH_PROBE`` only."""
+    result = _MATCH[join_type](probe_keys, build_keys)
+    _charge_probe(probe_keys, len(result))
+    return result
 
 
 def _lookup(build_keys, probe_keys, unique: bool) -> np.ndarray | None:
@@ -157,7 +196,20 @@ def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> J
     The smaller side plays the hash-table build role for cost purposes,
     matching the planner behaviour of real engines.
     """
-    build_on_right = len(right_keys[0]) <= len(left_keys[0])
+    result = _inner(left_keys, right_keys)
+    if _builds_on_right(left_keys, right_keys):
+        _charge(right_keys, left_keys, len(result))
+    else:
+        _charge(left_keys, right_keys, len(result))
+    return result
+
+
+def _builds_on_right(left_keys, right_keys) -> bool:
+    return len(right_keys[0]) <= len(left_keys[0])
+
+
+def _inner(left_keys, right_keys) -> JoinResult:
+    build_on_right = _builds_on_right(left_keys, right_keys)
     build_keys, probe_keys = (right_keys, left_keys) if build_on_right else (left_keys, right_keys)
     if (match := _lookup(build_keys, probe_keys, unique=True)) is not None:
         probe_idx = np.flatnonzero(match >= 0)
@@ -173,7 +225,6 @@ def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> J
         lcodes, rcodes, num_codes = factorize_keys(left_keys, right_keys, nulls_match=False)
         bcodes, pcodes = (rcodes, lcodes) if build_on_right else (lcodes, rcodes)
         probe_idx, build_idx, _ = _expand(bcodes, *_match_ranges(bcodes, pcodes, num_codes))
-    _charge(build_keys, probe_keys, len(probe_idx))
     if build_on_right:
         return JoinResult(probe_idx, build_idx)
     return JoinResult(build_idx, probe_idx)
@@ -182,6 +233,12 @@ def inner_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> J
 def left_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> JoinResult:
     """Left outer equi-join: unmatched left rows appear once with right
     index ``-1`` (to be gathered as NULLs)."""
+    result = _left(left_keys, right_keys)
+    _charge(right_keys, left_keys, len(result))
+    return result
+
+
+def _left(left_keys, right_keys) -> JoinResult:
     if (match := _lookup(right_keys, left_keys, unique=True)) is not None:
         matched = match >= 0
         left_idx = np.concatenate([np.flatnonzero(matched), np.flatnonzero(~matched)])
@@ -195,7 +252,6 @@ def left_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> Jo
         right_idx = np.concatenate(
             [build_idx, np.full(len(unmatched), NULL_INDEX, dtype=np.int64)]
         )
-    _charge(right_keys, left_keys, len(left_idx))
     return JoinResult(left_idx, right_idx)
 
 
@@ -210,7 +266,7 @@ def _has_match(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> n
 
 def semi_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np.ndarray:
     """Left semi-join: int32 indices of left rows with >= 1 right match."""
-    matched = np.flatnonzero(_has_match(left_keys, right_keys)).astype(np.int32)
+    matched = _semi(left_keys, right_keys)
     _charge(right_keys, left_keys, len(matched))
     return matched
 
@@ -221,6 +277,24 @@ def anti_join(left_keys: Sequence[GColumn], right_keys: Sequence[GColumn]) -> np
     NULL probe keys have no match and therefore *are* returned, matching
     the NOT EXISTS (not the NOT IN) semantics Sirius' planner emits.
     """
-    unmatched = np.flatnonzero(~_has_match(left_keys, right_keys)).astype(np.int32)
+    unmatched = _anti(left_keys, right_keys)
     _charge(right_keys, left_keys, len(unmatched))
     return unmatched
+
+
+def _semi(left_keys, right_keys) -> np.ndarray:
+    return np.flatnonzero(_has_match(left_keys, right_keys)).astype(np.int32)
+
+
+def _anti(left_keys, right_keys) -> np.ndarray:
+    return np.flatnonzero(~_has_match(left_keys, right_keys)).astype(np.int32)
+
+
+# Each join type's matching, shared by the join functions and the probe of
+# a kept table.
+_MATCH = {
+    "inner": _inner,
+    "left": _left,
+    "semi": _semi,
+    "anti": _anti,
+}

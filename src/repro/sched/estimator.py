@@ -143,7 +143,8 @@ class _Estimator:
         ``path`` (``root.input.left`` ...: the site its pool bytes are
         recorded under)."""
         if isinstance(rel, (ReadRel, FilterRel, ProjectRel)):
-            return self._chain(rel, path)
+            rows, nbytes, _run = self._chain(rel, path)
+            return rows, nbytes
         if isinstance(rel, JoinRel):
             return self._join(rel, path)
         if isinstance(rel, AggregateRel):
@@ -161,7 +162,7 @@ class _Estimator:
             return rows, nbytes
         raise TypeError(f"cannot estimate {type(rel).__name__}")
 
-    def _chain(self, rel: Relation, path: str) -> tuple[float, float]:
+    def _chain(self, rel: Relation, path: str, feeds_probe: bool = False):
         """Price a maximal adjacent Filter/Project chain, down to and
         including its scan, as the compiler emits it: a scan's pushed
         filter is the first hop (when the table is in the catalog), and
@@ -169,7 +170,12 @@ class _Estimator:
         prices the hops as one launch — each keeps its non-streaming
         terms, but the memory-bandwidth term covers only the chain's
         external input and final output (:meth:`KernelCostModel
-        .fused_cost`); per-part billing prices one launch per hop."""
+        .fused_cost`); per-part billing prices one launch per hop.
+
+        Returns the chain's rows and bytes, and ``None`` — or, under fused
+        billing for a chain that opens a pipeline and ``feeds_probe``, its
+        unpriced hops and external input: that run is the probe's input,
+        one region with its ``HASH_PROBE`` (:meth:`_join`)."""
         chain: list[Relation] = []
         node = rel
         while isinstance(node, (FilterRel, ProjectRel)):
@@ -189,12 +195,14 @@ class _Estimator:
             if is_filter:
                 rows *= FILTER_SELECTIVITY
                 nbytes *= FILTER_SELECTIVITY
+        if self.fusion and feeds_probe and parts and not isinstance(node, JoinRel):
+            return rows, nbytes, (parts, ext_in)
         if self.fusion and parts:
             self.seconds += self.model.fused_cost(parts, int(ext_in), int(nbytes)).total
         else:
             for part in parts:
                 self._charge(*part)
-        return rows, nbytes
+        return rows, nbytes, None
 
     def _scan(self, rel: ReadRel) -> tuple[float, float]:
         """Rows and bytes a scan reads (its projected columns); scans read
@@ -217,13 +225,24 @@ class _Estimator:
         return rows, nbytes
 
     def _join(self, rel: JoinRel, path: str) -> tuple[float, float]:
-        probe_rows, probe_bytes = self.visit(rel.inputs[0], f"{path}.left")
+        probe_rel, run = rel.inputs[0], None
+        if isinstance(probe_rel, (ReadRel, FilterRel, ProjectRel)):
+            probe_rows, probe_bytes, run = self._chain(probe_rel, f"{path}.left", True)
+        else:
+            probe_rows, probe_bytes = self.visit(probe_rel, f"{path}.left")
         build_rows, build_bytes = self.visit(rel.inputs[1], f"{path}.right")
         self.hold(path, "hash-build", HASH_TABLE_FACTOR * build_bytes)
         self._charge(KernelClass.HASH_BUILD, build_bytes, build_bytes, build_rows)
-        self._charge(
-            KernelClass.HASH_PROBE, probe_bytes, probe_bytes + build_bytes, probe_rows
-        )
+        matched = probe_bytes + build_bytes
+        if run is None:
+            self._charge(KernelClass.HASH_PROBE, probe_bytes, matched, probe_rows)
+        else:
+            parts, ext_in = run
+            rows = int(max(probe_rows, 1))
+            parts = parts + [(KernelClass.HASH_PROBE, int(probe_bytes), int(matched), rows, None)]
+            # Out: the probe side the gathers read, and the matches.
+            ext_out = int(probe_bytes + matched)
+            self.seconds += self.model.fused_cost(parts, int(ext_in), ext_out).total
         if rel.join_type in ("semi", "anti"):
             return probe_rows * SEMI_JOIN_SELECTIVITY, probe_bytes * SEMI_JOIN_SELECTIVITY
         # FK-join assumption: output cardinality ~ probe side, output rows

@@ -174,7 +174,9 @@ def assert_regions_only(physical, what):
     """The compiler emits regions: every streaming operator is a
     :class:`FusedOp` or a probe, no bare Filter/Project stage stands in a
     pipeline, and every region is maximal — no ``FusedOp`` follows another
-    region, because the run after a probe is that probe's ``stages``."""
+    region, because the run after a probe is that probe's ``stages``, and
+    no ``FusedOp`` precedes a probe, because the run that opens a pipeline
+    and feeds a probe is that probe's ``input_stages``."""
     from repro.core.operators.fused import FusedOp
     from repro.core.operators.join import HashJoinProbe
 
@@ -182,6 +184,7 @@ def assert_regions_only(physical, what):
         kinds = [type(op) for op in pipeline.operators]
         assert set(kinds) <= {FusedOp, HashJoinProbe}, (what, pipeline.describe())
         assert FusedOp not in kinds[1:], (what, pipeline.describe())
+        assert kinds[:2] != [FusedOp, HashJoinProbe], (what, pipeline.describe())
 
 
 # The seed compiler's operator classes per pipeline for TPC-H Q1/3/5/9/21
@@ -328,8 +331,9 @@ class TestFusedPlanVerifier:
 
     def test_unfused_plan_operator_lists_are_seed_shaped(self, planner):
         """Fusion only groups operators: with every region expanded into
-        its parts, each pipeline runs the seed's operator classes in the
-        seed's order — the sequence per-part billing charges launch by
+        its parts — a probe into its input stages, itself and its output
+        stages — each pipeline runs the seed's operator classes in the
+        seed's order: the sequence per-part billing charges launch by
         launch."""
         from repro.core.operators.fused import FusedOp
         from repro.core.operators.join import HashJoinProbe
@@ -338,6 +342,7 @@ class TestFusedPlanVerifier:
             for op in operators:
                 assert isinstance(op, (FusedOp, HashJoinProbe)), op
                 if isinstance(op, HashJoinProbe):
+                    yield from op.input_stages
                     yield op
                 yield from op.stages
 
@@ -864,6 +869,28 @@ class TestEstimatorFusionPricing:
         pushed = ScalarCall("gt", [FieldRef(0), Literal(1)])
         plan = Plan(ReadRel("t", _FP_SCHEMA, filter_expr=pushed))
         assert _estimated_launches(plan, {}, fusion) == pytest.approx(0.0)
+
+    def test_a_probes_opening_run_prices_one_launch_with_its_probe(self):
+        """A filtered scan feeding a probe is the probe's input run: fused
+        billing prices the filter and the ``HASH_PROBE`` as one launch
+        beside the build, per-part billing each of the three.  A run over
+        a join's output is that probe's output run, priced on its own."""
+        from repro.plan import Plan
+        from repro.plan.expressions import FieldRef, Literal, ScalarCall
+        from repro.plan.relations import FilterRel, JoinRel, ReadRel
+
+        pushed = ScalarCall("gt", [FieldRef(0), Literal(1)])
+        probe = ReadRel("p", _FP_SCHEMA, filter_expr=pushed)
+        join = JoinRel(probe, ReadRel("b", _FP_SCHEMA), "inner", [0], [0])
+        table = Table.from_pydict(
+            {"a": list(range(64)), "b": [float(i) for i in range(64)]}, _FP_SCHEMA
+        )
+        catalog = {"p": table, "b": table}
+        assert _estimated_launches(Plan(join), catalog, fusion=True) == pytest.approx(2.0)
+        assert _estimated_launches(Plan(join), catalog, fusion=False) == pytest.approx(3.0)
+        above = JoinRel(FilterRel(join, pushed), ReadRel("b", _FP_SCHEMA), "inner", [0], [0])
+        assert _estimated_launches(Plan(above), catalog, fusion=True) == pytest.approx(5.0)
+        assert _estimated_launches(Plan(above), catalog, fusion=False) == pytest.approx(6.0)
 
     def test_fused_estimate_strictly_better_on_q6(self, data, planner):
         from repro.gpu.device import Device
